@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .decompose import mr_exact
+from .estimate import superset_counts
 from .hypergraph import CapacityError, Hypergraph, VertexSet
 
 __all__ = [
@@ -252,11 +253,7 @@ def degree_event(h: Hypergraph, v: int, c: int) -> EventTable:
     """Event (over vertex subsets as outcomes) that v has >= c induced edges."""
     if h.n > BOX_COORD_BUDGET:
         raise CapacityError(f"{h.n} vertices exceed budget {BOX_COORD_BUDGET}")
-    codes = np.arange(1 << h.n, dtype=np.uint32)
-    deg = np.zeros(codes.size, dtype=np.int32)
-    for i in h.incidence[v]:
-        mask = h.edge_masks[i]
-        deg += ((codes & mask) == mask).astype(np.int32)
+    deg = superset_counts(h.n, [h.edge_masks[i] for i in h.incidence[v]])
     members = np.packbits(deg >= c, bitorder="little").tobytes()
     return EventTable(h.n, int.from_bytes(members, "little"))
 

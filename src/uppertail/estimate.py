@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import binom
@@ -33,12 +34,13 @@ __all__ = [
     "exact_tail",
     "mc_tail",
     "planted_tail",
+    "superset_counts",
     "wilson_interval",
 ]
 
 EXACT_VERTEX_BUDGET = 26
 CLEAN_COMBO_BUDGET = 10**7
-_BLOCK = 1 << 20
+LOW_BITS = 20  # vertices enumerated inside one block of codes
 
 METHODS = ("exact", "mc", "planted", "conditioned")
 
@@ -93,44 +95,68 @@ _HIST_CACHE: dict[Hypergraph, np.ndarray] = {}
 _HIST_CACHE_LIMIT = 8
 
 
-def _histogram_block(h: Hypergraph, start: int, stop: int) -> np.ndarray:
-    ecount = len(h.edges)
-    codes = np.arange(start, stop, dtype=np.uint32)
-    counts = np.zeros(codes.size, dtype=np.int32)
-    for mask in h.edge_masks:
-        m32 = np.uint32(mask)
-        counts += ((codes & m32) == m32).astype(np.int32)
-    pops = np.bitwise_count(codes).astype(np.int64)
-    flat = pops * (ecount + 1) + counts
-    out = np.bincount(flat, minlength=(h.n + 1) * (ecount + 1))
-    return out.reshape(h.n + 1, ecount + 1)
+def _superset_counts(masks: Sequence[int], low: int, high: int) -> np.ndarray:
+    """counts[c] = number of masks inside code (high << low) | c, for one block.
+
+    The block is a [2]*low array whose axis i is bit low-1-i, so the codes
+    containing a mask's low bits are the strided view fixing those axes at 1:
+    each mask costs 2^(low - |its low bits|) in-place adds, not 2^low.
+    """
+    counts = np.zeros((2,) * low, dtype=np.min_scalar_type(len(masks)))
+    for m in masks:
+        if (m >> low) & ~high == 0:
+            counts[tuple(1 if (m >> b) & 1 else slice(None) for b in range(low - 1, -1, -1))] += 1
+    return counts.reshape(-1)
+
+
+def superset_counts(n: int, masks: Sequence[int]) -> np.ndarray:
+    """counts[code] = number of masks inside code, over all 2^n codes (small n)."""
+    low = min(n, LOW_BITS)
+    return np.concatenate([_superset_counts(masks, low, high) for high in range(1 << (n - low))])
+
+
+def _subset_histogram(n: int, masks: Sequence[int], workers: int = 1) -> np.ndarray:
+    """hist[j, x] = number of j-subsets of range(n) containing exactly x masks.
+
+    Block `high` holds the 2^low codes (high << low) | c.  Blocks are counted
+    independently (over a thread pool when workers > 1) and their integer
+    histograms summed, so every worker count agrees.
+    """
+    low = min(n, LOW_BITS)
+    width = len(masks) + 1
+    row_starts = np.bitwise_count(np.arange(1 << low, dtype=np.uint32)).astype(np.int32) * width
+
+    def block(high: int) -> np.ndarray:
+        flat = row_starts + _superset_counts(masks, low, high)
+        return np.bincount(flat, minlength=(low + 1) * width).reshape(low + 1, width)
+
+    blocks = range(1 << (n - low))
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(block, blocks))
+    else:
+        parts = map(block, blocks)
+    hist = np.zeros((n + 1, width), dtype=np.int64)
+    for high, part in zip(blocks, parts):
+        offset = high.bit_count()
+        hist[offset : offset + low + 1] += part
+    return hist
 
 
 def edge_count_histogram(h: Hypergraph, workers: int = 1) -> np.ndarray:
     """counts[j, x] = number of vertex subsets of size j inducing exactly x edges.
 
-    Enumerates all 2^n subsets (n <= 26) in blocks; cached per hypergraph.
-    The parallel mode partitions the code range and sums integer histograms,
-    so its output is identical to the single-threaded one.
+    Enumerates all 2^n subsets (n <= 26) in blocks of 2^LOW_BITS codes.  The
+    cache keeps the last _HIST_CACHE_LIMIT results, least recently used out.
     """
-    cached = _HIST_CACHE.get(h)
-    if cached is not None:
-        return cached
-    if h.n > EXACT_VERTEX_BUDGET:
-        raise CapacityError(f"{h.n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
-    total = 1 << h.n
-    ranges = [(s, min(s + _BLOCK, total)) for s in range(0, total, _BLOCK)]
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda se: _histogram_block(h, *se), ranges))
-    else:
-        parts = [_histogram_block(h, *se) for se in ranges]
-    hist = np.zeros((h.n + 1, len(h.edges) + 1), dtype=np.int64)
-    for part in parts:
-        hist += part
-    hist.setflags(write=False)
-    if len(_HIST_CACHE) >= _HIST_CACHE_LIMIT:
-        _HIST_CACHE.clear()
+    hist = _HIST_CACHE.pop(h, None)
+    if hist is None:
+        if h.n > EXACT_VERTEX_BUDGET:
+            raise CapacityError(f"{h.n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
+        hist = _subset_histogram(h.n, h.edge_masks, workers)
+        hist.setflags(write=False)
+        if len(_HIST_CACHE) >= _HIST_CACHE_LIMIT:
+            del _HIST_CACHE[next(iter(_HIST_CACHE))]
     _HIST_CACHE[h] = hist
     return hist
 
@@ -406,30 +432,16 @@ def enumerate_clean_configs(h: Hypergraph, m: int) -> list[CleanConfig]:
 def _no_outside_edge_prob(h: Hypergraph, config: CleanConfig, p: float) -> float:
     """Pr(no edge outside the configuration is induced | its vertices kept)."""
     u = config.vertex_bits
-    comp = [v for v in range(h.n) if not (u >> v) & 1]
-    c = len(comp)
-    pos = {v: i for i, v in enumerate(comp)}
+    pos = {v: i for i, v in enumerate(v for v in range(h.n) if not (u >> v) & 1)}
     chosen = set(config.edge_ids)
-    free_masks = []
-    for idx, em in enumerate(h.edge_masks):
-        if idx in chosen:
-            continue
-        fm = 0
-        for v in h.edges[idx]:
-            if v in pos:
-                fm |= 1 << pos[v]
-        free_masks.append(np.uint32(fm))
-    counts = np.zeros(c + 1, dtype=np.int64)
-    total = 1 << c
-    for start in range(0, total, _BLOCK):
-        codes = np.arange(start, min(start + _BLOCK, total), dtype=np.uint32)
-        bad = np.zeros(codes.size, dtype=bool)
-        for fm in free_masks:
-            bad |= (codes & fm) == fm
-        pops = np.bitwise_count(codes[~bad])
-        counts += np.bincount(pops, minlength=c + 1)
-    weights = _subset_weights(c, p)
-    return math.fsum(int(cnt) * w for cnt, w in zip(counts.tolist(), weights) if cnt)
+    free_masks = [
+        sum(1 << pos[v] for v in edge if v in pos)
+        for idx, edge in enumerate(h.edges)
+        if idx not in chosen
+    ]
+    clean = _subset_histogram(len(pos), free_masks)[:, 0].tolist()
+    weights = _subset_weights(len(pos), p)
+    return math.fsum(cnt * w for cnt, w in zip(clean, weights) if cnt)
 
 
 def clean_config_point_lower(

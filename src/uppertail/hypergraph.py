@@ -157,23 +157,12 @@ def _check_universe(h: Hypergraph, s: VertexSet) -> None:
         raise ValueError(f"vertex set over range({s.n}) does not match range({h.n})")
 
 
-def induced_edge_count(h: Hypergraph, s: VertexSet, prefilter: bool = False) -> int:
-    """Count edges of h with all k vertices inside s.
-
-    The default path tests every edge with k bit probes.  With prefilter=True
-    only edges incident to a member of s are examined; the count is identical.
-    """
+def induced_edge_count(h: Hypergraph, s: VertexSet) -> int:
+    """Count edges of h with all k vertices inside s (k bit probes per edge)."""
     _check_universe(h, s)
     bits = s.bits
-    if prefilter:
-        candidate_ids = set()
-        for v in s.indices():
-            candidate_ids.update(h.incidence[v])
-        edges = [h.edges[i] for i in sorted(candidate_ids)]
-    else:
-        edges = h.edges
     total = 0
-    for edge in edges:
+    for edge in h.edges:
         for v in edge:
             if not (bits >> v) & 1:
                 break

@@ -16,14 +16,14 @@ import numpy as np
 __all__ = ["CHUNK", "chunk_layout", "stream_generator"]
 
 CHUNK = 4096
-_MASK64 = (1 << 64) - 1
+_KEY_LIMIT = 1 << 64
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
     """Generator for the given stream of a seeded run (keys are 64-bit)."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be nonnegative")
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    if not (0 <= seed < _KEY_LIMIT and 0 <= stream < _KEY_LIMIT):
+        raise ValueError(f"seed {seed} and stream {stream} must lie in [0, 2**64)")
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -70,6 +70,15 @@ class TestTail:
             ["tail", "--family", "ap", "--n", "8", "--p", "1.5", "--t", "1"]
         )[0] == 2
 
+    def test_seed_beyond_64_bits_rejected(self, capsys):
+        argv = ["tail", "--family", "ap", "--n", "10", "--p", "0.3", "--t", "1",
+                "--method", "mc", "--samples", "100", "--seed"]
+        assert run_cli(argv + [str((1 << 64) - 1)])[0] == 0
+        capsys.readouterr()
+        code, out = run_cli(argv + ["18446744073709551616"])
+        assert code != 0 and out == ""
+        assert "18446744073709551616" in capsys.readouterr().err
+
     def test_capacity_exit_code(self):
         code, _ = run_cli(
             ["tail", "--family", "ap", "--n", "40", "--p", "0.3", "--t", "1"]

@@ -1,11 +1,17 @@
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 import oracles
+from uppertail import estimate
 from uppertail.bounds import exact_mean
+from uppertail.disjointness import degree_event
 from uppertail.estimate import (
     clean_config_point_lower,
     conditioned_tail,
@@ -63,18 +69,100 @@ class TestHistogram:
         for j in range(10):
             assert hist[j].sum() == math.comb(9, j)
 
-    def test_workers_identical(self):
-        from uppertail import estimate
-
+    def test_workers_identical(self, monkeypatch):
         h = build_schur(11)
         a = edge_count_histogram(h).copy()
-        estimate._HIST_CACHE.clear()
+        # 7 low bits split the 2^11 codes into 16 blocks for the thread pool.
+        monkeypatch.setattr(estimate, "LOW_BITS", 7)
+        monkeypatch.setattr(estimate, "_HIST_CACHE", {})
         b = edge_count_histogram(h, workers=3)
         assert np.array_equal(a, b)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
             edge_count_histogram(build_ap(27, 3))
+
+
+@st.composite
+def blocked_instances(draw):
+    """A random hypergraph with k in 1..4 and n <= 12, plus a block width in 0..n."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    h = Hypergraph(k, n, draw(st.lists(edge, max_size=24)))
+    return h, draw(st.integers(0, n))
+
+
+class TestSupersetKernel:
+    """Every consumer of the block kernel, at block widths that split the codes."""
+
+    @given(blocked_instances(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_consumers_match_brute_force(self, instance, data):
+        h, low = instance
+        with mock.patch.object(estimate, "LOW_BITS", low), mock.patch.object(
+            estimate, "_HIST_CACHE", {}
+        ):
+            want = oracles.size_value_histogram([tuple(e) for e in h.edges], h.n)
+            for workers in (1, 3):
+                estimate._HIST_CACHE.clear()
+                hist = edge_count_histogram(h, workers=workers)
+                got = {(j, x): int(c) for (j, x), c in np.ndenumerate(hist) if c}
+                assert got == want
+
+            v = data.draw(st.integers(0, h.n - 1))
+            c = data.draw(st.integers(1, 3))
+            event = degree_event(h, v, c)
+            for code in range(1 << h.n):
+                deg = sum(code & h.edge_masks[i] == h.edge_masks[i] for i in h.incidence[v])
+                assert event.contains(code) == (deg >= c)
+
+            configs = enumerate_clean_configs(h, data.draw(st.integers(0, 2)))
+            if configs:
+                config = data.draw(st.sampled_from(configs))
+                p = data.draw(st.sampled_from([0.2, 0.5, 0.9]))
+                u = config.vertex_bits
+                others = [m for i, m in enumerate(h.edge_masks) if i not in config.edge_ids]
+                comp = [x for x in range(h.n) if not (u >> x) & 1]
+                brute = 0.0
+                for code in range(1 << len(comp)):
+                    bits = u | sum(1 << w for i, w in enumerate(comp) if (code >> i) & 1)
+                    if all(bits & m != m for m in others):
+                        j = code.bit_count()
+                        brute += p**j * (1.0 - p) ** (len(comp) - j)
+                got = estimate._no_outside_edge_prob(h, config, p)
+                assert got == pytest.approx(brute, rel=1e-12, abs=1e-300)
+
+
+class TestHistogramCache:
+    def test_verify_order_computes_large_instances_once(self, monkeypatch):
+        """Replays the order in which verify asks for exact histograms."""
+        from uppertail import verify
+
+        calls = []
+
+        def counting(n, masks, workers=1):
+            calls.append(masks)
+            return np.zeros((n + 1, len(masks) + 1), dtype=np.int64)
+
+        monkeypatch.setattr(estimate, "_subset_histogram", counting)
+        monkeypatch.setattr(estimate, "_HIST_CACHE", {})
+        specs = (
+            list(verify.VARIANCE_INSTANCES)  # variance suite
+            + [FamilySpec("ap", n, 3) for n in verify.TAIL_SANDWICH_NS]  # tail_exponent_floor
+            # certified_below_exact
+            + [FamilySpec("ap", 12, 3), FamilySpec("schur", 12), FamilySpec("ell_sum", 12, ell=2)]
+            + [FamilySpec("ap", n, 3) for n in (16, 20, 24)]  # witness_cluster_bound
+            + [FamilySpec("ap", 12, 3), FamilySpec("schur", 12)]  # clean_config_point_mass
+            + [FamilySpec("ap", 10, 3)] * 2  # paley_zygmund_floor, mc_ci_coverage
+        )
+        for spec in specs:
+            edge_count_histogram(build(spec))
+        assert len(estimate._HIST_CACHE) == estimate._HIST_CACHE_LIMIT
+        # Only AP(10,3), the least recently used entry once the lower-bound
+        # instances arrive, is computed twice; AP(16..24,3) are computed once.
+        repeated = {m: c for m, c in Counter(calls).items() if c > 1}
+        assert repeated == {build_ap(10, 3).edge_masks: 2}
 
 
 class TestExact:

@@ -99,14 +99,6 @@ class TestInducedEdges:
         assert induced_edge_count(TRIANGLE_PAIR, full) == 2
         assert induced_edge_count(TRIANGLE_PAIR, VertexSet(5)) == 0
 
-    def test_prefilter_identical(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            s = sample_vp(TRIANGLE_PAIR, 0.5, rng)
-            assert induced_edge_count(TRIANGLE_PAIR, s, prefilter=True) == (
-                induced_edge_count(TRIANGLE_PAIR, s)
-            )
-
     def test_universe_mismatch(self):
         with pytest.raises(ValueError):
             induced_edge_count(TRIANGLE_PAIR, VertexSet(4))
