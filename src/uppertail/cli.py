@@ -31,15 +31,10 @@ from .bounds import (
     theorem_c_bound,
 )
 from .decompose import CascadeParams, check_cascade_event, greedy_star_matching, mr_exact, xr_or_lower
-from .estimate import (
-    _planting_target,
-    conditioned_tail,
-    exact_tail,
-    mc_tail,
-    planted_tail,
-)
+from .estimate import conditioned_tail, exact_tail, mc_tail, planted_tail, planting_target
 from .families import FamilySpec, build, interval_witness
 from .hypergraph import CapacityError, delta_j, induced_edge_count, max_degree, sample_vp
+from .rng import KEY_LIMIT
 from .verify import SUITES, run_suites
 
 __all__ = ["RunConfig", "main", "run"]
@@ -123,6 +118,8 @@ class RunConfig:
             cascade_flags = (self.beta, self.gamma, self.cascade_t)
             if any(f is not None for f in cascade_flags) and None in cascade_flags:
                 raise UsageError("--beta, --gamma, and --t must be given together")
+        if self.seed is not None and not 0 <= self.seed < KEY_LIMIT:
+            raise UsageError(f"--seed {self.seed} must lie in [0, 2**64)")
         if self.samples < 1:
             raise UsageError("--samples must be positive")
         if self.workers < 1:
@@ -232,7 +229,7 @@ def _tail_estimate(cfg: RunConfig, h, p: float, t: float):
     if cfg.method == "mc":
         return mc_tail(h, p, threshold, cfg.samples, seed=cfg.seed, workers=cfg.workers)
     if cfg.method == "planted":
-        target, _ = _planting_target(mu, t, h.k, cfg.alpha)
+        target, _ = planting_target(mu, t, h.k, cfg.alpha)
         witness = interval_witness(cfg.family, float(target))
         if witness is None:
             raise UsageError(

@@ -28,9 +28,12 @@ __all__ = [
     "default_star_scales",
     "degree_prune",
     "greedy_star_matching",
+    "induced_max_degree",
     "make_star_matching",
     "mr_exact",
+    "mr_exact_on",
     "xr_exact",
+    "xr_exact_on",
     "xr_or_lower",
 ]
 
@@ -149,7 +152,8 @@ def _local_incidence(h: Hypergraph, edge_ids: tuple[int, ...]) -> dict[int, list
     return inc
 
 
-def _induced_max_degree(h: Hypergraph, edge_ids: tuple[int, ...]) -> int:
+def induced_max_degree(h: Hypergraph, edge_ids: tuple[int, ...]) -> int:
+    """Maximum vertex degree of the subhypergraph formed by the given edge ids."""
     inc = _local_incidence(h, edge_ids)
     return max((len(ids) for ids in inc.values()), default=0)
 
@@ -165,10 +169,11 @@ def xr_exact(h: Hypergraph, s: VertexSet, r: float, budget: int = XR_EDGE_BUDGET
     ids = induced_edges(h, s)
     if len(ids) > budget:
         raise CapacityError(f"{len(ids)} induced edges exceed budget {budget}")
-    return _xr_exact_on(h, ids, r)
+    return xr_exact_on(h, ids, r)
 
 
-def _xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
+def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
+    """xr_exact over the given edge ids instead of H[S]; no budget check."""
     cap = math.floor(r)
     if cap < 1 or not ids:
         return 0
@@ -237,10 +242,10 @@ def xr_or_lower(
     if r <= 0:
         raise ValueError("r must be positive")
     ids = induced_edges(h, s)
-    if _induced_max_degree(h, ids) <= r:
+    if induced_max_degree(h, ids) <= r:
         return len(ids), True
     if len(ids) <= budget:
-        return _xr_exact_on(h, ids, r), True
+        return xr_exact_on(h, ids, r), True
     return len(_degree_prune_on(h, ids, r).kept_edge_ids), False
 
 
@@ -285,7 +290,7 @@ def _degree_prune_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> Prun
     blocked = matching.vertex_bits
     kept = tuple(i for i in edge_ids if h.edge_masks[i] & blocked == 0)
     cap = math.ceil(r) - 1
-    worst = _induced_max_degree(h, kept)
+    worst = induced_max_degree(h, kept)
     if worst > cap:
         raise AssertionError(f"pruned degree {worst} exceeds {cap}")
     return PruneResult(matching, kept)
@@ -339,18 +344,19 @@ def cascade_prune(h: Hypergraph, s: VertexSet, params: CascadeParams) -> Cascade
                 matching_size=result.matching.size,
                 removed=len(current) - len(kept),
                 kept=len(kept),
-                delta1_before=_induced_max_degree(h, current),
+                delta1_before=induced_max_degree(h, current),
             )
         )
         current = kept
     final_cap = math.floor(params.r)
-    worst = _induced_max_degree(h, current)
+    worst = induced_max_degree(h, current)
     if worst > final_cap:
         raise AssertionError(f"final degree {worst} exceeds floor(r) = {final_cap}")
     return CascadeResult(tuple(levels), current, big_j)
 
 
-def _mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float, budget: int) -> int:
+def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float, budget: int) -> int:
+    """mr_exact over the given edge ids instead of H[S]."""
     c = math.ceil(r)
     inc = _local_incidence(h, edge_ids)
     eligible = {v: ids for v, ids in inc.items() if len(ids) >= c}
@@ -389,7 +395,7 @@ def mr_exact(h: Hypergraph, s: VertexSet, r: float, budget: int = MR_STAR_BUDGET
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    return _mr_exact_on(h, induced_edges(h, s), r, budget)
+    return mr_exact_on(h, induced_edges(h, s), r, budget)
 
 
 @dataclass(frozen=True)
@@ -425,7 +431,7 @@ def check_cascade_event(
     scan stops once r_j > max(2 sqrt(t), Delta_1(H[S])), beyond which M = 0.
     """
     ids = induced_edges(h, s)
-    delta1 = _induced_max_degree(h, ids)
+    delta1 = induced_max_degree(h, ids)
     sqrt_t = math.sqrt(params.t)
     scan_cap = max(2.0 * sqrt_t, float(delta1))
     levels = []
@@ -444,7 +450,7 @@ def check_cascade_event(
             levels.append(CascadeLevelCheck(j, r_j, threshold, greedy_size, False, False))
             return CascadeCheck(False, tuple(levels))
         try:
-            exact_val = _mr_exact_on(h, ids, r_j, star_budget)
+            exact_val = mr_exact_on(h, ids, r_j, star_budget)
         except CapacityError:
             levels.append(CascadeLevelCheck(j, r_j, threshold, greedy_size, False, None))
             saw_indeterminate = True

@@ -3,7 +3,10 @@
 Exact enumeration aggregates an integer (vertex count, edge count) histogram
 so every probability is a short compensated sum; Monte Carlo variants share
 chunked Philox streams (see uppertail.rng) and merge by summing hit counts,
-making results independent of worker count.
+making results independent of worker count.  The three samplers differ only
+in how a chunk draws its vertex sets; one kernel counts their induced edges
+EDGE_BLOCK edges at a time, so memory per worker is O(CHUNK * (n + EDGE_BLOCK)),
+independent of e(H).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
     "exact_tail",
     "mc_tail",
     "planted_tail",
+    "planting_target",
+    "subset_weights",
     "superset_counts",
     "wilson_interval",
 ]
@@ -41,6 +46,7 @@ __all__ = [
 EXACT_VERTEX_BUDGET = 26
 CLEAN_COMBO_BUDGET = 10**7
 LOW_BITS = 20  # vertices enumerated inside one block of codes
+EDGE_BLOCK = 512  # edges ANDed per sampling-kernel step; < 2**16 (uint16 sums)
 
 METHODS = ("exact", "mc", "planted", "conditioned")
 
@@ -161,7 +167,8 @@ def edge_count_histogram(h: Hypergraph, workers: int = 1) -> np.ndarray:
     return hist
 
 
-def _subset_weights(n: int, p: float) -> list[float]:
+def subset_weights(n: int, p: float) -> list[float]:
+    """weights[j] = p^j (1-p)^(n-j), the probability of one given j-subset of n."""
     return [p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
 
 
@@ -172,7 +179,7 @@ def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> T
     hist = edge_count_histogram(h, workers)
     cols = np.arange(len(h.edges) + 1, dtype=float) >= threshold
     per_size = hist[:, cols].sum(axis=1).tolist()
-    weights = _subset_weights(h.n, p)
+    weights = subset_weights(h.n, p)
     p_hat = math.fsum(c * w for c, w in zip(per_size, weights) if c)
     p_hat = min(max(p_hat, 0.0), 1.0)
     return TailEstimate(float(threshold), p_hat, "exact", 1 << h.n, p_hat, p_hat)
@@ -185,53 +192,49 @@ def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float
     if m < 0 or m > len(h.edges):
         return 0.0
     hist = edge_count_histogram(h, workers)
-    weights = _subset_weights(h.n, p)
+    weights = subset_weights(h.n, p)
     column = hist[:, m].tolist()
     return min(max(math.fsum(c * w for c, w in zip(column, weights) if c), 0.0), 1.0)
 
 
-def _padded_edge_positions(h: Hypergraph, keep: list[int], edge_ids: list[int]) -> np.ndarray | None:
-    """Positions of each edge's kept vertices in `keep`, padded with a sentinel
-    column index (len(keep)) that is always True in the sample matrix."""
-    if not edge_ids:
-        return None
-    pos = {v: i for i, v in enumerate(keep)}
-    sentinel = len(keep)
-    rows = []
-    for idx in edge_ids:
-        cols = [pos[v] for v in h.edges[idx] if v in pos]
-        rows.append(cols + [sentinel] * (h.k - len(cols)))
-    return np.asarray(rows, dtype=np.int64)
+def _tail_hits(h: Hypergraph, draw, threshold: float, samples: int, workers: int) -> int:
+    """Number of samples inducing at least `threshold` edges of h.
 
+    draw(stream, count) returns chunk `stream`'s n x count boolean membership
+    matrix.  Edges are ANDed EDGE_BLOCK at a time from their k member rows, so
+    a chunk's working set is O(count * (n + EDGE_BLOCK)) whatever e(H) is.
+    Chunks run over a thread pool when workers > 1; their hit counts add up
+    the same in any order.
+    """
+    edges = np.array(h.edges, dtype=np.intp).reshape(-1, h.k)
 
-def _forced_hits_chunk(
-    h: Hypergraph,
-    free: list[int],
-    base: int,
-    positions: np.ndarray | None,
-    p: float,
-    threshold: float,
-    seed: int,
-    stream: int,
-    count: int,
-) -> int:
-    rng = stream_generator(seed, stream)
-    draws = rng.random((count, len(free))) < p
-    aug = np.ones((count, len(free) + 1), dtype=bool)
-    aug[:, : len(free)] = draws
-    if positions is None:
-        totals = np.full(count, base, dtype=np.int64)
-    else:
-        totals = base + aug[:, positions].all(axis=2).sum(axis=1)
-    return int((totals >= threshold).sum())
+    def chunk(stream: int, count: int) -> int:
+        member = draw(stream, count)
+        totals = np.zeros(count, dtype=np.int64)
+        for start in range(0, len(edges), EDGE_BLOCK):
+            block = edges[start : start + EDGE_BLOCK]
+            hit = member[block[:, 0]]
+            for col in block.T[1:]:
+                hit &= member[col]
+            totals += hit.sum(axis=0, dtype=np.uint16)
+        return int((totals >= threshold).sum())
 
-
-def _run_hit_chunks(worker, samples: int, workers: int) -> int:
     tasks = list(chunk_layout(samples))
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(lambda sc: worker(*sc), tasks))
-    return sum(worker(*sc) for sc in tasks)
+            return sum(pool.map(lambda sc: chunk(*sc), tasks))
+    return sum(chunk(*sc) for sc in tasks)
+
+
+def _vp_draw(n: int, free: list[int], p: float, seed: int):
+    """Membership draw keeping each free vertex with probability p, the rest always."""
+
+    def draw(stream: int, count: int) -> np.ndarray:
+        member = np.ones((n, count), dtype=bool)
+        member[free] = (stream_generator(seed, stream).random((count, len(free))) < p).T
+        return member
+
+    return draw
 
 
 def mc_tail(
@@ -242,18 +245,17 @@ def mc_tail(
         raise ValueError("p must lie in [0, 1]")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    free = list(range(h.n))
-    positions = _padded_edge_positions(h, free, list(range(len(h.edges))))
-
-    def worker(stream: int, count: int) -> int:
-        return _forced_hits_chunk(h, free, 0, positions, p, threshold, seed, stream, count)
-
-    hits = _run_hit_chunks(worker, samples, workers)
+    hits = _tail_hits(h, _vp_draw(h.n, list(range(h.n)), p, seed), threshold, samples, workers)
     lo, hi = wilson_interval(hits, samples)
     return TailEstimate(float(threshold), hits / samples, "mc", samples, lo, hi)
 
 
-def _planting_target(mu: float, t: float, k: int, alpha: float | None) -> tuple[int, float]:
+def planting_target(mu: float, t: float, k: int, alpha: float | None) -> tuple[int, float]:
+    """(edges a planted witness must carry, lambda) for threshold mu + t.
+
+    lambda = 4 / (1 - (1 - alpha)^k), with alpha = min(1, t / mu) by default;
+    the target is ceil(min(lambda * t, mu + t)), or 0 when t <= 0.
+    """
     if alpha is None:
         alpha = min(1.0, t / mu) if mu > 0 and t > 0 else 1.0
     if not 0.0 < alpha <= 1.0:
@@ -288,19 +290,11 @@ def planted_tail(
     w_bits = witness.subset.bits
     w_size = len(witness.subset)
     free = [v for v in range(h.n) if not (w_bits >> v) & 1]
-    inside = [i for i, m in enumerate(h.edge_masks) if m & w_bits == m]
-    partial = [i for i, m in enumerate(h.edge_masks) if m & w_bits != m]
-    positions = _padded_edge_positions(h, free, partial)
-    base = len(inside)
-
-    def worker(stream: int, count: int) -> int:
-        return _forced_hits_chunk(h, free, base, positions, p, threshold, seed, stream, count)
-
-    hits = _run_hit_chunks(worker, samples, workers)
+    hits = _tail_hits(h, _vp_draw(h.n, free, p, seed), threshold, samples, workers)
     factor = p**w_size
     lo, hi = wilson_interval(hits, samples)
     mu = len(h.edges) * p**h.k
-    target, lam = _planting_target(mu, float(threshold) - mu, h.k, alpha)
+    target, lam = planting_target(mu, float(threshold) - mu, h.k, alpha)
     extra = {
         "witness_size": w_size,
         "factor": factor,
@@ -317,35 +311,6 @@ def planted_tail(
         factor * hi,
         extra,
     )
-
-
-def _vm_hits_chunk(
-    h: Hypergraph,
-    m: int,
-    positions: np.ndarray | None,
-    threshold: float,
-    seed: int,
-    stream: int,
-    count: int,
-) -> int:
-    rng = stream_generator(seed, stream)
-    n = h.n
-    arr = np.tile(np.arange(n, dtype=np.int64), (count, 1))
-    rows = np.arange(count)
-    for i in range(m):
-        j = rng.integers(i, n, size=count)
-        picked = arr[rows, j]
-        arr[rows, j] = arr[:, i]
-        arr[:, i] = picked
-    member = np.zeros((count, n + 1), dtype=bool)
-    member[:, n] = True
-    if m:
-        member[rows[:, None], arr[:, :m]] = True
-    if positions is None:
-        totals = np.zeros(count, dtype=np.int64)
-    else:
-        totals = member[:, positions].all(axis=2).sum(axis=1)
-    return int((totals >= threshold).sum())
 
 
 def conditioned_tail(
@@ -374,13 +339,22 @@ def conditioned_tail(
     m = round(raw) if abs(raw - round(raw)) < 1e-9 else math.ceil(raw)
     if m > h.n:
         raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
-    # positions over all vertices; free list is the full vertex range
-    positions = _padded_edge_positions(h, list(range(h.n)), list(range(len(h.edges))))
 
-    def worker(stream: int, count: int) -> int:
-        return _vm_hits_chunk(h, m, positions, threshold, seed, stream, count)
+    def draw(stream: int, count: int) -> np.ndarray:
+        # Batched partial Fisher-Yates: row r's first m entries are its m-subset.
+        rng = stream_generator(seed, stream)
+        arr = np.tile(np.arange(h.n, dtype=np.int64), (count, 1))
+        rows = np.arange(count)
+        for i in range(m):
+            j = rng.integers(i, h.n, size=count)
+            picked = arr[rows, j]
+            arr[rows, j] = arr[:, i]
+            arr[:, i] = picked
+        member = np.zeros((h.n, count), dtype=bool)
+        member[arr[:, :m], rows[:, None]] = True
+        return member
 
-    hits = _run_hit_chunks(worker, samples, workers)
+    hits = _tail_hits(h, draw, threshold, samples, workers)
     factor = float(binom.sf(m - 1, h.n, p))
     lo, hi = wilson_interval(hits, samples)
     extra = {"m": m, "binomial_factor": factor, "conditional_hits": hits}
@@ -440,7 +414,7 @@ def _no_outside_edge_prob(h: Hypergraph, config: CleanConfig, p: float) -> float
         if idx not in chosen
     ]
     clean = _subset_histogram(len(pos), free_masks)[:, 0].tolist()
-    weights = _subset_weights(len(pos), p)
+    weights = subset_weights(len(pos), p)
     return math.fsum(cnt * w for cnt, w in zip(clean, weights) if cnt)
 
 

@@ -13,15 +13,15 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["CHUNK", "chunk_layout", "stream_generator"]
+__all__ = ["CHUNK", "KEY_LIMIT", "chunk_layout", "stream_generator"]
 
 CHUNK = 4096
-_KEY_LIMIT = 1 << 64
+KEY_LIMIT = 1 << 64  # seeds and streams are 64-bit keys
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
     """Generator for the given stream of a seeded run (keys are 64-bit)."""
-    if not (0 <= seed < _KEY_LIMIT and 0 <= stream < _KEY_LIMIT):
+    if not (0 <= seed < KEY_LIMIT and 0 <= stream < KEY_LIMIT):
         raise ValueError(f"seed {seed} and stream {stream} must lie in [0, 2**64)")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -31,15 +31,14 @@ from .bounds import (
 )
 from .decompose import (
     CascadeParams,
-    _degree_prune_on,
-    _induced_max_degree,
-    _mr_exact_on,
-    _xr_exact_on,
     cascade_prune,
     check_cascade_event,
     degree_prune,
+    induced_max_degree,
     mr_exact,
+    mr_exact_on,
     xr_exact,
+    xr_exact_on,
     xr_or_lower,
 )
 from .disjointness import (
@@ -59,6 +58,8 @@ from .estimate import (
     exact_tail,
     mc_tail,
     planted_tail,
+    planting_target,
+    subset_weights,
 )
 from .families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
 from .hypergraph import (
@@ -133,10 +134,6 @@ def _close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
 
 
-def _subset_weights(n: int, p: float) -> list[float]:
-    return [p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
-
-
 # ---------------------------------------------------------------- phi suite
 
 
@@ -191,7 +188,7 @@ def phi_suite(points: int = 10_000) -> list[CheckResult]:
 
 def _enumerated_moments(h: Hypergraph, p: float) -> tuple[float, float]:
     hist = edge_count_histogram(h)
-    w = _subset_weights(h.n, p)
+    w = subset_weights(h.n, p)
     terms1 = []
     terms2 = []
     for j in range(hist.shape[0]):
@@ -246,7 +243,7 @@ def sandwich_sample_check(seed: int, count: int) -> tuple[int, int, int]:
         s = sample_vp(h, p, rng)
         ids = induced_edges(h, s)
         x = len(ids)
-        delta1 = _induced_max_degree(h, ids)
+        delta1 = induced_max_degree(h, ids)
         pruned = degree_prune(h, s, r)
         g0 = len(pruned.kept_edge_ids)
         msize = pruned.matching.size
@@ -271,9 +268,9 @@ def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, i
             for code in range(1 << n):
                 ids = induced_edges(h, VertexSet(n, code))
                 if ids not in memo:
-                    d1 = _induced_max_degree(h, ids)
+                    d1 = induced_max_degree(h, ids)
                     memo[ids] = tuple(
-                        _mr_exact_on(h, ids, float(z), 10**6) for z in (1, 2, 3)
+                        mr_exact_on(h, ids, float(z), 10**6) for z in (1, 2, 3)
                     ) + (d1,)
                 mr1, mr2, mr3, d1 = memo[ids]
                 for z, mr in ((1, mr1), (2, mr2), (3, mr3)):
@@ -309,9 +306,9 @@ def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
     checked = 0
     for h in (build_ap(n, 3), build_schur(n)):
         for r in (1.0, 2.0, 3.0):
-            hist = _popcount_value_hist(h, lambda ids: _xr_exact_on(h, ids, r))
+            hist = _popcount_value_hist(h, lambda ids: xr_exact_on(h, ids, r))
             for p in (0.1, 0.3, 0.5, 0.7):
-                w = _subset_weights(n, p)
+                w = subset_weights(n, p)
                 mu = exact_mean(h, p)
                 for t in (1.0, 3.0, 9.0, 27.0):
                     lhs = _hist_tail(hist, w, mu + t / 2.0)
@@ -331,10 +328,10 @@ def mr_tail_check(n: int = 12) -> tuple[int, int, int]:
     checked = 0
     for h in (build_ap(n, 3), build_schur(n)):
         for r in (1.0, 2.0, 3.0):
-            hist = _popcount_value_hist(h, lambda ids: _mr_exact_on(h, ids, r, 10**6))
+            hist = _popcount_value_hist(h, lambda ids: mr_exact_on(h, ids, r, 10**6))
             events = [degree_event(h, v, math.ceil(r)) for v in range(n)]
             for p in (0.1, 0.3, 0.5, 0.7):
-                w = _subset_weights(n, p)
+                w = subset_weights(n, p)
                 probs = [p] * n
                 phi_r = math.fsum(event_probability(ev, probs) for ev in events)
                 for y in (0.5, 1.0, 2.0, 3.0):
@@ -633,7 +630,7 @@ def cascade_accounting_check(seed: int, samples: int) -> tuple[int, int, int]:
             else:
                 all_dyadic = False
         fully_dyadic += all_dyadic
-        if _induced_max_degree(h, res.kept_edge_ids) > math.floor(params.r):
+        if induced_max_degree(h, res.kept_edge_ids) > math.floor(params.r):
             violations += 1
     return violations, fully_dyadic, samples
 
@@ -655,7 +652,7 @@ def cascade_trivial_checks(seed: int = 5) -> list[tuple[str, bool]]:
     for _ in range(200):
         cand = sample_vp(h, 0.25, rng)
         ids = induced_edges(h, cand)
-        if ids and _induced_max_degree(h, ids) == 1:
+        if ids and induced_max_degree(h, ids) == 1:
             sparse = cand
             break
     if sparse is None:
@@ -698,14 +695,6 @@ def cascade_suite(seed: int = 13, samples: int = 400) -> list[CheckResult]:
 # -------------------------------------------------------- lowerbounds suite
 
 
-def _planting_witness(spec: FamilySpec, h: Hypergraph, p: float, t: float) -> Witness:
-    mu = exact_mean(h, p)
-    alpha = min(1.0, t / mu) if mu > 0 else 1.0
-    lam = 4.0 / (1.0 - (1.0 - alpha) ** h.k)
-    target = math.ceil(min(lam * t, mu + t))
-    return interval_witness(spec, float(target))
-
-
 def lower_estimates_check(seed: int, samples: int) -> tuple[int, int]:
     """planted/conditioned estimates never exceed the exact tail."""
     cases = (
@@ -720,7 +709,7 @@ def lower_estimates_check(seed: int, samples: int) -> tuple[int, int]:
         mu = exact_mean(h, p)
         thr = mu + t
         exact = exact_tail(h, p, thr).p_hat
-        w = _planting_witness(spec, h, p, t)
+        w = interval_witness(spec, planting_target(mu, t, h.k, None)[0])
         planted = planted_tail(h, p, thr, samples, seed=seed + i, witness=w)
         checked += 1
         if planted.p_hat > exact + 1e-12:

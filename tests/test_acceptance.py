@@ -17,12 +17,11 @@ from scipy.stats import binom
 import oracles
 from uppertail.bounds import exact_mean, exact_variance, phi, theorem_c_bound
 from uppertail.cli import main as cli_main
-from uppertail.estimate import conditioned_tail, exact_tail, planted_tail
-from uppertail.families import FamilySpec, build
+from uppertail.estimate import conditioned_tail, exact_tail, planted_tail, planting_target
+from uppertail.families import FamilySpec, build, interval_witness
 from uppertail.hypergraph import Hypergraph
 from uppertail.verify import (
     SUITES,
-    _planting_witness,
     bk_random_pairs,
     box_identity_checks,
     cascade_consistency_check,
@@ -207,7 +206,7 @@ def test_accept_09_lower_bound_certification():
         t = max(1.0, 0.75 * mu)
         thr = mu + t
         exact = exact_tail(h, p, thr).p_hat
-        witness = _planting_witness(spec, h, p, t)
+        witness = interval_witness(spec, planting_target(mu, t, h.k, None)[0])
         planted = planted_tail(h, p, thr, 100_000, seed=900 + i, witness=witness)
         conditioned = conditioned_tail(h, p, thr, 100_000, seed=1900 + i)
         for est in (planted, conditioned):

@@ -71,13 +71,19 @@ class TestTail:
         )[0] == 2
 
     def test_seed_beyond_64_bits_rejected(self, capsys):
-        argv = ["tail", "--family", "ap", "--n", "10", "--p", "0.3", "--t", "1",
-                "--method", "mc", "--samples", "100", "--seed"]
-        assert run_cli(argv + [str((1 << 64) - 1)])[0] == 0
-        capsys.readouterr()
-        code, out = run_cli(argv + ["18446744073709551616"])
-        assert code != 0 and out == ""
-        assert "18446744073709551616" in capsys.readouterr().err
+        grid = ["--family", "ap", "--n", "10", "--p", "0.3", "--t", "1",
+                "--method", "mc", "--samples", "100"]
+        for argv in (
+            ["tail"] + grid,
+            ["sweep"] + grid,
+            ["decompose", "--family", "ap", "--n", "10", "--r", "1.5", "--samples", "2"],
+        ):
+            assert run_cli(argv + ["--seed", str((1 << 64) - 1)])[0] == 0
+            capsys.readouterr()
+            for seed in ("18446744073709551616", "-1"):
+                code, out = run_cli(argv + ["--seed", seed])
+                assert code == 2 and out == "", (argv[0], seed)
+                assert seed in capsys.readouterr().err
 
     def test_capacity_exit_code(self):
         code, _ = run_cli(

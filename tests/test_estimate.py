@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -24,7 +25,7 @@ from uppertail.estimate import (
     wilson_interval,
 )
 from uppertail.families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
-from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet
+from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edge_count
 
 AP4 = build_ap(4, 3)
 
@@ -232,6 +233,49 @@ class TestMonteCarlo:
             mc_tail(AP4, 1.2, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
             mc_tail(AP4, 0.5, 1.0, 0, seed=0)
+
+
+@st.composite
+def sampled_instances(draw):
+    """A random hypergraph with k in 1..4 and n <= 14 (possibly edgeless), plus an
+    n x samples membership matrix whose columns are drawn vertex sets."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 14))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    h = Hypergraph(k, n, draw(st.lists(edge, max_size=40)))
+    codes = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50))
+    member = np.array([[(c >> v) & 1 for c in codes] for v in range(n)], dtype=bool)
+    return h, member
+
+
+class TestSamplingKernel:
+    @given(sampled_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_hits_match_induced_edge_count(self, instance):
+        h, member = instance
+        counts = [induced_edge_count(h, VertexSet.from_bool_array(col)) for col in member.T]
+
+        def draw(stream, count):
+            assert (stream, count) == (0, member.shape[1])
+            return member
+
+        for block in (1, 2, h.num_edges + 1):
+            with mock.patch.object(estimate, "EDGE_BLOCK", block):
+                for thr in range(h.num_edges + 2):
+                    got = estimate._tail_hits(h, draw, thr, member.shape[1], workers=1)
+                    assert got == sum(c >= thr for c in counts), (block, thr)
+
+    def test_memory_independent_of_edge_count(self):
+        """A 4096-sample chunk on AP(300,3) (22,350 edges) stays far below the
+        samples x e x k bytes that gathering every edge at once would take."""
+        h = build_ap(300, 3)
+        tracemalloc.start()
+        try:
+            mc_tail(h, 0.05, 10.0, 4096, seed=1, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestPlanted:
