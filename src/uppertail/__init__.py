@@ -80,6 +80,7 @@ from .hypergraph import (
     CapacityError,
     Hypergraph,
     VertexSet,
+    codegrees,
     degree,
     delta_j,
     from_text,

@@ -8,11 +8,9 @@ underlying inequalities appear as caller parameters defaulting to 1.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, codegrees
 
 __all__ = [
     "BoundReport",
@@ -81,31 +79,21 @@ def exact_mean(h: Hypergraph, p: float) -> float:
     return len(h.edges) * p**h.k
 
 
-@lru_cache(maxsize=64)
-def _pair_union_counts(h: Hypergraph) -> tuple[tuple[int, int], ...]:
-    """(union size, ordered pair count) over intersecting ordered edge pairs."""
-    counts: Counter = Counter()
-    counts[h.k] += len(h.edges)
-    for i, edge in enumerate(h.edges):
-        partners = set()
-        for v in edge:
-            for j in h.incidence[v]:
-                if j > i:
-                    partners.add(j)
-        for j in partners:
-            union = len(set(edge) | set(h.edges[j]))
-            counts[union] += 2
-    return tuple(sorted(counts.items()))
-
-
 def exact_variance(h: Hypergraph, p: float) -> float:
-    """Var[X] = sum over ordered intersecting edge pairs of p^|e u f| - p^2k."""
+    """Var[X] = sum_{j=1..k} p^(2k-j) (1-p)^j * sum_{|T|=j} codeg(T)^2.
+
+    An ordered edge pair sharing i vertices adds p^(2k-i) - p^(2k), which is
+    sum_{1<=j<=i} C(i, j) p^(2k-j) (1-p)^j; sum_T codeg(T)^2 counts each
+    ordered pair (e = f included) once per shared j-set T.  Every term is
+    nonnegative, so nothing cancels.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if not h.edges:
-        return 0.0
-    p2k = p ** (2 * h.k)
-    return math.fsum(cnt * (p**u - p2k) for u, cnt in _pair_union_counts(h))
+    k = h.k
+    return math.fsum(
+        p ** (2 * k - j) * (1.0 - p) ** j * sum(c * c for c in codegrees(h, j).values())
+        for j in range(1, k + 1)
+    )
 
 
 def moment_report(h: Hypergraph, p: float, n_declared: int | None = None) -> MomentReport:

@@ -14,10 +14,9 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from .bounds import (
     et_bound,
@@ -34,7 +33,7 @@ from .decompose import CascadeParams, check_cascade_event, greedy_star_matching,
 from .estimate import conditioned_tail, exact_tail, mc_tail, planted_tail, planting_target
 from .families import FamilySpec, build, interval_witness
 from .hypergraph import CapacityError, delta_j, induced_edge_count, max_degree, sample_vp
-from .rng import KEY_LIMIT
+from .rng import KEY_LIMIT, stream_generator
 from .verify import SUITES, run_suites
 
 __all__ = ["RunConfig", "main", "run"]
@@ -48,6 +47,10 @@ STOCHASTIC_METHODS = ("mc", "planted", "conditioned")
 
 class UsageError(ValueError):
     pass
+
+
+class NoWitnessError(UsageError):
+    """The family cannot seat a planting witness for the requested edge count."""
 
 
 def _default_workers() -> int:
@@ -132,16 +135,20 @@ class RunConfig:
                 raise UsageError(f"unknown suites: {sorted(unknown)}")
 
 
-def _emit(columns: tuple[str, ...], rows: list[dict], cfg: RunConfig, stream) -> None:
+def _row_writer(columns: tuple[str, ...], cfg: RunConfig, stream, header: bool = True):
+    """write(row) emitting one CSV row or JSON line; a CSV header goes out first if asked."""
     if cfg.out_format == "json":
-        for row in rows:
-            stream.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            stream.write("\n")
-        return
+        return lambda row: stream.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
+    if header:
+        writer.writerow(columns)
+    return lambda row: writer.writerow([_fmt(row.get(c)) for c in columns])
+
+
+def _emit(columns: tuple[str, ...], rows: list[dict], cfg: RunConfig, stream) -> None:
+    write = _row_writer(columns, cfg, stream)
     for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
+        write(row)
 
 
 def _family_row(spec: FamilySpec) -> dict:
@@ -232,7 +239,7 @@ def _tail_estimate(cfg: RunConfig, h, p: float, t: float):
         target, _ = planting_target(mu, t, h.k, cfg.alpha)
         witness = interval_witness(cfg.family, float(target))
         if witness is None:
-            raise UsageError(
+            raise NoWitnessError(
                 f"family {cfg.family.kind}({cfg.family.n}) cannot seat a witness for {target} edges"
             )
         return planted_tail(
@@ -271,7 +278,7 @@ def _run_tail(cfg: RunConfig, stream) -> int:
 def _run_decompose(cfg: RunConfig, stream) -> int:
     h = build(cfg.family)
     p = cfg.p_grid[0] if cfg.p_grid else 0.5
-    rng = np.random.default_rng(cfg.seed)
+    rng = stream_generator(cfg.seed, 0)
     rows = []
     for i in range(cfg.samples):
         s = sample_vp(h, p, rng)
@@ -342,50 +349,50 @@ def _existing_sweep_keys(cfg: RunConfig) -> set[tuple[str, ...]]:
 SWEEP_COLUMNS = TAIL_COLUMNS[:4] + ("t",) + TAIL_COLUMNS[4:] + ("status",)
 
 
+def _sweep_result(cfg: RunConfig, h, p: float, t: float) -> dict:
+    try:
+        est = _tail_estimate(cfg, h, p, t)
+    except CapacityError:
+        status = "budget"
+    except NoWitnessError:
+        status = "no_witness"
+    else:
+        return {"threshold": est.threshold, "p_hat": est.p_hat,
+                "ci_low": est.ci_low, "ci_high": est.ci_high, "status": "ok"}
+    return {"threshold": None, "p_hat": None, "ci_low": None, "ci_high": None, "status": status}
+
+
 def _run_sweep(cfg: RunConfig, stream) -> int:
+    """Write each missing grid row as soon as it is computed, flushed, so a
+    failure part way keeps every row before it."""
     h = build(cfg.family)
     existing = _existing_sweep_keys(cfg)
-    fresh_file = cfg.out_file != "-" and not os.path.exists(cfg.out_file)
-    rows = []
-    for p in cfg.p_grid:
-        for t in cfg.t_grid:
-            base = {
-                "family": cfg.family.kind,
-                "n": cfg.family.n,
-                "k": h.k,
-                "p": p,
-                "t": t,
-                "method": cfg.method,
-                "samples": cfg.samples,
-                "seed": cfg.seed,
-            }
-            if _sweep_key(base) in existing:
-                continue
-            try:
-                est = _tail_estimate(cfg, h, p, t)
-                base.update(
-                    threshold=est.threshold, p_hat=est.p_hat,
-                    ci_low=est.ci_low, ci_high=est.ci_high, status="ok",
-                )
-            except CapacityError as exc:
-                base.update(threshold=None, p_hat=None, ci_low=None, ci_high=None,
-                            status="budget")
-            rows.append(base)
-
-    if cfg.out_file == "-":
-        _emit(SWEEP_COLUMNS, rows, cfg, stream)
-        return 0
-    with open(cfg.out_file, "a", newline="", encoding="utf-8") as fh:
-        if cfg.out_format == "json":
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            if fresh_file:
-                writer.writerow(SWEEP_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row.get(c)) for c in SWEEP_COLUMNS])
-    stream.write(f"wrote {len(rows)} rows to {cfg.out_file}\n")
+    to_file = cfg.out_file != "-"
+    fresh = not (to_file and os.path.exists(cfg.out_file))
+    target = open(cfg.out_file, "a", newline="", encoding="utf-8") if to_file else nullcontext(stream)
+    written = 0
+    with target as out:
+        write = _row_writer(SWEEP_COLUMNS, cfg, out, header=fresh)
+        for p in cfg.p_grid:
+            for t in cfg.t_grid:
+                row = {
+                    "family": cfg.family.kind,
+                    "n": cfg.family.n,
+                    "k": h.k,
+                    "p": p,
+                    "t": t,
+                    "method": cfg.method,
+                    "samples": cfg.samples,
+                    "seed": cfg.seed,
+                }
+                if _sweep_key(row) in existing:
+                    continue
+                row.update(_sweep_result(cfg, h, p, t))
+                write(row)
+                out.flush()
+                written += 1
+    if to_file:
+        stream.write(f"wrote {written} rows to {cfg.out_file}\n")
     return 0
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "CapacityError",
     "Hypergraph",
     "VertexSet",
+    "codegrees",
     "degree",
     "delta_j",
     "from_text",
@@ -158,17 +159,8 @@ def _check_universe(h: Hypergraph, s: VertexSet) -> None:
 
 
 def induced_edge_count(h: Hypergraph, s: VertexSet) -> int:
-    """Count edges of h with all k vertices inside s (k bit probes per edge)."""
-    _check_universe(h, s)
-    bits = s.bits
-    total = 0
-    for edge in h.edges:
-        for v in edge:
-            if not (bits >> v) & 1:
-                break
-        else:
-            total += 1
-    return total
+    """Count edges of h with all k vertices inside s."""
+    return len(induced_edges(h, s))
 
 
 def induced_edges(h: Hypergraph, s: VertexSet) -> tuple[int, ...]:
@@ -193,19 +185,20 @@ def max_degree(h: Hypergraph) -> int:
     return max((len(ids) for ids in h.incidence), default=0)
 
 
-def delta_j(h: Hypergraph, j: int) -> int:
-    """Largest number of edges sharing some j common vertices.
+def codegrees(h: Hypergraph, j: int) -> Counter:
+    """codeg(T), the number of edges containing T, for each j-set T inside an edge.
 
     Iterates over the j-subsets of each edge (never over all C(n, j) vertex
     subsets), so the cost is e(H) * C(k, j) counter updates.
     """
     if not 1 <= j <= h.k:
         raise ValueError(f"j must be in [1, {h.k}]")
-    counts: Counter = Counter()
-    for edge in h.edges:
-        for sub in combinations(edge, j):
-            counts[sub] += 1
-    return max(counts.values(), default=0)
+    return Counter(sub for edge in h.edges for sub in combinations(edge, j))
+
+
+def delta_j(h: Hypergraph, j: int) -> int:
+    """Largest number of edges sharing some j common vertices."""
+    return max(codegrees(h, j).values(), default=0)
 
 
 def sample_vp(h: Hypergraph, p: float, rng: np.random.Generator) -> VertexSet:

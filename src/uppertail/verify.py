@@ -12,6 +12,7 @@ by about 0.5% so reruns only fail on a real regression, not float noise.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -258,44 +259,44 @@ def sandwich_sample_check(seed: int, count: int) -> tuple[int, int, int]:
     return violations, count, exact_count
 
 
+def _induced_edge_sets(h: Hypergraph) -> dict[tuple[int, ...], Counter]:
+    """Each distinct induced edge-id set over all 2^n subsets, with a Counter
+    of the sizes of the subsets that induce it."""
+    sets: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
+    for code in range(1 << h.n):
+        sets[induced_edges(h, VertexSet(h.n, code))][code.bit_count()] += 1
+    return sets
+
+
 def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, int]:
     """All subsets, z in {1,2,3}: Delta_1 >= ceil(z) iff M_z >= 1."""
     violations = 0
     checked = 0
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
-            memo: dict[tuple, tuple[int, ...]] = {}
-            for code in range(1 << n):
-                ids = induced_edges(h, VertexSet(n, code))
-                if ids not in memo:
-                    d1 = induced_max_degree(h, ids)
-                    memo[ids] = tuple(
-                        mr_exact_on(h, ids, float(z), 10**6) for z in (1, 2, 3)
-                    ) + (d1,)
-                mr1, mr2, mr3, d1 = memo[ids]
-                for z, mr in ((1, mr1), (2, mr2), (3, mr3)):
-                    checked += 1
-                    if (d1 >= z) != (mr >= 1):
-                        violations += 1
+            for ids, sizes in _induced_edge_sets(h).items():
+                subsets = sum(sizes.values())
+                d1 = induced_max_degree(h, ids)
+                for z in (1, 2, 3):
+                    checked += subsets
+                    if (d1 >= z) != (mr_exact_on(h, ids, float(z), 10**6) >= 1):
+                        violations += subsets
     return violations, checked
 
 
 def _popcount_value_hist(
-    h: Hypergraph, value: Callable[[tuple[int, ...]], int]
-) -> dict[tuple[int, int], int]:
+    sets: dict[tuple[int, ...], Counter], value: Callable[[tuple[int, ...]], int]
+) -> Counter:
     """Histogram of (|S|, value(induced edge ids)) over all 2^n subsets."""
-    memo: dict[tuple, int] = {}
-    hist: dict[tuple[int, int], int] = {}
-    for code in range(1 << h.n):
-        ids = induced_edges(h, VertexSet(h.n, code))
-        if ids not in memo:
-            memo[ids] = value(ids)
-        key = (code.bit_count(), memo[ids])
-        hist[key] = hist.get(key, 0) + 1
+    hist: Counter = Counter()
+    for ids, sizes in sets.items():
+        v = value(ids)
+        for j, count in sizes.items():
+            hist[j, v] += count
     return hist
 
 
-def _hist_tail(hist: dict[tuple[int, int], int], w: list[float], thr: float) -> float:
+def _hist_tail(hist: Counter, w: list[float], thr: float) -> float:
     return math.fsum(c * w[j] for (j, v), c in hist.items() if v >= thr)
 
 
@@ -305,8 +306,9 @@ def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
     active = 0
     checked = 0
     for h in (build_ap(n, 3), build_schur(n)):
+        sets = _induced_edge_sets(h)
         for r in (1.0, 2.0, 3.0):
-            hist = _popcount_value_hist(h, lambda ids: xr_exact_on(h, ids, r))
+            hist = _popcount_value_hist(sets, lambda ids: xr_exact_on(h, ids, r))
             for p in (0.1, 0.3, 0.5, 0.7):
                 w = subset_weights(n, p)
                 mu = exact_mean(h, p)
@@ -327,8 +329,9 @@ def mr_tail_check(n: int = 12) -> tuple[int, int, int]:
     active = 0
     checked = 0
     for h in (build_ap(n, 3), build_schur(n)):
+        sets = _induced_edge_sets(h)
         for r in (1.0, 2.0, 3.0):
-            hist = _popcount_value_hist(h, lambda ids: mr_exact_on(h, ids, r, 10**6))
+            hist = _popcount_value_hist(sets, lambda ids: mr_exact_on(h, ids, r, 10**6))
             events = [degree_event(h, v, math.ceil(r)) for v in range(n)]
             for p in (0.1, 0.3, 0.5, 0.7):
                 w = subset_weights(n, p)
@@ -821,19 +824,15 @@ def paley_zygmund_check() -> tuple[int, int]:
 
 
 def hypergeom_mean_check(ns: Iterable[int] = (10,)) -> tuple[int, int]:
-    from itertools import combinations
-
+    """E[X | m kept] against the average of X over the m-subsets, from the histogram."""
     violations = 0
     checked = 0
     for n in ns:
         h = build_ap(n, 3)
+        hist = edge_count_histogram(h)
         for m in range(n + 1):
-            total = 0
-            count = 0
-            for subset in combinations(range(n), m):
-                total += induced_edge_count(h, VertexSet.from_indices(n, subset))
-                count += 1
-            avg = total / count
+            total = sum(x * int(c) for x, c in enumerate(hist[m]))
+            avg = total / math.comb(n, m)
             checked += 1
             if not _close(hypergeom_conditional_mean(h, m), avg, 1e-12):
                 violations += 1

@@ -114,6 +114,38 @@ def naive_conditional_mean(edges: list[tuple[int, ...]], n: int, m: int) -> Frac
     return Fraction(total, count)
 
 
+def naive_codegrees(edges: list[tuple[int, ...]], n: int, j: int) -> dict[tuple[int, ...], int]:
+    """codeg(T) for every j-subset T of range(n) that some edge contains."""
+    out = {}
+    for t in combinations(range(n), j):
+        count = sum(1 for e in edges if set(t) <= set(e))
+        if count:
+            out[t] = count
+    return out
+
+
+def pair_scan_variances(edges: list[tuple[int, ...]], ps: list[float]) -> list[float]:
+    """Var X at each p: the sum over ordered intersecting edge pairs (e = f
+    included) of p^|e u f| - p^2k, walking each edge's intersecting partners."""
+    if not edges:
+        return [0.0] * len(ps)
+    k = len(edges[0])
+    incidence: dict[int, list[int]] = {}
+    for idx, e in enumerate(edges):
+        for v in e:
+            incidence.setdefault(v, []).append(idx)
+    counts: dict[int, int] = {k: len(edges)}
+    for i, edge in enumerate(edges):
+        partners = {j for v in edge for j in incidence[v] if j > i}
+        for j in partners:
+            union = len(set(edge) | set(edges[j]))
+            counts[union] = counts.get(union, 0) + 2
+    return [
+        math.fsum(cnt * (p**u - p ** (2 * k)) for u, cnt in sorted(counts.items()))
+        for p in ps
+    ]
+
+
 # ------------------------------------------------------ bounded-degree X_r
 
 

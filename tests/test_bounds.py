@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from uppertail.bounds import (
     phi,
     theorem_c_bound,
 )
-from uppertail.families import build_ap, build_schur
+from uppertail.families import build_ap, build_ell_sum, build_schur
 from uppertail.hypergraph import Hypergraph
 
 AP4 = build_ap(4, 3)
@@ -74,6 +75,32 @@ class TestMoments:
                 mean, var = oracles.naive_moments(hist, n, p)
                 assert exact_mean(h, p) == pytest.approx(mean, rel=1e-11)
                 assert exact_variance(h, p) == pytest.approx(var, rel=1e-10, abs=1e-13)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_variance_matches_enumeration_random(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        n = data.draw(st.integers(min_value=k, max_value=10))
+        pool = list(combinations(range(n), k))
+        edges = sorted(data.draw(st.sets(st.sampled_from(pool), max_size=min(len(pool), 40))))
+        p = data.draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+        h = Hypergraph(k, n, edges)
+        mean, var = oracles.naive_moments(oracles.size_value_histogram(edges, n), n, p)
+        got = exact_variance(h, p)
+        assert got >= 0.0
+        # The oracle's E[X^2] - E[X]^2 loses about E[X^2] * 1e-16 absolute.
+        assert got == pytest.approx(var, rel=1e-9, abs=1e-12 * (1.0 + mean * mean + var))
+
+    @pytest.mark.parametrize(
+        "h",
+        [build_ap(60, 3), build_ap(40, 4), build_schur(60), build_ell_sum(60, 2)],
+        ids=["ap60_3", "ap40_4", "schur60", "ell_sum60_2"],
+    )
+    def test_variance_matches_pair_scan(self, h):
+        ps = [i / 20.0 for i in range(21)]
+        want = oracles.pair_scan_variances([tuple(e) for e in h.edges], ps)
+        got = [exact_variance(h, p) for p in ps]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_variance_edge_cases(self):
         assert exact_variance(AP4, 0.0) == 0.0

@@ -6,6 +6,9 @@ from contextlib import redirect_stdout
 import pytest
 
 from uppertail.cli import main
+from uppertail.families import FamilySpec, build
+from uppertail.hypergraph import induced_edge_count, sample_vp
+from uppertail.rng import stream_generator
 
 
 def run_cli(argv):
@@ -151,6 +154,18 @@ class TestDecompose:
         for row in parse_csv(out):
             assert row["cascade"] in {"true", "false", "indeterminate"}
 
+    def test_draws_from_seed_stream_zero(self):
+        code, out = run_cli(
+            ["decompose", "--family", "ap", "--n", "14", "--p", "0.35",
+             "--r", "1.5", "--samples", "6", "--seed", "11"]
+        )
+        assert code == 0
+        h = build(FamilySpec("ap", 14, 3))
+        rng = stream_generator(11, 0)
+        draws = [sample_vp(h, 0.35, rng) for _ in range(6)]
+        want = [(str(len(s)), str(induced_edge_count(h, s))) for s in draws]
+        assert [(row["vertices"], row["x"]) for row in parse_csv(out)] == want
+
     def test_requires_r_and_seed(self):
         assert run_cli(
             ["decompose", "--family", "ap", "--n", "10", "--seed", "1"]
@@ -198,6 +213,39 @@ class TestSweep:
         rows = parse_csv(open(out_file).read())
         assert rows[0]["status"] == "budget"
         assert rows[0]["p_hat"] == ""
+
+    def test_planted_without_witness_is_a_row(self, tmp_path):
+        out_file = str(tmp_path / "planted.csv")
+        argv = ["sweep", "--family", "ap", "--n", "10", "--p", "0.3", "--t", "1,50",
+                "--method", "planted", "--samples", "100", "--seed", "1",
+                "--out-file", out_file]
+        code, out = run_cli(argv)
+        assert code == 0
+        assert out == f"wrote 2 rows to {out_file}\n"
+        rows = parse_csv(open(out_file).read())
+        assert [r["status"] for r in rows] == ["ok", "no_witness"]
+        assert float(rows[0]["p_hat"]) > 0.0
+        assert [rows[1][c] for c in ("threshold", "p_hat", "ci_low", "ci_high")] == [""] * 4
+        # The no_witness row is recorded, so a rerun has nothing left to do.
+        assert run_cli(argv) == (0, f"wrote 0 rows to {out_file}\n")
+
+    def test_rows_written_before_a_failure_are_kept(self, tmp_path, monkeypatch):
+        from uppertail import cli
+
+        out_file = str(tmp_path / "partial.csv")
+        real = cli._tail_estimate
+
+        def failing(cfg, h, p, t):
+            if t == 2.0:
+                raise RuntimeError("crash at t = 2")
+            return real(cfg, h, p, t)
+
+        monkeypatch.setattr(cli, "_tail_estimate", failing)
+        with pytest.raises(RuntimeError):
+            run_cli(["sweep", "--family", "ap", "--n", "8", "--method", "exact",
+                     "--p", "0.2", "--t", "1,2", "--out-file", out_file])
+        rows = parse_csv(open(out_file).read())
+        assert [(r["t"], r["status"]) for r in rows] == [("1", "ok")]
 
     def test_stdout_mode(self):
         code, out = run_cli(

@@ -155,7 +155,8 @@ class TestHistogramCache:
             + [FamilySpec("ap", 12, 3), FamilySpec("schur", 12), FamilySpec("ell_sum", 12, ell=2)]
             + [FamilySpec("ap", n, 3) for n in (16, 20, 24)]  # witness_cluster_bound
             + [FamilySpec("ap", 12, 3), FamilySpec("schur", 12)]  # clean_config_point_mass
-            + [FamilySpec("ap", 10, 3)] * 2  # paley_zygmund_floor, mc_ci_coverage
+            # paley_zygmund_floor, hypergeometric_mean, mc_ci_coverage
+            + [FamilySpec("ap", 10, 3)] * 3
         )
         for spec in specs:
             edge_count_histogram(build(spec))

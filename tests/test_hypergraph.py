@@ -1,11 +1,16 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from uppertail.families import build_ap, build_schur
 from uppertail.hypergraph import (
     Hypergraph,
     VertexSet,
+    codegrees,
     degree,
     delta_j,
     from_text,
@@ -86,6 +91,25 @@ class TestHypergraph:
         assert delta_j(h, 3) == 1
         with pytest.raises(ValueError):
             delta_j(h, 4)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_codegrees_match_brute_force(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        n = data.draw(st.integers(min_value=k, max_value=9))
+        pool = list(combinations(range(n), k))
+        edges = sorted(data.draw(st.sets(st.sampled_from(pool), max_size=min(len(pool), 30))))
+        h = Hypergraph(k, n, edges)
+        for j in range(1, k + 1):
+            want = oracles.naive_codegrees(edges, n, j)
+            assert dict(codegrees(h, j)) == want
+            assert delta_j(h, j) == max(want.values(), default=0)
+
+    def test_delta_j_families_brute_force(self):
+        for h in (build_ap(14, 3), build_schur(14), build_ap(12, 4)):
+            edges = [tuple(e) for e in h.edges]
+            for j in range(1, h.k + 1):
+                assert delta_j(h, j) == max(oracles.naive_codegrees(edges, h.n, j).values())
 
 
 class TestInducedEdges:
