@@ -30,8 +30,8 @@ from .bounds import (
     theorem_c_bound,
 )
 from .decompose import CascadeParams, check_cascade_event, greedy_star_matching, mr_exact, xr_or_lower
-from .estimate import conditioned_tail, exact_tail, mc_tail, planted_tail, planting_target
-from .families import FamilySpec, build, interval_witness
+from .estimate import METHODS, conditioned_tail, exact_tail, mc_tail, planted_tail, planting_target
+from .families import KINDS, FamilySpec, build, interval_witness
 from .hypergraph import CapacityError, delta_j, induced_edge_count, max_degree, sample_vp
 from .rng import KEY_LIMIT, stream_generator
 from .verify import SUITES, run_suites
@@ -42,7 +42,7 @@ TAIL_COLUMNS = (
     "family", "n", "k", "p", "threshold", "method",
     "p_hat", "ci_low", "ci_high", "samples", "seed",
 )
-STOCHASTIC_METHODS = ("mc", "planted", "conditioned")
+FORMATS = ("csv", "json")
 
 
 class UsageError(ValueError):
@@ -75,12 +75,14 @@ def _fmt(value: Any) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Normalized arguments for one CLI invocation."""
+    """Normalized arguments for one CLI invocation.  The fields after ``family``
+    are the flags' dests and config-file keys; their defaults are the CLI's
+    unless a subcommand sets its own."""
 
     subcommand: str
     family: FamilySpec | None = None
-    p_grid: tuple[float, ...] = ()
-    t_grid: tuple[float, ...] = ()
+    p: tuple[float, ...] = ()
+    t: tuple[float, ...] = ()
     method: str = "exact"
     samples: int = 10_000
     seed: int | None = None
@@ -94,26 +96,31 @@ class RunConfig:
     gamma: float | None = None
     cascade_t: float | None = None
     suites: tuple[str, ...] = ()
-    out_format: str = "csv"
+    out: str = "csv"
     out_file: str = "-"
+
+    def __post_init__(self):  # argparse and JSON give suites as a list
+        object.__setattr__(self, "suites", tuple(self.suites))
 
     def validate(self) -> None:
         needs_family = self.subcommand in ("family", "bounds", "tail", "decompose", "sweep")
         if needs_family and self.family is None:
             raise UsageError(f"{self.subcommand} requires --family and --n")
+        if any(not 0.0 <= p <= 1.0 for p in self.p):
+            raise UsageError("every p must lie in [0, 1]")
         if self.subcommand in ("bounds", "tail", "sweep"):
-            if not self.p_grid:
+            if not self.p:
                 raise UsageError("a nonempty --p grid is required")
-            if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
-                raise UsageError("every p must lie in [0, 1]")
-        if self.subcommand in ("bounds", "tail", "sweep") and not self.t_grid:
-            raise UsageError("a nonempty --t grid is required")
+            if not self.t:
+                raise UsageError("a nonempty --t grid is required")
         if self.subcommand in ("tail", "sweep"):
-            if self.method not in ("exact",) + STOCHASTIC_METHODS:
+            if self.method not in METHODS:
                 raise UsageError(f"unknown method {self.method!r}")
-            if self.method in STOCHASTIC_METHODS and self.seed is None:
+            if self.method != "exact" and self.seed is None:
                 raise UsageError(f"method {self.method!r} requires --seed")
         if self.subcommand == "decompose":
+            if len(self.p) != 1:
+                raise UsageError("decompose takes exactly one --p")
             if self.r is None or self.r <= 0:
                 raise UsageError("decompose requires --r > 0")
             if self.seed is None:
@@ -121,13 +128,15 @@ class RunConfig:
             cascade_flags = (self.beta, self.gamma, self.cascade_t)
             if any(f is not None for f in cascade_flags) and None in cascade_flags:
                 raise UsageError("--beta, --gamma, and --t must be given together")
+            if self.beta is not None and not 0.0 < self.p[0] < 1.0:
+                raise UsageError("the cascade check needs --p in (0, 1)")
         if self.seed is not None and not 0 <= self.seed < KEY_LIMIT:
             raise UsageError(f"--seed {self.seed} must lie in [0, 2**64)")
         if self.samples < 1:
             raise UsageError("--samples must be positive")
         if self.workers < 1:
             raise UsageError("--workers must be positive")
-        if self.out_format not in ("csv", "json"):
+        if self.out not in FORMATS:
             raise UsageError("--out must be csv or json")
         if self.subcommand == "verify":
             unknown = set(self.suites) - set(SUITES)
@@ -137,7 +146,7 @@ class RunConfig:
 
 def _row_writer(columns: tuple[str, ...], cfg: RunConfig, stream, header: bool = True):
     """write(row) emitting one CSV row or JSON line; a CSV header goes out first if asked."""
-    if cfg.out_format == "json":
+    if cfg.out == "json":
         return lambda row: stream.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
     writer = csv.writer(stream, lineterminator="\n")
     if header:
@@ -145,10 +154,18 @@ def _row_writer(columns: tuple[str, ...], cfg: RunConfig, stream, header: bool =
     return lambda row: writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
+def _sink(cfg: RunConfig, stream, mode: str):
+    """Context manager for the output: --out-file opened with mode, or stream for -."""
+    if cfg.out_file == "-":
+        return nullcontext(stream)
+    return open(cfg.out_file, mode, newline="", encoding="utf-8")
+
+
 def _emit(columns: tuple[str, ...], rows: list[dict], cfg: RunConfig, stream) -> None:
-    write = _row_writer(columns, cfg, stream)
-    for row in rows:
-        write(row)
+    with _sink(cfg, stream, "w") as out:
+        write = _row_writer(columns, cfg, out)
+        for row in rows:
+            write(row)
 
 
 def _family_row(spec: FamilySpec) -> dict:
@@ -190,10 +207,10 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
             }
         )
 
-    for p in cfg.p_grid:
+    for p in cfg.p:
         report = moment_report(h, p)
         mu, var, lam = report.mu, report.var, report.lam
-        for t in cfg.t_grid:
+        for t in cfg.t:
             for form in ("phi", "quadratic", "ratio_log"):
                 rep = theorem_c_bound(mu, cfg.capacity, t, form=form)
                 add(p, t, rep.tag, rep.log_value, rep.inputs)
@@ -270,14 +287,14 @@ def _tail_row(cfg: RunConfig, h, p: float, t: float) -> dict:
 
 def _run_tail(cfg: RunConfig, stream) -> int:
     h = build(cfg.family)
-    rows = [_tail_row(cfg, h, p, t) for p in cfg.p_grid for t in cfg.t_grid]
+    rows = [_tail_row(cfg, h, p, t) for p in cfg.p for t in cfg.t]
     _emit(TAIL_COLUMNS, rows, cfg, stream)
     return 0
 
 
 def _run_decompose(cfg: RunConfig, stream) -> int:
     h = build(cfg.family)
-    p = cfg.p_grid[0] if cfg.p_grid else 0.5
+    (p,) = cfg.p
     rng = stream_generator(cfg.seed, 0)
     rows = []
     for i in range(cfg.samples):
@@ -335,7 +352,7 @@ def _existing_sweep_keys(cfg: RunConfig) -> set[tuple[str, ...]]:
     if cfg.out_file == "-" or not os.path.exists(cfg.out_file):
         return keys
     with open(cfg.out_file, newline="", encoding="utf-8") as fh:
-        if cfg.out_format == "json":
+        if cfg.out == "json":
             for line in fh:
                 line = line.strip()
                 if line:
@@ -369,12 +386,11 @@ def _run_sweep(cfg: RunConfig, stream) -> int:
     existing = _existing_sweep_keys(cfg)
     to_file = cfg.out_file != "-"
     fresh = not (to_file and os.path.exists(cfg.out_file))
-    target = open(cfg.out_file, "a", newline="", encoding="utf-8") if to_file else nullcontext(stream)
     written = 0
-    with target as out:
+    with _sink(cfg, stream, "a") as out:
         write = _row_writer(SWEEP_COLUMNS, cfg, out, header=fresh)
-        for p in cfg.p_grid:
-            for t in cfg.t_grid:
+        for p in cfg.p:
+            for t in cfg.t:
                 row = {
                     "family": cfg.family.kind,
                     "n": cfg.family.n,
@@ -403,148 +419,122 @@ def _grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
 
 
-def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=("ap", "schur", "ell_sum"), help="integer family kind")
+def _add_row_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--family", choices=KINDS, help="integer family kind")
     sub.add_argument("--n", type=int, help="ground-set size")
-    sub.add_argument("--k", type=int, default=3, help="progression length (ap only)")
-    sub.add_argument("--ell", type=int, default=1, help="multiplier for x + y = l*z")
+    sub.add_argument("--k", type=int, help="progression length (ap only)")
+    sub.add_argument("--ell", type=int, help="multiplier for x + y = l*z")
+    sub.add_argument("--out", choices=FORMATS, help="output format")
+    sub.add_argument("--out-file", help="output path; - for stdout")
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", choices=("csv", "json"), default="csv", help="output format")
-    sub.add_argument("--out-file", default="-", help="output path; - for stdout")
+def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", type=_grid, help="comma-separated p grid")
+    sub.add_argument("--t", type=_grid, help="comma-separated t grid")
+
+
+def _add_estimate_flags(sub: argparse.ArgumentParser) -> None:
+    _add_grid_flags(sub)
+    sub.add_argument("--method", choices=METHODS)
+    sub.add_argument("--samples", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--eps", type=float, help="conditioned-vertex surplus")
+    sub.add_argument("--alpha", type=float, help="planting overlap parameter")
+    sub.add_argument("--workers", type=int, help="0 = UPPERTAIL_WORKERS or cpu count")
+    sub.set_defaults(workers=0)
+
+
+def _config_parser() -> argparse.ArgumentParser:
+    """The --config flag alone: main() takes it out of argv before the full parse."""
+    parser = argparse.ArgumentParser(
+        add_help=False, allow_abbrev=False, exit_on_error=False, argument_default=argparse.SUPPRESS
+    )
+    parser.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The uppertail parser.  Its namespaces hold only the flags argv or a
+    config file gave, plus subcommand defaults; ``parser.subparsers`` maps each
+    subcommand to its parser."""
     parser = argparse.ArgumentParser(
         prog="uppertail",
         description="Upper-tail experiments for induced edge counts of random vertex subsets.",
+        argument_default=argparse.SUPPRESS,
+        parents=[_config_parser()],
     )
-    parser.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser.subparsers = {}
+    parser.subparsers = sub.choices
 
-    fam = sub.add_parser("family", help="one stats row for a family instance")
-    _add_family_flags(fam)
-    _add_output_flags(fam)
+    def add(name: str, summary: str, rows: bool = True) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        if rows:
+            _add_row_flags(cmd)
+        return cmd
 
-    bounds = sub.add_parser("bounds", help="bound reports over a (p, t) grid")
-    _add_family_flags(bounds)
-    _add_output_flags(bounds)
-    bounds.add_argument("--p", type=_grid, default=(), help="comma-separated p grid")
-    bounds.add_argument("--t", type=_grid, default=(), help="comma-separated t grid")
-    bounds.add_argument("--capacity", type=float, default=1.0, help="capacity C")
-    bounds.add_argument("--d", type=float, default=1.0, help="witness density D")
+    add("family", "one stats row for a family instance")
 
-    tail = sub.add_parser("tail", help="tail estimates at threshold mu + t")
-    _add_family_flags(tail)
-    _add_output_flags(tail)
-    tail.add_argument("--p", type=_grid, default=(), help="comma-separated p grid")
-    tail.add_argument("--t", type=_grid, default=(), help="comma-separated t grid")
-    tail.add_argument("--method", default="exact",
-                      choices=("exact",) + STOCHASTIC_METHODS)
-    tail.add_argument("--samples", type=int, default=10_000)
-    tail.add_argument("--seed", type=int)
-    tail.add_argument("--eps", type=float, default=0.0, help="conditioned-vertex surplus")
-    tail.add_argument("--alpha", type=float, help="planting overlap parameter")
-    tail.add_argument("--workers", type=int, default=0, help="0 = UPPERTAIL_WORKERS or cpu count")
+    bounds = add("bounds", "bound reports over a (p, t) grid")
+    _add_grid_flags(bounds)
+    bounds.add_argument("--capacity", type=float, help="capacity C")
+    bounds.add_argument("--d", type=float, help="witness density D")
 
-    dec = sub.add_parser("decompose", help="per-sample decomposition rows")
-    _add_family_flags(dec)
-    _add_output_flags(dec)
-    dec.add_argument("--p", type=_grid, default=(0.5,), help="sampling probability")
+    _add_estimate_flags(add("tail", "tail estimates at threshold mu + t"))
+
+    dec = add("decompose", "per-sample decomposition rows")
+    dec.add_argument("--p", type=_grid, help="sampling probability")
     dec.add_argument("--r", type=float, help="degree threshold r")
-    dec.add_argument("--samples", type=int, default=10)
+    dec.add_argument("--samples", type=int)
     dec.add_argument("--seed", type=int)
     dec.add_argument("--beta", type=float, help="cascade beta")
     dec.add_argument("--gamma", type=float, help="cascade gamma")
     dec.add_argument("--t", dest="cascade_t", type=float, help="cascade t")
+    dec.set_defaults(p=(0.5,), samples=10)
 
-    ver = sub.add_parser("verify", help="run named verification suites")
+    ver = add("verify", "run named verification suites", rows=False)
     ver.add_argument("suites", nargs="*", help=f"subset of {sorted(SUITES)}; default all")
 
-    sweep = sub.add_parser("sweep", help="tail estimates over a (p, t) cross product")
-    _add_family_flags(sweep)
-    _add_output_flags(sweep)
-    sweep.add_argument("--p", type=_grid, default=(), help="comma-separated p grid")
-    sweep.add_argument("--t", type=_grid, default=(), help="comma-separated t grid")
-    sweep.add_argument("--method", default="exact",
-                       choices=("exact",) + STOCHASTIC_METHODS)
-    sweep.add_argument("--samples", type=int, default=10_000)
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--eps", type=float, default=0.0)
-    sweep.add_argument("--alpha", type=float)
-    sweep.add_argument("--workers", type=int, default=0)
-
-    parser.subparsers = {
-        "family": fam, "bounds": bounds, "tail": tail,
-        "decompose": dec, "verify": ver, "sweep": sweep,
-    }
+    _add_estimate_flags(add("sweep", "tail estimates over a (p, t) cross product"))
     return parser
 
 
-_CONFIG_KEYS = {
-    "family", "n", "k", "ell", "p", "t", "method", "samples", "seed", "eps",
-    "alpha", "workers", "capacity", "d", "r", "beta", "gamma", "cascade_t",
-    "out", "out_file", "suites",
-}
-
-
-def _load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise UsageError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("p", "t"):
-        if key in data and not isinstance(data[key], (list, tuple)):
-            data[key] = [data[key]]
-        if key in data:
-            data[key] = tuple(float(v) for v in data[key])
-    return data
-
-
-def _apply_config(parser: argparse.ArgumentParser, overrides: dict) -> None:
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the JSON object at path the defaults of each subparser with its keys as dests."""
     # Subparsers re-parse into a fresh namespace, so plain namespace seeding
     # gets clobbered; rewriting defaults survives that and keeps flag priority.
-    targets = [parser] + list(parser.subparsers.values())
-    for target in targets:
-        known = {action.dest for action in target._actions}
-        hits = {k: v for k, v in overrides.items() if k in known}
-        if hits:
-            target.set_defaults(**hits)
+    dests = {cmd: {a.dest for a in cmd._actions} - {"help"} for cmd in parser.subparsers.values()}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise UsageError("must hold a JSON object")
+        unknown = set(data).difference(*dests.values())
+        if unknown:
+            raise UsageError(f"unknown keys: {sorted(unknown)}")
+        for key in set(data) & {"p", "t"}:
+            values = data[key] if isinstance(data[key], list) else [data[key]]
+            data[key] = tuple(float(v) for v in values)
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"--config {path}: {exc}") from exc
+    for cmd, known in dests.items():
+        cmd.set_defaults(**{k: v for k, v in data.items() if k in known})
 
 
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
+    fields = vars(ns)
+    kind = fields.pop("family", None)
+    shape = {key: fields.pop(key) for key in ("n", "k", "ell") if key in fields}
     spec = None
-    if getattr(ns, "family", None) is not None:
-        if ns.n is None:
+    if kind is not None:
+        if "n" not in shape:
             raise UsageError("--family requires --n")
-        spec = FamilySpec(ns.family, ns.n, k=ns.k, ell=ns.ell)
-    workers = getattr(ns, "workers", 1) or _default_workers()
-    return RunConfig(
-        subcommand=ns.subcommand,
-        family=spec,
-        p_grid=tuple(getattr(ns, "p", ()) or ()),
-        t_grid=tuple(getattr(ns, "t", ()) or ()),
-        method=getattr(ns, "method", "exact"),
-        samples=getattr(ns, "samples", 10_000),
-        seed=getattr(ns, "seed", None),
-        workers=workers,
-        eps=getattr(ns, "eps", 0.0),
-        alpha=getattr(ns, "alpha", None),
-        capacity=getattr(ns, "capacity", 1.0),
-        d=getattr(ns, "d", 1.0),
-        r=getattr(ns, "r", None),
-        beta=getattr(ns, "beta", None),
-        gamma=getattr(ns, "gamma", None),
-        cascade_t=getattr(ns, "cascade_t", None),
-        suites=tuple(getattr(ns, "suites", ()) or ()),
-        out_format=getattr(ns, "out", "csv"),
-        out_file=getattr(ns, "out_file", "-"),
-    )
+        try:
+            spec = FamilySpec(kind, **shape)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(str(exc)) from exc
+    if fields.get("workers") == 0:
+        fields["workers"] = _default_workers()
+    return RunConfig(family=spec, **fields)
 
 
 _RUNNERS = {
@@ -565,19 +555,13 @@ def run(config: RunConfig, stream=None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if "--config" in args:
-            at = args.index("--config")
-            if at + 1 >= len(args):
-                raise UsageError("--config needs a path")
-            _apply_config(parser, _load_config(args[at + 1]))
-            del args[at : at + 2]
-        ns = parser.parse_args(args)
-        config = _config_from_namespace(ns)
-        return run(config)
-    except UsageError as exc:
+        opts, args = _config_parser().parse_known_args(sys.argv[1:] if argv is None else argv)
+        if "config" in opts:
+            _apply_config(parser, opts.config)
+        return run(_config_from_namespace(parser.parse_args(args)))
+    except (UsageError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapacityError, ValueError) as exc:

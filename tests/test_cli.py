@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
 
 import pytest
 
+from uppertail import cli
 from uppertail.cli import main
 from uppertail.families import FamilySpec, build
 from uppertail.hypergraph import induced_edge_count, sample_vp
@@ -230,8 +232,6 @@ class TestSweep:
         assert run_cli(argv) == (0, f"wrote 0 rows to {out_file}\n")
 
     def test_rows_written_before_a_failure_are_kept(self, tmp_path, monkeypatch):
-        from uppertail import cli
-
         out_file = str(tmp_path / "partial.csv")
         real = cli._tail_estimate
 
@@ -279,3 +279,153 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"frobnicate": 1}))
         assert run_cli(["tail", "--config", str(cfg)])[0] == 2
+
+
+class TestOutFile:
+    ROWS = {
+        "family": ["family", "--family", "schur", "--n", "12"],
+        "bounds": ["bounds", "--family", "ap", "--n", "10", "--p", "0.2,0.4", "--t", "1,2"],
+        "tail": ["tail", "--family", "ap", "--n", "12", "--p", "0.3", "--t", "1,2",
+                 "--method", "mc", "--samples", "500", "--seed", "4", "--workers", "1"],
+        "decompose": ["decompose", "--family", "ap", "--n", "14", "--p", "0.35",
+                      "--r", "1.5", "--samples", "4", "--seed", "3", "--out", "json"],
+    }
+
+    @pytest.mark.parametrize("sub", sorted(ROWS))
+    def test_file_gets_the_printed_bytes(self, sub, tmp_path):
+        argv = self.ROWS[sub]
+        code, printed = run_cli(argv)
+        assert code == 0 and printed
+        path = tmp_path / "rows.out"
+        path.write_text("stale\n" * 50)
+        for _ in range(2):  # a rerun overwrites, it does not append
+            assert run_cli(argv + ["--out-file", str(path)]) == (0, "")
+            assert path.read_bytes() == printed.encode()
+
+    def test_family_bytes(self, tmp_path):
+        path = tmp_path / "family.csv"
+        assert run_cli(self.ROWS["family"] + ["--out-file", str(path)]) == (0, "")
+        assert path.read_text() == (
+            "family,n,k,ell,vertices,edges,delta_1,delta_2\nschur,12,3,,12,30,10,2\n"
+        )
+
+
+class TestUsageErrorsExitTwo:
+    DECOMPOSE = ["decompose", "--family", "ap", "--n", "8", "--r", "1", "--seed", "1"]
+    CASES = {
+        "missing config": ["tail", "--config", "{tmp}/missing.json"],
+        "unreadable config": ["tail", "--config", "{tmp}"],
+        "malformed config": ["tail", "--config", "{tmp}/bad.json"],
+        "non-numeric p in config": ["tail", "--config", "{tmp}/px.json"],
+        "config flag without a path": ["tail", "--config"],
+        "negative n": ["family", "--family", "ap", "--n", "-1"],
+        "ap with k = 1": ["tail", "--family", "ap", "--n", "8", "--p", "0.5", "--t", "1", "--k", "1"],
+        "decompose p above 1": DECOMPOSE + ["--p", "1.5"],
+        "decompose p = 0 with cascade": DECOMPOSE + ["--p", "0", "--beta", "0.1",
+                                                     "--gamma", "0.1", "--t", "2"],
+        "decompose p = 1 with cascade": DECOMPOSE + ["--p", "1", "--beta", "0.1",
+                                                     "--gamma", "0.1", "--t", "2"],
+        "decompose p grid": DECOMPOSE + ["--p", "0.3,0.5"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_two_with_one_line(self, case, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{bad")
+        (tmp_path / "px.json").write_text(json.dumps({"p": ["x"]}))
+        argv = [arg.format(tmp=tmp_path) for arg in self.CASES[case]]
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_decompose_p_at_the_ends_without_cascade(self, p):
+        code, out = run_cli(self.DECOMPOSE + ["--p", p, "--samples", "2"])
+        assert code == 0
+        assert [row["vertices"] for row in parse_csv(out)] == ["0" if p == "0" else "8"] * 2
+
+
+# Every flag dest of every subcommand: the accepted config-file keys.
+CONFIG_KEYS = {
+    "family": "schur", "n": 9, "k": 3, "ell": 1, "p": [0.25], "t": [2], "method": "mc",
+    "samples": 7, "seed": 5, "eps": 0.1, "alpha": 0.2, "workers": 2, "capacity": 2.0,
+    "d": 3.0, "r": 1.5, "beta": 0.5, "gamma": 0.1, "cascade_t": 9.0, "out": "json",
+    "out_file": "o.csv", "suites": ["phi"],
+}
+DEFAULTS = {
+    "family": None, "p": (), "t": (), "method": "exact", "samples": 10_000, "seed": None,
+    "workers": 1, "eps": 0.0, "alpha": None, "capacity": 1.0, "d": 1.0, "r": None,
+    "beta": None, "gamma": None, "cascade_t": None, "suites": (), "out": "csv", "out_file": "-",
+}
+AP8 = FamilySpec("ap", 8)
+SCHUR9 = FamilySpec("schur", 9)
+FROM_FILE = {"family": SCHUR9, "out": "json", "out_file": "o.csv"}
+FROM_FILE_GRID = {**FROM_FILE, "p": (0.25,), "t": (2.0,)}
+FROM_FILE_ESTIMATE = {**FROM_FILE_GRID, "method": "mc", "samples": 7, "seed": 5,
+                      "eps": 0.1, "alpha": 0.2, "workers": 2}
+# (argv, fields that differ from DEFAULTS); UPPERTAIL_WORKERS is 3, "{cfg}" is CONFIG_KEYS.
+RESOLVED = [
+    (["family", "--family", "ap", "--n", "8"], {"family": AP8}),
+    (["bounds", "--family", "ap", "--n", "8", "--p", "0.5", "--t", "1"],
+     {"family": AP8, "p": (0.5,), "t": (1.0,)}),
+    (["tail", "--family", "ap", "--n", "8", "--p", "0.5", "--t", "1"],
+     {"family": AP8, "p": (0.5,), "t": (1.0,), "workers": 3}),
+    (["sweep", "--family", "ap", "--n", "8", "--p", "0.5", "--t", "1"],
+     {"family": AP8, "p": (0.5,), "t": (1.0,), "workers": 3}),
+    (["decompose", "--family", "ap", "--n", "8", "--r", "1", "--seed", "1"],
+     {"family": AP8, "p": (0.5,), "samples": 10, "r": 1.0, "seed": 1}),
+    (["verify"], {}),
+    (["family", "--config", "{cfg}"], FROM_FILE),
+    (["bounds", "--config", "{cfg}"], {**FROM_FILE_GRID, "capacity": 2.0, "d": 3.0}),
+    (["tail", "--config", "{cfg}"], FROM_FILE_ESTIMATE),
+    (["--config", "{cfg}", "sweep"], FROM_FILE_ESTIMATE),
+    (["decompose", "--config", "{cfg}"],
+     {**FROM_FILE, "p": (0.25,), "samples": 7, "seed": 5, "r": 1.5,
+      "beta": 0.5, "gamma": 0.1, "cascade_t": 9.0}),
+    (["verify", "--config", "{cfg}"], {"suites": ("phi",)}),
+    (["tail", "--config", "{cfg}", "--samples", "11", "--workers", "0", "--n", "5"],
+     {**FROM_FILE_ESTIMATE, "family": FamilySpec("schur", 5), "samples": 11, "workers": 3}),
+]
+
+
+class TestResolvedConfig:
+    @pytest.fixture
+    def resolve(self, tmp_path, monkeypatch):
+        """argv -> the RunConfig fields main() hands to run(), or None if it never did."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CONFIG_KEYS))
+        monkeypatch.setenv("UPPERTAIL_WORKERS", "3")
+
+        def resolve(argv):
+            seen = []
+            monkeypatch.setattr(cli, "run", lambda config, stream=None: seen.append(config) or 0)
+            assert main([arg.format(cfg=cfg_path) for arg in argv]) == 0
+            return {f.name: getattr(seen[0], f.name) for f in dataclasses.fields(seen[0])}
+
+        return resolve
+
+    @pytest.mark.parametrize("argv, changed", RESOLVED, ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_fields(self, resolve, argv, changed):
+        want = {"subcommand": next(a for a in argv if a in cli.build_parser().subparsers)}
+        want.update(DEFAULTS)
+        want.update(changed)
+        assert resolve(argv) == want
+
+    def test_accepted_config_keys(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run", lambda config, stream=None: 0)
+        path = tmp_path / "one.json"
+        for key, value in CONFIG_KEYS.items():
+            path.write_text(json.dumps({key: value}))
+            assert main(["--config", str(path), "verify"]) == 0, key
+        for key in ("help", "config", "subcommand", "p_grid", "t_grid", "out_format",
+                    "out-file", "cascade-t", "frobnicate"):
+            path.write_text(json.dumps({key: 1}))
+            assert main(["--config", str(path), "verify"]) == 2, key
+            assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["family", "bounds", "tail", "decompose", "verify", "sweep"])
+def test_subcommand_help(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: uppertail {sub}")
