@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .hypergraph import Hypergraph, codegrees
+from .hypergraph import Hypergraph
 
 __all__ = [
     "BoundReport",
@@ -76,7 +76,7 @@ def exact_mean(h: Hypergraph, p: float) -> float:
     """E[X] = e(H) * p^k for the induced edge count under vertex density p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    return len(h.edges) * p**h.k
+    return h.num_edges * p**h.k
 
 
 def exact_variance(h: Hypergraph, p: float) -> float:
@@ -85,14 +85,14 @@ def exact_variance(h: Hypergraph, p: float) -> float:
     An ordered edge pair sharing i vertices adds p^(2k-i) - p^(2k), which is
     sum_{1<=j<=i} C(i, j) p^(2k-j) (1-p)^j; sum_T codeg(T)^2 counts each
     ordered pair (e = f included) once per shared j-set T.  Every term is
-    nonnegative, so nothing cancels.
+    nonnegative, so nothing cancels.  The codegree sums do not depend on p and
+    are counted once per hypergraph (h.codegree_sums).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     k = h.k
     return math.fsum(
-        p ** (2 * k - j) * (1.0 - p) ** j * sum(c * c for c in codegrees(h, j).values())
-        for j in range(1, k + 1)
+        p ** (2 * k - j) * (1.0 - p) ** j * a for j, a in enumerate(h.codegree_sums, start=1)
     )
 
 
@@ -255,9 +255,9 @@ def hypergeom_conditional_mean(h: Hypergraph, m: int) -> float:
     """E[X | exactly m vertices kept] = e(H) * prod_{i<k} (m - i) / (n - i)."""
     if not 0 <= m <= h.n:
         raise ValueError(f"m must lie in [0, {h.n}]")
-    if m < h.k or not h.edges:
+    if m < h.k or not h.num_edges:
         return 0.0
-    value = float(len(h.edges))
+    value = float(h.num_edges)
     for i in range(h.k):
         value *= (m - i) / (h.n - i)
     return value

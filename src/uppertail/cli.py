@@ -128,8 +128,11 @@ class RunConfig:
             cascade_flags = (self.beta, self.gamma, self.cascade_t)
             if any(f is not None for f in cascade_flags) and None in cascade_flags:
                 raise UsageError("--beta, --gamma, and --t must be given together")
-            if self.beta is not None and not 0.0 < self.p[0] < 1.0:
-                raise UsageError("the cascade check needs --p in (0, 1)")
+            if self.beta is not None:
+                try:
+                    self.cascade_params()
+                except ValueError as exc:
+                    raise UsageError(f"cascade check: {exc}") from exc
         if self.seed is not None and not 0 <= self.seed < KEY_LIMIT:
             raise UsageError(f"--seed {self.seed} must lie in [0, 2**64)")
         if self.samples < 1:
@@ -143,6 +146,10 @@ class RunConfig:
             if unknown:
                 raise UsageError(f"unknown suites: {sorted(unknown)}")
 
+    def cascade_params(self) -> CascadeParams:
+        """decompose's cascade parameters; CascadeParams owns their ranges."""
+        return CascadeParams(beta=self.beta, gamma=self.gamma, r=self.r, t=self.cascade_t, p=self.p[0])
+
 
 def _row_writer(columns: tuple[str, ...], cfg: RunConfig, stream, header: bool = True):
     """write(row) emitting one CSV row or JSON line; a CSV header goes out first if asked."""
@@ -154,11 +161,18 @@ def _row_writer(columns: tuple[str, ...], cfg: RunConfig, stream, header: bool =
     return lambda row: writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
+def _open(path: str, mode: str):
+    try:
+        return open(path, mode, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"--out-file {path}: {exc.strerror or exc}") from exc
+
+
 def _sink(cfg: RunConfig, stream, mode: str):
     """Context manager for the output: --out-file opened with mode, or stream for -."""
     if cfg.out_file == "-":
         return nullcontext(stream)
-    return open(cfg.out_file, mode, newline="", encoding="utf-8")
+    return _open(cfg.out_file, mode)
 
 
 def _emit(columns: tuple[str, ...], rows: list[dict], cfg: RunConfig, stream) -> None:
@@ -254,7 +268,7 @@ def _tail_estimate(cfg: RunConfig, h, p: float, t: float):
         return mc_tail(h, p, threshold, cfg.samples, seed=cfg.seed, workers=cfg.workers)
     if cfg.method == "planted":
         target, _ = planting_target(mu, t, h.k, cfg.alpha)
-        witness = interval_witness(cfg.family, float(target))
+        witness = interval_witness(cfg.family, float(target), h)
         if witness is None:
             raise NoWitnessError(
                 f"family {cfg.family.kind}({cfg.family.n}) cannot seat a witness for {target} edges"
@@ -296,6 +310,7 @@ def _run_decompose(cfg: RunConfig, stream) -> int:
     h = build(cfg.family)
     (p,) = cfg.p
     rng = stream_generator(cfg.seed, 0)
+    params = cfg.cascade_params() if cfg.beta is not None else None
     rows = []
     for i in range(cfg.samples):
         s = sample_vp(h, p, rng)
@@ -306,10 +321,7 @@ def _run_decompose(cfg: RunConfig, stream) -> int:
             mr: Any = mr_exact(h, s, cfg.r)
         except CapacityError:
             mr = "budget"
-        if cfg.beta is not None:
-            params = CascadeParams(
-                beta=cfg.beta, gamma=cfg.gamma, r=cfg.r, t=cfg.cascade_t, p=p
-            )
+        if params is not None:
             verdict = check_cascade_event(h, s, params).verdict
             cascade = "indeterminate" if verdict is None else _fmt(verdict)
         else:
@@ -351,7 +363,7 @@ def _existing_sweep_keys(cfg: RunConfig) -> set[tuple[str, ...]]:
     keys: set[tuple[str, ...]] = set()
     if cfg.out_file == "-" or not os.path.exists(cfg.out_file):
         return keys
-    with open(cfg.out_file, newline="", encoding="utf-8") as fh:
+    with _open(cfg.out_file, "r") as fh:
         if cfg.out == "json":
             for line in fh:
                 line = line.strip()
@@ -498,26 +510,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, value: Any) -> Any:
+    """A JSON value as its flag would parse it: through the flag's type, from
+    its text.  A list is a comma grid (--p, --t) or the positional suites."""
+    if action.nargs == "*":
+        return [str(v) for v in (value if isinstance(value, list) else [value])]
+    if isinstance(value, list) and action.type is _grid:
+        value = ",".join(map(str, value))
+    if value is None or isinstance(value, (list, dict)):
+        raise UsageError(f"{action.dest} takes one value, not {json.dumps(value)}")
+    return (action.type or str)(str(value))
+
+
 def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     """Make the JSON object at path the defaults of each subparser with its keys as dests."""
     # Subparsers re-parse into a fresh namespace, so plain namespace seeding
     # gets clobbered; rewriting defaults survives that and keeps flag priority.
-    dests = {cmd: {a.dest for a in cmd._actions} - {"help"} for cmd in parser.subparsers.values()}
+    actions = {cmd: {a.dest: a for a in cmd._actions if a.dest != "help"}
+               for cmd in parser.subparsers.values()}
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise UsageError("must hold a JSON object")
-        unknown = set(data).difference(*dests.values())
+        unknown = set(data).difference(*actions.values())
         if unknown:
             raise UsageError(f"unknown keys: {sorted(unknown)}")
-        for key in set(data) & {"p", "t"}:
-            values = data[key] if isinstance(data[key], list) else [data[key]]
-            data[key] = tuple(float(v) for v in values)
-    except (OSError, TypeError, ValueError) as exc:
+        for cmd, known in actions.items():
+            cmd.set_defaults(**{k: _config_value(known[k], v) for k, v in data.items() if k in known})
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"--config {path}: {exc}") from exc
-    for cmd, known in dests.items():
-        cmd.set_defaults(**{k: v for k, v in data.items() if k in known})
 
 
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:

@@ -84,7 +84,7 @@ def make_star_matching(h: Hypergraph, stars: tuple[Star, ...]) -> StarMatching:
     used = 0
     for star in stars:
         for i in star.edge_ids:
-            if not 0 <= i < len(h.edges):
+            if not 0 <= i < h.num_edges:
                 raise ValueError(f"edge id {i} out of range")
             if star.center not in h.edges[i]:
                 raise ValueError(f"edge {i} does not contain center {star.center}")

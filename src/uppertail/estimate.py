@@ -47,6 +47,7 @@ EXACT_VERTEX_BUDGET = 26
 CLEAN_COMBO_BUDGET = 10**7
 LOW_BITS = 20  # vertices enumerated inside one block of codes
 EDGE_BLOCK = 512  # edges ANDed per sampling-kernel step; < 2**16 (uint16 sums)
+DRAW_BLOCK = 512  # samples per step of a p-sampler's membership draw
 
 METHODS = ("exact", "mc", "planted", "conditioned")
 
@@ -177,7 +178,7 @@ def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> T
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     hist = edge_count_histogram(h, workers)
-    cols = np.arange(len(h.edges) + 1, dtype=float) >= threshold
+    cols = np.arange(h.num_edges + 1, dtype=float) >= threshold
     per_size = hist[:, cols].sum(axis=1).tolist()
     weights = subset_weights(h.n, p)
     p_hat = math.fsum(c * w for c, w in zip(per_size, weights) if c)
@@ -189,7 +190,7 @@ def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float
     """Exact Pr(X = m) by complete subset enumeration (n <= 26)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if m < 0 or m > len(h.edges):
+    if m < 0 or m > h.num_edges:
         return 0.0
     hist = edge_count_histogram(h, workers)
     weights = subset_weights(h.n, p)
@@ -206,7 +207,7 @@ def _tail_hits(h: Hypergraph, draw, threshold: float, samples: int, workers: int
     Chunks run over a thread pool when workers > 1; their hit counts add up
     the same in any order.
     """
-    edges = np.array(h.edges, dtype=np.intp).reshape(-1, h.k)
+    edges = h.edge_array
 
     def chunk(stream: int, count: int) -> int:
         member = draw(stream, count)
@@ -230,8 +231,13 @@ def _vp_draw(n: int, free: list[int], p: float, seed: int):
     """Membership draw keeping each free vertex with probability p, the rest always."""
 
     def draw(stream: int, count: int) -> np.ndarray:
+        # DRAW_BLOCK samples at a time: the same doubles as one (count, |free|)
+        # draw, without its count * |free| * 8-byte temporary.
         member = np.ones((n, count), dtype=bool)
-        member[free] = (stream_generator(seed, stream).random((count, len(free))) < p).T
+        gen = stream_generator(seed, stream)
+        for lo in range(0, count, DRAW_BLOCK):
+            rows = min(DRAW_BLOCK, count - lo)
+            member[free, lo : lo + rows] = (gen.random((rows, len(free))) < p).T
         return member
 
     return draw
@@ -293,7 +299,7 @@ def planted_tail(
     hits = _tail_hits(h, _vp_draw(h.n, free, p, seed), threshold, samples, workers)
     factor = p**w_size
     lo, hi = wilson_interval(hits, samples)
-    mu = len(h.edges) * p**h.k
+    mu = h.num_edges * p**h.k
     target, lam = planting_target(mu, float(threshold) - mu, h.k, alpha)
     extra = {
         "witness_size": w_size,
@@ -381,7 +387,7 @@ def enumerate_clean_configs(h: Hypergraph, m: int) -> list[CleanConfig]:
     """All clean m-edge configurations, in lexicographic edge-id order."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    ecount = len(h.edges)
+    ecount = h.num_edges
     if m > ecount:
         return []
     if comb(ecount, m) > CLEAN_COMBO_BUDGET:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hypergraph import Hypergraph, VertexSet, induced_edge_count
 
 __all__ = [
@@ -77,6 +79,13 @@ def build(spec: FamilySpec) -> Hypergraph:
     return build_ell_sum(spec.n, spec.ell)
 
 
+def _group_positions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(group, position in group) of every element of groups of the given sizes."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    firsts = np.cumsum(counts) - counts
+    return group, np.arange(len(group)) - firsts[group]
+
+
 def build_ap(n: int, k: int) -> Hypergraph:
     """k-term arithmetic progressions {a, a+d, ..., a+(k-1)d}, a >= 1, d >= 1.
 
@@ -86,22 +95,20 @@ def build_ap(n: int, k: int) -> Hypergraph:
         raise ValueError("ap requires uniformity k >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    edges = []
-    for d in range(1, (n - 1) // (k - 1) + 1 if n >= 1 else 0):
-        for a in range(1, n - (k - 1) * d + 1):
-            edges.append(tuple(a - 1 + i * d for i in range(k)))
-    return Hypergraph(k, n, edges)
+    d = np.arange(1, (n - 1) // (k - 1) + 1)
+    group, start = _group_positions(n - (k - 1) * d)
+    return Hypergraph(k, n, start[:, None] + d[group, None] * np.arange(k))
 
 
 def build_schur(n: int) -> Hypergraph:
     """Triples {x, y, x+y} with x < y and x + y <= n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    edges = []
-    for x in range(1, n // 2 + 1):
-        for y in range(x + 1, n - x + 1):
-            edges.append((x - 1, y - 1, x + y - 1))
-    return Hypergraph(3, n, edges)
+    x = np.arange(1, n // 2 + 1)
+    group, offset = _group_positions(n - 2 * x)
+    x = x[group]
+    y = x + 1 + offset
+    return Hypergraph(3, n, np.stack([x, y, x + y], axis=1) - 1)
 
 
 def build_ell_sum(n: int, ell: int) -> Hypergraph:
@@ -113,17 +120,15 @@ def build_ell_sum(n: int, ell: int) -> Hypergraph:
         raise ValueError("ell must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    edges = set()
-    for z in range(1, n + 1):
-        s = ell * z
-        lo = max(1, s - n)
-        hi = (s - 1) // 2
-        for x in range(lo, hi + 1):
-            y = s - x
-            if z == x or z == y:
-                continue
-            edges.add(tuple(sorted((x - 1, y - 1, z - 1))))
-    return Hypergraph(3, n, edges)
+    z = np.arange(1, n + 1)
+    s = ell * z
+    lo = np.maximum(1, s - n)
+    group, offset = _group_positions(np.maximum((s - 1) // 2 - lo + 1, 0))
+    x = lo[group] + offset
+    z = z[group]
+    y = s[group] - x
+    triples = np.stack([x, y, z], axis=1)[(z != x) & (z != y)]
+    return Hypergraph(3, n, triples - 1)
 
 
 def prefix_edge_count(spec: FamilySpec, m: int) -> int:
@@ -160,13 +165,15 @@ def prefix_edge_count(spec: FamilySpec, m: int) -> int:
     return total
 
 
-def interval_witness(spec: FamilySpec, x: float) -> Witness | None:
+def interval_witness(spec: FamilySpec, x: float, h: Hypergraph | None = None) -> Witness | None:
     """Smallest prefix {1, ..., m} inducing at least x edges, or None.
 
     Binary search on the exact prefix edge count; d_used is recovered from
-    the resulting size as |W| / max(sqrt(x), 1).
+    the resulting size as |W| / max(sqrt(x), 1).  h is build(spec), built
+    here unless the caller already holds it.
     """
-    h = build(spec)
+    if h is None:
+        h = build(spec)
     if x <= 0:
         return Witness(h, VertexSet(spec.n, 0), 0.0, float(x))
     if prefix_edge_count(spec, spec.n) < x:
@@ -191,10 +198,10 @@ def greedy_witness(h: Hypergraph, x: float) -> Witness | None:
     """
     if x <= 0:
         return Witness(h, VertexSet(h.n, 0), 0.0, float(x))
-    if len(h.edges) < x:
+    if h.num_edges < x:
         return None
     in_w = [False] * h.n
-    missing = [h.k] * len(h.edges)
+    missing = [h.k] * h.num_edges
     count = 0
     chosen = 0
     while count < x:

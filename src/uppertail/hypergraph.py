@@ -97,60 +97,125 @@ class VertexSet:
         return f"VertexSet(n={self.n}, members={list(self.indices())})"
 
 
+def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rows in lexicographic order, and the index where each run of equal rows starts."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows, np.flatnonzero(new)
+
+
+def _edge_rows(k: int, edges) -> np.ndarray:
+    """The edges as an (e, k) int64 array, each row sorted."""
+    if isinstance(edges, np.ndarray):
+        if not np.issubdtype(edges.dtype, np.integer) or edges.ndim != 2 or edges.shape[1] != k:
+            raise ValueError(f"edge array must be integer with shape (e, {k})")
+        rows = edges.astype(np.int64)
+    else:
+        listed = [tuple(int(v) for v in edge) for edge in edges]
+        for tup in listed:
+            if len(tup) != k:
+                raise ValueError(f"edge {tuple(sorted(tup))} does not have exactly {k} vertices")
+        try:
+            rows = np.array(listed, dtype=np.int64).reshape(-1, k)
+        except OverflowError as exc:
+            raise ValueError("an edge has a vertex outside the int64 range") from exc
+    rows.sort(axis=1)
+    return rows
+
+
+def _codegree_runs(h: "Hypergraph", j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct j-sets inside edges, in lexicographic order, and their codegrees)."""
+    if not 1 <= j <= h.k:
+        raise ValueError(f"j must be in [1, {h.k}]")
+    arr = h.edge_array
+    subsets = np.concatenate([arr[:, cols] for cols in combinations(range(h.k), j)])
+    rows, starts = _lex_runs(subsets)
+    return rows[starts], np.diff(starts, append=len(rows))
+
+
+def _incidence(h: "Hypergraph") -> tuple[tuple[int, ...], ...]:
+    flat = h.edge_array.ravel()
+    ids = (np.argsort(flat, kind="stable") // h.k).tolist()
+    ends = np.cumsum(np.bincount(flat, minlength=h.n)).tolist()
+    return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def _codegree_sums(h: "Hypergraph") -> tuple[int, ...]:
+    # sum codeg^2 <= (e * C(k, j))^2: no int64 overflow for any e that fits in memory
+    return tuple(int(np.square(_codegree_runs(h, j)[1]).sum()) for j in range(1, h.k + 1))
+
+
+_VIEWS = {
+    "edges": lambda h: tuple(map(tuple, h.edge_array.tolist())),
+    "edge_masks": lambda h: tuple(sum(1 << v for v in edge) for edge in h.edge_array.tolist()),
+    "incidence": _incidence,
+    "codegree_sums": _codegree_sums,
+    "_hash": lambda h: hash((h.k, h.n, h.edge_array.tobytes())),
+}
+
+
 class Hypergraph:
     """Immutable k-uniform hypergraph in canonical form.
 
-    Edges are sorted k-tuples of distinct vertices from range(n), stored in
-    lexicographic order with duplicates removed.  Per-vertex incidence lists
-    (ascending edge ids) and per-edge bitmasks are built eagerly.
+    The one edge store is ``edge_array``: a read-only (e, k) int64 array whose
+    rows are sorted k-sets of distinct vertices from range(n), in lexicographic
+    order with duplicates removed.  Everything else is derived from it on first
+    read and then kept as a plain attribute: ``edges`` (sorted tuples),
+    ``edge_masks`` (one int bitmask per edge), ``incidence`` (ascending edge ids
+    per vertex) and ``codegree_sums`` (sum over j-sets T of codeg(T)^2, for
+    j = 1..k).  Paths that only count edges read the array and never build
+    the Python views.
     """
 
-    __slots__ = ("k", "n", "edges", "incidence", "edge_masks", "_hash")
+    __slots__ = ("k", "n", "edge_array", *_VIEWS)
 
-    def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]]):
+    def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]] | np.ndarray):
         if k < 1:
             raise ValueError("uniformity k must be at least 1")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        for edge in edges:
-            tup = tuple(sorted(int(v) for v in edge))
-            if len(tup) != k:
-                raise ValueError(f"edge {tup} does not have exactly {k} vertices")
-            if any(a == b for a, b in zip(tup, tup[1:])):
-                raise ValueError(f"edge {tup} repeats a vertex")
-            if tup[0] < 0 or tup[-1] >= n:
-                raise ValueError(f"edge {tup} leaves range({n})")
-            seen.add(tup)
-        canon = tuple(sorted(seen))
-        incidence = [[] for _ in range(n)]
-        for idx, edge in enumerate(canon):
-            for v in edge:
-                incidence[v].append(idx)
+        rows = _edge_rows(k, edges)
+        repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        bad = repeats | (rows[:, 0] < 0) | (rows[:, -1] >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            tup = tuple(rows[i].tolist())
+            raise ValueError(f"edge {tup} repeats a vertex" if repeats[i] else f"edge {tup} leaves range({n})")
+        rows, starts = _lex_runs(rows)
+        canon = rows[starts]
+        canon.setflags(write=False)
         self.k = k
         self.n = n
-        self.edges = canon
-        self.incidence = tuple(tuple(ids) for ids in incidence)
-        self.edge_masks = tuple(sum(1 << v for v in edge) for edge in canon)
-        self._hash = hash((k, n, canon))
+        self.edge_array = canon
+
+    def __getattr__(self, name: str):
+        # Reached only while a derived view is unset: build it once and store
+        # it in its slot, so every later read is a plain attribute read.
+        view = _VIEWS.get(name)
+        if view is None:
+            raise AttributeError(name)
+        value = view(self)
+        setattr(self, name, value)
+        return value
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Hypergraph)
             and self.k == other.k
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.edge_array, other.edge_array)
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Hypergraph(k={self.k}, n={self.n}, edges={len(self.edges)})"
+        return f"Hypergraph(k={self.k}, n={self.n}, edges={self.num_edges})"
 
 
 def _check_universe(h: Hypergraph, s: VertexSet) -> None:
@@ -160,7 +225,8 @@ def _check_universe(h: Hypergraph, s: VertexSet) -> None:
 
 def induced_edge_count(h: Hypergraph, s: VertexSet) -> int:
     """Count edges of h with all k vertices inside s."""
-    return len(induced_edges(h, s))
+    _check_universe(h, s)
+    return int(s.to_bool_array()[h.edge_array].all(axis=1).sum())
 
 
 def induced_edges(h: Hypergraph, s: VertexSet) -> tuple[int, ...]:
@@ -182,23 +248,22 @@ def degree(h: Hypergraph, v: int) -> int:
 
 
 def max_degree(h: Hypergraph) -> int:
-    return max((len(ids) for ids in h.incidence), default=0)
+    return int(np.bincount(h.edge_array.ravel(), minlength=1).max())
 
 
 def codegrees(h: Hypergraph, j: int) -> Counter:
     """codeg(T), the number of edges containing T, for each j-set T inside an edge.
 
-    Iterates over the j-subsets of each edge (never over all C(n, j) vertex
-    subsets), so the cost is e(H) * C(k, j) counter updates.
+    Sorts the e(H) * C(k, j) j-subsets of the edges (never all C(n, j) vertex
+    subsets) and counts each run of equal ones.
     """
-    if not 1 <= j <= h.k:
-        raise ValueError(f"j must be in [1, {h.k}]")
-    return Counter(sub for edge in h.edges for sub in combinations(edge, j))
+    sets, counts = _codegree_runs(h, j)
+    return Counter(dict(zip(map(tuple, sets.tolist()), counts.tolist())))
 
 
 def delta_j(h: Hypergraph, j: int) -> int:
     """Largest number of edges sharing some j common vertices."""
-    return max(codegrees(h, j).values(), default=0)
+    return int(_codegree_runs(h, j)[1].max(initial=0))
 
 
 def sample_vp(h: Hypergraph, p: float, rng: np.random.Generator) -> VertexSet:
@@ -221,7 +286,7 @@ def sample_vm(h: Hypergraph, m: int, rng: np.random.Generator) -> VertexSet:
 
 def to_text(h: Hypergraph) -> str:
     """Serialize: header 'k n e', then one line of k vertex ids per edge."""
-    lines = [f"{h.k} {h.n} {len(h.edges)}"]
+    lines = [f"{h.k} {h.n} {h.num_edges}"]
     lines.extend(" ".join(str(v) for v in edge) for edge in h.edges)
     return "\n".join(lines) + "\n"
 
@@ -246,6 +311,6 @@ def from_text(text: str) -> Hypergraph:
             raise ValueError(f"edge line {line!r} does not have {k} entries")
         edges.append(tuple(int(x) for x in parts))
     h = Hypergraph(k, n, edges)
-    if len(h.edges) != e:
+    if h.num_edges != e:
         raise ValueError("edge lines contain duplicates")
     return h

@@ -8,6 +8,7 @@ Vertices are 0-based; edges are sorted tuples.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -50,6 +51,70 @@ def ell_sum_edges(n: int, ell: int) -> list[tuple[int, ...]]:
             if 1 <= z <= n and z != x and z != y:
                 found.add(tuple(sorted((x - 1, y - 1, z - 1))))
     return sorted(found)
+
+
+def loop_ap_edges(n: int, k: int) -> list[tuple[int, ...]]:
+    """k-APs by an (a, d) loop, in generation order (the first list builder)."""
+    edges = []
+    for d in range(1, (n - 1) // (k - 1) + 1 if n >= 1 else 0):
+        for a in range(1, n - (k - 1) * d + 1):
+            edges.append(tuple(a - 1 + i * d for i in range(k)))
+    return edges
+
+
+def loop_schur_edges(n: int) -> list[tuple[int, ...]]:
+    edges = []
+    for x in range(1, n // 2 + 1):
+        for y in range(x + 1, n - x + 1):
+            edges.append((x - 1, y - 1, x + y - 1))
+    return edges
+
+
+def loop_ell_sum_edges(n: int, ell: int) -> list[tuple[int, ...]]:
+    edges = set()
+    for z in range(1, n + 1):
+        s = ell * z
+        for x in range(max(1, s - n), (s - 1) // 2 + 1):
+            y = s - x
+            if z != x and z != y:
+                edges.add(tuple(sorted((x - 1, y - 1, z - 1))))
+    return list(edges)
+
+
+# ------------------------------------------------------ canonical edge views
+
+
+def canonical_edges(k: int, n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Sorted tuples of sorted edges, duplicates dropped; ValueError on a bad edge."""
+    seen = set()
+    for edge in edges:
+        tup = tuple(sorted(int(v) for v in edge))
+        if len(tup) != k:
+            raise ValueError(f"edge {tup} does not have exactly {k} vertices")
+        if any(a == b for a, b in zip(tup, tup[1:])):
+            raise ValueError(f"edge {tup} repeats a vertex")
+        if tup[0] < 0 or tup[-1] >= n:
+            raise ValueError(f"edge {tup} leaves range({n})")
+        seen.add(tup)
+    return tuple(sorted(seen))
+
+
+def incidence_lists(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Ascending ids of the edges through each vertex."""
+    incidence = [[] for _ in range(n)]
+    for idx, edge in enumerate(edges):
+        for v in edge:
+            incidence[v].append(idx)
+    return tuple(tuple(ids) for ids in incidence)
+
+
+def codegree_variance(edges: list[tuple[int, ...]], k: int, p: float) -> float:
+    """Var X from Counter codegrees, term for term as the first formula had it."""
+    return math.fsum(
+        p ** (2 * k - j) * (1.0 - p) ** j
+        * sum(c * c for c in Counter(t for e in edges for t in combinations(e, j)).values())
+        for j in range(1, k + 1)
+    )
 
 
 # ------------------------------------------------- induced-count probability

@@ -326,16 +326,51 @@ class TestUsageErrorsExitTwo:
         "decompose p = 1 with cascade": DECOMPOSE + ["--p", "1", "--beta", "0.1",
                                                      "--gamma", "0.1", "--t", "2"],
         "decompose p grid": DECOMPOSE + ["--p", "0.3,0.5"],
+        "decompose beta out of range": ["decompose", "--family", "ap", "--n", "12", "--p", "0.3",
+                                        "--r", "2", "--seed", "1", "--beta", "-1",
+                                        "--gamma", "0.1", "--t", "2"],
+        "decompose gamma out of range": DECOMPOSE + ["--beta", "0.5", "--gamma", "0.2", "--t", "2"],
+        "decompose cascade t not positive": DECOMPOSE + ["--beta", "0.5", "--gamma", "0.1",
+                                                         "--t", "0"],
+        "unwritable out-file": ["family", "--family", "ap", "--n", "8",
+                                "--out-file", "{tmp}/missing/f.csv"],
+        "config value of the wrong type": ["tail", "--family", "ap", "--n", "8", "--p", "0.5",
+                                           "--t", "1", "--method", "mc", "--seed", "1",
+                                           "--config", "{tmp}/list.json"],
+        "config float for an int flag": ["tail", "--family", "ap", "--n", "8", "--p", "0.5",
+                                         "--t", "1", "--method", "mc", "--seed", "1",
+                                         "--config", "{tmp}/float.json"],
+        "config null": ["tail", "--family", "ap", "--n", "8", "--p", "0.5", "--t", "1",
+                        "--config", "{tmp}/null.json"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_two_with_one_line(self, case, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "px.json").write_text(json.dumps({"p": ["x"]}))
+        (tmp_path / "list.json").write_text(json.dumps({"samples": [1]}))
+        (tmp_path / "float.json").write_text(json.dumps({"samples": 2.5}))
+        (tmp_path / "null.json").write_text(json.dumps({"alpha": None}))
         argv = [arg.format(tmp=tmp_path) for arg in self.CASES[case]]
         assert run_cli(argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("sub", sorted(TestOutFile.ROWS) + ["sweep"])
+    def test_unwritable_out_file_for_every_row_writer(self, sub, tmp_path, capsys):
+        argv = TestOutFile.ROWS.get(sub, ["sweep", "--family", "ap", "--n", "8", "--p", "0.5",
+                                          "--t", "1"])
+        for target in (tmp_path / "missing" / "f.csv", tmp_path):
+            assert run_cli(argv + ["--out-file", str(target)]) == (2, "")
+            err = capsys.readouterr().err
+            assert err.startswith("error: --out-file ") and err.count("\n") == 1, err
+
+    def test_config_values_go_through_the_flag_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "ap", "n": "4", "p": "0.5", "t": [0.75], "samples": "9"}))
+        code, out = run_cli(["tail", "--config", str(cfg)])
+        assert code == 0
+        assert float(parse_csv(out)[0]["p_hat"]) == 0.1875
 
     @pytest.mark.parametrize("p", ["0", "1"])
     def test_decompose_p_at_the_ends_without_cascade(self, p):

@@ -26,6 +26,7 @@ from uppertail.estimate import (
 )
 from uppertail.families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
 from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edge_count
+from uppertail.rng import stream_generator
 
 AP4 = build_ap(4, 3)
 
@@ -277,6 +278,15 @@ class TestSamplingKernel:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+    @pytest.mark.parametrize("count", [1, 511, 512, 1300])
+    def test_blocked_draw_is_one_big_draw(self, count):
+        free = [0, 2, 3, 7]
+        got = estimate._vp_draw(9, free, 0.3, seed=4)(stream=2, count=count)
+        want = np.ones((9, count), dtype=bool)
+        want[free] = (stream_generator(4, 2).random((count, len(free))) < 0.3).T
+        assert np.array_equal(got, want)
 
 
 class TestPlanted:

@@ -44,6 +44,16 @@ class TestBuilders:
                     oracles.ell_sum_edges(n, ell)
                 )
 
+    def test_array_builders_match_the_loop_builders(self):
+        for n in range(61):
+            for k in (2, 3, 4, 5):
+                want = oracles.canonical_edges(k, n, oracles.loop_ap_edges(n, k))
+                assert build_ap(n, k).edges == want, (n, k)
+            assert build_schur(n).edges == oracles.canonical_edges(3, n, oracles.loop_schur_edges(n))
+            for ell in (1, 2, 3):
+                want = oracles.canonical_edges(3, n, oracles.loop_ell_sum_edges(n, ell))
+                assert build_ell_sum(n, ell).edges == want, (n, ell)
+
     def test_ell_one_is_schur(self):
         for n in (5, 9, 14):
             assert build_ell_sum(n, 1) == build_schur(n)

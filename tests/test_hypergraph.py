@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from uppertail.families import build_ap, build_schur
+from uppertail.bounds import exact_mean, exact_variance, moment_report
+from uppertail.estimate import conditioned_tail, mc_tail, planted_tail
+from uppertail.families import FamilySpec, build, build_ap, build_schur, interval_witness
 from uppertail.hypergraph import (
     Hypergraph,
     VertexSet,
@@ -112,6 +114,93 @@ class TestHypergraph:
                 assert delta_j(h, j) == max(oracles.naive_codegrees(edges, h.n, j).values())
 
 
+def built(h: Hypergraph, view: str) -> bool:
+    """Whether a derived view has been materialised (reads the slot without building it)."""
+    try:
+        object.__getattribute__(h, view)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestEdgeArrayStore:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_array_build_matches_tuple_oracle(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=5))
+        n = data.draw(st.integers(min_value=0, max_value=16))
+        edges = []
+        if n >= k:
+            rows = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+            edges = data.draw(st.lists(rows, max_size=40))
+            if edges:
+                edges += data.draw(st.lists(st.sampled_from(edges), max_size=10))
+                edges = data.draw(st.permutations(edges))
+        want = oracles.canonical_edges(k, n, edges)
+        from_array = Hypergraph(k, n, np.array(edges, dtype=np.int32).reshape(-1, k))
+        from_lists = Hypergraph(k, n, edges)
+        for h in (from_array, from_lists):
+            assert h.edges == want
+            assert h.num_edges == len(want)
+            assert h.edge_masks == tuple(oracles.edge_bitmasks(list(want)))
+            assert h.incidence == oracles.incidence_lists(n, want)
+        assert from_array == from_lists and hash(from_array) == hash(from_lists)
+        assert from_array.edge_array.dtype == np.int64 and not from_array.edge_array.flags.writeable
+
+    def test_views_are_python_ints(self):
+        h = Hypergraph(3, 70, np.array([[69, 0, 35], [1, 2, 3]]))
+        assert h.edges == ((0, 35, 69), (1, 2, 3))
+        assert h.edge_masks == (1 | 1 << 35 | 1 << 69, 0b1110)
+        assert all(type(v) is int for edge in h.edges for v in edge)
+        assert all(type(m) is int for m in Hypergraph(3, 5, np.array([[0, 1, 2]])).edge_masks)
+        assert all(type(i) is int for ids in h.incidence for i in ids)
+
+    def test_views_are_built_once(self):
+        h = build_ap(20, 3)
+        assert not built(h, "edge_masks")
+        masks = h.edge_masks
+        assert built(h, "edge_masks") and h.edge_masks is masks
+
+    def test_rejects_bad_arrays(self):
+        for bad in (
+            np.array([[0, 1, 1]]),
+            np.array([[0, 1, 5]]),
+            np.array([[-1, 1, 2]]),
+            np.array([[0, 1]]),
+            np.array([0, 1, 2]),
+            np.array([[0.0, 1.0, 2.0]]),
+        ):
+            with pytest.raises(ValueError):
+                Hypergraph(3, 5, bad)
+
+    def test_does_not_alias_the_input(self):
+        arr = np.array([[2, 1, 0]])
+        h = Hypergraph(3, 5, arr)
+        arr[0, 0] = 4
+        assert h.edges == ((0, 1, 2),)
+
+    def test_variance_matches_the_counter_formula_bit_for_bit(self):
+        h = build_ap(200, 3)
+        edges = list(h.edges)
+        for i in range(21):
+            p = i / 20
+            assert exact_variance(h, p) == oracles.codegree_variance(edges, 3, p)
+
+    def test_large_n_paths_never_build_masks_or_incidence(self):
+        spec = FamilySpec("ap", 300)
+        h = build(spec)
+        p = 0.05
+        mu = exact_mean(h, p)
+        mc_tail(h, p, mu + 2, 256, seed=1)
+        conditioned_tail(h, p, mu + 2, 256, seed=1)
+        witness = interval_witness(spec, mu + 2, h)
+        planted_tail(h, p, mu + 2, 256, seed=1, witness=witness)
+        moment_report(h, p)
+        assert not built(h, "edge_masks")
+        assert not built(h, "incidence")
+        assert not built(h, "edges")
+
+
 class TestInducedEdges:
     def test_count_matches_ids(self):
         s = VertexSet.from_indices(5, [0, 1, 2, 3])
@@ -126,6 +215,14 @@ class TestInducedEdges:
     def test_universe_mismatch(self):
         with pytest.raises(ValueError):
             induced_edge_count(TRIANGLE_PAIR, VertexSet(4))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_count_is_the_number_of_ids(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=24))
+        h = build_ap(n, data.draw(st.integers(min_value=2, max_value=4)))
+        s = VertexSet(n, data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)))
+        assert induced_edge_count(h, s) == len(induced_edges(h, s))
 
     @given(st.integers(min_value=0, max_value=(1 << 7) - 1))
     @settings(max_examples=60, deadline=None)
