@@ -355,27 +355,36 @@ def _run_verify(cfg: RunConfig, stream) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _sweep_key(row: dict) -> tuple[str, ...]:
-    return tuple(_fmt(row.get(c)) for c in ("family", "n", "k", "p", "t", "method", "samples", "seed"))
-
-
-def _existing_sweep_keys(cfg: RunConfig) -> set[tuple[str, ...]]:
-    keys: set[tuple[str, ...]] = set()
-    if cfg.out_file == "-" or not os.path.exists(cfg.out_file):
-        return keys
-    with _open(cfg.out_file, "r") as fh:
-        if cfg.out == "json":
-            for line in fh:
-                line = line.strip()
-                if line:
-                    keys.add(_sweep_key(json.loads(line)))
-        else:
-            for row in csv.DictReader(fh):
-                keys.add(_sweep_key(row))
-    return keys
-
-
 SWEEP_COLUMNS = TAIL_COLUMNS[:4] + ("t",) + TAIL_COLUMNS[4:] + ("status",)
+SWEEP_KEY = ("family", "n", "k", "p", "t", "method", "samples", "seed")
+
+
+def _sweep_key(row: dict) -> tuple[str, ...]:
+    """The parameters that fix a sweep row; an exact row depends on neither samples nor seed."""
+    columns = SWEEP_KEY[:-2] if row.get("method") == "exact" else SWEEP_KEY
+    return tuple(_fmt(row.get(c)) for c in columns)
+
+
+def _existing_sweep_keys(cfg: RunConfig) -> set[tuple[str, ...]] | None:
+    """Keys of the rows already in --out-file, or None when there is no file
+    to append to (stdout, missing or empty) and a CSV header is due.  A file
+    not in the requested format is a usage error, never appended to."""
+    path = cfg.out_file
+    if path == "-" or not os.path.exists(path) or os.path.getsize(path) == 0:
+        return None
+    with _open(path, "r") as fh:
+        try:
+            if cfg.out == "json":
+                rows = [json.loads(line) for line in fh if line.strip()]
+                valid = all(isinstance(row, dict) for row in rows)
+            else:
+                valid = fh.readline().rstrip("\r\n") == ",".join(SWEEP_COLUMNS)
+                rows = list(csv.DictReader(fh, fieldnames=SWEEP_COLUMNS))
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            valid = False
+    if not valid:
+        raise UsageError(f"--out-file {path}: not a {cfg.out} sweep file")
+    return {_sweep_key(row) for row in rows}
 
 
 def _sweep_result(cfg: RunConfig, h, p: float, t: float) -> dict:
@@ -396,11 +405,9 @@ def _run_sweep(cfg: RunConfig, stream) -> int:
     failure part way keeps every row before it."""
     h = build(cfg.family)
     existing = _existing_sweep_keys(cfg)
-    to_file = cfg.out_file != "-"
-    fresh = not (to_file and os.path.exists(cfg.out_file))
     written = 0
     with _sink(cfg, stream, "a") as out:
-        write = _row_writer(SWEEP_COLUMNS, cfg, out, header=fresh)
+        write = _row_writer(SWEEP_COLUMNS, cfg, out, header=existing is None)
         for p in cfg.p:
             for t in cfg.t:
                 row = {
@@ -410,16 +417,16 @@ def _run_sweep(cfg: RunConfig, stream) -> int:
                     "p": p,
                     "t": t,
                     "method": cfg.method,
-                    "samples": cfg.samples,
+                    "samples": 1 << h.n if cfg.method == "exact" else cfg.samples,
                     "seed": cfg.seed,
                 }
-                if _sweep_key(row) in existing:
+                if existing and _sweep_key(row) in existing:
                     continue
                 row.update(_sweep_result(cfg, h, p, t))
                 write(row)
                 out.flush()
                 written += 1
-    if to_file:
+    if cfg.out_file != "-":
         stream.write(f"wrote {written} rows to {cfg.out_file}\n")
     return 0
 

@@ -38,7 +38,7 @@ __all__ = [
     "mc_tail",
     "planted_tail",
     "planting_target",
-    "subset_weights",
+    "size_weighted_sum",
     "superset_counts",
     "wilson_interval",
 ]
@@ -122,19 +122,28 @@ def superset_counts(n: int, masks: Sequence[int]) -> np.ndarray:
     return np.concatenate([_superset_counts(masks, low, high) for high in range(1 << (n - low))])
 
 
-def _subset_histogram(n: int, masks: Sequence[int], workers: int = 1) -> np.ndarray:
+def _subset_histogram(
+    n: int, masks: Sequence[int], workers: int = 1, groups: Sequence[Sequence[int]] = ()
+) -> np.ndarray:
     """hist[j, x] = number of j-subsets of range(n) containing exactly x masks.
 
     Block `high` holds the 2^low codes (high << low) | c.  Blocks are counted
     independently (over a thread pool when workers > 1) and their integer
-    histograms summed, so every worker count agrees.
+    histograms summed, so every worker count agrees.  With groups, a code
+    counts only if it contains at most one mask of every group.
     """
     low = min(n, LOW_BITS)
     width = len(masks) + 1
     row_starts = np.bitwise_count(np.arange(1 << low, dtype=np.uint32)).astype(np.int32) * width
+    groups = [g for g in groups if len(g) > 1]
 
     def block(high: int) -> np.ndarray:
         flat = row_starts + _superset_counts(masks, low, high)
+        if groups:
+            keep = np.ones(1 << low, dtype=bool)
+            for g in groups:
+                keep &= _superset_counts(g, low, high) <= 1
+            flat = flat[keep]
         return np.bincount(flat, minlength=(low + 1) * width).reshape(low + 1, width)
 
     blocks = range(1 << (n - low))
@@ -168,9 +177,13 @@ def edge_count_histogram(h: Hypergraph, workers: int = 1) -> np.ndarray:
     return hist
 
 
-def subset_weights(n: int, p: float) -> list[float]:
-    """weights[j] = p^j (1-p)^(n-j), the probability of one given j-subset of n."""
-    return [p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
+def size_weighted_sum(counts: Sequence[int], p: float) -> float:
+    """fsum of counts[j] p^j (1-p)^(n-j), n = len(counts) - 1: the p-weight of
+    counts[j] subsets of size j each, unclamped so moments can use it too."""
+    n = len(counts) - 1
+    return math.fsum(
+        c * (p**j * (1.0 - p) ** (n - j)) for j, c in enumerate(np.asarray(counts).tolist()) if c
+    )
 
 
 def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> TailEstimate:
@@ -179,10 +192,7 @@ def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> T
         raise ValueError("p must lie in [0, 1]")
     hist = edge_count_histogram(h, workers)
     cols = np.arange(h.num_edges + 1, dtype=float) >= threshold
-    per_size = hist[:, cols].sum(axis=1).tolist()
-    weights = subset_weights(h.n, p)
-    p_hat = math.fsum(c * w for c, w in zip(per_size, weights) if c)
-    p_hat = min(max(p_hat, 0.0), 1.0)
+    p_hat = min(max(size_weighted_sum(hist[:, cols].sum(axis=1), p), 0.0), 1.0)
     return TailEstimate(float(threshold), p_hat, "exact", 1 << h.n, p_hat, p_hat)
 
 
@@ -192,10 +202,8 @@ def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float
         raise ValueError("p must lie in [0, 1]")
     if m < 0 or m > h.num_edges:
         return 0.0
-    hist = edge_count_histogram(h, workers)
-    weights = subset_weights(h.n, p)
-    column = hist[:, m].tolist()
-    return min(max(math.fsum(c * w for c, w in zip(column, weights) if c), 0.0), 1.0)
+    column = edge_count_histogram(h, workers)[:, m]
+    return min(max(size_weighted_sum(column, p), 0.0), 1.0)
 
 
 def _tail_hits(h: Hypergraph, draw, threshold: float, samples: int, workers: int) -> int:
@@ -409,62 +417,56 @@ def enumerate_clean_configs(h: Hypergraph, m: int) -> list[CleanConfig]:
     return out
 
 
-def _no_outside_edge_prob(h: Hypergraph, config: CleanConfig, p: float) -> float:
-    """Pr(no edge outside the configuration is induced | its vertices kept)."""
-    u = config.vertex_bits
-    pos = {v: i for i, v in enumerate(v for v in range(h.n) if not (u >> v) & 1)}
-    chosen = set(config.edge_ids)
-    free_masks = [
-        sum(1 << pos[v] for v in edge if v in pos)
-        for idx, edge in enumerate(h.edges)
-        if idx not in chosen
-    ]
-    clean = _subset_histogram(len(pos), free_masks)[:, 0].tolist()
-    weights = subset_weights(len(pos), p)
-    return math.fsum(cnt * w for cnt, w in zip(clean, weights) if cnt)
-
-
 def clean_config_point_lower(
     h: Hypergraph, p: float, m: int, disjoint_only: bool = True
 ) -> float:
     """Certified lower bound on Pr(X = m) from clean configurations.
 
-    Sums Pr(the induced edge set equals the configuration) over clean
-    (by default vertex-disjoint) m-edge configurations.  Exact per-config
-    probabilities via complement enumeration when n <= 26; otherwise the
-    closed-form product (1-p^k)^f0 (1-p^(k-1))^f1 (1-p)^f2 grouping outside
-    edges by their overlap (0, 1, or in [2, k)) with the configuration.
+    Sums Pr(the induced edge set equals C) over clean (by default vertex-
+    disjoint) m-edge configurations C.  Every induced edge set is itself clean,
+    since an edge inside its vertex union lies inside S, so for n <= 26 the sum
+    is exactly Pr(X = m and the m induced edges are pairwise disjoint): Pr(X = m)
+    when m <= 1 or disjoint_only is False, else column m of one subset pass
+    keeping only the codes where every vertex has induced degree <= 1.  Above
+    26 vertices each configuration contributes the closed-form product
+    (1-p^k)^f0 (1-p^(k-1))^f1 (1-p)^f2 grouping outside edges by their overlap
+    (0, 1, or in [2, k)) with it; only that path enumerates configurations, so
+    CLEAN_COMBO_BUDGET binds only above 26 vertices.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m > h.num_edges:
+        return 0.0
+    if h.n <= EXACT_VERTEX_BUDGET:
+        if m <= 1 or not disjoint_only:
+            return exact_point_mass(h, p, m)
+        masks = h.edge_masks
+        groups = [[masks[i] for i in inc] for inc in h.incidence]
+        column = _subset_histogram(h.n, masks, groups=groups)[:, m]
+        return min(max(size_weighted_sum(column, p), 0.0), 1.0)
     configs = enumerate_clean_configs(h, m)
     if disjoint_only:
         configs = [c for c in configs if c.vertex_bits.bit_count() == h.k * m]
-    exact_mode = h.n <= EXACT_VERTEX_BUDGET
     contributions = []
     for config in configs:
         base = p ** config.vertex_bits.bit_count()
         if base == 0.0:
             continue
-        if exact_mode:
-            contributions.append(base * _no_outside_edge_prob(h, config, p))
-        else:
-            f0 = f1 = f2 = 0
-            chosen = set(config.edge_ids)
-            for idx, em in enumerate(h.edge_masks):
-                if idx in chosen:
-                    continue
-                overlap = (em & config.vertex_bits).bit_count()
-                if overlap == 0:
-                    f0 += 1
-                elif overlap == 1:
-                    f1 += 1
-                else:
-                    f2 += 1
-            contributions.append(
-                base
-                * (1.0 - p**h.k) ** f0
-                * (1.0 - p ** (h.k - 1)) ** f1
-                * (1.0 - p) ** f2
-            )
+        f0 = f1 = f2 = 0
+        chosen = set(config.edge_ids)
+        for idx, em in enumerate(h.edge_masks):
+            if idx in chosen:
+                continue
+            overlap = (em & config.vertex_bits).bit_count()
+            if overlap == 0:
+                f0 += 1
+            elif overlap == 1:
+                f1 += 1
+            else:
+                f2 += 1
+        contributions.append(
+            base * (1.0 - p**h.k) ** f0 * (1.0 - p ** (h.k - 1)) ** f1 * (1.0 - p) ** f2
+        )
     return min(max(math.fsum(contributions), 0.0), 1.0)

@@ -12,7 +12,7 @@ by about 0.5% so reruns only fail on a real regression, not float noise.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -60,7 +60,7 @@ from .estimate import (
     mc_tail,
     planted_tail,
     planting_target,
-    subset_weights,
+    size_weighted_sum,
 )
 from .families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
 from .hypergraph import (
@@ -189,17 +189,9 @@ def phi_suite(points: int = 10_000) -> list[CheckResult]:
 
 def _enumerated_moments(h: Hypergraph, p: float) -> tuple[float, float]:
     hist = edge_count_histogram(h)
-    w = subset_weights(h.n, p)
-    terms1 = []
-    terms2 = []
-    for j in range(hist.shape[0]):
-        for x in range(hist.shape[1]):
-            c = int(hist[j, x])
-            if c:
-                terms1.append(c * w[j] * x)
-                terms2.append(c * w[j] * x * x)
-    mean = math.fsum(terms1)
-    return mean, math.fsum(terms2) - mean * mean
+    x = np.arange(hist.shape[1])
+    mean = size_weighted_sum(hist @ x, p)
+    return mean, size_weighted_sum(hist @ (x * x), p) - mean * mean
 
 
 def variance_suite(instances: Sequence[FamilySpec] = VARIANCE_INSTANCES) -> list[CheckResult]:
@@ -259,10 +251,10 @@ def sandwich_sample_check(seed: int, count: int) -> tuple[int, int, int]:
     return violations, count, exact_count
 
 
-def _induced_edge_sets(h: Hypergraph) -> dict[tuple[int, ...], Counter]:
-    """Each distinct induced edge-id set over all 2^n subsets, with a Counter
-    of the sizes of the subsets that induce it."""
-    sets: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
+def _induced_edge_sets(h: Hypergraph) -> dict[tuple[int, ...], list[int]]:
+    """Each distinct induced edge-id set over all 2^n subsets, with sizes[j] =
+    the number of j-subsets that induce it."""
+    sets: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (h.n + 1))
     for code in range(1 << h.n):
         sets[induced_edges(h, VertexSet(h.n, code))][code.bit_count()] += 1
     return sets
@@ -275,7 +267,7 @@ def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, i
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
             for ids, sizes in _induced_edge_sets(h).items():
-                subsets = sum(sizes.values())
+                subsets = sum(sizes)
                 d1 = induced_max_degree(h, ids)
                 for z in (1, 2, 3):
                     checked += subsets
@@ -285,19 +277,18 @@ def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, i
 
 
 def _popcount_value_hist(
-    sets: dict[tuple[int, ...], Counter], value: Callable[[tuple[int, ...]], int]
-) -> Counter:
-    """Histogram of (|S|, value(induced edge ids)) over all 2^n subsets."""
-    hist: Counter = Counter()
-    for ids, sizes in sets.items():
-        v = value(ids)
-        for j, count in sizes.items():
-            hist[j, v] += count
+    sets: dict[tuple[int, ...], list[int]], value: Callable[[tuple[int, ...]], int]
+) -> np.ndarray:
+    """hist[j, v] = number of j-subsets whose induced edge ids have value v."""
+    values = [value(ids) for ids in sets]
+    sizes = np.array(list(sets.values()), dtype=np.int64)
+    hist = np.zeros((sizes.shape[1], max(values) + 1), dtype=np.int64)
+    np.add.at(hist.T, values, sizes)
     return hist
 
 
-def _hist_tail(hist: Counter, w: list[float], thr: float) -> float:
-    return math.fsum(c * w[j] for (j, v), c in hist.items() if v >= thr)
+def _hist_tail(hist: np.ndarray, p: float, thr: float) -> float:
+    return size_weighted_sum(hist[:, np.arange(hist.shape[1]) >= thr].sum(axis=1), p)
 
 
 def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
@@ -310,10 +301,9 @@ def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
         for r in (1.0, 2.0, 3.0):
             hist = _popcount_value_hist(sets, lambda ids: xr_exact_on(h, ids, r))
             for p in (0.1, 0.3, 0.5, 0.7):
-                w = subset_weights(n, p)
                 mu = exact_mean(h, p)
                 for t in (1.0, 3.0, 9.0, 27.0):
-                    lhs = _hist_tail(hist, w, mu + t / 2.0)
+                    lhs = _hist_tail(hist, p, mu + t / 2.0)
                     main = math.exp(-phi(t / mu) * mu / (4.0 * h.k * r))
                     weak = math.exp(-min(t, t * t / mu) / (12.0 * h.k * r))
                     checked += 1
@@ -334,12 +324,11 @@ def mr_tail_check(n: int = 12) -> tuple[int, int, int]:
             hist = _popcount_value_hist(sets, lambda ids: mr_exact_on(h, ids, r, 10**6))
             events = [degree_event(h, v, math.ceil(r)) for v in range(n)]
             for p in (0.1, 0.3, 0.5, 0.7):
-                w = subset_weights(n, p)
                 probs = [p] * n
                 phi_r = math.fsum(event_probability(ev, probs) for ev in events)
                 for y in (0.5, 1.0, 2.0, 3.0):
                     cy = math.ceil(y)
-                    lhs = _hist_tail(hist, w, y)
+                    lhs = _hist_tail(hist, p, y)
                     mid = phi_r**cy / math.factorial(cy)
                     stirling = (math.e * phi_r / cy) ** cy / math.sqrt(2.0 * math.pi * cy)
                     checked += 1

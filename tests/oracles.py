@@ -166,6 +166,34 @@ def naive_moments(hist: dict[tuple[int, int], int], n: int, p: float) -> tuple[f
     return mean, second - mean * mean
 
 
+def clean_config_point_sum(
+    edges: list[tuple[int, ...]], n: int, p: float, m: int, disjoint_only: bool = True
+) -> float:
+    """Sum over clean m-edge configurations C (no other edge inside their vertex
+    union U; pairwise disjoint ones only if asked) of p^|U| times the complement
+    sum Pr(no edge outside C is induced | U kept), over all subsets of the rest."""
+    masks = edge_bitmasks(edges)
+    total = []
+    for combo in combinations(range(len(masks)), m):
+        union = 0
+        for i in combo:
+            union |= masks[i]
+        others = [mask for i, mask in enumerate(masks) if i not in combo]
+        if any(mask & union == mask for mask in others):
+            continue
+        if disjoint_only and bin(union).count("1") != sum(len(edges[i]) for i in combo):
+            continue
+        comp = [v for v in range(n) if not (union >> v) & 1]
+        inner = []
+        for code in range(1 << len(comp)):
+            bits = union | sum(1 << v for i, v in enumerate(comp) if (code >> i) & 1)
+            if all(bits & mask != mask for mask in others):
+                j = bin(code).count("1")
+                inner.append(p**j * (1.0 - p) ** (len(comp) - j))
+        total.append(p ** bin(union).count("1") * math.fsum(inner))
+    return math.fsum(total)
+
+
 def naive_conditional_mean(edges: list[tuple[int, ...]], n: int, m: int) -> Fraction:
     """Average induced edge count over all m-subsets, as an exact fraction."""
     total = 0

@@ -247,6 +247,45 @@ class TestSweep:
         rows = parse_csv(open(out_file).read())
         assert [(r["t"], r["status"]) for r in rows] == [("1", "ok")]
 
+    def test_empty_file_gets_the_header(self, tmp_path):
+        out_file = tmp_path / "empty.csv"
+        out_file.touch()
+        argv = ["sweep", "--family", "ap", "--n", "10", "--p", "0.3", "--t", "1,2",
+                "--method", "exact", "--out-file", str(out_file)]
+        assert run_cli(argv) == (0, f"wrote 2 rows to {out_file}\n")
+        assert run_cli(argv) == (0, f"wrote 0 rows to {out_file}\n")
+        text = out_file.read_text()
+        assert text.splitlines()[0] == ",".join(cli.SWEEP_COLUMNS)
+        assert len(parse_csv(text)) == 2
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    @pytest.mark.parametrize("content", ["other format", "not text"])
+    def test_file_not_in_the_sweep_format_is_refused(self, out, content, tmp_path, capsys):
+        out_file = tmp_path / "other"
+        base = ["sweep", "--family", "ap", "--n", "8", "--p", "0.3", "--t", "1",
+                "--method", "exact", "--out-file", str(out_file)]
+        if content == "not text":
+            out_file.write_bytes(b"\xff\xfe\x00\n")
+        else:
+            assert run_cli(base + ["--out", "json" if out == "csv" else "csv"])[0] == 0
+        before = out_file.read_bytes()
+        capsys.readouterr()
+        assert run_cli(base + ["--out", out]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out-file {out_file}: ") and err.count("\n") == 1, err
+        assert out_file.read_bytes() == before
+
+    def test_exact_rows_record_the_subset_count(self, tmp_path):
+        out_file = str(tmp_path / "exact.csv")
+        grid = ["--family", "ap", "--n", "10", "--p", "0.3", "--t", "1", "--method", "exact"]
+        tail = parse_csv(run_cli(["tail"] + grid)[1])
+        assert run_cli(["sweep"] + grid + ["--samples", "5", "--out-file", out_file])[0] == 0
+        (row,) = parse_csv(open(out_file).read())
+        assert row["samples"] == tail[0]["samples"] == "1024"
+        # samples and seed do not change an exact row, so a rerun has nothing to do.
+        rerun = ["sweep"] + grid + ["--samples", "7", "--seed", "3", "--out-file", out_file]
+        assert run_cli(rerun) == (0, f"wrote 0 rows to {out_file}\n")
+
     def test_stdout_mode(self):
         code, out = run_cli(
             ["sweep", "--family", "ap", "--n", "8", "--method", "exact",

@@ -119,21 +119,19 @@ class TestSupersetKernel:
                 deg = sum(code & h.edge_masks[i] == h.edge_masks[i] for i in h.incidence[v])
                 assert event.contains(code) == (deg >= c)
 
-            configs = enumerate_clean_configs(h, data.draw(st.integers(0, 2)))
-            if configs:
-                config = data.draw(st.sampled_from(configs))
-                p = data.draw(st.sampled_from([0.2, 0.5, 0.9]))
-                u = config.vertex_bits
-                others = [m for i, m in enumerate(h.edge_masks) if i not in config.edge_ids]
-                comp = [x for x in range(h.n) if not (u >> x) & 1]
-                brute = 0.0
-                for code in range(1 << len(comp)):
-                    bits = u | sum(1 << w for i, w in enumerate(comp) if (code >> i) & 1)
-                    if all(bits & m != m for m in others):
-                        j = code.bit_count()
-                        brute += p**j * (1.0 - p) ** (len(comp) - j)
-                got = estimate._no_outside_edge_prob(h, config, p)
-                assert got == pytest.approx(brute, rel=1e-12, abs=1e-300)
+    @given(blocked_instances(), st.sampled_from([0.2, 0.5, 0.9]))
+    @settings(max_examples=40, deadline=None)
+    def test_clean_bound_matches_config_sum(self, instance, p):
+        h, low = instance
+        edges = [tuple(e) for e in h.edges]
+        with mock.patch.object(estimate, "LOW_BITS", low), mock.patch.object(
+            estimate, "_HIST_CACHE", {}
+        ):
+            for m in range(4):
+                for disjoint_only in (True, False):
+                    want = oracles.clean_config_point_sum(edges, h.n, p, m, disjoint_only)
+                    got = clean_config_point_lower(h, p, m, disjoint_only)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 class TestHistogramCache:
@@ -392,6 +390,13 @@ class TestCleanConfigs:
                     lower = clean_config_point_lower(h, p, m)
                     assert exact_point_mass(h, p, m) >= lower * (1 - 1e-9)
 
+    def test_m_out_of_range(self):
+        for h in (AP4, Hypergraph(3, 30, AP4.edges)):
+            with pytest.raises(ValueError):
+                clean_config_point_lower(h, 0.4, -1)
+            assert clean_config_point_lower(h, 0.4, h.num_edges + 1) == 0.0
+            assert clean_config_point_lower(h, 0.4, h.num_edges + 1, disjoint_only=False) == 0.0
+
     def test_combination_budget(self):
         h = build_ap(24, 3)
         with pytest.raises(CapacityError):
@@ -399,7 +404,7 @@ class TestCleanConfigs:
 
     def test_closed_form_fallback_matches_exact_mode(self):
         # Force the n > 26 branch with padding vertices; the closed-form
-        # product must stay below the exact per-config probability.
+        # product must stay below the exact bound of the unpadded graph.
         base = build_schur(9)
         padded = Hypergraph(3, 30, base.edges)
         for p in (0.2, 0.4):
