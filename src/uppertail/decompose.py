@@ -2,7 +2,8 @@
 
 All routines operate on the subhypergraph induced by a vertex set S.  Exact
 searches carry explicit budgets and raise CapacityError beyond them rather
-than degrade silently.
+than degrade silently: X_r's counts induced edges, M_r's counts the nodes the
+branch-and-bound visits.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 XR_EDGE_BUDGET = 22
-MR_STAR_BUDGET = 10_000
+MR_NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,8 @@ def xr_exact(h: Hypergraph, s: VertexSet, r: float, budget: int = XR_EDGE_BUDGET
 
 def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
     """xr_exact over the given edge ids instead of H[S]; no budget check."""
+    if r <= 0:
+        raise ValueError("r must be positive")
     cap = math.floor(r)
     if cap < 1 or not ids:
         return 0
@@ -355,46 +358,73 @@ def cascade_prune(h: Hypergraph, s: VertexSet, params: CascadeParams) -> Cascade
     return CascadeResult(tuple(levels), current, big_j)
 
 
-def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float, budget: int) -> int:
-    """mr_exact over the given edge ids instead of H[S]."""
-    c = math.ceil(r)
-    inc = _local_incidence(h, edge_ids)
-    eligible = {v: ids for v, ids in inc.items() if len(ids) >= c}
-    candidates = sum(comb(len(ids), c) for ids in eligible.values())
-    if candidates > budget:
-        raise CapacityError(f"{candidates} candidate stars exceed budget {budget}")
-    centers = sorted(eligible)
-    best = _greedy_matching_on(h, edge_ids, r).size
+def mr_exact_on(
+    h: Hypergraph, edge_ids: tuple[int, ...], r: float, budget: int = MR_NODE_BUDGET
+) -> int:
+    """mr_exact over the given edge ids instead of H[S].
 
-    def dfs(ci: int, blocked: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if ci == len(centers) or count + (len(centers) - ci) <= best:
-            return
-        v = centers[ci]
-        if not (blocked >> v) & 1:
-            avail = [i for i in eligible[v] if h.edge_masks[i] & blocked == 0]
-            if len(avail) >= c:
-                for chosen in combinations(avail, c):
-                    bits = 0
-                    for i in chosen:
-                        bits |= h.edge_masks[i]
-                    dfs(ci + 1, blocked | bits, count + 1)
-        dfs(ci + 1, blocked, count)
-
-    dfs(0, 0, 0)
-    return best
-
-
-def mr_exact(h: Hypergraph, s: VertexSet, r: float, budget: int = MR_STAR_BUDGET) -> int:
-    """Maximum number of vertex-disjoint stars of ceil(r) induced edges.
-
-    Branch-and-bound set packing over candidate stars, seeded with the greedy
-    matching; refuses instances with more than `budget` candidate stars.
+    Each node keeps the live centers: the later centers that are unblocked and
+    still have ceil(r) edges avoiding the blocked vertices.  It branches on the
+    first live center, taking each ceil(r)-set of its edges or dropping it as a
+    center (its vertex stays free for later stars), and prunes once even
+    min(#live, |union of live edges| // star width) more stars cannot beat
+    the best.  Raises CapacityError past `budget` search nodes.
     """
     if r <= 0:
         raise ValueError("r must be positive")
+    c = math.ceil(r)
+    masks = h.edge_masks
+    inc = _local_incidence(h, edge_ids)
+    root = [(v, ids) for v, ids in sorted(inc.items()) if len(ids) >= c]
+    # A star of c distinct k-edges covers its center and at least m others,
+    # the least m with C(m, k - 1) >= c.  That m is at most k + c - 2; the cap
+    # also ends the loop for k = 1, where no vertex has two edges.
+    width = h.k
+    while width < h.k + c - 1 and comb(width - 1, h.k - 1) < c:
+        width += 1
+    best = 0
+    nodes = 0
+
+    def dfs(live: list[tuple[int, list[int]]], count: int) -> None:
+        # live: (center, its edges avoiding the blocked vertices), ascending.
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise CapacityError(f"M_r search exceeds {budget} nodes")
+        if count > best:
+            best = count
+        union = 0
+        for _, ids in live:
+            for i in ids:
+                union |= masks[i]
+        if count + min(len(live), union.bit_count() // width) <= best:
+            return
+        (_, avail), rest = live[0], live[1:]
+        for chosen in combinations(avail, c):
+            bits = 0
+            for i in chosen:
+                bits |= masks[i]
+            kept = []
+            for u, ids in rest:
+                if not (bits >> u) & 1:
+                    free = [i for i in ids if not masks[i] & bits]
+                    if len(free) >= c:
+                        kept.append((u, free))
+            dfs(kept, count + 1)
+        # Drop the center as a center only: it can still be a leaf of a later star.
+        dfs(rest, count)
+
+    dfs(root, 0)
+    return best
+
+
+def mr_exact(h: Hypergraph, s: VertexSet, r: float, budget: int = MR_NODE_BUDGET) -> int:
+    """Maximum number of vertex-disjoint stars of ceil(r) induced edges.
+
+    Branch-and-bound over the centers in increasing order (see mr_exact_on);
+    its first descent is the greedy matching.  Refuses, with CapacityError, a
+    search that visits more than `budget` nodes.
+    """
     return mr_exact_on(h, induced_edges(h, s), r, budget)
 
 
@@ -420,14 +450,15 @@ def check_cascade_event(
     h: Hypergraph,
     s: VertexSet,
     params: CascadeParams,
-    star_budget: int = MR_STAR_BUDGET,
+    star_budget: int = MR_NODE_BUDGET,
 ) -> CascadeCheck:
     """Test the per-level matching thresholds on the sample S.
 
     Level j requires M_{r_j} < beta * sqrt(t) * s / r_j while r_j < sqrt(t)/s
     and M_{r_j} < beta * sqrt(t) / r_j afterwards.  The greedy matching is a
     lower bound for M, so a greedy violation falsifies outright; a greedy pass
-    with the exact search over budget leaves that level indeterminate.  The
+    whose exact search visits more than `star_budget` nodes leaves that level
+    indeterminate.  The
     scan stops once r_j > max(2 sqrt(t), Delta_1(H[S])), beyond which M = 0.
     """
     ids = induced_edges(h, s)

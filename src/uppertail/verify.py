@@ -271,7 +271,7 @@ def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, i
                 d1 = induced_max_degree(h, ids)
                 for z in (1, 2, 3):
                     checked += subsets
-                    if (d1 >= z) != (mr_exact_on(h, ids, float(z), 10**6) >= 1):
+                    if (d1 >= z) != (mr_exact_on(h, ids, float(z)) >= 1):
                         violations += subsets
     return violations, checked
 
@@ -321,7 +321,7 @@ def mr_tail_check(n: int = 12) -> tuple[int, int, int]:
     for h in (build_ap(n, 3), build_schur(n)):
         sets = _induced_edge_sets(h)
         for r in (1.0, 2.0, 3.0):
-            hist = _popcount_value_hist(sets, lambda ids: mr_exact_on(h, ids, r, 10**6))
+            hist = _popcount_value_hist(sets, lambda ids: mr_exact_on(h, ids, r))
             events = [degree_event(h, v, math.ceil(r)) for v in range(n)]
             for p in (0.1, 0.3, 0.5, 0.7):
                 probs = [p] * n
@@ -358,7 +358,7 @@ def mrh_conditional_check() -> tuple[int, int, int]:
             union = EventTable(n, union.table | degree_event(h, v, cr).table)
         pr_ge_1 = event_probability(union, [p] * n)
         full = VertexSet(n, (1 << n) - 1)
-        mr_full = mr_exact(h, full, r, budget=10**6)
+        mr_full = mr_exact(h, full, r)
         for y in (0.5, 1.0, 2.0, 3.0):
             if y <= 1.0:
                 lhs = pr_ge_1

@@ -1,7 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from uppertail.decompose import (
@@ -14,11 +17,14 @@ from uppertail.decompose import (
     greedy_star_matching,
     make_star_matching,
     mr_exact,
+    mr_exact_on,
     xr_exact,
+    xr_exact_on,
     xr_or_lower,
 )
 from uppertail.families import build_ap, build_schur
-from uppertail.hypergraph import CapacityError, VertexSet, induced_edges, sample_vp
+from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edges, sample_vp
+from uppertail.rng import stream_generator
 
 AP5 = build_ap(5, 3)
 FULL5 = VertexSet(5, (1 << 5) - 1)
@@ -58,6 +64,11 @@ class TestXr:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             xr_exact(AP5, FULL5, 0.0)
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                xr_exact_on(AP5, tuple(range(AP5.num_edges)), r)
+            with pytest.raises(ValueError):
+                xr_exact_on(AP5, (), r)
 
     def test_or_lower_modes(self):
         exact, flag = xr_or_lower(AP5, FULL5, 2.0)
@@ -116,6 +127,51 @@ class TestStarMatching:
             sub_edges = [h.edges[i] for i in ids]
             for r in (1.0, 2.0, 3.0):
                 assert mr_exact(h, s, r) == oracles.naive_mr(sub_edges, r)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mr_matches_oracle_hypothesis(self, data):
+        k = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(k, 9))
+        edge = st.sampled_from(list(combinations(range(n), k)))
+        h = Hypergraph(k, n, data.draw(st.lists(edge, max_size=12)))
+        edges = list(h.edges)
+        for r in (1.0, 1.5, 2.0, 3.0):
+            assert mr_exact_on(h, tuple(range(h.num_edges)), r) == oracles.naive_mr(edges, r)
+
+    def test_mr_star_narrower_than_k_plus_c_minus_1(self):
+        # Four 3-APs through 4 cover only {0, 2, 4, 6, 8}: 5 vertices, not
+        # k + ceil(r) - 1 = 6, so a bound by that width would prune the star.
+        h = build_ap(9, 3)
+        s = VertexSet.from_indices(9, [0, 2, 4, 6, 8])
+        assert mr_exact(h, s, 4.0) == 1
+        # Three triples through 0 on just four vertices.
+        h = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+        assert mr_exact_on(h, (0, 1, 2), 3.0) == 1
+
+    def test_mr_dropped_center_stays_a_leaf(self):
+        # The only two disjoint cherries are 0-1-3 and 5-2-6: the search must
+        # drop 0 as a center without blocking it, since it is a leaf at 1.
+        h = Hypergraph(2, 7, [(0, 1), (0, 2), (1, 3), (2, 5), (2, 6)])
+        assert mr_exact_on(h, tuple(range(h.num_edges)), 2.0) == 2
+
+    def test_mr_finishes_where_the_candidate_star_search_ran_long(self):
+        # Subset 38 of 60 p = 0.3 draws from AP(60,3) on Philox (5, 0).  The
+        # earlier search, seeded by the greedy matching and bounded only by
+        # the centers left, needed about 30 s on a 2-core host to return 6;
+        # this one visits about 200 nodes.
+        h = build_ap(60, 3)
+        gen = stream_generator(5, 0)
+        subsets = [sample_vp(h, 0.3, gen) for _ in range(39)]
+        assert mr_exact(h, subsets[38], 2.0) == 6
+
+    def test_mr_rejects_nonpositive_r(self):
+        # r <= 0 would otherwise count stars of no edges.
+        for r in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                mr_exact(AP5, FULL5, r)
+            with pytest.raises(ValueError):
+                mr_exact_on(AP5, (), r)
 
     def test_mr_budget_refusal(self):
         h = build_ap(18, 3)
