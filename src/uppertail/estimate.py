@@ -6,7 +6,8 @@ chunked Philox streams (see uppertail.rng) and merge by summing hit counts,
 making results independent of worker count.  The three samplers differ only
 in how a chunk draws its vertex sets; one kernel counts their induced edges
 EDGE_BLOCK edges at a time, so memory per worker is O(CHUNK * (n + EDGE_BLOCK)),
-independent of e(H).
+independent of e(H).  The conditioned estimator's exact binomial factor
+Pr(Bin(n, p) >= m) is scipy.special.betainc, the regularized incomplete beta.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import betainc
 
 from .families import Witness
 from .hypergraph import CapacityError, Hypergraph
@@ -369,7 +370,8 @@ def conditioned_tail(
         return member
 
     hits = _tail_hits(h, draw, threshold, samples, workers)
-    factor = float(binom.sf(m - 1, h.n, p))
+    # Pr(Bin(n, p) >= m) as the regularized incomplete beta I_p(m, n - m + 1).
+    factor = 1.0 if m <= 0 else float(betainc(m, h.n - m + 1, p))
     lo, hi = wilson_interval(hits, samples)
     extra = {"m": m, "binomial_factor": factor, "conditional_hits": hits}
     return TailEstimate(

@@ -294,13 +294,18 @@ class TestCascade:
 
     def test_check_event_indeterminate_on_budget(self):
         # t large enough that every per-level threshold clears the small greedy
-        # matchings, while the unit star budget blocks every exact search.
+        # matchings.  A budget of one search node stops the exact search at
+        # levels 0-3, which have live centers; levels 4 and 5 finish at their root.
         h = build_ap(14, 3)
         s = VertexSet(14, (1 << 14) - 1)
         params = CascadeParams(beta=1.0, gamma=0.125, r=1.0, t=400.0, p=0.5)
         check = check_cascade_event(h, s, params, star_budget=1)
         assert check.verdict is None
-        assert any(lv.passed is None for lv in check.levels)
+        assert [lv.passed for lv in check.levels] == [None, None, None, None, True, True]
+        # The default budget decides every level, so the None comes from the budget alone.
+        full = check_cascade_event(h, s, params)
+        assert full.verdict is True
+        assert all(lv.passed is True for lv in full.levels)
 
 
 class TestDefaultScales:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -348,6 +348,26 @@ class TestConditioned:
     def test_eps_too_large(self):
         with pytest.raises(ValueError):
             conditioned_tail(AP4, 0.9, 1.0, 10, seed=0, eps=0.5)
+
+    @given(
+        n=st.integers(1, 3000),
+        p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        eps=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    @example(n=1, p=0.0, eps=0.0)  # m = 0
+    @example(n=3000, p=1.0, eps=0.0)  # m = n
+    @settings(max_examples=150, deadline=None)
+    def test_factor_is_scipy_binomial_tail_bit_for_bit(self, n, p, eps):
+        assume((1.0 + eps) * p <= 1.0)  # m <= n
+        est = conditioned_tail(Hypergraph(3, n, []), p, 0.0, 1, seed=0, eps=eps)
+        m = est.extra["m"]
+        assert est.extra["binomial_factor"] == float(binom.sf(m - 1, n, p))
+
+    @pytest.mark.parametrize("eps, m", [(0.0, 15), (0.25, 19)])
+    def test_factor_bit_for_bit_on_ap300(self, eps, m):
+        est = conditioned_tail(build_ap(300, 3), 0.05, 2.0, 1, seed=1, eps=eps)
+        assert est.extra["m"] == m
+        assert est.extra["binomial_factor"] == float(binom.sf(m - 1, 300, 0.05))
 
 
 class TestCleanConfigs:

@@ -1,6 +1,10 @@
-"""Static checks on the package's module boundaries, read from the source with ast."""
+"""Checks on the package's module boundaries: static ones read from the source with ast,
+and one on what importing the package loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,16 @@ def test_all_entries_are_defined(path):
     tree = _tree(path)
     missing = sorted(set(_all_entries(tree) or ()) - _top_level_names(tree))
     assert not missing, f"{path.name} exports undefined names: {missing}"
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second per process; the library needs only scipy.special.
+    code = (
+        "import sys, uppertail, uppertail.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"

@@ -1,11 +1,17 @@
-import pytest
+import math
 
+import pytest
+from scipy.stats import binom
+
+from uppertail import verify
 from uppertail.verify import (
     SUITES,
     TAIL_SANDWICH_C,
     VAR_RATIO_HIGH,
     VAR_RATIO_LOW,
     CheckResult,
+    binomial_floor_check,
+    paley_zygmund_check,
     run_suites,
 )
 
@@ -71,3 +77,31 @@ class TestFrozenConstants:
         assert all(v > 0 for v in TAIL_SANDWICH_C.values())
         # Larger relative deviation costs more rate.
         assert TAIL_SANDWICH_C[0.5] < TAIL_SANDWICH_C[1.0] < TAIL_SANDWICH_C[2.0]
+
+
+# The (n, q, m) points at which the two binomial checks read a pmf.
+FLOOR_GRID = [
+    (n, q, m)
+    for n in (10, 50, 100)
+    for q in (0.1, 0.37, 0.5)
+    for m in range(math.ceil(n * q), min(n - 1, math.ceil(n * q) + 5) + 1)
+]
+PZ_GRID = [(20, 0.3, j) for j in range(21)]
+
+
+class TestBinomialReferences:
+    def test_check_counts(self):
+        assert binomial_floor_check() == (0, 53)
+        assert paley_zygmund_check() == (0, 10)
+
+    @pytest.mark.parametrize("n, q, m", FLOOR_GRID + PZ_GRID)
+    def test_exact_pmf_matches_scipy(self, n, q, m):
+        # scipy's pmf is up to 29 ulp (3.9e-15 relative) from the exact value here.
+        exact = float(verify._binomial_pmf(n, q, m))
+        assert exact == pytest.approx(float(binom.pmf(m, n, q)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.0, 6.0])
+    def test_exact_tail_matches_scipy(self, t):
+        lo = math.ceil(20 * 0.3 - t)
+        exact = float(sum(verify._binomial_pmf(20, 0.3, j) for j in range(lo, 21)))
+        assert exact == pytest.approx(float(binom.sf(lo - 1, 20, 0.3)), rel=1e-15, abs=0.0)
