@@ -1,13 +1,16 @@
 """Tail and point-probability estimators for induced edge counts.
 
 Exact enumeration aggregates an integer (vertex count, edge count) histogram
-so every probability is a short compensated sum; Monte Carlo variants share
-chunked Philox streams (see uppertail.rng) and merge by summing hit counts,
-making results independent of worker count.  The three samplers differ only
-in how a chunk draws its vertex sets; one kernel counts their induced edges
-EDGE_BLOCK edges at a time, so memory per worker is O(CHUNK * (n + EDGE_BLOCK)),
-independent of e(H).  The conditioned estimator's exact binomial factor
-Pr(Bin(n, p) >= m) is scipy.special.betainc, the regularized incomplete beta.
+so every probability is a short compensated sum.  It walks the 2^n codes in
+blocks of 2^LOW_BITS; edges inside the low LOW_BITS vertices are counted once
+per histogram, and only the edges reaching above them once per block.
+Monte Carlo variants share chunked Philox streams (see uppertail.rng) and
+merge by summing hit counts, making results independent of worker count.  The
+three samplers differ only in how a chunk draws its vertex sets; one kernel
+counts their induced edges EDGE_BLOCK edges at a time, so memory per worker
+is O(CHUNK * (n + EDGE_BLOCK)), independent of e(H).  The conditioned
+estimator's exact binomial factor Pr(Bin(n, p) >= m) is scipy.special.betainc,
+the regularized incomplete beta.
 """
 
 from __future__ import annotations
@@ -117,10 +120,30 @@ def _superset_counts(masks: Sequence[int], low: int, high: int) -> np.ndarray:
     return counts.reshape(-1)
 
 
+def _add_inside_counts(masks: Sequence[int], low: int, out: np.ndarray) -> list[int]:
+    """Add to out[c] the number of masks inside code c < 2^low; return the rest.
+
+    A mask below bit `low` lies in code (high << low) | c exactly when it lies
+    in c, so its counts are the same in every block and are counted once here;
+    the masks it returns, those reaching above bit `low` ("across" masks), are
+    counted once per block.
+    """
+    out += _superset_counts([m for m in masks if m >> low == 0], low, 0)
+    return [m for m in masks if m >> low]
+
+
 def superset_counts(n: int, masks: Sequence[int]) -> np.ndarray:
-    """counts[code] = number of masks inside code, over all 2^n codes (small n)."""
+    """counts[code] = number of masks inside code, over all 2^n codes (small n).
+
+    Masks inside the low LOW_BITS bits are counted once, the across masks once
+    per block of 2^LOW_BITS codes.
+    """
     low = min(n, LOW_BITS)
-    return np.concatenate([_superset_counts(masks, low, high) for high in range(1 << (n - low))])
+    inside = np.zeros(1 << low, dtype=np.min_scalar_type(len(masks)))
+    across = _add_inside_counts(masks, low, inside)
+    return np.concatenate(
+        [inside + _superset_counts(across, low, high) for high in range(1 << (n - low))]
+    )
 
 
 def _subset_histogram(
@@ -128,18 +151,24 @@ def _subset_histogram(
 ) -> np.ndarray:
     """hist[j, x] = number of j-subsets of range(n) containing exactly x masks.
 
-    Block `high` holds the 2^low codes (high << low) | c.  Blocks are counted
-    independently (over a thread pool when workers > 1) and their integer
-    histograms summed, so every worker count agrees.  With groups, a code
-    counts only if it contains at most one mask of every group.
+    Block `high` holds the 2^low codes (high << low) | c.  The masks inside the
+    low bits are counted once, into the read-only row offsets every block
+    shares; each block adds only the across masks before its bincount.  Blocks
+    are counted independently (over a thread pool when workers > 1) and their
+    integer histograms summed, so every worker count agrees.  With groups, a
+    code counts only if it contains at most one mask of every group; that keep
+    mask stays per block, since hoisting it would hold one 2^low count array
+    per group, i.e. per vertex (26 MB at n = 26).
     """
     low = min(n, LOW_BITS)
     width = len(masks) + 1
     row_starts = np.bitwise_count(np.arange(1 << low, dtype=np.uint32)).astype(np.int32) * width
+    across = _add_inside_counts(masks, low, row_starts)
+    row_starts.setflags(write=False)
     groups = [g for g in groups if len(g) > 1]
 
     def block(high: int) -> np.ndarray:
-        flat = row_starts + _superset_counts(masks, low, high)
+        flat = row_starts + _superset_counts(across, low, high)
         if groups:
             keep = np.ones(1 << low, dtype=bool)
             for g in groups:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,63 @@ class TestSupersetKernel:
                     want = oracles.clean_config_point_sum(edges, h.n, p, m, disjoint_only)
                     got = clean_config_point_lower(h, p, m, disjoint_only)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+class TestBlockSplit:
+    """Masks inside the low bits are counted once per pass, the rest once per block."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_inside_masks_added_once(self, monkeypatch, workers):
+        h = build_ap(12, 3)
+        low = 8  # 16 blocks of 256 codes
+        offered = []  # list.extend is atomic, so the pool's threads may share it
+        kernel = estimate._superset_counts
+
+        def spy(masks, low, high):
+            offered.extend(masks)
+            return kernel(masks, low, high)
+
+        monkeypatch.setattr(estimate, "LOW_BITS", low)
+        monkeypatch.setattr(estimate, "_superset_counts", spy)
+        hist = estimate._subset_histogram(h.n, h.edge_masks, workers)
+        inside = [m for m in h.edge_masks if m >> low == 0]
+        across = [m for m in h.edge_masks if m >> low]
+        assert inside and across
+        counts = Counter(offered)
+        assert {counts[m] for m in inside} == {1}
+        assert {counts[m] for m in across} == {1 << (h.n - low)}
+        got = {(j, x): int(c) for (j, x), c in np.ndenumerate(hist) if c}
+        assert got == oracles.size_value_histogram([tuple(e) for e in h.edges], h.n)
+
+    @pytest.mark.parametrize("low", [0, 3, 6])  # 64 one-code blocks, 8 blocks, 1 block
+    def test_edge_in_high_bits(self, monkeypatch, low):
+        # At low = 3, (3, 4, 5) has no vertex in the low bits and (0, 1, 2) none above them.
+        h = Hypergraph(3, 6, [(3, 4, 5), (0, 1, 2), (1, 3, 5), (0, 4, 5)])
+        monkeypatch.setattr(estimate, "LOW_BITS", low)
+        want = oracles.size_value_histogram([tuple(e) for e in h.edges], h.n)
+        for workers in (1, 3):
+            hist = estimate._subset_histogram(h.n, h.edge_masks, workers)
+            assert {(j, x): int(c) for (j, x), c in np.ndenumerate(hist) if c} == want
+        codes = np.arange(1 << h.n)
+        brute = sum((codes & m) == m for m in h.edge_masks)
+        assert np.array_equal(estimate.superset_counts(h.n, h.edge_masks), brute)
+
+    def test_superset_dtype_holds_both_parts(self, monkeypatch):
+        # 165 inside and 121 across masks each fit uint8; their sum, 286, does not.
+        masks = [sum(1 << v for v in e) for e in combinations(range(13), 3)]
+        monkeypatch.setattr(estimate, "LOW_BITS", 11)
+        counts = estimate.superset_counts(13, masks)
+        codes = np.arange(1 << 13)
+        assert counts.dtype == np.uint16 and counts[-1] == len(masks) == 286
+        assert np.array_equal(counts, sum((codes & m) == m for m in masks))
+
+    @pytest.mark.parametrize("builder", [lambda: build_ap(22, 3), lambda: build_schur(22)])
+    def test_default_split_matches_single_block(self, monkeypatch, builder):
+        h = builder()
+        split = estimate._subset_histogram(h.n, h.edge_masks, workers=2)
+        monkeypatch.setattr(estimate, "LOW_BITS", h.n)
+        single = estimate._subset_histogram(h.n, h.edge_masks)
+        assert split.dtype == single.dtype and np.array_equal(split, single)
 
 
 class TestHistogramCache:
