@@ -1,15 +1,23 @@
 """Compare the tail estimators on a single family instance.
 
 Exhaustive enumeration is exact up to 26 vertices, so this instance gets a
-ground-truth tail.  Plain Monte Carlo brackets it with a 99% interval, while
-the planted and conditioned estimators certify lower bounds: their reported
-values must never exceed the truth.
+ground-truth tail; one enumeration serves every threshold.  Plain Monte Carlo
+brackets it with a 99% interval, while the planted and conditioned estimators
+certify lower bounds: their ci_low stays below the truth with probability at
+least 99%.  Their p_hat only estimates a lower quantity; at small sample
+counts it can exceed the truth.
 """
 
 import argparse
 
 from uppertail.bounds import exact_mean
-from uppertail.estimate import conditioned_tail, exact_tail, mc_tail, planted_tail
+from uppertail.estimate import (
+    conditioned_tail,
+    edge_count_histogram,
+    histogram_tail,
+    mc_tail,
+    planted_tail,
+)
 from uppertail.families import FamilySpec, build, interval_witness
 
 
@@ -30,14 +38,15 @@ def main() -> None:
     h = build(spec)
     mu = exact_mean(h, args.p)
     print(f"ap(n={args.n}, k=3), p={args.p}: {h.num_edges} edges, mean {mu:.3f}")
+    hist = edge_count_histogram(h)
 
     for t in (2.0, 5.0, 9.0):
         thr = mu + t
-        exact = exact_tail(h, args.p, thr)
+        exact = histogram_tail(hist, args.p, thr)
         mc = mc_tail(h, args.p, thr, args.samples, seed=args.seed)
         conditioned = conditioned_tail(h, args.p, thr, args.samples, seed=args.seed + 2)
         print(f"\nthreshold mu + {t} = {thr:.3f}")
-        print(row("exact", exact))
+        print(f"  {'exact':12s} p_hat={exact:12.6e}  from all {1 << h.n} subsets")
         print(row("mc", mc))
         lower = [("conditioned", conditioned)]
         witness = interval_witness(spec, thr)
@@ -48,8 +57,8 @@ def main() -> None:
             lower.append(("planted", planted))
         print(row("conditioned", conditioned))
         for name, est in lower:
-            assert est.p_hat <= exact.p_hat + 1e-12, f"{name} exceeded the exact tail"
-        print("  lower-bound estimates stay below the exact tail, as certified")
+            assert est.ci_low <= est.p_hat <= exact + 1e-12, f"{name} exceeded the exact tail"
+        print("  lower-bound estimates stay below the exact tail; ci_low is the certified bound")
 
 
 if __name__ == "__main__":

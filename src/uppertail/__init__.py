@@ -55,12 +55,15 @@ from .disjointness import (
 from .estimate import (
     CleanConfig,
     TailEstimate,
+    clean_config_histogram,
     clean_config_point_lower,
     conditioned_tail,
     edge_count_histogram,
     enumerate_clean_configs,
     exact_point_mass,
     exact_tail,
+    histogram_point_mass,
+    histogram_tail,
     mc_tail,
     planted_tail,
     wilson_interval,

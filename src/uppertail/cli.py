@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -30,7 +31,16 @@ from .bounds import (
     theorem_c_bound,
 )
 from .decompose import CascadeParams, check_cascade_event, greedy_star_matching, mr_exact, xr_or_lower
-from .estimate import METHODS, conditioned_tail, exact_tail, mc_tail, planted_tail, planting_target
+from .estimate import (
+    METHODS,
+    TailEstimate,
+    conditioned_tail,
+    edge_count_histogram,
+    histogram_tail,
+    mc_tail,
+    planted_tail,
+    planting_target,
+)
 from .families import KINDS, FamilySpec, build, interval_witness
 from .hypergraph import CapacityError, delta_j, induced_edge_count, max_degree, sample_vp
 from .rng import KEY_LIMIT, stream_generator
@@ -108,6 +118,18 @@ class RunConfig:
             raise UsageError(f"{self.subcommand} requires --family and --n")
         if any(not 0.0 <= p <= 1.0 for p in self.p):
             raise UsageError("every p must lie in [0, 1]")
+        if any(not math.isfinite(t) for t in self.t):
+            raise UsageError("every t must be finite")
+        if self.subcommand == "bounds" and any(t <= 0 for t in self.t):
+            raise UsageError("bounds needs every t > 0")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise UsageError("--eps must be finite and nonnegative")
+        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
+            raise UsageError("--alpha must lie in (0, 1]")
+        if not (math.isfinite(self.capacity) and self.capacity > 0):
+            raise UsageError("--capacity must be finite and positive")
+        if not (math.isfinite(self.d) and self.d >= 0):
+            raise UsageError("--d must be finite and nonnegative")
         if self.subcommand in ("bounds", "tail", "sweep"):
             if not self.p:
                 raise UsageError("a nonempty --p grid is required")
@@ -162,8 +184,9 @@ def _row_writer(columns: tuple[str, ...], cfg: RunConfig, stream, header: bool =
 
 
 def _open(path: str, mode: str):
+    text = "b" not in mode
     try:
-        return open(path, mode, newline="", encoding="utf-8")
+        return open(path, mode, newline="" if text else None, encoding="utf-8" if text else None)
     except OSError as exc:
         raise UsageError(f"--out-file {path}: {exc.strerror or exc}") from exc
 
@@ -259,11 +282,18 @@ def _run_bounds(cfg: RunConfig, stream) -> int:
     return 0
 
 
-def _tail_estimate(cfg: RunConfig, h, p: float, t: float):
+def _histogram_once(cfg: RunConfig, h):
+    """hist() -> edge_count_histogram(h), enumerated on the first call that
+    succeeds; a command that computes no exact row never enumerates."""
+    return functools.cache(lambda: edge_count_histogram(h, cfg.workers))
+
+
+def _tail_estimate(cfg: RunConfig, h, hist, p: float, t: float) -> TailEstimate:
     mu = exact_mean(h, p)
     threshold = mu + t
     if cfg.method == "exact":
-        return exact_tail(h, p, threshold, workers=cfg.workers)
+        p_hat = histogram_tail(hist(), p, threshold)
+        return TailEstimate(threshold, p_hat, "exact", 1 << h.n, p_hat, p_hat)
     if cfg.method == "mc":
         return mc_tail(h, p, threshold, cfg.samples, seed=cfg.seed, workers=cfg.workers)
     if cfg.method == "planted":
@@ -282,8 +312,8 @@ def _tail_estimate(cfg: RunConfig, h, p: float, t: float):
     )
 
 
-def _tail_row(cfg: RunConfig, h, p: float, t: float) -> dict:
-    est = _tail_estimate(cfg, h, p, t)
+def _tail_row(cfg: RunConfig, h, hist, p: float, t: float) -> dict:
+    est = _tail_estimate(cfg, h, hist, p, t)
     return {
         "family": cfg.family.kind,
         "n": cfg.family.n,
@@ -301,7 +331,8 @@ def _tail_row(cfg: RunConfig, h, p: float, t: float) -> dict:
 
 def _run_tail(cfg: RunConfig, stream) -> int:
     h = build(cfg.family)
-    rows = [_tail_row(cfg, h, p, t) for p in cfg.p for t in cfg.t]
+    hist = _histogram_once(cfg, h)
+    rows = [_tail_row(cfg, h, hist, p, t) for p in cfg.p for t in cfg.t]
     _emit(TAIL_COLUMNS, rows, cfg, stream)
     return 0
 
@@ -368,28 +399,49 @@ def _sweep_key(row: dict) -> tuple[str, ...]:
 def _existing_sweep_keys(cfg: RunConfig) -> set[tuple[str, ...]] | None:
     """Keys of the rows already in --out-file, or None when there is no file
     to append to (stdout, missing or empty) and a CSV header is due.  A file
-    not in the requested format is a usage error, never appended to."""
+    not in the requested format is a usage error, never appended to.
+
+    Rows are flushed one at a time, so a run killed mid-write leaves at most
+    its last line partial.  Once the complete lines check out, that partial
+    line is cut off (with a note on stderr) and its row recomputed.
+    """
     path = cfg.out_file
     if path == "-" or not os.path.exists(path) or os.path.getsize(path) == 0:
         return None
-    with _open(path, "r") as fh:
-        try:
-            if cfg.out == "json":
-                rows = [json.loads(line) for line in fh if line.strip()]
-                valid = all(isinstance(row, dict) for row in rows)
-            else:
-                valid = fh.readline().rstrip("\r\n") == ",".join(SWEEP_COLUMNS)
-                rows = list(csv.DictReader(fh, fieldnames=SWEEP_COLUMNS))
-        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-            valid = False
+    with _open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    header = ",".join(SWEEP_COLUMNS)
+    # With no complete line, the partial one must begin what a sweep writes first.
+    lead = header.encode() if cfg.out == "csv" else b"{"
+    valid = end > 0 or lead.startswith(data) or data.startswith(lead)
+    try:
+        lines = data[:end].decode("utf-8").splitlines()
+        if cfg.out == "json":
+            rows = [json.loads(line) for line in lines if line.strip()]
+            valid = valid and all(isinstance(row, dict) for row in rows)
+        else:
+            fields = [r for r in csv.reader(lines[1:]) if r]
+            valid = valid and lines[:1] in ([], [header])
+            valid = valid and all(len(r) == len(SWEEP_COLUMNS) for r in fields)
+            rows = [dict(zip(SWEEP_COLUMNS, r)) for r in fields]
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        valid = False
     if not valid:
         raise UsageError(f"--out-file {path}: not a {cfg.out} sweep file")
-    return {_sweep_key(row) for row in rows}
+    if end < len(data):
+        os.truncate(path, end)
+        print(
+            f"note: --out-file {path}: dropped a partial last line "
+            f"({len(data) - end} bytes) left by an interrupted run",
+            file=sys.stderr,
+        )
+    return {_sweep_key(row) for row in rows} if end else None
 
 
-def _sweep_result(cfg: RunConfig, h, p: float, t: float) -> dict:
+def _sweep_result(cfg: RunConfig, h, hist, p: float, t: float) -> dict:
     try:
-        est = _tail_estimate(cfg, h, p, t)
+        est = _tail_estimate(cfg, h, hist, p, t)
     except CapacityError:
         status = "budget"
     except NoWitnessError:
@@ -404,6 +456,7 @@ def _run_sweep(cfg: RunConfig, stream) -> int:
     """Write each missing grid row as soon as it is computed, flushed, so a
     failure part way keeps every row before it."""
     h = build(cfg.family)
+    hist = _histogram_once(cfg, h)
     existing = _existing_sweep_keys(cfg)
     written = 0
     with _sink(cfg, stream, "a") as out:
@@ -422,7 +475,7 @@ def _run_sweep(cfg: RunConfig, stream) -> int:
                 }
                 if existing and _sweep_key(row) in existing:
                     continue
-                row.update(_sweep_result(cfg, h, p, t))
+                row.update(_sweep_result(cfg, h, hist, p, t))
                 write(row)
                 out.flush()
                 written += 1

@@ -1,9 +1,13 @@
 """Tail and point-probability estimators for induced edge counts.
 
-Exact enumeration aggregates an integer (vertex count, edge count) histogram
-so every probability is a short compensated sum.  It walks the 2^n codes in
-blocks of 2^LOW_BITS; edges inside the low LOW_BITS vertices are counted once
-per histogram, and only the edges reaching above them once per block.
+Exact enumeration aggregates a p-free integer (vertex count, edge count)
+histogram, and every exact probability is one clamped compensated sum over
+its columns (histogram_tail, histogram_point_mass).  Nothing is cached: a
+caller evaluating many probabilities on one graph holds the histogram, and
+exact_tail / exact_point_mass enumerate once per call.  The enumeration walks
+the 2^n codes in blocks of 2^LOW_BITS; edges inside the low LOW_BITS vertices
+are counted once per histogram, and only the edges reaching above them once
+per block.
 Monte Carlo variants share chunked Philox streams (see uppertail.rng) and
 merge by summing hit counts, making results independent of worker count.  The
 three samplers differ only in how a chunk draws its vertex sets; one kernel
@@ -33,12 +37,15 @@ __all__ = [
     "CleanConfig",
     "TailEstimate",
     "Z99",
+    "clean_config_histogram",
     "clean_config_point_lower",
     "conditioned_tail",
     "edge_count_histogram",
     "enumerate_clean_configs",
     "exact_point_mass",
     "exact_tail",
+    "histogram_point_mass",
+    "histogram_tail",
     "mc_tail",
     "planted_tail",
     "planting_target",
@@ -77,8 +84,11 @@ class TailEstimate:
     """Estimate of Pr(X >= threshold) with a 99% Wilson interval.
 
     The exact method reports ci_low == p_hat == ci_high; scaled Monte Carlo
-    variants scale the interval by their certified factor.  `extra` carries
-    method-specific metadata and never affects comparisons.
+    variants scale the interval by their certified factor.  For the planted
+    and conditioned methods ci_low is the certified column: it lies below the
+    true tail with probability at least 99%, while p_hat only estimates a
+    lower quantity and can exceed the truth at small sample counts.  `extra`
+    carries method-specific metadata and never affects comparisons.
     """
 
     threshold: float
@@ -100,10 +110,6 @@ class TailEstimate:
             and self.ci_high <= 1.0 + 1e-12
         ):
             raise ValueError("interval must satisfy 0 <= ci_low <= p_hat <= ci_high <= 1")
-
-
-_HIST_CACHE: dict[Hypergraph, np.ndarray] = {}
-_HIST_CACHE_LIMIT = 8
 
 
 def _superset_counts(masks: Sequence[int], low: int, high: int) -> np.ndarray:
@@ -149,7 +155,8 @@ def superset_counts(n: int, masks: Sequence[int]) -> np.ndarray:
 def _subset_histogram(
     n: int, masks: Sequence[int], workers: int = 1, groups: Sequence[Sequence[int]] = ()
 ) -> np.ndarray:
-    """hist[j, x] = number of j-subsets of range(n) containing exactly x masks.
+    """Read-only hist[j, x] = number of j-subsets of range(n) containing exactly
+    x masks (n <= EXACT_VERTEX_BUDGET, else CapacityError).
 
     Block `high` holds the 2^low codes (high << low) | c.  The masks inside the
     low bits are counted once, into the read-only row offsets every block
@@ -160,6 +167,8 @@ def _subset_histogram(
     mask stays per block, since hoisting it would hold one 2^low count array
     per group, i.e. per vertex (26 MB at n = 26).
     """
+    if n > EXACT_VERTEX_BUDGET:
+        raise CapacityError(f"{n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
     low = min(n, LOW_BITS)
     width = len(masks) + 1
     row_starts = np.bitwise_count(np.arange(1 << low, dtype=np.uint32)).astype(np.int32) * width
@@ -186,25 +195,19 @@ def _subset_histogram(
     for high, part in zip(blocks, parts):
         offset = high.bit_count()
         hist[offset : offset + low + 1] += part
+    hist.setflags(write=False)
     return hist
 
 
 def edge_count_histogram(h: Hypergraph, workers: int = 1) -> np.ndarray:
     """counts[j, x] = number of vertex subsets of size j inducing exactly x edges.
 
-    Enumerates all 2^n subsets (n <= 26) in blocks of 2^LOW_BITS codes.  The
-    cache keeps the last _HIST_CACHE_LIMIT results, least recently used out.
+    Enumerates all 2^n subsets (n <= 26) in blocks of 2^LOW_BITS codes on every
+    call and returns the read-only counts.  They do not depend on p, so a
+    caller evaluating many probabilities on one graph holds them and reads
+    each through histogram_tail or histogram_point_mass.
     """
-    hist = _HIST_CACHE.pop(h, None)
-    if hist is None:
-        if h.n > EXACT_VERTEX_BUDGET:
-            raise CapacityError(f"{h.n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
-        hist = _subset_histogram(h.n, h.edge_masks, workers)
-        hist.setflags(write=False)
-        if len(_HIST_CACHE) >= _HIST_CACHE_LIMIT:
-            del _HIST_CACHE[next(iter(_HIST_CACHE))]
-    _HIST_CACHE[h] = hist
-    return hist
+    return _subset_histogram(h.n, h.edge_masks, workers)
 
 
 def size_weighted_sum(counts: Sequence[int], p: float) -> float:
@@ -216,24 +219,34 @@ def size_weighted_sum(counts: Sequence[int], p: float) -> float:
     )
 
 
-def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> TailEstimate:
-    """Exact Pr(X >= threshold) by complete subset enumeration (n <= 26)."""
+def _column_weight(hist: np.ndarray, p: float, cols: np.ndarray) -> float:
+    """The p-weight of the subsets counted in hist's selected columns, clamped to [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    hist = edge_count_histogram(h, workers)
-    cols = np.arange(h.num_edges + 1, dtype=float) >= threshold
-    p_hat = min(max(size_weighted_sum(hist[:, cols].sum(axis=1), p), 0.0), 1.0)
+    return min(max(size_weighted_sum(hist[:, cols].sum(axis=1), p), 0.0), 1.0)
+
+
+def histogram_tail(hist: np.ndarray, p: float, threshold: float) -> float:
+    """Pr(X >= threshold) from hist[j, x] = number of j-subsets with X = x,
+    such as edge_count_histogram(h)."""
+    return _column_weight(hist, p, np.arange(hist.shape[1]) >= threshold)
+
+
+def histogram_point_mass(hist: np.ndarray, p: float, m: int) -> float:
+    """Pr(X = m) from hist[j, x] = number of j-subsets with X = x (0 for m
+    outside the columns)."""
+    return _column_weight(hist, p, np.arange(hist.shape[1]) == m)
+
+
+def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> TailEstimate:
+    """Exact Pr(X >= threshold) by one complete subset enumeration (n <= 26)."""
+    p_hat = histogram_tail(edge_count_histogram(h, workers), p, threshold)
     return TailEstimate(float(threshold), p_hat, "exact", 1 << h.n, p_hat, p_hat)
 
 
 def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float:
-    """Exact Pr(X = m) by complete subset enumeration (n <= 26)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if m < 0 or m > h.num_edges:
-        return 0.0
-    column = edge_count_histogram(h, workers)[:, m]
-    return min(max(size_weighted_sum(column, p), 0.0), 1.0)
+    """Exact Pr(X = m) by one complete subset enumeration (n <= 26)."""
+    return histogram_point_mass(edge_count_histogram(h, workers), p, m)
 
 
 def _tail_hits(h: Hypergraph, draw, threshold: float, samples: int, workers: int) -> int:
@@ -319,11 +332,13 @@ def planted_tail(
     workers: int = 1,
     alpha: float | None = None,
 ) -> TailEstimate:
-    """Certified lower-bound estimate p^|W| * Pr(X >= threshold | W kept).
+    """Lower-bound estimate p^|W| * Pr(X >= threshold | W kept).
 
     The witness vertices are forced into every sample; only the conditional
     frequency is estimated, and the Wilson interval is scaled by p^|W|.
-    With an empty witness this is exactly mc_tail.
+    Since p^|W| * Pr(X >= threshold | W kept) <= Pr(X >= threshold), ci_low is
+    a certified lower bound at the Wilson 99% level; p_hat is not, and can
+    exceed the true tail.  With an empty witness this is exactly mc_tail.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -366,12 +381,13 @@ def conditioned_tail(
     eps: float = 0.0,
     workers: int = 1,
 ) -> TailEstimate:
-    """Certified lower bound Pr_m(X >= threshold) * Pr(Bin(n, p) >= m).
+    """Lower-bound estimate Pr_m(X >= threshold) * Pr(Bin(n, p) >= m).
 
     m = ceil((1+eps) n p) is the slightly supercritical vertex count; the
     first factor is estimated on uniform m-subsets, the second is the exact
-    binomial tail.  Validity rests on Pr_j(X >= threshold) being nondecreasing
-    in j.
+    binomial tail.  The product lies below the true tail because
+    Pr_j(X >= threshold) is nondecreasing in j, so ci_low is a certified lower
+    bound at the Wilson 99% level; p_hat is not, and can exceed the true tail.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -448,6 +464,16 @@ def enumerate_clean_configs(h: Hypergraph, m: int) -> list[CleanConfig]:
     return out
 
 
+def clean_config_histogram(h: Hypergraph) -> np.ndarray:
+    """counts[j, x] = number of j-subsets inducing exactly x edges, all pairwise
+    vertex-disjoint (n <= 26): edge_count_histogram restricted to the codes in
+    which every vertex has induced degree <= 1.  Columns 0 and 1 equal the
+    unrestricted ones.  Read-only and p-free, like edge_count_histogram.
+    """
+    masks = h.edge_masks
+    return _subset_histogram(h.n, masks, groups=[[masks[i] for i in inc] for inc in h.incidence])
+
+
 def clean_config_point_lower(
     h: Hypergraph, p: float, m: int, disjoint_only: bool = True
 ) -> float:
@@ -456,10 +482,10 @@ def clean_config_point_lower(
     Sums Pr(the induced edge set equals C) over clean (by default vertex-
     disjoint) m-edge configurations C.  Every induced edge set is itself clean,
     since an edge inside its vertex union lies inside S, so for n <= 26 the sum
-    is exactly Pr(X = m and the m induced edges are pairwise disjoint): Pr(X = m)
-    when m <= 1 or disjoint_only is False, else column m of one subset pass
-    keeping only the codes where every vertex has induced degree <= 1.  Above
-    26 vertices each configuration contributes the closed-form product
+    is exactly Pr(X = m and the m induced edges are pairwise disjoint): column
+    m of clean_config_histogram(h), or of edge_count_histogram(h) when
+    disjoint_only is False, read by histogram_point_mass.  Above 26 vertices
+    each configuration contributes the closed-form product
     (1-p^k)^f0 (1-p^(k-1))^f1 (1-p)^f2 grouping outside edges by their overlap
     (0, 1, or in [2, k)) with it; only that path enumerates configurations, so
     CLEAN_COMBO_BUDGET binds only above 26 vertices.
@@ -471,12 +497,8 @@ def clean_config_point_lower(
     if m > h.num_edges:
         return 0.0
     if h.n <= EXACT_VERTEX_BUDGET:
-        if m <= 1 or not disjoint_only:
-            return exact_point_mass(h, p, m)
-        masks = h.edge_masks
-        groups = [[masks[i] for i in inc] for inc in h.incidence]
-        column = _subset_histogram(h.n, masks, groups=groups)[:, m]
-        return min(max(size_weighted_sum(column, p), 0.0), 1.0)
+        hist = clean_config_histogram(h) if disjoint_only else edge_count_histogram(h)
+        return histogram_point_mass(hist, p, m)
     configs = enumerate_clean_configs(h, m)
     if disjoint_only:
         configs = [c for c in configs if c.vertex_bits.bit_count() == h.k * m]

@@ -53,11 +53,11 @@ from .disjointness import (
     z_disjoint,
 )
 from .estimate import (
-    clean_config_point_lower,
+    clean_config_histogram,
     conditioned_tail,
     edge_count_histogram,
-    exact_point_mass,
-    exact_tail,
+    histogram_point_mass,
+    histogram_tail,
     mc_tail,
     planted_tail,
     planting_target,
@@ -136,6 +136,18 @@ def _close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
 
 
+def _histogram(h: Hypergraph, hists: dict | None) -> np.ndarray:
+    """h's edge_count_histogram, from which every exact probability a check
+    needs is read.  run_suites passes one memo (hists) to all its suites, so
+    each distinct graph is enumerated once per run; without one, once per call.
+    """
+    if hists is None:
+        return edge_count_histogram(h)
+    if h not in hists:
+        hists[h] = edge_count_histogram(h)
+    return hists[h]
+
+
 # ---------------------------------------------------------------- phi suite
 
 
@@ -188,22 +200,24 @@ def phi_suite(points: int = 10_000) -> list[CheckResult]:
 # ----------------------------------------------------------- variance suite
 
 
-def _enumerated_moments(h: Hypergraph, p: float) -> tuple[float, float]:
-    hist = edge_count_histogram(h)
+def _enumerated_moments(hist: np.ndarray, p: float) -> tuple[float, float]:
     x = np.arange(hist.shape[1])
     mean = size_weighted_sum(hist @ x, p)
     return mean, size_weighted_sum(hist @ (x * x), p) - mean * mean
 
 
-def variance_suite(instances: Sequence[FamilySpec] = VARIANCE_INSTANCES) -> list[CheckResult]:
+def variance_suite(
+    instances: Sequence[FamilySpec] = VARIANCE_INSTANCES, hists: dict | None = None
+) -> list[CheckResult]:
     out = []
     for spec in instances:
         h = build(spec)
+        hist = _histogram(h, hists)
         worst = 0.0
         ok = True
         for i in range(11):
             p = i / 10.0
-            mean_e, var_e = _enumerated_moments(h, p)
+            mean_e, var_e = _enumerated_moments(hist, p)
             mean_a = exact_mean(h, p)
             var_a = exact_variance(h, p)
             err = max(
@@ -288,10 +302,6 @@ def _popcount_value_hist(
     return hist
 
 
-def _hist_tail(hist: np.ndarray, p: float, thr: float) -> float:
-    return size_weighted_sum(hist[:, np.arange(hist.shape[1]) >= thr].sum(axis=1), p)
-
-
 def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
     """Exact Pr(X_r >= mu + t/2) against the Bennett-over-4kr bound."""
     violations = 0
@@ -304,7 +314,7 @@ def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
             for p in (0.1, 0.3, 0.5, 0.7):
                 mu = exact_mean(h, p)
                 for t in (1.0, 3.0, 9.0, 27.0):
-                    lhs = _hist_tail(hist, p, mu + t / 2.0)
+                    lhs = histogram_tail(hist, p, mu + t / 2.0)
                     main = math.exp(-phi(t / mu) * mu / (4.0 * h.k * r))
                     weak = math.exp(-min(t, t * t / mu) / (12.0 * h.k * r))
                     checked += 1
@@ -329,7 +339,7 @@ def mr_tail_check(n: int = 12) -> tuple[int, int, int]:
                 phi_r = math.fsum(event_probability(ev, probs) for ev in events)
                 for y in (0.5, 1.0, 2.0, 3.0):
                     cy = math.ceil(y)
-                    lhs = _hist_tail(hist, p, y)
+                    lhs = histogram_tail(hist, p, y)
                     mid = phi_r**cy / math.factorial(cy)
                     stirling = (math.e * phi_r / cy) ** cy / math.sqrt(2.0 * math.pi * cy)
                     checked += 1
@@ -391,25 +401,28 @@ def variance_ratio_range() -> tuple[float, float]:
     return lo, hi
 
 
-def tail_exponent_minima() -> dict[float, float]:
+def tail_exponent_minima(hists: dict | None = None) -> dict[float, float]:
     """Per-eps minimum of -ln(exact tail) / min(mu, sqrt(mu) ln(e/p))."""
     minima = {eps: math.inf for eps in TAIL_SANDWICH_EPS}
     for n in TAIL_SANDWICH_NS:
         h = build_ap(n, 3)
+        hist = _histogram(h, hists)
         for p in GRID_PS:
             mu = exact_mean(h, p)
             expo = min(mu, math.sqrt(mu) * math.log(math.e / p))
             if expo <= 0:
                 continue
             for eps in TAIL_SANDWICH_EPS:
-                tail = exact_tail(h, p, (1.0 + eps) * mu).p_hat
+                tail = histogram_tail(hist, p, (1.0 + eps) * mu)
                 if not 1e-9 <= tail < 1.0:
                     continue
                 minima[eps] = min(minima[eps], -math.log(tail) / expo)
     return minima
 
 
-def sandwich_suite(seed: int = 7, triples: int = 2000) -> list[CheckResult]:
+def sandwich_suite(
+    seed: int = 7, triples: int = 2000, hists: dict | None = None
+) -> list[CheckResult]:
     out = []
 
     v, c, ex = sandwich_sample_check(seed, triples)
@@ -463,7 +476,7 @@ def sandwich_suite(seed: int = 7, triples: int = 2000) -> list[CheckResult]:
         )
     )
 
-    minima = tail_exponent_minima()
+    minima = tail_exponent_minima(hists)
     ok = all(
         minima[eps] >= TAIL_SANDWICH_C[eps] and math.isfinite(minima[eps])
         for eps in TAIL_SANDWICH_EPS
@@ -688,7 +701,7 @@ def cascade_suite(seed: int = 13, samples: int = 400) -> list[CheckResult]:
 # -------------------------------------------------------- lowerbounds suite
 
 
-def lower_estimates_check(seed: int, samples: int) -> tuple[int, int]:
+def lower_estimates_check(seed: int, samples: int, hists: dict | None = None) -> tuple[int, int]:
     """planted/conditioned estimates never exceed the exact tail."""
     cases = (
         (FamilySpec("ap", 12, 3), 0.3, 3.0),
@@ -699,29 +712,33 @@ def lower_estimates_check(seed: int, samples: int) -> tuple[int, int]:
     checked = 0
     for i, (spec, p, t) in enumerate(cases):
         h = build(spec)
+        hist = _histogram(h, hists)
         mu = exact_mean(h, p)
         thr = mu + t
-        exact = exact_tail(h, p, thr).p_hat
+        tail = histogram_tail(hist, p, thr)
         w = interval_witness(spec, planting_target(mu, t, h.k, None)[0])
         planted = planted_tail(h, p, thr, samples, seed=seed + i, witness=w)
         checked += 1
-        if planted.p_hat > exact + 1e-12:
+        if planted.p_hat > tail + 1e-12:
             violations += 1
         for eps in (0.0, 0.5):
             cond = conditioned_tail(h, p, thr, samples, seed=seed + 10 + i, eps=eps)
             checked += 1
-            if cond.p_hat > exact + 1e-12:
+            if cond.p_hat > tail + 1e-12:
                 violations += 1
     return violations, checked
 
 
-def witness_tail_check(ns: Iterable[int] = (16, 20, 24)) -> tuple[int, int]:
-    """exact_tail >= exp(-D sqrt(mu+t) ln(1/p)) from the interval witness."""
+def witness_tail_check(
+    ns: Iterable[int] = (16, 20, 24), hists: dict | None = None
+) -> tuple[int, int]:
+    """Exact tail >= exp(-D sqrt(mu+t) ln(1/p)) from the interval witness."""
     violations = 0
     checked = 0
     for n in ns:
         spec = FamilySpec("ap", n, 3)
         h = build(spec)
+        hist = _histogram(h, hists)
         for p in (0.2, 0.35, 0.5):
             mu = exact_mean(h, p)
             for eps in (1.0, 2.0):
@@ -732,7 +749,7 @@ def witness_tail_check(ns: Iterable[int] = (16, 20, 24)) -> tuple[int, int]:
                 if w is None:
                     continue
                 bound = lb_cluster_bound(w.d_used, mu, t, p)
-                tail = exact_tail(h, p, mu + t).p_hat
+                tail = histogram_tail(hist, p, mu + t)
                 checked += 1
                 if tail < math.exp(bound.log_value) * (1.0 - 1e-9):
                     violations += 1
@@ -740,7 +757,7 @@ def witness_tail_check(ns: Iterable[int] = (16, 20, 24)) -> tuple[int, int]:
 
 
 def clean_config_check(
-    ns: Iterable[int] = (12,), ms: Iterable[int] = (0, 1, 2)
+    ns: Iterable[int] = (12,), ms: Iterable[int] = (0, 1, 2), hists: dict | None = None
 ) -> tuple[int, int, tuple[float, float]]:
     """exact Pr(X=m) >= clean-config bound; also recovers the per-instance b."""
     violations = 0
@@ -748,11 +765,13 @@ def clean_config_check(
     b_lo, b_hi = math.inf, -math.inf
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
+            hist = _histogram(h, hists)
+            clean = clean_config_histogram(h)
             for p in (0.1, 0.2, 0.3):
                 q = p**h.k
                 for m in ms:
-                    lower = clean_config_point_lower(h, p, m)
-                    pm = exact_point_mass(h, p, m)
+                    lower = histogram_point_mass(clean, p, m)
+                    pm = histogram_point_mass(hist, p, m)
                     checked += 1
                     if pm < lower * (1.0 - 1e-9):
                         violations += 1
@@ -790,7 +809,7 @@ def binomial_floor_check() -> tuple[int, int]:
     return violations, checked
 
 
-def paley_zygmund_check() -> tuple[int, int]:
+def paley_zygmund_check(hists: dict | None = None) -> tuple[int, int]:
     violations = 0
     checked = 0
     n, q = 20, 0.3
@@ -802,6 +821,7 @@ def paley_zygmund_check() -> tuple[int, int]:
         if lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12):
             violations += 1
     h = build_ap(10, 3)
+    hist = _histogram(h, hists)
     for p in (0.3, 0.5):
         mu = exact_mean(h, p)
         var = exact_variance(h, p)
@@ -809,20 +829,20 @@ def paley_zygmund_check() -> tuple[int, int]:
             t = frac * mu
             if t <= 0:
                 continue
-            lhs = exact_tail(h, p, mu - t).p_hat
+            lhs = histogram_tail(hist, p, mu - t)
             checked += 1
             if lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12):
                 violations += 1
     return violations, checked
 
 
-def hypergeom_mean_check(ns: Iterable[int] = (10,)) -> tuple[int, int]:
+def hypergeom_mean_check(ns: Iterable[int] = (10,), hists: dict | None = None) -> tuple[int, int]:
     """E[X | m kept] against the average of X over the m-subsets, from the histogram."""
     violations = 0
     checked = 0
     for n in ns:
         h = build_ap(n, 3)
-        hist = edge_count_histogram(h)
+        hist = _histogram(h, hists)
         for m in range(n + 1):
             total = sum(x * int(c) for x, c in enumerate(hist[m]))
             avg = total / math.comb(n, m)
@@ -832,16 +852,19 @@ def hypergeom_mean_check(ns: Iterable[int] = (10,)) -> tuple[int, int]:
     return violations, checked
 
 
-def mc_coverage_check(seed: int = 29, runs: int = 100) -> tuple[int, int]:
+def mc_coverage_check(
+    seed: int = 29, runs: int = 100, hists: dict | None = None
+) -> tuple[int, int]:
     """99% Wilson CI covers the exact tail in >= 98% of seeded runs."""
     hits = 0
     h = build_ap(10, 3)
+    hist = _histogram(h, hists)
     p, surplus = 0.3, 2.0
     thr = exact_mean(h, p) + surplus
-    exact = exact_tail(h, p, thr).p_hat
+    tail = histogram_tail(hist, p, thr)
     for i in range(runs):
         est = mc_tail(h, p, thr, 2000, seed=seed + i)
-        if est.ci_low <= exact <= est.ci_high:
+        if est.ci_low <= tail <= est.ci_high:
             hits += 1
     return hits, runs
 
@@ -875,17 +898,19 @@ def estimator_edge_checks(seed: int = 31) -> list[tuple[str, bool]]:
     ]
 
 
-def lowerbounds_suite(seed: int = 17, samples: int = 20_000) -> list[CheckResult]:
+def lowerbounds_suite(
+    seed: int = 17, samples: int = 20_000, hists: dict | None = None
+) -> list[CheckResult]:
     out = []
-    v, c = lower_estimates_check(seed, samples)
+    v, c = lower_estimates_check(seed, samples, hists)
     out.append(
         CheckResult("lowerbounds", "certified_below_exact", v == 0, f"{c} estimates")
     )
-    v, c = witness_tail_check()
+    v, c = witness_tail_check(hists=hists)
     out.append(
         CheckResult("lowerbounds", "witness_cluster_bound", v == 0, f"{c} grid rows")
     )
-    v, c, (b_lo, b_hi) = clean_config_check()
+    v, c, (b_lo, b_hi) = clean_config_check(hists=hists)
     out.append(
         CheckResult(
             "lowerbounds",
@@ -896,11 +921,11 @@ def lowerbounds_suite(seed: int = 17, samples: int = 20_000) -> list[CheckResult
     )
     v, c = binomial_floor_check()
     out.append(CheckResult("lowerbounds", "binomial_point_floor", v == 0, f"{c} rows"))
-    v, c = paley_zygmund_check()
+    v, c = paley_zygmund_check(hists)
     out.append(CheckResult("lowerbounds", "paley_zygmund_floor", v == 0, f"{c} rows"))
-    v, c = hypergeom_mean_check()
+    v, c = hypergeom_mean_check(hists=hists)
     out.append(CheckResult("lowerbounds", "hypergeometric_mean", v == 0, f"{c} rows"))
-    hits, runs = mc_coverage_check()
+    hits, runs = mc_coverage_check(hists=hists)
     out.append(
         CheckResult(
             "lowerbounds", "mc_ci_coverage", hits >= 98, f"{hits}/{runs} CIs covered"
@@ -921,11 +946,19 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 }
 
 
+# The suites that read exact histograms; run_suites hands them one shared memo.
+_READS_EXACT = ("variance", "sandwich", "lowerbounds")
+
+
 def run_suites(names: Iterable[str] | None = None) -> list[CheckResult]:
+    """Run the named suites (all by default) in order; each distinct graph is
+    enumerated at most once per call."""
     picked = tuple(names) if names is not None else tuple(SUITES)
+    hists: dict = {}
     results = []
     for name in picked:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        results.extend(SUITES[name]())
+        suite = SUITES[name]
+        results.extend(suite(hists=hists) if name in _READS_EXACT else suite())
     return results

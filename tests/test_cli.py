@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from uppertail import cli
+from uppertail import cli, estimate
 from uppertail.cli import main
 from uppertail.families import FamilySpec, build
 from uppertail.hypergraph import induced_edge_count, sample_vp
@@ -235,10 +235,10 @@ class TestSweep:
         out_file = str(tmp_path / "partial.csv")
         real = cli._tail_estimate
 
-        def failing(cfg, h, p, t):
+        def failing(cfg, h, hist, p, t):
             if t == 2.0:
                 raise RuntimeError("crash at t = 2")
-            return real(cfg, h, p, t)
+            return real(cfg, h, hist, p, t)
 
         monkeypatch.setattr(cli, "_tail_estimate", failing)
         with pytest.raises(RuntimeError):
@@ -293,6 +293,112 @@ class TestSweep:
         )
         assert code == 0
         assert len(parse_csv(out)) == 4
+
+
+def spy_enumerations(monkeypatch) -> list:
+    """Vertex counts of every exact subset enumeration the command completes."""
+    calls = []
+    kernel = estimate._subset_histogram
+
+    def spy(n, masks, workers=1, groups=()):
+        hist = kernel(n, masks, workers, groups)
+        calls.append(n)
+        return hist
+
+    monkeypatch.setattr(estimate, "_subset_histogram", spy)
+    return calls
+
+
+class TestHeldHistogram:
+    """tail and sweep enumerate at most once per command, and only for an exact row."""
+
+    GRID = ["--p", "0.1,0.2,0.3,0.4,0.5", "--t", "0,1,2,3,4", "--method", "exact"]
+
+    def test_exact_tail_grid_enumerates_once(self, monkeypatch):
+        calls = spy_enumerations(monkeypatch)
+        code, out = run_cli(["tail", "--family", "ap", "--n", "12", "--workers", "2"] + self.GRID)
+        assert code == 0 and len(parse_csv(out)) == 25
+        assert calls == [12]
+
+    def test_resumed_exact_sweep_enumerates_nothing(self, tmp_path, monkeypatch):
+        out_file = str(tmp_path / "sweep.csv")
+        argv = ["sweep", "--family", "schur", "--n", "11", "--out-file", out_file] + self.GRID
+        calls = spy_enumerations(monkeypatch)
+        assert run_cli(argv) == (0, f"wrote 25 rows to {out_file}\n")
+        assert calls == [11]
+        assert run_cli(argv) == (0, f"wrote 0 rows to {out_file}\n")
+        assert calls == [11]
+
+    def test_above_the_vertex_budget(self, tmp_path, monkeypatch, capsys):
+        calls = spy_enumerations(monkeypatch)
+        family = ["--family", "ap", "--n", "27", "--p", "0.1,0.2", "--t", "1,2", "--method", "exact"]
+        assert run_cli(["tail"] + family) == (1, "")
+        assert "exceed budget" in capsys.readouterr().err
+        out_file = str(tmp_path / "sweep.csv")
+        assert run_cli(["sweep"] + family + ["--out-file", out_file]) == (
+            0, f"wrote 4 rows to {out_file}\n"
+        )
+        rows = parse_csv(open(out_file).read())
+        assert [r["status"] for r in rows] == ["budget"] * 4
+        assert {r["samples"] for r in rows} == {str(1 << 27)}
+        assert calls == []
+
+
+class TestSweepResume:
+    """A run killed mid-write leaves a partial last line; the resume cuts it off."""
+
+    ARGV = ["sweep", "--family", "ap", "--n", "8", "--p", "0.2,0.35", "--t", "1,2",
+            "--method", "exact"]
+
+    def full_run(self, out, path) -> bytes:
+        assert run_cli(self.ARGV + ["--out", out, "--out-file", str(path)])[0] == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    def test_cut_at_every_byte_of_the_last_row(self, out, tmp_path, capsys):
+        path = tmp_path / f"sweep.{out}"
+        full = self.full_run(out, path)
+        start = full.rstrip(b"\n").rfind(b"\n") + 1
+        argv = self.ARGV + ["--out", out, "--out-file", str(path)]
+        for cut in range(start, len(full)):
+            path.write_bytes(full[:cut])
+            capsys.readouterr()
+            assert run_cli(argv) == (0, f"wrote 1 rows to {path}\n"), cut
+            assert path.read_bytes() == full, cut
+            err = capsys.readouterr().err
+            assert err.count("partial last line") == (cut > start), (cut, err)
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    def test_cut_inside_the_first_line(self, out, tmp_path, capsys):
+        path = tmp_path / f"sweep.{out}"
+        full = self.full_run(out, path)
+        first = full.find(b"\n")
+        argv = self.ARGV + ["--out", out, "--out-file", str(path)]
+        for cut in (1, first // 2, first):
+            path.write_bytes(full[:cut])
+            assert run_cli(argv) == (0, f"wrote 4 rows to {path}\n"), cut
+            assert path.read_bytes() == full, cut
+        assert capsys.readouterr().err.count("partial last line") == 3
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    @pytest.mark.parametrize("content", [b"notes without a newline", b"x\n{partial"])
+    def test_other_files_are_not_cut(self, out, content, tmp_path, capsys):
+        path = tmp_path / "other"
+        path.write_bytes(content)
+        argv = self.ARGV + ["--out", out, "--out-file", str(path)]
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: --out-file {path}: not a ")
+        assert path.read_bytes() == content
+
+    def test_malformed_complete_row_is_refused(self, tmp_path, capsys):
+        # A partial row with the next row glued on, as resumes used to leave it.
+        path = tmp_path / "sweep.csv"
+        lines = self.full_run("csv", path).decode().splitlines(keepends=True)
+        glued = "".join(lines[:-2]) + lines[-2][:-30] + lines[-1]
+        path.write_text(glued)
+        assert run_cli(self.ARGV + ["--out-file", str(path)]) == (2, "")
+        assert "not a csv sweep file" in capsys.readouterr().err
+        assert path.read_text() == glued
 
 
 class TestConfigFile:
@@ -394,6 +500,33 @@ class TestUsageErrorsExitTwo:
         assert run_cli(argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    TAIL = ["--family", "ap", "--n", "8", "--p", "0.3"]
+    OUT_OF_RANGE = {
+        "t nan": ["tail"] + TAIL + ["--t", "nan"],
+        "t inf": ["sweep"] + TAIL + ["--t", "1,inf"],
+        "t -inf": ["bounds"] + TAIL + ["--t=-inf"],
+        "alpha 0": ["sweep"] + TAIL + ["--t", "1", "--method", "planted", "--seed", "1",
+                                       "--alpha", "0"],
+        "alpha above 1": ["tail"] + TAIL + ["--t", "1", "--method", "planted", "--seed", "1",
+                                            "--alpha", "1.5"],
+        "eps negative": ["tail"] + TAIL + ["--t", "1", "--method", "conditioned", "--seed", "1",
+                                           "--eps", "-0.5"],
+        "capacity 0": ["bounds"] + TAIL + ["--t", "1", "--capacity", "0"],
+        "capacity negative": ["bounds"] + TAIL + ["--t", "1", "--capacity", "-2"],
+        "d negative": ["bounds"] + TAIL + ["--t", "1", "--d", "-1"],
+        "bounds t 0": ["bounds"] + TAIL + ["--t", "0"],
+        "bounds t negative": ["bounds"] + TAIL + ["--t", "2,-1"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_out_of_range_value_before_any_file_opens(self, case, tmp_path, capsys):
+        out_file = tmp_path / "rows.csv"
+        argv = self.OUT_OF_RANGE[case] + ["--out-file", str(out_file)]
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("sub", sorted(TestOutFile.ROWS) + ["sweep"])
     def test_unwritable_out_file_for_every_row_writer(self, sub, tmp_path, capsys):

@@ -15,12 +15,15 @@ from uppertail import estimate
 from uppertail.bounds import exact_mean
 from uppertail.disjointness import degree_event
 from uppertail.estimate import (
+    clean_config_histogram,
     clean_config_point_lower,
     conditioned_tail,
     edge_count_histogram,
     enumerate_clean_configs,
     exact_point_mass,
     exact_tail,
+    histogram_point_mass,
+    histogram_tail,
     mc_tail,
     planted_tail,
     wilson_interval,
@@ -77,7 +80,6 @@ class TestHistogram:
         a = edge_count_histogram(h).copy()
         # 7 low bits split the 2^11 codes into 16 blocks for the thread pool.
         monkeypatch.setattr(estimate, "LOW_BITS", 7)
-        monkeypatch.setattr(estimate, "_HIST_CACHE", {})
         b = edge_count_histogram(h, workers=3)
         assert np.array_equal(a, b)
 
@@ -103,12 +105,9 @@ class TestSupersetKernel:
     @settings(max_examples=40, deadline=None)
     def test_consumers_match_brute_force(self, instance, data):
         h, low = instance
-        with mock.patch.object(estimate, "LOW_BITS", low), mock.patch.object(
-            estimate, "_HIST_CACHE", {}
-        ):
+        with mock.patch.object(estimate, "LOW_BITS", low):
             want = oracles.size_value_histogram([tuple(e) for e in h.edges], h.n)
             for workers in (1, 3):
-                estimate._HIST_CACHE.clear()
                 hist = edge_count_histogram(h, workers=workers)
                 got = {(j, x): int(c) for (j, x), c in np.ndenumerate(hist) if c}
                 assert got == want
@@ -125,14 +124,16 @@ class TestSupersetKernel:
     def test_clean_bound_matches_config_sum(self, instance, p):
         h, low = instance
         edges = [tuple(e) for e in h.edges]
-        with mock.patch.object(estimate, "LOW_BITS", low), mock.patch.object(
-            estimate, "_HIST_CACHE", {}
-        ):
+        with mock.patch.object(estimate, "LOW_BITS", low):
+            held = {True: clean_config_histogram(h), False: edge_count_histogram(h)}
             for m in range(4):
                 for disjoint_only in (True, False):
                     want = oracles.clean_config_point_sum(edges, h.n, p, m, disjoint_only)
-                    got = clean_config_point_lower(h, p, m, disjoint_only)
+                    got = histogram_point_mass(held[disjoint_only], p, m)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+            for disjoint_only, hist in held.items():
+                got = clean_config_point_lower(h, p, 2, disjoint_only)
+                assert got == histogram_point_mass(hist, p, 2)
 
 
 class TestBlockSplit:
@@ -192,36 +193,71 @@ class TestBlockSplit:
         assert split.dtype == single.dtype and np.array_equal(split, single)
 
 
-class TestHistogramCache:
-    def test_verify_order_computes_large_instances_once(self, monkeypatch):
-        """Replays the order in which verify asks for exact histograms."""
+class TestHeldHistogram:
+    """The histogram is enumerated per call and held by callers; one evaluation
+    reads every exact probability from it."""
+
+    @staticmethod
+    def spy_enumerations(monkeypatch) -> list:
+        """Edge masks of every _subset_histogram call without groups."""
+        calls = []
+        kernel = estimate._subset_histogram
+
+        def spy(n, masks, workers=1, groups=()):
+            if not groups:
+                calls.append(tuple(masks))
+            return kernel(n, masks, workers, groups)
+
+        monkeypatch.setattr(estimate, "_subset_histogram", spy)
+        return calls
+
+    def test_every_call_enumerates(self, monkeypatch):
+        calls = self.spy_enumerations(monkeypatch)
+        h = build_ap(10, 3)
+        first, second = edge_count_histogram(h), edge_count_histogram(h)
+        assert len(calls) == 2 and first is not second and np.array_equal(first, second)
+        assert not first.flags.writeable
+        assert not hasattr(estimate, "_HIST_CACHE")
+
+    def test_one_evaluation_behind_the_wrappers(self):
+        for h in (build_ap(11, 3), build_schur(10)):
+            hist = edge_count_histogram(h)
+            for p in (0.0, 0.3, 1.0):
+                for thr in (-1.0, 0.0, 2.5, 4.0, h.num_edges + 0.5):
+                    assert histogram_tail(hist, p, thr) == exact_tail(h, p, thr).p_hat
+                for m in (-1, 0, 3, h.num_edges, h.num_edges + 1):
+                    assert histogram_point_mass(hist, p, m) == exact_point_mass(h, p, m)
+            with pytest.raises(ValueError):
+                histogram_tail(hist, 1.5, 1.0)
+            with pytest.raises(ValueError):
+                histogram_point_mass(hist, -0.1, h.num_edges + 1)
+
+    def test_clean_bound_reads_the_clean_histogram(self):
+        h = build_schur(12)
+        clean, plain = clean_config_histogram(h), edge_count_histogram(h)
+        assert not clean.flags.writeable
+        # Subsets inducing at most one edge are all kept.
+        assert np.array_equal(clean[:, :2], plain[:, :2])
+        for p in (0.1, 0.3):
+            for m in range(5):
+                want = clean_config_point_lower(h, p, m)
+                assert histogram_point_mass(clean, p, m) == want
+                assert histogram_point_mass(plain, p, m) == clean_config_point_lower(
+                    h, p, m, disjoint_only=False
+                )
+        with pytest.raises(CapacityError):
+            clean_config_histogram(build_ap(27, 3))
+
+    def test_run_suites_enumerates_each_graph_once(self, monkeypatch):
         from uppertail import verify
 
-        calls = []
-
-        def counting(n, masks, workers=1):
-            calls.append(masks)
-            return np.zeros((n + 1, len(masks) + 1), dtype=np.int64)
-
-        monkeypatch.setattr(estimate, "_subset_histogram", counting)
-        monkeypatch.setattr(estimate, "_HIST_CACHE", {})
-        specs = (
-            list(verify.VARIANCE_INSTANCES)  # variance suite
-            + [FamilySpec("ap", n, 3) for n in verify.TAIL_SANDWICH_NS]  # tail_exponent_floor
-            # certified_below_exact
-            + [FamilySpec("ap", 12, 3), FamilySpec("schur", 12), FamilySpec("ell_sum", 12, ell=2)]
-            + [FamilySpec("ap", n, 3) for n in (16, 20, 24)]  # witness_cluster_bound
-            + [FamilySpec("ap", 12, 3), FamilySpec("schur", 12)]  # clean_config_point_mass
-            # paley_zygmund_floor, hypergeometric_mean, mc_ci_coverage
-            + [FamilySpec("ap", 10, 3)] * 3
-        )
-        for spec in specs:
-            edge_count_histogram(build(spec))
-        assert len(estimate._HIST_CACHE) == estimate._HIST_CACHE_LIMIT
-        # Only AP(10,3), the least recently used entry once the lower-bound
-        # instances arrive, is computed twice; AP(16..24,3) are computed once.
-        repeated = {m: c for m, c in Counter(calls).items() if c > 1}
-        assert repeated == {build_ap(10, 3).edge_masks: 2}
+        calls = self.spy_enumerations(monkeypatch)
+        results = verify.run_suites()
+        assert all(r.ok for r in results)
+        assert calls and max(Counter(calls).values()) == 1
+        # AP(16/20/24,3) serve both tail_exponent_floor and witness_cluster_bound.
+        for n in verify.TAIL_SANDWICH_NS:
+            assert tuple(build_ap(n, 3).edge_masks) in calls
 
 
 class TestExact:
