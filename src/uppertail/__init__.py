@@ -77,7 +77,6 @@ from .families import (
     build_schur,
     greedy_witness,
     interval_witness,
-    prefix_edge_count,
 )
 from .hypergraph import (
     CapacityError,

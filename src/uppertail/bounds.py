@@ -96,11 +96,10 @@ def exact_variance(h: Hypergraph, p: float) -> float:
     )
 
 
-def moment_report(h: Hypergraph, p: float, n_declared: int | None = None) -> MomentReport:
-    """Moments of the induced edge count; n_declared defaults to v(H)."""
-    n = h.n if n_declared is None else n_declared
+def moment_report(h: Hypergraph, p: float) -> MomentReport:
+    """Moments of the induced edge count, with lam = mu * (1 + v(H) p^(k-1))."""
     mu = exact_mean(h, p)
-    lam = mu * (1.0 + n * p ** (h.k - 1)) if h.k >= 1 else mu
+    lam = mu * (1.0 + h.n * p ** (h.k - 1)) if h.k >= 1 else mu
     return MomentReport(mu=mu, var=exact_variance(h, p), lam=lam)
 
 

@@ -34,6 +34,7 @@ from .decompose import CascadeParams, check_cascade_event, greedy_star_matching,
 from .estimate import (
     METHODS,
     TailEstimate,
+    conditioned_size,
     conditioned_tail,
     edge_count_histogram,
     histogram_tail,
@@ -140,11 +141,18 @@ class RunConfig:
                 raise UsageError(f"unknown method {self.method!r}")
             if self.method != "exact" and self.seed is None:
                 raise UsageError(f"method {self.method!r} requires --seed")
+            if self.method == "conditioned":
+                n = self.family.n
+                m = max(conditioned_size(n, p, self.eps) for p in self.p)
+                if m > n:
+                    raise UsageError(
+                        f"--method conditioned: m = {m} exceeds the {n} available vertices"
+                    )
         if self.subcommand == "decompose":
             if len(self.p) != 1:
                 raise UsageError("decompose takes exactly one --p")
-            if self.r is None or self.r <= 0:
-                raise UsageError("decompose requires --r > 0")
+            if self.r is None or not (math.isfinite(self.r) and self.r > 0):
+                raise UsageError("decompose requires a finite --r > 0")
             if self.seed is None:
                 raise UsageError("decompose requires --seed")
             cascade_flags = (self.beta, self.gamma, self.cascade_t)
@@ -297,15 +305,14 @@ def _tail_estimate(cfg: RunConfig, h, hist, p: float, t: float) -> TailEstimate:
     if cfg.method == "mc":
         return mc_tail(h, p, threshold, cfg.samples, seed=cfg.seed, workers=cfg.workers)
     if cfg.method == "planted":
-        target, _ = planting_target(mu, t, h.k, cfg.alpha)
+        target = planting_target(mu, t, h.k, cfg.alpha)
         witness = interval_witness(cfg.family, float(target), h)
         if witness is None:
             raise NoWitnessError(
                 f"family {cfg.family.kind}({cfg.family.n}) cannot seat a witness for {target} edges"
             )
         return planted_tail(
-            h, p, threshold, cfg.samples, seed=cfg.seed, witness=witness,
-            workers=cfg.workers, alpha=cfg.alpha,
+            h, p, threshold, cfg.samples, seed=cfg.seed, witness=witness, workers=cfg.workers
         )
     return conditioned_tail(
         h, p, threshold, cfg.samples, seed=cfg.seed, eps=cfg.eps, workers=cfg.workers

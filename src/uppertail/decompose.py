@@ -1,9 +1,9 @@
 """Bounded-degree subhypergraphs, star matchings, and dyadic degree pruning.
 
 All routines operate on the subhypergraph induced by a vertex set S.  Exact
-searches carry explicit budgets and raise CapacityError beyond them rather
-than degrade silently: X_r's counts induced edges, M_r's counts the nodes the
-branch-and-bound visits.
+searches raise CapacityError past a module budget rather than degrade
+silently: XR_EDGE_BUDGET counts X_r's induced edges, MR_NODE_BUDGET the nodes
+M_r's branch-and-bound visits.  Each search reads its budget when called.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class CascadeParams:
             raise ValueError("beta must lie in (0, 1]")
         if not 0.0 < self.gamma <= 0.125:
             raise ValueError("gamma must lie in (0, 1/8]")
-        if self.r <= 0 or self.t <= 0:
-            raise ValueError("r and t must be positive")
+        if not (math.isfinite(self.r) and math.isfinite(self.t) and self.r > 0 and self.t > 0):
+            raise ValueError("r and t must be finite and positive")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
 
@@ -159,17 +159,17 @@ def induced_max_degree(h: Hypergraph, edge_ids: tuple[int, ...]) -> int:
     return max((len(ids) for ids in inc.values()), default=0)
 
 
-def xr_exact(h: Hypergraph, s: VertexSet, r: float, budget: int = XR_EDGE_BUDGET) -> int:
+def xr_exact(h: Hypergraph, s: VertexSet, r: float) -> int:
     """Maximum edges of a subhypergraph of H[S] with max degree <= r.
 
     Exhaustive branch-and-bound over the induced edges; refuses instances
-    with more than `budget` induced edges.
+    with more than XR_EDGE_BUDGET induced edges.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     ids = induced_edges(h, s)
-    if len(ids) > budget:
-        raise CapacityError(f"{len(ids)} induced edges exceed budget {budget}")
+    if len(ids) > XR_EDGE_BUDGET:
+        raise CapacityError(f"{len(ids)} induced edges exceed budget {XR_EDGE_BUDGET}")
     return xr_exact_on(h, ids, r)
 
 
@@ -232,22 +232,20 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
     return best
 
 
-def xr_or_lower(
-    h: Hypergraph, s: VertexSet, r: float, budget: int = XR_EDGE_BUDGET
-) -> tuple[int, bool]:
+def xr_or_lower(h: Hypergraph, s: VertexSet, r: float) -> tuple[int, bool]:
     """X_r when it is cheap, else a certified lower bound, with an exactness flag.
 
     Delta_1(H[S]) <= r forces X_r = e(H[S]); small instances go through the
-    exhaustive search; beyond `budget` induced edges the greedy pruned-edge
-    count stands in (every pruned subgraph is feasible, so it never exceeds
-    X_r).
+    exhaustive search; beyond XR_EDGE_BUDGET induced edges the greedy
+    pruned-edge count stands in (every pruned subgraph is feasible, so it
+    never exceeds X_r).
     """
     if r <= 0:
         raise ValueError("r must be positive")
     ids = induced_edges(h, s)
     if induced_max_degree(h, ids) <= r:
         return len(ids), True
-    if len(ids) <= budget:
+    if len(ids) <= XR_EDGE_BUDGET:
         return xr_exact_on(h, ids, r), True
     return len(_degree_prune_on(h, ids, r).kept_edge_ids), False
 
@@ -358,9 +356,7 @@ def cascade_prune(h: Hypergraph, s: VertexSet, params: CascadeParams) -> Cascade
     return CascadeResult(tuple(levels), current, big_j)
 
 
-def mr_exact_on(
-    h: Hypergraph, edge_ids: tuple[int, ...], r: float, budget: int = MR_NODE_BUDGET
-) -> int:
+def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> int:
     """mr_exact over the given edge ids instead of H[S].
 
     Each node keeps the live centers: the later centers that are unblocked and
@@ -368,7 +364,7 @@ def mr_exact_on(
     first live center, taking each ceil(r)-set of its edges or dropping it as a
     center (its vertex stays free for later stars), and prunes once even
     min(#live, |union of live edges| // star width) more stars cannot beat
-    the best.  Raises CapacityError past `budget` search nodes.
+    the best.  Raises CapacityError past MR_NODE_BUDGET search nodes.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -376,9 +372,12 @@ def mr_exact_on(
     masks = h.edge_masks
     inc = _local_incidence(h, edge_ids)
     root = [(v, ids) for v, ids in sorted(inc.items()) if len(ids) >= c]
+    if not root:
+        return 0
     # A star of c distinct k-edges covers its center and at least m others,
     # the least m with C(m, k - 1) >= c.  That m is at most k + c - 2; the cap
-    # also ends the loop for k = 1, where no vertex has two edges.
+    # also ends the loop for k = 1, where no vertex has two edges.  A root
+    # center has c edges, so c <= e(H) bounds the loop.
     width = h.k
     while width < h.k + c - 1 and comb(width - 1, h.k - 1) < c:
         width += 1
@@ -389,8 +388,8 @@ def mr_exact_on(
         # live: (center, its edges avoiding the blocked vertices), ascending.
         nonlocal best, nodes
         nodes += 1
-        if nodes > budget:
-            raise CapacityError(f"M_r search exceeds {budget} nodes")
+        if nodes > MR_NODE_BUDGET:
+            raise CapacityError(f"M_r search exceeds {MR_NODE_BUDGET} nodes")
         if count > best:
             best = count
         union = 0
@@ -418,14 +417,14 @@ def mr_exact_on(
     return best
 
 
-def mr_exact(h: Hypergraph, s: VertexSet, r: float, budget: int = MR_NODE_BUDGET) -> int:
+def mr_exact(h: Hypergraph, s: VertexSet, r: float) -> int:
     """Maximum number of vertex-disjoint stars of ceil(r) induced edges.
 
     Branch-and-bound over the centers in increasing order (see mr_exact_on);
     its first descent is the greedy matching.  Refuses, with CapacityError, a
-    search that visits more than `budget` nodes.
+    search that visits more than MR_NODE_BUDGET nodes.
     """
-    return mr_exact_on(h, induced_edges(h, s), r, budget)
+    return mr_exact_on(h, induced_edges(h, s), r)
 
 
 @dataclass(frozen=True)
@@ -446,20 +445,15 @@ class CascadeCheck:
     levels: tuple[CascadeLevelCheck, ...]
 
 
-def check_cascade_event(
-    h: Hypergraph,
-    s: VertexSet,
-    params: CascadeParams,
-    star_budget: int = MR_NODE_BUDGET,
-) -> CascadeCheck:
+def check_cascade_event(h: Hypergraph, s: VertexSet, params: CascadeParams) -> CascadeCheck:
     """Test the per-level matching thresholds on the sample S.
 
     Level j requires M_{r_j} < beta * sqrt(t) * s / r_j while r_j < sqrt(t)/s
     and M_{r_j} < beta * sqrt(t) / r_j afterwards.  The greedy matching is a
     lower bound for M, so a greedy violation falsifies outright; a greedy pass
-    whose exact search visits more than `star_budget` nodes leaves that level
-    indeterminate.  The
-    scan stops once r_j > max(2 sqrt(t), Delta_1(H[S])), beyond which M = 0.
+    whose exact search visits more than MR_NODE_BUDGET nodes leaves that level
+    indeterminate.  The scan stops once r_j > max(2 sqrt(t), Delta_1(H[S])),
+    beyond which M = 0.
     """
     ids = induced_edges(h, s)
     delta1 = induced_max_degree(h, ids)
@@ -481,7 +475,7 @@ def check_cascade_event(
             levels.append(CascadeLevelCheck(j, r_j, threshold, greedy_size, False, False))
             return CascadeCheck(False, tuple(levels))
         try:
-            exact_val = mr_exact_on(h, ids, r_j, star_budget)
+            exact_val = mr_exact_on(h, ids, r_j)
         except CapacityError:
             levels.append(CascadeLevelCheck(j, r_j, threshold, greedy_size, False, None))
             saw_indeterminate = True

@@ -80,10 +80,7 @@ class EventTable:
         return self.table.bit_count()
 
     def to_bool_array(self) -> np.ndarray:
-        size = 1 << self.m
-        nbytes = (size + 7) // 8
-        raw = np.frombuffer(self.table.to_bytes(max(nbytes, 1), "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[:size].astype(bool)
+        return VertexSet(1 << self.m, self.table).to_bool_array()
 
     def __eq__(self, other) -> bool:
         return (
@@ -254,8 +251,7 @@ def degree_event(h: Hypergraph, v: int, c: int) -> EventTable:
     if h.n > BOX_COORD_BUDGET:
         raise CapacityError(f"{h.n} vertices exceed budget {BOX_COORD_BUDGET}")
     deg = superset_counts(h.n, [h.edge_masks[i] for i in h.incidence[v]])
-    members = np.packbits(deg >= c, bitorder="little").tobytes()
-    return EventTable(h.n, int.from_bytes(members, "little"))
+    return EventTable(h.n, VertexSet.from_bool_array(deg >= c).bits)
 
 
 @dataclass(frozen=True)

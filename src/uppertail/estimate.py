@@ -39,6 +39,7 @@ __all__ = [
     "Z99",
     "clean_config_histogram",
     "clean_config_point_lower",
+    "conditioned_size",
     "conditioned_tail",
     "edge_count_histogram",
     "enumerate_clean_configs",
@@ -65,17 +66,18 @@ METHODS = ("exact", "mc", "planted", "conditioned")
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-def wilson_interval(hits: int, total: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval; well behaved when hits is 0 or total."""
+def wilson_interval(hits: int, total: int) -> tuple[float, float]:
+    """Wilson score interval at the 99% level (z = Z99); well behaved when
+    hits is 0 or total."""
     if total <= 0:
         raise ValueError("total must be positive")
     if not 0 <= hits <= total:
         raise ValueError("hits must lie in [0, total]")
     p_hat = hits / total
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1.0 + z2 / total
     center = p_hat + z2 / (2.0 * total)
-    half = z * math.sqrt(p_hat * (1.0 - p_hat) / total + z2 / (4.0 * total * total))
+    half = Z99 * math.sqrt(p_hat * (1.0 - p_hat) / total + z2 / (4.0 * total * total))
     return max(0.0, (center - half) / denom), min(1.0, (center + half) / denom)
 
 
@@ -294,6 +296,15 @@ def _vp_draw(n: int, free: list[int], p: float, seed: int):
     return draw
 
 
+def _scaled_tail(
+    threshold: float, method: str, hits: int, samples: int, factor: float, extra: dict | None
+) -> TailEstimate:
+    """hits / samples and its Wilson interval, each multiplied by factor."""
+    lo, hi = wilson_interval(hits, samples)
+    p_hat = factor * (hits / samples)
+    return TailEstimate(float(threshold), p_hat, method, samples, factor * lo, factor * hi, extra)
+
+
 def mc_tail(
     h: Hypergraph, p: float, threshold: float, samples: int, seed: int, workers: int = 1
 ) -> TailEstimate:
@@ -303,15 +314,14 @@ def mc_tail(
     if samples <= 0:
         raise ValueError("samples must be positive")
     hits = _tail_hits(h, _vp_draw(h.n, list(range(h.n)), p, seed), threshold, samples, workers)
-    lo, hi = wilson_interval(hits, samples)
-    return TailEstimate(float(threshold), hits / samples, "mc", samples, lo, hi)
+    return _scaled_tail(threshold, "mc", hits, samples, 1.0, None)
 
 
-def planting_target(mu: float, t: float, k: int, alpha: float | None) -> tuple[int, float]:
-    """(edges a planted witness must carry, lambda) for threshold mu + t.
+def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
+    """Edges a planted witness must carry for threshold mu + t.
 
-    lambda = 4 / (1 - (1 - alpha)^k), with alpha = min(1, t / mu) by default;
-    the target is ceil(min(lambda * t, mu + t)), or 0 when t <= 0.
+    The target is ceil(min(lambda * t, mu + t)), or 0 when t <= 0, with
+    lambda = 4 / (1 - (1 - alpha)^k) and alpha = min(1, t / mu) by default.
     """
     if alpha is None:
         alpha = min(1.0, t / mu) if mu > 0 and t > 0 else 1.0
@@ -319,7 +329,7 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> tuple[i
         raise ValueError("alpha must lie in (0, 1]")
     lam = 4.0 / (1.0 - (1.0 - alpha) ** k)
     target = min(lam * t, mu + t) if t > 0 else 0.0
-    return math.ceil(target), lam
+    return math.ceil(target)
 
 
 def planted_tail(
@@ -330,7 +340,6 @@ def planted_tail(
     seed: int,
     witness: Witness,
     workers: int = 1,
-    alpha: float | None = None,
 ) -> TailEstimate:
     """Lower-bound estimate p^|W| * Pr(X >= threshold | W kept).
 
@@ -351,25 +360,15 @@ def planted_tail(
     free = [v for v in range(h.n) if not (w_bits >> v) & 1]
     hits = _tail_hits(h, _vp_draw(h.n, free, p, seed), threshold, samples, workers)
     factor = p**w_size
-    lo, hi = wilson_interval(hits, samples)
-    mu = h.num_edges * p**h.k
-    target, lam = planting_target(mu, float(threshold) - mu, h.k, alpha)
-    extra = {
-        "witness_size": w_size,
-        "factor": factor,
-        "conditional_hits": hits,
-        "planting_target_edges": target,
-        "planting_lambda": lam,
-    }
-    return TailEstimate(
-        float(threshold),
-        factor * (hits / samples),
-        "planted",
-        samples,
-        factor * lo,
-        factor * hi,
-        extra,
-    )
+    extra = {"witness_size": w_size, "factor": factor, "conditional_hits": hits}
+    return _scaled_tail(threshold, "planted", hits, samples, factor, extra)
+
+
+def conditioned_size(n: int, p: float, eps: float) -> int:
+    """The conditioned estimator's vertex count m = ceil((1+eps) n p), taking
+    (1+eps) n p within 1e-9 of an integer as that integer."""
+    raw = (1.0 + eps) * n * p
+    return round(raw) if abs(raw - round(raw)) < 1e-9 else math.ceil(raw)
 
 
 def conditioned_tail(
@@ -383,9 +382,9 @@ def conditioned_tail(
 ) -> TailEstimate:
     """Lower-bound estimate Pr_m(X >= threshold) * Pr(Bin(n, p) >= m).
 
-    m = ceil((1+eps) n p) is the slightly supercritical vertex count; the
-    first factor is estimated on uniform m-subsets, the second is the exact
-    binomial tail.  The product lies below the true tail because
+    m = conditioned_size(n, p, eps) is the slightly supercritical vertex
+    count; the first factor is estimated on uniform m-subsets, the second is
+    the exact binomial tail.  The product lies below the true tail because
     Pr_j(X >= threshold) is nondecreasing in j, so ci_low is a certified lower
     bound at the Wilson 99% level; p_hat is not, and can exceed the true tail.
     """
@@ -395,8 +394,7 @@ def conditioned_tail(
         raise ValueError("eps must be nonnegative")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    raw = (1.0 + eps) * h.n * p
-    m = round(raw) if abs(raw - round(raw)) < 1e-9 else math.ceil(raw)
+    m = conditioned_size(h.n, p, eps)
     if m > h.n:
         raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
 
@@ -417,17 +415,8 @@ def conditioned_tail(
     hits = _tail_hits(h, draw, threshold, samples, workers)
     # Pr(Bin(n, p) >= m) as the regularized incomplete beta I_p(m, n - m + 1).
     factor = 1.0 if m <= 0 else float(betainc(m, h.n - m + 1, p))
-    lo, hi = wilson_interval(hits, samples)
     extra = {"m": m, "binomial_factor": factor, "conditional_hits": hits}
-    return TailEstimate(
-        float(threshold),
-        factor * (hits / samples),
-        "conditioned",
-        samples,
-        factor * lo,
-        factor * hi,
-        extra,
-    )
+    return _scaled_tail(threshold, "conditioned", hits, samples, factor, extra)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Integer edge families on {1, ..., n} and small-witness constructions.
 
 Builders accept 1-based n and emit hypergraphs on 0-based vertices, so vertex
-v represents the integer v + 1.
+v represents the integer v + 1.  The built edge array is the only model of a
+family: interval witnesses read their prefix off it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "build_schur",
     "greedy_witness",
     "interval_witness",
-    "prefix_edge_count",
 ]
 
 KINDS = ("ap", "schur", "ell_sum")
@@ -131,62 +131,24 @@ def build_ell_sum(n: int, ell: int) -> Hypergraph:
     return Hypergraph(3, n, triples - 1)
 
 
-def prefix_edge_count(spec: FamilySpec, m: int) -> int:
-    """Number of family edges inside the prefix {1, ..., m}.
-
-    All three families are prefix-closed, so this is the edge count of the
-    same family built on m. Computed arithmetically, without building edges.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    m = min(m, spec.n)
-    if spec.kind == "ap":
-        k = spec.k
-        if m < k:
-            return 0
-        dmax = (m - 1) // (k - 1)
-        return dmax * m - (k - 1) * dmax * (dmax + 1) // 2
-    if spec.kind == "schur":
-        xmax = (m - 1) // 2
-        return xmax * (m - xmax - 1)
-    total = 0
-    for z in range(1, m + 1):
-        s = spec.ell * z
-        lo = max(1, s - m)
-        hi = (s - 1) // 2
-        if hi < lo:
-            continue
-        total += hi - lo + 1
-        if lo <= z <= hi:
-            total -= 1
-        x_for_y_eq_z = s - z
-        if lo <= x_for_y_eq_z <= hi and x_for_y_eq_z < z:
-            total -= 1
-    return total
-
-
 def interval_witness(spec: FamilySpec, x: float, h: Hypergraph | None = None) -> Witness | None:
     """Smallest prefix {1, ..., m} inducing at least x edges, or None.
 
-    Binary search on the exact prefix edge count; d_used is recovered from
-    the resulting size as |W| / max(sqrt(x), 1).  h is build(spec), built
-    here unless the caller already holds it.
+    An edge lies in the prefix exactly when its largest vertex does, so m is
+    one more than the ceil(x)-th smallest largest vertex of an edge.  d_used
+    is recovered from the size as m / max(sqrt(x), 1).  h is build(spec),
+    built here unless the caller already holds it.
     """
     if h is None:
         h = build(spec)
     if x <= 0:
         return Witness(h, VertexSet(spec.n, 0), 0.0, float(x))
-    if prefix_edge_count(spec, spec.n) < x:
+    if h.num_edges < x:
         return None
-    lo, hi = 0, spec.n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if prefix_edge_count(spec, mid) >= x:
-            hi = mid
-        else:
-            lo = mid + 1
-    subset = VertexSet(spec.n, (1 << lo) - 1)
-    d_used = lo / max(math.sqrt(x), 1.0)
+    rank = math.ceil(x) - 1
+    m = int(np.partition(h.edge_array[:, -1], rank)[rank]) + 1
+    subset = VertexSet(spec.n, (1 << m) - 1)
+    d_used = m / max(math.sqrt(x), 1.0)
     return Witness(h, subset, d_used, float(x))
 
 

@@ -27,14 +27,15 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunk_layout(total: int, chunk: int = CHUNK) -> Iterator[tuple[int, int]]:
-    """Yield (stream_index, sample_count) pairs covering `total` samples."""
+def chunk_layout(total: int) -> Iterator[tuple[int, int]]:
+    """Yield (stream_index, sample_count) pairs covering `total` samples, CHUNK
+    samples per stream (the last one may hold fewer)."""
     if total < 0:
         raise ValueError("total must be nonnegative")
     stream = 0
     remaining = total
     while remaining > 0:
-        size = min(chunk, remaining)
+        size = min(CHUNK, remaining)
         yield stream, size
         stream += 1
         remaining -= size

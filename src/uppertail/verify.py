@@ -716,7 +716,7 @@ def lower_estimates_check(seed: int, samples: int, hists: dict | None = None) ->
         mu = exact_mean(h, p)
         thr = mu + t
         tail = histogram_tail(hist, p, thr)
-        w = interval_witness(spec, planting_target(mu, t, h.k, None)[0])
+        w = interval_witness(spec, planting_target(mu, t, h.k, None), h)
         planted = planted_tail(h, p, thr, samples, seed=seed + i, witness=w)
         checked += 1
         if planted.p_hat > tail + 1e-12:
@@ -745,7 +745,7 @@ def witness_tail_check(
                 t = eps * mu
                 if mu + t < 1.0:
                     continue
-                w = interval_witness(spec, mu + t)
+                w = interval_witness(spec, mu + t, h)
                 if w is None:
                     continue
                 bound = lb_cluster_bound(w.d_used, mu, t, p)
@@ -880,7 +880,7 @@ def estimator_edge_checks(seed: int = 31) -> list[tuple[str, bool]]:
     b = mc_tail(h, p, mu + 1, 4000, seed=seed)
     reduces = (a.p_hat, a.ci_low, a.ci_high) == (b.p_hat, b.ci_low, b.ci_high)
 
-    w = interval_witness(spec, 3.0)
+    w = interval_witness(spec, 3.0, h)
     sat = planted_tail(h, p, 3.0, 1000, seed=seed, witness=w)
     saturated = math.isclose(sat.p_hat, p ** len(w.subset), rel_tol=1e-12)
 

@@ -222,7 +222,7 @@ def test_accept_09_lower_bound_certification():
         t = max(1.0, 0.75 * mu)
         thr = mu + t
         exact = exact_tail(h, p, thr).p_hat
-        witness = interval_witness(spec, planting_target(mu, t, h.k, None)[0])
+        witness = interval_witness(spec, planting_target(mu, t, h.k, None))
         planted = planted_tail(h, p, thr, 100_000, seed=900 + i, witness=witness)
         conditioned = conditioned_tail(h, p, thr, 100_000, seed=1900 + i)
         for est in (planted, conditioned):

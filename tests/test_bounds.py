@@ -110,8 +110,6 @@ class TestMoments:
     def test_moment_report_lambda(self):
         rep = moment_report(AP4, 0.5)
         assert rep.lam == pytest.approx(rep.mu * (1.0 + 4 * 0.5**2), rel=1e-15)
-        wider = moment_report(AP4, 0.5, n_declared=100)
-        assert wider.lam == pytest.approx(rep.mu * (1.0 + 100 * 0.25), rel=1e-15)
 
 
 class TestUpperBounds:

@@ -517,6 +517,17 @@ class TestUsageErrorsExitTwo:
         "d negative": ["bounds"] + TAIL + ["--t", "1", "--d", "-1"],
         "bounds t 0": ["bounds"] + TAIL + ["--t", "0"],
         "bounds t negative": ["bounds"] + TAIL + ["--t", "2,-1"],
+        "conditioned m above n": ["tail", "--family", "ap", "--n", "10", "--p", "0.9", "--t", "1",
+                                  "--method", "conditioned", "--seed", "1", "--eps", "0.5"],
+        "conditioned m above n in a sweep": ["sweep", "--family", "ap", "--n", "10",
+                                             "--p", "0.5,0.9", "--t", "1", "--method",
+                                             "conditioned", "--seed", "1", "--eps", "0.5",
+                                             "--samples", "100"],
+        # The later --r wins.
+        "decompose r inf": DECOMPOSE + ["--r", "inf"],
+        "decompose r nan": DECOMPOSE + ["--r", "nan"],
+        "cascade t nan": DECOMPOSE + ["--beta", "0.5", "--gamma", "0.1", "--t", "nan"],
+        "cascade t inf": DECOMPOSE + ["--beta", "0.5", "--gamma", "0.1", "--t", "inf"],
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))

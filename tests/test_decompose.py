@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from uppertail import decompose
 from uppertail.decompose import (
     CascadeParams,
     Star,
@@ -58,8 +59,9 @@ class TestXr:
     def test_budget_refusal(self):
         h = build_ap(16, 3)
         full = VertexSet(16, (1 << 16) - 1)
+        assert h.num_edges > decompose.XR_EDGE_BUDGET
         with pytest.raises(CapacityError):
-            xr_exact(h, full, 2.0, budget=5)
+            xr_exact(h, full, 2.0)
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
@@ -79,7 +81,7 @@ class TestXr:
         # Over budget: the greedy pruned-edge count stands in as a lower bound.
         h = build_ap(16, 3)
         full = VertexSet(16, (1 << 16) - 1)
-        val, flag = xr_or_lower(h, full, 2.0, budget=5)
+        val, flag = xr_or_lower(h, full, 2.0)
         assert flag is False
         assert val == len(degree_prune(h, full, 2.0).kept_edge_ids)
         assert val < len(induced_edges(h, full))
@@ -173,11 +175,17 @@ class TestStarMatching:
             with pytest.raises(ValueError):
                 mr_exact_on(AP5, (), r)
 
-    def test_mr_budget_refusal(self):
+    def test_mr_budget_refusal(self, monkeypatch):
         h = build_ap(18, 3)
         full = VertexSet(18, (1 << 18) - 1)
+        monkeypatch.setattr(decompose, "MR_NODE_BUDGET", 3)
         with pytest.raises(CapacityError):
-            mr_exact(h, full, 1.0, budget=3)
+            mr_exact(h, full, 1.0)
+
+    def test_mr_huge_radius_has_no_star(self):
+        # No vertex has 1e20 edges; the star-width loop would otherwise run ~1e10 times.
+        h = build_ap(10, 3)
+        assert mr_exact(h, VertexSet(10, (1 << 10) - 1), 1e20) == 0
 
     def test_make_star_matching_validation(self):
         with pytest.raises(ValueError):
@@ -236,6 +244,9 @@ class TestCascade:
             CascadeParams(beta=0.5, gamma=0.2, r=1.0, t=1.0, p=0.5)
         with pytest.raises(ValueError):
             CascadeParams(beta=0.5, gamma=0.1, r=1.0, t=1.0, p=1.0)
+        for r, t in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                CascadeParams(beta=0.5, gamma=0.1, r=r, t=t, p=0.5)
 
     def test_level_count_and_radii(self):
         params = CascadeParams(beta=0.5, gamma=0.1, r=1.0, t=16.0, p=0.3)
@@ -292,14 +303,17 @@ class TestCascade:
                 assert any(lv.passed is False for lv in check.levels)
         assert True in seen and False in seen
 
-    def test_check_event_indeterminate_on_budget(self):
+    def test_check_event_indeterminate_on_budget(self, monkeypatch):
         # t large enough that every per-level threshold clears the small greedy
         # matchings.  A budget of one search node stops the exact search at
-        # levels 0-3, which have live centers; levels 4 and 5 finish at their root.
+        # levels 0-3, which have live centers; at levels 4 and 5 no vertex has
+        # r_j edges, so there is nothing to search.
         h = build_ap(14, 3)
         s = VertexSet(14, (1 << 14) - 1)
         params = CascadeParams(beta=1.0, gamma=0.125, r=1.0, t=400.0, p=0.5)
-        check = check_cascade_event(h, s, params, star_budget=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(decompose, "MR_NODE_BUDGET", 1)
+            check = check_cascade_event(h, s, params)
         assert check.verdict is None
         assert [lv.passed for lv in check.levels] == [None, None, None, None, True, True]
         # The default budget decides every level, so the None comes from the budget alone.

@@ -14,7 +14,6 @@ from uppertail.families import (
     build_schur,
     greedy_witness,
     interval_witness,
-    prefix_edge_count,
 )
 from uppertail.hypergraph import VertexSet, induced_edge_count
 
@@ -88,6 +87,17 @@ class TestFamilySpec:
             FamilySpec("ell_sum", 5, ell=0)
 
 
+def _prefix_counts(spec, m):
+    """Edges of build(spec) inside {1, ..., m}: by enumeration, by the largest
+    vertex (what interval_witness reads), and as the family built on m."""
+    h = build(spec)
+    cut = min(m, spec.n)
+    enumerated = sum(1 for e in h.edges if all(v < cut for v in e))
+    by_last = int((h.edge_array[:, -1] < cut).sum())
+    rebuilt = build(FamilySpec(spec.kind, cut, spec.k, spec.ell)).num_edges
+    return enumerated, by_last, rebuilt
+
+
 class TestPrefixCount:
     @given(
         st.sampled_from(["ap", "schur", "ell_sum"]),
@@ -103,31 +113,43 @@ class TestPrefixCount:
             if kind == "schur"
             else FamilySpec("ell_sum", n, ell=2)
         )
-        edges = build(spec).edges
-        cut = min(m, n)
-        expected = sum(1 for e in edges if all(v < cut for v in e))
-        assert prefix_edge_count(spec, m) == expected
+        enumerated, by_last, rebuilt = _prefix_counts(spec, m)
+        assert by_last == enumerated
+        assert rebuilt == enumerated
 
     def test_ap4_and_ell3(self):
         for spec in (FamilySpec("ap", 19, 4), FamilySpec("ell_sum", 19, ell=3)):
-            edges = build(spec).edges
             for m in range(20):
-                expected = sum(1 for e in edges if all(v < m for v in e))
-                assert prefix_edge_count(spec, m) == expected
+                enumerated, by_last, rebuilt = _prefix_counts(spec, m)
+                assert by_last == enumerated
+                assert rebuilt == enumerated
 
 
 class TestWitnesses:
+    SPECS = (
+        [FamilySpec("ap", n, k) for k in (2, 3, 4) for n in range(61)]
+        + [FamilySpec("schur", n) for n in range(61)]
+        + [FamilySpec("ell_sum", n, ell=ell) for ell in (1, 2, 3, 5) for n in range(61)]
+    )
+
     def test_interval_witness_minimal_prefix(self):
-        spec = FamilySpec("ap", 20, 3)
-        h = build(spec)
-        for x in (1, 5, 12, 30):
-            w = interval_witness(spec, float(x))
-            assert w is not None
-            size = len(w.subset)
-            assert induced_edge_count(h, w.subset) >= x
-            assert prefix_edge_count(spec, size - 1) < x
-            assert w.subset.bits == (1 << size) - 1
-            assert w.d_used == pytest.approx(size / max(math.sqrt(x), 1.0))
+        # Counting the prefixes m and m - 1 on the built graph checks the
+        # witness against the builders.
+        for spec in self.SPECS:
+            h = build(spec)
+            e = h.num_edges
+            for x in (0.5, 1.0, 1.0000001, 2.5, 3.0, e / 3, e / 2 + 0.5, e - 1.0, e, e + 0.5):
+                if x <= 0:
+                    continue
+                w = interval_witness(spec, float(x), h)
+                if x > e:
+                    assert w is None, (spec, x)
+                    continue
+                m = len(w.subset)
+                assert w.subset.bits == (1 << m) - 1
+                assert induced_edge_count(h, w.subset) >= x, (spec, x)
+                assert induced_edge_count(h, VertexSet(spec.n, (1 << (m - 1)) - 1)) < x, (spec, x)
+                assert w.d_used == m / max(math.sqrt(x), 1.0)
 
     def test_interval_witness_unreachable(self):
         spec = FamilySpec("ap", 6, 3)
