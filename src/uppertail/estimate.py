@@ -10,11 +10,15 @@ are counted once per histogram, and only the edges reaching above them once
 per block.
 Monte Carlo variants share chunked Philox streams (see uppertail.rng) and
 merge by summing hit counts, making results independent of worker count.  The
-three samplers differ only in how a chunk draws its vertex sets; one kernel
-counts their induced edges EDGE_BLOCK edges at a time, so memory per worker
-is O(CHUNK * (n + EDGE_BLOCK)), independent of e(H).  The conditioned
-estimator's exact binomial factor Pr(Bin(n, p) >= m) is scipy.special.betainc,
-the regularized incomplete beta.
+three samplers differ only in how a chunk draws its vertex sets; one
+bit-packed kernel counts their induced edges.  It packs a chunk's samples 64
+to a uint64 word, gathers and ANDs the member rows of EDGE_BLOCK edges at a
+time, and sums the hits with a bit-sliced adder.  A worker's working set is
+one chunk's draw (CHUNK * n bytes, plus a CHUNK * n int32 table for the
+conditioned sampler) and a few gathered blocks of CHUNK * EDGE_BLOCK bits
+(1 MB each), independent of e(H): 5-6 MB per chunk at n = 300.  The
+conditioned estimator's exact binomial factor Pr(Bin(n, p) >= m) is
+scipy.special.betainc, the regularized incomplete beta.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ __all__ = [
 EXACT_VERTEX_BUDGET = 26
 CLEAN_COMBO_BUDGET = 10**7
 LOW_BITS = 20  # vertices enumerated inside one block of codes
-EDGE_BLOCK = 512  # edges ANDed per sampling-kernel step; < 2**16 (uint16 sums)
+EDGE_BLOCK = 2048  # edges gathered and ANDed per sampling-kernel step
 DRAW_BLOCK = 512  # samples per step of a p-sampler's membership draw
 
 METHODS = ("exact", "mc", "planted", "conditioned")
@@ -251,27 +255,90 @@ def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float
     return histogram_point_mass(edge_count_histogram(h, workers), p, m)
 
 
+def _bit_add(x: list[np.ndarray], y: list[np.ndarray], width: int) -> list[np.ndarray]:
+    """Bit-sliced x + y over equal-shape uint64 arrays.
+
+    x and y are lists of bit planes, least significant first: bit b of word w
+    of plane i is bit i of number 64 w + b.  The sum must fit in `width`
+    planes; it comes back with at most that many, as planes past the last
+    are zero.
+    """
+    out = []
+    carry = []
+    for i in range(width):
+        terms = x[i : i + 1] + y[i : i + 1] + carry
+        if len(terms) == 3:
+            a, b, c = terms
+            half = a ^ b
+            out.append(half ^ c)
+            carry = [(a & b) | (half & c)]
+        elif len(terms) == 2:
+            a, b = terms
+            out.append(a ^ b)
+            carry = [a & b]
+        elif terms:
+            out.append(terms[0])
+            carry = []
+        else:
+            break
+    return out
+
+
+def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """totals[s] = number of rows of the (e, k) `edges` inside column s of the
+    n x count boolean membership matrix.
+
+    The columns are packed 64 to a uint64 word.  For each block of EDGE_BLOCK
+    edges, the k member rows of every edge are gathered and ANDed into one hit
+    row, and the block is padded with zero rows to a power of two >= 64.  A
+    bit-sliced adder folds the hit rows in contiguous halves down to 64 rows
+    and adds them into running 64-row bit planes.  Stopping at 64 rows keeps
+    the numpy calls per block few and large: threads contend for the GIL on
+    many small calls.  The planes are unpacked once per chunk.
+    """
+    n, count = member.shape
+    words = -(-count // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-count // 8)] = np.packbits(member, axis=1, bitorder="little")
+    packed = packed.view(np.uint64)
+    rows = max(64, 1 << (min(EDGE_BLOCK, len(edges)) - 1).bit_length())
+    planes: list[np.ndarray] = []
+    bound = 0  # every number in planes is at most bound
+    for start in range(0, len(edges), EDGE_BLOCK):
+        block = edges[start : start + EDGE_BLOCK]
+        hit = packed.take(block[:, 0], axis=0)
+        for col in block.T[1:]:
+            hit &= packed.take(col, axis=0)
+        if len(hit) < rows:
+            hit = np.concatenate([hit, np.zeros((rows - len(hit), words), dtype=np.uint64)])
+        sums, most = [hit], 1  # every number in sums is at most `most`
+        while len(sums[0]) > 64:
+            half = len(sums[0]) // 2
+            most *= 2
+            sums = _bit_add([p[:half] for p in sums], [p[half:] for p in sums], most.bit_length())
+        bound += most
+        planes = _bit_add(planes, sums, bound.bit_length())
+    totals = np.zeros(count, dtype=np.int64)
+    for i, plane in enumerate(planes):
+        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=count, bitorder="little")
+        # 64 rows of one bit sum to at most 64, so uint8 holds the row sums.
+        totals += bits.sum(axis=0, dtype=np.uint8).astype(np.int64) << i
+    return totals
+
+
 def _tail_hits(h: Hypergraph, draw, threshold: float, samples: int, workers: int) -> int:
     """Number of samples inducing at least `threshold` edges of h.
 
     draw(stream, count) returns chunk `stream`'s n x count boolean membership
-    matrix.  Edges are ANDed EDGE_BLOCK at a time from their k member rows, so
-    a chunk's working set is O(count * (n + EDGE_BLOCK)) whatever e(H) is.
-    Chunks run over a thread pool when workers > 1; their hit counts add up
-    the same in any order.
+    matrix, and _induced_totals counts each sample's edges in it.  A chunk's
+    working set is O(count * n) bytes for the draw plus O(count * EDGE_BLOCK)
+    bits for the kernel, whatever e(H) is.  Chunks run over a thread pool when
+    workers > 1; their hit counts add up the same in any order.
     """
     edges = h.edge_array
 
     def chunk(stream: int, count: int) -> int:
-        member = draw(stream, count)
-        totals = np.zeros(count, dtype=np.int64)
-        for start in range(0, len(edges), EDGE_BLOCK):
-            block = edges[start : start + EDGE_BLOCK]
-            hit = member[block[:, 0]]
-            for col in block.T[1:]:
-                hit &= member[col]
-            totals += hit.sum(axis=0, dtype=np.uint16)
-        return int((totals >= threshold).sum())
+        return int((_induced_totals(edges, draw(stream, count)) >= threshold).sum())
 
     tasks = list(chunk_layout(samples))
     if workers > 1 and len(tasks) > 1:
@@ -327,7 +394,10 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
         alpha = min(1.0, t / mu) if mu > 0 and t > 0 else 1.0
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    lam = 4.0 / (1.0 - (1.0 - alpha) ** k)
+    denom = 1.0 - (1.0 - alpha) ** k
+    if denom == 0.0:  # (1 - alpha)^k rounded to 1; only then the log1p form
+        denom = -math.expm1(k * math.log1p(-alpha))
+    lam = 4.0 / denom
     target = min(lam * t, mu + t) if t > 0 else 0.0
     return math.ceil(target)
 
@@ -371,6 +441,27 @@ def conditioned_size(n: int, p: float, eps: float) -> int:
     return round(raw) if abs(raw - round(raw)) < 1e-9 else math.ceil(raw)
 
 
+def _m_subset_draw(n: int, m: int, seed: int):
+    """Membership draw of uniform m-subsets of range(n)."""
+
+    def draw(stream: int, count: int) -> np.ndarray:
+        # Batched partial Fisher-Yates: row r's first m entries are its m-subset.
+        # int32 entries (n < 2^31) halve the (count, n) table.
+        rng = stream_generator(seed, stream)
+        arr = np.tile(np.arange(n, dtype=np.int32), (count, 1))
+        rows = np.arange(count)
+        for i in range(m):
+            j = rng.integers(i, n, size=count)
+            picked = arr[rows, j]
+            arr[rows, j] = arr[:, i]
+            arr[:, i] = picked
+        member = np.zeros((n, count), dtype=bool)
+        member[arr[:, :m], rows[:, None]] = True
+        return member
+
+    return draw
+
+
 def conditioned_tail(
     h: Hypergraph,
     p: float,
@@ -398,21 +489,7 @@ def conditioned_tail(
     if m > h.n:
         raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
 
-    def draw(stream: int, count: int) -> np.ndarray:
-        # Batched partial Fisher-Yates: row r's first m entries are its m-subset.
-        rng = stream_generator(seed, stream)
-        arr = np.tile(np.arange(h.n, dtype=np.int64), (count, 1))
-        rows = np.arange(count)
-        for i in range(m):
-            j = rng.integers(i, h.n, size=count)
-            picked = arr[rows, j]
-            arr[rows, j] = arr[:, i]
-            arr[:, i] = picked
-        member = np.zeros((h.n, count), dtype=bool)
-        member[arr[:, :m], rows[:, None]] = True
-        return member
-
-    hits = _tail_hits(h, draw, threshold, samples, workers)
+    hits = _tail_hits(h, _m_subset_draw(h.n, m, seed), threshold, samples, workers)
     # Pr(Bin(n, p) >= m) as the regularized incomplete beta I_p(m, n - m + 1).
     factor = 1.0 if m <= 0 else float(betainc(m, h.n - m + 1, p))
     extra = {"m": m, "binomial_factor": factor, "conditional_hits": hits}

@@ -1,8 +1,9 @@
 """Naive reference implementations used to cross-check the library.
 
-Everything here favors obviousness over speed: plain Python loops and
-exhaustive enumeration, sharing no code with the package under test.
-Vertices are 0-based; edges are sorted tuples.
+Everything here favors obviousness over speed: plain Python loops,
+exhaustive enumeration, and the simpler numpy paths that faster kernels
+replaced, sharing no code with the package under test.  Vertices are
+0-based; edges are sorted tuples.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 
 # ------------------------------------------------------------- families
@@ -385,6 +388,41 @@ def naive_event_probability(outcomes: set[int], probs: list[float]) -> float:
             w *= probs[i] if (omega >> i) & 1 else 1.0 - probs[i]
         total += w
     return total
+
+
+# ------------------------------------------------------- sampling kernels
+
+
+def byte_edge_totals(edges: np.ndarray, member: np.ndarray, block: int = 512) -> np.ndarray:
+    """totals[s] = number of rows of the (e, k) index array `edges` inside
+    column s of the n x count boolean `member` matrix.
+
+    One byte per sample: the k member rows of `block` edges at a time are
+    ANDed and summed in uint16 (block < 2**16).
+    """
+    totals = np.zeros(member.shape[1], dtype=np.int64)
+    for start in range(0, len(edges), block):
+        part = edges[start : start + block]
+        hit = member[part[:, 0]]
+        for col in part.T[1:]:
+            hit &= member[col]
+        totals += hit.sum(axis=0, dtype=np.uint16)
+    return totals
+
+
+def int64_m_subset_member(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """n x count membership of `count` uniform m-subsets of range(n), by a
+    batched partial Fisher-Yates over an int64 (count, n) table."""
+    arr = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+    rows = np.arange(count)
+    for i in range(m):
+        j = rng.integers(i, n, size=count)
+        picked = arr[rows, j]
+        arr[rows, j] = arr[:, i]
+        arr[:, i] = picked
+    member = np.zeros((n, count), dtype=bool)
+    member[arr[:, :m], rows[:, None]] = True
+    return member
 
 
 # ---------------------------------------------------------------- scalars

@@ -65,6 +65,28 @@ class TestTail:
             outputs.add(out)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("method", ["planted", "conditioned"])
+    def test_certified_worker_invariance(self, method):
+        outputs = set()
+        for w in ("1", "2"):
+            code, out = run_cli(
+                ["tail", "--family", "ap", "--n", "40", "--p", "0.2", "--t", "2",
+                 "--method", method, "--samples", "5000", "--seed", "9", "--workers", w]
+            )
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("grid", [["--t", "1e-17"], ["--t", "1", "--alpha", "1e-17"]])
+    def test_planted_alpha_below_rounding_gives_a_row(self, grid):
+        code, out = run_cli(
+            ["tail", "--family", "ap", "--n", "20", "--p", "0.5", *grid,
+             "--method", "planted", "--seed", "1", "--samples", "10"]
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 1 and rows[0]["method"] == "planted"
+
     def test_usage_errors(self):
         assert run_cli(["tail", "--family", "ap"])[0] == 2
         assert run_cli(

@@ -26,11 +26,12 @@ from uppertail.estimate import (
     histogram_tail,
     mc_tail,
     planted_tail,
+    planting_target,
     wilson_interval,
 )
 from uppertail.families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
 from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edge_count
-from uppertail.rng import stream_generator
+from uppertail.rng import CHUNK, stream_generator
 
 AP4 = build_ap(4, 3)
 
@@ -322,6 +323,10 @@ class TestMonteCarlo:
         est = mc_tail(h, 0.3, 2.0, 30000, seed=7)
         assert est.ci_low <= exact <= est.ci_high
 
+    def test_ap300_two_workers_pinned(self):
+        est = mc_tail(build_ap(300, 3), 0.05, 6.0, 8192, seed=1, workers=2)
+        assert est.p_hat == 0.1419677734375
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mc_tail(AP4, 1.2, 1.0, 10, seed=0)
@@ -342,7 +347,49 @@ def sampled_instances(draw):
     return h, member
 
 
+@st.composite
+def packed_batches(draw):
+    """A random hypergraph with k in 2..4 and n <= 12, from edgeless to complete
+    (up to 495 edges), plus an n x count membership matrix with count in 1..200,
+    often not a multiple of 64."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    h = Hypergraph(k, n, [c for c in combinations(range(n), k) if rng.random() < keep])
+    count = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129]), st.integers(1, 200)))
+    return h, rng.random((n, count)) < draw(st.floats(0.0, 1.0))
+
+
 class TestSamplingKernel:
+    @given(packed_batches())
+    @settings(max_examples=80, deadline=None)
+    def test_packed_totals_match_byte_oracle(self, batch):
+        h, member = batch
+        e = h.num_edges
+        want = [induced_edge_count(h, VertexSet.from_bool_array(col)) for col in member.T]
+        assert oracles.byte_edge_totals(h.edge_array, member).tolist() == want
+
+        def draw(stream, count):
+            assert (stream, count) == (0, member.shape[1])
+            return member
+
+        # Blocks of 1, 2 and 100 edges, one block of e + 1, and the default.
+        for block in (1, 2, 100, e + 1, estimate.EDGE_BLOCK):
+            with mock.patch.object(estimate, "EDGE_BLOCK", block):
+                got = estimate._induced_totals(h.edge_array, member)
+                assert got.tolist() == want, block
+        for thr in (-1, 0, 0.5, e / 2 + 0.25, e, e + 0.5, e + 1):
+            got = estimate._tail_hits(h, draw, thr, member.shape[1], workers=1)
+            assert got == sum(c >= thr for c in want), thr
+
+    @pytest.mark.parametrize("family", ["ap", "schur"])
+    def test_full_chunk_on_n300_matches_byte_oracle(self, family):
+        h = build(FamilySpec(family, 300, 3))
+        member = estimate._vp_draw(h.n, list(range(h.n)), 0.05, seed=1)(stream=0, count=CHUNK)
+        got = estimate._induced_totals(h.edge_array, member)
+        assert np.array_equal(got, oracles.byte_edge_totals(h.edge_array, member))
+
     @given(sampled_instances())
     @settings(max_examples=60, deadline=None)
     def test_hits_match_induced_edge_count(self, instance):
@@ -408,6 +455,16 @@ class TestPlanted:
             est = planted_tail(h, p, mu + t, 20000, seed=seed, witness=w)
             assert est.p_hat <= exact + 1e-12
 
+    def test_worker_count_invariant(self):
+        spec = FamilySpec("ap", 40, 3)
+        h = build(spec)
+        w = interval_witness(spec, 12.0)
+        samples = 2 * CHUNK + 123
+        single = planted_tail(h, 0.2, 18.0, samples, seed=16, witness=w, workers=1)
+        multi = planted_tail(h, 0.2, 18.0, samples, seed=16, witness=w, workers=2)
+        assert single == multi
+        assert 0 < single.extra["conditional_hits"] < samples
+
     def test_witness_universe_check(self):
         w = Witness(AP4, VertexSet(4, 0b0111), 3.0, 1.0)
         h6 = build_ap(6, 3)
@@ -439,6 +496,21 @@ class TestConditioned:
             est = conditioned_tail(h, p, thr, 20000, seed=15, eps=eps)
             assert est.p_hat <= exact + 1e-12
 
+    def test_worker_count_invariant(self):
+        h = build_schur(40)
+        samples = 2 * CHUNK + 123
+        single = conditioned_tail(h, 0.2, 6.0, samples, seed=17, eps=0.25, workers=1)
+        multi = conditioned_tail(h, 0.2, 6.0, samples, seed=17, eps=0.25, workers=2)
+        assert single == multi
+        assert 0 < single.extra["conditional_hits"] < samples
+
+    @pytest.mark.parametrize("n, m, count", [(1, 0, 5), (6, 6, 7), (9, 4, 1), (30, 7, 300)])
+    def test_int32_draw_matches_int64_reference(self, n, m, count):
+        got = estimate._m_subset_draw(n, m, seed=18)(stream=3, count=count)
+        want = oracles.int64_m_subset_member(n, m, count, stream_generator(18, 3))
+        assert np.array_equal(got, want)
+        assert (got.sum(axis=0) == m).all()
+
     def test_eps_too_large(self):
         with pytest.raises(ValueError):
             conditioned_tail(AP4, 0.9, 1.0, 10, seed=0, eps=0.5)
@@ -462,6 +534,28 @@ class TestConditioned:
         est = conditioned_tail(build_ap(300, 3), 0.05, 2.0, 1, seed=1, eps=eps)
         assert est.extra["m"] == m
         assert est.extra["binomial_factor"] == float(binom.sf(m - 1, 300, 0.05))
+
+
+class TestPlantingTarget:
+    @given(
+        mu=st.floats(0.0, 1e4),
+        t=st.floats(-10.0, 1e4),
+        k=st.integers(2, 5),
+        alpha=st.one_of(st.none(), st.floats(1e-12, 1.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_bit_for_bit(self, mu, t, k, alpha):
+        a = alpha if alpha is not None else (min(1.0, t / mu) if mu > 0 and t > 0 else 1.0)
+        assume((1.0 - a) ** k != 1.0)
+        lam = 4.0 / (1.0 - (1.0 - a) ** k)
+        assert planting_target(mu, t, k, alpha) == math.ceil(min(lam * t, mu + t) if t > 0 else 0.0)
+
+    @pytest.mark.parametrize(
+        "mu, t, alpha", [(16.25, 1e-17, None), (16.25, 1.0, 1e-17), (16.25, 1.0, 5e-324)]
+    )
+    def test_alpha_below_rounding_stays_finite(self, mu, t, alpha):
+        # (1 - alpha)^3 rounds to 1.0, so lambda * t is far above mu + t.
+        assert planting_target(mu, t, 3, alpha) == math.ceil(mu + t)
 
 
 class TestCleanConfigs:
