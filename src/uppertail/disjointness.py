@@ -107,25 +107,24 @@ def _coord_zero_mask(i: int, m: int) -> int:
     return out
 
 
-def _forall_coord(table: int, i: int, m: int) -> int:
-    """From the table for K | {i}, the table for K: require both settings of i."""
-    mask0 = _coord_zero_mask(i, m)
-    shift = 1 << i
-    both = table & (table >> shift) & mask0
-    return both | (both << shift)
-
-
 def _universal_tables(event: EventTable) -> list[int]:
     """tables[K] has bit omega set iff every outcome agreeing with omega on K
-    lies in the event."""
+    lies in the event.
+
+    K comes from its parent K | {i}, i the lowest coordinate outside K, by
+    requiring both settings of coordinate i.
+    """
     m = event.m
     full = (1 << m) - 1
+    zeros = [_coord_zero_mask(i, m) for i in range(m)]
     tables = [0] * (1 << m)
     tables[full] = event.table
     for k in range(full - 1, -1, -1):
-        low = (~k & full) & -(~k & full)
-        parent = k | low
-        tables[k] = _forall_coord(tables[parent], low.bit_length() - 1, m)
+        i = (~k & (k + 1)).bit_length() - 1
+        shift = 1 << i
+        parent = tables[k | shift]
+        both = parent & (parent >> shift) & zeros[i]
+        tables[k] = both | (both << shift)
     return tables
 
 

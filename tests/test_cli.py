@@ -209,6 +209,9 @@ class TestVerifyCommand:
     def test_unknown_suite(self):
         assert run_cli(["verify", "granite"])[0] == 2
 
+    def test_repeated_suite_runs_once(self):
+        assert run_cli(["verify", "phi", "phi"]) == run_cli(["verify", "phi"])
+
 
 class TestSweep:
     def test_resume_skips_existing(self, tmp_path):

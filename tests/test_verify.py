@@ -1,9 +1,17 @@
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
-from uppertail import verify
+import oracles
+from uppertail import disjointness, verify
+from uppertail.decompose import mr_exact_on
+from uppertail.families import FamilySpec, build, build_ap
+from uppertail.hypergraph import CapacityError, Hypergraph, max_degree
 from uppertail.verify import (
     SUITES,
     TAIL_SANDWICH_C,
@@ -44,6 +52,10 @@ class TestSuiteRegistry:
         assert all(r.suite == "phi" for r in results)
         names = [r.name for r in results]
         assert len(names) == len(set(names))
+
+    def test_repeated_name_runs_once(self):
+        assert run_suites(["phi", "phi"]) == run_suites(["phi"])
+        assert len(run_suites(["phi", "phi"])) == 7
 
 
 class TestFastSuites:
@@ -105,3 +117,84 @@ class TestBinomialReferences:
         lo = math.ceil(20 * 0.3 - t)
         exact = float(sum(verify._binomial_pmf(20, 0.3, j) for j in range(lo, 21)))
         assert exact == pytest.approx(float(binom.sf(lo - 1, 20, 0.3)), rel=1e-15, abs=0.0)
+
+
+class TestCheckCounts:
+    """The counts the sandwich and bk checks report, pinned."""
+
+    def test_sandwich_counts(self):
+        assert verify.mr_tail_check() == (0, 96, 84)
+        assert verify.xr_tail_check() == (0, 96, 48)
+        assert verify.degree_matching_equivalence_check() == (0, 6144)
+
+    def test_bk_pairs_build_one_box_per_ordered_pair(self, monkeypatch):
+        calls = []
+        tables = disjointness._universal_tables
+
+        def spy(event):
+            calls.append(event)
+            return tables(event)
+
+        monkeypatch.setattr(disjointness, "_universal_tables", spy)
+        assert verify.bk_random_pairs(10, 200) == (0, 600)
+        # box(a, b) and box(b, a) per pair, two tables each.
+        assert len(calls) == 800
+
+    def test_mr_tail_refuses_past_box_budget_before_enumerating(self, monkeypatch):
+        def unreachable(h, r):
+            raise AssertionError("2^n pass reached past the budget")
+
+        monkeypatch.setattr(verify, "_mr_by_code", unreachable)
+        with pytest.raises(CapacityError):
+            verify.mr_tail_check(disjointness.BOX_COORD_BUDGET + 1)
+
+
+PACKING_GRAPHS = {
+    "ap12_3": FamilySpec("ap", 12, 3),
+    "schur12": FamilySpec("schur", 12),
+    "ell_sum12_2": FamilySpec("ell_sum", 12, ell=2),
+}
+
+
+class TestMrPacking:
+    """The one-pass M_r of every subset against the branch-and-bound and the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(PACKING_GRAPHS))
+    def test_histogram_matches_branch_and_bound(self, name):
+        h = build(PACKING_GRAPHS[name])
+        sets = verify._induced_edge_sets(h)
+        for r in (0.5, 1.0, 1.5, 2.0, 3.0):
+            want = verify._popcount_value_hist(sets, lambda ids: mr_exact_on(h, ids, r))
+            got = verify._size_value_hist(verify._mr_by_code(h, r))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), r
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_code_matches_oracle(self, data):
+        k = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(k, 9))
+        edge = st.sampled_from(list(combinations(range(n), k)))
+        h = Hypergraph(k, n, data.draw(st.lists(edge, max_size=12)))
+        r = data.draw(st.floats(0.0, 4.0, exclude_min=True))
+        m = verify._mr_by_code(h, r)
+        for code in range(1 << n):
+            inside = [e for e, mask in zip(h.edges, h.edge_masks) if mask & ~code == 0]
+            assert m[code] == oracles.naive_mr(inside, r), (code, r)
+
+    @pytest.mark.parametrize(
+        "h, r",
+        [
+            (Hypergraph(3, 7, []), 1.0),
+            (build_ap(10, 3), max_degree(build_ap(10, 3)) + 0.5),
+        ],
+        ids=["edgeless", "star_wider_than_every_degree"],
+    )
+    def test_no_star_gives_one_column(self, h, r):
+        hist = verify._size_value_hist(verify._mr_by_code(h, r))
+        assert hist.shape == (h.n + 1, 1)
+        assert hist[:, 0].tolist() == [math.comb(h.n, j) for j in range(h.n + 1)]
+
+    def test_rejects_nonpositive_r(self):
+        with pytest.raises(ValueError):
+            verify._mr_by_code(build_ap(6, 3), 0.0)
