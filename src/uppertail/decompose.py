@@ -162,21 +162,18 @@ def induced_max_degree(h: Hypergraph, edge_ids: tuple[int, ...]) -> int:
 def xr_exact(h: Hypergraph, s: VertexSet, r: float) -> int:
     """Maximum edges of a subhypergraph of H[S] with max degree <= r.
 
-    Exhaustive branch-and-bound over the induced edges; refuses instances
-    with more than XR_EDGE_BUDGET induced edges.
+    Exhaustive branch-and-bound over the induced edges (see xr_exact_on);
+    refuses instances with more than XR_EDGE_BUDGET induced edges.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    ids = induced_edges(h, s)
-    if len(ids) > XR_EDGE_BUDGET:
-        raise CapacityError(f"{len(ids)} induced edges exceed budget {XR_EDGE_BUDGET}")
-    return xr_exact_on(h, ids, r)
+    return xr_exact_on(h, induced_edges(h, s), r)
 
 
 def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
-    """xr_exact over the given edge ids instead of H[S]; no budget check."""
+    """xr_exact over the given edge ids instead of H[S], with the same budget."""
     if r <= 0:
         raise ValueError("r must be positive")
+    if len(ids) > XR_EDGE_BUDGET:
+        raise CapacityError(f"{len(ids)} induced edges exceed budget {XR_EDGE_BUDGET}")
     cap = math.floor(r)
     if cap < 1 or not ids:
         return 0

@@ -8,17 +8,18 @@ exact_tail / exact_point_mass enumerate once per call.  The enumeration walks
 the 2^n codes in blocks of 2^LOW_BITS; edges inside the low LOW_BITS vertices
 are counted once per histogram, and only the edges reaching above them once
 per block.
-Monte Carlo variants share chunked Philox streams (see uppertail.rng) and
-merge by summing hit counts, making results independent of worker count.  The
-three samplers differ only in how a chunk draws its vertex sets; one
-bit-packed kernel counts their induced edges.  It packs a chunk's samples 64
-to a uint64 word, gathers and ANDs the member rows of EDGE_BLOCK edges at a
-time, and sums the hits with a bit-sliced adder.  A worker's working set is
-one chunk's draw (CHUNK * n bytes, plus a CHUNK * n int32 table for the
-conditioned sampler) and a few gathered blocks of CHUNK * EDGE_BLOCK bits
-(1 MB each), independent of e(H): 5-6 MB per chunk at n = 300.  The
-conditioned estimator's exact binomial factor Pr(Bin(n, p) >= m) is
-scipy.special.betainc, the regularized incomplete beta.
+Monte Carlo variants share chunked Philox streams and merge by summing hit
+counts, making results independent of worker count.  The three samplers
+differ only in which uppertail.rng draw fills a chunk's vertex sets
+(p_subset_members or m_subset_members); one bit-packed kernel counts their
+induced edges.  It packs a chunk's samples 64 to a uint64 word, gathers and
+ANDs the member rows of EDGE_BLOCK edges at a time, and sums the hits with a
+bit-sliced adder.  A worker's working set is one chunk's draw (CHUNK * n
+bytes, plus a CHUNK * n int32 table for the conditioned sampler) and a few
+gathered blocks of CHUNK * EDGE_BLOCK bits (1 MB each), independent of e(H):
+5-6 MB per chunk at n = 300.  The conditioned estimator's exact binomial
+factor Pr(Bin(n, p) >= m) is scipy.special.betainc, the regularized
+incomplete beta.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scipy.special import betainc
 
 from .families import Witness
 from .hypergraph import CapacityError, Hypergraph
-from .rng import chunk_layout, stream_generator
+from .rng import chunk_layout, m_subset_members, p_subset_members, stream_generator
 
 __all__ = [
     "CleanConfig",
@@ -63,7 +64,6 @@ EXACT_VERTEX_BUDGET = 26
 CLEAN_COMBO_BUDGET = 10**7
 LOW_BITS = 20  # vertices enumerated inside one block of codes
 EDGE_BLOCK = 2048  # edges gathered and ANDed per sampling-kernel step
-DRAW_BLOCK = 512  # samples per step of a p-sampler's membership draw
 
 METHODS = ("exact", "mc", "planted", "conditioned")
 
@@ -132,30 +132,11 @@ def _superset_counts(masks: Sequence[int], low: int, high: int) -> np.ndarray:
     return counts.reshape(-1)
 
 
-def _add_inside_counts(masks: Sequence[int], low: int, out: np.ndarray) -> list[int]:
-    """Add to out[c] the number of masks inside code c < 2^low; return the rest.
-
-    A mask below bit `low` lies in code (high << low) | c exactly when it lies
-    in c, so its counts are the same in every block and are counted once here;
-    the masks it returns, those reaching above bit `low` ("across" masks), are
-    counted once per block.
-    """
-    out += _superset_counts([m for m in masks if m >> low == 0], low, 0)
-    return [m for m in masks if m >> low]
-
-
 def superset_counts(n: int, masks: Sequence[int]) -> np.ndarray:
-    """counts[code] = number of masks inside code, over all 2^n codes (small n).
-
-    Masks inside the low LOW_BITS bits are counted once, the across masks once
-    per block of 2^LOW_BITS codes.
-    """
+    """counts[code] = number of masks inside code, over all 2^n codes (small n),
+    one block of 2^LOW_BITS codes at a time."""
     low = min(n, LOW_BITS)
-    inside = np.zeros(1 << low, dtype=np.min_scalar_type(len(masks)))
-    across = _add_inside_counts(masks, low, inside)
-    return np.concatenate(
-        [inside + _superset_counts(across, low, high) for high in range(1 << (n - low))]
-    )
+    return np.concatenate([_superset_counts(masks, low, high) for high in range(1 << (n - low))])
 
 
 def _subset_histogram(
@@ -164,21 +145,24 @@ def _subset_histogram(
     """Read-only hist[j, x] = number of j-subsets of range(n) containing exactly
     x masks (n <= EXACT_VERTEX_BUDGET, else CapacityError).
 
-    Block `high` holds the 2^low codes (high << low) | c.  The masks inside the
-    low bits are counted once, into the read-only row offsets every block
-    shares; each block adds only the across masks before its bincount.  Blocks
-    are counted independently (over a thread pool when workers > 1) and their
-    integer histograms summed, so every worker count agrees.  With groups, a
-    code counts only if it contains at most one mask of every group; that keep
-    mask stays per block, since hoisting it would hold one 2^low count array
-    per group, i.e. per vertex (26 MB at n = 26).
+    Block `high` holds the 2^low codes (high << low) | c.  A mask below bit
+    `low` lies in code (high << low) | c exactly when it lies in c, so these
+    inside masks are counted once, into the read-only row offsets every block
+    shares; each block adds only the masks reaching above bit `low` ("across"
+    masks) before its bincount.  Blocks are counted independently (over a
+    thread pool when workers > 1) and their integer histograms summed, so
+    every worker count agrees.  With groups, a code counts only if it contains
+    at most one mask of every group; that keep mask stays per block, since
+    hoisting it would hold one 2^low count array per group, i.e. per vertex
+    (26 MB at n = 26).
     """
     if n > EXACT_VERTEX_BUDGET:
         raise CapacityError(f"{n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
     low = min(n, LOW_BITS)
     width = len(masks) + 1
     row_starts = np.bitwise_count(np.arange(1 << low, dtype=np.uint32)).astype(np.int32) * width
-    across = _add_inside_counts(masks, low, row_starts)
+    row_starts += _superset_counts([m for m in masks if m >> low == 0], low, 0)
+    across = [m for m in masks if m >> low]
     row_starts.setflags(write=False)
     groups = [g for g in groups if len(g) > 1]
 
@@ -326,41 +310,27 @@ def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _tail_hits(h: Hypergraph, draw, threshold: float, samples: int, workers: int) -> int:
+def _tail_hits(h: Hypergraph, seed: int, draw, threshold: float, samples: int, workers: int) -> int:
     """Number of samples inducing at least `threshold` edges of h.
 
-    draw(stream, count) returns chunk `stream`'s n x count boolean membership
-    matrix, and _induced_totals counts each sample's edges in it.  A chunk's
-    working set is O(count * n) bytes for the draw plus O(count * EDGE_BLOCK)
-    bits for the kernel, whatever e(H) is.  Chunks run over a thread pool when
+    draw(gen, count) returns a chunk's n x count boolean membership matrix
+    from the chunk's generator stream_generator(seed, stream), and
+    _induced_totals counts each sample's edges in it.  A chunk's working set
+    is O(count * n) bytes for the draw plus O(count * EDGE_BLOCK) bits for the
+    kernel, whatever e(H) is.  Chunks run over a thread pool when
     workers > 1; their hit counts add up the same in any order.
     """
     edges = h.edge_array
 
     def chunk(stream: int, count: int) -> int:
-        return int((_induced_totals(edges, draw(stream, count)) >= threshold).sum())
+        member = draw(stream_generator(seed, stream), count)
+        return int((_induced_totals(edges, member) >= threshold).sum())
 
     tasks = list(chunk_layout(samples))
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(lambda sc: chunk(*sc), tasks))
     return sum(chunk(*sc) for sc in tasks)
-
-
-def _vp_draw(n: int, free: list[int], p: float, seed: int):
-    """Membership draw keeping each free vertex with probability p, the rest always."""
-
-    def draw(stream: int, count: int) -> np.ndarray:
-        # DRAW_BLOCK samples at a time: the same doubles as one (count, |free|)
-        # draw, without its count * |free| * 8-byte temporary.
-        member = np.ones((n, count), dtype=bool)
-        gen = stream_generator(seed, stream)
-        for lo in range(0, count, DRAW_BLOCK):
-            rows = min(DRAW_BLOCK, count - lo)
-            member[free, lo : lo + rows] = (gen.random((rows, len(free))) < p).T
-        return member
-
-    return draw
 
 
 def _scaled_tail(
@@ -380,7 +350,10 @@ def mc_tail(
         raise ValueError("p must lie in [0, 1]")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    hits = _tail_hits(h, _vp_draw(h.n, list(range(h.n)), p, seed), threshold, samples, workers)
+    free = list(range(h.n))
+    hits = _tail_hits(
+        h, seed, lambda gen, count: p_subset_members(gen, h.n, free, p, count), threshold, samples, workers
+    )
     return _scaled_tail(threshold, "mc", hits, samples, 1.0, None)
 
 
@@ -428,7 +401,9 @@ def planted_tail(
     w_bits = witness.subset.bits
     w_size = len(witness.subset)
     free = [v for v in range(h.n) if not (w_bits >> v) & 1]
-    hits = _tail_hits(h, _vp_draw(h.n, free, p, seed), threshold, samples, workers)
+    hits = _tail_hits(
+        h, seed, lambda gen, count: p_subset_members(gen, h.n, free, p, count), threshold, samples, workers
+    )
     factor = p**w_size
     extra = {"witness_size": w_size, "factor": factor, "conditional_hits": hits}
     return _scaled_tail(threshold, "planted", hits, samples, factor, extra)
@@ -439,27 +414,6 @@ def conditioned_size(n: int, p: float, eps: float) -> int:
     (1+eps) n p within 1e-9 of an integer as that integer."""
     raw = (1.0 + eps) * n * p
     return round(raw) if abs(raw - round(raw)) < 1e-9 else math.ceil(raw)
-
-
-def _m_subset_draw(n: int, m: int, seed: int):
-    """Membership draw of uniform m-subsets of range(n)."""
-
-    def draw(stream: int, count: int) -> np.ndarray:
-        # Batched partial Fisher-Yates: row r's first m entries are its m-subset.
-        # int32 entries (n < 2^31) halve the (count, n) table.
-        rng = stream_generator(seed, stream)
-        arr = np.tile(np.arange(n, dtype=np.int32), (count, 1))
-        rows = np.arange(count)
-        for i in range(m):
-            j = rng.integers(i, n, size=count)
-            picked = arr[rows, j]
-            arr[rows, j] = arr[:, i]
-            arr[:, i] = picked
-        member = np.zeros((n, count), dtype=bool)
-        member[arr[:, :m], rows[:, None]] = True
-        return member
-
-    return draw
 
 
 def conditioned_tail(
@@ -489,7 +443,9 @@ def conditioned_tail(
     if m > h.n:
         raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
 
-    hits = _tail_hits(h, _m_subset_draw(h.n, m, seed), threshold, samples, workers)
+    hits = _tail_hits(
+        h, seed, lambda gen, count: m_subset_members(gen, h.n, m, count), threshold, samples, workers
+    )
     # Pr(Bin(n, p) >= m) as the regularized incomplete beta I_p(m, n - m + 1).
     factor = 1.0 if m <= 0 else float(betainc(m, h.n - m + 1, p))
     extra = {"m": m, "binomial_factor": factor, "conditional_hits": hits}

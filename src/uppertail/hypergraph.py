@@ -12,6 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .rng import m_subset_members
+
 __all__ = [
     "CapacityError",
     "Hypergraph",
@@ -267,21 +269,19 @@ def delta_j(h: Hypergraph, j: int) -> int:
 
 
 def sample_vp(h: Hypergraph, p: float, rng: np.random.Generator) -> VertexSet:
-    """Include each vertex independently with probability p."""
+    """Include each vertex independently with probability p (the one-sample
+    rng.p_subset_members draw, every vertex free)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     return VertexSet.from_bool_array(rng.random(h.n) < p)
 
 
 def sample_vm(h: Hypergraph, m: int, rng: np.random.Generator) -> VertexSet:
-    """Uniform m-subset of the vertices via partial Fisher-Yates."""
+    """Uniform m-subset of the vertices via partial Fisher-Yates (the
+    one-sample rng.m_subset_members draw)."""
     if not 0 <= m <= h.n:
         raise ValueError(f"m must lie in [0, {h.n}]")
-    arr = list(range(h.n))
-    for i in range(m):
-        j = int(rng.integers(i, h.n))
-        arr[i], arr[j] = arr[j], arr[i]
-    return VertexSet.from_indices(h.n, arr[:m])
+    return VertexSet.from_bool_array(m_subset_members(rng, h.n, m, 1)[:, 0])
 
 
 def to_text(h: Hypergraph) -> str:

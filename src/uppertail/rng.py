@@ -1,22 +1,34 @@
-"""Deterministic sampling streams built on the Philox counter-based generator.
+"""Deterministic sampling streams built on the Philox counter-based generator,
+and the two vertex-set draws behind every sampler.
 
 Sampling work is split into fixed-size chunks of samples.  Chunk c of a run
 with a given seed always draws from the generator keyed (seed, c), so the
 position of a sample inside the run determines its randomness and estimates
 merge identically for any worker count or completion order.  This is the
 (seed, worker, sample-index) keying with the chunk index as the worker slot.
+
+The draws return an n x count boolean membership matrix, one sample per
+column; hypergraph.sample_vp / sample_vm are their one-sample forms.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK", "KEY_LIMIT", "chunk_layout", "stream_generator"]
+__all__ = [
+    "CHUNK",
+    "KEY_LIMIT",
+    "chunk_layout",
+    "m_subset_members",
+    "p_subset_members",
+    "stream_generator",
+]
 
 CHUNK = 4096
 KEY_LIMIT = 1 << 64  # seeds and streams are 64-bit keys
+DRAW_BLOCK = 512  # samples per step of p_subset_members
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
@@ -39,3 +51,37 @@ def chunk_layout(total: int) -> Iterator[tuple[int, int]]:
         yield stream, size
         stream += 1
         remaining -= size
+
+
+def p_subset_members(
+    gen: np.random.Generator, n: int, free: Sequence[int], p: float, count: int
+) -> np.ndarray:
+    """Membership of `count` subsets of range(n) keeping each free vertex with
+    probability p, the rest always.
+
+    DRAW_BLOCK samples at a time: the same doubles as one (count, |free|)
+    draw, without its count * |free| * 8-byte temporary.
+    """
+    member = np.ones((n, count), dtype=bool)
+    for lo in range(0, count, DRAW_BLOCK):
+        rows = min(DRAW_BLOCK, count - lo)
+        member[free, lo : lo + rows] = (gen.random((rows, len(free))) < p).T
+    return member
+
+
+def m_subset_members(gen: np.random.Generator, n: int, m: int, count: int) -> np.ndarray:
+    """Membership of `count` uniform m-subsets of range(n).
+
+    Batched partial Fisher-Yates: row r's first m entries are its m-subset.
+    int32 entries (n < 2^31) halve the (count, n) table.
+    """
+    arr = np.tile(np.arange(n, dtype=np.int32), (count, 1))
+    rows = np.arange(count)
+    for i in range(m):
+        j = gen.integers(i, n, size=count)
+        picked = arr[rows, j]
+        arr[rows, j] = arr[:, i]
+        arr[:, i] = picked
+    member = np.zeros((n, count), dtype=bool)
+    member[arr[:, :m], rows[:, None]] = True
+    return member

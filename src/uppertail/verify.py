@@ -12,7 +12,6 @@ by about 0.5% so reruns only fail on a real regression, not float noise.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,13 +265,15 @@ def sandwich_sample_check(seed: int, count: int) -> tuple[int, int, int]:
     return violations, count, exact_count
 
 
-def _induced_edge_sets(h: Hypergraph) -> dict[tuple[int, ...], list[int]]:
-    """Each distinct induced edge-id set over all 2^n subsets, with sizes[j] =
-    the number of j-subsets that induce it."""
-    sets: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (h.n + 1))
-    for code in range(1 << h.n):
-        sets[induced_edges(h, VertexSet(h.n, code))][code.bit_count()] += 1
-    return sets
+def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct induced edge-id sets over all 2^n subsets, in order of first
+    appearance, and index[code] = the position of code's set among them."""
+    position: dict[tuple[int, ...], int] = {}
+    index = [
+        position.setdefault(induced_edges(h, VertexSet(h.n, code)), len(position))
+        for code in range(1 << h.n)
+    ]
+    return list(position), np.array(index, dtype=np.int64)
 
 
 def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, int]:
@@ -281,25 +282,14 @@ def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, i
     checked = 0
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
-            for ids, sizes in _induced_edge_sets(h).items():
-                subsets = sum(sizes)
+            sets, index = _induced_edge_sets(h)
+            for ids, subsets in zip(sets, np.bincount(index).tolist()):
                 d1 = induced_max_degree(h, ids)
                 for z in (1, 2, 3):
                     checked += subsets
                     if (d1 >= z) != (mr_exact_on(h, ids, float(z)) >= 1):
                         violations += subsets
     return violations, checked
-
-
-def _popcount_value_hist(
-    sets: dict[tuple[int, ...], list[int]], value: Callable[[tuple[int, ...]], int]
-) -> np.ndarray:
-    """hist[j, v] = number of j-subsets whose induced edge ids have value v."""
-    values = [value(ids) for ids in sets]
-    sizes = np.array(list(sets.values()), dtype=np.int64)
-    hist = np.zeros((sizes.shape[1], max(values) + 1), dtype=np.int64)
-    np.add.at(hist.T, values, sizes)
-    return hist
 
 
 def _mr_by_code(h: Hypergraph, r: float) -> np.ndarray:
@@ -358,9 +348,9 @@ def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
     active = 0
     checked = 0
     for h in (build_ap(n, 3), build_schur(n)):
-        sets = _induced_edge_sets(h)
+        sets, index = _induced_edge_sets(h)
         for r in (1.0, 2.0, 3.0):
-            hist = _popcount_value_hist(sets, lambda ids: xr_exact_on(h, ids, r))
+            hist = _size_value_hist(np.array([xr_exact_on(h, ids, r) for ids in sets])[index])
             for p in (0.1, 0.3, 0.5, 0.7):
                 mu = exact_mean(h, p)
                 for t in (1.0, 3.0, 9.0, 27.0):

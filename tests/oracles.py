@@ -425,6 +425,16 @@ def int64_m_subset_member(n: int, m: int, count: int, rng: np.random.Generator) 
     return member
 
 
+def scalar_sample_vm(n: int, m: int, rng) -> tuple[int, ...]:
+    """Sorted members of a uniform m-subset of range(n), by the scalar partial
+    Fisher-Yates: step i swaps position i with position rng.integers(i, n)."""
+    arr = list(range(n))
+    for i in range(m):
+        j = int(rng.integers(i, n))
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(sorted(arr[:m]))
+
+
 # ---------------------------------------------------------------- scalars
 
 

@@ -285,3 +285,30 @@ def test_accept_13_reproducibility():
         f"{len(outputs)} runs across worker counts 1/2/4, "
         f"{'byte-identical' if identical else 'diverged'}",
     )
+
+
+def test_accept_14_certified_column():
+    """ci_low, the certified column of planted and conditioned, lies above the
+    exact tail in a share of seeds consistent with at most 1 %, at sample
+    counts small enough that p_hat overshoots the truth."""
+    spec = FamilySpec("ap", 12, 3)
+    h = build(spec)
+    p, thr, seeds = 0.5, 11.0, 500
+    mu = exact_mean(h, p)
+    exact = exact_tail(h, p, thr).p_hat
+    witness = interval_witness(spec, planting_target(mu, thr - mu, h.k, None))
+    estimators = {
+        "planted": lambda samples, seed: planted_tail(h, p, thr, samples, seed, witness),
+        "conditioned": lambda samples, seed: conditioned_tail(h, p, thr, samples, seed, eps=0.5),
+    }
+    ok = True
+    parts = []
+    for samples in (5, 20):
+        for name, estimate in estimators.items():
+            ests = [estimate(samples, seed) for seed in range(seeds)]
+            above = sum(e.ci_low > exact for e in ests)
+            # One-sided binomial test of a rate <= 1 % at the 1 % level.
+            ok &= bool(binom.sf(above - 1, seeds, 0.01) >= 0.01)
+            overshoot = sum(e.p_hat > exact for e in ests)
+            parts.append(f"{name}@{samples}: ci_low {above}, p_hat {overshoot}")
+    _report(14, ok, f"seeds above exact of {seeds}: " + "; ".join(parts))

@@ -63,6 +63,13 @@ class TestXr:
         with pytest.raises(CapacityError):
             xr_exact(h, full, 2.0)
 
+    def test_budget_refusal_on_edge_ids(self):
+        # 30 ids: past the budget, the search would run unbounded.
+        h = build_ap(12, 3)
+        assert h.num_edges == 30 > decompose.XR_EDGE_BUDGET
+        with pytest.raises(CapacityError):
+            xr_exact_on(h, tuple(range(h.num_edges)), 2.0)
+
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             xr_exact(AP5, FULL5, 0.0)

@@ -31,7 +31,7 @@ from uppertail.estimate import (
 )
 from uppertail.families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
 from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edge_count
-from uppertail.rng import CHUNK, stream_generator
+from uppertail.rng import CHUNK, m_subset_members, p_subset_members, stream_generator
 
 AP4 = build_ap(4, 3)
 
@@ -177,7 +177,7 @@ class TestBlockSplit:
         assert np.array_equal(estimate.superset_counts(h.n, h.edge_masks), brute)
 
     def test_superset_dtype_holds_both_parts(self, monkeypatch):
-        # 165 inside and 121 across masks each fit uint8; their sum, 286, does not.
+        # 286 masks, counted over 4 blocks of 2^11 codes: more than uint8 holds.
         masks = [sum(1 << v for v in e) for e in combinations(range(13), 3)]
         monkeypatch.setattr(estimate, "LOW_BITS", 11)
         counts = estimate.superset_counts(13, masks)
@@ -361,6 +361,18 @@ def packed_batches(draw):
     return h, rng.random((n, count)) < draw(st.floats(0.0, 1.0))
 
 
+def _chunk_zero_draw(seed, member):
+    """A _tail_hits draw that checks it gets one chunk of member.shape[1]
+    samples with the generator of stream (seed, 0), and returns member."""
+
+    def draw(gen, count):
+        assert np.array_equal(gen.random(4), stream_generator(seed, 0).random(4))
+        assert count == member.shape[1]
+        return member
+
+    return draw
+
+
 class TestSamplingKernel:
     @given(packed_batches())
     @settings(max_examples=80, deadline=None)
@@ -369,24 +381,20 @@ class TestSamplingKernel:
         e = h.num_edges
         want = [induced_edge_count(h, VertexSet.from_bool_array(col)) for col in member.T]
         assert oracles.byte_edge_totals(h.edge_array, member).tolist() == want
-
-        def draw(stream, count):
-            assert (stream, count) == (0, member.shape[1])
-            return member
-
+        draw = _chunk_zero_draw(5, member)
         # Blocks of 1, 2 and 100 edges, one block of e + 1, and the default.
         for block in (1, 2, 100, e + 1, estimate.EDGE_BLOCK):
             with mock.patch.object(estimate, "EDGE_BLOCK", block):
                 got = estimate._induced_totals(h.edge_array, member)
                 assert got.tolist() == want, block
         for thr in (-1, 0, 0.5, e / 2 + 0.25, e, e + 0.5, e + 1):
-            got = estimate._tail_hits(h, draw, thr, member.shape[1], workers=1)
+            got = estimate._tail_hits(h, 5, draw, thr, member.shape[1], workers=1)
             assert got == sum(c >= thr for c in want), thr
 
     @pytest.mark.parametrize("family", ["ap", "schur"])
     def test_full_chunk_on_n300_matches_byte_oracle(self, family):
         h = build(FamilySpec(family, 300, 3))
-        member = estimate._vp_draw(h.n, list(range(h.n)), 0.05, seed=1)(stream=0, count=CHUNK)
+        member = p_subset_members(stream_generator(1, 0), h.n, list(range(h.n)), 0.05, CHUNK)
         got = estimate._induced_totals(h.edge_array, member)
         assert np.array_equal(got, oracles.byte_edge_totals(h.edge_array, member))
 
@@ -395,15 +403,11 @@ class TestSamplingKernel:
     def test_hits_match_induced_edge_count(self, instance):
         h, member = instance
         counts = [induced_edge_count(h, VertexSet.from_bool_array(col)) for col in member.T]
-
-        def draw(stream, count):
-            assert (stream, count) == (0, member.shape[1])
-            return member
-
+        draw = _chunk_zero_draw(6, member)
         for block in (1, 2, h.num_edges + 1):
             with mock.patch.object(estimate, "EDGE_BLOCK", block):
                 for thr in range(h.num_edges + 2):
-                    got = estimate._tail_hits(h, draw, thr, member.shape[1], workers=1)
+                    got = estimate._tail_hits(h, 6, draw, thr, member.shape[1], workers=1)
                     assert got == sum(c >= thr for c in counts), (block, thr)
 
     def test_memory_independent_of_edge_count(self):
@@ -422,7 +426,7 @@ class TestSamplingKernel:
     @pytest.mark.parametrize("count", [1, 511, 512, 1300])
     def test_blocked_draw_is_one_big_draw(self, count):
         free = [0, 2, 3, 7]
-        got = estimate._vp_draw(9, free, 0.3, seed=4)(stream=2, count=count)
+        got = p_subset_members(stream_generator(4, 2), 9, free, 0.3, count)
         want = np.ones((9, count), dtype=bool)
         want[free] = (stream_generator(4, 2).random((count, len(free))) < 0.3).T
         assert np.array_equal(got, want)
@@ -506,7 +510,7 @@ class TestConditioned:
 
     @pytest.mark.parametrize("n, m, count", [(1, 0, 5), (6, 6, 7), (9, 4, 1), (30, 7, 300)])
     def test_int32_draw_matches_int64_reference(self, n, m, count):
-        got = estimate._m_subset_draw(n, m, seed=18)(stream=3, count=count)
+        got = m_subset_members(stream_generator(18, 3), n, m, count)
         want = oracles.int64_m_subset_member(n, m, count, stream_generator(18, 3))
         assert np.array_equal(got, want)
         assert (got.sum(axis=0) == m).all()

@@ -1,6 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uppertail.rng import stream_generator
+import oracles
+from uppertail.hypergraph import Hypergraph, sample_vm, sample_vp
+from uppertail.rng import DRAW_BLOCK, m_subset_members, p_subset_members, stream_generator
+
+SEEDS = st.integers(0, (1 << 64) - 1)
 
 
 class TestStreamGenerator:
@@ -13,3 +20,79 @@ class TestStreamGenerator:
         # Masking to 64 bits would make seed 2^64 replay seed 0's draws.
         with pytest.raises(ValueError):
             stream_generator(seed, stream)
+
+
+def _generators(seed: int, philox: bool) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two generators in equal states: a Philox stream or a default PCG64."""
+    if philox:
+        return stream_generator(seed, 3), stream_generator(seed, 3)
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+class _Replay:
+    """Stands in for a generator, answering integers(i, n) from a fixed list."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def integers(self, low, high):
+        value = int(next(self.values))
+        assert low <= value < high
+        return value
+
+
+class TestOneSampleDraws:
+    @given(st.data(), SEEDS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_sample_vm_is_scalar_fisher_yates(self, data, seed, philox):
+        n = data.draw(st.integers(0, 60))
+        m = data.draw(st.integers(0, n))
+        gen, ref = _generators(seed, philox)
+        got = sample_vm(Hypergraph(3, n, []), m, gen)
+        assert got.indices() == oracles.scalar_sample_vm(n, m, ref)
+        # Both read the same bits, so the generators stay in step.
+        assert gen.random() == ref.random()
+
+    @given(st.integers(0, 60), st.floats(0.0, 1.0), SEEDS, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_sample_vp_is_column_zero_of_p_draw(self, n, p, seed, philox):
+        gen, ref = _generators(seed, philox)
+        got = sample_vp(Hypergraph(3, n, []), p, gen)
+        want = p_subset_members(ref, n, list(range(n)), p, 1)[:, 0]
+        assert np.array_equal(got.to_bool_array(), want)
+        assert gen.random() == ref.random()
+
+
+class TestBatchedDraws:
+    @given(
+        st.integers(1, 12),
+        st.data(),
+        st.floats(0.0, 1.0),
+        st.sampled_from([1, 2, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 5]),
+        SEEDS,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_p_columns_are_successive_one_sample_draws(self, n, data, p, count, seed):
+        free = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        batch = p_subset_members(stream_generator(seed, 0), n, free, p, count)
+        gen = stream_generator(seed, 0)
+        for i in range(count):
+            assert np.array_equal(batch[:, i], p_subset_members(gen, n, free, p, 1)[:, 0]), i
+        fixed = [v for v in range(n) if v not in free]
+        assert batch[fixed].all()
+
+    @given(st.data(), st.integers(1, 40), SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_m_columns_are_scalar_draws_on_their_swap_positions(self, data, count, seed):
+        # Step i draws every sample's swap position at once, so column c reads
+        # entry c of each step's draw.  That is not the c-th of count
+        # successive one-sample draws, which would read m positions in a row.
+        n = data.draw(st.integers(0, 30))
+        m = data.draw(st.integers(0, n))
+        batch = m_subset_members(stream_generator(seed, 0), n, m, count)
+        gen = stream_generator(seed, 0)
+        swaps = [gen.integers(i, n, size=count) for i in range(m)]
+        for c in range(count):
+            want = oracles.scalar_sample_vm(n, m, _Replay(step[c] for step in swaps))
+            assert tuple(np.flatnonzero(batch[:, c]).tolist()) == want, c
+        assert (batch.sum(axis=0) == m).all()
