@@ -2,10 +2,12 @@
 
 Exhaustive enumeration is exact up to 26 vertices, so this instance gets a
 ground-truth tail; one enumeration serves every threshold.  Plain Monte Carlo
-brackets it with a 99% interval, while the planted and conditioned estimators
-certify lower bounds: their ci_low stays below the truth with probability at
-least 99%.  Their p_hat only estimates a lower quantity; at small sample
-counts it can exceed the truth.
+brackets it with Wilson's interval at a nominal 99% two-sided level.  The
+planted and conditioned estimators scale that interval by a factor that keeps
+the estimated quantity below the truth, so their ci_low is a lower bound when
+the interval covers; its one-sided coverage falls short near one or two hits
+(8.3% on Schur(12) at 1 sample; ROADMAP item 1).  Their p_hat only estimates
+a lower quantity; at small sample counts it can exceed the truth.
 """
 
 import argparse

@@ -35,7 +35,6 @@ from .decompose import (
     StarMatching,
     cascade_prune,
     check_cascade_event,
-    default_star_scales,
     degree_prune,
     greedy_star_matching,
     mr_exact,
@@ -53,13 +52,10 @@ from .disjointness import (
     z_disjoint,
 )
 from .estimate import (
-    CleanConfig,
     TailEstimate,
     clean_config_histogram,
-    clean_config_point_lower,
     conditioned_tail,
     edge_count_histogram,
-    enumerate_clean_configs,
     exact_point_mass,
     exact_tail,
     histogram_point_mass,
@@ -85,13 +81,11 @@ from .hypergraph import (
     codegrees,
     degree,
     delta_j,
-    from_text,
     induced_edge_count,
     induced_edges,
     max_degree,
     sample_vm,
     sample_vp,
-    to_text,
 )
 
 __version__ = "0.1.0"

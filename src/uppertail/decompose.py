@@ -26,7 +26,6 @@ __all__ = [
     "StarMatching",
     "cascade_prune",
     "check_cascade_event",
-    "default_star_scales",
     "degree_prune",
     "greedy_star_matching",
     "induced_max_degree",
@@ -135,14 +134,6 @@ class CascadeParams:
         while self.r_level(j) < target:
             j += 1
         return j
-
-
-def default_star_scales(mu: float, eps: float, k: int, r: float) -> tuple[float, float]:
-    """Default degree scale z = sqrt(eps * mu / (4k)) and count scale y = z / r."""
-    if mu < 0 or eps <= 0 or k < 1 or r <= 0:
-        raise ValueError("need mu >= 0, eps > 0, k >= 1, r > 0")
-    z = math.sqrt(eps * mu / (4.0 * k))
-    return z, z / r
 
 
 def _local_incidence(h: Hypergraph, edge_ids: tuple[int, ...]) -> dict[int, list[int]]:

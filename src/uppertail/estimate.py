@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -39,15 +37,12 @@ from .hypergraph import CapacityError, Hypergraph
 from .rng import chunk_layout, m_subset_members, p_subset_members, stream_generator
 
 __all__ = [
-    "CleanConfig",
     "TailEstimate",
     "Z99",
     "clean_config_histogram",
-    "clean_config_point_lower",
     "conditioned_size",
     "conditioned_tail",
     "edge_count_histogram",
-    "enumerate_clean_configs",
     "exact_point_mass",
     "exact_tail",
     "histogram_point_mass",
@@ -61,7 +56,6 @@ __all__ = [
 ]
 
 EXACT_VERTEX_BUDGET = 26
-CLEAN_COMBO_BUDGET = 10**7
 LOW_BITS = 20  # vertices enumerated inside one block of codes
 EDGE_BLOCK = 2048  # edges gathered and ANDed per sampling-kernel step
 
@@ -71,8 +65,9 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 def wilson_interval(hits: int, total: int) -> tuple[float, float]:
-    """Wilson score interval at the 99% level (z = Z99); well behaved when
-    hits is 0 or total."""
+    """Wilson score interval at the nominal 99% two-sided level (z = Z99); its
+    ends are exactly 0 at hits == 0 and 1 at hits == total, where center -/+
+    half would leave a rounding residue of about 3e-18."""
     if total <= 0:
         raise ValueError("total must be positive")
     if not 0 <= hits <= total:
@@ -82,19 +77,23 @@ def wilson_interval(hits: int, total: int) -> tuple[float, float]:
     denom = 1.0 + z2 / total
     center = p_hat + z2 / (2.0 * total)
     half = Z99 * math.sqrt(p_hat * (1.0 - p_hat) / total + z2 / (4.0 * total * total))
-    return max(0.0, (center - half) / denom), min(1.0, (center + half) / denom)
+    lo = 0.0 if hits == 0 else max(0.0, (center - half) / denom)
+    hi = 1.0 if hits == total else min(1.0, (center + half) / denom)
+    return lo, hi
 
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Estimate of Pr(X >= threshold) with a 99% Wilson interval.
+    """Estimate of Pr(X >= threshold) with a nominal 99% two-sided Wilson interval.
 
     The exact method reports ci_low == p_hat == ci_high; scaled Monte Carlo
     variants scale the interval by their certified factor.  For the planted
-    and conditioned methods ci_low is the certified column: it lies below the
-    true tail with probability at least 99%, while p_hat only estimates a
-    lower quantity and can exceed the truth at small sample counts.  `extra`
-    carries method-specific metadata and never affects comparisons.
+    and conditioned methods ci_low is the lower-bound column, but Wilson's
+    one-sided coverage falls short near one or two hits: on Schur(12) with
+    p = 0.3, m = 11, threshold 25 and 1 sample, ci_low exceeds the truth with
+    probability 8.3% (ROADMAP item 1).  p_hat only estimates a lower quantity
+    and can exceed the truth at small sample counts.  `extra` carries
+    method-specific metadata and never affects comparisons.
     """
 
     threshold: float
@@ -389,8 +388,9 @@ def planted_tail(
     The witness vertices are forced into every sample; only the conditional
     frequency is estimated, and the Wilson interval is scaled by p^|W|.
     Since p^|W| * Pr(X >= threshold | W kept) <= Pr(X >= threshold), ci_low is
-    a certified lower bound at the Wilson 99% level; p_hat is not, and can
-    exceed the true tail.  With an empty witness this is exactly mc_tail.
+    a lower bound whenever the interval covers (see TailEstimate for how often
+    it does not); p_hat is not, and can exceed the true tail.  With an empty
+    witness this is exactly mc_tail.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -430,8 +430,9 @@ def conditioned_tail(
     m = conditioned_size(n, p, eps) is the slightly supercritical vertex
     count; the first factor is estimated on uniform m-subsets, the second is
     the exact binomial tail.  The product lies below the true tail because
-    Pr_j(X >= threshold) is nondecreasing in j, so ci_low is a certified lower
-    bound at the Wilson 99% level; p_hat is not, and can exceed the true tail.
+    Pr_j(X >= threshold) is nondecreasing in j, so ci_low is a lower bound
+    whenever the interval covers (see TailEstimate for how often it does not);
+    p_hat is not, and can exceed the true tail.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -452,96 +453,14 @@ def conditioned_tail(
     return _scaled_tail(threshold, "conditioned", hits, samples, factor, extra)
 
 
-@dataclass(frozen=True)
-class CleanConfig:
-    """m edges whose vertex union induces no edge outside the configuration."""
-
-    edge_ids: tuple[int, ...]
-    vertex_bits: int
-
-
-def enumerate_clean_configs(h: Hypergraph, m: int) -> list[CleanConfig]:
-    """All clean m-edge configurations, in lexicographic edge-id order."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    ecount = h.num_edges
-    if m > ecount:
-        return []
-    if comb(ecount, m) > CLEAN_COMBO_BUDGET:
-        raise CapacityError(f"C({ecount}, {m}) combinations exceed budget")
-    masks = h.edge_masks
-    out = []
-    for combo in combinations(range(ecount), m):
-        union = 0
-        for i in combo:
-            union |= masks[i]
-        chosen = set(combo)
-        clean = True
-        for g, gm in enumerate(masks):
-            if g not in chosen and gm & union == gm:
-                clean = False
-                break
-        if clean:
-            out.append(CleanConfig(combo, union))
-    return out
-
-
 def clean_config_histogram(h: Hypergraph) -> np.ndarray:
     """counts[j, x] = number of j-subsets inducing exactly x edges, all pairwise
     vertex-disjoint (n <= 26): edge_count_histogram restricted to the codes in
     which every vertex has induced degree <= 1.  Columns 0 and 1 equal the
-    unrestricted ones.  Read-only and p-free, like edge_count_histogram.
+    unrestricted ones.  Read-only and p-free, like edge_count_histogram; read
+    by histogram_point_mass, column m is the clean-configuration lower bound
+    Pr(X = m and the m induced edges are pairwise disjoint).
     """
     masks = h.edge_masks
     return _subset_histogram(h.n, masks, groups=[[masks[i] for i in inc] for inc in h.incidence])
 
-
-def clean_config_point_lower(
-    h: Hypergraph, p: float, m: int, disjoint_only: bool = True
-) -> float:
-    """Certified lower bound on Pr(X = m) from clean configurations.
-
-    Sums Pr(the induced edge set equals C) over clean (by default vertex-
-    disjoint) m-edge configurations C.  Every induced edge set is itself clean,
-    since an edge inside its vertex union lies inside S, so for n <= 26 the sum
-    is exactly Pr(X = m and the m induced edges are pairwise disjoint): column
-    m of clean_config_histogram(h), or of edge_count_histogram(h) when
-    disjoint_only is False, read by histogram_point_mass.  Above 26 vertices
-    each configuration contributes the closed-form product
-    (1-p^k)^f0 (1-p^(k-1))^f1 (1-p)^f2 grouping outside edges by their overlap
-    (0, 1, or in [2, k)) with it; only that path enumerates configurations, so
-    CLEAN_COMBO_BUDGET binds only above 26 vertices.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > h.num_edges:
-        return 0.0
-    if h.n <= EXACT_VERTEX_BUDGET:
-        hist = clean_config_histogram(h) if disjoint_only else edge_count_histogram(h)
-        return histogram_point_mass(hist, p, m)
-    configs = enumerate_clean_configs(h, m)
-    if disjoint_only:
-        configs = [c for c in configs if c.vertex_bits.bit_count() == h.k * m]
-    contributions = []
-    for config in configs:
-        base = p ** config.vertex_bits.bit_count()
-        if base == 0.0:
-            continue
-        f0 = f1 = f2 = 0
-        chosen = set(config.edge_ids)
-        for idx, em in enumerate(h.edge_masks):
-            if idx in chosen:
-                continue
-            overlap = (em & config.vertex_bits).bit_count()
-            if overlap == 0:
-                f0 += 1
-            elif overlap == 1:
-                f1 += 1
-            else:
-                f2 += 1
-        contributions.append(
-            base * (1.0 - p**h.k) ** f0 * (1.0 - p ** (h.k - 1)) ** f1 * (1.0 - p) ** f2
-        )
-    return min(max(math.fsum(contributions), 0.0), 1.0)

@@ -21,13 +21,11 @@ __all__ = [
     "codegrees",
     "degree",
     "delta_j",
-    "from_text",
     "induced_edge_count",
     "induced_edges",
     "max_degree",
     "sample_vm",
     "sample_vp",
-    "to_text",
 ]
 
 
@@ -283,34 +281,3 @@ def sample_vm(h: Hypergraph, m: int, rng: np.random.Generator) -> VertexSet:
         raise ValueError(f"m must lie in [0, {h.n}]")
     return VertexSet.from_bool_array(m_subset_members(rng, h.n, m, 1)[:, 0])
 
-
-def to_text(h: Hypergraph) -> str:
-    """Serialize: header 'k n e', then one line of k vertex ids per edge."""
-    lines = [f"{h.k} {h.n} {h.num_edges}"]
-    lines.extend(" ".join(str(v) for v in edge) for edge in h.edges)
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Hypergraph:
-    """Parse the to_text format; strict about counts and shapes."""
-    rows = text.splitlines()
-    if not rows:
-        raise ValueError("empty hypergraph text")
-    head = rows[0].split()
-    if len(head) != 3:
-        raise ValueError("header must be 'k n e'")
-    k, n, e = (int(x) for x in head)
-    if e < 0 or len(rows) < 1 + e:
-        raise ValueError(f"expected {e} edge lines, found {len(rows) - 1}")
-    if any(line.strip() for line in rows[1 + e :]):
-        raise ValueError("trailing content after edge lines")
-    edges = []
-    for line in rows[1 : 1 + e]:
-        parts = line.split()
-        if len(parts) != k:
-            raise ValueError(f"edge line {line!r} does not have {k} entries")
-        edges.append(tuple(int(x) for x in parts))
-    h = Hypergraph(k, n, edges)
-    if h.num_edges != e:
-        raise ValueError("edge lines contain duplicates")
-    return h

@@ -36,6 +36,18 @@ class TestTail:
         assert float(rows[0]["threshold"]) == 1.0
         assert float(rows[0]["p_hat"]) == 0.1875
 
+    def test_zero_hits_report_zero_ci_low(self):
+        # No conditioned sample meets the threshold; the exact tail is 1.5e-23,
+        # so a rounding residue in ci_low (it was 6.0e-19) overstates it.
+        code, out = run_cli(
+            ["tail", "--family", "ap", "--n", "20", "--k", "3", "--p", "0.01",
+             "--t", "30", "--method", "conditioned", "--samples", "142",
+             "--seed", "1", "--eps", "0", "--workers", "1"]
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert float(row["p_hat"]) == 0.0 and row["ci_low"] == "0"
+
     def test_grid_cross_product(self):
         code, out = run_cli(
             ["tail", "--family", "schur", "--n", "10",

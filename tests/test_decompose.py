@@ -13,7 +13,6 @@ from uppertail.decompose import (
     Star,
     cascade_prune,
     check_cascade_event,
-    default_star_scales,
     degree_prune,
     greedy_star_matching,
     make_star_matching,
@@ -328,13 +327,3 @@ class TestCascade:
         assert full.verdict is True
         assert all(lv.passed is True for lv in full.levels)
 
-
-class TestDefaultScales:
-    def test_formula(self):
-        z, y = default_star_scales(12.0, 1.5, 3, 2.0)
-        assert z == pytest.approx(math.sqrt(1.5 * 12.0 / 12.0), rel=1e-15)
-        assert y == pytest.approx(z / 2.0, rel=1e-15)
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            default_star_scales(1.0, 0.0, 3, 1.0)

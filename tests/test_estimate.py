@@ -16,10 +16,8 @@ from uppertail.bounds import exact_mean
 from uppertail.disjointness import degree_event
 from uppertail.estimate import (
     clean_config_histogram,
-    clean_config_point_lower,
     conditioned_tail,
     edge_count_histogram,
-    enumerate_clean_configs,
     exact_point_mass,
     exact_tail,
     histogram_point_mass,
@@ -52,6 +50,12 @@ class TestWilson:
         w1 = wilson_interval(50, 100)
         w2 = wilson_interval(5000, 10000)
         assert (w2[1] - w2[0]) < (w1[1] - w1[0])
+
+    def test_endpoints_exact_at_every_sample_count(self):
+        # center - half cancels to about 3e-18 instead of 0 at thousands of these totals.
+        for total in range(1, 20_001):
+            assert wilson_interval(0, total)[0] == 0.0
+            assert wilson_interval(total, total)[1] == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -132,9 +136,6 @@ class TestSupersetKernel:
                     want = oracles.clean_config_point_sum(edges, h.n, p, m, disjoint_only)
                     got = histogram_point_mass(held[disjoint_only], p, m)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-            for disjoint_only, hist in held.items():
-                got = clean_config_point_lower(h, p, 2, disjoint_only)
-                assert got == histogram_point_mass(hist, p, 2)
 
 
 class TestBlockSplit:
@@ -239,13 +240,6 @@ class TestHeldHistogram:
         assert not clean.flags.writeable
         # Subsets inducing at most one edge are all kept.
         assert np.array_equal(clean[:, :2], plain[:, :2])
-        for p in (0.1, 0.3):
-            for m in range(5):
-                want = clean_config_point_lower(h, p, m)
-                assert histogram_point_mass(clean, p, m) == want
-                assert histogram_point_mass(plain, p, m) == clean_config_point_lower(
-                    h, p, m, disjoint_only=False
-                )
         with pytest.raises(CapacityError):
             clean_config_histogram(build_ap(27, 3))
 
@@ -540,6 +534,57 @@ class TestConditioned:
         assert est.extra["binomial_factor"] == float(binom.sf(m - 1, 300, 0.05))
 
 
+class TestCertifiedColumn:
+    """Where the certified quantity equals the exact tail, every factor and
+    endpoint is checked exactly; elsewhere, ci_low's one-sided coverage."""
+
+    AP12 = build_ap(12, 3)  # 30 edges: threshold e(H) is met only by all 12 vertices
+
+    @pytest.mark.parametrize("samples", [1, 5, 142, 4096])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_planted_full_witness_is_exact(self, p, samples):
+        h, thr = self.AP12, float(self.AP12.num_edges)
+        exact = histogram_tail(edge_count_histogram(h), p, thr)
+        witness = Witness(h, VertexSet(12, 2**12 - 1), 12.0, thr)
+        est = planted_tail(h, p, thr, samples, 1, witness)
+        assert est.extra["conditional_hits"] == samples
+        assert est.p_hat == exact
+        assert est.ci_low <= exact and est.ci_high == est.p_hat
+
+    @pytest.mark.parametrize("samples", [1, 5, 142, 4096])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_conditioned_all_vertices_is_exact(self, p, samples):
+        h, thr = self.AP12, float(self.AP12.num_edges)
+        exact = histogram_tail(edge_count_histogram(h), p, thr)
+        est = conditioned_tail(h, p, thr, samples, 1, eps=1 / p - 1)
+        assert est.extra["m"] == 12 and est.extra["conditional_hits"] == samples
+        assert est.p_hat == pytest.approx(exact, rel=1e-15, abs=0)
+        assert est.ci_low <= exact and est.ci_high == est.p_hat
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the Wilson lower limit at one hit is far above the exact 0.5% limit; "
+        "ROADMAP item 1 replaces it with the exact (Clopper-Pearson) interval",
+    )
+    def test_conditioned_one_sided_coverage_schur12(self):
+        # hits ~ Bin(samples, c) with c the share of m-subsets meeting the
+        # threshold, so Pr(ci_low > exact tail) is a finite sum over hit counts.
+        h = build_schur(12)
+        p, eps, thr, samples = 0.3, 2.0, 25.0, 1
+        hist = edge_count_histogram(h)
+        exact = histogram_tail(hist, p, thr)
+        est = conditioned_tail(h, p, thr, samples, 1, eps=eps)
+        m, factor = est.extra["m"], est.extra["binomial_factor"]
+        c = hist[m, math.ceil(thr) :].sum() / math.comb(h.n, m)
+        above = math.fsum(
+            math.comb(samples, x) * c**x * (1 - c) ** (samples - x)
+            for x in range(samples + 1)
+            if estimate._scaled_tail(thr, "conditioned", x, samples, factor, None).ci_low > exact
+        )
+        assert above <= 0.01, f"Pr(ci_low > exact) = {above} at m = {m}, c = {c}"
+
+
 class TestPlantingTarget:
     @given(
         mu=st.floats(0.0, 1e4),
@@ -563,64 +608,39 @@ class TestPlantingTarget:
 
 
 class TestCleanConfigs:
-    def test_ap4_m1_frozen(self):
-        configs = enumerate_clean_configs(AP4, 1)
-        assert [(c.edge_ids, c.vertex_bits) for c in configs] == [
-            ((0,), 0b0111),
-            ((1,), 0b1110),
-        ]
+    """The clean-configuration bound on Pr(X = m), read from the clean histogram."""
 
-    def test_ap4_m2_overlapping_config(self):
-        configs = enumerate_clean_configs(AP4, 2)
-        assert [(c.edge_ids, c.vertex_bits) for c in configs] == [((0, 1), 0b1111)]
+    @staticmethod
+    def clean_point(h, p, m):
+        return histogram_point_mass(clean_config_histogram(h), p, m)
 
     def test_ap4_point_lower_is_exact(self):
         # Both single-edge configurations are vertex disjoint unions of one
         # edge, so the clean bound equals Pr(X = 1) = 2 p^3 (1 - p).
         for p in (0.2, 0.5):
-            lower = clean_config_point_lower(AP4, p, 1)
+            lower = self.clean_point(AP4, p, 1)
             assert lower == pytest.approx(2 * p**3 * (1 - p), rel=1e-12)
             assert exact_point_mass(AP4, p, 1) == pytest.approx(lower, rel=1e-12)
 
     def test_m_zero_equals_point_mass(self):
         h = build_schur(10)
         for p in (0.15, 0.3):
-            assert clean_config_point_lower(h, p, 0) == pytest.approx(
-                exact_point_mass(h, p, 0), rel=1e-12
-            )
+            assert self.clean_point(h, p, 0) == pytest.approx(exact_point_mass(h, p, 0), rel=1e-12)
 
     def test_disjoint_filter(self):
         # The lone clean 2-configuration of AP(4,3) shares vertices, so the
-        # disjoint-only bound is zero but the unfiltered one is positive.
-        assert clean_config_point_lower(AP4, 0.4, 2) == 0.0
-        assert clean_config_point_lower(AP4, 0.4, 2, disjoint_only=False) > 0.0
+        # clean histogram gives zero but the unfiltered one is positive.
+        assert self.clean_point(AP4, 0.4, 2) == 0.0
+        assert histogram_point_mass(edge_count_histogram(AP4), 0.4, 2) > 0.0
 
     def test_lower_bounds_exact_on_families(self):
         for h in (build_ap(10, 3), build_schur(10)):
             for p in (0.1, 0.25):
                 for m in (0, 1, 2):
-                    lower = clean_config_point_lower(h, p, m)
+                    lower = self.clean_point(h, p, m)
                     assert exact_point_mass(h, p, m) >= lower * (1 - 1e-9)
 
     def test_m_out_of_range(self):
-        for h in (AP4, Hypergraph(3, 30, AP4.edges)):
-            with pytest.raises(ValueError):
-                clean_config_point_lower(h, 0.4, -1)
-            assert clean_config_point_lower(h, 0.4, h.num_edges + 1) == 0.0
-            assert clean_config_point_lower(h, 0.4, h.num_edges + 1, disjoint_only=False) == 0.0
+        for m in (-1, AP4.num_edges + 1):
+            assert self.clean_point(AP4, 0.4, m) == 0.0
 
-    def test_combination_budget(self):
-        h = build_ap(24, 3)
-        with pytest.raises(CapacityError):
-            enumerate_clean_configs(h, 5)
-
-    def test_closed_form_fallback_matches_exact_mode(self):
-        # Force the n > 26 branch with padding vertices; the closed-form
-        # product must stay below the exact bound of the unpadded graph.
-        base = build_schur(9)
-        padded = Hypergraph(3, 30, base.edges)
-        for p in (0.2, 0.4):
-            exact_small = clean_config_point_lower(base, p, 1)
-            fallback = clean_config_point_lower(padded, p, 1)
-            assert fallback <= exact_small * (1 + 1e-12)
-            assert fallback > 0.0

@@ -15,13 +15,11 @@ from uppertail.hypergraph import (
     codegrees,
     degree,
     delta_j,
-    from_text,
     induced_edge_count,
     induced_edges,
     max_degree,
     sample_vm,
     sample_vp,
-    to_text,
 )
 
 TRIANGLE_PAIR = Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
@@ -269,25 +267,3 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_vm(TRIANGLE_PAIR, 6, rng)
 
-
-class TestSerialization:
-    def test_roundtrip(self):
-        text = to_text(TRIANGLE_PAIR)
-        assert text.splitlines()[0] == "3 5 2"
-        assert from_text(text) == TRIANGLE_PAIR
-
-    def test_empty_hypergraph(self):
-        h = Hypergraph(4, 3, [])
-        assert from_text(to_text(h)) == h
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            from_text("")
-        with pytest.raises(ValueError):
-            from_text("3 5\n")
-        with pytest.raises(ValueError):
-            from_text("3 5 1\n0 1\n")
-        with pytest.raises(ValueError):
-            from_text("3 5 2\n0 1 2\n0 1 2\n")
-        with pytest.raises(ValueError):
-            from_text("3 5 1\n0 1 2\nstray\n")

@@ -3,14 +3,18 @@ and one on what importing the package loads."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "uppertail"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "uppertail"
 MODULES = sorted(SRC.glob("*.py"))
+# Code outside the package that may use its public names; tests do not count.
+CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -40,6 +44,25 @@ def _all_entries(tree: ast.Module) -> list[str] | None:
     return None
 
 
+def _statement_references(tree: ast.Module) -> list[tuple[ast.stmt, set[str]]]:
+    """Each top-level statement but __all__, with the names it loads, reads as an
+    attribute or spells as a string constant (as getattr would take them)."""
+    out = []
+    for stmt in tree.body:
+        if _all_entries(ast.Module(body=[stmt], type_ignores=[])) is not None:
+            continue
+        refs = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+        out.append((stmt, refs))
+    return out
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "bounds.py", "hypergraph.py", "verify.py"}
 
@@ -61,6 +84,29 @@ def test_all_entries_are_defined(path):
     tree = _tree(path)
     missing = sorted(set(_all_entries(tree) or ()) - _top_level_names(tree))
     assert not missing, f"{path.name} exports undefined names: {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_entries_are_used(path):
+    # A public name that only its own definition and its tests mention is dead
+    # code: some other statement of its module, another module, a demo,
+    # perfbench or the README must use it.  Imports and re-exports do not count.
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for other in MODULES + CALLERS:
+        if other != path:
+            used.update(*(refs for _, refs in _statement_references(_tree(other))))
+    tree = _tree(path)
+    own = _statement_references(tree)
+    unused = [
+        name
+        for name in _all_entries(tree) or ()
+        if name not in used
+        and not any(
+            name in refs and name not in _top_level_names(ast.Module(body=[stmt], type_ignores=[]))
+            for stmt, refs in own
+        )
+    ]
+    assert not unused, f"{path.name} exports names nothing uses: {unused}"
 
 
 def test_import_does_not_load_scipy_stats():
