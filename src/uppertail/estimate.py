@@ -7,7 +7,9 @@ caller evaluating many probabilities on one graph holds the histogram, and
 exact_tail / exact_point_mass enumerate once per call.  The enumeration walks
 the 2^n codes in blocks of 2^LOW_BITS; edges inside the low LOW_BITS vertices
 are counted once per histogram, and only the edges reaching above them once
-per block.
+per block.  Counting M edges over a block is one superset-sum (zeta)
+transform along whole rows: M * 2^(LOW_BITS/2) indicator entries plus
+LOW_BITS/2 contiguous half-block adds, whatever the edges' vertices.
 Monte Carlo variants share chunked Philox streams and merge by summing hit
 counts, making results independent of worker count.  The three samplers
 differ only in which uppertail.rng draw fills a chunk's vertex sets
@@ -109,9 +111,11 @@ class TailEstimate:
             raise ValueError(f"method must be one of {METHODS}")
         if self.samples < 0:
             raise ValueError("samples must be nonnegative")
+        # Relative slack: an absolute one would pass any inverted interval on
+        # tails below it, and planted / conditioned tails reach 1e-26.
         if not (
-            -1e-12 <= self.ci_low <= self.p_hat + 1e-12
-            and self.p_hat <= self.ci_high + 1e-12
+            0.0 <= self.ci_low <= self.p_hat * (1.0 + 1e-12)
+            and self.p_hat <= self.ci_high * (1.0 + 1e-12)
             and self.ci_high <= 1.0 + 1e-12
         ):
             raise ValueError("interval must satisfy 0 <= ci_low <= p_hat <= ci_high <= 1")
@@ -120,20 +124,41 @@ class TailEstimate:
 def _superset_counts(masks: Sequence[int], low: int, high: int) -> np.ndarray:
     """counts[c] = number of masks inside code (high << low) | c, for one block.
 
-    The block is a [2]*low array whose axis i is bit low-1-i, so the codes
-    containing a mask's low bits are the strided view fixing those axes at 1:
-    each mask costs 2^(low - |its low bits|) in-place adds, not 2^low.
+    Yates's superset-sum (zeta) transform, run along whole rows: code c splits
+    into its inner h1 = low // 2 bits c1 and outer h2 = low - h1 bits c2, and
+    a mask with low parts (m1, m2) lies in c exactly when m1 is in c1 and m2
+    in c2.  Each mask reaching no bit above `low` outside `high` adds its
+    2^h1-entry indicator row [m1 in c1] into row m2 of a (2^h2, 2^h1) array;
+    h2 in-place passes then fold row T2 into every row containing it, each one
+    contiguous half-block add.  A block costs M * 2^h1 indicator entries plus
+    h2 * 2^(low-1) adds for M such masks, whatever their low bits.  Every
+    partial sum counts distinct masks, so the result's dtype holds them all.
     """
-    counts = np.zeros((2,) * low, dtype=np.min_scalar_type(len(masks)))
-    for m in masks:
-        if (m >> low) & ~high == 0:
-            counts[tuple(1 if (m >> b) & 1 else slice(None) for b in range(low - 1, -1, -1))] += 1
+    h1 = low // 2
+    h2 = low - h1
+    dtype = np.min_scalar_type(len(masks))
+    kept = [m for m in masks if (m >> low) & ~high == 0]
+    parts = np.array(kept, dtype=np.int64) & ((1 << low) - 1)
+    inner = parts & ((1 << h1) - 1)
+    cols = np.arange(1 << h1)
+    rows = (cols & inner[:, None]) == inner[:, None]
+    counts = np.zeros((1 << h2, 1 << h1), dtype=dtype)
+    # Row m2 starts at flat index m2 << h1 == parts - inner; np.add.at takes
+    # its fast path on flat indices, not on (row, column) pairs.
+    cells = ((parts - inner)[:, None] | cols).reshape(-1)
+    np.add.at(counts.reshape(-1), cells, rows.astype(dtype).reshape(-1))
+    for i in range(h2):
+        v = counts.reshape(1 << (h2 - 1 - i), 2, (1 << i) << h1)
+        v[:, 1] += v[:, 0]
     return counts.reshape(-1)
 
 
 def superset_counts(n: int, masks: Sequence[int]) -> np.ndarray:
-    """counts[code] = number of masks inside code, over all 2^n codes (small n),
-    one block of 2^LOW_BITS codes at a time."""
+    """counts[code] = number of masks inside code, over all 2^n codes
+    (n <= EXACT_VERTEX_BUDGET, else CapacityError), one block of 2^LOW_BITS
+    codes at a time."""
+    if n > EXACT_VERTEX_BUDGET:
+        raise CapacityError(f"{n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
     low = min(n, LOW_BITS)
     return np.concatenate([_superset_counts(masks, low, high) for high in range(1 << (n - low))])
 
@@ -148,9 +173,12 @@ def _subset_histogram(
     `low` lies in code (high << low) | c exactly when it lies in c, so these
     inside masks are counted once, into the read-only row offsets every block
     shares; each block adds only the masks reaching above bit `low` ("across"
-    masks) before its bincount.  Blocks are counted independently (over a
-    thread pool when workers > 1) and their integer histograms summed, so
-    every worker count agrees.  With groups, a code counts only if it contains
+    masks) before its bincount.  Each count is one _superset_counts call:
+    M * 2^(low // 2) indicator entries plus low - low // 2 contiguous adds of
+    2^(low-1) entries for M masks, so the hoist saves the inside masks' rows
+    in every block but one.  Blocks are counted independently (over a thread
+    pool when workers > 1) and their integer histograms summed, so every
+    worker count agrees.  With groups, a code counts only if it contains
     at most one mask of every group; that keep mask stays per block, since
     hoisting it would hold one 2^low count array per group, i.e. per vertex
     (26 MB at n = 26).

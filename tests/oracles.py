@@ -149,6 +149,16 @@ def size_value_histogram(edges: list[tuple[int, ...]], n: int) -> dict[tuple[int
     return hist
 
 
+def superset_counts_brute(masks: list[int], low: int, high: int) -> np.ndarray:
+    """counts[c] = number of masks m with code & m == m, code = (high << low) | c,
+    one whole-array subset test per mask, in the count's smallest dtype."""
+    codes = (high << low) | np.arange(1 << low, dtype=np.int64)
+    counts = np.zeros(1 << low, dtype=np.int64)
+    for m in masks:
+        counts += (codes & m) == m
+    return counts.astype(np.min_scalar_type(len(masks)))
+
+
 def tail_from_histogram(
     hist: dict[tuple[int, int], int], n: int, p: float, threshold: float
 ) -> float:

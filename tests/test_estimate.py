@@ -64,6 +64,22 @@ class TestWilson:
             wilson_interval(5, 4)
 
 
+class TestIntervalOrder:
+    """The interval check scales with the tail, so it sees inversions below 1e-12."""
+
+    @pytest.mark.parametrize(
+        "p_hat, ci_low, ci_high", [(1e-20, 0.0, 1e-22), (1e-20, 2e-20, 1e-20), (0.5, -1e-13, 0.6)]
+    )
+    def test_inverted_or_negative_interval_raises(self, p_hat, ci_low, ci_high):
+        with pytest.raises(ValueError):
+            estimate.TailEstimate(1.0, p_hat, "planted", 1, ci_low, ci_high)
+
+    def test_rounding_above_ci_high_passes(self):
+        # A factor times hits / samples can land one ulp above factor * hi.
+        est = estimate.TailEstimate(30.0, 1.0000000000000003e-26, "planted", 142, 0.0, 1e-26)
+        assert est.p_hat > est.ci_high
+
+
 class TestHistogram:
     def test_matches_oracle(self):
         for h, n in ((build_ap(8, 3), 8), (build_schur(8), 8)):
@@ -91,6 +107,8 @@ class TestHistogram:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             edge_count_histogram(build_ap(27, 3))
+        with pytest.raises(CapacityError):
+            estimate.superset_counts(estimate.EXACT_VERTEX_BUDGET + 1, [1])
 
 
 @st.composite
@@ -136,6 +154,45 @@ class TestSupersetKernel:
                     want = oracles.clean_config_point_sum(edges, h.n, p, m, disjoint_only)
                     got = histogram_point_mass(held[disjoint_only], p, m)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(low, above, masks): a block width in 0..12, 0..3 bits above it, and
+    masks built from a top part above `low` and an outer and inner half below
+    it, each half possibly empty; the list may repeat, past 255 masks."""
+    low = draw(st.integers(0, 12))
+    above = draw(st.integers(0, 3))
+    h1 = low // 2
+
+    def part(bits: int):
+        return st.one_of(st.just(0), st.integers(0, (1 << bits) - 1))
+
+    mask = st.builds(
+        lambda top, outer, inner: (top << low) | (outer << h1) | inner,
+        part(above),
+        part(low - h1),
+        part(h1),
+    )
+    masks = draw(st.lists(mask, max_size=30)) * draw(st.sampled_from([1, 2, 10]))
+    return low, above, masks
+
+
+class TestZetaKernel:
+    """The row-wise superset-sum kernel against a per-mask whole-array test."""
+
+    @given(kernel_cases())
+    @example((12, 2, [0b11 << 12, 1 << 13, 0b101, 1 << 11, (1 << 14) - 1] * 60))
+    @example((0, 2, [0, 1, 2, 3] * 70))
+    @example((1, 0, [0, 1, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_at_every_high(self, case):
+        low, above, masks = case
+        for high in range(1 << above):
+            got = estimate._superset_counts(masks, low, high)
+            want = oracles.superset_counts_brute(masks, low, high)
+            assert got.dtype == want.dtype == np.min_scalar_type(len(masks))
+            assert np.array_equal(got, want)
 
 
 class TestBlockSplit:
