@@ -1,8 +1,11 @@
 """Named verification suites: phi, variance, sandwich, bk, cascade, lowerbounds.
 
 Each suite re-derives its claims from scratch (exact enumeration wherever the
-instance is small enough) and returns one CheckResult per named check.  The
-CLI `verify` subcommand and the test suite both run these.
+instance is small enough) and is a list of check calls.  Every check returns
+its own CheckResult: the pass verdict and detail line and, for a check that
+counts cases, how many it checked, how many violated its claim and how many
+were active (non-vacuous).  The CLI `verify` subcommand and the test suite both
+run these.
 
 Frozen regression constants below were measured once on the exact grids the
 suites replay; they are rounded outward (intervals) or inward (lower bounds)
@@ -12,7 +15,7 @@ by about 0.5% so reruns only fail on a real regression, not float noise.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -120,10 +123,18 @@ VARIANCE_INSTANCES = (
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named check.  A check that counts cases also reports how many it
+    checked, how many broke its claim, and how many were active (non-vacuous: a
+    positive tail, an exact X_r, a true cascade verdict, a fully dyadic sample).
+    """
+
     suite: str
     name: str
     ok: bool
     detail: str = ""
+    checked: int | None = None
+    violations: int | None = None
+    active: int | None = None
 
 
 def _ge(a: float, b: float, rel: float = 1e-12) -> bool:
@@ -133,6 +144,13 @@ def _ge(a: float, b: float, rel: float = 1e-12) -> bool:
 
 def _close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
+
+
+def _none_violated(
+    suite: str, name: str, detail: str, checked: int, violations: int, active: int | None = None
+) -> CheckResult:
+    """A check that passes when none of its checked cases violates its claim."""
+    return CheckResult(suite, name, violations == 0, detail, checked, violations, active)
 
 
 def _histogram(h: Hypergraph, hists: dict | None) -> np.ndarray:
@@ -150,10 +168,9 @@ def _histogram(h: Hypergraph, hists: dict | None) -> np.ndarray:
 # ---------------------------------------------------------------- phi suite
 
 
-def phi_suite(points: int = 10_000) -> list[CheckResult]:
-    xs = np.logspace(-8.0, 4.0, points)
+def phi_grid_checks() -> list[CheckResult]:
     quad = half = square = third = logx = True
-    for x in xs:
+    for x in np.logspace(-8.0, 4.0, 10_000):
         x = float(x)
         f = phi(x)
         if not _ge(f, x * x / (2.0 + 2.0 * x / 3.0)):
@@ -166,7 +183,17 @@ def phi_suite(points: int = 10_000) -> list[CheckResult]:
             third = False
         if x >= math.e**2 and not _ge(f, 0.5 * x * math.log(x)):
             logx = False
+    grid = "10000 log-grid points in [1e-8, 1e4]"
+    return [
+        CheckResult("phi", "lower_quadratic", quad, grid),
+        CheckResult("phi", "half_argument", half, grid),
+        CheckResult("phi", "upper_square", square, grid),
+        CheckResult("phi", "lower_min_third", third, grid),
+        CheckResult("phi", "lower_half_xlogx", logx, grid + ", x >= e^2"),
+    ]
 
+
+def bennett_chain_checks() -> list[CheckResult]:
     chain = True
     hg_consistent = True
     for mu in (0.25, 1.0, 7.5, 120.0):
@@ -183,59 +210,54 @@ def phi_suite(points: int = 10_000) -> list[CheckResult]:
                     hg_consistent = False
                 if exponent_hg(mu, 1.0, 0.5, t) < 0:
                     hg_consistent = False
-
-    grid = f"{points} log-grid points in [1e-8, 1e4]"
     return [
-        CheckResult("phi", "lower_quadratic", quad, grid),
-        CheckResult("phi", "half_argument", half, grid),
-        CheckResult("phi", "upper_square", square, grid),
-        CheckResult("phi", "lower_min_third", third, grid),
-        CheckResult("phi", "lower_half_xlogx", logx, grid + ", x >= e^2"),
         CheckResult("phi", "bennett_chain", chain, "48 (mu, C, t) combinations"),
-        CheckResult("phi", "degree_exponent_consistency", hg_consistent, ""),
+        CheckResult("phi", "degree_exponent_consistency", hg_consistent),
     ]
+
+
+def phi_suite() -> list[CheckResult]:
+    return [*phi_grid_checks(), *bennett_chain_checks()]
 
 
 # ----------------------------------------------------------- variance suite
 
 
-def _enumerated_moments(hist: np.ndarray, p: float) -> tuple[float, float]:
+def moments_check(spec: FamilySpec, hists: dict | None = None) -> CheckResult:
+    """exact_mean and exact_variance against the enumerated moments at 11 p."""
+    h = build(spec)
+    hist = _histogram(h, hists)
     x = np.arange(hist.shape[1])
-    mean = size_weighted_sum(hist @ x, p)
-    return mean, size_weighted_sum(hist @ (x * x), p) - mean * mean
-
-
-def variance_suite(
-    instances: Sequence[FamilySpec] = VARIANCE_INSTANCES, hists: dict | None = None
-) -> list[CheckResult]:
-    out = []
-    for spec in instances:
-        h = build(spec)
-        hist = _histogram(h, hists)
-        worst = 0.0
-        ok = True
-        for i in range(11):
-            p = i / 10.0
-            mean_e, var_e = _enumerated_moments(hist, p)
-            mean_a = exact_mean(h, p)
-            var_a = exact_variance(h, p)
-            err = max(
+    first, second = hist @ x, hist @ (x * x)
+    errs = []
+    for i in range(11):
+        p = i / 10.0
+        mean_e = size_weighted_sum(first, p)
+        var_e = size_weighted_sum(second, p) - mean_e * mean_e
+        mean_a = exact_mean(h, p)
+        var_a = exact_variance(h, p)
+        errs.append(
+            max(
                 abs(mean_a - mean_e) / max(abs(mean_e), 1.0),
                 abs(var_a - var_e) / max(abs(var_e), 1.0),
             )
-            worst = max(worst, err)
-            if err > 1e-10:
-                ok = False
-        name = f"moments_{spec.kind}_{spec.n}_{spec.k if spec.kind == 'ap' else spec.ell}"
-        out.append(CheckResult("variance", name, ok, f"worst rel err {worst:.2e} over 11 p"))
-    return out
+        )
+    v = sum(err > 1e-10 for err in errs)
+    name = f"moments_{spec.kind}_{spec.n}_{spec.k if spec.kind == 'ap' else spec.ell}"
+    detail = f"worst rel err {max(errs):.2e} over 11 p"
+    return _none_violated("variance", name, detail, len(errs), v)
+
+
+def variance_suite(hists: dict | None = None) -> list[CheckResult]:
+    return [moments_check(spec, hists) for spec in VARIANCE_INSTANCES]
 
 
 # ----------------------------------------------------------- sandwich suite
 
 
-def sandwich_sample_check(seed: int, count: int) -> tuple[int, int, int]:
-    """Sample (H, S, r) triples; return (violations, checked, exact_xr_count)."""
+def sandwich_sample_check(seed: int, count: int) -> CheckResult:
+    """Sampled (H, S, r) triples obey the degree-prune sandwich; active counts
+    the triples whose X_r is exact."""
     rng = np.random.default_rng(seed)
     hs = {n: build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)}
     ns = tuple(hs)
@@ -262,7 +284,10 @@ def sandwich_sample_check(seed: int, count: int) -> tuple[int, int, int]:
         greedy_ok = x <= g0 + slack
         if not (lower_ok and upper_ok and greedy_ok):
             violations += 1
-    return violations, count, exact_count
+    detail = f"{count} sampled triples, {exact_count} with exact X_r, {violations} violations"
+    return _none_violated(
+        "sandwich", "degree_prune_sandwich", detail, count, violations, exact_count
+    )
 
 
 def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -276,7 +301,7 @@ def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray
     return list(position), np.array(index, dtype=np.int64)
 
 
-def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, int]:
+def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> CheckResult:
     """All subsets, z in {1,2,3}: Delta_1 >= ceil(z) iff M_z >= 1."""
     violations = 0
     checked = 0
@@ -289,7 +314,8 @@ def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> tuple[int, i
                     checked += subsets
                     if (d1 >= z) != (mr_exact_on(h, ids, float(z)) >= 1):
                         violations += subsets
-    return violations, checked
+    detail = f"{checked} subset checks"
+    return _none_violated("sandwich", "degree_matching_equivalence", detail, checked, violations)
 
 
 def _mr_by_code(h: Hypergraph, r: float) -> np.ndarray:
@@ -342,12 +368,12 @@ def _size_value_hist(values: np.ndarray) -> np.ndarray:
     return flat.reshape(n + 1, width)
 
 
-def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
+def xr_tail_check() -> CheckResult:
     """Exact Pr(X_r >= mu + t/2) against the Bennett-over-4kr bound."""
     violations = 0
     active = 0
     checked = 0
-    for h in (build_ap(n, 3), build_schur(n)):
+    for h in (build_ap(10, 3), build_schur(10)):
         sets, index = _induced_edge_sets(h)
         for r in (1.0, 2.0, 3.0):
             hist = _size_value_hist(np.array([xr_exact_on(h, ids, r) for ids in sets])[index])
@@ -361,10 +387,11 @@ def xr_tail_check(n: int = 10) -> tuple[int, int, int]:
                     active += lhs > 0.0
                     if lhs > main * (1.0 + 1e-9) or main > weak * (1.0 + 1e-9):
                         violations += 1
-    return violations, checked, active
+    detail = f"{checked} grid rows, {active} with positive tail"
+    return _none_violated("sandwich", "xr_tail_bound", detail, checked, violations, active)
 
 
-def mr_tail_check(n: int = 12) -> tuple[int, int, int]:
+def mr_tail_check(n: int = 12) -> CheckResult:
     """Exact Pr(M_r >= y) against Phi_r^ceil(y)/ceil(y)! and its Stirling form.
 
     M_r of every subset comes from one set-packing pass over all 2^n codes
@@ -391,10 +418,11 @@ def mr_tail_check(n: int = 12) -> tuple[int, int, int]:
                     active += lhs > 0.0
                     if lhs > mid * (1.0 + 1e-9) or mid > stirling * (1.0 + 1e-9):
                         violations += 1
-    return violations, checked, active
+    detail = f"{checked} grid rows, {active} with positive tail"
+    return _none_violated("sandwich", "mr_tail_bound", detail, checked, violations, active)
 
 
-def mrh_conditional_check() -> tuple[int, int, int]:
+def mrh_conditional_check() -> CheckResult:
     """Degree-tail bound for M_x under the (B n p^{k-1} / r)^r <= n^{-8kD}
     precondition, with B = 1 and p chosen at 90% of the cap."""
     violations = 0
@@ -430,10 +458,15 @@ def mrh_conditional_check() -> tuple[int, int, int]:
             active += lhs > 0.0
             if lhs > rhs * (1.0 + 1e-9):
                 violations += 1
-    return violations, checked, active
+    detail = f"{checked} grid rows, {active} with positive tail"
+    ok = violations == 0 and active > 0
+    return CheckResult(
+        "sandwich", "mr_degree_tail_conditional", ok, detail, checked, violations, active
+    )
 
 
-def variance_ratio_range() -> tuple[float, float]:
+def variance_ratio_check() -> CheckResult:
+    """exact_variance / ((1-p) lam) over AP(n,3) lies in the frozen interval."""
     lo, hi = math.inf, -math.inf
     for n in VAR_RATIO_NS:
         h = build_ap(n, 3)
@@ -443,11 +476,17 @@ def variance_ratio_range() -> tuple[float, float]:
             ratio = exact_variance(h, p) / ((1.0 - p) * lam)
             lo = min(lo, ratio)
             hi = max(hi, ratio)
-    return lo, hi
+    return CheckResult(
+        "sandwich",
+        "variance_ratio_interval",
+        VAR_RATIO_LOW <= lo and hi <= VAR_RATIO_HIGH,
+        f"measured [{lo:.6f}, {hi:.6f}] within [{VAR_RATIO_LOW}, {VAR_RATIO_HIGH}]",
+    )
 
 
-def tail_exponent_minima(hists: dict | None = None) -> dict[float, float]:
-    """Per-eps minimum of -ln(exact tail) / min(mu, sqrt(mu) ln(e/p))."""
+def tail_exponent_check(hists: dict | None = None) -> CheckResult:
+    """Per-eps minimum of -ln(exact tail) / min(mu, sqrt(mu) ln(e/p)) stays
+    above its frozen floor."""
     minima = {eps: math.inf for eps in TAIL_SANDWICH_EPS}
     for n in TAIL_SANDWICH_NS:
         h = build_ap(n, 3)
@@ -462,66 +501,6 @@ def tail_exponent_minima(hists: dict | None = None) -> dict[float, float]:
                 if not 1e-9 <= tail < 1.0:
                     continue
                 minima[eps] = min(minima[eps], -math.log(tail) / expo)
-    return minima
-
-
-def sandwich_suite(
-    seed: int = 7, triples: int = 2000, hists: dict | None = None
-) -> list[CheckResult]:
-    out = []
-
-    v, c, ex = sandwich_sample_check(seed, triples)
-    out.append(
-        CheckResult(
-            "sandwich",
-            "degree_prune_sandwich",
-            v == 0,
-            f"{c} sampled triples, {ex} with exact X_r, {v} violations",
-        )
-    )
-
-    v, c = degree_matching_equivalence_check()
-    out.append(
-        CheckResult(
-            "sandwich", "degree_matching_equivalence", v == 0, f"{c} subset checks"
-        )
-    )
-
-    v, c, a = xr_tail_check()
-    out.append(
-        CheckResult(
-            "sandwich", "xr_tail_bound", v == 0, f"{c} grid rows, {a} with positive tail"
-        )
-    )
-
-    v, c, a = mr_tail_check()
-    out.append(
-        CheckResult(
-            "sandwich", "mr_tail_bound", v == 0, f"{c} grid rows, {a} with positive tail"
-        )
-    )
-
-    v, c, a = mrh_conditional_check()
-    out.append(
-        CheckResult(
-            "sandwich",
-            "mr_degree_tail_conditional",
-            v == 0 and a > 0,
-            f"{c} grid rows, {a} with positive tail",
-        )
-    )
-
-    lo, hi = variance_ratio_range()
-    out.append(
-        CheckResult(
-            "sandwich",
-            "variance_ratio_interval",
-            VAR_RATIO_LOW <= lo and hi <= VAR_RATIO_HIGH,
-            f"measured [{lo:.6f}, {hi:.6f}] within [{VAR_RATIO_LOW}, {VAR_RATIO_HIGH}]",
-        )
-    )
-
-    minima = tail_exponent_minima(hists)
     ok = all(
         minima[eps] >= TAIL_SANDWICH_C[eps] and math.isfinite(minima[eps])
         for eps in TAIL_SANDWICH_EPS
@@ -529,27 +508,33 @@ def sandwich_suite(
     detail = ", ".join(
         f"eps={eps}: {minima[eps]:.5f} >= {TAIL_SANDWICH_C[eps]}" for eps in TAIL_SANDWICH_EPS
     )
-    out.append(CheckResult("sandwich", "tail_exponent_floor", ok, detail))
-    return out
+    return CheckResult("sandwich", "tail_exponent_floor", ok, detail)
+
+
+def sandwich_suite(hists: dict | None = None) -> list[CheckResult]:
+    return [
+        sandwich_sample_check(7, 2000),
+        degree_matching_equivalence_check(),
+        xr_tail_check(),
+        mr_tail_check(),
+        mrh_conditional_check(),
+        variance_ratio_check(),
+        tail_exponent_check(hists),
+    ]
 
 
 # ----------------------------------------------------------------- bk suite
 
 
-def bk_random_pairs(seed: int, pairs: int, coords: int = 8) -> tuple[int, int]:
-    """Random event pairs under three product measures; returns (violations, checked)."""
-    rng = np.random.default_rng(seed)
-    nbytes = (1 << coords) // 8
-    measures = [
-        [0.5] * coords,
-        [0.3] * coords,
-        [float(x) for x in rng.uniform(0.1, 0.9, size=coords)],
-    ]
+def bk_random_pairs() -> CheckResult:
+    """200 random event pairs on 8 coordinates under three product measures."""
+    rng = np.random.default_rng(10)
+    measures = [[0.5] * 8, [0.3] * 8, [float(x) for x in rng.uniform(0.1, 0.9, size=8)]]
     violations = 0
     checked = 0
-    for _ in range(pairs):
-        a = EventTable(coords, int.from_bytes(rng.bytes(nbytes), "little"))
-        b = EventTable(coords, int.from_bytes(rng.bytes(nbytes), "little"))
+    for _ in range(200):
+        a = EventTable(8, int.from_bytes(rng.bytes(32), "little"))
+        b = EventTable(8, int.from_bytes(rng.bytes(32), "little"))
         ab = box(a, b)
         if ab.table & ~(a.table & b.table):
             violations += 1
@@ -563,10 +548,11 @@ def bk_random_pairs(seed: int, pairs: int, coords: int = 8) -> tuple[int, int]:
             p_b = event_probability(b, probs)
             if not p_ab <= p_a * p_b + 1e-12:
                 violations += 1
-    return violations, checked
+    detail = f"200 pairs, {checked} measure checks"
+    return _none_violated("bk", "random_pairs", detail, checked, violations)
 
 
-def box_identity_checks() -> list[tuple[str, bool]]:
+def box_identity_checks() -> list[CheckResult]:
     m = 3
     omega_full = EventTable.full(m)
     single = EventTable.from_indicator(m, lambda w: bool(w & 1))
@@ -598,43 +584,35 @@ def box_identity_checks() -> list[tuple[str, bool]]:
         if box(a, b).table & ~box(bigger, b).table:
             mono = False
     checks.append(("box_monotone", mono))
-    return checks
+    return [CheckResult("bk", name, ok) for name, ok in checks]
 
 
-def mr_z_sample_check(seed: int, count: int) -> tuple[int, int]:
-    rng = np.random.default_rng(seed)
+def mr_z_sample_check() -> CheckResult:
+    """M_r <= Z on 200 sampled (H, S, r) over AP(8,3) and Schur(8)."""
+    rng = np.random.default_rng(11)
     hs = (build_ap(8, 3), build_schur(8))
     rs = (1.0, 2.0, 3.0)
     violations = 0
-    for i in range(count):
+    for i in range(200):
         h = hs[i % 2]
         r = rs[(i // 2) % 3]
         s = sample_vp(h, 0.6, rng)
         if not mr_le_z_check(h, s, r).ok:
             violations += 1
-    return violations, count
+    return _none_violated("bk", "mr_le_z_sampled", "200 sampled (H,S,r)", 200, violations)
 
 
-def bk_suite(seed: int = 10, pairs: int = 200) -> list[CheckResult]:
-    out = []
-    v, c = bk_random_pairs(seed, pairs)
-    out.append(
-        CheckResult("bk", "random_pairs", v == 0, f"{pairs} pairs, {c} measure checks")
-    )
-    for name, ok in box_identity_checks():
-        out.append(CheckResult("bk", name, ok))
-    v, c = mr_z_sample_check(seed + 1, 200)
-    out.append(CheckResult("bk", "mr_le_z_sampled", v == 0, f"{c} sampled (H,S,r)"))
-    return out
+def bk_suite() -> list[CheckResult]:
+    return [bk_random_pairs(), *box_identity_checks(), mr_z_sample_check()]
 
 
 # ------------------------------------------------------------ cascade suite
 
 
-def cascade_consistency_check(seed: int, samples: int) -> tuple[int, int, int, int]:
+def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
     """Whenever the cascade event holds (beta = 1/(32k), r >= 1), X <= X_r + t/2.
 
-    Returns (violations, true_verdicts, indeterminate, checked).
+    active counts the true verdicts; the detail also gives the indeterminate ones.
     """
     rng = np.random.default_rng(seed)
     hs = (build_ap(10, 3), build_schur(10))
@@ -656,17 +634,23 @@ def cascade_consistency_check(seed: int, samples: int) -> tuple[int, int, int, i
             x = induced_edge_count(h, s)
             if x > xr_exact(h, s, r) + t / 2.0 + 1e-9:
                 violations += 1
-    return violations, trues, indet, samples
+    detail = (
+        f"{samples} samples, {trues} true verdicts, {indet} indeterminate, {violations} violations"
+    )
+    ok = violations == 0 and trues > 0
+    return CheckResult(
+        "cascade", "event_implies_xr_bound", ok, detail, samples, violations, trues
+    )
 
 
-def cascade_accounting_check(seed: int, samples: int) -> tuple[int, int, int]:
-    """Per-level removal accounting on AP(40,3); returns
-    (violations, fully_dyadic_samples, checked)."""
-    rng = np.random.default_rng(seed)
+def cascade_accounting_check() -> CheckResult:
+    """Per-level removal accounting on 50 samples of AP(40,3); active counts the
+    samples whose every level is within the dyadic form."""
+    rng = np.random.default_rng(14)
     h = build_ap(40, 3)
     violations = 0
     fully_dyadic = 0
-    for i in range(samples):
+    for i in range(50):
         t = (16.0, 36.0)[i % 2]
         params = CascadeParams(beta=1.0, gamma=0.125, r=1.5, t=t, p=0.2)
         s = sample_vp(h, 0.2, rng)
@@ -687,11 +671,13 @@ def cascade_accounting_check(seed: int, samples: int) -> tuple[int, int, int]:
         fully_dyadic += all_dyadic
         if induced_max_degree(h, res.kept_edge_ids) > math.floor(params.r):
             violations += 1
-    return violations, fully_dyadic, samples
+    detail = f"50 samples, {fully_dyadic} fully within the dyadic form"
+    ok = violations == 0 and fully_dyadic > 0
+    return CheckResult("cascade", "removal_accounting", ok, detail, 50, violations, fully_dyadic)
 
 
-def cascade_trivial_checks(seed: int = 5) -> list[tuple[str, bool]]:
-    rng = np.random.default_rng(seed)
+def cascade_trivial_checks() -> list[CheckResult]:
+    rng = np.random.default_rng(5)
     h = build_ap(14, 3)
     s = sample_vp(h, 0.5, rng)
     params = CascadeParams(beta=0.5, gamma=0.1, r=2.0, t=4.0, p=0.5)
@@ -719,39 +705,25 @@ def cascade_trivial_checks(seed: int = 5) -> list[tuple[str, bool]]:
             res2.kept_edge_ids == induced_edges(h, sparse)
             and all(level.matching_size == 0 for level in res2.levels)
         )
-    return [("single_level_when_t_le_r_squared", single), ("identity_below_degree", identity)]
+    return [
+        CheckResult("cascade", "single_level_when_t_le_r_squared", single),
+        CheckResult("cascade", "identity_below_degree", identity),
+    ]
 
 
-def cascade_suite(seed: int = 13, samples: int = 400) -> list[CheckResult]:
-    out = []
-    v, trues, indet, c = cascade_consistency_check(seed, samples)
-    out.append(
-        CheckResult(
-            "cascade",
-            "event_implies_xr_bound",
-            v == 0 and trues > 0,
-            f"{c} samples, {trues} true verdicts, {indet} indeterminate, {v} violations",
-        )
-    )
-    v, dyadic, c = cascade_accounting_check(seed + 1, 50)
-    out.append(
-        CheckResult(
-            "cascade",
-            "removal_accounting",
-            v == 0 and dyadic > 0,
-            f"{c} samples, {dyadic} fully within the dyadic form",
-        )
-    )
-    for name, ok in cascade_trivial_checks():
-        out.append(CheckResult("cascade", name, ok))
-    return out
+def cascade_suite() -> list[CheckResult]:
+    return [
+        cascade_consistency_check(13, 400),
+        cascade_accounting_check(),
+        *cascade_trivial_checks(),
+    ]
 
 
 # -------------------------------------------------------- lowerbounds suite
 
 
-def lower_estimates_check(seed: int, samples: int, hists: dict | None = None) -> tuple[int, int]:
-    """planted/conditioned estimates never exceed the exact tail."""
+def lower_estimates_check(hists: dict | None = None) -> CheckResult:
+    """planted/conditioned estimates (20,000 samples) never exceed the exact tail."""
     cases = (
         (FamilySpec("ap", 12, 3), 0.3, 3.0),
         (FamilySpec("schur", 12), 0.25, 2.0),
@@ -766,25 +738,24 @@ def lower_estimates_check(seed: int, samples: int, hists: dict | None = None) ->
         thr = mu + t
         tail = histogram_tail(hist, p, thr)
         w = interval_witness(spec, planting_target(mu, t, h.k, None), h)
-        planted = planted_tail(h, p, thr, samples, seed=seed + i, witness=w)
+        planted = planted_tail(h, p, thr, 20_000, seed=17 + i, witness=w)
         checked += 1
         if planted.p_hat > tail + 1e-12:
             violations += 1
         for eps in (0.0, 0.5):
-            cond = conditioned_tail(h, p, thr, samples, seed=seed + 10 + i, eps=eps)
+            cond = conditioned_tail(h, p, thr, 20_000, seed=27 + i, eps=eps)
             checked += 1
             if cond.p_hat > tail + 1e-12:
                 violations += 1
-    return violations, checked
+    detail = f"{checked} estimates"
+    return _none_violated("lowerbounds", "certified_below_exact", detail, checked, violations)
 
 
-def witness_tail_check(
-    ns: Iterable[int] = (16, 20, 24), hists: dict | None = None
-) -> tuple[int, int]:
+def witness_tail_check(hists: dict | None = None) -> CheckResult:
     """Exact tail >= exp(-D sqrt(mu+t) ln(1/p)) from the interval witness."""
     violations = 0
     checked = 0
-    for n in ns:
+    for n in (16, 20, 24):
         spec = FamilySpec("ap", n, 3)
         h = build(spec)
         hist = _histogram(h, hists)
@@ -802,12 +773,13 @@ def witness_tail_check(
                 checked += 1
                 if tail < math.exp(bound.log_value) * (1.0 - 1e-9):
                     violations += 1
-    return violations, checked
+    detail = f"{checked} grid rows"
+    return _none_violated("lowerbounds", "witness_cluster_bound", detail, checked, violations)
 
 
 def clean_config_check(
     ns: Iterable[int] = (12,), ms: Iterable[int] = (0, 1, 2), hists: dict | None = None
-) -> tuple[int, int, tuple[float, float]]:
+) -> CheckResult:
     """exact Pr(X=m) >= clean-config bound; also recovers the per-instance b."""
     violations = 0
     checked = 0
@@ -831,7 +803,8 @@ def clean_config_check(
                         b_hi = max(b_hi, b)
                         if pm < math.exp(-b + binom0) * (1.0 - 1e-9):
                             violations += 1
-    return violations, checked, (b_lo, b_hi)
+    detail = f"{checked} rows, recovered b in [{b_lo:.3f}, {b_hi:.3f}]"
+    return _none_violated("lowerbounds", "clean_config_point_mass", detail, checked, violations)
 
 
 def _binomial_pmf(n: int, q: float, m: int) -> Fraction:
@@ -840,7 +813,7 @@ def _binomial_pmf(n: int, q: float, m: int) -> Fraction:
     return math.comb(n, m) * fq**m * (1 - fq) ** (n - m)
 
 
-def binomial_floor_check() -> tuple[int, int]:
+def binomial_floor_check() -> CheckResult:
     violations = 0
     checked = 0
     for n in (10, 50, 100):
@@ -855,10 +828,11 @@ def binomial_floor_check() -> tuple[int, int]:
                     violations += 1
                 if refined > math.log(pmf) + 1e-9:
                     violations += 1
-    return violations, checked
+    detail = f"{checked} rows"
+    return _none_violated("lowerbounds", "binomial_point_floor", detail, checked, violations)
 
 
-def paley_zygmund_check(hists: dict | None = None) -> tuple[int, int]:
+def paley_zygmund_check(hists: dict | None = None) -> CheckResult:
     violations = 0
     checked = 0
     n, q = 20, 0.3
@@ -882,10 +856,11 @@ def paley_zygmund_check(hists: dict | None = None) -> tuple[int, int]:
             checked += 1
             if lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12):
                 violations += 1
-    return violations, checked
+    detail = f"{checked} rows"
+    return _none_violated("lowerbounds", "paley_zygmund_floor", detail, checked, violations)
 
 
-def hypergeom_mean_check(ns: Iterable[int] = (10,), hists: dict | None = None) -> tuple[int, int]:
+def hypergeom_mean_check(ns: Iterable[int] = (10,), hists: dict | None = None) -> CheckResult:
     """E[X | m kept] against the average of X over the m-subsets, from the histogram."""
     violations = 0
     checked = 0
@@ -898,27 +873,29 @@ def hypergeom_mean_check(ns: Iterable[int] = (10,), hists: dict | None = None) -
             checked += 1
             if not _close(hypergeom_conditional_mean(h, m), avg, 1e-12):
                 violations += 1
-    return violations, checked
+    detail = f"{checked} rows"
+    return _none_violated("lowerbounds", "hypergeometric_mean", detail, checked, violations)
 
 
-def mc_coverage_check(
-    seed: int = 29, runs: int = 100, hists: dict | None = None
-) -> tuple[int, int]:
-    """99% Wilson CI covers the exact tail in >= 98% of seeded runs."""
+def mc_coverage_check(hists: dict | None = None) -> CheckResult:
+    """99% Wilson CI covers the exact tail in >= 98 of 100 seeded runs."""
     hits = 0
     h = build_ap(10, 3)
     hist = _histogram(h, hists)
     p, surplus = 0.3, 2.0
     thr = exact_mean(h, p) + surplus
     tail = histogram_tail(hist, p, thr)
-    for i in range(runs):
-        est = mc_tail(h, p, thr, 2000, seed=seed + i)
+    for i in range(100):
+        est = mc_tail(h, p, thr, 2000, seed=29 + i)
         if est.ci_low <= tail <= est.ci_high:
             hits += 1
-    return hits, runs
+    misses = 100 - hits
+    detail = f"{hits}/100 CIs covered"
+    return CheckResult("lowerbounds", "mc_ci_coverage", misses <= 2, detail, 100, misses)
 
 
-def estimator_edge_checks(seed: int = 31) -> list[tuple[str, bool]]:
+def estimator_edge_checks() -> list[CheckResult]:
+    seed = 31
     spec = FamilySpec("ap", 10, 3)
     h = build(spec)
     p = 0.35
@@ -940,49 +917,24 @@ def estimator_edge_checks(seed: int = 31) -> list[tuple[str, bool]]:
     cond0 = conditioned_tail(h, p, 0.0, 500, seed=seed, eps=0.0)
     trivial = cond0.extra["conditional_hits"] == 500 and cond0.p_hat <= 1.0
     return [
-        ("planted_empty_witness_is_mc", reduces),
-        ("planted_saturated_witness", saturated),
-        ("conditioned_full_vertex_set", full_set),
-        ("conditioned_zero_threshold", trivial),
+        CheckResult("lowerbounds", "planted_empty_witness_is_mc", reduces),
+        CheckResult("lowerbounds", "planted_saturated_witness", saturated),
+        CheckResult("lowerbounds", "conditioned_full_vertex_set", full_set),
+        CheckResult("lowerbounds", "conditioned_zero_threshold", trivial),
     ]
 
 
-def lowerbounds_suite(
-    seed: int = 17, samples: int = 20_000, hists: dict | None = None
-) -> list[CheckResult]:
-    out = []
-    v, c = lower_estimates_check(seed, samples, hists)
-    out.append(
-        CheckResult("lowerbounds", "certified_below_exact", v == 0, f"{c} estimates")
-    )
-    v, c = witness_tail_check(hists=hists)
-    out.append(
-        CheckResult("lowerbounds", "witness_cluster_bound", v == 0, f"{c} grid rows")
-    )
-    v, c, (b_lo, b_hi) = clean_config_check(hists=hists)
-    out.append(
-        CheckResult(
-            "lowerbounds",
-            "clean_config_point_mass",
-            v == 0,
-            f"{c} rows, recovered b in [{b_lo:.3f}, {b_hi:.3f}]",
-        )
-    )
-    v, c = binomial_floor_check()
-    out.append(CheckResult("lowerbounds", "binomial_point_floor", v == 0, f"{c} rows"))
-    v, c = paley_zygmund_check(hists)
-    out.append(CheckResult("lowerbounds", "paley_zygmund_floor", v == 0, f"{c} rows"))
-    v, c = hypergeom_mean_check(hists=hists)
-    out.append(CheckResult("lowerbounds", "hypergeometric_mean", v == 0, f"{c} rows"))
-    hits, runs = mc_coverage_check(hists=hists)
-    out.append(
-        CheckResult(
-            "lowerbounds", "mc_ci_coverage", hits >= 98, f"{hits}/{runs} CIs covered"
-        )
-    )
-    for name, ok in estimator_edge_checks():
-        out.append(CheckResult("lowerbounds", name, ok))
-    return out
+def lowerbounds_suite(hists: dict | None = None) -> list[CheckResult]:
+    return [
+        lower_estimates_check(hists),
+        witness_tail_check(hists),
+        clean_config_check(hists=hists),
+        binomial_floor_check(),
+        paley_zygmund_check(hists),
+        hypergeom_mean_check(hists=hists),
+        mc_coverage_check(hists),
+        *estimator_edge_checks(),
+    ]
 
 
 SUITES: dict[str, Callable[[], list[CheckResult]]] = {
@@ -1001,14 +953,15 @@ _READS_EXACT = ("variance", "sandwich", "lowerbounds")
 
 def run_suites(names: Iterable[str] | None = None) -> list[CheckResult]:
     """Run the named suites (all by default) in order; each distinct graph is
-    enumerated at most once per call."""
+    enumerated at most once per call.  Every name is checked before any suite runs."""
     # A repeated name runs once, at its first place.
     picked = tuple(dict.fromkeys(names)) if names is not None else tuple(SUITES)
-    hists: dict = {}
-    results = []
     for name in picked:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    hists: dict = {}
+    results = []
+    for name in picked:
         suite = SUITES[name]
         results.extend(suite(hists=hists) if name in _READS_EXACT else suite())
     return results

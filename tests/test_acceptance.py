@@ -137,39 +137,42 @@ def test_accept_03_phi_suite_fast():
 
 
 def test_accept_04_deterministic_sandwich():
-    violations, checked, exact_count = sandwich_sample_check(seed=41, count=10_000)
+    res = sandwich_sample_check(seed=41, count=10_000)
     _report(
         4,
-        violations == 0,
-        f"{checked} sampled triples, {exact_count} with exact X_r, "
-        f"{violations} violations",
+        res.violations == 0,
+        f"{res.checked} sampled triples, {res.active} with exact X_r, "
+        f"{res.violations} violations",
     )
 
 
 def test_accept_05_degree_matching_equivalence():
-    violations, checked = degree_matching_equivalence_check(ns=(12,))
-    _report(5, violations == 0, f"{checked} (subset, z) pairs, {violations} violations")
+    res = degree_matching_equivalence_check(ns=(12,))
+    _report(
+        5, res.violations == 0, f"{res.checked} (subset, z) pairs, {res.violations} violations"
+    )
 
 
 def test_accept_06_star_matching_tail():
-    violations, checked, active = mr_tail_check(n=12)
+    res = mr_tail_check(n=12)
     _report(
         6,
-        violations == 0 and active > 0,
-        f"{checked} grid points, {active} with positive tails, {violations} violations",
+        res.violations == 0 and res.active > 0,
+        f"{res.checked} grid points, {res.active} with positive tails, "
+        f"{res.violations} violations",
     )
 
 
 def test_accept_07_bk_inequality():
     start = time.perf_counter()
-    violations, checked = bk_random_pairs(seed=10, pairs=200)
+    pairs = bk_random_pairs()
     identities = box_identity_checks()
     elapsed = time.perf_counter() - start
-    bad = [name for name, ok in identities if not ok]
+    bad = [r.name for r in identities if not r.ok]
     _report(
         7,
-        violations == 0 and not bad and elapsed <= 120.0,
-        f"{checked} random pairs, {len(identities)} identities, {elapsed:.1f}s",
+        pairs.violations == 0 and not bad and elapsed <= 120.0,
+        f"{pairs.checked} random pairs, {len(identities)} identities, {elapsed:.1f}s",
     )
 
 
@@ -229,41 +232,29 @@ def test_accept_09_lower_bound_certification():
             checked += 1
             if est.p_hat > exact + 1e-12:
                 violations += 1
-    w_violations, w_checked = witness_tail_check(ns=(16, 20, 24))
+    witness = witness_tail_check()
     elapsed = time.perf_counter() - start
     _report(
         9,
-        violations == 0 and w_violations == 0 and w_checked > 0,
-        f"{checked} estimates at 1e5 samples, {w_checked} witness bounds, "
-        f"{violations + w_violations} violations, {elapsed:.1f}s",
+        violations == 0 and witness.violations == 0 and witness.checked > 0,
+        f"{checked} estimates at 1e5 samples, {witness.checked} witness bounds, "
+        f"{violations + witness.violations} violations, {elapsed:.1f}s",
     )
 
 
 def test_accept_10_clean_configuration_bound():
-    violations, checked, (b_lo, b_hi) = clean_config_check(
-        ns=(12, 15, 18), ms=(0, 1, 2, 3)
-    )
-    _report(
-        10,
-        violations == 0,
-        f"{checked} (instance, p, m) points, recovered b in "
-        f"[{b_lo:.3f}, {b_hi:.3f}], {violations} violations",
-    )
+    res = clean_config_check(ns=(12, 15, 18), ms=(0, 1, 2, 3))
+    _report(10, res.violations == 0, f"{res.detail}, {res.violations} violations")
 
 
 def test_accept_11_cascade_consistency():
-    violations, trues, indet, checked = cascade_consistency_check(seed=13, samples=600)
-    _report(
-        11,
-        violations == 0 and trues > 0,
-        f"{checked} samples, {trues} true verdicts, {indet} indeterminate, "
-        f"{violations} violations",
-    )
+    res = cascade_consistency_check(seed=13, samples=600)
+    _report(11, res.violations == 0 and res.active > 0, res.detail)
 
 
 def test_accept_12_hypergeometric_mean():
-    violations, checked = hypergeom_mean_check(ns=(4, 7, 10, 12))
-    _report(12, violations == 0, f"{checked} (n, m) pairs, {violations} violations")
+    res = hypergeom_mean_check(ns=(4, 7, 10, 12))
+    _report(12, res.violations == 0, f"{res.checked} (n, m) pairs, {res.violations} violations")
 
 
 def test_accept_13_reproducibility():

@@ -120,3 +120,20 @@ def test_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "[]"
+
+
+
+def test_verify_checks_return_check_results():
+    # A verify check reports through its CheckResult (verdict, detail and counts),
+    # never through a tuple of counts or (name, ok) pairs for a caller to re-format.
+    wrong = []
+    for node in _tree(SRC / "verify.py").body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        returns = node.returns or ast.Constant(None)
+        is_check = re.search(r"_(check|checks|suite)$", node.name)
+        if is_check and ast.unparse(returns) not in ("CheckResult", "list[CheckResult]"):
+            wrong.append(f"{node.name} -> {ast.unparse(returns)}")
+        elif any(isinstance(n, ast.Name) and n.id in ("tuple", "Tuple") for n in ast.walk(returns)):
+            wrong.append(f"{node.name} -> {ast.unparse(returns)}")
+    assert not wrong, f"verify functions that do not return CheckResult: {wrong}"

@@ -24,6 +24,10 @@ from uppertail.verify import (
 )
 
 
+def _counts(result):
+    return result.violations, result.checked, result.active
+
+
 def _assert_all_pass(results):
     failed = [r for r in results if not r.ok]
     assert not failed, "failed checks: " + "; ".join(
@@ -45,6 +49,14 @@ class TestSuiteRegistry:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suites(["phi", "nope"])
+
+    def test_unknown_suite_rejected_before_any_suite_runs(self, monkeypatch):
+        def spy(hists=None):
+            raise AssertionError("a suite ran before every name was checked")
+
+        monkeypatch.setitem(SUITES, "sandwich", spy)
+        with pytest.raises(ValueError, match="nope"):
+            run_suites(["sandwich", "nope"])
 
     def test_results_are_labelled(self):
         results = run_suites(["phi"])
@@ -103,8 +115,8 @@ PZ_GRID = [(20, 0.3, j) for j in range(21)]
 
 class TestBinomialReferences:
     def test_check_counts(self):
-        assert binomial_floor_check() == (0, 53)
-        assert paley_zygmund_check() == (0, 10)
+        assert _counts(binomial_floor_check()) == (0, 53, None)
+        assert _counts(paley_zygmund_check()) == (0, 10, None)
 
     @pytest.mark.parametrize("n, q, m", FLOOR_GRID + PZ_GRID)
     def test_exact_pmf_matches_scipy(self, n, q, m):
@@ -119,13 +131,67 @@ class TestBinomialReferences:
         assert exact == pytest.approx(float(binom.sf(lo - 1, 20, 0.3)), rel=1e-15, abs=0.0)
 
 
+# (suite, name, ok, checked, violations, active) of every check run_suites() runs.
+RESULT_TABLE = [
+    ("phi", "lower_quadratic", True, None, None, None),
+    ("phi", "half_argument", True, None, None, None),
+    ("phi", "upper_square", True, None, None, None),
+    ("phi", "lower_min_third", True, None, None, None),
+    ("phi", "lower_half_xlogx", True, None, None, None),
+    ("phi", "bennett_chain", True, None, None, None),
+    ("phi", "degree_exponent_consistency", True, None, None, None),
+    ("variance", "moments_ap_10_3", True, 11, 0, None),
+    ("variance", "moments_ap_12_4", True, 11, 0, None),
+    ("variance", "moments_schur_11_1", True, 11, 0, None),
+    ("variance", "moments_ell_sum_12_2", True, 11, 0, None),
+    ("variance", "moments_ell_sum_9_3", True, 11, 0, None),
+    ("sandwich", "degree_prune_sandwich", True, 2000, 0, 1729),
+    ("sandwich", "degree_matching_equivalence", True, 6144, 0, None),
+    ("sandwich", "xr_tail_bound", True, 96, 0, 48),
+    ("sandwich", "mr_tail_bound", True, 96, 0, 84),
+    ("sandwich", "mr_degree_tail_conditional", True, 20, 0, 10),
+    ("sandwich", "variance_ratio_interval", True, None, None, None),
+    ("sandwich", "tail_exponent_floor", True, None, None, None),
+    ("bk", "random_pairs", True, 600, 0, None),
+    ("bk", "box_with_full_left", True, None, None, None),
+    ("bk", "box_with_full_right", True, None, None, None),
+    ("bk", "box_single_coordinate_self", True, None, None, None),
+    ("bk", "box_disjoint_coordinates", True, None, None, None),
+    ("bk", "box_with_empty", True, None, None, None),
+    ("bk", "z_all_full", True, None, None, None),
+    ("bk", "z_repeated_coordinate", True, None, None, None),
+    ("bk", "z_two_coordinates", True, None, None, None),
+    ("bk", "box_monotone", True, None, None, None),
+    ("bk", "mr_le_z_sampled", True, 200, 0, None),
+    ("cascade", "event_implies_xr_bound", True, 400, 0, 335),
+    ("cascade", "removal_accounting", True, 50, 0, 50),
+    ("cascade", "single_level_when_t_le_r_squared", True, None, None, None),
+    ("cascade", "identity_below_degree", True, None, None, None),
+    ("lowerbounds", "certified_below_exact", True, 9, 0, None),
+    ("lowerbounds", "witness_cluster_bound", True, 17, 0, None),
+    ("lowerbounds", "clean_config_point_mass", True, 18, 0, None),
+    ("lowerbounds", "binomial_point_floor", True, 53, 0, None),
+    ("lowerbounds", "paley_zygmund_floor", True, 10, 0, None),
+    ("lowerbounds", "hypergeometric_mean", True, 11, 0, None),
+    ("lowerbounds", "mc_ci_coverage", True, 100, 0, None),
+    ("lowerbounds", "planted_empty_witness_is_mc", True, None, None, None),
+    ("lowerbounds", "planted_saturated_witness", True, None, None, None),
+    ("lowerbounds", "conditioned_full_vertex_set", True, None, None, None),
+    ("lowerbounds", "conditioned_zero_threshold", True, None, None, None),
+]
+
+
 class TestCheckCounts:
-    """The counts the sandwich and bk checks report, pinned."""
+    """The counts the checks report, pinned."""
+
+    def test_every_result_pinned(self):
+        got = [(r.suite, r.name, r.ok, r.checked, r.violations, r.active) for r in run_suites()]
+        assert got == RESULT_TABLE
 
     def test_sandwich_counts(self):
-        assert verify.mr_tail_check() == (0, 96, 84)
-        assert verify.xr_tail_check() == (0, 96, 48)
-        assert verify.degree_matching_equivalence_check() == (0, 6144)
+        assert _counts(verify.mr_tail_check()) == (0, 96, 84)
+        assert _counts(verify.xr_tail_check()) == (0, 96, 48)
+        assert _counts(verify.degree_matching_equivalence_check()) == (0, 6144, None)
 
     def test_bk_pairs_build_one_box_per_ordered_pair(self, monkeypatch):
         calls = []
@@ -136,7 +202,7 @@ class TestCheckCounts:
             return tables(event)
 
         monkeypatch.setattr(disjointness, "_universal_tables", spy)
-        assert verify.bk_random_pairs(10, 200) == (0, 600)
+        assert _counts(verify.bk_random_pairs()) == (0, 600, None)
         # box(a, b) and box(b, a) per pair, two tables each.
         assert len(calls) == 800
 
