@@ -75,6 +75,7 @@ from .hypergraph import (
     max_degree,
     sample_vp,
 )
+from .rng import stream_generator
 
 __all__ = [
     "CheckResult",
@@ -258,7 +259,7 @@ def variance_suite(hists: dict | None = None) -> list[CheckResult]:
 def sandwich_sample_check(seed: int, count: int) -> CheckResult:
     """Sampled (H, S, r) triples obey the degree-prune sandwich; active counts
     the triples whose X_r is exact."""
-    rng = np.random.default_rng(seed)
+    rng = stream_generator(seed, 0)
     hs = {n: build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)}
     ns = tuple(hs)
     rs = (1.0, 2.0, 3.0, 5.0)
@@ -528,7 +529,7 @@ def sandwich_suite(hists: dict | None = None) -> list[CheckResult]:
 
 def bk_random_pairs() -> CheckResult:
     """200 random event pairs on 8 coordinates under three product measures."""
-    rng = np.random.default_rng(10)
+    rng = stream_generator(10, 0)
     measures = [[0.5] * 8, [0.3] * 8, [float(x) for x in rng.uniform(0.1, 0.9, size=8)]]
     violations = 0
     checked = 0
@@ -575,7 +576,7 @@ def box_identity_checks() -> list[CheckResult]:
         ("z_repeated_coordinate", z_disjoint([single, single], 1) == 1),
         ("z_two_coordinates", z_disjoint([single, other], 3) == 2),
     ]
-    rng = np.random.default_rng(3)
+    rng = stream_generator(3, 0)
     mono = True
     for _ in range(30):
         a = EventTable(6, int.from_bytes(rng.bytes(8), "little"))
@@ -589,7 +590,7 @@ def box_identity_checks() -> list[CheckResult]:
 
 def mr_z_sample_check() -> CheckResult:
     """M_r <= Z on 200 sampled (H, S, r) over AP(8,3) and Schur(8)."""
-    rng = np.random.default_rng(11)
+    rng = stream_generator(11, 0)
     hs = (build_ap(8, 3), build_schur(8))
     rs = (1.0, 2.0, 3.0)
     violations = 0
@@ -614,7 +615,7 @@ def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
 
     active counts the true verdicts; the detail also gives the indeterminate ones.
     """
-    rng = np.random.default_rng(seed)
+    rng = stream_generator(seed, 0)
     hs = (build_ap(10, 3), build_schur(10))
     combos = ((1.0, 4.0), (1.0, 9.0), (2.0, 4.0), (1.5, 6.25))
     ps = (0.15, 0.25, 0.35)
@@ -646,7 +647,7 @@ def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
 def cascade_accounting_check() -> CheckResult:
     """Per-level removal accounting on 50 samples of AP(40,3); active counts the
     samples whose every level is within the dyadic form."""
-    rng = np.random.default_rng(14)
+    rng = stream_generator(14, 0)
     h = build_ap(40, 3)
     violations = 0
     fully_dyadic = 0
@@ -677,7 +678,7 @@ def cascade_accounting_check() -> CheckResult:
 
 
 def cascade_trivial_checks() -> list[CheckResult]:
-    rng = np.random.default_rng(5)
+    rng = stream_generator(5, 0)
     h = build_ap(14, 3)
     s = sample_vp(h, 0.5, rng)
     params = CascadeParams(beta=0.5, gamma=0.1, r=2.0, t=4.0, p=0.5)

@@ -145,7 +145,7 @@ RESULT_TABLE = [
     ("variance", "moments_schur_11_1", True, 11, 0, None),
     ("variance", "moments_ell_sum_12_2", True, 11, 0, None),
     ("variance", "moments_ell_sum_9_3", True, 11, 0, None),
-    ("sandwich", "degree_prune_sandwich", True, 2000, 0, 1729),
+    ("sandwich", "degree_prune_sandwich", True, 2000, 0, 1738),
     ("sandwich", "degree_matching_equivalence", True, 6144, 0, None),
     ("sandwich", "xr_tail_bound", True, 96, 0, 48),
     ("sandwich", "mr_tail_bound", True, 96, 0, 84),
@@ -163,7 +163,7 @@ RESULT_TABLE = [
     ("bk", "z_two_coordinates", True, None, None, None),
     ("bk", "box_monotone", True, None, None, None),
     ("bk", "mr_le_z_sampled", True, 200, 0, None),
-    ("cascade", "event_implies_xr_bound", True, 400, 0, 335),
+    ("cascade", "event_implies_xr_bound", True, 400, 0, 349),
     ("cascade", "removal_accounting", True, 50, 0, 50),
     ("cascade", "single_level_when_t_le_r_squared", True, None, None, None),
     ("cascade", "identity_below_degree", True, None, None, None),
