@@ -253,6 +253,14 @@ def degree_event(h: Hypergraph, v: int, c: int) -> EventTable:
     return EventTable(h.n, VertexSet.from_bool_array(deg >= c).bits)
 
 
+@lru_cache(maxsize=64)
+def _degree_events(h: Hypergraph, c: int) -> tuple[EventTable, ...]:
+    """degree_event(h, v, c) of every vertex v with at least c edges, built once
+    per (h, c).  Events exist only for n <= BOX_COORD_BUDGET, so an entry holds
+    at most that many tables of 2^n bits."""
+    return tuple(degree_event(h, v, c) for v in range(h.n) if len(h.incidence[v]) >= c)
+
+
 @dataclass(frozen=True)
 class MrZResult:
     m_r: int
@@ -268,8 +276,7 @@ def mr_le_z_check(h: Hypergraph, s: VertexSet, r: float) -> MrZResult:
     """
     if h.n > BOX_COORD_BUDGET:
         raise CapacityError(f"{h.n} vertices exceed budget {BOX_COORD_BUDGET}")
-    c = math.ceil(r)
-    events = [degree_event(h, v, c) for v in range(h.n) if len(h.incidence[v]) >= c]
+    events = _degree_events(h, math.ceil(r))
     m_r = mr_exact(h, s, r)
     if not events:
         return MrZResult(m_r, 0, m_r <= 0)

@@ -206,6 +206,20 @@ class TestCheckCounts:
         # box(a, b) and box(b, a) per pair, two tables each.
         assert len(calls) == 800
 
+    def test_mr_z_sample_builds_each_degree_event_once(self, monkeypatch):
+        calls = []
+        event = disjointness.degree_event
+
+        def spy(h, v, c):
+            calls.append((h, v, c))
+            return event(h, v, c)
+
+        disjointness._degree_events.cache_clear()
+        monkeypatch.setattr(disjointness, "degree_event", spy)
+        assert _counts(verify.mr_z_sample_check()) == (0, 200, None)
+        # 8 vertices x 3 values of c x 2 graphs, each built once.
+        assert len(calls) == len(set(calls)) == 48
+
     def test_mr_tail_refuses_past_box_budget_before_enumerating(self, monkeypatch):
         def unreachable(h, r):
             raise AssertionError("2^n pass reached past the budget")
