@@ -260,16 +260,15 @@ def sandwich_sample_check(seed: int, count: int) -> CheckResult:
     """Sampled (H, S, r) triples obey the degree-prune sandwich; active counts
     the triples whose X_r is exact."""
     rng = stream_generator(seed, 0)
-    hs = {n: build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)}
-    ns = tuple(hs)
+    hs = [build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)]
     rs = (1.0, 2.0, 3.0, 5.0)
     ps = (0.15, 0.3, 0.5)
     violations = 0
     exact_count = 0
     for i in range(count):
-        h = hs[ns[i % len(ns)]]
-        r = rs[(i // len(ns)) % len(rs)]
-        p = ps[(i // (len(ns) * len(rs))) % len(ps)]
+        h = hs[i % len(hs)]
+        r = rs[(i // len(hs)) % len(rs)]
+        p = ps[(i // (len(hs) * len(rs))) % len(ps)]
         s = sample_vp(h, p, rng)
         ids = induced_edges(h, s)
         x = len(ids)
@@ -690,22 +689,18 @@ def cascade_trivial_checks() -> list[CheckResult]:
         and res.kept_edge_ids == degree_prune(h, s, 2.0).kept_edge_ids
     )
 
-    sparse = None
+    # On the first sampled subset whose induced edges are disjoint, nothing is pruned.
+    identity = False
     for _ in range(200):
-        cand = sample_vp(h, 0.25, rng)
-        ids = induced_edges(h, cand)
+        sparse = sample_vp(h, 0.25, rng)
+        ids = induced_edges(h, sparse)
         if ids and induced_max_degree(h, ids) == 1:
-            sparse = cand
+            params2 = CascadeParams(beta=0.5, gamma=0.1, r=1.5, t=9.0, p=0.25)
+            res2 = cascade_prune(h, sparse, params2)
+            identity = res2.kept_edge_ids == ids and all(
+                level.matching_size == 0 for level in res2.levels
+            )
             break
-    if sparse is None:
-        identity = False
-    else:
-        params2 = CascadeParams(beta=0.5, gamma=0.1, r=1.5, t=9.0, p=0.25)
-        res2 = cascade_prune(h, sparse, params2)
-        identity = (
-            res2.kept_edge_ids == induced_edges(h, sparse)
-            and all(level.matching_size == 0 for level in res2.levels)
-        )
     return [
         CheckResult("cascade", "single_level_when_t_le_r_squared", single),
         CheckResult("cascade", "identity_below_degree", identity),
@@ -880,7 +875,7 @@ def hypergeom_mean_check(ns: Iterable[int] = (10,), hists: dict | None = None) -
 
 def mc_coverage_check(hists: dict | None = None) -> CheckResult:
     """99% Wilson CI covers the exact tail in >= 98 of 100 seeded runs."""
-    hits = 0
+    misses = 0
     h = build_ap(10, 3)
     hist = _histogram(h, hists)
     p, surplus = 0.3, 2.0
@@ -888,10 +883,9 @@ def mc_coverage_check(hists: dict | None = None) -> CheckResult:
     tail = histogram_tail(hist, p, thr)
     for i in range(100):
         est = mc_tail(h, p, thr, 2000, seed=29 + i)
-        if est.ci_low <= tail <= est.ci_high:
-            hits += 1
-    misses = 100 - hits
-    detail = f"{hits}/100 CIs covered"
+        if not est.ci_low <= tail <= est.ci_high:
+            misses += 1
+    detail = f"{100 - misses}/100 CIs covered"
     return CheckResult("lowerbounds", "mc_ci_coverage", misses <= 2, detail, 100, misses)
 
 
