@@ -72,7 +72,6 @@ from .hypergraph import (
     delta_j,
     induced_edge_count,
     induced_edges,
-    max_degree,
     sample_vp,
 )
 from .rng import stream_generator
