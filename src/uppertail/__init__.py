@@ -52,15 +52,19 @@ from .disjointness import (
     z_disjoint,
 )
 from .estimate import (
+    SampleHistogram,
     TailEstimate,
     clean_config_histogram,
+    conditioned_histogram,
     conditioned_tail,
     edge_count_histogram,
     exact_point_mass,
     exact_tail,
     histogram_point_mass,
     histogram_tail,
+    mc_histogram,
     mc_tail,
+    planted_histogram,
     planted_tail,
     wilson_interval,
 )

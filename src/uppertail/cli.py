@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -34,12 +33,12 @@ from .decompose import CascadeParams, check_cascade_event, greedy_star_matching,
 from .estimate import (
     METHODS,
     TailEstimate,
+    conditioned_histogram,
     conditioned_size,
-    conditioned_tail,
     edge_count_histogram,
     histogram_tail,
-    mc_tail,
-    planted_tail,
+    mc_histogram,
+    planted_histogram,
     planting_target,
 )
 from .families import KINDS, FamilySpec, build, interval_witness
@@ -290,20 +289,44 @@ def _run_bounds(cfg: RunConfig, stream) -> int:
     return 0
 
 
-def _histogram_once(cfg: RunConfig, h):
-    """hist() -> edge_count_histogram(h), enumerated on the first call that
-    succeeds; a command that computes no exact row never enumerates."""
-    return functools.cache(lambda: edge_count_histogram(h, cfg.workers))
+def _passes_once(cfg: RunConfig, h):
+    """held(p, witness) -> the pass a tail row of cfg.method reads, run on the
+    first call that succeeds for its key and held for the command.  The key
+    is what fixes the pass: nothing for exact (the p-free edge_count_histogram),
+    p for mc and conditioned (samples, seed and eps are fixed per command),
+    and p with the witness's vertex set for planted (a SampleHistogram each).
+    Every t at one key reads the same pass; a command that computes no row
+    runs none, so a fully resumed sweep enumerates and draws nothing."""
+    passes = {}
+
+    def pass_for(p: float, witness=None):
+        key = None
+        if cfg.method != "exact":
+            # repr(p) keeps -0.0 apart from 0.0: their planted factors print differently.
+            key = (repr(p), None if witness is None else witness.subset.bits)
+        if key not in passes:
+            common = {"samples": cfg.samples, "seed": cfg.seed, "workers": cfg.workers}
+            if key is None:
+                passes[key] = edge_count_histogram(h, cfg.workers)
+            elif cfg.method == "mc":
+                passes[key] = mc_histogram(h, p, **common)
+            elif cfg.method == "planted":
+                passes[key] = planted_histogram(h, p, witness=witness, **common)
+            else:
+                passes[key] = conditioned_histogram(h, p, eps=cfg.eps, **common)
+        return passes[key]
+
+    return pass_for
 
 
-def _tail_estimate(cfg: RunConfig, h, hist, p: float, t: float) -> TailEstimate:
+def _tail_estimate(cfg: RunConfig, h, held, p: float, t: float) -> TailEstimate:
+    """The estimate at (p, t), read from the command's held passes."""
     mu = exact_mean(h, p)
     threshold = mu + t
     if cfg.method == "exact":
-        p_hat = histogram_tail(hist(), p, threshold)
+        p_hat = histogram_tail(held(p), p, threshold)
         return TailEstimate(threshold, p_hat, "exact", 1 << h.n, p_hat, p_hat)
-    if cfg.method == "mc":
-        return mc_tail(h, p, threshold, cfg.samples, seed=cfg.seed, workers=cfg.workers)
+    witness = None
     if cfg.method == "planted":
         target = planting_target(mu, t, h.k, cfg.alpha)
         witness = interval_witness(cfg.family, float(target), h)
@@ -311,16 +334,11 @@ def _tail_estimate(cfg: RunConfig, h, hist, p: float, t: float) -> TailEstimate:
             raise NoWitnessError(
                 f"family {cfg.family.kind}({cfg.family.n}) cannot seat a witness for {target} edges"
             )
-        return planted_tail(
-            h, p, threshold, cfg.samples, seed=cfg.seed, witness=witness, workers=cfg.workers
-        )
-    return conditioned_tail(
-        h, p, threshold, cfg.samples, seed=cfg.seed, eps=cfg.eps, workers=cfg.workers
-    )
+    return held(p, witness).tail(threshold)
 
 
-def _tail_row(cfg: RunConfig, h, hist, p: float, t: float) -> dict:
-    est = _tail_estimate(cfg, h, hist, p, t)
+def _tail_row(cfg: RunConfig, h, held, p: float, t: float) -> dict:
+    est = _tail_estimate(cfg, h, held, p, t)
     return {
         "family": cfg.family.kind,
         "n": cfg.family.n,
@@ -338,8 +356,8 @@ def _tail_row(cfg: RunConfig, h, hist, p: float, t: float) -> dict:
 
 def _run_tail(cfg: RunConfig, stream) -> int:
     h = build(cfg.family)
-    hist = _histogram_once(cfg, h)
-    rows = [_tail_row(cfg, h, hist, p, t) for p in cfg.p for t in cfg.t]
+    held = _passes_once(cfg, h)
+    rows = [_tail_row(cfg, h, held, p, t) for p in cfg.p for t in cfg.t]
     _emit(TAIL_COLUMNS, rows, cfg, stream)
     return 0
 
@@ -446,9 +464,9 @@ def _existing_sweep_keys(cfg: RunConfig) -> set[tuple[str, ...]] | None:
     return {_sweep_key(row) for row in rows} if end else None
 
 
-def _sweep_result(cfg: RunConfig, h, hist, p: float, t: float) -> dict:
+def _sweep_result(cfg: RunConfig, h, held, p: float, t: float) -> dict:
     try:
-        est = _tail_estimate(cfg, h, hist, p, t)
+        est = _tail_estimate(cfg, h, held, p, t)
     except CapacityError:
         status = "budget"
     except NoWitnessError:
@@ -463,7 +481,7 @@ def _run_sweep(cfg: RunConfig, stream) -> int:
     """Write each missing grid row as soon as it is computed, flushed, so a
     failure part way keeps every row before it."""
     h = build(cfg.family)
-    hist = _histogram_once(cfg, h)
+    held = _passes_once(cfg, h)
     existing = _existing_sweep_keys(cfg)
     written = 0
     with _sink(cfg, stream, "a") as out:
@@ -482,7 +500,7 @@ def _run_sweep(cfg: RunConfig, stream) -> int:
                 }
                 if existing and _sweep_key(row) in existing:
                     continue
-                row.update(_sweep_result(cfg, h, hist, p, t))
+                row.update(_sweep_result(cfg, h, held, p, t))
                 write(row)
                 out.flush()
                 written += 1

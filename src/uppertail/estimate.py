@@ -10,8 +10,11 @@ are counted once per histogram, and only the edges reaching above them once
 per block.  Counting M edges over a block is one superset-sum (zeta)
 transform along whole rows: M * 2^(LOW_BITS/2) indicator entries plus
 LOW_BITS/2 contiguous half-block adds, whatever the edges' vertices.
-Monte Carlo variants share chunked Philox streams and merge by summing hit
-counts, making results independent of worker count.  The three samplers
+Monte Carlo variants share chunked Philox streams and merge by summing the
+integer sample histogram counts[x] (the number of samples inducing exactly x
+edges), making results independent of worker count.  The histogram is
+threshold-free, so a caller evaluating many thresholds holds one pass (a
+SampleHistogram) and reads each from it.  The three samplers
 differ only in which uppertail.rng draw fills a chunk's vertex sets
 (p_subset_members or m_subset_members); one bit-packed kernel counts their
 induced edges.  It packs a chunk's samples 64 to a uint64 word, gathers and
@@ -39,9 +42,11 @@ from .hypergraph import CapacityError, Hypergraph
 from .rng import chunk_layout, m_subset_members, p_subset_members, stream_generator
 
 __all__ = [
+    "SampleHistogram",
     "TailEstimate",
     "Z99",
     "clean_config_histogram",
+    "conditioned_histogram",
     "conditioned_size",
     "conditioned_tail",
     "edge_count_histogram",
@@ -49,7 +54,9 @@ __all__ = [
     "exact_tail",
     "histogram_point_mass",
     "histogram_tail",
+    "mc_histogram",
     "mc_tail",
+    "planted_histogram",
     "planted_tail",
     "planting_target",
     "size_weighted_sum",
@@ -131,13 +138,16 @@ def _superset_counts(masks: Sequence[int], low: int, high: int) -> np.ndarray:
     2^h1-entry indicator row [m1 in c1] into row m2 of a (2^h2, 2^h1) array;
     h2 in-place passes then fold row T2 into every row containing it, each one
     contiguous half-block add.  A block costs M * 2^h1 indicator entries plus
-    h2 * 2^(low-1) adds for M such masks, whatever their low bits.  Every
+    h2 * 2^(low-1) adds for M such masks, whatever their low bits, and
+    nothing beyond a zeroed result when M = 0.  Every
     partial sum counts distinct masks, so the result's dtype holds them all.
     """
     h1 = low // 2
     h2 = low - h1
     dtype = np.min_scalar_type(len(masks))
     kept = [m for m in masks if (m >> low) & ~high == 0]
+    if not kept:
+        return np.zeros(1 << low, dtype=dtype)
     parts = np.array(kept, dtype=np.int64) & ((1 << low) - 1)
     inner = parts & ((1 << h1) - 1)
     cols = np.arange(1 << h1)
@@ -337,27 +347,37 @@ def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _tail_hits(h: Hypergraph, seed: int, draw, threshold: float, samples: int, workers: int) -> int:
-    """Number of samples inducing at least `threshold` edges of h.
+def _sample_histogram(h: Hypergraph, seed: int, draw, samples: int, workers: int) -> np.ndarray:
+    """Read-only counts[x] = number of samples inducing exactly x edges of h.
 
     draw(gen, count) returns a chunk's n x count boolean membership matrix
     from the chunk's generator stream_generator(seed, stream), and
     _induced_totals counts each sample's edges in it.  A chunk's working set
     is O(count * n) bytes for the draw plus O(count * EDGE_BLOCK) bits for the
-    kernel, whatever e(H) is.  Chunks run over a thread pool when
-    workers > 1; their hit counts add up the same in any order.
+    kernel, whatever e(H) is.  Each chunk contributes the bincount of its
+    totals; chunks run over a thread pool when workers > 1, and their integer
+    counts add up the same in any order.
     """
     edges = h.edge_array
 
-    def chunk(stream: int, count: int) -> int:
+    def chunk(stream: int, count: int) -> np.ndarray:
         member = draw(stream_generator(seed, stream), count)
-        return int((_induced_totals(edges, member) >= threshold).sum())
+        return np.bincount(_induced_totals(edges, member))
+
+    def merged(parts) -> np.ndarray:
+        counts = np.zeros(0, dtype=np.int64)
+        for part in parts:
+            if len(part) > len(counts):
+                counts = np.pad(counts, (0, len(part) - len(counts)))
+            counts[: len(part)] += part
+        counts.setflags(write=False)
+        return counts
 
     tasks = list(chunk_layout(samples))
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(lambda sc: chunk(*sc), tasks))
-    return sum(chunk(*sc) for sc in tasks)
+            return merged(pool.map(lambda sc: chunk(*sc), tasks))
+    return merged(chunk(*sc) for sc in tasks)
 
 
 def _scaled_tail(
@@ -369,19 +389,55 @@ def _scaled_tail(
     return TailEstimate(float(threshold), p_hat, method, samples, factor * lo, factor * hi, extra)
 
 
-def mc_tail(
-    h: Hypergraph, p: float, threshold: float, samples: int, seed: int, workers: int = 1
-) -> TailEstimate:
-    """Monte Carlo Pr(X >= threshold) over independent p-samples of vertices."""
+@dataclass(frozen=True, eq=False)
+class SampleHistogram:
+    """One sampling pass of a Monte Carlo method, read at any threshold.
+
+    counts[x] is the read-only number of samples inducing exactly x edges.
+    It depends on the draw (p, seed, sample count, and the witness or m),
+    not on a threshold, so a caller evaluating many thresholds holds one pass
+    and reads each through tail().  factor scales every estimate: 1 for mc,
+    p^|W| for planted, Pr(Bin(n, p) >= m) for conditioned.  extra is the
+    method's metadata, to which tail() adds the threshold's conditional_hits.
+    """
+
+    method: str
+    counts: np.ndarray
+    factor: float = 1.0
+    extra: dict | None = None
+
+    def hits(self, threshold: float) -> int:
+        """Number of samples inducing at least `threshold` edges."""
+        return int(self.counts[np.arange(len(self.counts)) >= threshold].sum())
+
+    def tail(self, threshold: float) -> TailEstimate:
+        """The method's estimate of Pr(X >= threshold) from this pass."""
+        hits = self.hits(threshold)
+        extra = None if self.extra is None else {**self.extra, "conditional_hits": hits}
+        samples = int(self.counts.sum())
+        return _scaled_tail(threshold, self.method, hits, samples, self.factor, extra)
+
+
+def mc_histogram(
+    h: Hypergraph, p: float, samples: int, seed: int, workers: int = 1
+) -> SampleHistogram:
+    """mc_tail's sampling pass: independent p-samples of vertices."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if samples <= 0:
         raise ValueError("samples must be positive")
     free = list(range(h.n))
-    hits = _tail_hits(
-        h, seed, lambda gen, count: p_subset_members(gen, h.n, free, p, count), threshold, samples, workers
+    counts = _sample_histogram(
+        h, seed, lambda gen, count: p_subset_members(gen, h.n, free, p, count), samples, workers
     )
-    return _scaled_tail(threshold, "mc", hits, samples, 1.0, None)
+    return SampleHistogram("mc", counts)
+
+
+def mc_tail(
+    h: Hypergraph, p: float, threshold: float, samples: int, seed: int, workers: int = 1
+) -> TailEstimate:
+    """Monte Carlo Pr(X >= threshold) over independent p-samples of vertices."""
+    return mc_histogram(h, p, samples, seed, workers).tail(threshold)
 
 
 def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
@@ -402,6 +458,27 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
     return math.ceil(target)
 
 
+def planted_histogram(
+    h: Hypergraph, p: float, samples: int, seed: int, witness: Witness, workers: int = 1
+) -> SampleHistogram:
+    """planted_tail's sampling pass: p-samples of the vertices outside the
+    witness, with every witness vertex forced in."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    if witness.subset.n != h.n:
+        raise ValueError("witness lives on a different vertex set")
+    w_bits = witness.subset.bits
+    w_size = len(witness.subset)
+    free = [v for v in range(h.n) if not (w_bits >> v) & 1]
+    counts = _sample_histogram(
+        h, seed, lambda gen, count: p_subset_members(gen, h.n, free, p, count), samples, workers
+    )
+    factor = p**w_size
+    return SampleHistogram("planted", counts, factor, {"witness_size": w_size, "factor": factor})
+
+
 def planted_tail(
     h: Hypergraph,
     p: float,
@@ -420,21 +497,7 @@ def planted_tail(
     it does not); p_hat is not, and can exceed the true tail.  With an empty
     witness this is exactly mc_tail.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if witness.subset.n != h.n:
-        raise ValueError("witness lives on a different vertex set")
-    w_bits = witness.subset.bits
-    w_size = len(witness.subset)
-    free = [v for v in range(h.n) if not (w_bits >> v) & 1]
-    hits = _tail_hits(
-        h, seed, lambda gen, count: p_subset_members(gen, h.n, free, p, count), threshold, samples, workers
-    )
-    factor = p**w_size
-    extra = {"witness_size": w_size, "factor": factor, "conditional_hits": hits}
-    return _scaled_tail(threshold, "planted", hits, samples, factor, extra)
+    return planted_histogram(h, p, samples, seed, witness, workers).tail(threshold)
 
 
 def conditioned_size(n: int, p: float, eps: float) -> int:
@@ -442,6 +505,29 @@ def conditioned_size(n: int, p: float, eps: float) -> int:
     (1+eps) n p within 1e-9 of an integer as that integer."""
     raw = (1.0 + eps) * n * p
     return round(raw) if abs(raw - round(raw)) < 1e-9 else math.ceil(raw)
+
+
+def conditioned_histogram(
+    h: Hypergraph, p: float, samples: int, seed: int, eps: float = 0.0, workers: int = 1
+) -> SampleHistogram:
+    """conditioned_tail's sampling pass: uniform m-subsets of the vertices,
+    m = conditioned_size(n, p, eps)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    m = conditioned_size(h.n, p, eps)
+    if m > h.n:
+        raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
+
+    counts = _sample_histogram(
+        h, seed, lambda gen, count: m_subset_members(gen, h.n, m, count), samples, workers
+    )
+    # Pr(Bin(n, p) >= m) as the regularized incomplete beta I_p(m, n - m + 1).
+    factor = 1.0 if m <= 0 else float(betainc(m, h.n - m + 1, p))
+    return SampleHistogram("conditioned", counts, factor, {"m": m, "binomial_factor": factor})
 
 
 def conditioned_tail(
@@ -462,23 +548,7 @@ def conditioned_tail(
     whenever the interval covers (see TailEstimate for how often it does not);
     p_hat is not, and can exceed the true tail.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    m = conditioned_size(h.n, p, eps)
-    if m > h.n:
-        raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
-
-    hits = _tail_hits(
-        h, seed, lambda gen, count: m_subset_members(gen, h.n, m, count), threshold, samples, workers
-    )
-    # Pr(Bin(n, p) >= m) as the regularized incomplete beta I_p(m, n - m + 1).
-    factor = 1.0 if m <= 0 else float(betainc(m, h.n - m + 1, p))
-    extra = {"m": m, "binomial_factor": factor, "conditional_hits": hits}
-    return _scaled_tail(threshold, "conditioned", hits, samples, factor, extra)
+    return conditioned_histogram(h, p, samples, seed, eps, workers).tail(threshold)
 
 
 def clean_config_histogram(h: Hypergraph) -> np.ndarray:

@@ -381,6 +381,71 @@ class TestHeldHistogram:
         assert calls == []
 
 
+def spy_draws(monkeypatch) -> list:
+    """(draw, p or m, count) of every chunk of vertex sets a sampler draws."""
+    calls = []
+    for name, draw in (("p", estimate.p_subset_members), ("m", estimate.m_subset_members)):
+
+        def spy(gen, n, arg, *rest, name=name, draw=draw):
+            calls.append((name, arg if name == "m" else rest[0], rest[-1]))
+            return draw(gen, n, arg, *rest)
+
+        monkeypatch.setattr(estimate, f"{name}_subset_members", spy)
+    return calls
+
+
+class TestHeldSamples:
+    """tail and sweep draw each Monte Carlo sample set at most once per command
+    and draw key, and its rows equal the single-(p, t) commands'."""
+
+    FAMILY = ["--family", "ap", "--n", "40", "--seed", "5", "--samples", "5000", "--workers", "2"]
+    CHUNKS = [4096, 904]  # the chunk sizes of 5000 samples
+
+    def single_rows(self, argv, ps, ts):
+        rows = []
+        for p in ps:
+            for t in ts:
+                code, out = run_cli(argv + ["--p", p, "--t", t])
+                assert code == 0
+                header, row = out.splitlines()
+                rows.append(row)
+        return header, rows
+
+    @pytest.mark.parametrize("method, key", [("mc", [0.2, 0.3]), ("conditioned", [10, 15])])
+    def test_tail_grid_draws_once_per_p(self, monkeypatch, method, key):
+        argv = ["tail", "--method", method, "--eps", "0.25"] + self.FAMILY
+        calls = spy_draws(monkeypatch)
+        code, out = run_cli(argv + ["--p", "0.2,0.3", "--t", "1,2,4"])
+        assert code == 0
+        draw = "m" if method == "conditioned" else "p"
+        assert sorted(calls) == [(draw, k, c) for k in key for c in sorted(self.CHUNKS)]
+        header, rows = self.single_rows(argv, ["0.2", "0.3"], ["1", "2", "4"])
+        assert out.splitlines() == [header] + rows
+
+    def test_planted_grid_rows_equal_single_t(self, monkeypatch):
+        argv = ["tail", "--method", "planted"] + self.FAMILY
+        ts = ["0.5", "1", "2", "4", "8"]
+        calls = spy_draws(monkeypatch)
+        code, out = run_cli(argv + ["--p", "0.2", "--t", ",".join(ts)])
+        assert code == 0
+        grid_draws = len(calls)
+        # Two of the t values plant one witness, so 5 rows read 4 passes.
+        assert grid_draws == 4 * len(self.CHUNKS)
+        header, rows = self.single_rows(argv, ["0.2"], ts)
+        assert out.splitlines() == [header] + rows
+        assert len(calls) == grid_draws + 5 * len(self.CHUNKS)
+
+    def test_resumed_mc_sweep_draws_once(self, tmp_path, monkeypatch):
+        out_file = str(tmp_path / "sweep.csv")
+        argv = ["sweep", "--method", "mc", "--p", "0.2", "--out-file", out_file] + self.FAMILY
+        assert run_cli(argv + ["--t", "1,2"]) == (0, f"wrote 2 rows to {out_file}\n")
+        calls = spy_draws(monkeypatch)
+        assert run_cli(argv + ["--t", "1,2,4"]) == (0, f"wrote 1 rows to {out_file}\n")
+        assert sorted(calls) == [("p", 0.2, c) for c in sorted(self.CHUNKS)]
+        assert run_cli(argv + ["--t", "1,2,4"]) == (0, f"wrote 0 rows to {out_file}\n")
+        assert sorted(calls) == [("p", 0.2, c) for c in sorted(self.CHUNKS)]
+
+
 class TestSweepResume:
     """A run killed mid-write leaves a partial last line; the resume cuts it off."""
 

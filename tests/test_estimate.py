@@ -29,7 +29,7 @@ from uppertail.estimate import (
 )
 from uppertail.families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
 from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edge_count
-from uppertail.rng import CHUNK, m_subset_members, p_subset_members, stream_generator
+from uppertail.rng import CHUNK, chunk_layout, m_subset_members, p_subset_members, stream_generator
 
 AP4 = build_ap(4, 3)
 
@@ -193,6 +193,14 @@ class TestZetaKernel:
             want = oracles.superset_counts_brute(masks, low, high)
             assert got.dtype == want.dtype == np.min_scalar_type(len(masks))
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("masks", [[], [1 << 13, (1 << 12) | 0b101, (1 << 14) | 1] * 100])
+    def test_no_kept_mask(self, masks):
+        """No masks, or every mask reaching a bit above low outside high = 0."""
+        got = estimate._superset_counts(masks, 12, 0)
+        want = oracles.superset_counts_brute(masks, 12, 0)
+        assert got.dtype == want.dtype == np.min_scalar_type(len(masks))
+        assert np.array_equal(got, want) and not got.any()
 
 
 class TestBlockSplit:
@@ -413,7 +421,7 @@ def packed_batches(draw):
 
 
 def _chunk_zero_draw(seed, member):
-    """A _tail_hits draw that checks it gets one chunk of member.shape[1]
+    """A _sample_histogram draw that checks it gets one chunk of member.shape[1]
     samples with the generator of stream (seed, 0), and returns member."""
 
     def draw(gen, count):
@@ -438,9 +446,9 @@ class TestSamplingKernel:
             with mock.patch.object(estimate, "EDGE_BLOCK", block):
                 got = estimate._induced_totals(h.edge_array, member)
                 assert got.tolist() == want, block
+        held = estimate.SampleHistogram("mc", estimate._sample_histogram(h, 5, draw, member.shape[1], 1))
         for thr in (-1, 0, 0.5, e / 2 + 0.25, e, e + 0.5, e + 1):
-            got = estimate._tail_hits(h, 5, draw, thr, member.shape[1], workers=1)
-            assert got == sum(c >= thr for c in want), thr
+            assert held.hits(thr) == sum(c >= thr for c in want), thr
 
     @pytest.mark.parametrize("family", ["ap", "schur"])
     def test_full_chunk_on_n300_matches_byte_oracle(self, family):
@@ -457,9 +465,36 @@ class TestSamplingKernel:
         draw = _chunk_zero_draw(6, member)
         for block in (1, 2, h.num_edges + 1):
             with mock.patch.object(estimate, "EDGE_BLOCK", block):
-                for thr in range(h.num_edges + 2):
-                    got = estimate._tail_hits(h, 6, draw, thr, member.shape[1], workers=1)
-                    assert got == sum(c >= thr for c in counts), (block, thr)
+                hist = estimate._sample_histogram(h, 6, draw, member.shape[1], workers=1)
+            for thr in range(h.num_edges + 2):
+                got = estimate.SampleHistogram("mc", hist).hits(thr)
+                assert got == sum(c >= thr for c in counts), (block, thr)
+
+    @given(
+        st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+        st.integers(0, 2**64 - 1),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_sample_histogram_pass(self, samples, seed, p):
+        """One pass's counts[x] is the bincount of every sample's edge count,
+        at 1 and 2 workers alike, and sums to the sample count."""
+        h = build_ap(30, 3)
+        free = list(range(h.n))
+
+        def draw(gen, count):
+            return p_subset_members(gen, h.n, free, p, count)
+
+        one = estimate._sample_histogram(h, seed, draw, samples, workers=1)
+        two = estimate._sample_histogram(h, seed, draw, samples, workers=2)
+        assert one.dtype == two.dtype == np.int64 and not one.flags.writeable
+        assert np.array_equal(one, two)
+        assert one.sum() == samples
+        totals = np.concatenate([
+            oracles.byte_edge_totals(h.edge_array, draw(stream_generator(seed, stream), count))
+            for stream, count in chunk_layout(samples)
+        ])
+        assert np.array_equal(one, np.bincount(totals))
 
     def test_memory_independent_of_edge_count(self):
         """A 4096-sample chunk on AP(300,3) (22,350 edges) stays far below the
