@@ -30,8 +30,9 @@ incomplete beta.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .hypergraph import CapacityError, Hypergraph
 from .rng import chunk_layout, m_subset_members, p_subset_members, stream_generator
 
 __all__ = [
+    "METHODS",
     "SampleHistogram",
     "TailEstimate",
     "Z99",
@@ -102,7 +104,7 @@ class TailEstimate:
     p = 0.3, m = 11, threshold 25 and 1 sample, ci_low exceeds the truth with
     probability 8.3% (ROADMAP item 1).  p_hat only estimates a lower quantity
     and can exceed the truth at small sample counts.  `extra` carries
-    method-specific metadata and never affects comparisons.
+    method-specific metadata and never affects comparisons or hashing.
     """
 
     threshold: float
@@ -111,7 +113,7 @@ class TailEstimate:
     samples: int
     ci_low: float
     ci_high: float
-    extra: dict | None = None
+    extra: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -173,6 +175,16 @@ def superset_counts(n: int, masks: Sequence[int]) -> np.ndarray:
     return np.concatenate([_superset_counts(masks, low, high) for high in range(1 << (n - low))])
 
 
+def _pool_map(fn, items: Sequence, workers: int):
+    """map(fn, items), over min(workers, os.cpu_count()) threads when that and
+    len(items) exceed 1: threads beyond the cores would only add working sets."""
+    threads = min(workers, os.cpu_count() or 1)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return map(fn, items)
+
+
 def _subset_histogram(
     n: int, masks: Sequence[int], workers: int = 1, groups: Sequence[Sequence[int]] = ()
 ) -> np.ndarray:
@@ -187,7 +199,7 @@ def _subset_histogram(
     M * 2^(low // 2) indicator entries plus low - low // 2 contiguous adds of
     2^(low-1) entries for M masks, so the hoist saves the inside masks' rows
     in every block but one.  Blocks are counted independently (over a thread
-    pool when workers > 1) and their integer histograms summed, so every
+    pool, see _pool_map) and their integer histograms summed, so every
     worker count agrees.  With groups, a code counts only if it contains
     at most one mask of every group; that keep mask stays per block, since
     hoisting it would hold one 2^low count array per group, i.e. per vertex
@@ -213,11 +225,7 @@ def _subset_histogram(
         return np.bincount(flat, minlength=(low + 1) * width).reshape(low + 1, width)
 
     blocks = range(1 << (n - low))
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block, blocks))
-    else:
-        parts = map(block, blocks)
+    parts = _pool_map(block, blocks, workers)
     hist = np.zeros((n + 1, width), dtype=np.int64)
     for high, part in zip(blocks, parts):
         offset = high.bit_count()
@@ -355,7 +363,7 @@ def _sample_histogram(h: Hypergraph, seed: int, draw, samples: int, workers: int
     _induced_totals counts each sample's edges in it.  A chunk's working set
     is O(count * n) bytes for the draw plus O(count * EDGE_BLOCK) bits for the
     kernel, whatever e(H) is.  Each chunk contributes the bincount of its
-    totals; chunks run over a thread pool when workers > 1, and their integer
+    totals; chunks run over a thread pool (_pool_map), and their integer
     counts add up the same in any order.
     """
     edges = h.edge_array
@@ -373,11 +381,7 @@ def _sample_histogram(h: Hypergraph, seed: int, draw, samples: int, workers: int
         counts.setflags(write=False)
         return counts
 
-    tasks = list(chunk_layout(samples))
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return merged(pool.map(lambda sc: chunk(*sc), tasks))
-    return merged(chunk(*sc) for sc in tasks)
+    return merged(_pool_map(lambda sc: chunk(*sc), list(chunk_layout(samples)), workers))
 
 
 def _scaled_tail(

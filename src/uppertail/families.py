@@ -15,6 +15,7 @@ import numpy as np
 from .hypergraph import Hypergraph, VertexSet, induced_edge_count
 
 __all__ = [
+    "KINDS",
     "FamilySpec",
     "Witness",
     "build",

@@ -80,6 +80,51 @@ class TestIntervalOrder:
         assert est.p_hat > est.ci_high
 
 
+def test_extra_never_affects_equality_or_hash():
+    a = estimate.TailEstimate(1.0, 0.5, "planted", 10, 0.1, 0.9, {"x": 1})
+    b = estimate.TailEstimate(1.0, 0.5, "planted", 10, 0.1, 0.9, {"x": 2})
+    assert a == b and hash(a) == hash(b)
+    assert a != estimate.TailEstimate(1.0, 0.5, "planted", 11, 0.1, 0.9, {"x": 1})
+
+
+@pytest.mark.parametrize("cores, pools", [(2, [2]), (None, [])])
+def test_thread_pools_bounded_by_cores(monkeypatch, cores, pools):
+    # A million workers get one thread per core, never one per queued task.
+    sizes = []
+
+    class InlinePool:
+        """Stands in for ThreadPoolExecutor: records the pool's size and runs
+        its tasks inline, so no thread is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    h = build_ap(21, 3)
+
+    def draw(gen, count):
+        return p_subset_members(gen, h.n, list(range(h.n)), 0.3, count)
+
+    def passes(workers):
+        samples = estimate._sample_histogram(h, 3, draw, 2 * CHUNK + 1, workers)
+        return edge_count_histogram(h, workers), samples
+
+    want = passes(1)
+    monkeypatch.setattr(estimate, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(estimate.os, "cpu_count", lambda: cores)
+    got = passes(10**6)
+    assert sizes == 2 * pools
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestHistogram:
     def test_matches_oracle(self):
         for h, n in ((build_ap(8, 3), 8), (build_schur(8), 8)):
@@ -552,7 +597,7 @@ class TestPlanted:
         samples = 2 * CHUNK + 123
         single = planted_tail(h, 0.2, 18.0, samples, seed=16, witness=w, workers=1)
         multi = planted_tail(h, 0.2, 18.0, samples, seed=16, witness=w, workers=2)
-        assert single == multi
+        assert single == multi and single.extra == multi.extra
         assert 0 < single.extra["conditional_hits"] < samples
 
     def test_witness_universe_check(self):
@@ -591,7 +636,7 @@ class TestConditioned:
         samples = 2 * CHUNK + 123
         single = conditioned_tail(h, 0.2, 6.0, samples, seed=17, eps=0.25, workers=1)
         multi = conditioned_tail(h, 0.2, 6.0, samples, seed=17, eps=0.25, workers=2)
-        assert single == multi
+        assert single == multi and single.extra == multi.extra
         assert 0 < single.extra["conditional_hits"] < samples
 
     @pytest.mark.parametrize("n, m, count", [(1, 0, 5), (6, 6, 7), (9, 4, 1), (30, 7, 300)])

@@ -1,7 +1,9 @@
 """Checks on the package's module boundaries: static ones read from the source with ast,
-and one on what importing the package loads."""
+and ones on what importing a module loads."""
 
 import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -15,6 +17,8 @@ SRC = ROOT / "src" / "uppertail"
 MODULES = sorted(SRC.glob("*.py"))
 # Code outside the package that may use its public names; tests do not count.
 CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+# Modules that import neither uppertail.estimate nor scipy.
+LEAVES = ["bounds", "decompose", "families", "hypergraph", "rng"]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -80,6 +84,97 @@ def test_no_private_cross_module_imports(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_relative_imports_name_all_entries(path):
+    # __all__ is the exact API: a name another module imports is in its source's __all__.
+    unlisted = [
+        f"{node.module}:{alias.name} (line {node.lineno})"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name not in (_all_entries(_tree(SRC / f"{node.module}.py")) or ())
+    ]
+    assert not unlisted, f"{path.name} imports names outside their module's __all__: {unlisted}"
+
+
+def test_package_root_binds_no_public_name():
+    # Each public name is imported from the module that defines it, never re-exported.
+    public = sorted(n for n in _top_level_names(_tree(SRC / "__init__.py")) if not n.startswith("_"))
+    assert not public, f"uppertail/__init__.py binds public names: {public}"
+
+
+@pytest.mark.parametrize("module", LEAVES)
+def test_leaf_import_loads_only_what_it_uses(module):
+    code = (
+        f"import sys, uppertail.{module}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'uppertail.estimate'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
+def _perfbench_parameters() -> dict[tuple[str, str], set[str]]:
+    """(module, name) -> parameters perfbench needs by name: every name in
+    tracing.TRACED, with the args[...] keys its span hook reads, and every
+    uppertail call in run.py, with the keywords it passes."""
+    tracing = _tree(ROOT / "perfbench" / "tracing.py")
+    tables = {
+        target.id: node.value
+        for node in tracing.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    needed = {
+        (mod, name): set() for mod, names in ast.literal_eval(tables["TRACED"]).items() for name in names
+    }
+    hook_reads = {
+        node.name: {
+            n.slice.value
+            for n in ast.walk(node)
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name) and n.value.id == "args"
+        }
+        for node in tracing.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for key, hook in zip(tables["_HOOKS"].keys, tables["_HOOKS"].values):
+        hook_name = (hook.func if isinstance(hook, ast.Call) else hook).id
+        needed[tuple(key.value.split("."))] |= hook_reads[hook_name]
+    run = _tree(ROOT / "perfbench" / "run.py")
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(run)
+        if isinstance(node, ast.ImportFrom) and node.module == "uppertail"
+        for alias in node.names
+    }
+    for node in ast.walk(run):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            needed.setdefault((func.value.id, func.attr), set()).update(
+                kw.arg for kw in node.keywords if kw.arg
+            )
+    return needed
+
+
+def test_perfbench_names_exist():
+    # perfbench's traced mode patches these names with getattr and reads these
+    # parameters, so a rename here crashes `--trace 1`.
+    needed = _perfbench_parameters()
+    # The ast reading found the sampler hooks' reads and the probe's keywords.
+    assert needed[("estimate", "mc_tail")] >= {"h", "seed", "samples", "workers"}
+    wrong = []
+    for (mod, name), params in sorted(needed.items()):
+        fn = getattr(importlib.import_module(f"uppertail.{mod}"), name, None)
+        if not callable(fn):
+            wrong.append(f"{mod}.{name} is missing or not callable")
+        elif missing := params - set(inspect.signature(fn).parameters):
+            wrong.append(f"{mod}.{name} lacks {sorted(missing)}")
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_entries_are_defined(path):
     tree = _tree(path)
     missing = sorted(set(_all_entries(tree) or ()) - _top_level_names(tree))
@@ -120,7 +215,6 @@ def test_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "[]"
-
 
 
 def test_verify_checks_return_check_results():
