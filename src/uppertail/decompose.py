@@ -160,7 +160,17 @@ def xr_exact(h: Hypergraph, s: VertexSet, r: float) -> int:
 
 
 def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
-    """xr_exact over the given edge ids instead of H[S], with the same budget."""
+    """xr_exact over the given edge ids instead of H[S], with the same budget.
+
+    Depth-first over the edges in order, taking each feasible edge before
+    skipping it, so the first descent is the greedy pass.  A node prunes once
+    count + (edges left) or potential // k cannot beat the best, where
+    potential = sum over v of min(chosen[v] + left[v], floor(r)) and left[v]
+    counts v among the undecided edges.  The potential is carried down as an
+    argument: taking an edge leaves it unchanged, and skipping one lowers it
+    by the number of the edge's vertices with chosen + left < floor(r) once
+    the edge has left `left`.
+    """
     if r <= 0:
         raise ValueError("r must be positive")
     if len(ids) > XR_EDGE_BUDGET:
@@ -168,55 +178,37 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
     cap = math.floor(r)
     if cap < 1 or not ids:
         return 0
-    verts = sorted({v for i in ids for v in h.edges[i]})
-    vid = {v: loc for loc, v in enumerate(verts)}
+    vid = {v: loc for loc, v in enumerate(sorted({v for i in ids for v in h.edges[i]}))}
     local = [tuple(vid[v] for v in h.edges[i]) for i in ids]
-    nv = len(verts)
     m = len(local)
-
-    deg = [0] * nv
-    best = 0
+    left = [0] * len(vid)
     for e in local:
-        if all(deg[v] < cap for v in e):
-            for v in e:
-                deg[v] += 1
-            best += 1
-    if best == m:
-        return best
-
-    # rem[idx][v]: occurrences of v among edges idx..m-1
-    rem = [[0] * nv for _ in range(m + 1)]
-    for idx in range(m - 1, -1, -1):
-        row = rem[idx + 1][:]
-        for v in local[idx]:
-            row[v] += 1
-        rem[idx] = row
-
-    chosen = [0] * nv
+        for v in e:
+            left[v] += 1
+    chosen = [0] * len(vid)
     k = h.k
+    best = 0
 
-    def dfs(idx: int, count: int) -> None:
+    def dfs(idx: int, count: int, potential: int) -> None:
         nonlocal best
         if count > best:
             best = count
-        if idx == m or count + (m - idx) <= best:
-            return
-        row = rem[idx]
-        potential = 0
-        for v in range(nv):
-            potential += min(chosen[v] + row[v], cap)
-        if potential // k <= best:
+        if idx == m or count + (m - idx) <= best or potential // k <= best:
             return
         e = local[idx]
+        for v in e:
+            left[v] -= 1
         if all(chosen[v] < cap for v in e):
             for v in e:
                 chosen[v] += 1
-            dfs(idx + 1, count + 1)
+            dfs(idx + 1, count + 1, potential)
             for v in e:
                 chosen[v] -= 1
-        dfs(idx + 1, count)
+        dfs(idx + 1, count, potential - sum(chosen[v] + left[v] < cap for v in e))
+        for v in e:
+            left[v] += 1
 
-    dfs(0, 0)
+    dfs(0, 0, sum(min(d, cap) for d in left))
     return best
 
 

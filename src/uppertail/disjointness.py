@@ -36,6 +36,14 @@ BOX_COORD_BUDGET = 14
 Z_EVENT_BUDGET = 8
 
 
+def _check_coords(m: int) -> None:
+    """Refuse a coordinate count before any 2^m table is built."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m > EVENT_COORD_BUDGET:
+        raise CapacityError(f"{m} coordinates exceed budget {EVENT_COORD_BUDGET}")
+
+
 class EventTable:
     """Event over m binary coordinates as an extensional 2^m membership table.
 
@@ -45,10 +53,7 @@ class EventTable:
     __slots__ = ("m", "table")
 
     def __init__(self, m: int, table: int):
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        if m > EVENT_COORD_BUDGET:
-            raise CapacityError(f"{m} coordinates exceed budget {EVENT_COORD_BUDGET}")
+        _check_coords(m)
         size = 1 << m
         if not 0 <= table < (1 << size):
             raise ValueError("membership table wider than 2^m outcomes")
@@ -57,6 +62,7 @@ class EventTable:
 
     @classmethod
     def from_indicator(cls, m: int, indicator: Callable[[int], bool]) -> "EventTable":
+        _check_coords(m)
         table = 0
         for omega in range(1 << m):
             if indicator(omega):
@@ -69,6 +75,7 @@ class EventTable:
 
     @classmethod
     def full(cls, m: int) -> "EventTable":
+        _check_coords(m)
         return cls(m, (1 << (1 << m)) - 1)
 
     def contains(self, omega: int) -> bool:

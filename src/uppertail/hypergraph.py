@@ -6,7 +6,6 @@ in :mod:`uppertail.families` translate from {1, ..., n} at construction time.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -18,8 +17,6 @@ __all__ = [
     "CapacityError",
     "Hypergraph",
     "VertexSet",
-    "codegrees",
-    "degree",
     "delta_j",
     "induced_edge_count",
     "induced_edges",
@@ -164,8 +161,8 @@ class Hypergraph:
     read and then kept as a plain attribute: ``edges`` (sorted tuples),
     ``edge_masks`` (one int bitmask per edge), ``incidence`` (ascending edge ids
     per vertex) and ``codegree_sums`` (sum over j-sets T of codeg(T)^2, for
-    j = 1..k).  Paths that only count edges read the array and never build
-    the Python views.
+    j = 1..k).  Induced edge ids and counts, and every path that only counts
+    edges, read the array and never build the Python views.
     """
 
     __slots__ = ("k", "n", "edge_array", *_VIEWS)
@@ -218,47 +215,25 @@ class Hypergraph:
         return f"Hypergraph(k={self.k}, n={self.n}, edges={self.num_edges})"
 
 
-def _check_universe(h: Hypergraph, s: VertexSet) -> None:
+def _inside(h: Hypergraph, s: VertexSet) -> np.ndarray:
+    """inside[i]: whether edge i has all k vertices in s."""
     if s.n != h.n:
         raise ValueError(f"vertex set over range({s.n}) does not match range({h.n})")
+    return s.to_bool_array()[h.edge_array].all(axis=1)
 
 
 def induced_edge_count(h: Hypergraph, s: VertexSet) -> int:
     """Count edges of h with all k vertices inside s."""
-    _check_universe(h, s)
-    return int(s.to_bool_array()[h.edge_array].all(axis=1).sum())
+    return int(np.count_nonzero(_inside(h, s)))
 
 
 def induced_edges(h: Hypergraph, s: VertexSet) -> tuple[int, ...]:
     """Ids of edges with all vertices inside s, ascending."""
-    _check_universe(h, s)
-    bits = s.bits
-    out = []
-    for idx, mask in enumerate(h.edge_masks):
-        if bits & mask == mask:
-            out.append(idx)
-    return tuple(out)
-
-
-def degree(h: Hypergraph, v: int) -> int:
-    """Number of edges containing vertex v."""
-    if not 0 <= v < h.n:
-        raise ValueError(f"vertex {v} outside range({h.n})")
-    return len(h.incidence[v])
+    return tuple(np.flatnonzero(_inside(h, s)).tolist())
 
 
 def max_degree(h: Hypergraph) -> int:
     return int(np.bincount(h.edge_array.ravel(), minlength=1).max())
-
-
-def codegrees(h: Hypergraph, j: int) -> Counter:
-    """codeg(T), the number of edges containing T, for each j-set T inside an edge.
-
-    Sorts the e(H) * C(k, j) j-subsets of the edges (never all C(n, j) vertex
-    subsets) and counts each run of equal ones.
-    """
-    sets, counts = _codegree_runs(h, j)
-    return Counter(dict(zip(map(tuple, sets.tolist()), counts.tolist())))
 
 
 def delta_j(h: Hypergraph, j: int) -> int:

@@ -290,14 +290,18 @@ def sandwich_sample_check(seed: int, count: int) -> CheckResult:
 
 
 def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The distinct induced edge-id sets over all 2^n subsets, in order of first
-    appearance, and index[code] = the position of code's set among them."""
-    position: dict[tuple[int, ...], int] = {}
-    index = [
-        position.setdefault(induced_edges(h, VertexSet(h.n, code)), len(position))
-        for code in range(1 << h.n)
-    ]
-    return list(position), np.array(index, dtype=np.int64)
+    """The distinct induced edge-id sets over all 2^n subsets, and
+    index[code] = the position of code's set among them.
+
+    One array pass: row code of the (2^n, e) inside-matrix marks the edges
+    whose vertex masks lie in code, and np.unique groups equal rows.  The sets
+    come back in np.unique's sorted row order, not in order of first
+    appearance; callers only add integer counts per set.
+    """
+    masks = np.bitwise_or.reduce(np.left_shift(1, h.edge_array), axis=1)
+    codes = np.arange(1 << h.n, dtype=np.int64)[:, None]
+    rows, index = np.unique((codes & masks) == masks, axis=0, return_inverse=True)
+    return [tuple(np.flatnonzero(row).tolist()) for row in rows], index.reshape(-1)
 
 
 def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> CheckResult:

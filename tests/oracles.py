@@ -135,6 +135,21 @@ def induced_count(edges: list[tuple[int, ...]], bits: int) -> int:
     return total
 
 
+def induced_edge_sets(edges: list[tuple[int, ...]], n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The distinct induced edge-id sets over all 2^n subset codes, in order of
+    first appearance, and index[code] = the position of code's set among them,
+    walking the codes one at a time."""
+    masks = edge_bitmasks(edges)
+    position: dict[tuple[int, ...], int] = {}
+    index = [
+        position.setdefault(
+            tuple(i for i, mask in enumerate(masks) if code & mask == mask), len(position)
+        )
+        for code in range(1 << n)
+    ]
+    return list(position), index
+
+
 def size_value_histogram(edges: list[tuple[int, ...]], n: int) -> dict[tuple[int, int], int]:
     """counts[(|S|, X(S))] over all 2^n subsets, via bitmask subset tests."""
     masks = edge_bitmasks(edges)
@@ -277,6 +292,38 @@ def naive_xr(edges: list[tuple[int, ...]], r: float) -> int:
         if feasible and size > best:
             best = size
     return best
+
+
+def xr_search(edges: list[tuple[int, ...]], r: float) -> tuple[int, int]:
+    """(X_r, nodes visited) of the depth-first search over the edges in order
+    that takes each feasible edge before skipping it and prunes on
+    sum_v min(chosen[v] + left[v], floor(r)) // k, recounted at every node."""
+    cap = math.floor(r)
+    if cap < 1 or not edges:
+        return 0, 0
+    k = len(edges[0])
+    verts = {v for e in edges for v in e}
+    chosen: Counter = Counter()
+    best = nodes = 0
+
+    def dfs(idx: int, count: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        best = max(best, count)
+        if idx == len(edges) or count + len(edges) - idx <= best:
+            return
+        left = Counter(v for e in edges[idx:] for v in e)
+        if sum(min(chosen[v] + left[v], cap) for v in verts) // k <= best:
+            return
+        e = edges[idx]
+        if all(chosen[v] < cap for v in e):
+            chosen.update(e)
+            dfs(idx + 1, count + 1)
+            chosen.subtract(e)
+        dfs(idx + 1, count)
+
+    dfs(0, 0)
+    return best, nodes
 
 
 def naive_mr(edges: list[tuple[int, ...]], r: float) -> int:

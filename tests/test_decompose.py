@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,25 @@ AP5 = build_ap(5, 3)
 FULL5 = VertexSet(5, (1 << 5) - 1)
 
 
+def _search_nodes(fn, *args):
+    """fn(*args) and the number of calls of decompose's inner dfs it made."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "dfs" and code.co_filename == decompose.__file__:
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, nodes
+
+
 def _random_cases(n, count, seed, p=0.5):
     rng = np.random.default_rng(seed)
     hs = (build_ap(n, 3), build_schur(n))
@@ -54,6 +74,24 @@ class TestXr:
             sub_edges = [h.edges[i] for i in ids]
             for r in (1.0, 1.5, 2.0, 3.0):
                 assert xr_exact(h, s, r) == oracles.naive_xr(sub_edges, r)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_any_uniformity(self, data):
+        # The bound divides by k: check it on k = 1..4, edges in any search order.
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(k, 9))
+        pool = list(combinations(range(n), k))
+        edges = data.draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
+        h = Hypergraph(k, n, edges)
+        ids = tuple(data.draw(st.permutations(range(h.num_edges))))
+        r = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+        ordered = [h.edges[i] for i in ids]
+        got, nodes = _search_nodes(xr_exact_on, h, ids, r)
+        assert got == oracles.naive_xr(ordered, r)
+        # The carried bound equals the one recounted at every node, so the
+        # search visits exactly the nodes of the recounting search.
+        assert (got, nodes) == oracles.xr_search(ordered, r)
 
     def test_budget_refusal(self):
         h = build_ap(16, 3)

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from uppertail.disjointness import (
+    EVENT_COORD_BUDGET,
     EventTable,
     bk_check,
     box,
@@ -50,6 +52,22 @@ class TestEventTable:
             EventTable(2, 1 << 16)
         with pytest.raises(ValueError):
             EventTable(2, 1).contains(4)
+
+    def test_budget_checked_before_any_table(self):
+        def never(omega):
+            raise AssertionError(f"indicator called at {omega}")
+
+        with pytest.raises(CapacityError):
+            EventTable.from_indicator(EVENT_COORD_BUDGET + 1, never)
+        # full(26) would build a 2^26-bit (8 MB) int before the constructor's check.
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                EventTable.full(26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBox:

@@ -12,8 +12,6 @@ from uppertail.families import FamilySpec, build, build_ap, build_schur, interva
 from uppertail.hypergraph import (
     Hypergraph,
     VertexSet,
-    codegrees,
-    degree,
     delta_j,
     induced_edge_count,
     induced_edges,
@@ -77,12 +75,8 @@ class TestHypergraph:
             Hypergraph(0, 5, [])
 
     def test_degree_helpers(self):
-        assert degree(TRIANGLE_PAIR, 2) == 2
-        assert degree(TRIANGLE_PAIR, 0) == 1
         assert max_degree(TRIANGLE_PAIR) == 2
         assert max_degree(Hypergraph(3, 4, [])) == 0
-        with pytest.raises(ValueError):
-            degree(TRIANGLE_PAIR, 5)
 
     def test_delta_j(self):
         h = Hypergraph(3, 6, [(0, 1, 2), (0, 1, 3), (0, 4, 5)])
@@ -102,7 +96,7 @@ class TestHypergraph:
         h = Hypergraph(k, n, edges)
         for j in range(1, k + 1):
             want = oracles.naive_codegrees(edges, n, j)
-            assert dict(codegrees(h, j)) == want
+            assert h.codegree_sums[j - 1] == sum(c * c for c in want.values())
             assert delta_j(h, j) == max(want.values(), default=0)
 
     def test_delta_j_families_brute_force(self):
@@ -194,6 +188,8 @@ class TestEdgeArrayStore:
         witness = interval_witness(spec, mu + 2, h)
         planted_tail(h, p, mu + 2, 256, seed=1, witness=witness)
         moment_report(h, p)
+        ids = induced_edges(h, witness.subset)
+        assert len(ids) == induced_edge_count(h, witness.subset) > 0
         assert not built(h, "edge_masks")
         assert not built(h, "incidence")
         assert not built(h, "edges")

@@ -181,12 +181,21 @@ def test_all_entries_are_defined(path):
     assert not missing, f"{path.name} exports undefined names: {missing}"
 
 
+def _readme_code() -> list[str]:
+    """README.md's fenced code blocks and inline code spans; its prose is left out."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    fenced = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+    blocks = fenced.findall(text)
+    return blocks + re.findall(r"`([^`\n]+)`", fenced.sub("", text))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_entries_are_used(path):
     # A public name that only its own definition and its tests mention is dead
     # code: some other statement of its module, another module, a demo,
-    # perfbench or the README must use it.  Imports and re-exports do not count.
-    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    # perfbench or the README's code must use it.  Imports, re-exports and
+    # README prose do not count.
+    used = set(re.findall(r"\w+", "\n".join(_readme_code())))
     for other in MODULES + CALLERS:
         if other != path:
             used.update(*(refs for _, refs in _statement_references(_tree(other))))

@@ -236,6 +236,26 @@ PACKING_GRAPHS = {
 }
 
 
+class TestInducedEdgeSets:
+    @pytest.mark.parametrize(
+        "h",
+        [
+            build_ap(10, 3),
+            build(FamilySpec("schur", 12)),
+            build(FamilySpec("ell_sum", 12, ell=2)),
+            Hypergraph(3, 6, []),
+            Hypergraph(2, 0, []),
+        ],
+        ids=["ap10_3", "schur12", "ell_sum12_2", "edgeless", "n0"],
+    )
+    def test_same_partition_as_per_code_walk(self, h):
+        sets, index = verify._induced_edge_sets(h)
+        want_sets, want_index = oracles.induced_edge_sets(list(h.edges), h.n)
+        assert index.shape == (1 << h.n,)
+        assert len(sets) == len(want_sets) == len(set(sets))
+        assert [sets[i] for i in index.tolist()] == [want_sets[i] for i in want_index]
+
+
 class TestMrPacking:
     """The one-pass M_r of every subset against the branch-and-bound and the oracle."""
 
