@@ -128,7 +128,10 @@ def theorem_c_bound(mu: float, capacity: float, t: float, form: str = "phi") -> 
     else:
         main = -phi(t / mu) * mu / capacity
         ratio = -(t / (2.0 * capacity)) * math.log1p(t / (2.0 * mu))
-    quad = -t * t / (2.0 * capacity * (mu + t / 3.0))
+    if math.isinf(t * t):  # past t ~ 1.34e154, t^2 overflows where the form does not
+        quad = -(t / (2.0 * capacity)) * (t / (mu + t / 3.0))
+    else:
+        quad = -t * t / (2.0 * capacity * (mu + t / 3.0))
     _chain_check(main, quad, "phi vs quadratic")
     _chain_check(main, ratio, "phi vs ratio_log")
     values = {"phi": main, "quadratic": quad, "ratio_log": ratio}
@@ -146,7 +149,10 @@ def et_bound(mu: float, capacity: float, x: float, stirling: bool = False) -> Bo
         main = -math.inf
         stirling_val = -math.inf
     else:
-        main = x * math.log(mu / capacity) - math.lgamma(x + 1.0)
+        try:
+            main = x * math.log(mu / capacity) - math.lgamma(x + 1.0)
+        except OverflowError:  # log(x!) beyond the float range, past x ~ 2.6e305
+            main = -math.inf
         stirling_val = x * math.log(math.e * mu / (x * capacity)) - 0.5 * math.log(2.0 * math.pi * x)
         _chain_check(main, stirling_val, "factorial vs stirling")
     if stirling:

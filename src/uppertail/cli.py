@@ -32,7 +32,6 @@ from .bounds import (
 from .decompose import CascadeParams, check_cascade_event, greedy_star_matching, mr_exact, xr_or_lower
 from .estimate import (
     METHODS,
-    TailEstimate,
     conditioned_histogram,
     conditioned_size,
     edge_count_histogram,
@@ -181,9 +180,11 @@ class RunConfig:
 
 
 def _row_writer(columns: tuple[str, ...], cfg: RunConfig, stream, header: bool = True):
-    """write(row) emitting one CSV row or JSON line; a CSV header goes out first if asked."""
+    """write(row) emitting row's columns as one CSV row or JSON line; a CSV header first if asked."""
     if cfg.out == "json":
-        return lambda row: stream.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+        return lambda row: stream.write(
+            json.dumps({c: row.get(c) for c in columns}, sort_keys=True, separators=(",", ":")) + "\n"
+        )
     writer = csv.writer(stream, lineterminator="\n")
     if header:
         writer.writerow(columns)
@@ -319,13 +320,13 @@ def _passes_once(cfg: RunConfig, h):
     return pass_for
 
 
-def _tail_estimate(cfg: RunConfig, h, held, p: float, t: float) -> TailEstimate:
-    """The estimate at (p, t), read from the command's held passes."""
+def _tail_estimate(cfg: RunConfig, h, held, p: float, t: float) -> dict:
+    """The estimate columns of the row at (p, t), read from the command's held passes."""
     mu = exact_mean(h, p)
     threshold = mu + t
     if cfg.method == "exact":
         p_hat = histogram_tail(held(p), p, threshold)
-        return TailEstimate(threshold, p_hat, "exact", 1 << h.n, p_hat, p_hat)
+        return {"threshold": threshold, "p_hat": p_hat, "ci_low": p_hat, "ci_high": p_hat}
     witness = None
     if cfg.method == "planted":
         target = planting_target(mu, t, h.k, cfg.alpha)
@@ -334,30 +335,26 @@ def _tail_estimate(cfg: RunConfig, h, held, p: float, t: float) -> TailEstimate:
             raise NoWitnessError(
                 f"family {cfg.family.kind}({cfg.family.n}) cannot seat a witness for {target} edges"
             )
-    return held(p, witness).tail(threshold)
+    est = held(p, witness).tail(threshold)
+    return {"threshold": est.threshold, "p_hat": est.p_hat, "ci_low": est.ci_low, "ci_high": est.ci_high}
 
 
-def _tail_row(cfg: RunConfig, h, held, p: float, t: float) -> dict:
-    est = _tail_estimate(cfg, h, held, p, t)
-    return {
-        "family": cfg.family.kind,
-        "n": cfg.family.n,
-        "k": h.k,
-        "p": p,
-        "threshold": est.threshold,
-        "method": est.method,
-        "p_hat": est.p_hat,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "samples": est.samples,
-        "seed": cfg.seed,
-    }
+def _grid_rows(cfg: RunConfig, h, skip=frozenset()):
+    """The parameter columns of each (p, t) row, in grid order, leaving out the
+    rows whose sweep key is in skip.  samples is 2^n for an exact row."""
+    samples = 1 << h.n if cfg.method == "exact" else cfg.samples
+    for p in cfg.p:
+        for t in cfg.t:
+            row = {"family": cfg.family.kind, "n": cfg.family.n, "k": h.k, "p": p, "t": t,
+                   "method": cfg.method, "samples": samples, "seed": cfg.seed}
+            if _sweep_key(row) not in skip:
+                yield row
 
 
 def _run_tail(cfg: RunConfig, stream) -> int:
     h = build(cfg.family)
     held = _passes_once(cfg, h)
-    rows = [_tail_row(cfg, h, held, p, t) for p in cfg.p for t in cfg.t]
+    rows = [{**row, **_tail_estimate(cfg, h, held, row["p"], row["t"])} for row in _grid_rows(cfg, h)]
     _emit(TAIL_COLUMNS, rows, cfg, stream)
     return 0
 
@@ -464,19 +461,6 @@ def _existing_sweep_keys(cfg: RunConfig) -> set[tuple[str, ...]] | None:
     return {_sweep_key(row) for row in rows} if end else None
 
 
-def _sweep_result(cfg: RunConfig, h, held, p: float, t: float) -> dict:
-    try:
-        est = _tail_estimate(cfg, h, held, p, t)
-    except CapacityError:
-        status = "budget"
-    except NoWitnessError:
-        status = "no_witness"
-    else:
-        return {"threshold": est.threshold, "p_hat": est.p_hat,
-                "ci_low": est.ci_low, "ci_high": est.ci_high, "status": "ok"}
-    return {"threshold": None, "p_hat": None, "ci_low": None, "ci_high": None, "status": status}
-
-
 def _run_sweep(cfg: RunConfig, stream) -> int:
     """Write each missing grid row as soon as it is computed, flushed, so a
     failure part way keeps every row before it."""
@@ -486,24 +470,16 @@ def _run_sweep(cfg: RunConfig, stream) -> int:
     written = 0
     with _sink(cfg, stream, "a") as out:
         write = _row_writer(SWEEP_COLUMNS, cfg, out, header=existing is None)
-        for p in cfg.p:
-            for t in cfg.t:
-                row = {
-                    "family": cfg.family.kind,
-                    "n": cfg.family.n,
-                    "k": h.k,
-                    "p": p,
-                    "t": t,
-                    "method": cfg.method,
-                    "samples": 1 << h.n if cfg.method == "exact" else cfg.samples,
-                    "seed": cfg.seed,
-                }
-                if existing and _sweep_key(row) in existing:
-                    continue
-                row.update(_sweep_result(cfg, h, held, p, t))
-                write(row)
-                out.flush()
-                written += 1
+        for row in _grid_rows(cfg, h, existing or frozenset()):
+            try:
+                row.update(_tail_estimate(cfg, h, held, row["p"], row["t"]), status="ok")
+            except CapacityError:
+                row["status"] = "budget"
+            except NoWitnessError:
+                row["status"] = "no_witness"
+            write(row)
+            out.flush()
+            written += 1
     if cfg.out_file != "-":
         stream.write(f"wrote {written} rows to {cfg.out_file}\n")
     return 0

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .families import Witness
-from .hypergraph import CapacityError, Hypergraph
+from .hypergraph import CapacityError, Hypergraph, VertexSet
 from .rng import chunk_layout, m_subset_members, p_subset_members, stream_generator
 
 __all__ = [
@@ -425,16 +425,10 @@ class SampleHistogram:
 def mc_histogram(
     h: Hypergraph, p: float, samples: int, seed: int, workers: int = 1
 ) -> SampleHistogram:
-    """mc_tail's sampling pass: independent p-samples of vertices."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    free = list(range(h.n))
-    counts = _sample_histogram(
-        h, seed, lambda gen, count: p_subset_members(gen, h.n, free, p, count), samples, workers
-    )
-    return SampleHistogram("mc", counts)
+    """mc_tail's sampling pass: independent p-samples of vertices, which is
+    planted_histogram's pass with an empty witness (same draws, factor 1)."""
+    empty = Witness(h, VertexSet(h.n, 0), 0.0, 0.0)
+    return SampleHistogram("mc", planted_histogram(h, p, samples, seed, empty, workers).counts)
 
 
 def mc_tail(
@@ -504,10 +498,13 @@ def planted_tail(
     return planted_histogram(h, p, samples, seed, witness, workers).tail(threshold)
 
 
-def conditioned_size(n: int, p: float, eps: float) -> int:
+def conditioned_size(n: int, p: float, eps: float) -> int | float:
     """The conditioned estimator's vertex count m = ceil((1+eps) n p), taking
-    (1+eps) n p within 1e-9 of an integer as that integer."""
+    (1+eps) n p within 1e-9 of an integer as that integer.  A product that
+    overflows a float gives m = inf, which exceeds every n."""
     raw = (1.0 + eps) * n * p
+    if math.isinf(raw):
+        return raw
     return round(raw) if abs(raw - round(raw)) < 1e-9 else math.ceil(raw)
 
 

@@ -102,26 +102,24 @@ def build_ap(n: int, k: int) -> Hypergraph:
 
 
 def build_schur(n: int) -> Hypergraph:
-    """Triples {x, y, x+y} with x < y and x + y <= n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x = np.arange(1, n // 2 + 1)
-    group, offset = _group_positions(n - 2 * x)
-    x = x[group]
-    y = x + 1 + offset
-    return Hypergraph(3, n, np.stack([x, y, x + y], axis=1) - 1)
+    """Triples {x, y, x+y} with x < y and x + y <= n: the ell = 1 member of build_ell_sum."""
+    return build_ell_sum(n, 1)
 
 
 def build_ell_sum(n: int, ell: int) -> Hypergraph:
     """Triples {x, y, z} of distinct integers with x < y and x + y = ell * z.
 
-    ell = 1 reproduces the Schur triples exactly.
+    Since x + y <= 2n - 1, only z <= (2n - 1) // ell can carry a triple.  That
+    bound is taken in Python ints before any array exists, so ell * z stays
+    below 2n for any ell, and ell > 2n - 1 gives the empty family.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    z = np.arange(1, n + 1)
+    z = np.arange(1, min(n, (2 * n - 1) // ell) + 1)
+    if not len(z):
+        return Hypergraph(3, n, [])
     s = ell * z
     lo = np.maximum(1, s - n)
     group, offset = _group_positions(np.maximum((s - 1) // 2 - lo + 1, 0))

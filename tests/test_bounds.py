@@ -152,6 +152,25 @@ class TestUpperBounds:
         assert stir.tag == "et_stirling"
         assert rep.log_value <= stir.log_value + 1e-12
 
+    @pytest.mark.parametrize("t", [1e155, 1e300, 1e306, 1.7e308])
+    def test_huge_t_gives_bounds_not_overflow_errors(self, t):
+        # t^2 overflows past t ~ 1.34e154 and log(x!) past x ~ 2.6e305; the
+        # bounds must not, and the chain still holds.
+        mu = 2.5
+        main, quad, ratio = (theorem_c_bound(mu, 1.0, t, form=f).log_value
+                             for f in ("phi", "quadratic", "ratio_log"))
+        assert math.isclose(quad, -1.5 * t, rel_tol=1e-12)  # t / (mu + t/3) -> 3
+        assert main <= quad and main <= ratio < 0
+        x = math.ceil(mu + t)
+        et, stirling = (et_bound(mu, 1.0, x, stirling=s).log_value for s in (False, True))
+        assert et <= stirling < 0
+        assert (et == -math.inf) == (x > 3e305)
+
+    def test_quadratic_form_unchanged_below_overflow(self):
+        mu, t = 2.5, 1e154
+        quad = theorem_c_bound(mu, 1.0, t, form="quadratic").log_value
+        assert quad == -t * t / (2.0 * (mu + t / 3.0))
+
     def test_et_bound_is_honest_for_binomials(self):
         # Pr(Bin >= x) <= mu^x / x! for x well above the mean.
         n, q = 40, 0.05

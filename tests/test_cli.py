@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from contextlib import redirect_stdout
 
 import pytest
@@ -152,6 +153,20 @@ class TestFamilyAndBounds:
         for r in rows:
             float(r["value"])
             json.loads(r["inputs"])
+
+    def test_ell_far_past_int64_gives_the_empty_family(self):
+        for ell in ("6148914691236517207", "100000000000000000000"):
+            code, out = run_cli(["family", "--family", "ell_sum", "--n", "10", "--ell", ell])
+            assert code == 0
+            assert parse_csv(out)[0]["edges"] == "0"
+
+    def test_bounds_at_t_past_float_squares(self):
+        code, out = run_cli(["bounds", "--family", "ap", "--n", "10", "--p", "0.5",
+                             "--t", "1e155,1e306"])
+        assert code == 0
+        rows = {(r["t"], r["tag"]): float(r["value"]) for r in parse_csv(out)}
+        assert rows["1e+155", "theorem_c_quadratic"] == pytest.approx(-1.5e155)
+        assert rows["1e+306", "et"] == -math.inf
 
     def test_bounds_chain_order(self):
         _, out = run_cli(
@@ -322,6 +337,37 @@ class TestSweep:
         # samples and seed do not change an exact row, so a rerun has nothing to do.
         rerun = ["sweep"] + grid + ["--samples", "7", "--seed", "3", "--out-file", out_file]
         assert run_cli(rerun) == (0, f"wrote 0 rows to {out_file}\n")
+
+    # One change of flag per SWEEP_KEY column besides p and t; method twice,
+    # since exact rows and sampled rows already differ in their key's length.
+    EXACT = ["--method", "exact"]
+    MC = ["--method", "mc", "--samples", "100", "--seed", "1"]
+    KEY_CHANGES = {
+        "family": ("family", EXACT, ["--family", "schur"]),
+        "n": ("n", EXACT, ["--n", "11"]),
+        "k": ("k", EXACT, ["--k", "4"]),
+        "method exact to mc": ("method", EXACT + ["--samples", "100", "--seed", "1"],
+                               ["--method", "mc"]),
+        "method mc to planted": ("method", MC, ["--method", "planted"]),
+        "samples": ("samples", MC, ["--samples", "101"]),
+        "seed": ("seed", MC, ["--seed", "2"]),
+    }
+
+    def test_key_changes_cover_every_key_column(self):
+        columns = {column for column, _, _ in self.KEY_CHANGES.values()}
+        assert columns | {"p", "t"} == set(cli.SWEEP_KEY)
+
+    @pytest.mark.parametrize("case", sorted(KEY_CHANGES))
+    def test_every_key_column_matters(self, case, tmp_path):
+        column, flags, change = self.KEY_CHANGES[case]
+        out_file = str(tmp_path / "sweep.csv")
+        argv = ["sweep", "--family", "ap", "--n", "10", "--k", "3", "--p", "0.3", "--t", "1",
+                *flags, "--out-file", out_file]
+        assert run_cli(argv) == (0, f"wrote 1 rows to {out_file}\n")
+        assert run_cli(argv + change) == (0, f"wrote 1 rows to {out_file}\n")
+        first, second = parse_csv(open(out_file).read())
+        assert first[column] != second[column]
+        assert run_cli(argv + change) == (0, f"wrote 0 rows to {out_file}\n")
 
     def test_stdout_mode(self):
         code, out = run_cli(
@@ -625,6 +671,12 @@ class TestUsageErrorsExitTwo:
                                              "--p", "0.5,0.9", "--t", "1", "--method",
                                              "conditioned", "--seed", "1", "--eps", "0.5",
                                              "--samples", "100"],
+        "conditioned m overflows": ["tail", "--family", "ap", "--n", "10", "--p", "0.3", "--t", "1",
+                                    "--method", "conditioned", "--seed", "1", "--samples", "3",
+                                    "--eps", "1e308"],
+        "conditioned m overflows in a sweep": ["sweep", "--family", "ap", "--n", "10", "--p", "0.3",
+                                               "--t", "1", "--method", "conditioned", "--seed", "1",
+                                               "--samples", "3", "--eps", "1e308"],
         # The later --r wins.
         "decompose r inf": DECOMPOSE + ["--r", "inf"],
         "decompose r nan": DECOMPOSE + ["--r", "nan"],

@@ -16,6 +16,8 @@ from uppertail.bounds import exact_mean
 from uppertail.disjointness import degree_event
 from uppertail.estimate import (
     clean_config_histogram,
+    conditioned_histogram,
+    conditioned_size,
     conditioned_tail,
     edge_count_histogram,
     exact_point_mass,
@@ -649,6 +651,12 @@ class TestConditioned:
     def test_eps_too_large(self):
         with pytest.raises(ValueError):
             conditioned_tail(AP4, 0.9, 1.0, 10, seed=0, eps=0.5)
+
+    def test_eps_overflowing_m_exceeds_n(self):
+        # (1 + eps) n p overflows a float: m counts as exceeding n, not as an OverflowError.
+        assert conditioned_size(10, 0.3, 1e308) == math.inf
+        with pytest.raises(ValueError, match="exceeds the 10 available vertices"):
+            conditioned_histogram(build_ap(10, 3), 0.3, 3, seed=1, eps=1e308)
 
     @given(
         n=st.integers(1, 3000),

@@ -53,6 +53,15 @@ class TestBuilders:
                 want = oracles.canonical_edges(3, n, oracles.loop_ell_sum_edges(n, ell))
                 assert build_ell_sum(n, ell).edges == want, (n, ell)
 
+    def test_ell_sum_for_any_ell_matches_the_loop_builder(self):
+        # x + y <= 2n - 1: no ell, however far past int64, may wrap into edges.
+        for n in range(31):
+            for ell in (1, 2, 3, 2 * n - 1, 2 * n, 2**62, 6148914691236517207, 2**63 - 1,
+                        2**64, 10**20):
+                if ell >= 1:
+                    want = oracles.canonical_edges(3, n, oracles.loop_ell_sum_edges(n, ell))
+                    assert build_ell_sum(n, ell).edges == want, (n, ell)
+
     def test_ell_one_is_schur(self):
         for n in (5, 9, 14):
             assert build_ell_sum(n, 1) == build_schur(n)
