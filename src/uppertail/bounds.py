@@ -149,11 +149,15 @@ def et_bound(mu: float, capacity: float, x: float, stirling: bool = False) -> Bo
         main = -math.inf
         stirling_val = -math.inf
     else:
+        # A quotient that under- or overflows is logged as a difference of logs.
+        ratio, quotient = mu / capacity, math.e * mu / (x * capacity)
+        log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(mu) - math.log(capacity)
         try:
-            main = x * math.log(mu / capacity) - math.lgamma(x + 1.0)
+            main = x * log_ratio - math.lgamma(x + 1.0)
         except OverflowError:  # log(x!) beyond the float range, past x ~ 2.6e305
             main = -math.inf
-        stirling_val = x * math.log(math.e * mu / (x * capacity)) - 0.5 * math.log(2.0 * math.pi * x)
+        log_quotient = math.log(quotient) if 0.0 < quotient < math.inf else 1.0 + log_ratio - math.log(x)
+        stirling_val = x * log_quotient - 0.5 * math.log(2.0 * math.pi * x)
         _chain_check(main, stirling_val, "factorial vs stirling")
     if stirling:
         return BoundReport("et_stirling", stirling_val, {"mu": mu, "capacity": capacity, "x": x})

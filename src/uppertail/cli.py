@@ -47,6 +47,9 @@ from .verify import SUITES, run_suites
 
 __all__ = ["RunConfig", "main", "run"]
 
+FAMILY_COLUMNS = ("family", "n", "k", "ell", "vertices", "edges", "delta_1", "delta_2")
+BOUNDS_COLUMNS = ("family", "n", "k", "p", "t", "tag", "value", "inputs")
+DECOMPOSE_COLUMNS = ("sample", "vertices", "x", "xr", "xr_exact", "greedy_mr", "mr", "cascade")
 TAIL_COLUMNS = (
     "family", "n", "k", "p", "threshold", "method",
     "p_hat", "ci_low", "ci_high", "samples", "seed",
@@ -213,23 +216,12 @@ def _emit(columns: tuple[str, ...], rows: list[dict], cfg: RunConfig, stream) ->
             write(row)
 
 
-def _family_row(spec: FamilySpec) -> dict:
-    h = build(spec)
-    return {
-        "family": spec.kind,
-        "n": spec.n,
-        "k": h.k,
-        "ell": spec.ell if spec.kind == "ell_sum" else None,
-        "vertices": h.n,
-        "edges": h.num_edges,
-        "delta_1": max_degree(h),
-        "delta_2": delta_j(h, 2),
-    }
-
-
 def _run_family(cfg: RunConfig, stream) -> int:
-    columns = ("family", "n", "k", "ell", "vertices", "edges", "delta_1", "delta_2")
-    _emit(columns, [_family_row(cfg.family)], cfg, stream)
+    spec = cfg.family
+    h = build(spec)
+    ell = spec.ell if spec.kind == "ell_sum" else None
+    values = (spec.kind, spec.n, h.k, ell, h.n, h.num_edges, max_degree(h), delta_j(h, 2))
+    _emit(FAMILY_COLUMNS, [dict(zip(FAMILY_COLUMNS, values))], cfg, stream)
     return 0
 
 
@@ -239,18 +231,8 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
     rows = []
 
     def add(p: float, t: float, tag: str, value: float, inputs: dict) -> None:
-        rows.append(
-            {
-                "family": spec.kind,
-                "n": spec.n,
-                "k": h.k,
-                "p": p,
-                "t": t,
-                "tag": tag,
-                "value": value,
-                "inputs": json.dumps(inputs, sort_keys=True, separators=(",", ":")),
-            }
-        )
+        inputs_json = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+        rows.append(dict(zip(BOUNDS_COLUMNS, (spec.kind, spec.n, h.k, p, t, tag, value, inputs_json))))
 
     for p in cfg.p:
         report = moment_report(h, p)
@@ -285,8 +267,7 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
 
 
 def _run_bounds(cfg: RunConfig, stream) -> int:
-    columns = ("family", "n", "k", "p", "t", "tag", "value", "inputs")
-    _emit(columns, _bounds_rows(cfg), cfg, stream)
+    _emit(BOUNDS_COLUMNS, _bounds_rows(cfg), cfg, stream)
     return 0
 
 
@@ -379,20 +360,8 @@ def _run_decompose(cfg: RunConfig, stream) -> int:
             cascade = "indeterminate" if verdict is None else _fmt(verdict)
         else:
             cascade = "na"
-        rows.append(
-            {
-                "sample": i,
-                "vertices": len(s),
-                "x": x,
-                "xr": xr,
-                "xr_exact": xr_exact_flag,
-                "greedy_mr": greedy,
-                "mr": mr,
-                "cascade": cascade,
-            }
-        )
-    columns = ("sample", "vertices", "x", "xr", "xr_exact", "greedy_mr", "mr", "cascade")
-    _emit(columns, rows, cfg, stream)
+        rows.append(dict(zip(DECOMPOSE_COLUMNS, (i, len(s), x, xr, xr_exact_flag, greedy, mr, cascade))))
+    _emit(DECOMPOSE_COLUMNS, rows, cfg, stream)
     return 0
 
 

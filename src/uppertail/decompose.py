@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .hypergraph import CapacityError, Hypergraph, VertexSet, induced_edges
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "cascade_prune",
     "check_cascade_event",
     "degree_prune",
+    "degree_prune_on",
     "greedy_star_matching",
     "induced_max_degree",
     "make_star_matching",
@@ -35,6 +38,7 @@ __all__ = [
     "xr_exact",
     "xr_exact_on",
     "xr_or_lower",
+    "xr_or_lower_on",
 ]
 
 XR_EDGE_BUDGET = 22
@@ -146,8 +150,7 @@ def _local_incidence(h: Hypergraph, edge_ids: tuple[int, ...]) -> dict[int, list
 
 def induced_max_degree(h: Hypergraph, edge_ids: tuple[int, ...]) -> int:
     """Maximum vertex degree of the subhypergraph formed by the given edge ids."""
-    inc = _local_incidence(h, edge_ids)
-    return max((len(ids) for ids in inc.values()), default=0)
+    return int(np.bincount(h.edge_array.take(edge_ids, axis=0).ravel(), minlength=1).max())
 
 
 def xr_exact(h: Hypergraph, s: VertexSet, r: float) -> int:
@@ -220,14 +223,18 @@ def xr_or_lower(h: Hypergraph, s: VertexSet, r: float) -> tuple[int, bool]:
     pruned-edge count stands in (every pruned subgraph is feasible, so it
     never exceeds X_r).
     """
+    return xr_or_lower_on(h, induced_edges(h, s), r)
+
+
+def xr_or_lower_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> tuple[int, bool]:
+    """xr_or_lower over the given edge ids instead of H[S]."""
     if r <= 0:
         raise ValueError("r must be positive")
-    ids = induced_edges(h, s)
     if induced_max_degree(h, ids) <= r:
         return len(ids), True
     if len(ids) <= XR_EDGE_BUDGET:
         return xr_exact_on(h, ids, r), True
-    return len(_degree_prune_on(h, ids, r).kept_edge_ids), False
+    return len(degree_prune_on(h, ids, r).kept_edge_ids), False
 
 
 def _greedy_matching_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> StarMatching:
@@ -266,7 +273,10 @@ class PruneResult:
     kept_edge_ids: tuple[int, ...]
 
 
-def _degree_prune_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> PruneResult:
+def degree_prune_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> PruneResult:
+    """degree_prune over the given edge ids instead of H[S]."""
+    if r <= 0:
+        raise ValueError("r must be positive")
     matching = _greedy_matching_on(h, edge_ids, r)
     blocked = matching.vertex_bits
     kept = tuple(i for i in edge_ids if h.edge_masks[i] & blocked == 0)
@@ -283,9 +293,7 @@ def degree_prune(h: Hypergraph, s: VertexSet, r: float) -> PruneResult:
     The remainder has max degree <= ceil(r) - 1 <= r by maximality of the
     greedy matching; violated expectations raise.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return _degree_prune_on(h, induced_edges(h, s), r)
+    return degree_prune_on(h, induced_edges(h, s), r)
 
 
 @dataclass(frozen=True)
@@ -316,7 +324,7 @@ def cascade_prune(h: Hypergraph, s: VertexSet, params: CascadeParams) -> Cascade
     levels = []
     for j in (range(big_j - 1, -1, -1) if big_j > 0 else [0]):
         r_j = params.r_level(j)
-        result = _degree_prune_on(h, current, r_j)
+        result = degree_prune_on(h, current, r_j)
         kept = result.kept_edge_ids
         levels.append(
             CascadeLevel(

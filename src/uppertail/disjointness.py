@@ -26,6 +26,7 @@ __all__ = [
     "bk_check",
     "box",
     "degree_event",
+    "event_probabilities",
     "event_probability",
     "mr_le_z_check",
     "z_disjoint",
@@ -105,13 +106,9 @@ class EventTable:
 
 @lru_cache(maxsize=None)
 def _coord_zero_mask(i: int, m: int) -> int:
-    """Mask over outcome codes whose coordinate i is 0."""
+    """Mask over outcome codes whose coordinate i is 0: 2^i ones, 2^i zeros, repeated."""
     block = (1 << (1 << i)) - 1
-    period = 1 << (i + 1)
-    out = 0
-    for start in range(0, 1 << m, period):
-        out |= block << start
-    return out
+    return ((1 << (1 << m)) - 1) // ((1 << (2 << i)) - 1) * block
 
 
 def _universal_tables(event: EventTable) -> list[int]:
@@ -155,12 +152,26 @@ def box(a: EventTable, b: EventTable) -> EventTable:
     return EventTable(m, out)
 
 
-def _agreement_masks(m: int, omega: int) -> list[int]:
-    agree = []
+def _minimal_certificates(event: EventTable, omega: int) -> tuple[int, ...]:
+    """The minimal certificates K of omega for the event, in ascending K.
+
+    Bit K of `fails` ends up set iff some outside outcome agrees with omega on
+    K.  It starts as the outside's table; coordinate i then turns each bit's
+    y_i into K_i: K without i takes either half, K with i the half where
+    y_i = omega_i.  K is minimal iff no certificate lies one coordinate below.
+    """
+    m = event.m
+    outcomes_full = (1 << (1 << m)) - 1
+    fails = outcomes_full ^ event.table
     for i in range(m):
-        mask0 = _coord_zero_mask(i, m)
-        agree.append(mask0 << (1 << i) if (omega >> i) & 1 else mask0)
-    return agree
+        shift, zero = 1 << i, _coord_zero_mask(i, m)
+        low, high = fails & zero, (fails >> shift) & zero
+        fails = low | high | ((high if (omega >> i) & 1 else low) << shift)
+    cert = outcomes_full ^ fails
+    grown = 0
+    for i in range(m):
+        grown |= (cert & _coord_zero_mask(i, m)) << (1 << i)
+    return VertexSet(1 << m, cert & ~grown).indices()
 
 
 def z_disjoint(
@@ -180,36 +191,16 @@ def z_disjoint(
     if not 0 <= omega < (1 << m):
         raise ValueError("outcome outside {0,1}^m")
 
-    outcomes_full = (1 << (1 << m)) - 1
-    agree = _agreement_masks(m, omega)
-    masks = [0] * (1 << m)
-    masks[0] = outcomes_full
-    for k in range(1, 1 << m):
-        low = k & -k
-        masks[k] = masks[k ^ low] & agree[low.bit_length() - 1]
-
-    minimal_certs = []
-    for event in events:
-        outside = outcomes_full ^ event.table
-        cert = [masks[k] & outside == 0 for k in range(1 << m)]
-        mins = [
-            k
-            for k in range(1 << m)
-            if cert[k]
-            and all(not cert[k ^ (1 << i)] for i in range(m) if (k >> i) & 1)
-        ]
-        minimal_certs.append(mins)
-
-    order = sorted(range(len(events)), key=lambda idx: len(minimal_certs[idx]))
+    certs = sorted((_minimal_certificates(event, omega) for event in events), key=len)
     best = 0
 
     def dfs(pos: int, used: int, count: int) -> None:
         nonlocal best
         if count > best:
             best = count
-        if pos == len(order) or count + (len(order) - pos) <= best:
+        if pos == len(certs) or count + (len(certs) - pos) <= best:
             return
-        for kmask in minimal_certs[order[pos]]:
+        for kmask in certs[pos]:
             if kmask & used == 0:
                 dfs(pos + 1, used | kmask, count + 1)
         dfs(pos + 1, used, count)
@@ -230,9 +221,18 @@ def _outcome_weights(m: int, probs: Sequence[float]) -> np.ndarray:
     return w
 
 
+def event_probabilities(events: Sequence[EventTable], probs: Sequence[float]) -> list[float]:
+    """Exact probability of each event under one product measure, whose
+    outcome weights are built once."""
+    if not events:
+        return []
+    weights = _outcome_weights(events[0].m, probs)
+    return [float(np.dot(event.to_bool_array(), weights)) for event in events]
+
+
 def event_probability(event: EventTable, probs: Sequence[float]) -> float:
     """Exact probability of the event under the product measure."""
-    return float(np.dot(event.to_bool_array(), _outcome_weights(event.m, probs)))
+    return event_probabilities([event], probs)[0]
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,7 @@ class BKResult:
 
 def bk_check(a: EventTable, b: EventTable, probs: Sequence[float]) -> BKResult:
     """Verify Pr(A box B) <= Pr(A) Pr(B) + 1e-12 under the product measure."""
-    boxed = box(a, b)
-    p_box = event_probability(boxed, probs)
-    p_a = event_probability(a, probs)
-    p_b = event_probability(b, probs)
+    p_box, p_a, p_b = event_probabilities([box(a, b), a, b], probs)
     return BKResult(p_box, p_a, p_b, p_box <= p_a * p_b + 1e-12)
 
 

@@ -502,6 +502,8 @@ def conditioned_size(n: int, p: float, eps: float) -> int | float:
     """The conditioned estimator's vertex count m = ceil((1+eps) n p), taking
     (1+eps) n p within 1e-9 of an integer as that integer.  A product that
     overflows a float gives m = inf, which exceeds every n."""
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, not {eps}")
     raw = (1.0 + eps) * n * p
     if math.isinf(raw):
         return raw

@@ -20,6 +20,7 @@ __all__ = [
     "delta_j",
     "induced_edge_count",
     "induced_edges",
+    "induced_mask",
     "max_degree",
     "sample_vm",
     "sample_vp",
@@ -215,11 +216,17 @@ class Hypergraph:
         return f"Hypergraph(k={self.k}, n={self.n}, edges={self.num_edges})"
 
 
+def induced_mask(h: Hypergraph, member: np.ndarray) -> np.ndarray:
+    """inside[..., i]: whether edge i has all k vertices in member, a boolean
+    mask over range(n) or a stack of such masks (one row of inside each)."""
+    return member[..., h.edge_array].all(axis=-1)
+
+
 def _inside(h: Hypergraph, s: VertexSet) -> np.ndarray:
     """inside[i]: whether edge i has all k vertices in s."""
     if s.n != h.n:
         raise ValueError(f"vertex set over range({s.n}) does not match range({h.n})")
-    return s.to_bool_array()[h.edge_array].all(axis=1)
+    return induced_mask(h, s.to_bool_array())
 
 
 def induced_edge_count(h: Hypergraph, s: VertexSet) -> int:

@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, cycle, islice, product
 
 import numpy as np
 
@@ -39,17 +39,19 @@ from .decompose import (
     cascade_prune,
     check_cascade_event,
     degree_prune,
+    degree_prune_on,
     induced_max_degree,
     mr_exact,
     mr_exact_on,
     xr_exact,
     xr_exact_on,
-    xr_or_lower,
+    xr_or_lower_on,
 )
 from .disjointness import (
     EventTable,
     box,
     degree_event,
+    event_probabilities,
     event_probability,
     mr_le_z_check,
     z_disjoint,
@@ -72,6 +74,7 @@ from .hypergraph import (
     delta_j,
     induced_edge_count,
     induced_edges,
+    induced_mask,
     sample_vp,
 )
 from .rng import stream_generator
@@ -255,27 +258,40 @@ def variance_suite(hists: dict | None = None) -> list[CheckResult]:
 # ----------------------------------------------------------- sandwich suite
 
 
-def sandwich_sample_check(seed: int, count: int) -> CheckResult:
-    """Sampled (H, S, r) triples obey the degree-prune sandwich; active counts
-    the triples whose X_r is exact."""
-    rng = stream_generator(seed, 0)
+def _sandwich_samples(seed: int, count: int) -> list[tuple[Hypergraph, float, float, tuple]]:
+    """sandwich_sample_check's (H, p, r, ids of the edges a p-subset induces).
+
+    One draw, split per sample, reads the doubles count sample_vp calls would;
+    each graph's samples then go through one induced pass as a stack of masks.
+    """
     hs = [build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)]
     rs = (1.0, 2.0, 3.0, 5.0)
     ps = (0.15, 0.3, 0.5)
+    # Sample i takes the graph i % 6, r at (i // 6) % 4 and p at (i // 24) % 3.
+    grid = list(islice(cycle(product(ps, rs, hs)), count))
+    sizes = [h.n for _, _, h in grid]
+    draws = np.split(stream_generator(seed, 0).random(sum(sizes)), np.cumsum(sizes)[:-1])
+    ids: list[tuple[int, ...]] = [()] * count
+    for first, h in enumerate(hs):
+        picked = range(first, count, len(hs))
+        member = np.array([draws[i] < grid[i][0] for i in picked]).reshape(-1, h.n)
+        for i, inside in zip(picked, induced_mask(h, member)):
+            ids[i] = tuple(np.flatnonzero(inside).tolist())
+    return [(h, p, r, edge_ids) for (p, r, h), edge_ids in zip(grid, ids)]
+
+
+def sandwich_sample_check(seed: int, count: int) -> CheckResult:
+    """Sampled (H, S, r) triples obey the degree-prune sandwich; active counts
+    the triples whose X_r is exact."""
     violations = 0
     exact_count = 0
-    for i in range(count):
-        h = hs[i % len(hs)]
-        r = rs[(i // len(hs)) % len(rs)]
-        p = ps[(i // (len(hs) * len(rs))) % len(ps)]
-        s = sample_vp(h, p, rng)
-        ids = induced_edges(h, s)
+    for h, _, r, ids in _sandwich_samples(seed, count):
         x = len(ids)
         delta1 = induced_max_degree(h, ids)
-        pruned = degree_prune(h, s, r)
+        pruned = degree_prune_on(h, ids, r)
         g0 = len(pruned.kept_edge_ids)
         msize = pruned.matching.size
-        xr, exact = xr_or_lower(h, s, r)
+        xr, exact = xr_or_lower_on(h, ids, r)
         exact_count += exact
         slack = h.k * math.ceil(r) * msize * delta1
         lower_ok = g0 <= xr <= x
@@ -293,14 +309,13 @@ def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray
     """The distinct induced edge-id sets over all 2^n subsets, and
     index[code] = the position of code's set among them.
 
-    One array pass: row code of the (2^n, e) inside-matrix marks the edges
-    whose vertex masks lie in code, and np.unique groups equal rows.  The sets
-    come back in np.unique's sorted row order, not in order of first
-    appearance; callers only add integer counts per set.
+    One array pass: row code of the (2^n, e) inside-matrix, induced_mask of
+    code's membership mask, marks the edges inside code, and np.unique groups
+    equal rows.  The sets come back in np.unique's sorted row order, not in
+    order of first appearance; callers only add integer counts per set.
     """
-    masks = np.bitwise_or.reduce(np.left_shift(1, h.edge_array), axis=1)
-    codes = np.arange(1 << h.n, dtype=np.int64)[:, None]
-    rows, index = np.unique((codes & masks) == masks, axis=0, return_inverse=True)
+    member = (np.arange(1 << h.n)[:, None] >> np.arange(h.n)) & 1 == 1
+    rows, index = np.unique(induced_mask(h, member), axis=0, return_inverse=True)
     return [tuple(np.flatnonzero(row).tolist()) for row in rows], index.reshape(-1)
 
 
@@ -410,8 +425,7 @@ def mr_tail_check(n: int = 12) -> CheckResult:
             events = [degree_event(h, v, math.ceil(r)) for v in range(n)]
             hist = _size_value_hist(_mr_by_code(h, r))
             for p in (0.1, 0.3, 0.5, 0.7):
-                probs = [p] * n
-                phi_r = math.fsum(event_probability(ev, probs) for ev in events)
+                phi_r = math.fsum(event_probabilities(events, [p] * n))
                 for y in (0.5, 1.0, 2.0, 3.0):
                     cy = math.ceil(y)
                     lhs = histogram_tail(hist, p, y)
@@ -534,7 +548,7 @@ def bk_random_pairs() -> CheckResult:
     rng = stream_generator(10, 0)
     measures = [[0.5] * 8, [0.3] * 8, [float(x) for x in rng.uniform(0.1, 0.9, size=8)]]
     violations = 0
-    checked = 0
+    triples = []
     for _ in range(200):
         a = EventTable(8, int.from_bytes(rng.bytes(32), "little"))
         b = EventTable(8, int.from_bytes(rng.bytes(32), "little"))
@@ -543,14 +557,12 @@ def bk_random_pairs() -> CheckResult:
             violations += 1
         if ab != box(b, a):
             violations += 1
-        # bk_check's inequality, on the box product already held.
-        for probs in measures:
-            checked += 1
-            p_ab = event_probability(ab, probs)
-            p_a = event_probability(a, probs)
-            p_b = event_probability(b, probs)
-            if not p_ab <= p_a * p_b + 1e-12:
-                violations += 1
+        triples += [ab, a, b]
+    # bk_check's inequality, on the box products already held.
+    for probs in measures:
+        probabilities = iter(event_probabilities(triples, probs))
+        violations += sum(not p_ab <= p_a * p_b + 1e-12 for p_ab, p_a, p_b in zip(*[probabilities] * 3))
+    checked = 200 * len(measures)
     detail = f"200 pairs, {checked} measure checks"
     return _none_violated("bk", "random_pairs", detail, checked, violations)
 

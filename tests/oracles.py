@@ -402,23 +402,24 @@ def naive_box(a: set[int], b: set[int], m: int) -> set[int]:
     return out
 
 
+def naive_minimal_certificates(outcomes: set[int], omega: int, m: int) -> list[int]:
+    """The coordinate sets that certify omega for the outcome set while no set
+    one coordinate smaller does, in ascending order."""
+    ok = [cylinder_forces(omega, k, outcomes, m) for k in range(1 << m)]
+    return [
+        k
+        for k in range(1 << m)
+        if ok[k] and not any(ok[k & ~(1 << i)] for i in range(m) if (k >> i) & 1)
+    ]
+
+
 def naive_z_disjoint(events: list[set[int]], omega: int, m: int) -> int:
     """Max events certifiable at omega on pairwise-disjoint coordinate sets.
 
     Any working certificate contains a minimal one, so searching over minimal
     certificates only is still exact.
     """
-    minimal = []
-    for ev in events:
-        ok = [cylinder_forces(omega, k, ev, m) for k in range(1 << m)]
-        minimal.append(
-            [
-                k
-                for k in range(1 << m)
-                if ok[k]
-                and not any(ok[k & ~(1 << i)] for i in range(m) if (k >> i) & 1)
-            ]
-        )
+    minimal = [naive_minimal_certificates(ev, omega, m) for ev in events]
     best = 0
 
     def extend(idx: int, used: int, count: int) -> None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 import oracles
+from uppertail import bounds
 from uppertail.bounds import (
     binomial_point_lower,
     binomial_point_lower_refined,
@@ -165,6 +166,32 @@ class TestUpperBounds:
         et, stirling = (et_bound(mu, 1.0, x, stirling=s).log_value for s in (False, True))
         assert et <= stirling < 0
         assert (et == -math.inf) == (x > 3e305)
+
+    @pytest.mark.parametrize(
+        "mu, capacity, x",
+        [
+            (0.54, 1e308, 2),  # x * C overflows: the Stirling quotient is 0
+            (1e-300, 1e300, 3),  # mu / C underflows: the main quotient is 0
+            (1e300, 1e-300, 2),  # mu / C overflows
+        ],
+    )
+    def test_et_bound_quotients_past_the_float_range(self, mu, capacity, x):
+        et, stirling = (et_bound(mu, capacity, x, stirling=s).log_value for s in (False, True))
+        assert math.isfinite(et) and math.isfinite(stirling)
+        bounds._chain_check(et, stirling, "factorial vs stirling")
+        log_ratio = math.log(mu) - math.log(capacity)
+        assert et == pytest.approx(x * log_ratio - math.lgamma(x + 1.0), rel=1e-12)
+        want = x * (1.0 + log_ratio - math.log(x)) - 0.5 * math.log(2.0 * math.pi * x)
+        assert stirling == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mu, capacity, x", [(0.8, 1.0, 5), (2.5, 3.0, 7), (1e-200, 1e100, 2)])
+    def test_et_bound_keeps_finite_quotients_bit_for_bit(self, mu, capacity, x):
+        assert et_bound(mu, capacity, x).log_value == (
+            x * math.log(mu / capacity) - math.lgamma(x + 1.0)
+        )
+        assert et_bound(mu, capacity, x, stirling=True).log_value == (
+            x * math.log(math.e * mu / (x * capacity)) - 0.5 * math.log(2.0 * math.pi * x)
+        )
 
     def test_quadratic_form_unchanged_below_overflow(self):
         mu, t = 2.5, 1e154

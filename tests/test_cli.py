@@ -4,6 +4,7 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +169,15 @@ class TestFamilyAndBounds:
         assert rows["1e+155", "theorem_c_quadratic"] == pytest.approx(-1.5e155)
         assert rows["1e+306", "et"] == -math.inf
 
+    def test_bounds_at_capacity_past_float_products(self):
+        # x * C overflows, so the Stirling form's quotient is 0.
+        code, out = run_cli(["bounds", "--family", "ap", "--n", "10", "--p", "0.3",
+                             "--t", "1", "--capacity", "1e308"])
+        assert code == 0
+        rows = {r["tag"]: float(r["value"]) for r in parse_csv(out)}
+        assert not any(math.isnan(v) for v in rows.values())
+        assert rows["et"] <= rows["et_stirling"] < -1000.0
+
     def test_bounds_chain_order(self):
         _, out = run_cli(
             ["bounds", "--family", "ap", "--n", "10", "--p", "0.3", "--t", "2"]
@@ -238,6 +248,12 @@ class TestVerifyCommand:
 
     def test_repeated_suite_runs_once(self):
         assert run_cli(["verify", "phi", "phi"]) == run_cli(["verify", "phi"])
+
+    def test_stdout_matches_the_pinned_file(self):
+        # Every detail line, not only the counts: the fast paths behind the
+        # checks must reproduce each printed figure.
+        pinned = Path(__file__).parent / "data" / "verify_stdout.txt"
+        assert run_cli(["verify"]) == (0, pinned.read_text(encoding="utf-8"))
 
 
 class TestSweep:

@@ -15,13 +15,16 @@ from uppertail.decompose import (
     cascade_prune,
     check_cascade_event,
     degree_prune,
+    degree_prune_on,
     greedy_star_matching,
+    induced_max_degree,
     make_star_matching,
     mr_exact,
     mr_exact_on,
     xr_exact,
     xr_exact_on,
     xr_or_lower,
+    xr_or_lower_on,
 )
 from uppertail.families import build_ap, build_schur
 from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edges, sample_vp
@@ -129,6 +132,41 @@ class TestXr:
         assert flag is False
         assert val == len(degree_prune(h, full, 2.0).kept_edge_ids)
         assert val < len(induced_edges(h, full))
+
+
+class TestEdgeIdForms:
+    @staticmethod
+    def _python_max_degree(h, ids):
+        deg: dict[int, int] = {}
+        for i in ids:
+            for v in h.edges[i]:
+                deg[v] = deg.get(v, 0) + 1
+        return max(deg.values(), default=0)
+
+    def test_induced_max_degree_matches_a_python_count(self):
+        rng = np.random.default_rng(9)
+        for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+            for h, s in _random_cases(24, 20, seed=int(p * 10), p=p):
+                ids = induced_edges(h, s)
+                assert induced_max_degree(h, ids) == self._python_max_degree(h, ids)
+                # Any id set, not only an induced one.
+                some = tuple(sorted(rng.choice(h.num_edges, rng.integers(0, 12), replace=False).tolist()))
+                assert induced_max_degree(h, some) == self._python_max_degree(h, some)
+        assert induced_max_degree(AP5, ()) == 0
+
+    def test_on_forms_match_the_subset_forms(self):
+        for h, s in _random_cases(16, 30, seed=10, p=0.6):
+            ids = induced_edges(h, s)
+            for r in (1.0, 1.5, 2.0, 3.0):
+                assert xr_or_lower_on(h, ids, r) == xr_or_lower(h, s, r)
+                assert degree_prune_on(h, ids, r) == degree_prune(h, s, r)
+
+    def test_on_forms_reject_nonpositive_r(self):
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                xr_or_lower_on(AP5, (), r)
+            with pytest.raises(ValueError):
+                degree_prune_on(AP5, (), r)
 
 
 class TestStarMatching:

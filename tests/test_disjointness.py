@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
+from uppertail import disjointness
 from uppertail.disjointness import (
     EVENT_COORD_BUDGET,
+    Z_EVENT_BUDGET,
     EventTable,
     bk_check,
     box,
     degree_event,
+    event_probabilities,
     event_probability,
     mr_le_z_check,
     z_disjoint,
@@ -139,6 +142,31 @@ class TestZDisjoint:
                 )
                 assert got == want
 
+    def test_matches_naive_at_every_size(self):
+        # m = 0..8 coordinates and 1..Z_EVENT_BUDGET events, the full and the
+        # empty event among them; every omega up to m = 4, seeded ones above.
+        rng = random.Random(23)
+        for m in range(9):
+            full, empty = EventTable.full(m), EventTable.empty(m)
+            for count in range(1, Z_EVENT_BUDGET + 1):
+                events = [_random_table(m, rng, rng.choice((0.5, 0.8, 0.95))) for _ in range(count)]
+                events[rng.randrange(count)] = full
+                if count > 1:
+                    events[rng.randrange(count)] = empty
+                outcomes = [_outcomes(e) for e in events]
+                omegas = range(1 << m) if m <= 4 else rng.sample(range(1 << m), 2)
+                for omega in omegas:
+                    assert z_disjoint(events, omega) == oracles.naive_z_disjoint(outcomes, omega, m)
+
+    def test_minimal_certificates_match_naive_in_order(self):
+        rng = random.Random(24)
+        for m in range(7):
+            for _ in range(6):
+                event = _random_table(m, rng, rng.choice((0.3, 0.7, 0.95)))
+                for omega in rng.sample(range(1 << m), min(4, 1 << m)):
+                    got = disjointness._minimal_certificates(event, omega)
+                    assert got == tuple(oracles.naive_minimal_certificates(_outcomes(event), omega, m))
+
     def test_pair_consistency_with_box(self):
         rng = random.Random(6)
         m = 4
@@ -171,6 +199,23 @@ class TestProbability:
             assert event_probability(e, probs) == pytest.approx(
                 oracles.naive_event_probability(_outcomes(e), probs), rel=1e-12
             )
+
+    def test_batch_equals_one_event_at_a_time(self):
+        rng = random.Random(9)
+        for m in (0, 1, 4, 8):
+            events = [_random_table(m, rng) for _ in range(12)] + [EventTable.full(m)]
+            probs = [rng.uniform(0.05, 0.95) for _ in range(m)]
+            batch = event_probabilities(events, probs)
+            assert len(batch) == len(events)
+            for event, value in zip(events, batch):
+                assert value == event_probability(event, probs)
+        assert event_probabilities([], [0.5]) == []
+
+    def test_batch_validation(self):
+        with pytest.raises(ValueError):
+            event_probabilities([EventTable.full(2), EventTable.full(3)], [0.5] * 2)
+        with pytest.raises(ValueError):
+            event_probabilities([EventTable.full(3)], [0.5, 0.5])
 
     def test_validation(self):
         with pytest.raises(ValueError):

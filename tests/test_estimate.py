@@ -658,6 +658,14 @@ class TestConditioned:
         with pytest.raises(ValueError, match="exceeds the 10 available vertices"):
             conditioned_histogram(build_ap(10, 3), 0.3, 3, seed=1, eps=1e308)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_eps_is_refused(self, eps):
+        # inf * 0 is nan, which round() cannot convert: refuse eps itself.
+        with pytest.raises(ValueError, match="eps must be finite"):
+            conditioned_size(10, 0.0, eps)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            conditioned_histogram(build_ap(10, 3), 0.3, 3, seed=1, eps=eps)
+
     @given(
         n=st.integers(1, 3000),
         p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),

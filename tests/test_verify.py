@@ -11,7 +11,8 @@ import oracles
 from uppertail import disjointness, verify
 from uppertail.decompose import mr_exact_on
 from uppertail.families import FamilySpec, build, build_ap
-from uppertail.hypergraph import CapacityError, Hypergraph, max_degree
+from uppertail.hypergraph import CapacityError, Hypergraph, induced_edges, max_degree, sample_vp
+from uppertail.rng import stream_generator
 from uppertail.verify import (
     SUITES,
     TAIL_SANDWICH_C,
@@ -227,6 +228,18 @@ class TestCheckCounts:
         monkeypatch.setattr(verify, "_mr_by_code", unreachable)
         with pytest.raises(CapacityError):
             verify.mr_tail_check(disjointness.BOX_COORD_BUDGET + 1)
+
+
+class TestSandwichSamples:
+    @pytest.mark.parametrize("count", [0, 4, 2000])
+    def test_split_draw_equals_successive_sample_vp_draws(self, count):
+        # One draw split per triple reads the doubles count sample_vp calls
+        # would, and the stacked induced pass gives each subset's edge ids.
+        rng = stream_generator(7, 0)
+        samples = verify._sandwich_samples(7, count)
+        assert len(samples) == count
+        for h, p, _, ids in samples:
+            assert ids == induced_edges(h, sample_vp(h, p, rng))
 
 
 PACKING_GRAPHS = {
