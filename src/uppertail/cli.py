@@ -1,9 +1,10 @@
 """Command-line front end: family stats, bound reports, tail estimation,
 decomposition traces, verification suites, and resumable parameter sweeps.
 
-Numbers are serialized with 17 significant digits so identical runs produce
-byte-identical artifacts.  Exit codes: 0 success, 1 verification or runtime
-failure, 2 usage error.
+CSV writes floats with %.17g and JSON lines with Python's shortest round-trip
+repr (0.1 prints as 0.10000000000000001 in CSV, as 0.1 in JSON); both are
+exact, so identical runs produce byte-identical artifacts.  Exit codes: 0
+success, 1 verification or runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from .bounds import (
     moment_report,
     theorem_c_bound,
 )
-from .decompose import CascadeParams, check_cascade_event, greedy_star_matching, mr_exact, xr_or_lower
+from .decompose import (
+    CascadeParams, check_cascade_event, greedy_star_matching, mr_exact_on, xr_or_lower_on,
+)
 from .estimate import (
     METHODS,
     conditioned_histogram,
@@ -41,7 +44,7 @@ from .estimate import (
     planting_target,
 )
 from .families import KINDS, FamilySpec, build, interval_witness
-from .hypergraph import CapacityError, delta_j, induced_edge_count, max_degree, sample_vp
+from .hypergraph import CapacityError, delta_j, induced_edges, max_degree, sample_vp
 from .rng import KEY_LIMIT, stream_generator
 from .verify import SUITES, run_suites
 
@@ -63,16 +66,6 @@ class UsageError(ValueError):
 
 class NoWitnessError(UsageError):
     """The family cannot seat a planting witness for the requested edge count."""
-
-
-def _default_workers() -> int:
-    env = os.environ.get("UPPERTAIL_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"UPPERTAIL_WORKERS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _fmt(value: Any) -> str:
@@ -348,11 +341,12 @@ def _run_decompose(cfg: RunConfig, stream) -> int:
     rows = []
     for i in range(cfg.samples):
         s = sample_vp(h, p, rng)
-        x = induced_edge_count(h, s)
-        xr, xr_exact_flag = xr_or_lower(h, s, cfg.r)
+        ids = induced_edges(h, s)
+        x = len(ids)
+        xr, xr_exact_flag = xr_or_lower_on(h, ids, cfg.r)
         greedy = greedy_star_matching(h, s, cfg.r).size
         try:
-            mr: Any = mr_exact(h, s, cfg.r)
+            mr: Any = mr_exact_on(h, ids, cfg.r)
         except CapacityError:
             mr = "budget"
         if params is not None:
@@ -482,7 +476,7 @@ def _add_estimate_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--eps", type=float, help="conditioned-vertex surplus")
     sub.add_argument("--alpha", type=float, help="planting overlap parameter")
-    sub.add_argument("--workers", type=int, help="0 = UPPERTAIL_WORKERS or cpu count")
+    sub.add_argument("--workers", type=int, help="0 = cpu count")
     sub.set_defaults(workers=0)
 
 
@@ -585,7 +579,7 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
     if fields.get("workers") == 0:
-        fields["workers"] = _default_workers()
+        fields["workers"] = os.cpu_count() or 1
     return RunConfig(family=spec, **fields)
 
 

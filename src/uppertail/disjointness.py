@@ -26,6 +26,7 @@ __all__ = [
     "bk_check",
     "box",
     "degree_event",
+    "degree_events",
     "event_probabilities",
     "event_probability",
     "mr_le_z_check",
@@ -258,7 +259,7 @@ def degree_event(h: Hypergraph, v: int, c: int) -> EventTable:
 
 
 @lru_cache(maxsize=64)
-def _degree_events(h: Hypergraph, c: int) -> tuple[EventTable, ...]:
+def degree_events(h: Hypergraph, c: int) -> tuple[EventTable, ...]:
     """degree_event(h, v, c) of every vertex v with at least c edges, built once
     per (h, c).  Events exist only for n <= BOX_COORD_BUDGET, so an entry holds
     at most that many tables of 2^n bits."""
@@ -280,7 +281,7 @@ def mr_le_z_check(h: Hypergraph, s: VertexSet, r: float) -> MrZResult:
     """
     if h.n > BOX_COORD_BUDGET:
         raise CapacityError(f"{h.n} vertices exceed budget {BOX_COORD_BUDGET}")
-    events = _degree_events(h, math.ceil(r))
+    events = degree_events(h, math.ceil(r))
     m_r = mr_exact(h, s, r)
     if not events:
         return MrZResult(m_r, 0, m_r <= 0)

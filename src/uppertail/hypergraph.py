@@ -162,8 +162,8 @@ class Hypergraph:
     read and then kept as a plain attribute: ``edges`` (sorted tuples),
     ``edge_masks`` (one int bitmask per edge), ``incidence`` (ascending edge ids
     per vertex) and ``codegree_sums`` (sum over j-sets T of codeg(T)^2, for
-    j = 1..k).  Induced edge ids and counts, and every path that only counts
-    edges, read the array and never build the Python views.
+    j = 1..k).  Induced edge ids and counts read the array and never build
+    the Python views.
     """
 
     __slots__ = ("k", "n", "edge_array", *_VIEWS)

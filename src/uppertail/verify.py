@@ -43,14 +43,13 @@ from .decompose import (
     induced_max_degree,
     mr_exact,
     mr_exact_on,
-    xr_exact,
     xr_exact_on,
     xr_or_lower_on,
 )
 from .disjointness import (
     EventTable,
     box,
-    degree_event,
+    degree_events,
     event_probabilities,
     event_probability,
     mr_le_z_check,
@@ -72,7 +71,6 @@ from .hypergraph import (
     Hypergraph,
     VertexSet,
     delta_j,
-    induced_edge_count,
     induced_edges,
     induced_mask,
     sample_vp,
@@ -421,8 +419,8 @@ def mr_tail_check(n: int = 12) -> CheckResult:
     checked = 0
     for h in (build_ap(n, 3), build_schur(n)):
         for r in (1.0, 2.0, 3.0):
-            # degree_event refuses n > BOX_COORD_BUDGET before the 2^n pass.
-            events = [degree_event(h, v, math.ceil(r)) for v in range(n)]
+            # degree_events refuses n > BOX_COORD_BUDGET before the 2^n pass.
+            events = degree_events(h, math.ceil(r))
             hist = _size_value_hist(_mr_by_code(h, r))
             for p in (0.1, 0.3, 0.5, 0.7):
                 phi_r = math.fsum(event_probabilities(events, [p] * n))
@@ -453,11 +451,10 @@ def mrh_conditional_check() -> CheckResult:
         if (n * p ** (k - 1) / r) ** r > n ** (-8.0 * k * d):
             violations += 1
             continue
-        cr = math.ceil(r)
-        union = EventTable.empty(n)
-        for v in range(n):
-            union = EventTable(n, union.table | degree_event(h, v, cr).table)
-        pr_ge_1 = event_probability(union, [p] * n)
+        union = 0
+        for event in degree_events(h, math.ceil(r)):
+            union |= event.table
+        pr_ge_1 = event_probability(EventTable(n, union), [p] * n)
         full = VertexSet(n, (1 << n) - 1)
         mr_full = mr_exact(h, full, r)
         for y in (0.5, 1.0, 2.0, 3.0):
@@ -646,8 +643,8 @@ def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
             indet += 1
         elif check.verdict:
             trues += 1
-            x = induced_edge_count(h, s)
-            if x > xr_exact(h, s, r) + t / 2.0 + 1e-9:
+            ids = induced_edges(h, s)
+            if len(ids) > xr_exact_on(h, ids, r) + t / 2.0 + 1e-9:
                 violations += 1
     detail = (
         f"{samples} samples, {trues} true verdicts, {indet} indeterminate, {violations} violations"

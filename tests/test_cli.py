@@ -10,8 +10,9 @@ import pytest
 
 from uppertail import cli, estimate
 from uppertail.cli import main
+from uppertail.decompose import mr_exact, xr_or_lower
 from uppertail.families import FamilySpec, build
-from uppertail.hypergraph import induced_edge_count, sample_vp
+from uppertail.hypergraph import CapacityError, induced_edge_count, sample_vp
 from uppertail.rng import stream_generator
 
 
@@ -66,6 +67,17 @@ class TestTail:
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
         assert rows[0]["p_hat"] == 0.1875
+        # CSV prints floats with %.17g, JSON with the shortest repr that reads back.
+        argv = ["tail", "--family", "ap", "--n", "4", "--p", "0.1", "--t", "0.75", "--method", "exact"]
+        assert run_cli(argv)[1].splitlines()[1] == (
+            "ap,4,3,0.10000000000000001,0.752,exact,0.0019000000000000004,"
+            "0.0019000000000000004,0.0019000000000000004,16,"
+        )
+        assert run_cli(argv + ["--out", "json"])[1] == (
+            '{"ci_high":0.0019000000000000004,"ci_low":0.0019000000000000004,"family":"ap",'
+            '"k":3,"method":"exact","n":4,"p":0.1,"p_hat":0.0019000000000000004,"samples":16,'
+            '"seed":null,"threshold":0.752}\n'
+        )
 
     def test_mc_worker_invariance(self):
         outputs = set()
@@ -226,6 +238,40 @@ class TestDecompose:
         draws = [sample_vp(h, 0.35, rng) for _ in range(6)]
         want = [(str(len(s)), str(induced_edge_count(h, s))) for s in draws]
         assert [(row["vertices"], row["x"]) for row in parse_csv(out)] == want
+
+    @pytest.mark.parametrize("kind", ["ap", "schur"])
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+    def test_rows_equal_the_vertex_set_forms(self, kind, r):
+        code, out = run_cli(
+            ["decompose", "--family", kind, "--n", "24", "--p", "0.6",
+             "--r", str(r), "--samples", "12", "--seed", "5"]
+        )
+        assert code == 0
+        h = build(FamilySpec(kind, 24))
+        rng = stream_generator(5, 0)
+        want = []
+        for _ in range(12):
+            s = sample_vp(h, 0.6, rng)
+            xr, exact = xr_or_lower(h, s, r)
+            try:
+                mr = str(mr_exact(h, s, r))
+            except CapacityError:
+                mr = "budget"
+            want.append((str(induced_edge_count(h, s)), str(xr), str(exact).lower(), mr))
+        rows = parse_csv(out)
+        assert [(row["x"], row["xr"], row["xr_exact"], row["mr"]) for row in rows] == want
+        # Both branches of xr_or_lower are read: the exact search and the pruned bound.
+        assert {row["xr_exact"] for row in rows} == {"true", "false"}
+
+    @pytest.mark.parametrize("n, samples, seed", [(30, 5, 3), (60, 40, 1)])
+    def test_stdout_matches_the_pinned_file(self, n, samples, seed):
+        # AP(60,3) at seed 1 holds 16 rows with a pruned X_r bound and one
+        # M_r search past its node budget.
+        argv = ["decompose", "--family", "ap", "--n", str(n), "--p", "0.3", "--r", "2",
+                "--beta", "0.5", "--gamma", "0.1", "--t", "9",
+                "--samples", str(samples), "--seed", str(seed)]
+        pinned = Path(__file__).parent / "data" / f"decompose_ap{n}_stdout.txt"
+        assert run_cli(argv) == (0, pinned.read_text(encoding="utf-8"))
 
     def test_requires_r_and_seed(self):
         assert run_cli(
@@ -750,7 +796,7 @@ FROM_FILE = {"family": SCHUR9, "out": "json", "out_file": "o.csv"}
 FROM_FILE_GRID = {**FROM_FILE, "p": (0.25,), "t": (2.0,)}
 FROM_FILE_ESTIMATE = {**FROM_FILE_GRID, "method": "mc", "samples": 7, "seed": 5,
                       "eps": 0.1, "alpha": 0.2, "workers": 2}
-# (argv, fields that differ from DEFAULTS); UPPERTAIL_WORKERS is 3, "{cfg}" is CONFIG_KEYS.
+# (argv, fields that differ from DEFAULTS); the cpu count is 3, "{cfg}" is CONFIG_KEYS.
 RESOLVED = [
     (["family", "--family", "ap", "--n", "8"], {"family": AP8}),
     (["bounds", "--family", "ap", "--n", "8", "--p", "0.5", "--t", "1"],
@@ -781,7 +827,7 @@ class TestResolvedConfig:
         """argv -> the RunConfig fields main() hands to run(), or None if it never did."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(CONFIG_KEYS))
-        monkeypatch.setenv("UPPERTAIL_WORKERS", "3")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
 
         def resolve(argv):
             seen = []

@@ -7,19 +7,21 @@ import pytest
 import oracles
 from uppertail import disjointness
 from uppertail.disjointness import (
+    BOX_COORD_BUDGET,
     EVENT_COORD_BUDGET,
     Z_EVENT_BUDGET,
     EventTable,
     bk_check,
     box,
     degree_event,
+    degree_events,
     event_probabilities,
     event_probability,
     mr_le_z_check,
     z_disjoint,
 )
-from uppertail.families import build_ap, build_schur
-from uppertail.hypergraph import CapacityError, VertexSet, sample_vp
+from uppertail.families import build_ap, build_ell_sum, build_schur
+from uppertail.hypergraph import CapacityError, VertexSet, max_degree, sample_vp
 
 
 def _random_table(m: int, rng: random.Random, density: float = 0.5) -> EventTable:
@@ -258,6 +260,31 @@ class TestHypergraphEvents:
                     >= c,
                 )
                 assert degree_event(h, v, c) == expected
+
+    @pytest.mark.parametrize("n", [4, 6, 9, 12])
+    def test_degree_events_are_the_vertices_with_c_edges(self, n):
+        above_max_degree = 0
+        for h in (build_ap(n, 3), build_schur(n), build_ell_sum(n, 3)):
+            for c in (1, 2, 3, 4):
+                events = degree_events(h, c)
+                want = tuple(degree_event(h, v, c) for v in range(h.n) if len(h.incidence[v]) >= c)
+                assert events == want
+                if c > max_degree(h):
+                    assert events == ()
+                    above_max_degree += 1
+        # AP(4,3) and x + y = 3z on 6 have maximum degree 2.
+        assert above_max_degree > 0 or n > 6
+
+    @pytest.mark.parametrize("build", [lambda n: build_ap(n, 3), build_schur, lambda n: build_ell_sum(n, 3)])
+    def test_degree_events_refuse_past_box_budget(self, build, monkeypatch):
+        def unreachable(n, masks):
+            raise AssertionError("2^n table built past the budget")
+
+        monkeypatch.setattr(disjointness, "superset_counts", unreachable)
+        h = build(BOX_COORD_BUDGET + 1)
+        for c in (1, 2, 3, 4):
+            with pytest.raises(CapacityError):
+                degree_events(h, c)
 
     def test_mr_le_z_on_samples(self):
         rng = np.random.default_rng(9)

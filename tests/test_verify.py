@@ -215,7 +215,7 @@ class TestCheckCounts:
             calls.append((h, v, c))
             return event(h, v, c)
 
-        disjointness._degree_events.cache_clear()
+        disjointness.degree_events.cache_clear()
         monkeypatch.setattr(disjointness, "degree_event", spy)
         assert _counts(verify.mr_z_sample_check()) == (0, 200, None)
         # 8 vertices x 3 values of c x 2 graphs, each built once.
