@@ -9,7 +9,10 @@ the 2^n codes in blocks of 2^LOW_BITS; edges inside the low LOW_BITS vertices
 are counted once per histogram, and only the edges reaching above them once
 per block.  Counting M edges over a block is one superset-sum (zeta)
 transform along whole rows: M * 2^(LOW_BITS/2) indicator entries plus
-LOW_BITS/2 contiguous half-block adds, whatever the edges' vertices.
+LOW_BITS/2 contiguous half-block adds, whatever the edges' vertices.  A block
+then bincounts its codes SLICE at a time, each slice's keys added into one
+reused intp buffer: its working set is its counts (1 MB below 256 edges) and
+that 512 KB buffer, beside the 4 MB of int32 row offsets every block shares.
 Monte Carlo variants share chunked Philox streams and merge by summing the
 integer sample histogram counts[x] (the number of samples inducing exactly x
 edges), making results independent of worker count.  The histogram is
@@ -68,6 +71,7 @@ __all__ = [
 
 EXACT_VERTEX_BUDGET = 26
 LOW_BITS = 20  # vertices enumerated inside one block of codes
+SLICE = 1 << 16  # codes per bincount, a power of two: one 512 KB intp key buffer
 EDGE_BLOCK = 2048  # edges gathered and ANDed per sampling-kernel step
 
 METHODS = ("exact", "mc", "planted", "conditioned")
@@ -198,31 +202,51 @@ def _subset_histogram(
     masks) before its bincount.  Each count is one _superset_counts call:
     M * 2^(low // 2) indicator entries plus low - low // 2 contiguous adds of
     2^(low-1) entries for M masks, so the hoist saves the inside masks' rows
-    in every block but one.  Blocks are counted independently (over a thread
-    pool, see _pool_map) and their integer histograms summed, so every
-    worker count agrees.  With groups, a code counts only if it contains
-    at most one mask of every group; that keep mask stays per block, since
-    hoisting it would hold one 2^low count array per group, i.e. per vertex
-    (26 MB at n = 26).
+    in every block but one.  The row offsets, subset size times row width
+    plus the inside counts, are the pass's one 2^low-entry int32 array (4 MB);
+    the sizes are filled by doubling in uint8.
+
+    A block's working set is its across counts (2^low entries of the
+    smallest dtype that holds M: 1 MB for M < 256) and one intp key buffer of
+    SLICE codes (512 KB).  Each slice of offsets plus counts is added into
+    that buffer and bincounted there, so bincount makes no cast copy and no
+    block makes a 2^low-entry int32 or intp array.  Blocks are counted
+    independently (over a thread pool, see _pool_map) and their integer
+    histograms summed, so every worker count agrees.  With groups, a code
+    counts only if it contains at most one mask of every group, and each
+    slice bincounts only its kept keys.  The keep mask stays per block,
+    since hoisting it would hold one 2^low count array per group, i.e. per
+    vertex (26 MB at n = 26).
     """
     if n > EXACT_VERTEX_BUDGET:
         raise CapacityError(f"{n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
     low = min(n, LOW_BITS)
     width = len(masks) + 1
-    row_starts = np.bitwise_count(np.arange(1 << low, dtype=np.uint32)).astype(np.int32) * width
+    sizes = np.zeros(1 << low, dtype=np.uint8)
+    for i in range(low):
+        np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
+    row_starts = np.multiply(sizes, width, dtype=np.int32)
     row_starts += _superset_counts([m for m in masks if m >> low == 0], low, 0)
     across = [m for m in masks if m >> low]
     row_starts.setflags(write=False)
     groups = [g for g in groups if len(g) > 1]
+    bins = (low + 1) * width
 
     def block(high: int) -> np.ndarray:
-        flat = row_starts + _superset_counts(across, low, high)
+        counts = _superset_counts(across, low, high)
+        keep = None
         if groups:
             keep = np.ones(1 << low, dtype=bool)
             for g in groups:
                 keep &= _superset_counts(g, low, high) <= 1
-            flat = flat[keep]
-        return np.bincount(flat, minlength=(low + 1) * width).reshape(low + 1, width)
+        step = min(SLICE, 1 << low)
+        keys = np.empty(step, dtype=np.intp)
+        out = np.zeros(bins, dtype=np.intp)
+        for start in range(0, 1 << low, step):
+            s = slice(start, start + step)
+            np.add(row_starts[s], counts[s], out=keys)
+            out += np.bincount(keys if keep is None else keys[keep[s]], minlength=bins)
+        return out.reshape(low + 1, width)
 
     blocks = range(1 << (n - low))
     parts = _pool_map(block, blocks, workers)

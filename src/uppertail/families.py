@@ -2,7 +2,9 @@
 
 Builders accept 1-based n and emit hypergraphs on 0-based vertices, so vertex
 v represents the integer v + 1.  The built edge array is the only model of a
-family: interval witnesses read their prefix off it.
+family: interval witnesses read their prefix off it.  Each builder first takes
+its edge count in closed form, in Python ints, and raises CapacityError past
+EDGE_BUDGET before any array exists.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import Hypergraph, VertexSet, induced_edge_count
+from .hypergraph import CapacityError, Hypergraph, VertexSet, induced_edge_count
 
 __all__ = [
     "KINDS",
@@ -27,6 +29,10 @@ __all__ = [
 ]
 
 KINDS = ("ap", "schur", "ell_sum")
+# A build peaks at about 190 bytes per edge (temporaries, the int64 copy and
+# the sort index live at once), so 2^22 edges stay near 0.8 GB: four times
+# AP(2000,3), the largest family the README, demos, benchmark and tests build.
+EDGE_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,36 @@ def build(spec: FamilySpec) -> Hypergraph:
     return build_ell_sum(spec.n, spec.ell)
 
 
+def _check_edges(edges: int) -> None:
+    if edges > EDGE_BUDGET:
+        raise CapacityError(f"{edges} edges exceed budget {EDGE_BUDGET}")
+
+
+def _ap_edge_count(n: int, k: int) -> int:
+    """e(build_ap(n, k)): the sum over d = 1..D of n - (k - 1)d, D = (n - 1) // (k - 1)."""
+    d = max((n - 1) // (k - 1), 0)
+    return d * n - (k - 1) * d * (d + 1) // 2
+
+
+def _ell_sum_edge_count(n: int, ell: int) -> int:
+    """e(build_ell_sum(n, ell)), summed over z in closed form.
+
+    Each z = 1..min(n, (2n - 1) // ell), with s = ell * z, carries the x in
+    [max(1, s - n), (s - 1) // 2]: (s - 1) // 2 = s // 2 - [s even] of them
+    while s <= n + 1 (z <= a), else n - s // 2.  With ell >= 3 the x = z in
+    that range, there exactly when (ell - 1)z <= n, is dropped by the builder.
+    """
+    top = max(min(n, (2 * n - 1) // ell), 0)
+    a = min(top, (n + 1) // ell)
+
+    def halves(b: int) -> int:  # sum of (ell * z) // 2 over z = 1..b
+        return (ell * b * (b + 1) // 2 - (b - b // 2 if ell % 2 else 0)) // 2
+
+    evens = a if ell % 2 == 0 else a // 2  # z <= a with ell * z even
+    dropped = min(top, n // (ell - 1)) if ell >= 3 else 0
+    return halves(a) - evens + (top - a) * n - (halves(top) - halves(a)) - dropped
+
+
 def _group_positions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(group, position in group) of every element of groups of the given sizes."""
     group = np.repeat(np.arange(len(counts)), counts)
@@ -96,6 +132,7 @@ def build_ap(n: int, k: int) -> Hypergraph:
         raise ValueError("ap requires uniformity k >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_edges(_ap_edge_count(n, k))
     d = np.arange(1, (n - 1) // (k - 1) + 1)
     group, start = _group_positions(n - (k - 1) * d)
     return Hypergraph(k, n, start[:, None] + d[group, None] * np.arange(k))
@@ -117,6 +154,7 @@ def build_ell_sum(n: int, ell: int) -> Hypergraph:
         raise ValueError("ell must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_edges(_ell_sum_edge_count(n, ell))
     z = np.arange(1, min(n, (2 * n - 1) // ell) + 1)
     if not len(z):
         return Hypergraph(3, n, [])

@@ -164,6 +164,22 @@ def size_value_histogram(edges: list[tuple[int, ...]], n: int) -> dict[tuple[int
     return hist
 
 
+def clean_size_value_histogram(edges: list[tuple[int, ...]], n: int) -> dict[tuple[int, int], int]:
+    """counts[(|S|, X(S))] over the subsets S whose induced edges are pairwise
+    vertex-disjoint, via bitmask subset tests."""
+    masks = edge_bitmasks(edges)
+    hist: dict[tuple[int, int], int] = {}
+    for bits in range(1 << n):
+        inside = [m for m in masks if bits & m == m]
+        union = 0
+        for m in inside:
+            union |= m
+        if bin(union).count("1") == sum(bin(m).count("1") for m in inside):
+            key = (bin(bits).count("1"), len(inside))
+            hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 def superset_counts_brute(masks: list[int], low: int, high: int) -> np.ndarray:
     """counts[c] = number of masks m with code & m == m, code = (high << low) | c,
     one whole-array subset test per mask, in the count's smallest dtype."""

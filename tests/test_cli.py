@@ -154,6 +154,11 @@ class TestFamilyAndBounds:
         assert row["k"] == "3"
         assert row["delta_1"] == "10"
 
+    def test_family_past_the_edge_budget(self, capsys):
+        """AP(20000,3) has 99,990,000 edges: refused before any array exists."""
+        assert run_cli(["family", "--family", "ap", "--n", "20000"]) == (1, "")
+        assert capsys.readouterr().err == "error: 99990000 edges exceed budget 4194304\n"
+
     def test_bounds_rows_parse(self):
         code, out = run_cli(
             ["bounds", "--family", "ap", "--n", "10", "--p", "0.2,0.4", "--t", "1,2"]

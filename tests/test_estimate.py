@@ -298,6 +298,46 @@ class TestBlockSplit:
         assert counts.dtype == np.uint16 and counts[-1] == len(masks) == 286
         assert np.array_equal(counts, sum((codes & m) == m for m in masks))
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_slices_match_oracle_and_unsliced_pass(self, monkeypatch, workers):
+        """16 blocks of 2^8 codes, each bincounted in 32 slices of 2^3 keys,
+        with and without the clean-configuration keep mask."""
+        monkeypatch.setattr(estimate, "LOW_BITS", 8)
+        for h in (build_ap(12, 3), build_schur(12)):
+            edges = [tuple(e) for e in h.edges]
+            masks = h.edge_masks
+            clean = [[masks[i] for i in inc] for inc in h.incidence]
+            wants = (
+                oracles.size_value_histogram(edges, h.n),
+                oracles.clean_size_value_histogram(edges, h.n),
+            )
+            got = []
+            for groups, want in zip(((), clean), wants):
+                monkeypatch.setattr(estimate, "SLICE", 1 << 8)  # one slice per block
+                whole = estimate._subset_histogram(h.n, masks, workers, groups)
+                monkeypatch.setattr(estimate, "SLICE", 1 << 3)
+                sliced = estimate._subset_histogram(h.n, masks, workers, groups)
+                assert sliced.dtype == whole.dtype and np.array_equal(sliced, whole)
+                assert {(j, x): int(c) for (j, x), c in np.ndenumerate(sliced) if c} == want
+                got.append(sliced)
+            assert np.array_equal(edge_count_histogram(h, workers), got[0])
+            assert np.array_equal(clean_config_histogram(h), got[1])
+
+    @pytest.mark.parametrize("workers, limit_mib", [(1, 10), (2, 12)])
+    def test_block_working_set(self, workers, limit_mib):
+        """AP(24,3) is 16 blocks of 2^20 codes; a block holds its uint8 across
+        counts and one SLICE-code key buffer, never a fresh 2^20-entry int32 or
+        intp array, so the peak is about the shared 4 MB of row offsets plus
+        a few MB per worker."""
+        h = build_ap(24, 3)
+        tracemalloc.start()
+        try:
+            edge_count_histogram(h, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
+
     @pytest.mark.parametrize("builder", [lambda: build_ap(22, 3), lambda: build_schur(22)])
     def test_default_split_matches_single_block(self, monkeypatch, builder):
         h = builder()

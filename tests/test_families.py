@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from uppertail import families
 from uppertail.families import (
     FamilySpec,
     Witness,
@@ -15,7 +17,7 @@ from uppertail.families import (
     greedy_witness,
     interval_witness,
 )
-from uppertail.hypergraph import VertexSet, induced_edge_count
+from uppertail.hypergraph import CapacityError, VertexSet, induced_edge_count
 
 
 class TestBuilders:
@@ -80,6 +82,57 @@ class TestBuilders:
         assert build(FamilySpec("ap", 7, 4)) == build_ap(7, 4)
         assert build(FamilySpec("schur", 7)) == build_schur(7)
         assert build(FamilySpec("ell_sum", 7, ell=3)) == build_ell_sum(7, 3)
+
+
+class TestEdgeBudget:
+    """e(H) in closed form, checked against EDGE_BUDGET before any array exists."""
+
+    @given(st.integers(0, 90), st.integers(2, 8), st.integers(1, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_is_num_edges(self, n, k, ell):
+        assert families._ap_edge_count(n, k) == build_ap(n, k).num_edges
+        assert families._ell_sum_edge_count(n, ell) == build_ell_sum(n, ell).num_edges
+
+    @staticmethod
+    def first_over_budget(count) -> int:
+        """The least n whose family has more than EDGE_BUDGET edges (count is
+        nondecreasing in n)."""
+        lo, hi = 0, 1
+        while count(hi) <= families.EDGE_BUDGET:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if count(mid) <= families.EDGE_BUDGET else (lo, mid)
+        return hi
+
+    @pytest.mark.parametrize(
+        "kind, k, ell", [("ap", 3, 1), ("ap", 5, 1), ("schur", 3, 1), ("ell_sum", 3, 3)]
+    )
+    def test_one_over_budget_allocates_nothing(self, kind, k, ell):
+        def count(n):
+            if kind == "ap":
+                return families._ap_edge_count(n, k)
+            return families._ell_sum_edge_count(n, 1 if kind == "schur" else ell)
+
+        n = self.first_over_budget(count)
+        spec = FamilySpec(kind, n, k=k, ell=ell)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"{count(n)} edges exceed budget"):
+                build(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_budget_boundary(self, monkeypatch):
+        specs = (FamilySpec("ap", 30, 4), FamilySpec("schur", 30), FamilySpec("ell_sum", 30, ell=3))
+        for spec, edges in [(spec, build(spec).num_edges) for spec in specs]:
+            monkeypatch.setattr(families, "EDGE_BUDGET", edges)
+            assert build(spec).num_edges == edges
+            monkeypatch.setattr(families, "EDGE_BUDGET", edges - 1)
+            with pytest.raises(CapacityError):
+                build(spec)
 
 
 class TestFamilySpec:
