@@ -4,7 +4,10 @@ Builders accept 1-based n and emit hypergraphs on 0-based vertices, so vertex
 v represents the integer v + 1.  The built edge array is the only model of a
 family: interval witnesses read their prefix off it.  Each builder first takes
 its edge count in closed form, in Python ints, and raises CapacityError past
-EDGE_BUDGET before any array exists.
+EDGE_BUDGET before any array exists.  The AP and Schur builders then write
+canonical rows (each sorted, the rows in strictly increasing lexicographic
+order) straight into one int64 array, which the hypergraph keeps after a
+one-pass check, with no copy and no sort; only ell_sum with ell >= 3 is sorted.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ __all__ = [
 ]
 
 KINDS = ("ap", "schur", "ell_sum")
-# A build peaks at about 190 bytes per edge (temporaries, the int64 copy and
-# the sort index live at once), so 2^22 edges stay near 0.8 GB: four times
-# AP(2000,3), the largest family the README, demos, benchmark and tests build.
+# AP(2000,3) and Schur(2000) peak under tracemalloc at about 1.7 times their
+# 24-byte-per-edge array (the array plus two int64 run temporaries), so 2^22
+# edges stay near 0.2 GB: four times AP(2000,3), the largest family the
+# README, demos, benchmark and tests build.  ell_sum with ell >= 3 sorts its
+# rows and peaks higher.
 EDGE_BUDGET = 1 << 22
 
 
@@ -70,9 +75,13 @@ class Witness:
     def __post_init__(self):
         if self.d_used < 0:
             raise ValueError("d_used must be nonnegative")
-        achieved = induced_edge_count(self.hypergraph, self.subset)
-        if achieved < self.x:
-            raise ValueError(f"witness induces {achieved} < {self.x} edges")
+        h, s = self.hypergraph, self.subset
+        if s.n != h.n:
+            raise ValueError(f"vertex set over range({s.n}) does not match range({h.n})")
+        if self.x > 0:  # any set induces at least x <= 0 edges
+            achieved = induced_edge_count(h, s)
+            if achieved < self.x:
+                raise ValueError(f"witness induces {achieved} < {self.x} edges")
         cap = self.d_used * max(math.sqrt(max(self.x, 0.0)), 1.0)
         if len(self.subset) > cap + 1e-9:
             raise ValueError(f"witness size {len(self.subset)} exceeds {cap}")
@@ -119,41 +128,70 @@ def _ell_sum_edge_count(n: int, ell: int) -> int:
 def _group_positions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(group, position in group) of every element of groups of the given sizes."""
     group = np.repeat(np.arange(len(counts)), counts)
-    firsts = np.cumsum(counts) - counts
-    return group, np.arange(len(group)) - firsts[group]
+    position = np.arange(len(group))
+    position -= (np.cumsum(counts) - counts)[group]
+    return group, position
 
 
 def build_ap(n: int, k: int) -> Hypergraph:
     """k-term arithmetic progressions {a, a+d, ..., a+(k-1)d}, a >= 1, d >= 1.
 
-    k > n yields the empty hypergraph on n vertices, not an error.
+    Rows come ordered by start a, then by difference d, which is their
+    lexicographic order.  k > n yields the empty hypergraph on n vertices,
+    not an error.
     """
     if k < 2:
         raise ValueError("ap requires uniformity k >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_edges(_ap_edge_count(n, k))
-    d = np.arange(1, (n - 1) // (k - 1) + 1)
-    group, start = _group_positions(n - (k - 1) * d)
-    return Hypergraph(k, n, start[:, None] + d[group, None] * np.arange(k))
+    # 0-based start s carries d = 1 .. (n - 1 - s) // (k - 1).
+    start, d = _group_positions((n - 1 - np.arange(n)) // (k - 1))
+    d += 1
+    rows = np.empty((len(d), k), dtype=np.int64)
+    rows[:, 0] = start
+    for i in range(1, k):
+        np.multiply(d, i, out=rows[:, i])
+        rows[:, i] += start
+    return Hypergraph._adopt(k, n, rows)
 
 
 def build_schur(n: int) -> Hypergraph:
-    """Triples {x, y, x+y} with x < y and x + y <= n: the ell = 1 member of build_ell_sum."""
-    return build_ell_sum(n, 1)
+    """Triples {x, y, x+y} with x < y and x + y <= n: the ell = 1 member of build_ell_sum.
+
+    Rows come ordered by x, then by y, which is their lexicographic order.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _check_edges(_ell_sum_edge_count(n, 1))
+    # 0-based x0 = x - 1 carries the n - 2x values y0 = x0 + 1 + offset.
+    x0, offset = _group_positions(n - 2 * np.arange(1, (n - 1) // 2 + 1))
+    rows = np.empty((len(x0), 3), dtype=np.int64)
+    rows[:, 0] = x0
+    np.add(x0, offset, out=rows[:, 1])
+    rows[:, 1] += 1
+    np.add(rows[:, 0], rows[:, 1], out=rows[:, 2])
+    rows[:, 2] += 1
+    return Hypergraph._adopt(3, n, rows)
 
 
 def build_ell_sum(n: int, ell: int) -> Hypergraph:
     """Triples {x, y, z} of distinct integers with x < y and x + y = ell * z.
 
-    Since x + y <= 2n - 1, only z <= (2n - 1) // ell can carry a triple.  That
+    ell = 1 is build_schur(n) and ell = 2 is build_ap(n, 3).  Otherwise,
+    since x + y <= 2n - 1, only z <= (2n - 1) // ell can carry a triple.  That
     bound is taken in Python ints before any array exists, so ell * z stays
-    below 2n for any ell, and ell > 2n - 1 gives the empty family.
+    below 2n for any ell, and ell > 2n - 1 gives the empty family.  These
+    rows are grouped by z and go through the constructor's sort.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if ell == 1:
+        return build_schur(n)
+    if ell == 2:
+        return build_ap(n, 3)
     _check_edges(_ell_sum_edge_count(n, ell))
     z = np.arange(1, min(n, (2 * n - 1) // ell) + 1)
     if not len(z):
@@ -165,7 +203,8 @@ def build_ell_sum(n: int, ell: int) -> Hypergraph:
     z = z[group]
     y = s[group] - x
     triples = np.stack([x, y, z], axis=1)[(z != x) & (z != y)]
-    return Hypergraph(3, n, triples - 1)
+    triples -= 1
+    return Hypergraph._adopt(3, n, triples)
 
 
 def interval_witness(spec: FamilySpec, x: float, h: Hypergraph | None = None) -> Witness | None:

@@ -104,32 +104,103 @@ def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _edge_rows(k: int, edges) -> np.ndarray:
-    """The edges as an (e, k) int64 array, each row sorted."""
+    """The edges as a fresh C-ordered (e, k) int64 array, rows as given."""
     if isinstance(edges, np.ndarray):
         if not np.issubdtype(edges.dtype, np.integer) or edges.ndim != 2 or edges.shape[1] != k:
             raise ValueError(f"edge array must be integer with shape (e, {k})")
-        rows = edges.astype(np.int64)
-    else:
-        listed = [tuple(int(v) for v in edge) for edge in edges]
-        for tup in listed:
-            if len(tup) != k:
-                raise ValueError(f"edge {tuple(sorted(tup))} does not have exactly {k} vertices")
-        try:
-            rows = np.array(listed, dtype=np.int64).reshape(-1, k)
-        except OverflowError as exc:
-            raise ValueError("an edge has a vertex outside the int64 range") from exc
-    rows.sort(axis=1)
+        return edges.astype(np.int64, order="C")
+    listed = [tuple(int(v) for v in edge) for edge in edges]
+    for tup in listed:
+        if len(tup) != k:
+            raise ValueError(f"edge {tuple(sorted(tup))} does not have exactly {k} vertices")
+    try:
+        return np.array(listed, dtype=np.int64).reshape(-1, k)
+    except OverflowError as exc:
+        raise ValueError("an edge has a vertex outside the int64 range") from exc
+
+
+def _is_canonical(rows: np.ndarray, n: int) -> bool:
+    """Whether rows is already canonical: each row strictly increases inside
+    range(n), and each row is lexicographically above the one before it.
+    One pass of column compares, each making one length-e mask."""
+    if not len(rows):
+        return True
+    k = rows.shape[1]
+    if rows[:, 0].min() < 0 or rows[:, -1].max() >= n:
+        return False
+    if not all((rows[:, c] < rows[:, c + 1]).all() for c in range(k - 1)):
+        return False
+    prev, nxt = rows[:-1], rows[1:]
+    above = prev[:, -1] < nxt[:, -1]
+    for c in range(k - 2, -1, -1):
+        above &= prev[:, c] == nxt[:, c]
+        above |= prev[:, c] < nxt[:, c]
+    return bool(above.all())
+
+
+def _canonical(rows: np.ndarray, n: int) -> np.ndarray:
+    """rows, a fresh (e, k) int64 array handed over, in canonical form and
+    read-only: kept as it is when one pass finds it canonical, else sorted
+    within and across rows, checked, and stripped of repeated rows."""
+    if not _is_canonical(rows, n):
+        rows.sort(axis=1)
+        repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        bad = repeats | (rows[:, 0] < 0) | (rows[:, -1] >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            tup = tuple(rows[i].tolist())
+            raise ValueError(f"edge {tup} repeats a vertex" if repeats[i] else f"edge {tup} leaves range({n})")
+        rows, starts = _lex_runs(rows)
+        rows = rows[starts]
+    rows.setflags(write=False)
     return rows
 
 
-def _codegree_runs(h: "Hypergraph", j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct j-sets inside edges, in lexicographic order, and their codegrees)."""
+def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(the rank of each value among the distinct values, how many there are)."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks, len(distinct)
+
+
+def _set_keys(h: "Hypergraph", j: int) -> np.ndarray:
+    """One int64 key for each j-subset of each edge, equal exactly where the
+    j-sets are equal.  Digit c of every key is the c-th vertex of its j-set,
+    in base n.  Where one more digit could pass int64, the partial keys (and,
+    for n near 2^63, the digits) are first replaced by their dense ranks,
+    which stay below the number of keys.  h has at least one edge."""
+    arr = h.edge_array
+    combos = list(combinations(range(h.k), j))
+
+    def digit(c: int) -> np.ndarray:
+        return np.concatenate([arr[:, cols[c]] for cols in combos])
+
+    key, span = digit(0), h.n
+    for c in range(1, j):
+        d, base = digit(c), h.n
+        if span * base >= 1 << 63:
+            key, span = _dense(key)
+        if span * base >= 1 << 63:
+            d, base = _dense(d)
+        key *= base
+        key += d
+        span *= base
+    return key
+
+
+def _codegrees(h: "Hypergraph", j: int) -> np.ndarray:
+    """codeg(T) for every j-set T inside an edge, in no fixed order; j = 1
+    may also list zeros, for vertices in no edge."""
     if not 1 <= j <= h.k:
         raise ValueError(f"j must be in [1, {h.k}]")
-    arr = h.edge_array
-    subsets = np.concatenate([arr[:, cols] for cols in combinations(range(h.k), j)])
-    rows, starts = _lex_runs(subsets)
-    return rows[starts], np.diff(starts, append=len(rows))
+    if j == h.k or not h.num_edges:  # each edge is its own k-set
+        return np.ones(h.num_edges, dtype=np.int64)
+    if j == 1 and h.n <= h.edge_array.size:
+        return np.bincount(h.edge_array.ravel())
+    keys = _set_keys(h, j)
+    keys.sort()
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.diff(np.flatnonzero(new), append=len(keys))
 
 
 def _incidence(h: "Hypergraph") -> tuple[tuple[int, ...], ...]:
@@ -141,7 +212,7 @@ def _incidence(h: "Hypergraph") -> tuple[tuple[int, ...], ...]:
 
 def _codegree_sums(h: "Hypergraph") -> tuple[int, ...]:
     # sum codeg^2 <= (e * C(k, j))^2: no int64 overflow for any e that fits in memory
-    return tuple(int(np.square(_codegree_runs(h, j)[1]).sum()) for j in range(1, h.k + 1))
+    return tuple(int(np.square(_codegrees(h, j)).sum()) for j in range(1, h.k + 1))
 
 
 _VIEWS = {
@@ -158,7 +229,11 @@ class Hypergraph:
 
     The one edge store is ``edge_array``: a read-only (e, k) int64 array whose
     rows are sorted k-sets of distinct vertices from range(n), in lexicographic
-    order with duplicates removed.  Everything else is derived from it on first
+    order with duplicates removed.  The constructor copies its input to int64
+    and checks that form in one pass; only input that fails the check is
+    sorted and deduplicated.  The family builders hand over rows already in
+    that form (``_adopt``), which are kept without a copy or a sort.
+    Everything else is derived from the array on first
     read and then kept as a plain attribute: ``edges`` (sorted tuples),
     ``edge_masks`` (one int bitmask per edge), ``incidence`` (ascending edge ids
     per vertex) and ``codegree_sums`` (sum over j-sets T of codeg(T)^2, for
@@ -173,19 +248,19 @@ class Hypergraph:
             raise ValueError("uniformity k must be at least 1")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        rows = _edge_rows(k, edges)
-        repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-        bad = repeats | (rows[:, 0] < 0) | (rows[:, -1] >= n)
-        if bad.any():
-            i = int(np.argmax(bad))
-            tup = tuple(rows[i].tolist())
-            raise ValueError(f"edge {tup} repeats a vertex" if repeats[i] else f"edge {tup} leaves range({n})")
-        rows, starts = _lex_runs(rows)
-        canon = rows[starts]
-        canon.setflags(write=False)
         self.k = k
         self.n = n
-        self.edge_array = canon
+        self.edge_array = _canonical(_edge_rows(k, edges), n)
+
+    @classmethod
+    def _adopt(cls, k: int, n: int, rows: np.ndarray) -> "Hypergraph":
+        """The hypergraph on rows, a fresh (e, k) int64 array that its maker
+        hands over: stored without a copy when it is already canonical."""
+        h = cls.__new__(cls)
+        h.k = k
+        h.n = n
+        h.edge_array = _canonical(rows, n)
+        return h
 
     def __getattr__(self, name: str):
         # Reached only while a derived view is unset: build it once and store
@@ -240,12 +315,12 @@ def induced_edges(h: Hypergraph, s: VertexSet) -> tuple[int, ...]:
 
 
 def max_degree(h: Hypergraph) -> int:
-    return int(np.bincount(h.edge_array.ravel(), minlength=1).max())
+    return delta_j(h, 1)
 
 
 def delta_j(h: Hypergraph, j: int) -> int:
     """Largest number of edges sharing some j common vertices."""
-    return int(_codegree_runs(h, j)[1].max(initial=0))
+    return int(_codegrees(h, j).max(initial=0))
 
 
 def sample_vp(h: Hypergraph, p: float, rng: np.random.Generator) -> VertexSet:

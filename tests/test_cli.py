@@ -159,6 +159,20 @@ class TestFamilyAndBounds:
         assert run_cli(["family", "--family", "ap", "--n", "20000"]) == (1, "")
         assert capsys.readouterr().err == "error: 99990000 edges exceed budget 4194304\n"
 
+    def test_large_family_rows_match_the_pinned_file(self):
+        # delta_1 and delta_2 of 666k-999k edges: the large-n codegree path.
+        out = "".join(
+            run_cli(["family", *args, "--n", "2000"])[1]
+            for args in (["--family", "ap"], ["--family", "schur"], ["--family", "ell_sum", "--ell", "3"])
+        )
+        assert out == (Path(__file__).parent / "data" / "family_n2000_stdout.txt").read_text(encoding="utf-8")
+
+    def test_large_bounds_rows_match_the_pinned_file(self):
+        # The variance reads codegree_sums of AP(2000,3), 999,000 edges.
+        argv = ["bounds", "--family", "ap", "--n", "2000", "--p", "0.01,0.05", "--t", "1,4"]
+        pinned = Path(__file__).parent / "data" / "bounds_ap2000_stdout.txt"
+        assert run_cli(argv) == (0, pinned.read_text(encoding="utf-8"))
+
     def test_bounds_rows_parse(self):
         code, out = run_cli(
             ["bounds", "--family", "ap", "--n", "10", "--p", "0.2,0.4", "--t", "1,2"]

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from uppertail import families
+from uppertail import families, hypergraph
 from uppertail.families import (
     FamilySpec,
     Witness,
@@ -241,3 +242,72 @@ class TestWitnesses:
             Witness(h, full, 0.5, 4.0)  # 10 vertices exceed 0.5 * sqrt(4)
         with pytest.raises(ValueError):
             Witness(h, VertexSet(10, 0), 3.0, 1.0)  # induces no edge
+        with pytest.raises(ValueError, match=r"range\(9\) does not match range\(10\)"):
+            Witness(h, VertexSet(9, 0), 0.0, 0.0)  # a subset of another ground set
+
+    def test_nonpositive_target_counts_no_edges(self, monkeypatch):
+        # Every set induces at least x <= 0 edges, so the bound is not counted.
+        def refuse(h, s):
+            raise AssertionError("induced edges counted")
+
+        monkeypatch.setattr(families, "induced_edge_count", refuse)
+        h = build_ap(300, 3)
+        for x in (0.0, -1.0, -0.0):
+            assert len(Witness(h, VertexSet(300, 0), 0.0, x).subset) == 0
+        assert interval_witness(FamilySpec("ap", 300), 0.0, h).d_used == 0.0
+        with pytest.raises(AssertionError, match="induced edges counted"):
+            Witness(h, VertexSet(300, 0b111), 3.0, 1.0)
+
+
+def _oracle_rows(k: int, n: int, edges) -> np.ndarray:
+    return np.array(oracles.canonical_edges(k, n, edges), dtype=np.int64).reshape(-1, k)
+
+
+class TestCanonicalRows:
+    """The builders hand over canonical int64 rows, which the hypergraph keeps as they are."""
+
+    SIZES = [*range(13), 40, 300]
+
+    @staticmethod
+    def assert_rows(h, want: np.ndarray):
+        arr = h.edge_array
+        assert arr.dtype == np.int64 and arr.shape == want.shape
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert np.array_equal(arr, want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_ap_and_schur_match_the_loop_builders(self, n):
+        for k in range(2, 8):
+            self.assert_rows(build_ap(n, k), _oracle_rows(k, n, oracles.loop_ap_edges(n, k)))
+        self.assert_rows(build_schur(n), _oracle_rows(3, n, oracles.loop_schur_edges(n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_ell_sum_matches_the_loop_builder(self, n):
+        for ell in (*range(1, 7), max(2 * n, 1), 2 * n + 7):  # the last two exceed 2n - 1
+            want = _oracle_rows(3, n, oracles.loop_ell_sum_edges(n, ell))
+            self.assert_rows(build_ell_sum(n, ell), want)
+
+    def test_ap_and_schur_rows_skip_the_sort(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("canonical rows were sorted")
+
+        monkeypatch.setattr(hypergraph, "_lex_runs", refuse)
+        for n in (0, 1, 7, 40):
+            for h in (build_ap(n, 3), build_ap(n, 5), build_schur(n), build_ell_sum(n, 1), build_ell_sum(n, 2)):
+                assert not h.edge_array.flags.writeable
+        with pytest.raises(AssertionError, match="sorted"):
+            build_ell_sum(40, 3)  # grouped by z, so it goes through the sort
+
+    @pytest.mark.parametrize("build_2000", [lambda: build_ap(2000, 3), lambda: build_schur(2000)],
+                             ids=["ap", "schur"])
+    def test_build_peaks_below_two_and_a_half_arrays(self, build_2000):
+        # The builder's array is adopted, not copied and not sorted: the run
+        # temporaries are the rest of the peak.
+        tracemalloc.start()
+        try:
+            h = build_2000()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.num_edges == 999_000
+        assert peak <= 2.5 * h.edge_array.nbytes

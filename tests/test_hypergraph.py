@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from uppertail import hypergraph
 from uppertail.bounds import exact_mean, exact_variance, moment_report
 from uppertail.estimate import conditioned_tail, mc_tail, planted_tail
 from uppertail.families import FamilySpec, build, build_ap, build_schur, interval_witness
@@ -104,6 +105,135 @@ class TestHypergraph:
             edges = [tuple(e) for e in h.edges]
             for j in range(1, h.k + 1):
                 assert delta_j(h, j) == max(oracles.naive_codegrees(edges, h.n, j).values())
+
+
+def _relabeled(h: Hypergraph) -> tuple[list[tuple[int, ...]], int]:
+    """h's edges on its used vertices renamed 0, 1, ... in order (codegrees
+    do not change), and how many vertices are used."""
+    used = sorted({v for edge in h.edges for v in edge})
+    rank = {v: i for i, v in enumerate(used)}
+    return [tuple(rank[v] for v in edge) for edge in h.edges], len(used)
+
+
+class TestCodegreeKeys:
+    """Codegrees count 1-D keys: a bincount at j = 1, ones at j = k, and
+    sorted mixed-radix keys in between, which must not wrap for any n."""
+
+    def assert_codegrees(self, h: Hypergraph):
+        edges, used = _relabeled(h)
+        for j in range(1, h.k + 1):
+            want = oracles.naive_codegrees(edges, used, j)
+            assert h.codegree_sums[j - 1] == sum(c * c for c in want.values()), j
+            assert delta_j(h, j) == max(want.values(), default=0), j
+
+    def test_k4_at_three_million_vertices(self):
+        n = 3_000_000
+        assert (n - 1) * n * n > 2**63  # a j = 3 key in base n would wrap
+        top = (n - 3, n - 2, n - 1)
+        h = Hypergraph(4, n, [(n - 4, *top), (n - 5, *top), (0, *top), (0, 1, 2, n - 1), (0, 1, n - 2, n - 1)])
+        self.assert_codegrees(h)
+        assert [delta_j(h, j) for j in (1, 2, 3, 4)] == [5, 4, 3, 1]
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_sparse_graphs_at_any_n(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=6))
+        n = data.draw(st.sampled_from([k, 9, 3_000_000, 2**31 + 5, 2**62, 2**63 - 1, 2**70]))
+        top = min(n, 2**63 - 1)
+        pool = sorted({v for v in (0, 1, 2, 3, 4, 5, top // 2, top - 4, top - 3, top - 2, top - 1) if 0 <= v < top})
+        edge = st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True)
+        h = Hypergraph(k, n, data.draw(st.lists(edge, max_size=14)))
+        self.assert_codegrees(h)
+
+    def test_codegrees_do_not_lexsort(self, monkeypatch):
+        h = build_ap(40, 4)
+        want = (h.codegree_sums, [delta_j(h, j) for j in range(1, 5)])
+
+        def refuse(rows):
+            raise AssertionError("lexsorted")
+
+        monkeypatch.setattr(hypergraph, "_lex_runs", refuse)
+        fresh = build_ap(40, 4)
+        assert (fresh.codegree_sums, [delta_j(fresh, j) for j in range(1, 5)]) == want
+
+
+# (k, n, rows, bad): inputs that fail the one-pass order check, and a bad edge
+# that, inserted anywhere, must raise the oracle's ValueError.
+FALLBACK_CASES = {
+    "last_two_rows_swapped": (3, 6, [(0, 1, 2), (0, 2, 4), (2, 3, 4), (1, 3, 5)], (1, 3, 6)),
+    "equal_adjacent_rows": (3, 6, [(0, 1, 2), (1, 2, 3), (1, 2, 3), (3, 4, 5)], (3, 3, 5)),
+    "row_unsorted_inside": (3, 6, [(0, 1, 2), (1, 4, 3), (3, 4, 5)], (4, 1, 4)),
+    "k_is_one": (1, 4, [(0,), (3,), (1,), (3,)], (-1,)),
+    "one_row_unsorted": (3, 6, [(2, 0, 1)], (2, 0, 2)),
+}
+# Inputs that pass it: kept as they are, with no sort.
+CANONICAL_CASES = {
+    "no_rows": (3, 6, []),
+    "one_row": (3, 6, [(0, 2, 5)]),
+    "k_is_one": (1, 4, [(0,), (1,), (3,)]),
+    "column_order": (3, 7, [(0, 1, 6), (0, 2, 3), (0, 5, 6), (1, 2, 3), (1, 2, 4)]),
+    "ap": (3, 9, list(build_ap(9, 3).edges)),
+}
+
+
+class TestCanonicalCheck:
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        """The list of row counts that went through the lexicographic sort."""
+        calls = []
+        real = hypergraph._lex_runs
+
+        def spy(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(hypergraph, "_lex_runs", spy)
+        return calls
+
+    @staticmethod
+    def inputs(k, rows):
+        return rows, np.array(rows, dtype=np.int32).reshape(-1, k)
+
+    @pytest.mark.parametrize("case", FALLBACK_CASES)
+    def test_fallback_sorts_like_the_oracle(self, case, sorts):
+        k, n, rows, bad = FALLBACK_CASES[case]
+        want = oracles.canonical_edges(k, n, rows)
+        for edges in self.inputs(k, rows):
+            h = Hypergraph(k, n, edges)
+            assert h.edges == want
+            assert np.array_equal(h.edge_array, np.array(want, dtype=np.int64).reshape(-1, k))
+        assert sorts == [len(rows)] * 2
+        for at in range(len(rows) + 1):
+            broken = rows[:at] + [bad] + rows[at:]
+            with pytest.raises(ValueError) as oracle:
+                oracles.canonical_edges(k, n, broken)
+            for edges in self.inputs(k, broken):
+                with pytest.raises(ValueError) as got:
+                    Hypergraph(k, n, edges)
+                assert str(got.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("case", CANONICAL_CASES)
+    def test_canonical_input_is_not_sorted(self, case, sorts):
+        k, n, rows = CANONICAL_CASES[case]
+        for edges in self.inputs(k, rows):
+            h = Hypergraph(k, n, edges)
+            assert h.edges == tuple(rows) == oracles.canonical_edges(k, n, rows)
+            assert h.edge_array.dtype == np.int64 and h.edge_array.flags.c_contiguous
+        assert sorts == []
+
+    def test_out_of_range_canonical_rows_are_refused(self):
+        for rows in ([(0, 1, 6)], [(-1, 0, 1), (0, 1, 2)], [(0, 1, 2), (3, 4, 9)]):
+            with pytest.raises(ValueError, match=r"leaves range\(6\)"):
+                Hypergraph(3, 6, np.array(rows))
+
+    def test_copies_a_canonical_array(self):
+        arr = np.array([[0, 1, 2], [1, 2, 3]])
+        h = Hypergraph(3, 5, arr)
+        arr[1, 2] = 4
+        assert h.edges == ((0, 1, 2), (1, 2, 3))
+        assert not np.shares_memory(h.edge_array, arr)
+        fortran = np.asfortranarray(np.array([[0, 1, 2], [1, 2, 3]]))
+        assert Hypergraph(3, 5, fortran).edge_array.flags.c_contiguous
 
 
 def built(h: Hypergraph, view: str) -> bool:
