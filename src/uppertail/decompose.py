@@ -28,11 +28,9 @@ __all__ = [
     "StarMatching",
     "cascade_prune",
     "check_cascade_event",
-    "degree_prune",
     "degree_prune_on",
     "greedy_star_matching",
     "induced_max_degree",
-    "make_star_matching",
     "mr_exact",
     "mr_exact_on",
     "xr_exact",
@@ -63,7 +61,9 @@ class Star:
 
 @dataclass(frozen=True)
 class StarMatching:
-    """Stars whose vertex sets are pairwise disjoint; built by make_star_matching."""
+    """Stars whose vertex sets are pairwise disjoint, all with the same number
+    of edges; vertex_bits is the union of their vertex sets.  Built only by
+    the greedy scan, which blocks each star's vertices as it takes it."""
 
     stars: tuple[Star, ...]
     vertex_bits: int
@@ -73,30 +73,9 @@ class StarMatching:
         return len(self.stars)
 
 
-def _star_bits(h: Hypergraph, star: Star) -> int:
-    bits = 0
-    for i in star.edge_ids:
-        bits |= h.edge_masks[i]
-    return bits
-
-
-def make_star_matching(h: Hypergraph, stars: tuple[Star, ...]) -> StarMatching:
-    """Validate stars against h (center membership, disjoint vertex sets)."""
-    sizes = {len(star.edge_ids) for star in stars}
-    if len(sizes) > 1:
-        raise ValueError("stars in one matching must have equal edge counts")
-    used = 0
-    for star in stars:
-        for i in star.edge_ids:
-            if not 0 <= i < h.num_edges:
-                raise ValueError(f"edge id {i} out of range")
-            if star.center not in h.edges[i]:
-                raise ValueError(f"edge {i} does not contain center {star.center}")
-        bits = _star_bits(h, star)
-        if used & bits:
-            raise ValueError("star vertex sets overlap")
-        used |= bits
-    return StarMatching(stars=tuple(stars), vertex_bits=used)
+def _check_radius(r: float) -> None:
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"r must be finite and positive, not {r}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +153,7 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
     by the number of the edge's vertices with chosen + left < floor(r) once
     the edge has left `left`.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     if len(ids) > XR_EDGE_BUDGET:
         raise CapacityError(f"{len(ids)} induced edges exceed budget {XR_EDGE_BUDGET}")
     cap = math.floor(r)
@@ -228,8 +206,7 @@ def xr_or_lower(h: Hypergraph, s: VertexSet, r: float) -> tuple[int, bool]:
 
 def xr_or_lower_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> tuple[int, bool]:
     """xr_or_lower over the given edge ids instead of H[S]."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     if induced_max_degree(h, ids) <= r:
         return len(ids), True
     if len(ids) <= XR_EDGE_BUDGET:
@@ -247,10 +224,10 @@ def _greedy_matching_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> S
             continue
         avail = [i for i in inc[v] if h.edge_masks[i] & blocked == 0]
         if len(avail) >= c:
-            star = Star(v, tuple(avail[:c]))
-            stars.append(star)
-            blocked |= _star_bits(h, star)
-    return make_star_matching(h, tuple(stars))
+            stars.append(Star(v, tuple(avail[:c])))
+            for i in avail[:c]:
+                blocked |= h.edge_masks[i]
+    return StarMatching(tuple(stars), blocked)
 
 
 def greedy_star_matching(h: Hypergraph, s: VertexSet, r: float) -> StarMatching:
@@ -260,8 +237,7 @@ def greedy_star_matching(h: Hypergraph, s: VertexSet, r: float) -> StarMatching:
     The result is maximal: afterwards no vertex has ceil(r) induced edges
     avoiding all blocked vertices.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     return _greedy_matching_on(h, induced_edges(h, s), r)
 
 
@@ -274,9 +250,12 @@ class PruneResult:
 
 
 def degree_prune_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> PruneResult:
-    """degree_prune over the given edge ids instead of H[S]."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    """Remove every given edge meeting the greedy stars' vertices.
+
+    The remainder has max degree <= ceil(r) - 1 <= r by maximality of the
+    greedy matching; violated expectations raise.
+    """
+    _check_radius(r)
     matching = _greedy_matching_on(h, edge_ids, r)
     blocked = matching.vertex_bits
     kept = tuple(i for i in edge_ids if h.edge_masks[i] & blocked == 0)
@@ -285,15 +264,6 @@ def degree_prune_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> Prune
     if worst > cap:
         raise AssertionError(f"pruned degree {worst} exceeds {cap}")
     return PruneResult(matching, kept)
-
-
-def degree_prune(h: Hypergraph, s: VertexSet, r: float) -> PruneResult:
-    """Remove every induced edge meeting the greedy stars' vertices.
-
-    The remainder has max degree <= ceil(r) - 1 <= r by maximality of the
-    greedy matching; violated expectations raise.
-    """
-    return degree_prune_on(h, induced_edges(h, s), r)
 
 
 @dataclass(frozen=True)
@@ -354,8 +324,7 @@ def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> int:
     min(#live, |union of live edges| // star width) more stars cannot beat
     the best.  Raises CapacityError past MR_NODE_BUDGET search nodes.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     c = math.ceil(r)
     masks = h.edge_masks
     inc = _local_incidence(h, edge_ids)

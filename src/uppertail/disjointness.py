@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .decompose import mr_exact
-from .estimate import superset_counts
-from .hypergraph import CapacityError, Hypergraph, VertexSet
+from .hypergraph import CapacityError, Hypergraph, VertexSet, induced_mask, membership_table
 
 __all__ = [
     "BKResult",
@@ -214,7 +213,7 @@ def _outcome_weights(m: int, probs: Sequence[float]) -> np.ndarray:
     arr = np.asarray(probs, dtype=float)
     if arr.shape != (m,):
         raise ValueError(f"need exactly {m} coordinate probabilities")
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("probabilities must lie in [0, 1]")
     w = np.array([1.0])
     for i in range(m):
@@ -250,20 +249,32 @@ def bk_check(a: EventTable, b: EventTable, probs: Sequence[float]) -> BKResult:
     return BKResult(p_box, p_a, p_b, p_box <= p_a * p_b + 1e-12)
 
 
-def degree_event(h: Hypergraph, v: int, c: int) -> EventTable:
-    """Event (over vertex subsets as outcomes) that v has >= c induced edges."""
+def _degree_tables(h: Hypergraph, vertices: Sequence[int], c: int) -> tuple[EventTable, ...]:
+    """degree_event(h, v, c) for each v, read off one induced-edge mask over
+    all 2^n codes: v's degree in each code sums the mask's rows at v's edges,
+    whole contiguous rows once the mask is stored edge-major, in the smallest
+    dtype that holds v's edge count."""
     if h.n > BOX_COORD_BUDGET:
         raise CapacityError(f"{h.n} vertices exceed budget {BOX_COORD_BUDGET}")
-    deg = superset_counts(h.n, [h.edge_masks[i] for i in h.incidence[v]])
-    return EventTable(h.n, VertexSet.from_bool_array(deg >= c).bits)
+    inside = np.ascontiguousarray(induced_mask(h, membership_table(h.n)).T)
+    incident = (list(h.incidence[v]) for v in vertices)
+    degrees = (inside[ids].sum(axis=0, dtype=np.min_scalar_type(len(ids))) for ids in incident)
+    return tuple(EventTable(h.n, VertexSet.from_bool_array(d >= c).bits) for d in degrees)
+
+
+def degree_event(h: Hypergraph, v: int, c: int) -> EventTable:
+    """Event (over vertex subsets as outcomes) that v has >= c induced edges."""
+    if not 0 <= v < h.n:
+        raise ValueError(f"vertex {v} outside range({h.n})")
+    return _degree_tables(h, [v], c)[0]
 
 
 @lru_cache(maxsize=64)
 def degree_events(h: Hypergraph, c: int) -> tuple[EventTable, ...]:
     """degree_event(h, v, c) of every vertex v with at least c edges, built once
-    per (h, c).  Events exist only for n <= BOX_COORD_BUDGET, so an entry holds
-    at most that many tables of 2^n bits."""
-    return tuple(degree_event(h, v, c) for v in range(h.n) if len(h.incidence[v]) >= c)
+    per (h, c) from one induced-edge mask.  Events exist only for
+    n <= BOX_COORD_BUDGET, so an entry holds at most that many tables of 2^n bits."""
+    return _degree_tables(h, [v for v in range(h.n) if len(h.incidence[v]) >= c], c)
 
 
 @dataclass(frozen=True)
@@ -279,11 +290,7 @@ def mr_le_z_check(h: Hypergraph, s: VertexSet, r: float) -> MrZResult:
     Each star in a matching certifies its center's degree event on the star's
     vertex set, and those sets are disjoint, so M_r <= Z must hold.
     """
-    if h.n > BOX_COORD_BUDGET:
-        raise CapacityError(f"{h.n} vertices exceed budget {BOX_COORD_BUDGET}")
     events = degree_events(h, math.ceil(r))
     m_r = mr_exact(h, s, r)
-    if not events:
-        return MrZResult(m_r, 0, m_r <= 0)
     z = z_disjoint(events, s.bits, max_events=len(events))
     return MrZResult(m_r, z, m_r <= z)

@@ -65,7 +65,6 @@ __all__ = [
     "planted_tail",
     "planting_target",
     "size_weighted_sum",
-    "superset_counts",
     "wilson_interval",
 ]
 
@@ -167,16 +166,6 @@ def _superset_counts(masks: Sequence[int], low: int, high: int) -> np.ndarray:
         v = counts.reshape(1 << (h2 - 1 - i), 2, (1 << i) << h1)
         v[:, 1] += v[:, 0]
     return counts.reshape(-1)
-
-
-def superset_counts(n: int, masks: Sequence[int]) -> np.ndarray:
-    """counts[code] = number of masks inside code, over all 2^n codes
-    (n <= EXACT_VERTEX_BUDGET, else CapacityError), one block of 2^LOW_BITS
-    codes at a time."""
-    if n > EXACT_VERTEX_BUDGET:
-        raise CapacityError(f"{n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
-    low = min(n, LOW_BITS)
-    return np.concatenate([_superset_counts(masks, low, high) for high in range(1 << (n - low))])
 
 
 def _pool_map(fn, items: Sequence, workers: int):

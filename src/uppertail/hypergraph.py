@@ -22,6 +22,7 @@ __all__ = [
     "induced_edges",
     "induced_mask",
     "max_degree",
+    "membership_table",
     "sample_vm",
     "sample_vp",
 ]
@@ -295,6 +296,11 @@ def induced_mask(h: Hypergraph, member: np.ndarray) -> np.ndarray:
     """inside[..., i]: whether edge i has all k vertices in member, a boolean
     mask over range(n) or a stack of such masks (one row of inside each)."""
     return member[..., h.edge_array].all(axis=-1)
+
+
+def membership_table(n: int) -> np.ndarray:
+    """member[code, v]: whether bit v of code is set, for all 2^n subset codes."""
+    return np.arange(1 << n)[:, None] & (1 << np.arange(n)) != 0
 
 
 def _inside(h: Hypergraph, s: VertexSet) -> np.ndarray:

@@ -38,7 +38,6 @@ from .decompose import (
     CascadeParams,
     cascade_prune,
     check_cascade_event,
-    degree_prune,
     degree_prune_on,
     induced_max_degree,
     mr_exact,
@@ -73,6 +72,7 @@ from .hypergraph import (
     delta_j,
     induced_edges,
     induced_mask,
+    membership_table,
     sample_vp,
 )
 from .rng import stream_generator
@@ -312,8 +312,7 @@ def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray
     equal rows.  The sets come back in np.unique's sorted row order, not in
     order of first appearance; callers only add integer counts per set.
     """
-    member = (np.arange(1 << h.n)[:, None] >> np.arange(h.n)) & 1 == 1
-    rows, index = np.unique(induced_mask(h, member), axis=0, return_inverse=True)
+    rows, index = np.unique(induced_mask(h, membership_table(h.n)), axis=0, return_inverse=True)
     return [tuple(np.flatnonzero(row).tolist()) for row in rows], index.reshape(-1)
 
 
@@ -698,7 +697,7 @@ def cascade_trivial_checks() -> list[CheckResult]:
         res.level_count == 0
         and len(res.levels) == 1
         and res.levels[0].r_j == 2.0
-        and res.kept_edge_ids == degree_prune(h, s, 2.0).kept_edge_ids
+        and res.kept_edge_ids == degree_prune_on(h, induced_edges(h, s), 2.0).kept_edge_ids
     )
 
     # On the first sampled subset whose induced edges are disjoint, nothing is pruned.

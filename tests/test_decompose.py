@@ -14,11 +14,9 @@ from uppertail.decompose import (
     Star,
     cascade_prune,
     check_cascade_event,
-    degree_prune,
     degree_prune_on,
     greedy_star_matching,
     induced_max_degree,
-    make_star_matching,
     mr_exact,
     mr_exact_on,
     xr_exact,
@@ -113,7 +111,7 @@ class TestXr:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             xr_exact(AP5, FULL5, 0.0)
-        for r in (0.0, -1.0):
+        for r in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 xr_exact_on(AP5, tuple(range(AP5.num_edges)), r)
             with pytest.raises(ValueError):
@@ -130,7 +128,7 @@ class TestXr:
         full = VertexSet(16, (1 << 16) - 1)
         val, flag = xr_or_lower(h, full, 2.0)
         assert flag is False
-        assert val == len(degree_prune(h, full, 2.0).kept_edge_ids)
+        assert val == len(degree_prune_on(h, induced_edges(h, full), 2.0).kept_edge_ids)
         assert val < len(induced_edges(h, full))
 
 
@@ -159,14 +157,15 @@ class TestEdgeIdForms:
             ids = induced_edges(h, s)
             for r in (1.0, 1.5, 2.0, 3.0):
                 assert xr_or_lower_on(h, ids, r) == xr_or_lower(h, s, r)
-                assert degree_prune_on(h, ids, r) == degree_prune(h, s, r)
 
     def test_on_forms_reject_nonpositive_r(self):
-        for r in (0.0, -1.0):
+        for r in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 xr_or_lower_on(AP5, (), r)
             with pytest.raises(ValueError):
                 degree_prune_on(AP5, (), r)
+            with pytest.raises(ValueError):
+                greedy_star_matching(AP5, FULL5, r)
 
 
 class TestStarMatching:
@@ -250,8 +249,8 @@ class TestStarMatching:
         assert mr_exact(h, subsets[38], 2.0) == 6
 
     def test_mr_rejects_nonpositive_r(self):
-        # r <= 0 would otherwise count stars of no edges.
-        for r in (0.0, -0.5):
+        # r <= 0 would otherwise count stars of no edges, and ceil(inf) overflows.
+        for r in (0.0, -0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 mr_exact(AP5, FULL5, r)
             with pytest.raises(ValueError):
@@ -269,13 +268,28 @@ class TestStarMatching:
         h = build_ap(10, 3)
         assert mr_exact(h, VertexSet(10, (1 << 10) - 1), 1e20) == 0
 
-    def test_make_star_matching_validation(self):
-        with pytest.raises(ValueError):
-            make_star_matching(AP5, (Star(0, (0,)), Star(2, (1, 2, 3, 0))))
-        with pytest.raises(ValueError):
-            make_star_matching(AP5, (Star(0, (2,)),))  # edge 2 misses center 0
-        with pytest.raises(ValueError):
-            make_star_matching(AP5, (Star(0, (0,)), Star(1, (2,))))  # share vertex 2
+    def test_greedy_output_is_a_star_matching(self):
+        # What the greedy scan hands over unchecked: ceil(r) induced edges per
+        # star, all through its center, on pairwise disjoint vertex sets whose
+        # union is vertex_bits.
+        sizes = set()
+        for h, s in _random_cases(12, 40, seed=11, p=0.6):
+            ids = set(induced_edges(h, s))
+            for r in (1.0, 1.5, 2.0, 3.0):
+                m = greedy_star_matching(h, s, r)
+                sizes.add(m.size)
+                union = 0
+                for star in m.stars:
+                    assert len(star.edge_ids) == math.ceil(r)
+                    assert set(star.edge_ids) <= ids
+                    assert all(star.center in h.edges[i] for i in star.edge_ids)
+                    bits = 0
+                    for i in star.edge_ids:
+                        bits |= h.edge_masks[i]
+                    assert union & bits == 0
+                    union |= bits
+                assert m.vertex_bits == union
+        assert max(sizes) >= 2
 
     def test_star_validation(self):
         with pytest.raises(ValueError):
@@ -294,14 +308,14 @@ class TestDegreePrune:
                 for v in h.edges[i]:
                     deltas[v] = deltas.get(v, 0) + 1
             delta1 = max(deltas.values(), default=0)
-            res = degree_prune(h, s, delta1 + 0.5)
+            res = degree_prune_on(h, induced_edges(h, s), delta1 + 0.5)
             assert res.matching.size == 0
             assert res.kept_edge_ids == ids
 
     def test_post_degree_cap(self):
         for h, s in _random_cases(12, 40, seed=7):
             for r in (1.0, 1.5, 2.0):
-                kept = degree_prune(h, s, r).kept_edge_ids
+                kept = degree_prune_on(h, induced_edges(h, s), r).kept_edge_ids
                 deg: dict[int, int] = {}
                 for i in kept:
                     for v in h.edges[i]:
@@ -310,7 +324,7 @@ class TestDegreePrune:
 
     def test_removed_edges_touch_matching(self):
         for h, s in _random_cases(12, 20, seed=8):
-            res = degree_prune(h, s, 2.0)
+            res = degree_prune_on(h, induced_edges(h, s), 2.0)
             blocked = res.matching.vertex_bits
             kept = set(res.kept_edge_ids)
             for i in induced_edges(h, s):
@@ -343,7 +357,7 @@ class TestCascade:
         s = VertexSet(12, (1 << 12) - 1)
         res = cascade_prune(h, s, params)
         assert len(res.levels) == 1 and res.levels[0].r_j == 2.0
-        assert res.kept_edge_ids == degree_prune(h, s, 2.0).kept_edge_ids
+        assert res.kept_edge_ids == degree_prune_on(h, induced_edges(h, s), 2.0).kept_edge_ids
 
     def test_final_degree_and_accounting(self):
         h = build_ap(25, 3)

@@ -1,4 +1,5 @@
-"""Every walkthrough in demos/ runs to the end with its default arguments."""
+"""Every walkthrough in demos/ runs to the end with its default arguments and
+prints exactly its pinned stdout in tests/data/demos/."""
 
 import runpy
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+PINS = Path(__file__).resolve().parent / "data" / "demos"
 
 
 def test_demos_found():
@@ -22,3 +24,4 @@ def test_demo_runs(path, monkeypatch):
     with redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue().strip()
+    assert out.getvalue() == (PINS / f"{path.stem}.txt").read_text(encoding="utf-8")

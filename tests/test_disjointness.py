@@ -218,12 +218,18 @@ class TestProbability:
             event_probabilities([EventTable.full(2), EventTable.full(3)], [0.5] * 2)
         with pytest.raises(ValueError):
             event_probabilities([EventTable.full(3)], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            event_probabilities([EventTable.full(3)], [0.5, float("nan"), 0.5])
 
     def test_validation(self):
         with pytest.raises(ValueError):
             event_probability(EventTable.full(3), [0.5, 0.5])
         with pytest.raises(ValueError):
             event_probability(EventTable.full(2), [0.5, 1.5])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            event_probability(EventTable.full(3), [float("nan")] * 3)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bk_check(EventTable.full(3), EventTable.empty(3), [float("nan")] * 3)
 
 
 class TestBK:
@@ -261,6 +267,20 @@ class TestHypergraphEvents:
                 )
                 assert degree_event(h, v, c) == expected
 
+    @pytest.mark.parametrize("n", [5, 9, 12, 14])
+    def test_degree_events_are_exact(self, n):
+        for h in (build_ap(n, 3), build_schur(n), build_ell_sum(n, 3)):
+            for v in range(n):
+                degree = oracles.superset_counts_brute([h.edge_masks[i] for i in h.incidence[v]], n, 0)
+                for c in (1, 2, 3, 4):
+                    assert degree_event(h, v, c) == EventTable(n, VertexSet.from_bool_array(degree >= c).bits)
+
+    def test_degree_event_refuses_a_vertex_outside_range(self):
+        h = build_ap(8, 3)
+        for v in (-1, 8):
+            with pytest.raises(ValueError, match="outside range"):
+                degree_event(h, v, 1)
+
     @pytest.mark.parametrize("n", [4, 6, 9, 12])
     def test_degree_events_are_the_vertices_with_c_edges(self, n):
         above_max_degree = 0
@@ -277,14 +297,16 @@ class TestHypergraphEvents:
 
     @pytest.mark.parametrize("build", [lambda n: build_ap(n, 3), build_schur, lambda n: build_ell_sum(n, 3)])
     def test_degree_events_refuse_past_box_budget(self, build, monkeypatch):
-        def unreachable(n, masks):
+        def unreachable(n):
             raise AssertionError("2^n table built past the budget")
 
-        monkeypatch.setattr(disjointness, "superset_counts", unreachable)
+        monkeypatch.setattr(disjointness, "membership_table", unreachable)
         h = build(BOX_COORD_BUDGET + 1)
         for c in (1, 2, 3, 4):
             with pytest.raises(CapacityError):
                 degree_events(h, c)
+            with pytest.raises(CapacityError):
+                mr_le_z_check(h, VertexSet(h.n), float(c))
 
     def test_mr_le_z_on_samples(self):
         rng = np.random.default_rng(9)

@@ -16,7 +16,9 @@ from uppertail.hypergraph import (
     delta_j,
     induced_edge_count,
     induced_edges,
+    induced_mask,
     max_degree,
+    membership_table,
     sample_vm,
     sample_vp,
 )
@@ -358,6 +360,19 @@ class TestInducedEdges:
         )
         assert induced_edge_count(h, s) == expected
         assert len(induced_edges(h, s)) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 9])
+    def test_membership_table_rows_are_the_subset_codes(self, n):
+        member = membership_table(n)
+        assert member.shape == (1 << n, n) and member.dtype == bool
+        h = build_ap(n, 3)
+        for code in range(1 << n):
+            s = VertexSet(n, code)
+            assert np.array_equal(member[code], s.to_bool_array())
+        # induced_mask over the whole table gives every code's induced edges.
+        inside = induced_mask(h, member)
+        for code in range(1 << n):
+            assert tuple(np.flatnonzero(inside[code]).tolist()) == induced_edges(h, VertexSet(n, code))
 
 
 class TestSampling:

@@ -18,7 +18,7 @@ MODULES = sorted(SRC.glob("*.py"))
 # Code outside the package that may use its public names; tests do not count.
 CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # Modules that import neither uppertail.estimate nor scipy.
-LEAVES = ["bounds", "decompose", "families", "hypergraph", "rng"]
+LEAVES = ["bounds", "decompose", "disjointness", "families", "hypergraph", "rng"]
 
 
 def _tree(path: Path) -> ast.Module:

@@ -208,18 +208,21 @@ class TestCheckCounts:
         assert len(calls) == 800
 
     def test_mr_z_sample_builds_each_degree_event_once(self, monkeypatch):
-        calls = []
-        event = disjointness.degree_event
+        calls, events = [], []
+        tables = disjointness._degree_tables
 
-        def spy(h, v, c):
-            calls.append((h, v, c))
-            return event(h, v, c)
+        def spy(h, vertices, c):
+            calls.append((h, c))
+            events.extend((h, v, c) for v in vertices)
+            return tables(h, vertices, c)
 
         disjointness.degree_events.cache_clear()
-        monkeypatch.setattr(disjointness, "degree_event", spy)
+        monkeypatch.setattr(disjointness, "_degree_tables", spy)
         assert _counts(verify.mr_z_sample_check()) == (0, 200, None)
-        # 8 vertices x 3 values of c x 2 graphs, each built once.
-        assert len(calls) == len(set(calls)) == 48
+        # One induced-edge mask per (graph, c), 3 values of c x 2 graphs, and
+        # 48 events (8 vertices x 3 values of c x 2 graphs), each built once.
+        assert len(calls) == len(set(calls)) == 6
+        assert len(events) == len(set(events)) == 48
 
     def test_mr_tail_refuses_past_box_budget_before_enumerating(self, monkeypatch):
         def unreachable(h, r):
