@@ -2,18 +2,23 @@
 
 Two events occur disjointly when they hold for reasons certified by disjoint
 coordinate sets.  The script builds the box product of two threshold events,
-checks Pr(box(A, B)) <= Pr(A) Pr(B) under several product measures, and ties
-star matchings to disjoint occurrence: M_r >= y forces y degree events to
-occur disjointly.
+computes the exact probabilities behind the BK inequality
+Pr(box(A, B)) <= Pr(A) Pr(B) under several product measures, and ties star
+matchings to disjoint occurrence: M_r >= y forces y degree events to occur
+disjointly, so M_r <= Z, the number of degree events held with disjoint
+certificates.
 """
 
+import math
+
+from uppertail.decompose import mr_exact
 from uppertail.disjointness import (
     EventTable,
-    bk_check,
     box,
     degree_event,
+    degree_events,
+    event_probabilities,
     event_probability,
-    mr_le_z_check,
     z_disjoint,
 )
 from uppertail.families import FamilySpec, build
@@ -35,10 +40,10 @@ def main() -> None:
     print(f"box(A, B)                      |.| = {ab.count()}")
 
     for probs in ([0.5] * m, [0.2] * m, [0.1 + 0.08 * i for i in range(m)]):
-        res = bk_check(a, b, probs)
+        p_box, p_a, p_b = event_probabilities([ab, a, b], probs)
         print(f"  p={probs[0]:.2f}{'...' if len(set(probs)) > 1 else '   '}  "
-              f"Pr(box)={res.p_box:.5f} <= Pr(A)Pr(B)={res.p_a * res.p_b:.5f}  "
-              f"ok={res.ok}")
+              f"Pr(box)={p_box:.5f} <= Pr(A)Pr(B)={p_a * p_b:.5f}  "
+              f"ok={p_box <= p_a * p_b + 1e-12}")
 
     omega = 0b00111011
     z = z_disjoint([a, b], omega)
@@ -48,10 +53,12 @@ def main() -> None:
     h = build(FamilySpec("ap", 10, 3))
     s = VertexSet(h.n, (1 << h.n) - 1)
     r = 2.0
-    res = mr_le_z_check(h, s, r)
+    events = degree_events(h, math.ceil(r))
+    m_r = mr_exact(h, s, r)
+    z = z_disjoint(events, s.bits, max_events=len(events))
     print(f"\nap(n=10, k=3), full vertex set, r={r}:")
-    print(f"  star matching M_r = {res.m_r}, disjointly-held degree events "
-          f"Z = {res.z}, M_r <= Z holds: {res.ok}")
+    print(f"  star matching M_r = {m_r}, disjointly-held degree events "
+          f"Z = {z}, M_r <= Z holds: {m_r <= z}")
     ev = degree_event(h, 4, 2)
     print(f"  degree event 'vertex 4 keeps >= 2 edges' holds on "
           f"{ev.count()} of {1 << h.n} outcomes, "

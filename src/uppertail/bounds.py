@@ -41,7 +41,7 @@ def phi(x: float) -> float:
     Uses the series x^2/2 - x^3/6 + x^4/12 for small |x| to avoid the
     cancellation in the direct form; log1p otherwise.
     """
-    if x < -1.0:
+    if not x >= -1.0:
         raise ValueError("phi is defined on [-1, inf)")
     if x == -1.0:
         return 1.0
@@ -103,6 +103,14 @@ def moment_report(h: Hypergraph, p: float) -> MomentReport:
     return MomentReport(mu=mu, var=exact_variance(h, p), lam=lam)
 
 
+def _phi_times_mu(t: float, mu: float) -> float:
+    """phi(t/mu) * mu for mu > 0, or where that overflows (t/mu near the float
+    range), (mu + t)(log t - log mu) - t: log(1 + t/mu) with the quotient logged."""
+    x = t / mu
+    value = phi(x) * mu if x < math.inf else math.inf
+    return value if value < math.inf else (mu + t) * (math.log(t) - math.log(mu)) - t
+
+
 def _chain_check(primary: float, weaker: float, tags: str) -> None:
     if math.isinf(primary) and primary < 0:
         return
@@ -120,14 +128,15 @@ def theorem_c_bound(mu: float, capacity: float, t: float, form: str = "phi") -> 
     (-(t/(2C)) * log(1 + t/(2mu))).  The chain phi <= quadratic and
     phi <= ratio_log is asserted numerically on every call.
     """
-    if mu < 0 or t <= 0 or capacity <= 0:
+    if not (mu >= 0 and t > 0 and capacity > 0):
         raise ValueError("need mu >= 0, t > 0, capacity > 0")
     if mu == 0.0:
-        main = -math.inf
-        ratio = -math.inf
+        main = ratio = -math.inf
     else:
-        main = -phi(t / mu) * mu / capacity
-        ratio = -(t / (2.0 * capacity)) * math.log1p(t / (2.0 * mu))
+        main = -_phi_times_mu(t, mu) / capacity
+        half = t / (2.0 * mu)  # logged as a difference of logs where it overflows
+        log_half = math.log1p(half) if half < math.inf else math.log(t) - math.log(2.0 * mu)
+        ratio = -(t / (2.0 * capacity)) * log_half
     if math.isinf(t * t):  # past t ~ 1.34e154, t^2 overflows where the form does not
         quad = -(t / (2.0 * capacity)) * (t / (mu + t / 3.0))
     else:
@@ -143,7 +152,7 @@ def theorem_c_bound(mu: float, capacity: float, t: float, form: str = "phi") -> 
 
 def et_bound(mu: float, capacity: float, x: float, stirling: bool = False) -> BoundReport:
     """log Pr(X >= x * C) bound x*log(mu/C) - log(x!) or its Stirling form."""
-    if mu < 0 or capacity <= 0 or x <= 0:
+    if not (mu >= 0 and capacity > 0 and x > 0):
         raise ValueError("need mu >= 0, capacity > 0, x > 0")
     if mu == 0.0:
         main = -math.inf
@@ -166,14 +175,14 @@ def et_bound(mu: float, capacity: float, x: float, stirling: bool = False) -> Bo
 
 def exponent_appp(mu: float, p: float) -> float:
     """Tail exponent min(mu, sqrt(mu) * log(1/p)) at the doubled mean."""
-    if mu < 0 or not 0.0 < p <= 1.0:
+    if not (mu >= 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu >= 0 and p in (0, 1]")
     return min(mu, math.sqrt(mu) * math.log(1.0 / p))
 
 
 def exponent_ap(mu: float, var: float, p: float, eps: float) -> float:
     """Tail exponent min(phi(eps) mu^2 / var, sqrt(eps mu) log(1/p))."""
-    if mu < 0 or var < 0 or eps <= 0 or not 0.0 < p <= 1.0:
+    if not (mu >= 0 and var >= 0 and eps > 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu, var >= 0, eps > 0, p in (0, 1]")
     first = math.inf if var == 0.0 else phi(eps) * mu * mu / var
     return min(first, math.sqrt(eps * mu) * math.log(1.0 / p))
@@ -181,7 +190,7 @@ def exponent_ap(mu: float, var: float, p: float, eps: float) -> float:
 
 def exponent_apt(var: float, p: float, t: float) -> float:
     """Tail exponent min(t^2 / var, sqrt(t) * log(1/p))."""
-    if var < 0 or t <= 0 or not 0.0 < p <= 1.0:
+    if not (var >= 0 and t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need var >= 0, t > 0, p in (0, 1]")
     first = math.inf if var == 0.0 else t * t / var
     return min(first, math.sqrt(t) * math.log(1.0 / p))
@@ -192,7 +201,7 @@ def exponent_hg(mu: float, lam: float, p: float, t: float, use_remark: bool = Fa
 
     use_remark swaps the first term for t^2 / lam.
     """
-    if mu < 0 or lam < 0 or t <= 0 or not 0.0 < p <= 1.0:
+    if not (mu >= 0 and lam >= 0 and t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu, lam >= 0, t > 0, p in (0, 1]")
     if lam == 0.0:
         first = math.inf
@@ -201,7 +210,7 @@ def exponent_hg(mu: float, lam: float, p: float, t: float, use_remark: bool = Fa
     elif mu == 0.0:
         first = math.inf
     else:
-        first = phi(t / mu) * mu * mu / lam
+        first = _phi_times_mu(t, mu) * mu / lam
     return min(first, math.sqrt(t) * math.log(math.e / p))
 
 
@@ -211,7 +220,7 @@ def lb_cluster_bound(d: float, mu: float, t: float, p: float) -> BoundReport:
     Valid given a clustered witness certifying x = mu + t edges within
     d * sqrt(mu + t) vertices, for mu + t >= 1.
     """
-    if d < 0 or mu < 0 or t <= 0 or not 0.0 < p <= 1.0:
+    if not (d >= 0 and mu >= 0 and t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need d, mu >= 0, t > 0, p in (0, 1]")
     if mu + t < 1.0:
         raise ValueError("requires mu + t >= 1")
@@ -255,7 +264,7 @@ def binomial_point_lower_refined(n: int, q: float, m: int) -> BoundReport:
 
 def paley_zygmund_lower(var: float, t: float) -> float:
     """Pr(Y >= E[Y] - t) >= t^2 / (var + t^2)."""
-    if var < 0 or t <= 0:
+    if not (var >= 0 and t > 0):
         raise ValueError("need var >= 0 and t > 0")
     return t * t / (var + t * t)
 

@@ -241,8 +241,7 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
                     add(p, t, rep.tag, rep.log_value, rep.inputs)
             if p > 0:
                 add(p, t, "exponent_appp", exponent_appp(mu, p), {"mu": mu, "p": p})
-                if var > 0 and mu > 0:
-                    eps = t / mu
+                if var > 0 and mu > 0 and (eps := t / mu) < math.inf:
                     add(p, t, "exponent_ap", exponent_ap(mu, var, p, eps),
                         {"mu": mu, "var": var, "p": p, "eps": eps})
                 if var > 0:

@@ -1,34 +1,28 @@
-"""Extensional events on {0,1}^m, disjoint-certificate composition, BK checks.
+"""Extensional events on {0,1}^m and disjoint-certificate composition.
 
 Outcomes are integers whose bit i is coordinate i; an event is a 2^m-bit
 membership table.  A certificate for omega in E is a coordinate set K such
 that every outcome agreeing with omega on K lies in E; the disjoint
 occurrence of two events asks for certificates on disjoint coordinate sets.
+verify's bk suite checks the BK inequality and M_r <= Z with these events.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .decompose import mr_exact
 from .hypergraph import CapacityError, Hypergraph, VertexSet, induced_mask, membership_table
 
 __all__ = [
-    "BKResult",
     "EventTable",
-    "MrZResult",
-    "bk_check",
     "box",
     "degree_event",
     "degree_events",
     "event_probabilities",
     "event_probability",
-    "mr_le_z_check",
     "z_disjoint",
 ]
 
@@ -235,20 +229,6 @@ def event_probability(event: EventTable, probs: Sequence[float]) -> float:
     return event_probabilities([event], probs)[0]
 
 
-@dataclass(frozen=True)
-class BKResult:
-    p_box: float
-    p_a: float
-    p_b: float
-    ok: bool
-
-
-def bk_check(a: EventTable, b: EventTable, probs: Sequence[float]) -> BKResult:
-    """Verify Pr(A box B) <= Pr(A) Pr(B) + 1e-12 under the product measure."""
-    p_box, p_a, p_b = event_probabilities([box(a, b), a, b], probs)
-    return BKResult(p_box, p_a, p_b, p_box <= p_a * p_b + 1e-12)
-
-
 def _degree_tables(h: Hypergraph, vertices: Sequence[int], c: int) -> tuple[EventTable, ...]:
     """degree_event(h, v, c) for each v, read off one induced-edge mask over
     all 2^n codes: v's degree in each code sums the mask's rows at v's edges,
@@ -275,22 +255,3 @@ def degree_events(h: Hypergraph, c: int) -> tuple[EventTable, ...]:
     per (h, c) from one induced-edge mask.  Events exist only for
     n <= BOX_COORD_BUDGET, so an entry holds at most that many tables of 2^n bits."""
     return _degree_tables(h, [v for v in range(h.n) if len(h.incidence[v]) >= c], c)
-
-
-@dataclass(frozen=True)
-class MrZResult:
-    m_r: int
-    z: int
-    ok: bool
-
-
-def mr_le_z_check(h: Hypergraph, s: VertexSet, r: float) -> MrZResult:
-    """Check mr_exact(H, S, r) <= Z over the degree events at omega = S.
-
-    Each star in a matching certifies its center's degree event on the star's
-    vertex set, and those sets are disjoint, so M_r <= Z must hold.
-    """
-    events = degree_events(h, math.ceil(r))
-    m_r = mr_exact(h, s, r)
-    z = z_disjoint(events, s.bits, max_events=len(events))
-    return MrZResult(m_r, z, m_r <= z)

@@ -25,9 +25,10 @@ ANDs the member rows of EDGE_BLOCK edges at a time, and sums the hits with a
 bit-sliced adder.  A worker's working set is one chunk's draw (CHUNK * n
 bytes, plus a CHUNK * n int32 table for the conditioned sampler) and a few
 gathered blocks of CHUNK * EDGE_BLOCK bits (1 MB each), independent of e(H):
-5-6 MB per chunk at n = 300.  The conditioned estimator's exact binomial
-factor Pr(Bin(n, p) >= m) is scipy.special.betainc, the regularized
-incomplete beta.
+5-6 MB per chunk at n = 300.  Each pass checks those 5 * CHUNK * n bytes
+against SAMPLER_BYTE_BUDGET before it builds anything per vertex.  The
+conditioned estimator's exact binomial factor Pr(Bin(n, p) >= m) is
+scipy.special.betainc, the regularized incomplete beta.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from scipy.special import betainc
 
 from .families import Witness
 from .hypergraph import CapacityError, Hypergraph, VertexSet
-from .rng import chunk_layout, m_subset_members, p_subset_members, stream_generator
+from .rng import CHUNK, chunk_layout, m_subset_members, p_subset_members, stream_generator
 
 __all__ = [
     "METHODS",
@@ -69,6 +70,7 @@ __all__ = [
 ]
 
 EXACT_VERTEX_BUDGET = 26
+SAMPLER_BYTE_BUDGET = 1 << 28  # one chunk's membership plus the conditioned draw's int32 table
 LOW_BITS = 20  # vertices enumerated inside one block of codes
 SLICE = 1 << 16  # codes per bincount, a power of two: one 512 KB intp key buffer
 EDGE_BLOCK = 2048  # edges gathered and ANDed per sampling-kernel step
@@ -368,6 +370,13 @@ def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
     return totals
 
 
+def _check_sampler_budget(n: int, samples: int) -> None:
+    """Refuse a pass whose chunk of samples over n vertices exceeds SAMPLER_BYTE_BUDGET."""
+    need = 5 * min(samples, CHUNK) * n
+    if need > SAMPLER_BYTE_BUDGET:
+        raise CapacityError(f"a chunk needs {need} bytes, over budget {SAMPLER_BYTE_BUDGET}")
+
+
 def _sample_histogram(h: Hypergraph, seed: int, draw, samples: int, workers: int) -> np.ndarray:
     """Read-only counts[x] = number of samples inducing exactly x edges of h.
 
@@ -480,6 +489,7 @@ def planted_histogram(
         raise ValueError("samples must be positive")
     if witness.subset.n != h.n:
         raise ValueError("witness lives on a different vertex set")
+    _check_sampler_budget(h.n, samples)
     w_bits = witness.subset.bits
     w_size = len(witness.subset)
     free = [v for v in range(h.n) if not (w_bits >> v) & 1]
@@ -537,7 +547,7 @@ def conditioned_histogram(
     m = conditioned_size(h.n, p, eps)
     if m > h.n:
         raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
-
+    _check_sampler_budget(h.n, samples)
     counts = _sample_histogram(
         h, seed, lambda gen, count: m_subset_members(gen, h.n, m, count), samples, workers
     )

@@ -73,14 +73,14 @@ class Witness:
     x: float
 
     def __post_init__(self):
-        if self.d_used < 0:
+        if not self.d_used >= 0:
             raise ValueError("d_used must be nonnegative")
         h, s = self.hypergraph, self.subset
         if s.n != h.n:
             raise ValueError(f"vertex set over range({s.n}) does not match range({h.n})")
-        if self.x > 0:  # any set induces at least x <= 0 edges
+        if not self.x <= 0:  # any set induces at least x <= 0 edges; NaN is refused
             achieved = induced_edge_count(h, s)
-            if achieved < self.x:
+            if not achieved >= self.x:
                 raise ValueError(f"witness induces {achieved} < {self.x} edges")
         cap = self.d_used * max(math.sqrt(max(self.x, 0.0)), 1.0)
         if len(self.subset) > cap + 1e-9:

@@ -56,6 +56,8 @@ class TestPhi:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             phi(-1.0001)
+        with pytest.raises(ValueError, match=r"\[-1, inf\)"):
+            phi(math.nan)
 
 
 class TestMoments:
@@ -143,6 +145,39 @@ class TestUpperBounds:
             theorem_c_bound(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             theorem_c_bound(1.0, 1.0, 1.0, form="cubic")
+        for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="need mu >= 0, t > 0, capacity > 0"):
+                theorem_c_bound(*args)
+        for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="need mu >= 0, capacity > 0, x > 0"):
+                et_bound(*args)
+
+    @pytest.mark.parametrize("mu, t", [(9e-110, 1e200), (2.43e-309, 1.0), (1e-300, 1e10), (1e-6, 1e300)])
+    def test_overflowing_quotients_give_finite_bounds(self, mu, t):
+        # t / mu or phi(t / mu) overflows: phi(t/mu) mu is (mu + t) log(t/mu) - t
+        # and log1p(t/(2mu)) is log t - log(2mu), so no NaN reaches the chain check.
+        main, quad, ratio = (theorem_c_bound(mu, 1.0, t, form=f).log_value
+                             for f in ("phi", "quadratic", "ratio_log"))
+        assert all(math.isfinite(v) for v in (main, quad, ratio))
+        assert main <= quad and main <= ratio < 0
+        assert main == pytest.approx(-((mu + t) * (math.log(t) - math.log(mu)) - t), rel=1e-12)
+        assert math.isfinite(exponent_hg(mu, mu, 0.5, t))
+
+    @pytest.mark.parametrize("mu", [1e-300, 1e-30, 0.01, 2.5, 1e6])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e5, 1e150, 1e290])
+    def test_finite_direct_forms_keep_their_bits(self, mu, t):
+        capacity, lam, p = 3.0, 2.0 * mu, 0.25
+        direct = {
+            "phi": -phi(t / mu) * mu / capacity,
+            "ratio_log": -(t / (2.0 * capacity)) * math.log1p(t / (2.0 * mu)),
+        }
+        for form, value in direct.items():
+            if math.isfinite(value):
+                assert theorem_c_bound(mu, capacity, t, form=form).log_value == value
+        first = phi(t / mu) * mu * mu / lam
+        if math.isfinite(first):
+            want = min(first, math.sqrt(t) * math.log(math.e / p))
+            assert exponent_hg(mu, lam, p, t) == want
 
     def test_et_bound_formula(self):
         rep = et_bound(0.8, 1.0, 5)
@@ -242,6 +277,18 @@ class TestUpperBounds:
             exponent_appp(1.0, 0.0)
         with pytest.raises(ValueError):
             exponent_apt(1.0, 0.5, 0.0)
+        nan = math.nan
+        with pytest.raises(ValueError, match="need mu >= 0 and p"):
+            exponent_appp(nan, 0.5)
+        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, 0.5, nan)):
+            with pytest.raises(ValueError, match="need mu, var >= 0, eps > 0"):
+                exponent_ap(*args)
+        for args in ((nan, 0.5, 1.0), (1.0, 0.5, nan)):
+            with pytest.raises(ValueError, match="need var >= 0, t > 0"):
+                exponent_apt(*args)
+        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, 0.5, nan)):
+            with pytest.raises(ValueError, match="need mu, lam >= 0, t > 0"):
+                exponent_hg(*args)
 
 
 class TestLowerBounds:
@@ -250,6 +297,9 @@ class TestLowerBounds:
         assert rep.log_value == pytest.approx(-2.0 * 2.0 * math.log(4.0), rel=1e-15)
         with pytest.raises(ValueError):
             lb_cluster_bound(2.0, 0.3, 0.5, 0.25)  # mu + t < 1
+        for args in ((math.nan, 1.0, 1.0, 0.5), (1.0, math.nan, 1.0, 0.5), (1.0, 1.0, math.nan, 0.5)):
+            with pytest.raises(ValueError, match="need d, mu >= 0, t > 0"):
+                lb_cluster_bound(*args)
 
     def test_binomial_point_exact_at_b_zero(self):
         for n, q, m in ((12, 0.3, 5), (30, 0.08, 4), (9, 0.55, 9 - 1)):
@@ -277,6 +327,9 @@ class TestLowerBounds:
 
     def test_paley_zygmund_formula_and_honesty(self):
         assert paley_zygmund_lower(3.0, 2.0) == pytest.approx(4.0 / 7.0, rel=1e-15)
+        for args in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="need var >= 0 and t > 0"):
+                paley_zygmund_lower(*args)
         n, q = 18, 0.35
         var = n * q * (1 - q)
         mu = n * q

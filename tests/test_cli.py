@@ -209,6 +209,18 @@ class TestFamilyAndBounds:
         assert not any(math.isnan(v) for v in rows.values())
         assert rows["et"] <= rows["et_stirling"] < -1000.0
 
+    @pytest.mark.parametrize("p, t", [("1e-37", "1e200"), ("3e-104", "1")])
+    def test_bounds_where_t_over_mu_overflows(self, p, t):
+        # t / mu is inf, and so was phi(t / mu); the rows read logs instead.
+        code, out = run_cli(["bounds", "--family", "ap", "--n", "20", "--p", p, "--t", t])
+        assert code == 0
+        rows = {r["tag"]: float(r["value"]) for r in parse_csv(out)}
+        assert "exponent_ap" not in rows  # its eps = t / mu is not finite
+        assert all(math.isfinite(v) for v in rows.values())
+        assert rows["theorem_c"] <= rows["theorem_c_quadratic"]
+        assert rows["theorem_c"] <= rows["theorem_c_ratio_log"]
+        assert rows["et"] <= rows["et_stirling"]
+
     def test_bounds_chain_order(self):
         _, out = run_cli(
             ["bounds", "--family", "ap", "--n", "10", "--p", "0.3", "--t", "2"]
@@ -505,6 +517,23 @@ class TestHeldHistogram:
         rows = parse_csv(open(out_file).read())
         assert [r["status"] for r in rows] == ["budget"] * 4
         assert {r["samples"] for r in rows} == {str(1 << 27)}
+        assert calls == []
+
+    def test_above_the_sampler_budget(self, tmp_path, monkeypatch, capsys):
+        # One chunk of 2000 samples over 40 vertices needs 400,000 bytes.
+        monkeypatch.setattr(estimate, "SAMPLER_BYTE_BUDGET", 399_999)
+        calls = spy_draws(monkeypatch)
+        family = ["--family", "ap", "--n", "40", "--p", "0.1,0.2", "--t", "1,2", "--samples", "2000",
+                  "--seed", "1"]
+        for method in ("mc", "planted", "conditioned"):
+            grid = family + ["--method", method]
+            assert run_cli(["tail"] + grid) == (1, "")
+            assert "over budget 399999" in capsys.readouterr().err
+            out_file = str(tmp_path / f"{method}.csv")
+            assert run_cli(["sweep"] + grid + ["--out-file", out_file]) == (
+                0, f"wrote 4 rows to {out_file}\n"
+            )
+            assert [r["status"] for r in parse_csv(open(out_file).read())] == ["budget"] * 4
         assert calls == []
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -11,15 +12,14 @@ from uppertail.disjointness import (
     EVENT_COORD_BUDGET,
     Z_EVENT_BUDGET,
     EventTable,
-    bk_check,
     box,
     degree_event,
     degree_events,
     event_probabilities,
     event_probability,
-    mr_le_z_check,
     z_disjoint,
 )
+from uppertail.decompose import mr_exact
 from uppertail.families import build_ap, build_ell_sum, build_schur
 from uppertail.hypergraph import CapacityError, VertexSet, max_degree, sample_vp
 
@@ -34,6 +34,12 @@ def _random_table(m: int, rng: random.Random, density: float = 0.5) -> EventTabl
 
 def _outcomes(e: EventTable) -> set[int]:
     return {w for w in range(1 << e.m) if e.contains(w)}
+
+
+def _z_at(h, s: VertexSet, r: float) -> int:
+    """Z over the degree events of ceil(r) edges at omega = S."""
+    events = degree_events(h, math.ceil(r))
+    return z_disjoint(events, s.bits, max_events=len(events))
 
 
 class TestEventTable:
@@ -228,8 +234,6 @@ class TestProbability:
             event_probability(EventTable.full(2), [0.5, 1.5])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             event_probability(EventTable.full(3), [float("nan")] * 3)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            bk_check(EventTable.full(3), EventTable.empty(3), [float("nan")] * 3)
 
 
 class TestBK:
@@ -239,16 +243,15 @@ class TestBK:
             a = _random_table(6, rng, 0.5)
             b = _random_table(6, rng, 0.5)
             probs = [rng.uniform(0.1, 0.9) for _ in range(6)]
-            res = bk_check(a, b, probs)
-            assert res.ok
-            assert res.p_box <= res.p_a * res.p_b + 1e-12
+            p_box, p_a, p_b = event_probabilities([box(a, b), a, b], probs)
+            assert p_box <= p_a * p_b + 1e-12
 
     def test_equality_for_coordinate_disjoint_events(self):
         a = EventTable.from_indicator(4, lambda w: bool(w & 0b0011 == 0b0011))
         b = EventTable.from_indicator(4, lambda w: bool(w & 0b1100 == 0b1100))
         probs = [0.3, 0.7, 0.4, 0.9]
-        res = bk_check(a, b, probs)
-        assert res.p_box == pytest.approx(res.p_a * res.p_b, rel=1e-12)
+        p_box, p_a, p_b = event_probabilities([box(a, b), a, b], probs)
+        assert p_box == pytest.approx(p_a * p_b, rel=1e-12)
 
 
 class TestHypergraphEvents:
@@ -305,8 +308,6 @@ class TestHypergraphEvents:
         for c in (1, 2, 3, 4):
             with pytest.raises(CapacityError):
                 degree_events(h, c)
-            with pytest.raises(CapacityError):
-                mr_le_z_check(h, VertexSet(h.n), float(c))
 
     def test_mr_le_z_on_samples(self):
         rng = np.random.default_rng(9)
@@ -314,11 +315,9 @@ class TestHypergraphEvents:
             for _ in range(40):
                 s = sample_vp(h, 0.6, rng)
                 for r in (1.0, 2.0):
-                    res = mr_le_z_check(h, s, r)
-                    assert res.ok
-                    assert res.m_r <= res.z
+                    assert mr_exact(h, s, r) <= _z_at(h, s, r)
 
     def test_mr_le_z_full_set(self):
         h = build_ap(7, 3)
-        res = mr_le_z_check(h, VertexSet(7, (1 << 7) - 1), 2.0)
-        assert res.ok
+        s = VertexSet(7, (1 << 7) - 1)
+        assert mr_exact(h, s, 2.0) <= _z_at(h, s, 2.0)

@@ -24,7 +24,9 @@ from uppertail.estimate import (
     exact_tail,
     histogram_point_mass,
     histogram_tail,
+    mc_histogram,
     mc_tail,
+    planted_histogram,
     planted_tail,
     planting_target,
     wilson_interval,
@@ -592,6 +594,30 @@ class TestSamplingKernel:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("method", ["mc", "planted", "conditioned"])
+    def test_sampler_budget_refuses_before_drawing(self, monkeypatch, method):
+        """A pass whose chunk needs one byte more than SAMPLER_BYTE_BUDGET is
+        refused before anything per vertex is built."""
+        h, samples = build_ap(20, 3), 100
+        witness = Witness(h, VertexSet(h.n, 0b111), 3.0, 1.0)
+        run = {
+            "mc": lambda: mc_histogram(h, 0.3, samples, seed=1),
+            "planted": lambda: planted_histogram(h, 0.3, samples, 1, witness),
+            "conditioned": lambda: conditioned_histogram(h, 0.3, samples, 1, eps=0.25),
+        }[method]
+        need = 5 * samples * h.n  # one byte of membership and four of int32 table
+        monkeypatch.setattr(estimate, "SAMPLER_BYTE_BUDGET", need)
+        assert run().counts.sum() == samples
+        monkeypatch.setattr(estimate, "SAMPLER_BYTE_BUDGET", need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"needs {need} bytes, over budget {need - 1}"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
     @pytest.mark.parametrize("count", [1, 511, 512, 1300])

@@ -244,6 +244,10 @@ class TestWitnesses:
             Witness(h, VertexSet(10, 0), 3.0, 1.0)  # induces no edge
         with pytest.raises(ValueError, match=r"range\(9\) does not match range\(10\)"):
             Witness(h, VertexSet(9, 0), 0.0, 0.0)  # a subset of another ground set
+        with pytest.raises(ValueError, match=r"induces \d+ < nan edges"):
+            Witness(h, full, 1.0, math.nan)
+        with pytest.raises(ValueError, match="d_used must be nonnegative"):
+            Witness(h, full, math.nan, 1.0)
 
     def test_nonpositive_target_counts_no_edges(self, monkeypatch):
         # Every set induces at least x <= 0 edges, so the bound is not counted.
