@@ -39,8 +39,8 @@ def main() -> None:
         thr = mu + t
         exact = histogram_tail(hist, p, thr)
         log_exact = math.log(exact) if exact > 0 else float("-inf")
-        chernoff = theorem_c_bound(mu, 1.0, t).log_value
-        count = et_bound(mu, 1.0, math.ceil(thr)).log_value
+        chernoff = theorem_c_bound(mu, 1.0, t)[0].log_value
+        count = et_bound(mu, 1.0, math.ceil(thr))[0].log_value
         witness = interval_witness(spec, thr)
         if witness is not None and witness.d_used > 0:
             lower = lb_cluster_bound(witness.d_used, mu, t, p).log_value

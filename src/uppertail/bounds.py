@@ -59,7 +59,7 @@ class MomentReport:
     lam: float
 
     def __post_init__(self):
-        if self.mu < 0 or self.var < 0 or self.lam < 0:
+        if not (self.mu >= 0 and self.var >= 0 and self.lam >= 0):
             raise ValueError("moments must be nonnegative")
 
 
@@ -121,12 +121,13 @@ def _chain_check(primary: float, weaker: float, tags: str) -> None:
         raise AssertionError(f"bound chain violated ({tags}): {primary} > {weaker}")
 
 
-def theorem_c_bound(mu: float, capacity: float, t: float, form: str = "phi") -> BoundReport:
+def theorem_c_bound(mu: float, capacity: float, t: float) -> tuple[BoundReport, ...]:
     """log Pr(X >= mu + t) bound -phi(t/mu) * mu / C and its two weaker forms.
 
-    form selects 'phi', 'quadratic' (-t^2 / (2C(mu + t/3))), or 'ratio_log'
-    (-(t/(2C)) * log(1 + t/(2mu))).  The chain phi <= quadratic and
-    phi <= ratio_log is asserted numerically on every call.
+    Returns the reports tagged theorem_c, theorem_c_quadratic
+    (-t^2 / (2C(mu + t/3))) and theorem_c_ratio_log (-(t/(2C)) * log(1 + t/(2mu))),
+    in that order.  The chain phi <= quadratic and phi <= ratio_log is asserted
+    numerically on every call.
     """
     if not (mu >= 0 and t > 0 and capacity > 0):
         raise ValueError("need mu >= 0, t > 0, capacity > 0")
@@ -143,20 +144,20 @@ def theorem_c_bound(mu: float, capacity: float, t: float, form: str = "phi") -> 
         quad = -t * t / (2.0 * capacity * (mu + t / 3.0))
     _chain_check(main, quad, "phi vs quadratic")
     _chain_check(main, ratio, "phi vs ratio_log")
-    values = {"phi": main, "quadratic": quad, "ratio_log": ratio}
-    if form not in values:
-        raise ValueError(f"form must be one of {sorted(values)}")
-    tag = "theorem_c" if form == "phi" else f"theorem_c_{form}"
-    return BoundReport(tag, values[form], {"mu": mu, "capacity": capacity, "t": t})
+    forms = (("theorem_c", main), ("theorem_c_quadratic", quad), ("theorem_c_ratio_log", ratio))
+    return tuple(BoundReport(tag, v, {"mu": mu, "capacity": capacity, "t": t}) for tag, v in forms)
 
 
-def et_bound(mu: float, capacity: float, x: float, stirling: bool = False) -> BoundReport:
-    """log Pr(X >= x * C) bound x*log(mu/C) - log(x!) or its Stirling form."""
+def et_bound(mu: float, capacity: float, x: float) -> tuple[BoundReport, ...]:
+    """log Pr(X >= x * C) bound x*log(mu/C) - log(x!), then its Stirling form.
+
+    Returns the reports tagged et and et_stirling, in that order; the chain
+    factorial <= Stirling is asserted numerically on every call.
+    """
     if not (mu >= 0 and capacity > 0 and x > 0):
         raise ValueError("need mu >= 0, capacity > 0, x > 0")
     if mu == 0.0:
-        main = -math.inf
-        stirling_val = -math.inf
+        main = stirling = -math.inf
     else:
         # A quotient that under- or overflows is logged as a difference of logs.
         ratio, quotient = mu / capacity, math.e * mu / (x * capacity)
@@ -166,11 +167,10 @@ def et_bound(mu: float, capacity: float, x: float, stirling: bool = False) -> Bo
         except OverflowError:  # log(x!) beyond the float range, past x ~ 2.6e305
             main = -math.inf
         log_quotient = math.log(quotient) if 0.0 < quotient < math.inf else 1.0 + log_ratio - math.log(x)
-        stirling_val = x * log_quotient - 0.5 * math.log(2.0 * math.pi * x)
-        _chain_check(main, stirling_val, "factorial vs stirling")
-    if stirling:
-        return BoundReport("et_stirling", stirling_val, {"mu": mu, "capacity": capacity, "x": x})
-    return BoundReport("et", main, {"mu": mu, "capacity": capacity, "x": x})
+        stirling = x * log_quotient - 0.5 * math.log(2.0 * math.pi * x)
+        _chain_check(main, stirling, "factorial vs stirling")
+    forms = (("et", main), ("et_stirling", stirling))
+    return tuple(BoundReport(tag, v, {"mu": mu, "capacity": capacity, "x": x}) for tag, v in forms)
 
 
 def exponent_appp(mu: float, p: float) -> float:
@@ -184,7 +184,7 @@ def exponent_ap(mu: float, var: float, p: float, eps: float) -> float:
     """Tail exponent min(phi(eps) mu^2 / var, sqrt(eps mu) log(1/p))."""
     if not (mu >= 0 and var >= 0 and eps > 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu, var >= 0, eps > 0, p in (0, 1]")
-    first = math.inf if var == 0.0 else phi(eps) * mu * mu / var
+    first = math.inf if var == 0.0 or mu == 0.0 else phi(eps) * mu * mu / var
     return min(first, math.sqrt(eps * mu) * math.log(1.0 / p))
 
 
@@ -196,22 +196,17 @@ def exponent_apt(var: float, p: float, t: float) -> float:
     return min(first, math.sqrt(t) * math.log(1.0 / p))
 
 
-def exponent_hg(mu: float, lam: float, p: float, t: float, use_remark: bool = False) -> float:
-    """Tail exponent min(phi(t/mu) mu^2 / lam, sqrt(t) * log(e/p)).
-
-    use_remark swaps the first term for t^2 / lam.
-    """
+def exponent_hg(mu: float, lam: float, p: float, t: float) -> tuple[float, float]:
+    """Tail exponent min(phi(t/mu) mu^2 / lam, sqrt(t) * log(e/p)), then its
+    remark form min(t^2 / lam, sqrt(t) * log(e/p)).  At lam = 0 both are the
+    second term."""
     if not (mu >= 0 and lam >= 0 and t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu, lam >= 0, t > 0, p in (0, 1]")
+    second = math.sqrt(t) * math.log(math.e / p)
     if lam == 0.0:
-        first = math.inf
-    elif use_remark:
-        first = t * t / lam
-    elif mu == 0.0:
-        first = math.inf
-    else:
-        first = _phi_times_mu(t, mu) * mu / lam
-    return min(first, math.sqrt(t) * math.log(math.e / p))
+        return second, second
+    first = math.inf if mu == 0.0 else _phi_times_mu(t, mu) * mu / lam
+    return min(first, second), min(t * t / lam, second)
 
 
 def lb_cluster_bound(d: float, mu: float, t: float, p: float) -> BoundReport:
@@ -234,6 +229,8 @@ def binomial_point_lower(n: int, q: float, m: int, b: float = 1.0) -> BoundRepor
         raise ValueError("need 0 <= m <= n")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
+    if math.isnan(b):
+        raise ValueError("b must not be NaN")
     log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     log_value = -b + log_comb + m * math.log(q) + (n - m) * math.log1p(-q)
     return BoundReport("binomial_point", log_value, {"n": n, "q": q, "m": m, "b": b})

@@ -231,14 +231,11 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
         report = moment_report(h, p)
         mu, var, lam = report.mu, report.var, report.lam
         for t in cfg.t:
-            for form in ("phi", "quadratic", "ratio_log"):
-                rep = theorem_c_bound(mu, cfg.capacity, t, form=form)
+            reports = theorem_c_bound(mu, cfg.capacity, t)
+            if (x := math.ceil(mu + t)) >= 1:
+                reports += et_bound(mu, cfg.capacity, x)
+            for rep in reports:
                 add(p, t, rep.tag, rep.log_value, rep.inputs)
-            x = math.ceil(mu + t)
-            if x >= 1:
-                for stirling in (False, True):
-                    rep = et_bound(mu, cfg.capacity, x, stirling=stirling)
-                    add(p, t, rep.tag, rep.log_value, rep.inputs)
             if p > 0:
                 add(p, t, "exponent_appp", exponent_appp(mu, p), {"mu": mu, "p": p})
                 if var > 0 and mu > 0 and (eps := t / mu) < math.inf:
@@ -248,10 +245,8 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
                     add(p, t, "exponent_apt", exponent_apt(var, p, t),
                         {"var": var, "p": p, "t": t})
                 if lam > 0:
-                    for remark in (False, True):
-                        tag = "exponent_hg_remark" if remark else "exponent_hg"
-                        add(p, t, tag, exponent_hg(mu, lam, p, t, use_remark=remark),
-                            {"mu": mu, "lam": lam, "p": p, "t": t})
+                    for tag, value in zip(("exponent_hg", "exponent_hg_remark"), exponent_hg(mu, lam, p, t)):
+                        add(p, t, tag, value, {"mu": mu, "lam": lam, "p": p, "t": t})
                 if mu + t >= 1.0:
                     rep = lb_cluster_bound(cfg.d, mu, t, p)
                     add(p, t, rep.tag, rep.log_value, rep.inputs)

@@ -32,6 +32,9 @@ class CapacityError(RuntimeError):
     """Raised when an exact routine is asked to exceed its declared budget."""
 
 
+MEMBERSHIP_VERTEX_BUDGET = 16  # membership_table's int64 (2^n, n) temporary is 8 MiB here
+
+
 class VertexSet:
     """Subset of {0, ..., n-1} stored as a packed little-endian bit vector."""
 
@@ -300,6 +303,8 @@ def induced_mask(h: Hypergraph, member: np.ndarray) -> np.ndarray:
 
 def membership_table(n: int) -> np.ndarray:
     """member[code, v]: whether bit v of code is set, for all 2^n subset codes."""
+    if n > MEMBERSHIP_VERTEX_BUDGET:
+        raise CapacityError(f"{n} vertices exceed membership budget {MEMBERSHIP_VERTEX_BUDGET}")
     return np.arange(1 << n)[:, None] & (1 << np.arange(n)) != 0
 
 

@@ -199,16 +199,12 @@ def bennett_chain_checks() -> list[CheckResult]:
     for mu in (0.25, 1.0, 7.5, 120.0):
         for cap in (1.0, 2.0, 8.0):
             for t in (0.1, 1.0, 10.0, 300.0):
-                main = theorem_c_bound(mu, cap, t).log_value
-                other = (
-                    theorem_c_bound(mu, cap, t, form="quadratic").log_value,
-                    theorem_c_bound(mu, cap, t, form="ratio_log").log_value,
-                )
+                main, *other = (rep.log_value for rep in theorem_c_bound(mu, cap, t))
                 if any(main > o + 1e-9 for o in other):
                     chain = False
                 if not _ge(t * t, phi(t / mu) * mu * mu):
                     hg_consistent = False
-                if exponent_hg(mu, 1.0, 0.5, t) < 0:
+                if exponent_hg(mu, 1.0, 0.5, t)[0] < 0:
                     hg_consistent = False
     return [
         CheckResult("phi", "bennett_chain", chain, "48 (mu, C, t) combinations"),

@@ -194,7 +194,7 @@ def test_accept_08_chernoff_subsumption():
                 if math.ceil(thr) > m:
                     continue
                 tail = float(binom.sf(math.ceil(thr) - 1, m, q))
-                bound = math.exp(theorem_c_bound(mu, 1.0, t).log_value)
+                bound = math.exp(theorem_c_bound(mu, 1.0, t)[0].log_value)
                 checked += 1
                 if tail > bound * (1.0 + 1e-9):
                     violations += 1

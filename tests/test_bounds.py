@@ -9,6 +9,7 @@ from scipy.stats import binom
 import oracles
 from uppertail import bounds
 from uppertail.bounds import (
+    MomentReport,
     binomial_point_lower,
     binomial_point_lower_refined,
     et_bound,
@@ -114,13 +115,17 @@ class TestMoments:
         rep = moment_report(AP4, 0.5)
         assert rep.lam == pytest.approx(rep.mu * (1.0 + 4 * 0.5**2), rel=1e-15)
 
+    def test_moment_report_refuses_negative_and_nan(self):
+        for args in ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0),
+                     (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
+            with pytest.raises(ValueError, match="moments must be nonnegative"):
+                MomentReport(*args)
+
 
 class TestUpperBounds:
     def test_theorem_c_forms_and_chain(self):
         mu, t = 2.5, 4.0
-        main = theorem_c_bound(mu, 1.0, t)
-        quad = theorem_c_bound(mu, 1.0, t, form="quadratic")
-        ratio = theorem_c_bound(mu, 1.0, t, form="ratio_log")
+        main, quad, ratio = theorem_c_bound(mu, 1.0, t)
         assert main.tag == "theorem_c"
         assert main.log_value == pytest.approx(-phi(t / mu) * mu, rel=1e-15)
         assert quad.log_value == pytest.approx(-t * t / (2.0 * (mu + t / 3.0)), rel=1e-15)
@@ -131,20 +136,18 @@ class TestUpperBounds:
         assert main.log_value <= ratio.log_value + 1e-12
 
     def test_theorem_c_capacity_scales(self):
-        a = theorem_c_bound(2.0, 1.0, 3.0).log_value
-        b = theorem_c_bound(2.0, 4.0, 3.0).log_value
+        a = theorem_c_bound(2.0, 1.0, 3.0)[0].log_value
+        b = theorem_c_bound(2.0, 4.0, 3.0)[0].log_value
         assert b == pytest.approx(a / 4.0, rel=1e-15)
 
     def test_theorem_c_zero_mean(self):
-        assert theorem_c_bound(0.0, 1.0, 1.0).log_value == -math.inf
+        assert theorem_c_bound(0.0, 1.0, 1.0)[0].log_value == -math.inf
 
     def test_theorem_c_rejects(self):
         with pytest.raises(ValueError):
             theorem_c_bound(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             theorem_c_bound(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            theorem_c_bound(1.0, 1.0, 1.0, form="cubic")
         for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
             with pytest.raises(ValueError, match="need mu >= 0, t > 0, capacity > 0"):
                 theorem_c_bound(*args)
@@ -156,35 +159,34 @@ class TestUpperBounds:
     def test_overflowing_quotients_give_finite_bounds(self, mu, t):
         # t / mu or phi(t / mu) overflows: phi(t/mu) mu is (mu + t) log(t/mu) - t
         # and log1p(t/(2mu)) is log t - log(2mu), so no NaN reaches the chain check.
-        main, quad, ratio = (theorem_c_bound(mu, 1.0, t, form=f).log_value
-                             for f in ("phi", "quadratic", "ratio_log"))
+        main, quad, ratio = (rep.log_value for rep in theorem_c_bound(mu, 1.0, t))
         assert all(math.isfinite(v) for v in (main, quad, ratio))
         assert main <= quad and main <= ratio < 0
         assert main == pytest.approx(-((mu + t) * (math.log(t) - math.log(mu)) - t), rel=1e-12)
-        assert math.isfinite(exponent_hg(mu, mu, 0.5, t))
+        assert math.isfinite(exponent_hg(mu, mu, 0.5, t)[0])
 
     @pytest.mark.parametrize("mu", [1e-300, 1e-30, 0.01, 2.5, 1e6])
     @pytest.mark.parametrize("t", [1e-3, 1.0, 1e5, 1e150, 1e290])
     def test_finite_direct_forms_keep_their_bits(self, mu, t):
         capacity, lam, p = 3.0, 2.0 * mu, 0.25
-        direct = {
-            "phi": -phi(t / mu) * mu / capacity,
-            "ratio_log": -(t / (2.0 * capacity)) * math.log1p(t / (2.0 * mu)),
-        }
-        for form, value in direct.items():
+        main, _, ratio = theorem_c_bound(mu, capacity, t)
+        direct = [
+            (main, -phi(t / mu) * mu / capacity),
+            (ratio, -(t / (2.0 * capacity)) * math.log1p(t / (2.0 * mu))),
+        ]
+        for rep, value in direct:
             if math.isfinite(value):
-                assert theorem_c_bound(mu, capacity, t, form=form).log_value == value
+                assert rep.log_value == value
         first = phi(t / mu) * mu * mu / lam
         if math.isfinite(first):
             want = min(first, math.sqrt(t) * math.log(math.e / p))
-            assert exponent_hg(mu, lam, p, t) == want
+            assert exponent_hg(mu, lam, p, t)[0] == want
 
     def test_et_bound_formula(self):
-        rep = et_bound(0.8, 1.0, 5)
+        rep, stir = et_bound(0.8, 1.0, 5)
         assert rep.log_value == pytest.approx(
             5 * math.log(0.8) - math.lgamma(6.0), rel=1e-14
         )
-        stir = et_bound(0.8, 1.0, 5, stirling=True)
         assert stir.tag == "et_stirling"
         assert rep.log_value <= stir.log_value + 1e-12
 
@@ -193,12 +195,11 @@ class TestUpperBounds:
         # t^2 overflows past t ~ 1.34e154 and log(x!) past x ~ 2.6e305; the
         # bounds must not, and the chain still holds.
         mu = 2.5
-        main, quad, ratio = (theorem_c_bound(mu, 1.0, t, form=f).log_value
-                             for f in ("phi", "quadratic", "ratio_log"))
+        main, quad, ratio = (rep.log_value for rep in theorem_c_bound(mu, 1.0, t))
         assert math.isclose(quad, -1.5 * t, rel_tol=1e-12)  # t / (mu + t/3) -> 3
         assert main <= quad and main <= ratio < 0
         x = math.ceil(mu + t)
-        et, stirling = (et_bound(mu, 1.0, x, stirling=s).log_value for s in (False, True))
+        et, stirling = (rep.log_value for rep in et_bound(mu, 1.0, x))
         assert et <= stirling < 0
         assert (et == -math.inf) == (x > 3e305)
 
@@ -211,7 +212,7 @@ class TestUpperBounds:
         ],
     )
     def test_et_bound_quotients_past_the_float_range(self, mu, capacity, x):
-        et, stirling = (et_bound(mu, capacity, x, stirling=s).log_value for s in (False, True))
+        et, stirling = (rep.log_value for rep in et_bound(mu, capacity, x))
         assert math.isfinite(et) and math.isfinite(stirling)
         bounds._chain_check(et, stirling, "factorial vs stirling")
         log_ratio = math.log(mu) - math.log(capacity)
@@ -221,16 +222,17 @@ class TestUpperBounds:
 
     @pytest.mark.parametrize("mu, capacity, x", [(0.8, 1.0, 5), (2.5, 3.0, 7), (1e-200, 1e100, 2)])
     def test_et_bound_keeps_finite_quotients_bit_for_bit(self, mu, capacity, x):
-        assert et_bound(mu, capacity, x).log_value == (
+        et, stirling = et_bound(mu, capacity, x)
+        assert et.log_value == (
             x * math.log(mu / capacity) - math.lgamma(x + 1.0)
         )
-        assert et_bound(mu, capacity, x, stirling=True).log_value == (
+        assert stirling.log_value == (
             x * math.log(math.e * mu / (x * capacity)) - 0.5 * math.log(2.0 * math.pi * x)
         )
 
     def test_quadratic_form_unchanged_below_overflow(self):
         mu, t = 2.5, 1e154
-        quad = theorem_c_bound(mu, 1.0, t, form="quadratic").log_value
+        quad = theorem_c_bound(mu, 1.0, t)[1].log_value
         assert quad == -t * t / (2.0 * (mu + t / 3.0))
 
     def test_et_bound_is_honest_for_binomials(self):
@@ -239,7 +241,7 @@ class TestUpperBounds:
         mu = n * q
         for x in (6, 9, 12):
             tail = float(binom.sf(x - 1, n, q))
-            assert tail <= math.exp(et_bound(mu, 1.0, x).log_value) * (1 + 1e-9)
+            assert tail <= math.exp(et_bound(mu, 1.0, x)[0].log_value) * (1 + 1e-9)
 
     def test_exponent_formulas(self):
         mu, var, p, t = 3.0, 2.0, 0.3, 4.0
@@ -254,11 +256,12 @@ class TestUpperBounds:
             min(t * t / var, math.sqrt(t) * math.log(1 / p)), rel=1e-15
         )
         lam = 5.0
-        assert exponent_hg(mu, lam, p, t) == pytest.approx(
+        hg, remark = exponent_hg(mu, lam, p, t)
+        assert hg == pytest.approx(
             min(phi(t / mu) * mu * mu / lam, math.sqrt(t) * math.log(math.e / p)),
             rel=1e-15,
         )
-        assert exponent_hg(mu, lam, p, t, use_remark=True) == pytest.approx(
+        assert remark == pytest.approx(
             min(t * t / lam, math.sqrt(t) * math.log(math.e / p)), rel=1e-15
         )
 
@@ -269,6 +272,23 @@ class TestUpperBounds:
         assert exponent_apt(0.0, 0.5, 2.0) == pytest.approx(
             math.sqrt(2.0) * math.log(2.0), rel=1e-15
         )
+        # lam = 0 leaves only the second term in both forms.
+        assert exponent_hg(2.0, 0.0, 0.5, 4.0) == (2.0 * math.log(2.0 * math.e),) * 2
+
+    @pytest.mark.parametrize("eps", [1e-3, 1.5, 1e200, 1e307])
+    def test_exponent_ap_at_zero_mean(self, eps):
+        # phi(eps) may overflow, and inf * 0 was NaN: a zero mean drops the
+        # first term the way a zero variance does, and the exponent is 0.
+        assert exponent_ap(0.0, 1.0, 0.5, eps) == 0.0
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-300, 0.01, 3.0, 1e6])
+    @pytest.mark.parametrize("var", [1e-300, 0.5, 2.0, 1e300])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1.5, 1e100, 1e307])
+    def test_exponent_ap_keeps_finite_first_terms_bit_for_bit(self, mu, var, eps):
+        p = 0.3
+        first = phi(eps) * mu * mu / var
+        if math.isfinite(first):
+            assert exponent_ap(mu, var, p, eps) == min(first, math.sqrt(eps * mu) * math.log(1.0 / p))
 
     def test_exponents_reject(self):
         with pytest.raises(ValueError):
@@ -280,7 +300,7 @@ class TestUpperBounds:
         nan = math.nan
         with pytest.raises(ValueError, match="need mu >= 0 and p"):
             exponent_appp(nan, 0.5)
-        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, 0.5, nan)):
+        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, nan, 1.0), (1.0, 1.0, 0.5, nan)):
             with pytest.raises(ValueError, match="need mu, var >= 0, eps > 0"):
                 exponent_ap(*args)
         for args in ((nan, 0.5, 1.0), (1.0, 0.5, nan)):
@@ -313,6 +333,16 @@ class TestLowerBounds:
         assert binomial_point_lower(10, 0.4, 6).log_value == pytest.approx(
             base - 1.0, rel=1e-15
         )
+
+    def test_binomial_point_rejects(self):
+        for args in ((10, 0.3, 11), (10, 0.3, -1)):
+            with pytest.raises(ValueError, match="need 0 <= m <= n"):
+                binomial_point_lower(*args)
+        for q in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"q must lie in \(0, 1\)"):
+                binomial_point_lower(10, q, 4)
+        with pytest.raises(ValueError, match="b must not be NaN"):
+            binomial_point_lower(10, 0.3, 4, b=math.nan)
 
     def test_refined_below_pmf(self):
         for n, q in ((25, 0.2), (60, 0.45)):

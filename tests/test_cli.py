@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from uppertail import cli, estimate
+from uppertail.bounds import et_bound, exponent_hg, theorem_c_bound
 from uppertail.cli import main
 from uppertail.decompose import mr_exact, xr_or_lower
 from uppertail.families import FamilySpec, build
@@ -172,6 +173,41 @@ class TestFamilyAndBounds:
         argv = ["bounds", "--family", "ap", "--n", "2000", "--p", "0.01,0.05", "--t", "1,4"]
         pinned = Path(__file__).parent / "data" / "bounds_ap2000_stdout.txt"
         assert run_cli(argv) == (0, pinned.read_text(encoding="utf-8"))
+
+    def test_bounds_branch_rows_match_the_pinned_file(self):
+        # Every row tag; mu = 0 at p = 0, log(1/p) = 0 at p = 1, the t^2
+        # overflow branch at t = 1e155, skipped lb_cluster rows, and a
+        # capacity and d other than 1.
+        out = "".join(
+            run_cli(["bounds", *args])[1]
+            for args in (
+                ["--family", "ap", "--n", "40", "--p", "0,0.001,0.3,1", "--t", "0.5,4,1e155"],
+                ["--family", "schur", "--n", "30", "--p", "0.2", "--t", "1,8", "--capacity", "3", "--d", "2"],
+            )
+        )
+        pinned = Path(__file__).parent / "data" / "bounds_branches_stdout.txt"
+        assert out == pinned.read_text(encoding="utf-8")
+
+    def test_each_bound_family_is_one_call_in_row_order(self):
+        # One call per family returns every form, in the order the CLI writes
+        # its rows, and every report carries that call's inputs.
+        _, out = run_cli(["bounds", "--family", "ap", "--n", "12", "--p", "0.4", "--t", "2",
+                          "--capacity", "2"])
+        rows = [(r["tag"], float(r["value"]), json.loads(r["inputs"])) for r in parse_csv(out)]
+        tags = [tag for tag, _, _ in rows]
+        assert tags == ["theorem_c", "theorem_c_quadratic", "theorem_c_ratio_log", "et", "et_stirling",
+                        "exponent_appp", "exponent_ap", "exponent_apt", "exponent_hg",
+                        "exponent_hg_remark", "lb_cluster"]
+        inputs = {tag: args for tag, _, args in rows}
+        for first, call in (("theorem_c", theorem_c_bound), ("et", et_bound)):
+            reports = call(**inputs[first])
+            i = tags.index(first)
+            assert [(r.tag, r.log_value, r.inputs) for r in reports] == rows[i:i + len(reports)]
+            assert all(r.inputs == inputs[first] for r in reports)
+        i = tags.index("exponent_hg")
+        assert [(tag, value) for tag, value, _ in rows[i:i + 2]] == list(
+            zip(("exponent_hg", "exponent_hg_remark"), exponent_hg(**inputs["exponent_hg"]))
+        )
 
     def test_bounds_rows_parse(self):
         code, out = run_cli(

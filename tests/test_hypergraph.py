@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from uppertail.bounds import exact_mean, exact_variance, moment_report
 from uppertail.estimate import conditioned_tail, mc_tail, planted_tail
 from uppertail.families import FamilySpec, build, build_ap, build_schur, interval_witness
 from uppertail.hypergraph import (
+    CapacityError,
     Hypergraph,
     VertexSet,
     delta_j,
@@ -373,6 +375,20 @@ class TestInducedEdges:
         inside = induced_mask(h, member)
         for code in range(1 << n):
             assert tuple(np.flatnonzero(inside[code]).tolist()) == induced_edges(h, VertexSet(n, code))
+
+    def test_membership_table_refuses_past_its_budget(self):
+        """The int64 (2^n, n) temporary is 8 MiB at the budget of 16 vertices;
+        17 is refused before any array exists."""
+        assert hypergraph.MEMBERSHIP_VERTEX_BUDGET == 16
+        assert membership_table(16).shape == (1 << 16, 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="17 vertices exceed membership budget 16"):
+                membership_table(17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSampling:
