@@ -8,7 +8,9 @@ underlying inequalities appear as caller parameters defaulting to 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .hypergraph import Hypergraph
 
@@ -45,6 +47,8 @@ def phi(x: float) -> float:
         raise ValueError("phi is defined on [-1, inf)")
     if x == -1.0:
         return 1.0
+    if x == math.inf:  # (1 + x) log1p(x) - x would be inf - inf
+        return math.inf
     if abs(x) < 1e-4:
         return x * x * (0.5 - x / 6.0 + x * x / 12.0)
     return (1.0 + x) * math.log1p(x) - x
@@ -65,11 +69,22 @@ class MomentReport:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound: tag, natural-log value, and the inputs that produced it."""
+    """A named bound: tag, natural-log value, and the inputs that produced it.
+
+    inputs is a read-only copy of the mapping given.  It takes part in
+    equality but not in the hash, so a report can key a dict or join a set.
+    """
 
     tag: str
     log_value: float
-    inputs: dict = field(default_factory=dict)
+    inputs: Mapping = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild the report from a dict copy.
+        return type(self), (self.tag, self.log_value, dict(self.inputs))
 
 
 def exact_mean(h: Hypergraph, p: float) -> float:
@@ -106,8 +121,7 @@ def moment_report(h: Hypergraph, p: float) -> MomentReport:
 def _phi_times_mu(t: float, mu: float) -> float:
     """phi(t/mu) * mu for mu > 0, or where that overflows (t/mu near the float
     range), (mu + t)(log t - log mu) - t: log(1 + t/mu) with the quotient logged."""
-    x = t / mu
-    value = phi(x) * mu if x < math.inf else math.inf
+    value = phi(t / mu) * mu
     return value if value < math.inf else (mu + t) * (math.log(t) - math.log(mu)) - t
 
 
@@ -129,8 +143,8 @@ def theorem_c_bound(mu: float, capacity: float, t: float) -> tuple[BoundReport, 
     in that order.  The chain phi <= quadratic and phi <= ratio_log is asserted
     numerically on every call.
     """
-    if not (mu >= 0 and t > 0 and capacity > 0):
-        raise ValueError("need mu >= 0, t > 0, capacity > 0")
+    if not (mu >= 0 and math.inf > t > 0 and capacity > 0):
+        raise ValueError("need mu >= 0, t > 0, capacity > 0 (t finite)")
     if mu == 0.0:
         main = ratio = -math.inf
     else:
@@ -154,8 +168,8 @@ def et_bound(mu: float, capacity: float, x: float) -> tuple[BoundReport, ...]:
     Returns the reports tagged et and et_stirling, in that order; the chain
     factorial <= Stirling is asserted numerically on every call.
     """
-    if not (mu >= 0 and capacity > 0 and x > 0):
-        raise ValueError("need mu >= 0, capacity > 0, x > 0")
+    if not (mu >= 0 and capacity > 0 and math.inf > x > 0):
+        raise ValueError("need mu >= 0, capacity > 0, x > 0 (x finite)")
     if mu == 0.0:
         main = stirling = -math.inf
     else:
@@ -182,16 +196,16 @@ def exponent_appp(mu: float, p: float) -> float:
 
 def exponent_ap(mu: float, var: float, p: float, eps: float) -> float:
     """Tail exponent min(phi(eps) mu^2 / var, sqrt(eps mu) log(1/p))."""
-    if not (mu >= 0 and var >= 0 and eps > 0 and 0.0 < p <= 1.0):
-        raise ValueError("need mu, var >= 0, eps > 0, p in (0, 1]")
+    if not (mu >= 0 and var >= 0 and math.inf > eps > 0 and 0.0 < p <= 1.0):
+        raise ValueError("need mu, var >= 0, eps > 0, p in (0, 1] (eps finite)")
     first = math.inf if var == 0.0 or mu == 0.0 else phi(eps) * mu * mu / var
     return min(first, math.sqrt(eps * mu) * math.log(1.0 / p))
 
 
 def exponent_apt(var: float, p: float, t: float) -> float:
     """Tail exponent min(t^2 / var, sqrt(t) * log(1/p))."""
-    if not (var >= 0 and t > 0 and 0.0 < p <= 1.0):
-        raise ValueError("need var >= 0, t > 0, p in (0, 1]")
+    if not (var >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
+        raise ValueError("need var >= 0, t > 0, p in (0, 1] (t finite)")
     first = math.inf if var == 0.0 else t * t / var
     return min(first, math.sqrt(t) * math.log(1.0 / p))
 
@@ -200,8 +214,8 @@ def exponent_hg(mu: float, lam: float, p: float, t: float) -> tuple[float, float
     """Tail exponent min(phi(t/mu) mu^2 / lam, sqrt(t) * log(e/p)), then its
     remark form min(t^2 / lam, sqrt(t) * log(e/p)).  At lam = 0 both are the
     second term."""
-    if not (mu >= 0 and lam >= 0 and t > 0 and 0.0 < p <= 1.0):
-        raise ValueError("need mu, lam >= 0, t > 0, p in (0, 1]")
+    if not (mu >= 0 and lam >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
+        raise ValueError("need mu, lam >= 0, t > 0, p in (0, 1] (t finite)")
     second = math.sqrt(t) * math.log(math.e / p)
     if lam == 0.0:
         return second, second
@@ -215,8 +229,8 @@ def lb_cluster_bound(d: float, mu: float, t: float, p: float) -> BoundReport:
     Valid given a clustered witness certifying x = mu + t edges within
     d * sqrt(mu + t) vertices, for mu + t >= 1.
     """
-    if not (d >= 0 and mu >= 0 and t > 0 and 0.0 < p <= 1.0):
-        raise ValueError("need d, mu >= 0, t > 0, p in (0, 1]")
+    if not (d >= 0 and mu >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
+        raise ValueError("need d, mu >= 0, t > 0, p in (0, 1] (t finite)")
     if mu + t < 1.0:
         raise ValueError("requires mu + t >= 1")
     log_value = -d * math.sqrt(mu + t) * math.log(1.0 / p)
@@ -261,8 +275,8 @@ def binomial_point_lower_refined(n: int, q: float, m: int) -> BoundReport:
 
 def paley_zygmund_lower(var: float, t: float) -> float:
     """Pr(Y >= E[Y] - t) >= t^2 / (var + t^2)."""
-    if not (var >= 0 and t > 0):
-        raise ValueError("need var >= 0 and t > 0")
+    if not (var >= 0 and math.inf > t > 0):
+        raise ValueError("need var >= 0 and t > 0 (t finite)")
     return t * t / (var + t * t)
 
 

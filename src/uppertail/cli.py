@@ -235,7 +235,7 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
             if (x := math.ceil(mu + t)) >= 1:
                 reports += et_bound(mu, cfg.capacity, x)
             for rep in reports:
-                add(p, t, rep.tag, rep.log_value, rep.inputs)
+                add(p, t, rep.tag, rep.log_value, dict(rep.inputs))
             if p > 0:
                 add(p, t, "exponent_appp", exponent_appp(mu, p), {"mu": mu, "p": p})
                 if var > 0 and mu > 0 and (eps := t / mu) < math.inf:
@@ -249,7 +249,7 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
                         add(p, t, tag, value, {"mu": mu, "lam": lam, "p": p, "t": t})
                 if mu + t >= 1.0:
                     rep = lb_cluster_bound(cfg.d, mu, t, p)
-                    add(p, t, rep.tag, rep.log_value, rep.inputs)
+                    add(p, t, rep.tag, rep.log_value, dict(rep.inputs))
     return rows
 
 

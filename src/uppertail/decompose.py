@@ -120,9 +120,10 @@ class CascadeParams:
 
 
 def _local_incidence(h: Hypergraph, edge_ids: tuple[int, ...]) -> dict[int, list[int]]:
+    edges = h.edges
     inc: dict[int, list[int]] = {}
     for i in edge_ids:
-        for v in h.edges[i]:
+        for v in edges[i]:
             inc.setdefault(v, []).append(i)
     return inc
 
@@ -151,7 +152,9 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
     counts v among the undecided edges.  The potential is carried down as an
     argument: taking an edge leaves it unchanged, and skipping one lowers it
     by the number of the edge's vertices with chosen + left < floor(r) once
-    the edge has left `left`.
+    the edge has left `left`.  One loop over the edge's vertices updates
+    `left`, decides whether the edge fits and counts that drop; counting it
+    before the take branch is safe, since that branch restores `chosen`.
     """
     _check_radius(r)
     if len(ids) > XR_EDGE_BUDGET:
@@ -177,15 +180,21 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
         if idx == m or count + (m - idx) <= best or potential // k <= best:
             return
         e = local[idx]
+        fits = True
+        drop = 0
         for v in e:
             left[v] -= 1
-        if all(chosen[v] < cap for v in e):
+            if chosen[v] >= cap:
+                fits = False
+            elif chosen[v] + left[v] < cap:
+                drop += 1
+        if fits:
             for v in e:
                 chosen[v] += 1
             dfs(idx + 1, count + 1, potential)
             for v in e:
                 chosen[v] -= 1
-        dfs(idx + 1, count, potential - sum(chosen[v] + left[v] < cap for v in e))
+        dfs(idx + 1, count, potential - drop)
         for v in e:
             left[v] += 1
 
@@ -216,17 +225,18 @@ def xr_or_lower_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> tuple[int, 
 
 def _greedy_matching_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> StarMatching:
     c = math.ceil(r)
+    masks = h.edge_masks
     inc = _local_incidence(h, edge_ids)
     blocked = 0
     stars = []
     for v in sorted(inc):
         if (blocked >> v) & 1:
             continue
-        avail = [i for i in inc[v] if h.edge_masks[i] & blocked == 0]
+        avail = [i for i in inc[v] if masks[i] & blocked == 0]
         if len(avail) >= c:
             stars.append(Star(v, tuple(avail[:c])))
             for i in avail[:c]:
-                blocked |= h.edge_masks[i]
+                blocked |= masks[i]
     return StarMatching(tuple(stars), blocked)
 
 
@@ -322,7 +332,10 @@ def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> int:
     first live center, taking each ceil(r)-set of its edges or dropping it as a
     center (its vertex stays free for later stars), and prunes once even
     min(#live, |union of live edges| // star width) more stars cannot beat
-    the best.  Raises CapacityError past MR_NODE_BUDGET search nodes.
+    the best.  The two halves of that minimum are tested in turn, and the
+    union is built only when #live does not prune, so the search visits the
+    same nodes as one that recounts the minimum.  Raises CapacityError past
+    MR_NODE_BUDGET search nodes.
     """
     _check_radius(r)
     c = math.ceil(r)
@@ -349,11 +362,13 @@ def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> int:
             raise CapacityError(f"M_r search exceeds {MR_NODE_BUDGET} nodes")
         if count > best:
             best = count
+        if count + len(live) <= best:
+            return
         union = 0
         for _, ids in live:
             for i in ids:
                 union |= masks[i]
-        if count + min(len(live), union.bit_count() // width) <= best:
+        if count + union.bit_count() // width <= best:
             return
         (_, avail), rest = live[0], live[1:]
         for chosen in combinations(avail, c):

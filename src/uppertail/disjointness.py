@@ -109,20 +109,17 @@ def _universal_tables(event: EventTable) -> list[int]:
     """tables[K] has bit omega set iff every outcome agreeing with omega on K
     lies in the event.
 
-    K comes from its parent K | {i}, i the lowest coordinate outside K, by
-    requiring both settings of coordinate i.
+    Built by doubling over the coordinates.  Before coordinate 0 the list is
+    the event alone, the table of K = every coordinate.  Before coordinate i
+    it is indexed by K's bits below i, with every coordinate from i up in K;
+    step i puts the earlier tables with coordinate i dropped from K (each
+    must then hold at both settings of i) in front of the earlier tables.
     """
     m = event.m
-    full = (1 << m) - 1
-    zeros = [_coord_zero_mask(i, m) for i in range(m)]
-    tables = [0] * (1 << m)
-    tables[full] = event.table
-    for k in range(full - 1, -1, -1):
-        i = (~k & (k + 1)).bit_length() - 1
-        shift = 1 << i
-        parent = tables[k | shift]
-        both = parent & (parent >> shift) & zeros[i]
-        tables[k] = both | (both << shift)
+    tables = [event.table]
+    for i in range(m):
+        shift, zero = 1 << i, _coord_zero_mask(i, m)
+        tables = [(both := t & (t >> shift) & zero) | (both << shift) for t in tables] + tables
     return tables
 
 
@@ -131,6 +128,9 @@ def box(a: EventTable, b: EventTable) -> EventTable:
 
     Since certificates are monotone in K, it suffices to pair each K with the
     full complement, so the scan is one pass over the 2^m coordinate sets.
+    K's complement is full - K, so a's list pairs with b's read backwards.
+    Each call builds its tables afresh: at BOX_COORD_BUDGET coordinates one
+    list holds 2^m tables of 2^m bits.
     """
     if a.m != b.m:
         raise ValueError("events live on different coordinate counts")
@@ -139,10 +139,9 @@ def box(a: EventTable, b: EventTable) -> EventTable:
         raise CapacityError(f"{m} coordinates exceed box budget {BOX_COORD_BUDGET}")
     ta = _universal_tables(a)
     tb = _universal_tables(b)
-    full = (1 << m) - 1
     out = 0
-    for k in range(1 << m):
-        out |= ta[k] & tb[full ^ k]
+    for x, y in zip(ta, reversed(tb)):
+        out |= x & y
     return EventTable(m, out)
 
 

@@ -153,16 +153,18 @@ def _none_violated(
     return CheckResult(suite, name, violations == 0, detail, checked, violations, active)
 
 
-def _histogram(h: Hypergraph, hists: dict | None) -> np.ndarray:
-    """h's edge_count_histogram, from which every exact probability a check
-    needs is read.  run_suites passes one memo (hists) to all its suites, so
-    each distinct graph is enumerated once per run; without one, once per call.
+def _memoized(fn: Callable, h: Hypergraph, hists: dict | None):
+    """fn(h), kept in the memo (hists) under (fn, h).  run_suites passes one
+    memo to all its suites, so each distinct graph's exact histogram
+    (edge_count_histogram) and induced edge sets (_induced_edge_sets) are
+    computed once per run; without one, once per call.
     """
     if hists is None:
-        return edge_count_histogram(h)
-    if h not in hists:
-        hists[h] = edge_count_histogram(h)
-    return hists[h]
+        return fn(h)
+    key = (fn, h)
+    if key not in hists:
+        hists[key] = fn(h)
+    return hists[key]
 
 
 # ---------------------------------------------------------------- phi suite
@@ -222,7 +224,7 @@ def phi_suite() -> list[CheckResult]:
 def moments_check(spec: FamilySpec, hists: dict | None = None) -> CheckResult:
     """exact_mean and exact_variance against the enumerated moments at 11 p."""
     h = build(spec)
-    hist = _histogram(h, hists)
+    hist = _memoized(edge_count_histogram, h, hists)
     x = np.arange(hist.shape[1])
     first, second = hist @ x, hist @ (x * x)
     errs = []
@@ -311,13 +313,15 @@ def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray
     return [tuple(np.flatnonzero(row).tolist()) for row in rows], index.reshape(-1)
 
 
-def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> CheckResult:
+def degree_matching_equivalence_check(
+    ns: Iterable[int] = (10,), hists: dict | None = None
+) -> CheckResult:
     """All subsets, z in {1,2,3}: Delta_1 >= ceil(z) iff M_z >= 1."""
     violations = 0
     checked = 0
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
-            sets, index = _induced_edge_sets(h)
+            sets, index = _memoized(_induced_edge_sets, h, hists)
             for ids, subsets in zip(sets, np.bincount(index).tolist()):
                 d1 = induced_max_degree(h, ids)
                 for z in (1, 2, 3):
@@ -378,13 +382,13 @@ def _size_value_hist(values: np.ndarray) -> np.ndarray:
     return flat.reshape(n + 1, width)
 
 
-def xr_tail_check() -> CheckResult:
+def xr_tail_check(hists: dict | None = None) -> CheckResult:
     """Exact Pr(X_r >= mu + t/2) against the Bennett-over-4kr bound."""
     violations = 0
     active = 0
     checked = 0
     for h in (build_ap(10, 3), build_schur(10)):
-        sets, index = _induced_edge_sets(h)
+        sets, index = _memoized(_induced_edge_sets, h, hists)
         for r in (1.0, 2.0, 3.0):
             hist = _size_value_hist(np.array([xr_exact_on(h, ids, r) for ids in sets])[index])
             for p in (0.1, 0.3, 0.5, 0.7):
@@ -498,7 +502,7 @@ def tail_exponent_check(hists: dict | None = None) -> CheckResult:
     minima = {eps: math.inf for eps in TAIL_SANDWICH_EPS}
     for n in TAIL_SANDWICH_NS:
         h = build_ap(n, 3)
-        hist = _histogram(h, hists)
+        hist = _memoized(edge_count_histogram, h, hists)
         for p in GRID_PS:
             mu = exact_mean(h, p)
             expo = min(mu, math.sqrt(mu) * math.log(math.e / p))
@@ -522,8 +526,8 @@ def tail_exponent_check(hists: dict | None = None) -> CheckResult:
 def sandwich_suite(hists: dict | None = None) -> list[CheckResult]:
     return [
         sandwich_sample_check(7, 2000),
-        degree_matching_equivalence_check(),
-        xr_tail_check(),
+        degree_matching_equivalence_check(hists=hists),
+        xr_tail_check(hists),
         mr_tail_check(),
         mrh_conditional_check(),
         variance_ratio_check(),
@@ -737,7 +741,7 @@ def lower_estimates_check(hists: dict | None = None) -> CheckResult:
     checked = 0
     for i, (spec, p, t) in enumerate(cases):
         h = build(spec)
-        hist = _histogram(h, hists)
+        hist = _memoized(edge_count_histogram, h, hists)
         mu = exact_mean(h, p)
         thr = mu + t
         tail = histogram_tail(hist, p, thr)
@@ -762,7 +766,7 @@ def witness_tail_check(hists: dict | None = None) -> CheckResult:
     for n in (16, 20, 24):
         spec = FamilySpec("ap", n, 3)
         h = build(spec)
-        hist = _histogram(h, hists)
+        hist = _memoized(edge_count_histogram, h, hists)
         for p in (0.2, 0.35, 0.5):
             mu = exact_mean(h, p)
             for eps in (1.0, 2.0):
@@ -790,7 +794,7 @@ def clean_config_check(
     b_lo, b_hi = math.inf, -math.inf
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
-            hist = _histogram(h, hists)
+            hist = _memoized(edge_count_histogram, h, hists)
             clean = clean_config_histogram(h)
             for p in (0.1, 0.2, 0.3):
                 q = p**h.k
@@ -848,7 +852,7 @@ def paley_zygmund_check(hists: dict | None = None) -> CheckResult:
         if lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12):
             violations += 1
     h = build_ap(10, 3)
-    hist = _histogram(h, hists)
+    hist = _memoized(edge_count_histogram, h, hists)
     for p in (0.3, 0.5):
         mu = exact_mean(h, p)
         var = exact_variance(h, p)
@@ -870,7 +874,7 @@ def hypergeom_mean_check(ns: Iterable[int] = (10,), hists: dict | None = None) -
     checked = 0
     for n in ns:
         h = build_ap(n, 3)
-        hist = _histogram(h, hists)
+        hist = _memoized(edge_count_histogram, h, hists)
         for m in range(n + 1):
             total = sum(x * int(c) for x, c in enumerate(hist[m]))
             avg = total / math.comb(n, m)
@@ -885,7 +889,7 @@ def mc_coverage_check(hists: dict | None = None) -> CheckResult:
     """99% Wilson CI covers the exact tail in >= 98 of 100 seeded runs."""
     misses = 0
     h = build_ap(10, 3)
-    hist = _histogram(h, hists)
+    hist = _memoized(edge_count_histogram, h, hists)
     p, surplus = 0.3, 2.0
     thr = exact_mean(h, p) + surplus
     tail = histogram_tail(hist, p, thr)
@@ -950,13 +954,15 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 }
 
 
-# The suites that read exact histograms; run_suites hands them one shared memo.
+# The suites that read exact histograms or induced edge sets; run_suites hands
+# them one shared memo.
 _READS_EXACT = ("variance", "sandwich", "lowerbounds")
 
 
 def run_suites(names: Iterable[str] | None = None) -> list[CheckResult]:
     """Run the named suites (all by default) in order; each distinct graph is
-    enumerated at most once per call.  Every name is checked before any suite runs."""
+    enumerated, and its induced edge sets grouped, at most once per call.
+    Every name is checked before any suite runs."""
     # A repeated name runs once, at its first place.
     picked = tuple(dict.fromkeys(names)) if names is not None else tuple(SUITES)
     for name in picked:

@@ -41,6 +41,8 @@ PLANTED_EXACT = [T_EST + "TestPlanted::test_full_witness_saturates",
 CONDITIONED_EXACT = [T_EST + "TestConditioned::test_reports_m_and_factor",
                      T_EST + "TestCertifiedColumn::test_conditioned_all_vertices_is_exact[0.5-142]"]
 MC_COVERS = T_EST + "TestMonteCarlo::test_interval_covers_exact"
+T_XR = "tests/test_decompose.py::TestXr::"
+T_BOX = "tests/test_disjointness.py::TestBox::"
 
 # (name, file, old line, new line, node ids that must fail)
 MUTANTS = [
@@ -104,6 +106,23 @@ MUTANTS = [
      '    forms = (("theorem_c", main), ("theorem_c_ratio_log", quad), ("theorem_c_quadratic", ratio))',
      [T_CLI + "TestFamilyAndBounds::test_each_bound_family_is_one_call_in_row_order",
       T_CLI + "TestFamilyAndBounds::test_bounds_at_t_past_float_squares"]),
+    ("<= for < in the X_r skip branch's drop count", "decompose.py",
+     "            elif chosen[v] + left[v] < cap:",
+     "            elif chosen[v] + left[v] <= cap:",
+     [T_XR + "test_matches_oracle_random", T_XR + "test_matches_oracle_any_uniformity"]),
+    ("< for <= in M_r's live-center prune", "decompose.py",
+     "        if count + len(live) <= best:",
+     "        if count + len(live) < best:",
+     ["tests/test_decompose.py::TestStarMatching::test_mr_nodes_where_the_live_count_ties_the_best"]),
+    ("box pairs table K with table K, not full - K", "disjointness.py",
+     "    for x, y in zip(ta, reversed(tb)):",
+     "    for x, y in zip(ta, tb):",
+     [T_BOX + "test_matches_naive_random",
+      "tests/test_disjointness.py::TestZDisjoint::test_pair_consistency_with_box"]),
+    ("table step without the coordinate-zero mask", "disjointness.py",
+     "        tables = [(both := t & (t >> shift) & zero) | (both << shift) for t in tables] + tables",
+     "        tables = [(both := t & (t >> shift)) | (both << shift) for t in tables] + tables",
+     [T_BOX + "test_matches_naive_random", T_BOX + "test_universal_tables_match_cylinder_forces"]),
 ]
 
 # Mutants no test can kill, each with the reason it changes no result.

@@ -372,6 +372,54 @@ def naive_mr(edges: list[tuple[int, ...]], r: float) -> int:
     return best
 
 
+def mr_search(edges: list[tuple[int, ...]], r: float) -> tuple[int, int]:
+    """(M_r, nodes visited) of the branch-and-bound over centers in increasing
+    id order: branch on the first live center, taking each ceil(r)-set of its
+    free edges (in list order) and then dropping it as a center; prune once
+    count + min(#live, |union of live edges| // width) cannot beat the best.
+
+    A center is live when it lies past the last center branched on, is not
+    covered by a taken star and keeps ceil(r) edges avoiding every covered
+    vertex.  The live centers and the minimum are recounted from the covered
+    vertices at every node.  width is the fewest vertices ceil(r) distinct
+    k-edges through one center can cover: the least w with C(w - 1, k - 1)
+    >= ceil(r), at most k + ceil(r) - 1.
+    """
+    c = math.ceil(r)
+    by_center: dict[int, list[int]] = {}
+    for i, e in enumerate(edges):
+        for v in e:
+            by_center.setdefault(v, []).append(i)
+    centers = sorted(v for v, ids in by_center.items() if len(ids) >= c)
+    if not centers:
+        return 0, 0
+    k = len(edges[0])
+    width = next(w for w in range(k, k + c) if w == k + c - 1 or math.comb(w - 1, k - 1) >= c)
+    verts = [set(e) for e in edges]
+    best = nodes = 0
+
+    def dfs(pos: int, covered: set, count: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        best = max(best, count)
+        live = []
+        for v in centers[pos:]:
+            free = [i for i in by_center[v] if not verts[i] & covered]
+            if v not in covered and len(free) >= c:
+                live.append((v, free))
+        union = set().union(*(verts[i] for _, free in live for i in free))
+        if count + min(len(live), len(union) // width) <= best:
+            return
+        v, free = live[0]
+        after = centers.index(v) + 1
+        for star in combinations(free, c):
+            dfs(after, covered.union(*(verts[i] for i in star)), count + 1)
+        dfs(after, covered, count)
+
+    dfs(0, set(), 0)
+    return best, nodes
+
+
 # ------------------------------------------------------ disjoint occurrence
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import combinations
 
 import pytest
@@ -9,6 +11,7 @@ from scipy.stats import binom
 import oracles
 from uppertail import bounds
 from uppertail.bounds import (
+    BoundReport,
     MomentReport,
     binomial_point_lower,
     binomial_point_lower_refined,
@@ -57,8 +60,13 @@ class TestPhi:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             phi(-1.0001)
-        with pytest.raises(ValueError, match=r"\[-1, inf\)"):
-            phi(math.nan)
+        for x in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match=r"\[-1, inf\)"):
+                phi(x)
+
+    def test_at_infinity(self):
+        # (1 + x) log1p(x) - x is inf - inf there.
+        assert phi(math.inf) == math.inf
 
 
 class TestMoments:
@@ -140,6 +148,24 @@ class TestUpperBounds:
         b = theorem_c_bound(2.0, 4.0, 3.0)[0].log_value
         assert b == pytest.approx(a / 4.0, rel=1e-15)
 
+    def test_reports_hash_and_hold_read_only_inputs(self):
+        first, again = theorem_c_bound(2.0, 4.0, 3.0), theorem_c_bound(2.0, 4.0, 3.0)
+        assert first == again
+        assert [hash(r) for r in first] == [hash(r) for r in again]
+        assert len({*first, *again, *et_bound(2.0, 4.0, 3.0)}) == 5
+        rep = first[0]
+        assert rep.inputs == {"mu": 2.0, "capacity": 4.0, "t": 3.0}
+        with pytest.raises(TypeError):
+            rep.inputs["mu"] = 0
+        # The report keeps a copy: the caller's mapping cannot reach it either.
+        given = {"d": 1.0}
+        held = BoundReport("tag", -1.0, given)
+        given["d"] = 2.0
+        assert held.inputs == {"d": 1.0}
+        assert BoundReport("tag", -1.0) == BoundReport("tag", -1.0, {})
+        for copied in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+            assert copied == rep and hash(copied) == hash(rep)
+
     def test_theorem_c_zero_mean(self):
         assert theorem_c_bound(0.0, 1.0, 1.0)[0].log_value == -math.inf
 
@@ -148,10 +174,13 @@ class TestUpperBounds:
             theorem_c_bound(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             theorem_c_bound(1.0, 1.0, 0.0)
-        for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+        # A NaN input, or an infinite t or x, is refused before any form is taken.
+        bad = ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+               (1.0, 1.0, math.inf), (1.0, 1.0, -math.inf))
+        for args in bad:
             with pytest.raises(ValueError, match="need mu >= 0, t > 0, capacity > 0"):
                 theorem_c_bound(*args)
-        for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+        for args in bad:
             with pytest.raises(ValueError, match="need mu >= 0, capacity > 0, x > 0"):
                 et_bound(*args)
 
@@ -300,13 +329,16 @@ class TestUpperBounds:
         nan = math.nan
         with pytest.raises(ValueError, match="need mu >= 0 and p"):
             exponent_appp(nan, 0.5)
-        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, nan, 1.0), (1.0, 1.0, 0.5, nan)):
+        inf = math.inf
+        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, nan, 1.0), (1.0, 1.0, 0.5, nan),
+                     (1.0, 1.0, 0.5, inf), (1.0, 1.0, 0.5, -inf)):
             with pytest.raises(ValueError, match="need mu, var >= 0, eps > 0"):
                 exponent_ap(*args)
-        for args in ((nan, 0.5, 1.0), (1.0, 0.5, nan)):
+        for args in ((nan, 0.5, 1.0), (1.0, 0.5, nan), (1.0, 0.5, inf), (1.0, 0.5, -inf)):
             with pytest.raises(ValueError, match="need var >= 0, t > 0"):
                 exponent_apt(*args)
-        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, 0.5, nan)):
+        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, 0.5, nan),
+                     (1.0, 1.0, 0.5, inf), (1.0, 1.0, 0.5, -inf)):
             with pytest.raises(ValueError, match="need mu, lam >= 0, t > 0"):
                 exponent_hg(*args)
 
@@ -317,7 +349,8 @@ class TestLowerBounds:
         assert rep.log_value == pytest.approx(-2.0 * 2.0 * math.log(4.0), rel=1e-15)
         with pytest.raises(ValueError):
             lb_cluster_bound(2.0, 0.3, 0.5, 0.25)  # mu + t < 1
-        for args in ((math.nan, 1.0, 1.0, 0.5), (1.0, math.nan, 1.0, 0.5), (1.0, 1.0, math.nan, 0.5)):
+        for args in ((math.nan, 1.0, 1.0, 0.5), (1.0, math.nan, 1.0, 0.5), (1.0, 1.0, math.nan, 0.5),
+                     (1.0, 1.0, math.inf, 0.5), (1.0, 1.0, -math.inf, 0.5)):
             with pytest.raises(ValueError, match="need d, mu >= 0, t > 0"):
                 lb_cluster_bound(*args)
 
@@ -357,7 +390,7 @@ class TestLowerBounds:
 
     def test_paley_zygmund_formula_and_honesty(self):
         assert paley_zygmund_lower(3.0, 2.0) == pytest.approx(4.0 / 7.0, rel=1e-15)
-        for args in ((math.nan, 1.0), (1.0, math.nan)):
+        for args in ((math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)):
             with pytest.raises(ValueError, match="need var >= 0 and t > 0"):
                 paley_zygmund_lower(*args)
         n, q = 18, 0.35

@@ -222,6 +222,34 @@ class TestStarMatching:
         for r in (1.0, 1.5, 2.0, 3.0):
             assert mr_exact_on(h, tuple(range(h.num_edges)), r) == oracles.naive_mr(edges, r)
 
+    @staticmethod
+    def _assert_mr_nodes(h, ids, r):
+        # Testing #live before building the union decides each prune as the
+        # minimum recounted at every node does, so the nodes match too.
+        ordered = [h.edges[i] for i in ids]
+        got, nodes = _search_nodes(mr_exact_on, h, ids, r)
+        assert got == oracles.naive_mr(ordered, r)
+        assert (got, nodes) == oracles.mr_search(ordered, r)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mr_visits_the_nodes_of_the_recounting_search(self, data):
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(k, 9))
+        pool = list(combinations(range(n), k))
+        edges = data.draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
+        h = Hypergraph(k, n, edges)
+        ids = tuple(data.draw(st.permutations(range(h.num_edges))))
+        r = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+        self._assert_mr_nodes(h, ids, r)
+
+    def test_mr_nodes_where_the_live_count_ties_the_best(self):
+        # About 1 % of random instances reach a node where count + #live equals
+        # the best and the union does not prune; this one visits 17 nodes, and
+        # 25 without the prune on #live.
+        h = Hypergraph(2, 8, [(0, 5), (2, 7), (4, 7), (6, 7)])
+        self._assert_mr_nodes(h, (2, 0, 1, 3), 0.5)
+
     def test_mr_star_narrower_than_k_plus_c_minus_1(self):
         # Four 3-APs through 4 cover only {0, 2, 4, 6, 8}: 5 vertices, not
         # k + ceil(r) - 1 = 6, so a bound by that width would prune the star.

@@ -115,6 +115,23 @@ class TestBox:
                 want = oracles.naive_box(_outcomes(a), _outcomes(b), m)
                 assert _outcomes(got) == want
 
+    def test_universal_tables_match_cylinder_forces(self):
+        # Every K at m <= 4: bit omega of table K is set iff every outcome
+        # agreeing with omega on K lies in the event.
+        rng = random.Random(25)
+        for m in range(5):
+            events = [EventTable.empty(m), EventTable.full(m)]
+            events += [_random_table(m, rng, density) for density in (0.3, 0.6, 0.9) for _ in range(3)]
+            for event in events:
+                tables = disjointness._universal_tables(event)
+                assert len(tables) == 1 << m
+                outcomes = _outcomes(event)
+                for k, table in enumerate(tables):
+                    for omega in range(1 << m):
+                        want = oracles.cylinder_forces(omega, k, outcomes, m)
+                        assert (table >> omega) & 1 == want, (m, k, omega)
+                    assert table >> (1 << m) == 0
+
     def test_commutes_and_contained(self):
         rng = random.Random(3)
         for _ in range(15):

@@ -224,6 +224,20 @@ class TestCheckCounts:
         assert len(calls) == len(set(calls)) == 6
         assert len(events) == len(set(events)) == 48
 
+    def test_run_groups_each_graphs_edge_sets_once(self, monkeypatch):
+        calls = []
+        edge_sets = verify._induced_edge_sets
+
+        def spy(h):
+            calls.append(h)
+            return edge_sets(h)
+
+        monkeypatch.setattr(verify, "_induced_edge_sets", spy)
+        _assert_all_pass(run_suites(["sandwich"]))
+        # degree_matching_equivalence and xr_tail_bound both read AP(10,3) and
+        # Schur(10): one grouping each per run.
+        assert len(calls) == len(set(calls)) == 2
+
     def test_mr_tail_refuses_past_box_budget_before_enumerating(self, monkeypatch):
         def unreachable(h, r):
             raise AssertionError("2^n pass reached past the budget")
