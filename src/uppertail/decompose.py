@@ -137,7 +137,8 @@ def xr_exact(h: Hypergraph, s: VertexSet, r: float) -> int:
     """Maximum edges of a subhypergraph of H[S] with max degree <= r.
 
     Exhaustive branch-and-bound over the induced edges (see xr_exact_on);
-    refuses instances with more than XR_EDGE_BUDGET induced edges.
+    refuses instances with more than XR_EDGE_BUDGET induced edges, except
+    that r < 1 admits no edge and gives 0 at any size.
     """
     return xr_exact_on(h, induced_edges(h, s), r)
 
@@ -157,11 +158,11 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
     before the take branch is safe, since that branch restores `chosen`.
     """
     _check_radius(r)
-    if len(ids) > XR_EDGE_BUDGET:
-        raise CapacityError(f"{len(ids)} induced edges exceed budget {XR_EDGE_BUDGET}")
     cap = math.floor(r)
     if cap < 1 or not ids:
         return 0
+    if len(ids) > XR_EDGE_BUDGET:
+        raise CapacityError(f"{len(ids)} induced edges exceed budget {XR_EDGE_BUDGET}")
     vid = {v: loc for loc, v in enumerate(sorted({v for i in ids for v in h.edges[i]}))}
     local = [tuple(vid[v] for v in h.edges[i]) for i in ids]
     m = len(local)
@@ -205,10 +206,10 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
 def xr_or_lower(h: Hypergraph, s: VertexSet, r: float) -> tuple[int, bool]:
     """X_r when it is cheap, else a certified lower bound, with an exactness flag.
 
-    Delta_1(H[S]) <= r forces X_r = e(H[S]); small instances go through the
-    exhaustive search; beyond XR_EDGE_BUDGET induced edges the greedy
-    pruned-edge count stands in (every pruned subgraph is feasible, so it
-    never exceeds X_r).
+    Delta_1(H[S]) <= r forces X_r = e(H[S]); small instances, and r < 1
+    (X_r = 0), go through the exhaustive search; beyond XR_EDGE_BUDGET
+    induced edges the greedy pruned-edge count stands in (every pruned
+    subgraph is feasible, so it never exceeds X_r).
     """
     return xr_or_lower_on(h, induced_edges(h, s), r)
 
@@ -218,7 +219,7 @@ def xr_or_lower_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> tuple[int, 
     _check_radius(r)
     if induced_max_degree(h, ids) <= r:
         return len(ids), True
-    if len(ids) <= XR_EDGE_BUDGET:
+    if r < 1 or len(ids) <= XR_EDGE_BUDGET:
         return xr_exact_on(h, ids, r), True
     return len(degree_prune_on(h, ids, r).kept_edge_ids), False
 

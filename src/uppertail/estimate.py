@@ -276,15 +276,24 @@ def _column_weight(hist: np.ndarray, p: float, cols: np.ndarray) -> float:
     return min(max(size_weighted_sum(hist[:, cols].sum(axis=1), p), 0.0), 1.0)
 
 
+def _check_threshold(threshold: float) -> None:
+    # Only NaN differs from itself.  It compares false with every count, which
+    # would read as probability 0; any int, however large, passes.
+    if threshold != threshold:
+        raise ValueError("threshold must not be NaN")
+
+
 def histogram_tail(hist: np.ndarray, p: float, threshold: float) -> float:
     """Pr(X >= threshold) from hist[j, x] = number of j-subsets with X = x,
     such as edge_count_histogram(h)."""
+    _check_threshold(threshold)
     return _column_weight(hist, p, np.arange(hist.shape[1]) >= threshold)
 
 
 def histogram_point_mass(hist: np.ndarray, p: float, m: int) -> float:
     """Pr(X = m) from hist[j, x] = number of j-subsets with X = x (0 for m
     outside the columns)."""
+    _check_threshold(m)
     return _column_weight(hist, p, np.arange(hist.shape[1]) == m)
 
 
@@ -434,6 +443,7 @@ class SampleHistogram:
 
     def hits(self, threshold: float) -> int:
         """Number of samples inducing at least `threshold` edges."""
+        _check_threshold(threshold)
         return int(self.counts[np.arange(len(self.counts)) >= threshold].sum())
 
     def tail(self, threshold: float) -> TailEstimate:

@@ -66,6 +66,11 @@ MUTANTS = [
      "        return int(self.counts[np.arange(len(self.counts)) >= threshold].sum())",
      "        return int(self.counts[np.arange(len(self.counts)) > threshold].sum())",
      [T_EST + "TestSamplingKernel::test_hits_match_induced_edge_count", MC_COVERS]),
+    ("SampleHistogram.hits without its NaN refusal", EST,
+     "        _check_threshold(threshold)",
+     "        pass",
+     [T_EST + "TestNaNThreshold::test_refused[mc_tail]",
+      T_EST + "TestNaNThreshold::test_refused[conditioned_tail]"]),
     ("> for >= in histogram_tail", EST,
      "    return _column_weight(hist, p, np.arange(hist.shape[1]) >= threshold)",
      "    return _column_weight(hist, p, np.arange(hist.shape[1]) > threshold)",
@@ -110,6 +115,10 @@ MUTANTS = [
      "            elif chosen[v] + left[v] < cap:",
      "            elif chosen[v] + left[v] <= cap:",
      [T_XR + "test_matches_oracle_random", T_XR + "test_matches_oracle_any_uniformity"]),
+    ("xr_or_lower_on guard without r < 1", "decompose.py",
+     "    if r < 1 or len(ids) <= XR_EDGE_BUDGET:",
+     "    if len(ids) <= XR_EDGE_BUDGET:",
+     [T_XR + "test_radius_below_one_is_exactly_zero_past_the_budget[0.5]"]),
     ("< for <= in M_r's live-center prune", "decompose.py",
      "        if count + len(live) <= best:",
      "        if count + len(live) < best:",

@@ -4,7 +4,6 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 
@@ -160,34 +159,6 @@ class TestFamilyAndBounds:
         assert run_cli(["family", "--family", "ap", "--n", "20000"]) == (1, "")
         assert capsys.readouterr().err == "error: 99990000 edges exceed budget 4194304\n"
 
-    def test_large_family_rows_match_the_pinned_file(self):
-        # delta_1 and delta_2 of 666k-999k edges: the large-n codegree path.
-        out = "".join(
-            run_cli(["family", *args, "--n", "2000"])[1]
-            for args in (["--family", "ap"], ["--family", "schur"], ["--family", "ell_sum", "--ell", "3"])
-        )
-        assert out == (Path(__file__).parent / "data" / "family_n2000_stdout.txt").read_text(encoding="utf-8")
-
-    def test_large_bounds_rows_match_the_pinned_file(self):
-        # The variance reads codegree_sums of AP(2000,3), 999,000 edges.
-        argv = ["bounds", "--family", "ap", "--n", "2000", "--p", "0.01,0.05", "--t", "1,4"]
-        pinned = Path(__file__).parent / "data" / "bounds_ap2000_stdout.txt"
-        assert run_cli(argv) == (0, pinned.read_text(encoding="utf-8"))
-
-    def test_bounds_branch_rows_match_the_pinned_file(self):
-        # Every row tag; mu = 0 at p = 0, log(1/p) = 0 at p = 1, the t^2
-        # overflow branch at t = 1e155, skipped lb_cluster rows, and a
-        # capacity and d other than 1.
-        out = "".join(
-            run_cli(["bounds", *args])[1]
-            for args in (
-                ["--family", "ap", "--n", "40", "--p", "0,0.001,0.3,1", "--t", "0.5,4,1e155"],
-                ["--family", "schur", "--n", "30", "--p", "0.2", "--t", "1,8", "--capacity", "3", "--d", "2"],
-            )
-        )
-        pinned = Path(__file__).parent / "data" / "bounds_branches_stdout.txt"
-        assert out == pinned.read_text(encoding="utf-8")
-
     def test_each_bound_family_is_one_call_in_row_order(self):
         # One call per family returns every form, in the order the CLI writes
         # its rows, and every report carries that call's inputs.
@@ -330,16 +301,6 @@ class TestDecompose:
         # Both branches of xr_or_lower are read: the exact search and the pruned bound.
         assert {row["xr_exact"] for row in rows} == {"true", "false"}
 
-    @pytest.mark.parametrize("n, samples, seed", [(30, 5, 3), (60, 40, 1)])
-    def test_stdout_matches_the_pinned_file(self, n, samples, seed):
-        # AP(60,3) at seed 1 holds 16 rows with a pruned X_r bound and one
-        # M_r search past its node budget.
-        argv = ["decompose", "--family", "ap", "--n", str(n), "--p", "0.3", "--r", "2",
-                "--beta", "0.5", "--gamma", "0.1", "--t", "9",
-                "--samples", str(samples), "--seed", str(seed)]
-        pinned = Path(__file__).parent / "data" / f"decompose_ap{n}_stdout.txt"
-        assert run_cli(argv) == (0, pinned.read_text(encoding="utf-8"))
-
     def test_requires_r_and_seed(self):
         assert run_cli(
             ["decompose", "--family", "ap", "--n", "10", "--seed", "1"]
@@ -361,12 +322,6 @@ class TestVerifyCommand:
 
     def test_repeated_suite_runs_once(self):
         assert run_cli(["verify", "phi", "phi"]) == run_cli(["verify", "phi"])
-
-    def test_stdout_matches_the_pinned_file(self):
-        # Every detail line, not only the counts: the fast paths behind the
-        # checks must reproduce each printed figure.
-        pinned = Path(__file__).parent / "data" / "verify_stdout.txt"
-        assert run_cli(["verify"]) == (0, pinned.read_text(encoding="utf-8"))
 
 
 class TestSweep:

@@ -108,6 +108,15 @@ class TestXr:
         with pytest.raises(CapacityError):
             xr_exact_on(h, tuple(range(h.num_edges)), 2.0)
 
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.99])
+    def test_radius_below_one_is_exactly_zero_past_the_budget(self, r):
+        # floor(r) = 0 admits no edge, so X_r = 0 exactly at any edge count.
+        h = build_ap(12, 3)
+        ids = tuple(range(h.num_edges))
+        assert len(ids) == 30 > decompose.XR_EDGE_BUDGET
+        assert xr_exact_on(h, ids, r) == 0
+        assert xr_or_lower_on(h, ids, r) == (0, True)
+
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             xr_exact(AP5, FULL5, 0.0)

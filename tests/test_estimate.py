@@ -450,6 +450,31 @@ class TestExact:
             )
 
 
+NAN_TAILS = {
+    "exact_tail": lambda h: exact_tail(h, 0.3, math.nan),
+    "exact_point_mass": lambda h: exact_point_mass(h, 0.3, math.nan),
+    "mc_tail": lambda h: mc_tail(h, 0.3, math.nan, 100, seed=1),
+    "planted_tail": lambda h: planted_tail(h, 0.3, math.nan, 100, seed=1,
+                                           witness=Witness(h, VertexSet(h.n, 0b111), 3.0, 1.0)),
+    "conditioned_tail": lambda h: conditioned_tail(h, 0.3, math.nan, 100, seed=1),
+}
+
+
+class TestNaNThreshold:
+    @pytest.mark.parametrize("name", NAN_TAILS)
+    def test_refused(self, name):
+        # NaN compares false with every count; it must not read as probability 0.
+        with pytest.raises(ValueError, match="NaN"):
+            NAN_TAILS[name](build_ap(10, 3))
+
+    def test_infinite_thresholds_keep_their_meaning(self):
+        h = build_ap(10, 3)
+        assert exact_tail(h, 0.3, math.inf).p_hat == 0.0
+        assert exact_tail(h, 0.3, -math.inf).p_hat == pytest.approx(1.0, rel=1e-12)
+        assert mc_tail(h, 0.3, math.inf, 100, seed=1).p_hat == 0.0
+        assert mc_tail(h, 0.3, -math.inf, 100, seed=1).p_hat == 1.0
+
+
 class TestMonteCarlo:
     def test_same_seed_reproduces(self):
         h = build_ap(14, 3)
