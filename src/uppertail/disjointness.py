@@ -248,9 +248,8 @@ def degree_event(h: Hypergraph, v: int, c: int) -> EventTable:
     return _degree_tables(h, [v], c)[0]
 
 
-@lru_cache(maxsize=64)
 def degree_events(h: Hypergraph, c: int) -> tuple[EventTable, ...]:
-    """degree_event(h, v, c) of every vertex v with at least c edges, built once
-    per (h, c) from one induced-edge mask.  Events exist only for
-    n <= BOX_COORD_BUDGET, so an entry holds at most that many tables of 2^n bits."""
+    """degree_event(h, v, c) of every vertex v with at least c edges, all read
+    off one induced-edge mask.  Nothing is cached: a caller that repeats (h, c)
+    holds the tuple."""
     return _degree_tables(h, [v for v in range(h.n) if len(h.incidence[v]) >= c], c)

@@ -283,6 +283,17 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError("threshold must not be NaN")
 
 
+def _float_threshold(threshold: float) -> float:
+    """threshold as a TailEstimate holds it.  The tail entry points call this
+    before any enumeration or draw, so NaN or an int past the float range
+    fails at once, not after the pass."""
+    _check_threshold(threshold)
+    try:
+        return float(threshold)
+    except OverflowError:
+        raise ValueError("threshold lies outside the float range") from None
+
+
 def histogram_tail(hist: np.ndarray, p: float, threshold: float) -> float:
     """Pr(X >= threshold) from hist[j, x] = number of j-subsets with X = x,
     such as edge_count_histogram(h)."""
@@ -299,8 +310,9 @@ def histogram_point_mass(hist: np.ndarray, p: float, m: int) -> float:
 
 def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> TailEstimate:
     """Exact Pr(X >= threshold) by one complete subset enumeration (n <= 26)."""
+    thr = _float_threshold(threshold)
     p_hat = histogram_tail(edge_count_histogram(h, workers), p, threshold)
-    return TailEstimate(float(threshold), p_hat, "exact", 1 << h.n, p_hat, p_hat)
+    return TailEstimate(thr, p_hat, "exact", 1 << h.n, p_hat, p_hat)
 
 
 def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float:
@@ -421,7 +433,7 @@ def _scaled_tail(
     """hits / samples and its Wilson interval, each multiplied by factor."""
     lo, hi = wilson_interval(hits, samples)
     p_hat = factor * (hits / samples)
-    return TailEstimate(float(threshold), p_hat, method, samples, factor * lo, factor * hi, extra)
+    return TailEstimate(threshold, p_hat, method, samples, factor * lo, factor * hi, extra)
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,10 +460,11 @@ class SampleHistogram:
 
     def tail(self, threshold: float) -> TailEstimate:
         """The method's estimate of Pr(X >= threshold) from this pass."""
+        thr = _float_threshold(threshold)
         hits = self.hits(threshold)
         extra = None if self.extra is None else {**self.extra, "conditional_hits": hits}
         samples = int(self.counts.sum())
-        return _scaled_tail(threshold, self.method, hits, samples, self.factor, extra)
+        return _scaled_tail(thr, self.method, hits, samples, self.factor, extra)
 
 
 def mc_histogram(
@@ -467,6 +480,7 @@ def mc_tail(
     h: Hypergraph, p: float, threshold: float, samples: int, seed: int, workers: int = 1
 ) -> TailEstimate:
     """Monte Carlo Pr(X >= threshold) over independent p-samples of vertices."""
+    _float_threshold(threshold)
     return mc_histogram(h, p, samples, seed, workers).tail(threshold)
 
 
@@ -476,6 +490,8 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
     The target is ceil(min(lambda * t, mu + t)), or 0 when t <= 0, with
     lambda = 4 / (1 - (1 - alpha)^k) and alpha = min(1, t / mu) by default.
     """
+    if mu != mu or t != t:  # NaN; converts nothing, as _check_threshold
+        raise ValueError("mu and t must not be NaN")
     if alpha is None:
         alpha = min(1.0, t / mu) if mu > 0 and t > 0 else 1.0
     if not 0.0 < alpha <= 1.0:
@@ -528,6 +544,7 @@ def planted_tail(
     it does not); p_hat is not, and can exceed the true tail.  With an empty
     witness this is exactly mc_tail.
     """
+    _float_threshold(threshold)
     return planted_histogram(h, p, samples, seed, witness, workers).tail(threshold)
 
 
@@ -584,6 +601,7 @@ def conditioned_tail(
     whenever the interval covers (see TailEstimate for how often it does not);
     p_hat is not, and can exceed the true tail.
     """
+    _float_threshold(threshold)
     return conditioned_histogram(h, p, samples, seed, eps, workers).tail(threshold)
 
 

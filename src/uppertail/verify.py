@@ -7,6 +7,10 @@ counts cases, how many it checked, how many violated its claim and how many
 were active (non-vacuous).  The CLI `verify` subcommand and the test suite both
 run these.
 
+No check takes a memo argument: run_suites installs one (_RUN_MEMO) for the
+length of a run and drops it when the run ends; outside a run, a check
+computes its own exact tables.
+
 Frozen regression constants below were measured once on the exact grids the
 suites replay; they are rounded outward (intervals) or inward (lower bounds)
 by about 0.5% so reruns only fail on a real regression, not float noise.
@@ -153,18 +157,21 @@ def _none_violated(
     return CheckResult(suite, name, violations == 0, detail, checked, violations, active)
 
 
-def _memoized(fn: Callable, h: Hypergraph, hists: dict | None):
-    """fn(h), kept in the memo (hists) under (fn, h).  run_suites passes one
-    memo to all its suites, so each distinct graph's exact histogram
-    (edge_count_histogram) and induced edge sets (_induced_edge_sets) are
-    computed once per run; without one, once per call.
-    """
-    if hists is None:
+_RUN_MEMO: dict | None = None  # (fn, h) -> fn(h) while run_suites runs, else None
+
+
+def _memoized(fn: Callable, h: Hypergraph):
+    """fn(h), kept under (fn, h) in _RUN_MEMO, so each distinct graph's exact
+    histogram (edge_count_histogram) and induced edge sets (_induced_edge_sets)
+    are computed once per run; outside a run, once per call.  Callers pass fn
+    as looked up in this module, so a patched global computes and keys it."""
+    memo = _RUN_MEMO  # read once: a run ending meanwhile only costs a recomputation
+    if memo is None:
         return fn(h)
     key = (fn, h)
-    if key not in hists:
-        hists[key] = fn(h)
-    return hists[key]
+    if key not in memo:
+        memo[key] = fn(h)
+    return memo[key]
 
 
 # ---------------------------------------------------------------- phi suite
@@ -221,10 +228,10 @@ def phi_suite() -> list[CheckResult]:
 # ----------------------------------------------------------- variance suite
 
 
-def moments_check(spec: FamilySpec, hists: dict | None = None) -> CheckResult:
+def moments_check(spec: FamilySpec) -> CheckResult:
     """exact_mean and exact_variance against the enumerated moments at 11 p."""
     h = build(spec)
-    hist = _memoized(edge_count_histogram, h, hists)
+    hist = _memoized(edge_count_histogram, h)
     x = np.arange(hist.shape[1])
     first, second = hist @ x, hist @ (x * x)
     errs = []
@@ -246,8 +253,8 @@ def moments_check(spec: FamilySpec, hists: dict | None = None) -> CheckResult:
     return _none_violated("variance", name, detail, len(errs), v)
 
 
-def variance_suite(hists: dict | None = None) -> list[CheckResult]:
-    return [moments_check(spec, hists) for spec in VARIANCE_INSTANCES]
+def variance_suite() -> list[CheckResult]:
+    return [moments_check(spec) for spec in VARIANCE_INSTANCES]
 
 
 # ----------------------------------------------------------- sandwich suite
@@ -310,18 +317,17 @@ def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray
     order of first appearance; callers only add integer counts per set.
     """
     rows, index = np.unique(induced_mask(h, membership_table(h.n)), axis=0, return_inverse=True)
+    index.flags.writeable = False  # a run's checks share it, like the histograms
     return [tuple(np.flatnonzero(row).tolist()) for row in rows], index.reshape(-1)
 
 
-def degree_matching_equivalence_check(
-    ns: Iterable[int] = (10,), hists: dict | None = None
-) -> CheckResult:
+def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> CheckResult:
     """All subsets, z in {1,2,3}: Delta_1 >= ceil(z) iff M_z >= 1."""
     violations = 0
     checked = 0
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
-            sets, index = _memoized(_induced_edge_sets, h, hists)
+            sets, index = _memoized(_induced_edge_sets, h)
             for ids, subsets in zip(sets, np.bincount(index).tolist()):
                 d1 = induced_max_degree(h, ids)
                 for z in (1, 2, 3):
@@ -382,13 +388,13 @@ def _size_value_hist(values: np.ndarray) -> np.ndarray:
     return flat.reshape(n + 1, width)
 
 
-def xr_tail_check(hists: dict | None = None) -> CheckResult:
+def xr_tail_check() -> CheckResult:
     """Exact Pr(X_r >= mu + t/2) against the Bennett-over-4kr bound."""
     violations = 0
     active = 0
     checked = 0
     for h in (build_ap(10, 3), build_schur(10)):
-        sets, index = _memoized(_induced_edge_sets, h, hists)
+        sets, index = _memoized(_induced_edge_sets, h)
         for r in (1.0, 2.0, 3.0):
             hist = _size_value_hist(np.array([xr_exact_on(h, ids, r) for ids in sets])[index])
             for p in (0.1, 0.3, 0.5, 0.7):
@@ -496,13 +502,13 @@ def variance_ratio_check() -> CheckResult:
     )
 
 
-def tail_exponent_check(hists: dict | None = None) -> CheckResult:
+def tail_exponent_check() -> CheckResult:
     """Per-eps minimum of -ln(exact tail) / min(mu, sqrt(mu) ln(e/p)) stays
     above its frozen floor."""
     minima = {eps: math.inf for eps in TAIL_SANDWICH_EPS}
     for n in TAIL_SANDWICH_NS:
         h = build_ap(n, 3)
-        hist = _memoized(edge_count_histogram, h, hists)
+        hist = _memoized(edge_count_histogram, h)
         for p in GRID_PS:
             mu = exact_mean(h, p)
             expo = min(mu, math.sqrt(mu) * math.log(math.e / p))
@@ -523,15 +529,15 @@ def tail_exponent_check(hists: dict | None = None) -> CheckResult:
     return CheckResult("sandwich", "tail_exponent_floor", ok, detail)
 
 
-def sandwich_suite(hists: dict | None = None) -> list[CheckResult]:
+def sandwich_suite() -> list[CheckResult]:
     return [
         sandwich_sample_check(7, 2000),
-        degree_matching_equivalence_check(hists=hists),
-        xr_tail_check(hists),
+        degree_matching_equivalence_check(),
+        xr_tail_check(),
         mr_tail_check(),
         mrh_conditional_check(),
         variance_ratio_check(),
-        tail_exponent_check(hists),
+        tail_exponent_check(),
     ]
 
 
@@ -602,12 +608,12 @@ def mr_z_sample_check() -> CheckResult:
     rng = stream_generator(11, 0)
     hs = (build_ap(8, 3), build_schur(8))
     rs = (1.0, 2.0, 3.0)
+    # Stars certify their centers' degree events on disjoint vertex sets: M_r <= Z.
+    by_case = {(h, r): degree_events(h, math.ceil(r)) for h in hs for r in rs}
     violations = 0
     for i in range(200):
-        h = hs[i % 2]
-        r = rs[(i // 2) % 3]
-        # Stars certify their centers' degree events on disjoint vertex sets: M_r <= Z.
-        events = degree_events(h, math.ceil(r))
+        h, r = hs[i % 2], rs[(i // 2) % 3]
+        events = by_case[h, r]
         s = sample_vp(h, 0.6, rng)
         if mr_exact(h, s, r) > z_disjoint(events, s.bits, max_events=len(events)):
             violations += 1
@@ -730,7 +736,7 @@ def cascade_suite() -> list[CheckResult]:
 # -------------------------------------------------------- lowerbounds suite
 
 
-def lower_estimates_check(hists: dict | None = None) -> CheckResult:
+def lower_estimates_check() -> CheckResult:
     """planted/conditioned estimates (20,000 samples) never exceed the exact tail."""
     cases = (
         (FamilySpec("ap", 12, 3), 0.3, 3.0),
@@ -741,7 +747,7 @@ def lower_estimates_check(hists: dict | None = None) -> CheckResult:
     checked = 0
     for i, (spec, p, t) in enumerate(cases):
         h = build(spec)
-        hist = _memoized(edge_count_histogram, h, hists)
+        hist = _memoized(edge_count_histogram, h)
         mu = exact_mean(h, p)
         thr = mu + t
         tail = histogram_tail(hist, p, thr)
@@ -759,14 +765,14 @@ def lower_estimates_check(hists: dict | None = None) -> CheckResult:
     return _none_violated("lowerbounds", "certified_below_exact", detail, checked, violations)
 
 
-def witness_tail_check(hists: dict | None = None) -> CheckResult:
+def witness_tail_check() -> CheckResult:
     """Exact tail >= exp(-D sqrt(mu+t) ln(1/p)) from the interval witness."""
     violations = 0
     checked = 0
     for n in (16, 20, 24):
         spec = FamilySpec("ap", n, 3)
         h = build(spec)
-        hist = _memoized(edge_count_histogram, h, hists)
+        hist = _memoized(edge_count_histogram, h)
         for p in (0.2, 0.35, 0.5):
             mu = exact_mean(h, p)
             for eps in (1.0, 2.0):
@@ -785,16 +791,14 @@ def witness_tail_check(hists: dict | None = None) -> CheckResult:
     return _none_violated("lowerbounds", "witness_cluster_bound", detail, checked, violations)
 
 
-def clean_config_check(
-    ns: Iterable[int] = (12,), ms: Iterable[int] = (0, 1, 2), hists: dict | None = None
-) -> CheckResult:
+def clean_config_check(ns: Iterable[int] = (12,), ms: Iterable[int] = (0, 1, 2)) -> CheckResult:
     """exact Pr(X=m) >= clean-config bound; also recovers the per-instance b."""
     violations = 0
     checked = 0
     b_lo, b_hi = math.inf, -math.inf
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
-            hist = _memoized(edge_count_histogram, h, hists)
+            hist = _memoized(edge_count_histogram, h)
             clean = clean_config_histogram(h)
             for p in (0.1, 0.2, 0.3):
                 q = p**h.k
@@ -840,7 +844,7 @@ def binomial_floor_check() -> CheckResult:
     return _none_violated("lowerbounds", "binomial_point_floor", detail, checked, violations)
 
 
-def paley_zygmund_check(hists: dict | None = None) -> CheckResult:
+def paley_zygmund_check() -> CheckResult:
     violations = 0
     checked = 0
     n, q = 20, 0.3
@@ -852,7 +856,7 @@ def paley_zygmund_check(hists: dict | None = None) -> CheckResult:
         if lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12):
             violations += 1
     h = build_ap(10, 3)
-    hist = _memoized(edge_count_histogram, h, hists)
+    hist = _memoized(edge_count_histogram, h)
     for p in (0.3, 0.5):
         mu = exact_mean(h, p)
         var = exact_variance(h, p)
@@ -868,13 +872,13 @@ def paley_zygmund_check(hists: dict | None = None) -> CheckResult:
     return _none_violated("lowerbounds", "paley_zygmund_floor", detail, checked, violations)
 
 
-def hypergeom_mean_check(ns: Iterable[int] = (10,), hists: dict | None = None) -> CheckResult:
+def hypergeom_mean_check(ns: Iterable[int] = (10,)) -> CheckResult:
     """E[X | m kept] against the average of X over the m-subsets, from the histogram."""
     violations = 0
     checked = 0
     for n in ns:
         h = build_ap(n, 3)
-        hist = _memoized(edge_count_histogram, h, hists)
+        hist = _memoized(edge_count_histogram, h)
         for m in range(n + 1):
             total = sum(x * int(c) for x, c in enumerate(hist[m]))
             avg = total / math.comb(n, m)
@@ -885,11 +889,11 @@ def hypergeom_mean_check(ns: Iterable[int] = (10,), hists: dict | None = None) -
     return _none_violated("lowerbounds", "hypergeometric_mean", detail, checked, violations)
 
 
-def mc_coverage_check(hists: dict | None = None) -> CheckResult:
+def mc_coverage_check() -> CheckResult:
     """99% Wilson CI covers the exact tail in >= 98 of 100 seeded runs."""
     misses = 0
     h = build_ap(10, 3)
-    hist = _memoized(edge_count_histogram, h, hists)
+    hist = _memoized(edge_count_histogram, h)
     p, surplus = 0.3, 2.0
     thr = exact_mean(h, p) + surplus
     tail = histogram_tail(hist, p, thr)
@@ -931,15 +935,15 @@ def estimator_edge_checks() -> list[CheckResult]:
     ]
 
 
-def lowerbounds_suite(hists: dict | None = None) -> list[CheckResult]:
+def lowerbounds_suite() -> list[CheckResult]:
     return [
-        lower_estimates_check(hists),
-        witness_tail_check(hists),
-        clean_config_check(hists=hists),
+        lower_estimates_check(),
+        witness_tail_check(),
+        clean_config_check(),
         binomial_floor_check(),
-        paley_zygmund_check(hists),
-        hypergeom_mean_check(hists=hists),
-        mc_coverage_check(hists),
+        paley_zygmund_check(),
+        hypergeom_mean_check(),
+        mc_coverage_check(),
         *estimator_edge_checks(),
     ]
 
@@ -954,23 +958,18 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 }
 
 
-# The suites that read exact histograms or induced edge sets; run_suites hands
-# them one shared memo.
-_READS_EXACT = ("variance", "sandwich", "lowerbounds")
-
-
 def run_suites(names: Iterable[str] | None = None) -> list[CheckResult]:
     """Run the named suites (all by default) in order; each distinct graph is
     enumerated, and its induced edge sets grouped, at most once per call.
     Every name is checked before any suite runs."""
+    global _RUN_MEMO
     # A repeated name runs once, at its first place.
     picked = tuple(dict.fromkeys(names)) if names is not None else tuple(SUITES)
     for name in picked:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    hists: dict = {}
-    results = []
-    for name in picked:
-        suite = SUITES[name]
-        results.extend(suite(hists=hists) if name in _READS_EXACT else suite())
-    return results
+    _RUN_MEMO = {}
+    try:
+        return [result for name in picked for result in SUITES[name]()]
+    finally:
+        _RUN_MEMO = None

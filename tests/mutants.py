@@ -43,6 +43,7 @@ CONDITIONED_EXACT = [T_EST + "TestConditioned::test_reports_m_and_factor",
 MC_COVERS = T_EST + "TestMonteCarlo::test_interval_covers_exact"
 T_XR = "tests/test_decompose.py::TestXr::"
 T_BOX = "tests/test_disjointness.py::TestBox::"
+RUN_MEMO_SCOPE = T_EST + "TestHeldHistogram::test_run_suites_enumerates_each_graph_once"
 
 # (name, file, old line, new line, node ids that must fail)
 MUTANTS = [
@@ -69,8 +70,13 @@ MUTANTS = [
     ("SampleHistogram.hits without its NaN refusal", EST,
      "        _check_threshold(threshold)",
      "        pass",
-     [T_EST + "TestNaNThreshold::test_refused[mc_tail]",
-      T_EST + "TestNaNThreshold::test_refused[conditioned_tail]"]),
+     [T_EST + "TestNaNThreshold::test_held_pass_refuses_nan"]),
+    ("tail entry points accept a threshold past the float range", EST,
+     '        raise ValueError("threshold lies outside the float range") from None',
+     "        return threshold",
+     [T_EST + "TestUnrepresentableThreshold::test_refused_before_any_pass[exact_tail-1e400]",
+      T_EST + "TestUnrepresentableThreshold::test_refused_before_any_pass[mc_tail--1e400]",
+      T_EST + "TestUnrepresentableThreshold::test_held_pass_refuses_it_too"]),
     ("> for >= in histogram_tail", EST,
      "    return _column_weight(hist, p, np.arange(hist.shape[1]) >= threshold)",
      "    return _column_weight(hist, p, np.arange(hist.shape[1]) > threshold)",
@@ -83,6 +89,11 @@ MUTANTS = [
      "    lam = 4.0 / denom",
      "    lam = 3.0 / denom",
      [T_EST + "TestPlantingTarget::test_closed_form_bit_for_bit"]),
+    ("planting_target without its NaN refusal", EST,
+     "    if mu != mu or t != t:  # NaN; converts nothing, as _check_threshold",
+     "    if False:",
+     [T_EST + "TestPlantingTarget::test_nan_refused[nan-1.0]",
+      T_EST + "TestPlantingTarget::test_nan_refused[1.0-nan]"]),
     ("no across-mask add in _subset_histogram", EST,
      "            np.add(row_starts[s], counts[s], out=keys)",
      "            np.add(row_starts[s], 0, out=keys)",
@@ -132,6 +143,14 @@ MUTANTS = [
      "        tables = [(both := t & (t >> shift) & zero) | (both << shift) for t in tables] + tables",
      "        tables = [(both := t & (t >> shift)) | (both << shift) for t in tables] + tables",
      [T_BOX + "test_matches_naive_random", T_BOX + "test_universal_tables_match_cylinder_forces"]),
+    ("run_suites keeps its memo after the run", "verify.py",
+     "        _RUN_MEMO = None",
+     "        pass",
+     [RUN_MEMO_SCOPE]),
+    ("run_suites never installs its memo", "verify.py",
+     "    _RUN_MEMO = {}",
+     "    _RUN_MEMO = None",
+     [RUN_MEMO_SCOPE]),
 ]
 
 # Mutants no test can kill, each with the reason it changes no result.

@@ -399,12 +399,31 @@ class TestHeldHistogram:
         from uppertail import verify
 
         calls = self.spy_enumerations(monkeypatch)
-        results = verify.run_suites()
-        assert all(r.ok for r in results)
-        assert calls and max(Counter(calls).values()) == 1
-        # AP(16/20/24,3) serve both tail_exponent_floor and witness_cluster_bound.
-        for n in verify.TAIL_SANDWICH_NS:
-            assert tuple(build_ap(n, 3).edge_masks) in calls
+        grouped = []
+        edge_sets = verify._induced_edge_sets
+
+        def spy(h):
+            grouped.append(h)
+            return edge_sets(h)
+
+        monkeypatch.setattr(verify, "_induced_edge_sets", spy)
+        tail_graphs = [tuple(build_ap(n, 3).edge_masks) for n in verify.TAIL_SANDWICH_NS]
+        # The memo lives for one run: a second run enumerates and groups afresh.
+        for _ in range(2):
+            start, grouped_start = len(calls), len(grouped)
+            assert all(r.ok for r in verify.run_suites())
+            run = calls[start:]
+            assert run and max(Counter(run).values()) == 1
+            # AP(16/20/24,3) serve both tail_exponent_floor and witness_cluster_bound.
+            assert all(masks in run for masks in tail_graphs)
+            # AP(10,3) and Schur(10) serve degree_matching_equivalence and xr_tail_bound.
+            run_grouped = grouped[grouped_start:]
+            assert len(run_grouped) == len(set(run_grouped)) == 2
+        assert verify._RUN_MEMO is None
+        # Outside a run a check computes its own tables.
+        start = len(calls)
+        assert verify.tail_exponent_check().ok
+        assert calls[start:] == tail_graphs
 
 
 class TestExact:
@@ -473,6 +492,53 @@ class TestNaNThreshold:
         assert exact_tail(h, 0.3, -math.inf).p_hat == pytest.approx(1.0, rel=1e-12)
         assert mc_tail(h, 0.3, math.inf, 100, seed=1).p_hat == 0.0
         assert mc_tail(h, 0.3, -math.inf, 100, seed=1).p_hat == 1.0
+
+    def test_held_pass_refuses_nan(self):
+        held = mc_histogram(build_ap(10, 3), 0.3, 100, seed=1)
+        with pytest.raises(ValueError, match="NaN"):
+            held.hits(math.nan)
+
+
+# Every entry point that returns a TailEstimate, at a given threshold.
+FLOAT_TAILS = {
+    "exact_tail": lambda h, thr: exact_tail(h, 0.3, thr),
+    "mc_tail": lambda h, thr: mc_tail(h, 0.3, thr, 100, seed=1),
+    "planted_tail": lambda h, thr: planted_tail(h, 0.3, thr, 100, seed=1,
+                                                witness=Witness(h, VertexSet(h.n, 0b111), 3.0, 1.0)),
+    "conditioned_tail": lambda h, thr: conditioned_tail(h, 0.3, thr, 100, seed=1),
+}
+
+
+class TestUnrepresentableThreshold:
+    @pytest.mark.parametrize(
+        "threshold", [10**400, -(10**400), math.nan], ids=["1e400", "-1e400", "nan"]
+    )
+    @pytest.mark.parametrize("name", FLOAT_TAILS)
+    def test_refused_before_any_pass(self, name, threshold, monkeypatch):
+        # A TailEstimate holds its threshold as a float; the enumeration or
+        # draw must not run first only to fail on the conversion.
+        passes = []
+        for kernel in ("_subset_histogram", "_sample_histogram"):
+            monkeypatch.setattr(estimate, kernel, lambda *args, **kw: passes.append(args))
+        with pytest.raises(ValueError, match="float range|NaN"):
+            FLOAT_TAILS[name](build_ap(10, 3), threshold)
+        assert passes == []
+
+    def test_held_pass_refuses_it_too(self):
+        held = mc_histogram(build_ap(10, 3), 0.3, 100, seed=1)
+        for threshold in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match="float range"):
+                held.tail(threshold)
+        # Counts and point masses convert nothing, so any int reads as usual.
+        assert held.hits(10**400) == 0 and held.hits(-(10**400)) == 100
+
+    def test_counts_and_point_masses_accept_any_int(self):
+        h = build_ap(10, 3)
+        hist = edge_count_histogram(h)
+        assert histogram_tail(hist, 0.3, 10**400) == 0.0
+        assert histogram_tail(hist, 0.3, -(10**400)) == histogram_tail(hist, 0.3, 0)
+        assert histogram_point_mass(hist, 0.3, 10**400) == 0.0
+        assert exact_point_mass(h, 0.3, -(10**400)) == 0.0
 
 
 class TestMonteCarlo:
@@ -828,6 +894,12 @@ class TestCertifiedColumn:
 
 
 class TestPlantingTarget:
+    @pytest.mark.parametrize("mu, t", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_refused(self, mu, t):
+        # NaN mu read as a 4-edge target and NaN t as 0, an empty witness.
+        with pytest.raises(ValueError, match="NaN"):
+            planting_target(mu, t, 3, None)
+
     @given(
         mu=st.floats(0.0, 1e4),
         t=st.floats(-10.0, 1e4),

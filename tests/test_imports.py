@@ -230,6 +230,45 @@ def test_import_does_not_load_scipy_stats():
     assert run.stdout.strip() == "[]"
 
 
+# The cache decorators of functools, and the one function allowed to keep a
+# process-wide cache: a table of constant masks keyed by (coordinate, m).
+CACHES = {"lru_cache", "cache"}
+CACHE_ALLOWED = {("disjointness.py", "_coord_zero_mask")}
+
+
+def _cache_decorated(tree: ast.Module) -> set[str]:
+    """Functions decorated with functools.lru_cache or functools.cache, whether
+    imported from functools (under any alias) or read off the module."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(a.asname or a.name for a in node.names if a.name in CACHES)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if (isinstance(target, ast.Name) and target.id in names) or (
+                isinstance(target, ast.Attribute)
+                and target.attr in CACHES
+                and isinstance(target.value, ast.Name)
+                and target.value.id in modules
+            ):
+                found.add(node.name)
+    return found
+
+
+def test_no_process_wide_cache():
+    # A call computes its own result: a table held across calls lives with the
+    # caller that repeats it (verify's run memo), never in a module-level cache.
+    # Equality also shows the reading finds the one allowed decorator.
+    found = {(path.name, name) for path in MODULES for name in _cache_decorated(_tree(path))}
+    assert found == CACHE_ALLOWED
+
+
 def test_verify_checks_return_check_results():
     # A verify check reports through its CheckResult (verdict, detail and counts),
     # never through a tuple of counts or (name, ok) pairs for a caller to re-format.

@@ -52,7 +52,7 @@ class TestSuiteRegistry:
             run_suites(["phi", "nope"])
 
     def test_unknown_suite_rejected_before_any_suite_runs(self, monkeypatch):
-        def spy(hists=None):
+        def spy():
             raise AssertionError("a suite ran before every name was checked")
 
         monkeypatch.setitem(SUITES, "sandwich", spy)
@@ -216,7 +216,6 @@ class TestCheckCounts:
             events.extend((h, v, c) for v in vertices)
             return tables(h, vertices, c)
 
-        disjointness.degree_events.cache_clear()
         monkeypatch.setattr(disjointness, "_degree_tables", spy)
         assert _counts(verify.mr_z_sample_check()) == (0, 200, None)
         # One induced-edge mask per (graph, c), 3 values of c x 2 graphs, and
