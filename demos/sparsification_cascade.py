@@ -53,7 +53,7 @@ def main() -> None:
     print(f"\nsample {attempt}: |S|={len(s)}, induces {x} edges "
           f"(greedy M_r = {greedy_star_matching(h, s, params.r).size})")
 
-    result = cascade_prune(h, s, params)
+    result = cascade_prune(h, induced_edges(h, s), params)
     print("\n  level   r_j     Delta1  matching  removed  kept")
     for lv in result.levels:
         print(f"  {lv.j:3d}  {lv.r_j:7.3f}  {lv.delta1_before:5d}  "

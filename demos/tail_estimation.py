@@ -54,7 +54,7 @@ def main() -> None:
         witness = interval_witness(spec, thr)
         if witness is not None:
             planted = planted_tail(h, args.p, thr, args.samples,
-                                   seed=args.seed + 1, witness=witness)
+                                   seed=args.seed + 1, forced=witness.subset)
             print(row("planted", planted))
             lower.append(("planted", planted))
         print(row("conditioned", conditioned))

@@ -259,20 +259,20 @@ def _run_bounds(cfg: RunConfig, stream) -> int:
 
 
 def _passes_once(cfg: RunConfig, h):
-    """held(p, witness) -> the pass a tail row of cfg.method reads, run on the
+    """held(p, forced) -> the pass a tail row of cfg.method reads, run on the
     first call that succeeds for its key and held for the command.  The key
     is what fixes the pass: nothing for exact (the p-free edge_count_histogram),
     p for mc and conditioned (samples, seed and eps are fixed per command),
-    and p with the witness's vertex set for planted (a SampleHistogram each).
+    and p with the forced vertex set for planted (a SampleHistogram each).
     Every t at one key reads the same pass; a command that computes no row
     runs none, so a fully resumed sweep enumerates and draws nothing."""
     passes = {}
 
-    def pass_for(p: float, witness=None):
+    def pass_for(p: float, forced=None):
         key = None
         if cfg.method != "exact":
             # repr(p) keeps -0.0 apart from 0.0: their planted factors print differently.
-            key = (repr(p), None if witness is None else witness.subset.bits)
+            key = (repr(p), None if forced is None else forced.bits)
         if key not in passes:
             common = {"samples": cfg.samples, "seed": cfg.seed, "workers": cfg.workers}
             if key is None:
@@ -280,7 +280,7 @@ def _passes_once(cfg: RunConfig, h):
             elif cfg.method == "mc":
                 passes[key] = mc_histogram(h, p, **common)
             elif cfg.method == "planted":
-                passes[key] = planted_histogram(h, p, witness=witness, **common)
+                passes[key] = planted_histogram(h, p, forced=forced, **common)
             else:
                 passes[key] = conditioned_histogram(h, p, eps=cfg.eps, **common)
         return passes[key]
@@ -295,7 +295,7 @@ def _tail_estimate(cfg: RunConfig, h, held, p: float, t: float) -> dict:
     if cfg.method == "exact":
         p_hat = histogram_tail(held(p), p, threshold)
         return {"threshold": threshold, "p_hat": p_hat, "ci_low": p_hat, "ci_high": p_hat}
-    witness = None
+    forced = None
     if cfg.method == "planted":
         target = planting_target(mu, t, h.k, cfg.alpha)
         witness = interval_witness(cfg.family, float(target), h)
@@ -303,7 +303,8 @@ def _tail_estimate(cfg: RunConfig, h, held, p: float, t: float) -> dict:
             raise NoWitnessError(
                 f"family {cfg.family.kind}({cfg.family.n}) cannot seat a witness for {target} edges"
             )
-    est = held(p, witness).tail(threshold)
+        forced = witness.subset
+    est = held(p, forced).tail(threshold)
     return {"threshold": est.threshold, "p_hat": est.p_hat, "ci_low": est.ci_low, "ci_high": est.ci_high}
 
 

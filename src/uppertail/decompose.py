@@ -294,13 +294,13 @@ class CascadeResult:
     level_count: int
 
 
-def cascade_prune(h: Hypergraph, s: VertexSet, params: CascadeParams) -> CascadeResult:
-    """Prune greedily at radii r_{J-1}, ..., r_0 (just r_0 when J = 0).
+def cascade_prune(h: Hypergraph, edge_ids: tuple[int, ...], params: CascadeParams) -> CascadeResult:
+    """Prune the given edge ids greedily at radii r_{J-1}, ..., r_0 (just r_0 when J = 0).
 
     The final edge set has max degree <= floor(r); per-level matching sizes
-    are reported for the removal accounting.
+    are reported for the removal accounting.  H[S]'s ids are induced_edges(h, s).
     """
-    current = induced_edges(h, s)
+    current = edge_ids
     big_j = params.level_count
     levels = []
     for j in (range(big_j - 1, -1, -1) if big_j > 0 else [0]):

@@ -42,7 +42,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .families import Witness
 from .hypergraph import CapacityError, Hypergraph, VertexSet
 from .rng import CHUNK, chunk_layout, m_subset_members, p_subset_members, stream_generator
 
@@ -263,6 +262,8 @@ def edge_count_histogram(h: Hypergraph, workers: int = 1) -> np.ndarray:
 def size_weighted_sum(counts: Sequence[int], p: float) -> float:
     """fsum of counts[j] p^j (1-p)^(n-j), n = len(counts) - 1: the p-weight of
     counts[j] subsets of size j each, unclamped so moments can use it too."""
+    if not 0.0 <= p <= 1.0:  # the one check of every exact read; NaN fails it too
+        raise ValueError("p must lie in [0, 1]")
     n = len(counts) - 1
     return math.fsum(
         c * (p**j * (1.0 - p) ** (n - j)) for j, c in enumerate(np.asarray(counts).tolist()) if c
@@ -271,8 +272,6 @@ def size_weighted_sum(counts: Sequence[int], p: float) -> float:
 
 def _column_weight(hist: np.ndarray, p: float, cols: np.ndarray) -> float:
     """The p-weight of the subsets counted in hist's selected columns, clamped to [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
     return min(max(size_weighted_sum(hist[:, cols].sum(axis=1), p), 0.0), 1.0)
 
 
@@ -308,16 +307,24 @@ def histogram_point_mass(hist: np.ndarray, p: float, m: int) -> float:
     return _column_weight(hist, p, np.arange(hist.shape[1]) == m)
 
 
+def _read_exact(read, h: Hypergraph, p: float, threshold: float, workers: int) -> float:
+    """read(edge_count_histogram(h, workers), p, threshold).  Reading the empty
+    histogram first makes every check the read makes, so a bad p, threshold
+    or m fails before the 2^n pass, not after it."""
+    read(np.zeros((1, 1), dtype=np.int64), p, threshold)
+    return read(edge_count_histogram(h, workers), p, threshold)
+
+
 def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> TailEstimate:
     """Exact Pr(X >= threshold) by one complete subset enumeration (n <= 26)."""
     thr = _float_threshold(threshold)
-    p_hat = histogram_tail(edge_count_histogram(h, workers), p, threshold)
+    p_hat = _read_exact(histogram_tail, h, p, threshold, workers)
     return TailEstimate(thr, p_hat, "exact", 1 << h.n, p_hat, p_hat)
 
 
 def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float:
     """Exact Pr(X = m) by one complete subset enumeration (n <= 26)."""
-    return histogram_point_mass(edge_count_histogram(h, workers), p, m)
+    return _read_exact(histogram_point_mass, h, p, m, workers)
 
 
 def _bit_add(x: list[np.ndarray], y: list[np.ndarray], width: int) -> list[np.ndarray]:
@@ -441,7 +448,7 @@ class SampleHistogram:
     """One sampling pass of a Monte Carlo method, read at any threshold.
 
     counts[x] is the read-only number of samples inducing exactly x edges.
-    It depends on the draw (p, seed, sample count, and the witness or m),
+    It depends on the draw (p, seed, sample count, and the forced set or m),
     not on a threshold, so a caller evaluating many thresholds holds one pass
     and reads each through tail().  factor scales every estimate: 1 for mc,
     p^|W| for planted, Pr(Bin(n, p) >= m) for conditioned.  extra is the
@@ -471,9 +478,8 @@ def mc_histogram(
     h: Hypergraph, p: float, samples: int, seed: int, workers: int = 1
 ) -> SampleHistogram:
     """mc_tail's sampling pass: independent p-samples of vertices, which is
-    planted_histogram's pass with an empty witness (same draws, factor 1)."""
-    empty = Witness(h, VertexSet(h.n, 0), 0.0, 0.0)
-    return SampleHistogram("mc", planted_histogram(h, p, samples, seed, empty, workers).counts)
+    planted_histogram's pass with no vertex forced (same draws, factor 1)."""
+    return SampleHistogram("mc", planted_histogram(h, p, samples, seed, VertexSet(h.n), workers).counts)
 
 
 def mc_tail(
@@ -505,20 +511,20 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
 
 
 def planted_histogram(
-    h: Hypergraph, p: float, samples: int, seed: int, witness: Witness, workers: int = 1
+    h: Hypergraph, p: float, samples: int, seed: int, forced: VertexSet, workers: int = 1
 ) -> SampleHistogram:
     """planted_tail's sampling pass: p-samples of the vertices outside the
-    witness, with every witness vertex forced in."""
+    forced set W, with every vertex of W in.  Any W will do; only the closed
+    form lb_cluster_bound needs W's certificate (a families.Witness)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if witness.subset.n != h.n:
-        raise ValueError("witness lives on a different vertex set")
+    if forced.n != h.n:
+        raise ValueError("forced set lives on a different vertex set")
     _check_sampler_budget(h.n, samples)
-    w_bits = witness.subset.bits
-    w_size = len(witness.subset)
-    free = [v for v in range(h.n) if not (w_bits >> v) & 1]
+    w_size = len(forced)
+    free = [v for v in range(h.n) if not (forced.bits >> v) & 1]
     counts = _sample_histogram(
         h, seed, lambda gen, count: p_subset_members(gen, h.n, free, p, count), samples, workers
     )
@@ -532,20 +538,20 @@ def planted_tail(
     threshold: float,
     samples: int,
     seed: int,
-    witness: Witness,
+    forced: VertexSet,
     workers: int = 1,
 ) -> TailEstimate:
-    """Lower-bound estimate p^|W| * Pr(X >= threshold | W kept).
+    """Lower-bound estimate p^|W| * Pr(X >= threshold | W kept) for the forced set W.
 
-    The witness vertices are forced into every sample; only the conditional
+    The vertices of W are forced into every sample; only the conditional
     frequency is estimated, and the Wilson interval is scaled by p^|W|.
-    Since p^|W| * Pr(X >= threshold | W kept) <= Pr(X >= threshold), ci_low is
-    a lower bound whenever the interval covers (see TailEstimate for how often
-    it does not); p_hat is not, and can exceed the true tail.  With an empty
-    witness this is exactly mc_tail.
+    Since p^|W| * Pr(X >= threshold | W kept) <= Pr(X >= threshold) for every
+    W, ci_low is a lower bound whenever the interval covers (see TailEstimate
+    for how often it does not); p_hat is not, and can exceed the true tail.
+    With W empty this is exactly mc_tail.
     """
     _float_threshold(threshold)
-    return planted_histogram(h, p, samples, seed, witness, workers).tail(threshold)
+    return planted_histogram(h, p, samples, seed, forced, workers).tail(threshold)
 
 
 def conditioned_size(n: int, p: float, eps: float) -> int | float:

@@ -36,7 +36,9 @@ KINDS = ("ap", "schur", "ell_sum")
 # 24-byte-per-edge array (the array plus two int64 run temporaries), so 2^22
 # edges stay near 0.2 GB: four times AP(2000,3), the largest family the
 # README, demos, benchmark and tests build.  ell_sum with ell >= 3 sorts its
-# rows and peaks higher.
+# rows and peaks higher.  The budget bounds the array's e * k entries: a
+# k-uniform family may hold 3 * EDGE_BUDGET // max(k, 3) edges, so AP(n, k)
+# with k >= 4 keeps to the same bytes as a 3-uniform family at the budget.
 EDGE_BUDGET = 1 << 22
 
 
@@ -95,9 +97,10 @@ def build(spec: FamilySpec) -> Hypergraph:
     return build_ell_sum(spec.n, spec.ell)
 
 
-def _check_edges(edges: int) -> None:
-    if edges > EDGE_BUDGET:
-        raise CapacityError(f"{edges} edges exceed budget {EDGE_BUDGET}")
+def _check_edges(edges: int, k: int = 3) -> None:
+    cap = 3 * EDGE_BUDGET // max(k, 3)  # edges * max(k, 3) <= 3 * EDGE_BUDGET
+    if edges > cap:
+        raise CapacityError(f"{edges} edges exceed budget {cap}")
 
 
 def _ap_edge_count(n: int, k: int) -> int:
@@ -144,7 +147,7 @@ def build_ap(n: int, k: int) -> Hypergraph:
         raise ValueError("ap requires uniformity k >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_edges(_ap_edge_count(n, k))
+    _check_edges(_ap_edge_count(n, k), k)
     # 0-based start s carries d = 1 .. (n - 1 - s) // (k - 1).
     start, d = _group_positions((n - 1 - np.arange(n)) // (k - 1))
     d += 1
@@ -215,6 +218,8 @@ def interval_witness(spec: FamilySpec, x: float, h: Hypergraph | None = None) ->
     is recovered from the size as m / max(sqrt(x), 1).  h is build(spec),
     built here unless the caller already holds it.
     """
+    if x != x:  # NaN, which no edge count meets; refused before any build
+        raise ValueError("x must not be NaN")
     if h is None:
         h = build(spec)
     if x <= 0:

@@ -68,7 +68,7 @@ from .estimate import (
     planting_target,
     size_weighted_sum,
 )
-from .families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
+from .families import FamilySpec, build, build_ap, build_schur, interval_witness
 from .hypergraph import (
     Hypergraph,
     VertexSet,
@@ -459,8 +459,7 @@ def mrh_conditional_check() -> CheckResult:
         for event in degree_events(h, math.ceil(r)):
             union |= event.table
         pr_ge_1 = event_probability(EventTable(n, union), [p] * n)
-        full = VertexSet(n, (1 << n) - 1)
-        mr_full = mr_exact(h, full, r)
+        mr_full = mr_exact_on(h, tuple(range(h.num_edges)), r)
         for y in (0.5, 1.0, 2.0, 3.0):
             if y <= 1.0:
                 lhs = pr_ge_1
@@ -672,8 +671,8 @@ def cascade_accounting_check() -> CheckResult:
         t = (16.0, 36.0)[i % 2]
         params = CascadeParams(beta=1.0, gamma=0.125, r=1.5, t=t, p=0.2)
         s = sample_vp(h, 0.2, rng)
-        res = cascade_prune(h, s, params)
         ids = induced_edges(h, s)
+        res = cascade_prune(h, ids, params)
         if sum(level.removed for level in res.levels) != len(ids) - len(res.kept_edge_ids):
             violations += 1
         all_dyadic = True
@@ -699,12 +698,13 @@ def cascade_trivial_checks() -> list[CheckResult]:
     h = build_ap(14, 3)
     s = sample_vp(h, 0.5, rng)
     params = CascadeParams(beta=0.5, gamma=0.1, r=2.0, t=4.0, p=0.5)
-    res = cascade_prune(h, s, params)
+    ids = induced_edges(h, s)
+    res = cascade_prune(h, ids, params)
     single = (
         res.level_count == 0
         and len(res.levels) == 1
         and res.levels[0].r_j == 2.0
-        and res.kept_edge_ids == degree_prune_on(h, induced_edges(h, s), 2.0).kept_edge_ids
+        and res.kept_edge_ids == degree_prune_on(h, ids, 2.0).kept_edge_ids
     )
 
     # On the first sampled subset whose induced edges are disjoint, nothing is pruned.
@@ -714,7 +714,7 @@ def cascade_trivial_checks() -> list[CheckResult]:
         ids = induced_edges(h, sparse)
         if ids and induced_max_degree(h, ids) == 1:
             params2 = CascadeParams(beta=0.5, gamma=0.1, r=1.5, t=9.0, p=0.25)
-            res2 = cascade_prune(h, sparse, params2)
+            res2 = cascade_prune(h, ids, params2)
             identity = res2.kept_edge_ids == ids and all(
                 level.matching_size == 0 for level in res2.levels
             )
@@ -752,7 +752,7 @@ def lower_estimates_check() -> CheckResult:
         thr = mu + t
         tail = histogram_tail(hist, p, thr)
         w = interval_witness(spec, planting_target(mu, t, h.k, None), h)
-        planted = planted_tail(h, p, thr, 20_000, seed=17 + i, witness=w)
+        planted = planted_tail(h, p, thr, 20_000, seed=17 + i, forced=w.subset)
         checked += 1
         if planted.p_hat > tail + 1e-12:
             violations += 1
@@ -912,13 +912,12 @@ def estimator_edge_checks() -> list[CheckResult]:
     p = 0.35
     mu = exact_mean(h, p)
 
-    empty = Witness(hypergraph=h, subset=VertexSet(h.n), d_used=0.0, x=0.0)
-    a = planted_tail(h, p, mu + 1, 4000, seed=seed, witness=empty)
+    a = planted_tail(h, p, mu + 1, 4000, seed=seed, forced=VertexSet(h.n))
     b = mc_tail(h, p, mu + 1, 4000, seed=seed)
     reduces = (a.p_hat, a.ci_low, a.ci_high) == (b.p_hat, b.ci_low, b.ci_high)
 
     w = interval_witness(spec, 3.0, h)
-    sat = planted_tail(h, p, 3.0, 1000, seed=seed, witness=w)
+    sat = planted_tail(h, p, 3.0, 1000, seed=seed, forced=w.subset)
     saturated = math.isclose(sat.p_hat, p ** len(w.subset), rel_tol=1e-12)
 
     eps_full = h.n / (h.n * p) - 1.0

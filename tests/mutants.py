@@ -44,6 +44,8 @@ MC_COVERS = T_EST + "TestMonteCarlo::test_interval_covers_exact"
 T_XR = "tests/test_decompose.py::TestXr::"
 T_BOX = "tests/test_disjointness.py::TestBox::"
 RUN_MEMO_SCOPE = T_EST + "TestHeldHistogram::test_run_suites_enumerates_each_graph_once"
+EARLY_READ = T_EST + "TestHeldHistogram::test_exact_readers_refuse_before_enumerating"
+WEIGHT_RANGE = T_EST + "TestHeldHistogram::test_size_weighted_sum_refuses_p_outside_the_unit_interval"
 
 # (name, file, old line, new line, node ids that must fail)
 MUTANTS = [
@@ -55,6 +57,18 @@ MUTANTS = [
      "    factor = p**w_size",
      "    factor = 8 * p**w_size",
      PLANTED_EXACT),
+    ("planted pass ignores the forced set", EST,
+     "    free = [v for v in range(h.n) if not (forced.bits >> v) & 1]",
+     "    free = list(range(h.n))",
+     PLANTED_EXACT),
+    ("exact readers enumerate before checking their input", EST,
+     "    read(np.zeros((1, 1), dtype=np.int64), p, threshold)",
+     "    pass",
+     [EARLY_READ + "[tail-pnan]", EARLY_READ + "[point-mnan]", EARLY_READ + "[point-p-0.1]"]),
+    ("size_weighted_sum without its p range check", EST,
+     "    if not 0.0 <= p <= 1.0:  # the one check of every exact read; NaN fails it too",
+     "    if False:",
+     [WEIGHT_RANGE + "[nan]", WEIGHT_RANGE + "[1.5]"]),
     ("conditioned factor x1.5", EST,
      "    factor = 1.0 if m <= 0 else float(betainc(m, h.n - m + 1, p))",
      "    factor = 1.0 if m <= 0 else 1.5 * float(betainc(m, h.n - m + 1, p))",
@@ -112,6 +126,10 @@ MUTANTS = [
      "        j = gen.integers(0, n, size=count)",
      ["tests/test_hypergraph.py::TestSampling::test_vm_uniformity",
       T_EST + "TestConditioned::test_int32_draw_matches_int64_reference[30-7-300]"]),
+    ("edge budget counts edges, not array entries", "families.py",
+     "    cap = 3 * EDGE_BUDGET // max(k, 3)  # edges * max(k, 3) <= 3 * EDGE_BUDGET",
+     "    cap = EDGE_BUDGET",
+     ["tests/test_families.py::TestEdgeBudget::test_one_over_budget_allocates_nothing[ap-4-1]"]),
     ("sweep key without t", "cli.py",
      'SWEEP_KEY = ("family", "n", "k", "p", "t", "method", "samples", "seed")',
      'SWEEP_KEY = ("family", "n", "k", "p", "method", "samples", "seed")',

@@ -226,7 +226,7 @@ def test_accept_09_lower_bound_certification():
         thr = mu + t
         exact = exact_tail(h, p, thr).p_hat
         witness = interval_witness(spec, planting_target(mu, t, h.k, None))
-        planted = planted_tail(h, p, thr, 100_000, seed=900 + i, witness=witness)
+        planted = planted_tail(h, p, thr, 100_000, seed=900 + i, forced=witness.subset)
         conditioned = conditioned_tail(h, p, thr, 100_000, seed=1900 + i)
         for est in (planted, conditioned):
             checked += 1
@@ -289,7 +289,7 @@ def test_accept_14_certified_column():
     exact = exact_tail(h, p, thr).p_hat
     witness = interval_witness(spec, planting_target(mu, thr - mu, h.k, None))
     estimators = {
-        "planted": lambda samples, seed: planted_tail(h, p, thr, samples, seed, witness),
+        "planted": lambda samples, seed: planted_tail(h, p, thr, samples, seed, witness.subset),
         "conditioned": lambda samples, seed: conditioned_tail(h, p, thr, samples, seed, eps=0.5),
     }
     ok = True

@@ -155,9 +155,14 @@ class TestFamilyAndBounds:
         assert row["delta_1"] == "10"
 
     def test_family_past_the_edge_budget(self, capsys):
-        """AP(20000,3) has 99,990,000 edges: refused before any array exists."""
+        """AP(20000,3) has 99,990,000 edges, and AP(10^6, 5 * 10^5) 500,003
+        edges of 500,000 vertices (a 1.8 TiB array): both are refused before
+        any array exists."""
         assert run_cli(["family", "--family", "ap", "--n", "20000"]) == (1, "")
         assert capsys.readouterr().err == "error: 99990000 edges exceed budget 4194304\n"
+        argv = ["family", "--family", "ap", "--n", "1000000", "--k", "500000"]
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == "error: 500003 edges exceed budget 25\n"
 
     def test_each_bound_family_is_one_call_in_row_order(self):
         # One call per family returns every form, in the order the CLI writes

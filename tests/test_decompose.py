@@ -392,9 +392,10 @@ class TestCascade:
         assert params.level_count == 0
         h = build_ap(12, 3)
         s = VertexSet(12, (1 << 12) - 1)
-        res = cascade_prune(h, s, params)
+        ids = induced_edges(h, s)
+        res = cascade_prune(h, ids, params)
         assert len(res.levels) == 1 and res.levels[0].r_j == 2.0
-        assert res.kept_edge_ids == degree_prune_on(h, induced_edges(h, s), 2.0).kept_edge_ids
+        assert res.kept_edge_ids == degree_prune_on(h, ids, 2.0).kept_edge_ids
 
     def test_final_degree_and_accounting(self):
         h = build_ap(25, 3)
@@ -402,8 +403,8 @@ class TestCascade:
         params = CascadeParams(beta=1.0, gamma=0.125, r=1.5, t=25.0, p=0.3)
         for _ in range(20):
             s = sample_vp(h, 0.3, rng)
-            res = cascade_prune(h, s, params)
             ids = induced_edges(h, s)
+            res = cascade_prune(h, ids, params)
             assert sum(lv.removed for lv in res.levels) == len(ids) - len(
                 res.kept_edge_ids
             )

@@ -29,9 +29,10 @@ from uppertail.estimate import (
     planted_histogram,
     planted_tail,
     planting_target,
+    size_weighted_sum,
     wilson_interval,
 )
-from uppertail.families import FamilySpec, Witness, build, build_ap, build_schur, interval_witness
+from uppertail.families import FamilySpec, build, build_ap, build_schur, interval_witness
 from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edge_count
 from uppertail.rng import CHUNK, chunk_layout, m_subset_members, p_subset_members, stream_generator
 
@@ -386,6 +387,29 @@ class TestHeldHistogram:
             with pytest.raises(ValueError):
                 histogram_point_mass(hist, -0.1, h.num_edges + 1)
 
+    @pytest.mark.parametrize("p", [math.nan, 1.5, -0.1])
+    def test_size_weighted_sum_refuses_p_outside_the_unit_interval(self, p):
+        # Every exact read and verify's moments weigh through it: NaN would come
+        # back as NaN, and 1.5 or -0.1 as the weight 1.0 of [1, 2, 1].
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            size_weighted_sum([1, 2, 1], p)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda h: exact_tail(h, 1.5, 3.0),
+            lambda h: exact_tail(h, math.nan, 3.0),
+            lambda h: exact_point_mass(h, 0.3, math.nan),
+            lambda h: exact_point_mass(h, -0.1, 2),
+        ],
+        ids=["tail-p1.5", "tail-pnan", "point-mnan", "point-p-0.1"],
+    )
+    def test_exact_readers_refuse_before_enumerating(self, monkeypatch, read):
+        calls = self.spy_enumerations(monkeypatch)
+        with pytest.raises(ValueError):
+            read(build_ap(20, 3))
+        assert calls == []
+
     def test_clean_bound_reads_the_clean_histogram(self):
         h = build_schur(12)
         clean, plain = clean_config_histogram(h), edge_count_histogram(h)
@@ -474,7 +498,7 @@ NAN_TAILS = {
     "exact_point_mass": lambda h: exact_point_mass(h, 0.3, math.nan),
     "mc_tail": lambda h: mc_tail(h, 0.3, math.nan, 100, seed=1),
     "planted_tail": lambda h: planted_tail(h, 0.3, math.nan, 100, seed=1,
-                                           witness=Witness(h, VertexSet(h.n, 0b111), 3.0, 1.0)),
+                                           forced=VertexSet(h.n, 0b111)),
     "conditioned_tail": lambda h: conditioned_tail(h, 0.3, math.nan, 100, seed=1),
 }
 
@@ -504,7 +528,7 @@ FLOAT_TAILS = {
     "exact_tail": lambda h, thr: exact_tail(h, 0.3, thr),
     "mc_tail": lambda h, thr: mc_tail(h, 0.3, thr, 100, seed=1),
     "planted_tail": lambda h, thr: planted_tail(h, 0.3, thr, 100, seed=1,
-                                                witness=Witness(h, VertexSet(h.n, 0b111), 3.0, 1.0)),
+                                                forced=VertexSet(h.n, 0b111)),
     "conditioned_tail": lambda h, thr: conditioned_tail(h, 0.3, thr, 100, seed=1),
 }
 
@@ -691,10 +715,9 @@ class TestSamplingKernel:
         """A pass whose chunk needs one byte more than SAMPLER_BYTE_BUDGET is
         refused before anything per vertex is built."""
         h, samples = build_ap(20, 3), 100
-        witness = Witness(h, VertexSet(h.n, 0b111), 3.0, 1.0)
         run = {
             "mc": lambda: mc_histogram(h, 0.3, samples, seed=1),
-            "planted": lambda: planted_histogram(h, 0.3, samples, 1, witness),
+            "planted": lambda: planted_histogram(h, 0.3, samples, 1, VertexSet(h.n, 0b111)),
             "conditioned": lambda: conditioned_histogram(h, 0.3, samples, 1, eps=0.25),
         }[method]
         need = 5 * samples * h.n  # one byte of membership and four of int32 table
@@ -723,16 +746,14 @@ class TestSamplingKernel:
 class TestPlanted:
     def test_empty_witness_equals_mc(self):
         h = build_ap(10, 3)
-        w = Witness(h, VertexSet(10, 0), 0.0, 0.0)
-        a = planted_tail(h, 0.4, 2.0, 5000, seed=8, witness=w)
+        a = planted_tail(h, 0.4, 2.0, 5000, seed=8, forced=VertexSet(10, 0))
         b = mc_tail(h, 0.4, 2.0, 5000, seed=8)
         assert a.p_hat == b.p_hat
         assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
 
     def test_full_witness_saturates(self):
         h = build_ap(6, 3)
-        w = Witness(h, VertexSet(6, (1 << 6) - 1), 6.0, float(h.num_edges))
-        est = planted_tail(h, 0.5, float(h.num_edges), 100, seed=9, witness=w)
+        est = planted_tail(h, 0.5, float(h.num_edges), 100, seed=9, forced=VertexSet(6, (1 << 6) - 1))
         assert est.p_hat == pytest.approx(0.5**6, rel=1e-15)
         assert est.extra["conditional_hits"] == 100
 
@@ -744,7 +765,7 @@ class TestPlanted:
         exact = exact_tail(h, p, mu + t).p_hat
         w = interval_witness(spec, math.ceil(mu + t))
         for seed in (10, 11, 12):
-            est = planted_tail(h, p, mu + t, 20000, seed=seed, witness=w)
+            est = planted_tail(h, p, mu + t, 20000, seed=seed, forced=w.subset)
             assert est.p_hat <= exact + 1e-12
 
     def test_worker_count_invariant(self):
@@ -752,16 +773,26 @@ class TestPlanted:
         h = build(spec)
         w = interval_witness(spec, 12.0)
         samples = 2 * CHUNK + 123
-        single = planted_tail(h, 0.2, 18.0, samples, seed=16, witness=w, workers=1)
-        multi = planted_tail(h, 0.2, 18.0, samples, seed=16, witness=w, workers=2)
+        single = planted_tail(h, 0.2, 18.0, samples, seed=16, forced=w.subset, workers=1)
+        multi = planted_tail(h, 0.2, 18.0, samples, seed=16, forced=w.subset, workers=2)
         assert single == multi and single.extra == multi.extra
         assert 0 < single.extra["conditional_hits"] < samples
 
+    def test_any_forced_set_plants(self):
+        """{1, 2, 4} induces no edge of AP(10,3), so no witness carries it;
+        planting reads only the forced set, and scales by p^3."""
+        h = build_ap(10, 3)
+        forced = VertexSet(10, 0b1011)
+        assert induced_edge_count(h, forced) == 0
+        held = planted_histogram(h, 0.4, 500, 3, forced)
+        assert held.factor == 0.4**3 and held.counts.sum() == 500
+        est = planted_tail(h, 0.4, 2.0, 500, seed=3, forced=forced)
+        assert est.extra == {"witness_size": 3, "factor": 0.4**3, "conditional_hits": held.hits(2.0)}
+
     def test_witness_universe_check(self):
-        w = Witness(AP4, VertexSet(4, 0b0111), 3.0, 1.0)
         h6 = build_ap(6, 3)
         with pytest.raises(ValueError):
-            planted_tail(h6, 0.5, 1.0, 10, seed=0, witness=w)
+            planted_tail(h6, 0.5, 1.0, 10, seed=0, forced=VertexSet(4, 0b0111))
 
 
 class TestConditioned:
@@ -853,8 +884,7 @@ class TestCertifiedColumn:
     def test_planted_full_witness_is_exact(self, p, samples):
         h, thr = self.AP12, float(self.AP12.num_edges)
         exact = histogram_tail(edge_count_histogram(h), p, thr)
-        witness = Witness(h, VertexSet(12, 2**12 - 1), 12.0, thr)
-        est = planted_tail(h, p, thr, samples, 1, witness)
+        est = planted_tail(h, p, thr, samples, 1, VertexSet(12, 2**12 - 1))
         assert est.extra["conditional_hits"] == samples
         assert est.p_hat == exact
         assert est.ci_low <= exact and est.ci_high == est.p_hat

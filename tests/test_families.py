@@ -95,19 +95,33 @@ class TestEdgeBudget:
         assert families._ell_sum_edge_count(n, ell) == build_ell_sum(n, ell).num_edges
 
     @staticmethod
-    def first_over_budget(count) -> int:
-        """The least n whose family has more than EDGE_BUDGET edges (count is
-        nondecreasing in n)."""
-        lo, hi = 0, 1
-        while count(hi) <= families.EDGE_BUDGET:
+    def first_over_budget(entries, start: int = 0) -> int:
+        """The least m >= start + 1 whose family's edge array holds more than
+        3 * EDGE_BUDGET entries, counted as e * max(k, 3) (entries is
+        nondecreasing in m and within the budget at start)."""
+        budget = 3 * families.EDGE_BUDGET
+        lo, hi = start, start + 1
+        while entries(hi) <= budget:
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if count(mid) <= families.EDGE_BUDGET else (lo, mid)
+            lo, hi = (mid, hi) if entries(mid) <= budget else (lo, mid)
         return hi
 
+    @staticmethod
+    def refused_before_any_array(spec, edges) -> None:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"{edges} edges exceed budget"):
+                build(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize(
-        "kind, k, ell", [("ap", 3, 1), ("ap", 5, 1), ("schur", 3, 1), ("ell_sum", 3, 3)]
+        "kind, k, ell",
+        [("ap", 3, 1), ("ap", 4, 1), ("ap", 5, 1), ("schur", 3, 1), ("ell_sum", 3, 3)],
     )
     def test_one_over_budget_allocates_nothing(self, kind, k, ell):
         def count(n):
@@ -115,23 +129,26 @@ class TestEdgeBudget:
                 return families._ap_edge_count(n, k)
             return families._ell_sum_edge_count(n, 1 if kind == "schur" else ell)
 
-        n = self.first_over_budget(count)
-        spec = FamilySpec(kind, n, k=k, ell=ell)
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError, match=f"{count(n)} edges exceed budget"):
-                build(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        n = self.first_over_budget(lambda n: count(n) * max(k, 3))
+        self.refused_before_any_array(FamilySpec(kind, n, k=k, ell=ell), count(n))
+
+    def test_half_length_progressions_one_over_budget_allocate_nothing(self):
+        """AP(2k, k) has k + 3 edges of k vertices: its e * k entries, not its
+        edge count, are what the budget must refuse (at the least such k,
+        k = 3,546: 3,549 edges holding 96 MiB)."""
+        k = self.first_over_budget(lambda k: families._ap_edge_count(2 * k, k) * k, start=2)
+        edges = families._ap_edge_count(2 * k, k)
+        assert edges == k + 3 < families.EDGE_BUDGET
+        self.refused_before_any_array(FamilySpec("ap", 2 * k, k=k), edges)
 
     def test_budget_boundary(self, monkeypatch):
+        """The least EDGE_BUDGET that admits a family is e * max(k, 3) / 3, rounded up."""
         specs = (FamilySpec("ap", 30, 4), FamilySpec("schur", 30), FamilySpec("ell_sum", 30, ell=3))
-        for spec, edges in [(spec, build(spec).num_edges) for spec in specs]:
-            monkeypatch.setattr(families, "EDGE_BUDGET", edges)
-            assert build(spec).num_edges == edges
-            monkeypatch.setattr(families, "EDGE_BUDGET", edges - 1)
+        for spec, h in [(spec, build(spec)) for spec in specs]:
+            least = -(-h.num_edges * max(h.k, 3) // 3)
+            monkeypatch.setattr(families, "EDGE_BUDGET", least)
+            assert build(spec).num_edges == h.num_edges
+            monkeypatch.setattr(families, "EDGE_BUDGET", least - 1)
             with pytest.raises(CapacityError):
                 build(spec)
 
@@ -219,6 +236,12 @@ class TestWitnesses:
         total = build(spec).num_edges
         assert interval_witness(spec, total + 1) is None
         assert interval_witness(spec, float(total)) is not None
+
+    def test_interval_witness_refuses_nan(self):
+        spec = FamilySpec("ap", 10)
+        for h in (None, build(spec)):
+            with pytest.raises(ValueError, match="x must not be NaN"):
+                interval_witness(spec, math.nan, h)
 
     def test_zero_target_is_empty(self):
         w = interval_witness(FamilySpec("schur", 9), 0.0)

@@ -320,7 +320,7 @@ class TestEdgeArrayStore:
         mc_tail(h, p, mu + 2, 256, seed=1)
         conditioned_tail(h, p, mu + 2, 256, seed=1)
         witness = interval_witness(spec, mu + 2, h)
-        planted_tail(h, p, mu + 2, 256, seed=1, witness=witness)
+        planted_tail(h, p, mu + 2, 256, seed=1, forced=witness.subset)
         moment_report(h, p)
         ids = induced_edges(h, witness.subset)
         assert len(ids) == induced_edge_count(h, witness.subset) > 0

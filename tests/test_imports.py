@@ -22,6 +22,9 @@ LEAVES = ["bounds", "decompose", "disjointness", "families", "hypergraph", "rng"
 # Further modules a leaf must not load: the event calculus stands on hypergraph
 # alone, and verify combines it with M_r.
 NOT_LOADED = {"disjointness": ["uppertail.decompose"]}
+# The only package modules a module may import.  estimate stands on the edge
+# store and the sample streams: planting reads a forced VertexSet, not a witness.
+IMPORTS_AT_MOST = {"estimate": {"hypergraph", "rng"}}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -103,6 +106,26 @@ def test_package_root_binds_no_public_name():
     # Each public name is imported from the module that defines it, never re-exported.
     public = sorted(n for n in _top_level_names(_tree(SRC / "__init__.py")) if not n.startswith("_"))
     assert not public, f"uppertail/__init__.py binds public names: {public}"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module's import statements name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("uppertail"):
+            parts = node.module.split(".")
+            names |= {parts[1]} if len(parts) > 1 else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("uppertail.")}
+    return names
+
+
+@pytest.mark.parametrize("module", IMPORTS_AT_MOST)
+def test_imports_only_the_modules_it_stands_on(module):
+    extra = _package_imports(_tree(SRC / f"{module}.py")) - IMPORTS_AT_MOST[module]
+    assert not extra, f"{module}.py imports {sorted(extra)}"
 
 
 @pytest.mark.parametrize("module", LEAVES)
