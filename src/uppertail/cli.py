@@ -355,7 +355,7 @@ def _run_decompose(cfg: RunConfig, stream) -> int:
 
 
 def _run_verify(cfg: RunConfig, stream) -> int:
-    results = run_suites(cfg.suites or None)
+    results = run_suites(cfg.suites or None, cfg.workers)
     for res in results:
         line = f"{res.suite}:{res.name}  {'PASS' if res.ok else 'FAIL'}"
         if res.detail:
@@ -471,6 +471,10 @@ def _add_estimate_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--eps", type=float, help="conditioned-vertex surplus")
     sub.add_argument("--alpha", type=float, help="planting overlap parameter")
+    _add_workers_flag(sub)
+
+
+def _add_workers_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, help="0 = cpu count")
     sub.set_defaults(workers=0)
 
@@ -524,6 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = add("verify", "run named verification suites", rows=False)
     ver.add_argument("suites", nargs="*", help=f"subset of {sorted(SUITES)}; default all")
+    _add_workers_flag(ver)
 
     _add_estimate_flags(add("sweep", "tail estimates over a (p, t) cross product"))
     return parser

@@ -239,6 +239,8 @@ def greedy_witness(h: Hypergraph, x: float) -> Witness | None:
     No size guarantee; d_used is computed a posteriori.  Returns None when
     the whole hypergraph has fewer than x edges.
     """
+    if x != x:  # NaN, which no edge count meets; refused before the greedy pass
+        raise ValueError("x must not be NaN")
     if x <= 0:
         return Witness(h, VertexSet(h.n, 0), 0.0, float(x))
     if h.num_edges < x:

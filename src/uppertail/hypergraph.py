@@ -169,26 +169,32 @@ def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
 def _set_keys(h: "Hypergraph", j: int) -> np.ndarray:
     """One int64 key for each j-subset of each edge, equal exactly where the
     j-sets are equal.  Digit c of every key is the c-th vertex of its j-set,
-    in base n.  Where one more digit could pass int64, the partial keys (and,
-    for n near 2^63, the digits) are first replaced by their dense ranks,
-    which stay below the number of keys.  h has at least one edge."""
+    in base n.  The keys fill one preallocated array, a row per column set,
+    one row at a time, so no full-length digit column is built.  Where one
+    more digit could pass int64, the partial keys (and, for n near 2^63, the
+    digits) are first replaced by their dense ranks, which stay below the
+    number of keys.  h has at least one edge."""
     arr = h.edge_array
     combos = list(combinations(range(h.k), j))
-
-    def digit(c: int) -> np.ndarray:
-        return np.concatenate([arr[:, cols[c]] for cols in combos])
-
-    key, span = digit(0), h.n
+    keys = np.empty((len(combos), len(arr)), dtype=np.int64)
+    for row, cols in zip(keys, combos):
+        row[:] = arr[:, cols[0]]
+    span = h.n
     for c in range(1, j):
-        d, base = digit(c), h.n
+        base = h.n
         if span * base >= 1 << 63:
-            key, span = _dense(key)
-        if span * base >= 1 << 63:
-            d, base = _dense(d)
-        key *= base
-        key += d
+            ranks, span = _dense(keys.reshape(-1))
+            keys = ranks.reshape(keys.shape)
+        if span * base < 1 << 63:
+            for row, cols in zip(keys, combos):
+                row *= base
+                row += arr[:, cols[c]]
+        else:
+            ranks, base = _dense(np.concatenate([arr[:, cols[c]] for cols in combos]))
+            keys *= base
+            keys += ranks.reshape(keys.shape)
         span *= base
-    return key
+    return keys.reshape(-1)
 
 
 def _codegrees(h: "Hypergraph", j: int) -> np.ndarray:

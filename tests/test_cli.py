@@ -4,6 +4,7 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +328,11 @@ class TestVerifyCommand:
 
     def test_repeated_suite_runs_once(self):
         assert run_cli(["verify", "phi", "phi"]) == run_cli(["verify", "phi"])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_output_is_the_pinned_file_at_any_worker_count(self, workers):
+        pinned = (Path(__file__).parent / "data" / "verify_stdout.txt").read_text(encoding="utf-8")
+        assert run_cli(["verify", "--workers", workers]) == (0, pinned)
 
 
 class TestSweep:
@@ -851,7 +857,7 @@ RESOLVED = [
      {"family": AP8, "p": (0.5,), "t": (1.0,), "workers": 3}),
     (["decompose", "--family", "ap", "--n", "8", "--r", "1", "--seed", "1"],
      {"family": AP8, "p": (0.5,), "samples": 10, "r": 1.0, "seed": 1}),
-    (["verify"], {}),
+    (["verify"], {"workers": 3}),
     (["family", "--config", "{cfg}"], FROM_FILE),
     (["bounds", "--config", "{cfg}"], {**FROM_FILE_GRID, "capacity": 2.0, "d": 3.0}),
     (["tail", "--config", "{cfg}"], FROM_FILE_ESTIMATE),
@@ -859,7 +865,7 @@ RESOLVED = [
     (["decompose", "--config", "{cfg}"],
      {**FROM_FILE, "p": (0.25,), "samples": 7, "seed": 5, "r": 1.5,
       "beta": 0.5, "gamma": 0.1, "cascade_t": 9.0}),
-    (["verify", "--config", "{cfg}"], {"suites": ("phi",)}),
+    (["verify", "--config", "{cfg}"], {"suites": ("phi",), "workers": 2}),
     (["tail", "--config", "{cfg}", "--samples", "11", "--workers", "0", "--n", "5"],
      {**FROM_FILE_ESTIMATE, "family": FamilySpec("schur", 5), "samples": 11, "workers": 3}),
 ]

@@ -258,6 +258,10 @@ class TestWitnesses:
         h = build_ap(5, 3)
         assert greedy_witness(h, h.num_edges + 0.5) is None
 
+    def test_greedy_witness_refuses_nan(self):
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            greedy_witness(build_ap(10, 3), math.nan)
+
     def test_witness_validation(self):
         h = build_ap(10, 3)
         full = VertexSet(10, (1 << 10) - 1)

@@ -149,6 +149,26 @@ class TestCodegreeKeys:
         h = Hypergraph(k, n, data.draw(st.lists(edge, max_size=14)))
         self.assert_codegrees(h)
 
+    @pytest.mark.parametrize("n, k, j", [(1000, 3, 2), (300, 4, 2), (300, 4, 3)])
+    def test_keys_fill_one_array(self, n, k, j):
+        """The keys are the one full-length array a call allocates (one per
+        digit column was alive before, two at AP(1000,3) and j = 2), and they
+        are the base-n numbers of each column set's j-sets, column set by
+        column set."""
+        h = build_ap(n, k)
+        tracemalloc.start()
+        try:
+            keys = hypergraph._set_keys(h, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * keys.nbytes
+        combos = list(combinations(range(k), j))
+        want = np.concatenate(
+            [sum(h.edge_array[:, col] * n ** (j - 1 - c) for c, col in enumerate(cols)) for cols in combos]
+        )
+        assert np.array_equal(keys, want)
+
     def test_codegrees_do_not_lexsort(self, monkeypatch):
         h = build_ap(40, 4)
         want = (h.codegree_sums, [delta_j(h, j) for j in range(1, 5)])

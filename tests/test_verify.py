@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 from itertools import combinations
 
 import numpy as np
@@ -69,6 +73,100 @@ class TestSuiteRegistry:
     def test_repeated_name_runs_once(self):
         assert run_suites(["phi", "phi"]) == run_suites(["phi"])
         assert len(run_suites(["phi", "phi"])) == 7
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSpreadSuites:
+    """run_suites over forked workers returns what the serial loop returns,
+    and reaps every worker whether its checks pass, fail or raise."""
+
+    @pytest.mark.parametrize(
+        "names", [None, ["lowerbounds", "phi"], ["phi", "phi"]], ids=["all", "order-kept", "repeated"]
+    )
+    def test_two_workers_equal_one(self, names):
+        assert run_suites(names, workers=2) == run_suites(names, workers=1)
+        _assert_no_child()
+
+    def test_order_kept_when_processes_interleave(self, monkeypatch):
+        # "slow" holds one process while the other takes "slower"; the first
+        # then takes "quick", so neither process ran a prefix of the order.
+        def suite(name, seconds):
+            def run():
+                time.sleep(seconds)
+                return [CheckResult(name, "ran", name != "quick", str(os.getpid()))]
+
+            return run
+
+        for name, seconds in (("slow", 0.2), ("slower", 0.4), ("quick", 0.0)):
+            monkeypatch.setitem(SUITES, name, suite(name, seconds))
+        results = run_suites(["slow", "slower", "quick"], workers=2)
+        assert [(r.suite, r.ok) for r in results] == [("slow", True), ("slower", True), ("quick", False)]
+        assert len({r.detail for r in results}) == 2  # the suites ran in two processes
+        _assert_no_child()
+
+    def test_more_processes_than_cores(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: len(SUITES))
+        assert run_suites(workers=len(SUITES)) == run_suites(workers=1)
+        _assert_no_child()
+
+    def test_serial_while_another_thread_runs(self, monkeypatch):
+        def pid_suite(name):
+            return lambda: [CheckResult(name, "ran", True, str(os.getpid()))]
+
+        for name in ("phi", "bk"):
+            monkeypatch.setitem(SUITES, name, pid_suite(name))
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            results = run_suites(["phi", "bk"], workers=2)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert [r.detail for r in results] == [str(os.getpid())] * 2
+
+    @pytest.mark.parametrize("raiser", ["caller", "worker"])
+    def test_exception_reraised_and_no_child_left(self, monkeypatch, raiser):
+        caller = os.getpid()
+
+        def broken():
+            if (os.getpid() == caller) == (raiser == "caller"):
+                raise KeyError("broken suite")
+            time.sleep(0.2)  # let the other process take this suite's twin
+            return []
+
+        monkeypatch.setitem(SUITES, "phi", broken)
+        monkeypatch.setitem(SUITES, "bk", broken)
+        with pytest.raises(KeyError, match="broken suite"):
+            run_suites(["phi", "bk"], workers=2)
+        assert verify._RUN_MEMO is None
+        _assert_no_child()
+
+    @pytest.mark.parametrize(
+        "end, message",
+        [("killed", "sent no result"), ("unpicklable", "could not send")],
+    )
+    def test_worker_without_a_result_raises_runtime_error(self, monkeypatch, end, message):
+        caller = os.getpid()
+
+        def broken():
+            if os.getpid() != caller:
+                if end == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError(lambda: None)  # a lambda does not pickle
+            time.sleep(0.2)  # let the worker take this suite's twin
+            return []
+
+        monkeypatch.setitem(SUITES, "phi", broken)
+        monkeypatch.setitem(SUITES, "bk", broken)
+        with pytest.raises(RuntimeError, match=message):
+            run_suites(["phi", "bk"], workers=2)
+        _assert_no_child()
 
 
 class TestFastSuites:
