@@ -15,12 +15,14 @@ reused intp buffer: its working set is its counts (1 MB below 256 edges) and
 that 512 KB buffer, beside the 4 MB of int32 row offsets every block shares.
 Monte Carlo variants share chunked Philox streams and merge by summing the
 integer sample histogram counts[x] (the number of samples inducing exactly x
-edges), making results independent of worker count.  The histogram is
-threshold-free, so a caller evaluating many thresholds holds one pass (a
-SampleHistogram) and reads each from it.  The three samplers
-differ only in which uppertail.rng draw fills a chunk's vertex sets
-(p_subset_members or m_subset_members); one bit-packed kernel counts their
-induced edges.  It packs a chunk's samples 64 to a uint64 word, gathers and
+edges).  Both passes hand their items, blocks of codes or chunks of samples,
+to uppertail.workers.spread, which runs them in forked processes at
+--workers > 1 and returns their integer counts in item order, so every worker
+count gives the same bytes.  The histogram is threshold-free, so a caller
+evaluating many thresholds holds one pass (a SampleHistogram) and reads each
+from it.  The three samplers differ only in which uppertail.rng draw fills a
+chunk's vertex sets (p_subset_members or m_subset_members); one bit-packed
+kernel counts their induced edges.  It packs a chunk's samples 64 to a uint64 word, gathers and
 ANDs the member rows of EDGE_BLOCK edges at a time, and sums the hits with a
 bit-sliced adder.  A worker's working set is one chunk's draw (CHUNK * n
 bytes, plus a CHUNK * n int32 table for the conditioned sampler) and a few
@@ -34,8 +36,6 @@ scipy.special.betainc, the regularized incomplete beta.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,6 +44,7 @@ from scipy.special import betainc
 
 from .hypergraph import CapacityError, Hypergraph, VertexSet
 from .rng import CHUNK, chunk_layout, m_subset_members, p_subset_members, stream_generator
+from .workers import spread
 
 __all__ = [
     "METHODS",
@@ -169,16 +170,6 @@ def _superset_counts(masks: Sequence[int], low: int, high: int) -> np.ndarray:
     return counts.reshape(-1)
 
 
-def _pool_map(fn, items: Sequence, workers: int):
-    """map(fn, items), over min(workers, os.cpu_count()) threads when that and
-    len(items) exceed 1: threads beyond the cores would only add working sets."""
-    threads = min(workers, os.cpu_count() or 1)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return map(fn, items)
-
-
 def _subset_histogram(
     n: int, masks: Sequence[int], workers: int = 1, groups: Sequence[Sequence[int]] = ()
 ) -> np.ndarray:
@@ -201,12 +192,13 @@ def _subset_histogram(
     SLICE codes (512 KB).  Each slice of offsets plus counts is added into
     that buffer and bincounted there, so bincount makes no cast copy and no
     block makes a 2^low-entry int32 or intp array.  Blocks are counted
-    independently (over a thread pool, see _pool_map) and their integer
-    histograms summed, so every worker count agrees.  With groups, a code
-    counts only if it contains at most one mask of every group, and each
-    slice bincounts only its kept keys.  The keep mask stays per block,
-    since hoisting it would hold one 2^low count array per group, i.e. per
-    vertex (26 MB at n = 26).
+    independently, in forked workers at workers > 1 (uppertail.workers.spread;
+    a worker reads the row offsets the caller built before the fork), and
+    their integer histograms are summed in block order, so every worker count
+    agrees.  With groups, a code counts only if it contains at most one mask
+    of every group, and each slice bincounts only its kept keys.  The keep
+    mask stays per block, since hoisting it would hold one 2^low count array
+    per group, i.e. per vertex (26 MB at n = 26).
     """
     if n > EXACT_VERTEX_BUDGET:
         raise CapacityError(f"{n} vertices exceed budget {EXACT_VERTEX_BUDGET}")
@@ -238,10 +230,9 @@ def _subset_histogram(
             out += np.bincount(keys if keep is None else keys[keep[s]], minlength=bins)
         return out.reshape(low + 1, width)
 
-    blocks = range(1 << (n - low))
-    parts = _pool_map(block, blocks, workers)
+    parts = spread(block, 1 << (n - low), workers)
     hist = np.zeros((n + 1, width), dtype=np.int64)
-    for high, part in zip(blocks, parts):
+    for high, part in enumerate(parts):
         offset = high.bit_count()
         hist[offset : offset + low + 1] += part
     hist.setflags(write=False)
@@ -365,8 +356,9 @@ def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
     row, and the block is padded with zero rows to a power of two >= 64.  A
     bit-sliced adder folds the hit rows in contiguous halves down to 64 rows
     and adds them into running 64-row bit planes.  Stopping at 64 rows keeps
-    the numpy calls per block few and large: threads contend for the GIL on
-    many small calls.  The planes are unpacked once per chunk.
+    the numpy calls per block few and large, so the interpreter's cost per
+    call stays small beside their work.  The planes are unpacked once per
+    chunk.
     """
     n, count = member.shape
     words = -(-count // 64)
@@ -413,25 +405,24 @@ def _sample_histogram(h: Hypergraph, seed: int, draw, samples: int, workers: int
     _induced_totals counts each sample's edges in it.  A chunk's working set
     is O(count * n) bytes for the draw plus O(count * EDGE_BLOCK) bits for the
     kernel, whatever e(H) is.  Each chunk contributes the bincount of its
-    totals; chunks run over a thread pool (_pool_map), and their integer
-    counts add up the same in any order.
+    totals; chunks run in forked workers at workers > 1
+    (uppertail.workers.spread), and their integer counts add up the same in
+    any order.
     """
     edges = h.edge_array
+    layout = list(chunk_layout(samples))
 
-    def chunk(stream: int, count: int) -> np.ndarray:
+    def chunk(i: int) -> np.ndarray:
+        stream, count = layout[i]
         member = draw(stream_generator(seed, stream), count)
         return np.bincount(_induced_totals(edges, member))
 
-    def merged(parts) -> np.ndarray:
-        counts = np.zeros(0, dtype=np.int64)
-        for part in parts:
-            if len(part) > len(counts):
-                counts = np.pad(counts, (0, len(part) - len(counts)))
-            counts[: len(part)] += part
-        counts.setflags(write=False)
-        return counts
-
-    return merged(_pool_map(lambda sc: chunk(*sc), list(chunk_layout(samples)), workers))
+    parts = spread(chunk, len(layout), workers)
+    counts = np.zeros(max(map(len, parts), default=0), dtype=np.int64)
+    for part in parts:
+        counts[: len(part)] += part
+    counts.setflags(write=False)
+    return counts
 
 
 def _scaled_tail(

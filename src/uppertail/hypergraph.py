@@ -208,9 +208,16 @@ def _codegrees(h: "Hypergraph", j: int) -> np.ndarray:
         return np.bincount(h.edge_array.ravel())
     keys = _set_keys(h, j)
     keys.sort()
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    return np.diff(np.flatnonzero(new), append=len(keys))
+    total = len(keys)
+    new = np.empty(total, dtype=bool)  # where a run of equal keys starts
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    del keys  # the peak is the keys and this mask, never an int64 copy beside them
+    runs = np.flatnonzero(new)  # each run's start, turned into its length in place
+    del new
+    np.subtract(runs[1:], runs[:-1], out=runs[:-1])
+    runs[-1] = total - runs[-1]
+    return runs
 
 
 def _incidence(h: "Hypergraph") -> tuple[tuple[int, ...], ...]:

@@ -13,6 +13,7 @@ column; hypergraph.sample_vp / sample_vm are their one-sample forms.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -59,13 +60,20 @@ def p_subset_members(
     """Membership of `count` subsets of range(n) keeping each free vertex with
     probability p, the rest always.
 
-    DRAW_BLOCK samples at a time: the same doubles as one (count, |free|)
+    The draw is gen.random((count, |free|)) < p, read off the raw 64-bit
+    words behind those doubles: random() is (raw >> 11) / 2^53, so it lies
+    below p exactly when raw < C << 11 with C = ceil(p 2^53), an integer
+    compare with no float conversion.  p = 1 keeps every vertex, since its
+    C << 11 = 2^64 overflows uint64; its words are drawn all the same.
+    DRAW_BLOCK samples at a time: the same words as one (count, |free|)
     draw, without its count * |free| * 8-byte temporary.
     """
+    c = math.ceil(p * 2.0**53)
     member = np.ones((n, count), dtype=bool)
     for lo in range(0, count, DRAW_BLOCK):
         rows = min(DRAW_BLOCK, count - lo)
-        member[free, lo : lo + rows] = (gen.random((rows, len(free))) < p).T
+        raw = gen.bit_generator.random_raw((rows, len(free)))
+        member[free, lo : lo + rows] = (raw < np.uint64(c << 11)).T if c < 1 << 53 else True
     return member
 
 

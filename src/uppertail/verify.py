@@ -10,8 +10,9 @@ run these.
 No check takes a memo argument: run_suites installs one (_RUN_MEMO) for the
 length of a run and drops it when the run ends; outside a run, a check
 computes its own exact tables.  run_suites can spread whole suites over
-forked worker processes, each with its own copy of the memo; the results,
-and so the CLI's output, are the same at any worker count.
+forked worker processes (uppertail.workers.spread), each with its own copy of
+the memo; the results, and so the CLI's output, are the same at any worker
+count.
 
 Frozen regression constants below were measured once on the exact grids the
 suites replay; they are rounded outward (intervals) or inward (lower bounds)
@@ -21,10 +22,6 @@ by about 0.5% so reruns only fail on a real regression, not float noise.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +82,7 @@ from .hypergraph import (
     sample_vp,
 )
 from .rng import stream_generator
+from .workers import spread
 
 __all__ = [
     "CheckResult",
@@ -963,94 +961,13 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 }
 
 
-def _pull(picked: tuple[str, ...], queue: int) -> dict[int, list[CheckResult]]:
-    """{index in picked: results} for each index read from the queue pipe, one
-    byte at a time, until it is empty.  Suites are looked up at call time."""
-    done = {}
-    while index := os.read(queue, 1):
-        done[index[0]] = SUITES[picked[index[0]]]()
-    return done
-
-
-def _work(picked: tuple[str, ...], queue: int, writer: int) -> None:
-    """A forked worker's whole life: pull suites from the queue, write one
-    pickle, {index: results} or the exception raised, to writer, and leave
-    through os._exit, running no exit handler or flush of the process it
-    was forked from.  Never returns."""
-    try:
-        try:
-            outcome = _pull(picked, queue)
-        except BaseException as exc:  # sent back and re-raised by the caller
-            outcome = exc
-        try:
-            payload = pickle.dumps(outcome)
-        except Exception as exc:
-            payload = pickle.dumps(RuntimeError(f"verify worker could not send {outcome!r}: {exc}"))
-        with open(writer, "wb") as fh:
-            fh.write(payload)
-    finally:
-        os._exit(0)
-
-
-def _fork_worker(picked: tuple[str, ...], queue: int) -> tuple[int, int]:
-    """Fork a worker that pulls from the queue (_work); (its pid, the read
-    end of its result pipe)."""
-    reader, writer = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _work(picked, queue, writer)
-    except BaseException:
-        os.close(reader)
-        raise
-    finally:
-        os.close(writer)
-    return pid, reader
-
-
-def _spread(picked: tuple[str, ...], procs: int) -> dict[int, list[CheckResult]]:
-    """{index in picked: results}, run by this process and procs - 1 forked
-    workers.  Every process takes the next suite index from one pipe, filled
-    and closed before the first fork, until it is empty.  Each worker's pipe
-    is read to EOF before the worker is reaped; a worker's exception is
-    re-raised here.  On any exit, workers not yet reaped are killed and reaped."""
-    queue, fill = os.pipe()
-    os.write(fill, bytes(range(len(picked))))  # at most len(SUITES) bytes: never blocks
-    os.close(fill)
-    workers: dict[int, int] = {}  # pid -> read end of its result pipe, until reaped
-    try:
-        for _ in range(procs - 1):
-            pid, reader = _fork_worker(picked, queue)
-            workers[pid] = reader
-        done = _pull(picked, queue)
-        for pid, reader in list(workers.items()):
-            with open(reader, "rb", closefd=False) as fh:
-                payload = fh.read()
-            _, status = os.waitpid(pid, 0)
-            os.close(workers.pop(pid))
-            try:
-                outcome = pickle.loads(payload)
-            except Exception as exc:
-                raise RuntimeError(f"verify worker sent no result (wait status {status})") from exc
-            if isinstance(outcome, BaseException):
-                raise outcome
-            done.update(outcome)
-        return done
-    finally:
-        os.close(queue)
-        for pid, reader in workers.items():
-            os.close(reader)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def run_suites(names: Iterable[str] | None = None, workers: int = 1) -> list[CheckResult]:
     """Run the named suites (all by default); their results, in the order
     named.  Each distinct graph is enumerated, and its induced edge sets
-    grouped, at most once per process in a call.  With workers > 1, os.fork
-    and no other thread running, whole suites are spread over min(workers,
-    cpu count, suites) processes (_spread); the results are the same at any
-    count.  Every name is checked before any suite runs."""
+    grouped, at most once per process in a call.  Whole suites are spread
+    over min(workers, cpu count, suites) processes (uppertail.workers.spread);
+    the results are the same at any count.  Every name is checked before any
+    suite runs."""
     global _RUN_MEMO
     # A repeated name runs once, at its first place.
     picked = tuple(dict.fromkeys(names)) if names is not None else tuple(SUITES)
@@ -1059,12 +976,8 @@ def run_suites(names: Iterable[str] | None = None, workers: int = 1) -> list[Che
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     _RUN_MEMO = {}
     try:
-        procs = min(workers, os.cpu_count() or 1, len(picked))
-        # A forked child holds only the calling thread, so a lock another
-        # thread held at the fork would stay locked in it: fork only alone.
-        if procs > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-            done = _spread(picked, procs)
-            return [result for i in range(len(picked)) for result in done[i]]
-        return [result for name in picked for result in SUITES[name]()]
+        # Suites are looked up at call time, in whichever process runs them.
+        done = spread(lambda i: SUITES[picked[i]](), len(picked), workers)
+        return [result for results in done for result in results]
     finally:
         _RUN_MEMO = None

@@ -46,6 +46,8 @@ T_BOX = "tests/test_disjointness.py::TestBox::"
 RUN_MEMO_SCOPE = T_EST + "TestHeldHistogram::test_run_suites_enumerates_each_graph_once"
 EARLY_READ = T_EST + "TestHeldHistogram::test_exact_readers_refuse_before_enumerating"
 WEIGHT_RANGE = T_EST + "TestHeldHistogram::test_size_weighted_sum_refuses_p_outside_the_unit_interval"
+T_WORKERS = "tests/test_workers.py::"
+P_DRAW = "tests/test_rng.py::TestPDrawLaw::"
 
 # (name, file, old line, new line, node ids that must fail)
 MUTANTS = [
@@ -118,9 +120,15 @@ MUTANTS = [
      "        yield 0, size",
      [MC_COVERS]),
     ("p-draw keeps each vertex at 1.05 p", "rng.py",
-     "        member[free, lo : lo + rows] = (gen.random((rows, len(free))) < p).T",
-     "        member[free, lo : lo + rows] = (gen.random((rows, len(free))) < 1.05 * p).T",
-     [T_EST + "TestSamplingKernel::test_blocked_draw_is_one_big_draw[512]", MC_COVERS]),
+     "    c = math.ceil(p * 2.0**53)",
+     "    c = math.ceil(1.05 * p * 2.0**53)",
+     [T_EST + "TestSamplingKernel::test_blocked_draw_is_one_big_draw[512]", MC_COVERS,
+      P_DRAW + "test_masks_equal_the_float_compare[300-0.05]"]),
+    ("<= for < in the p-draw's raw-word compare", "rng.py",
+     "        member[free, lo : lo + rows] = (raw < np.uint64(c << 11)).T if c < 1 << 53 else True",
+     "        member[free, lo : lo + rows] = (raw <= np.uint64(c << 11)).T if c < 1 << 53 else True",
+     [P_DRAW + "test_every_tie_with_the_cut[0]", P_DRAW + "test_every_tie_with_the_cut[0.05]",
+      P_DRAW + "test_every_tie_with_the_cut[1/3]"]),
     ("Fisher-Yates draws j from [0, n)", "rng.py",
      "        j = gen.integers(i, n, size=count)",
      "        j = gen.integers(0, n, size=count)",
@@ -169,13 +177,21 @@ MUTANTS = [
      "    _RUN_MEMO = {}",
      "    _RUN_MEMO = None",
      [RUN_MEMO_SCOPE]),
-    # Only the interleaving test kills this row every time: with real suites,
-    # which process takes which suite is a race, and a run in which each
-    # process took a prefix of the order merges correctly even so.
-    ("spread results merged in completion order, not picked order", "verify.py",
-     "            return [result for i in range(len(picked)) for result in done[i]]",
-     "            return [result for results in done.values() for result in results]",
-     ["tests/test_verify.py::TestSpreadSuites::test_order_kept_when_processes_interleave"]),
+    # Only the interleaving tests kill this row every time: with real items,
+    # which process takes which item is a race, and a run in which each
+    # process took a prefix of the order merges correctly even so.  The
+    # sampler's chunks merge by a sum, so only the enumerator's case counts.
+    ("spread results merged in completion order, not item order", "workers.py",
+     "        return [done[i] for i in range(count)]",
+     "        return list(done.values())",
+     [T_WORKERS + "TestSpread::test_order_kept_when_processes_interleave",
+      T_WORKERS + "TestPasses::test_order_kept_when_processes_interleave[enumerator]",
+      "tests/test_verify.py::TestSpreadSuites::test_order_kept_when_processes_interleave"]),
+    ("spread without the cpu-count cap", "workers.py",
+     "    procs = min(workers, os.cpu_count() or 1, count)",
+     "    procs = min(workers, count)",
+     [T_EST + "test_processes_bounded_by_cores[2-1]", T_EST + "test_processes_bounded_by_cores[None-0]",
+      T_WORKERS + "TestSpread::test_more_processes_than_cores"]),
 ]
 
 # Mutants no test can kill, each with the reason it changes no result.
@@ -183,7 +199,7 @@ EQUIVALENT = [
     ("DRAW_BLOCK 512 -> 256", "rng.py",
      "DRAW_BLOCK = 512  # samples per step of p_subset_members",
      "DRAW_BLOCK = 256  # samples per step of p_subset_members",
-     "p_subset_members reads the same doubles in the same order for any block "
+     "p_subset_members reads the same raw words in the same order for any block "
      "size; the block only bounds the temporary's size"),
 ]
 

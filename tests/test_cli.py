@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from shared_log import SharedLog
 
 from uppertail import cli, estimate
 from uppertail.bounds import et_bound, exponent_hg, theorem_c_bound
@@ -539,9 +540,10 @@ class TestHeldHistogram:
         assert calls == []
 
 
-def spy_draws(monkeypatch) -> list:
-    """(draw, p or m, count) of every chunk of vertex sets a sampler draws."""
-    calls = []
+def spy_draws(monkeypatch) -> SharedLog:
+    """(draw, p or m, count) of every chunk of vertex sets a sampler draws, in
+    the command's process or in a worker it forked."""
+    calls = SharedLog()
     for name, draw in (("p", estimate.p_subset_members), ("m", estimate.m_subset_members)):
 
         def spy(gen, n, arg, *rest, name=name, draw=draw):

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 import oracles
+from shared_log import SharedLog
 from uppertail import estimate
 from uppertail.bounds import exact_mean
 from uppertail.disjointness import degree_event
@@ -92,41 +94,32 @@ def test_extra_never_affects_equality_or_hash():
     assert a != estimate.TailEstimate(1.0, 0.5, "planted", 11, 0.1, 0.9, {"x": 1})
 
 
-@pytest.mark.parametrize("cores, pools", [(2, [2]), (None, [])])
-def test_thread_pools_bounded_by_cores(monkeypatch, cores, pools):
-    # A million workers get one thread per core, never one per queued task.
-    sizes = []
+@pytest.mark.parametrize("cores, forks", [(2, 1), (None, 0)])
+def test_processes_bounded_by_cores(monkeypatch, cores, forks):
+    # A million workers get one process per core, never one per block or chunk.
+    children = []
+    real_fork = os.fork
 
-    class InlinePool:
-        """Stands in for ThreadPoolExecutor: records the pool's size and runs
-        its tasks inline, so no thread is started."""
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    h = build_ap(21, 3)
+    h = build_ap(21, 3)  # 2 blocks of codes
 
     def draw(gen, count):
         return p_subset_members(gen, h.n, list(range(h.n)), 0.3, count)
 
     def passes(workers):
-        samples = estimate._sample_histogram(h, 3, draw, 2 * CHUNK + 1, workers)
+        samples = estimate._sample_histogram(h, 3, draw, 2 * CHUNK + 1, workers)  # 3 chunks
         return edge_count_histogram(h, workers), samples
 
     want = passes(1)
-    monkeypatch.setattr(estimate, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(estimate.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
     got = passes(10**6)
-    assert sizes == 2 * pools
+    assert len(children) == 2 * forks
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -149,7 +142,7 @@ class TestHistogram:
     def test_workers_identical(self, monkeypatch):
         h = build_schur(11)
         a = edge_count_histogram(h).copy()
-        # 7 low bits split the 2^11 codes into 16 blocks for the thread pool.
+        # 7 low bits split the 2^11 codes into 16 blocks for the workers.
         monkeypatch.setattr(estimate, "LOW_BITS", 7)
         b = edge_count_histogram(h, workers=3)
         assert np.array_equal(a, b)
@@ -258,7 +251,7 @@ class TestBlockSplit:
     def test_inside_masks_added_once(self, monkeypatch, workers):
         h = build_ap(12, 3)
         low = 8  # 16 blocks of 256 codes
-        offered = []  # list.extend is atomic, so the pool's threads may share it
+        offered = SharedLog()  # blocks run in forked workers at workers > 1
         kernel = estimate._superset_counts
 
         def spy(masks, low, high):

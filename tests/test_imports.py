@@ -18,13 +18,14 @@ MODULES = sorted(SRC.glob("*.py"))
 # Code outside the package that may use its public names; tests do not count.
 CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # Modules that import neither uppertail.estimate nor scipy.
-LEAVES = ["bounds", "decompose", "disjointness", "families", "hypergraph", "rng"]
+LEAVES = ["bounds", "decompose", "disjointness", "families", "hypergraph", "rng", "workers"]
 # Further modules a leaf must not load: the event calculus stands on hypergraph
 # alone, and verify combines it with M_r.
 NOT_LOADED = {"disjointness": ["uppertail.decompose"]}
 # The only package modules a module may import.  estimate stands on the edge
-# store and the sample streams: planting reads a forced VertexSet, not a witness.
-IMPORTS_AT_MOST = {"estimate": {"hypergraph", "rng"}}
+# store, the sample streams and the worker layer: planting reads a forced
+# VertexSet, not a witness.  The worker layer stands on nothing in the package.
+IMPORTS_AT_MOST = {"estimate": {"hypergraph", "rng", "workers"}, "workers": set()}
 
 
 def _tree(path: Path) -> ast.Module:

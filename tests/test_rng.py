@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,3 +98,48 @@ class TestBatchedDraws:
             want = oracles.scalar_sample_vm(n, m, _Replay(step[c] for step in swaps))
             assert tuple(np.flatnonzero(batch[:, c]).tolist()) == want, c
         assert (batch.sum(axis=0) == m).all()
+
+
+# Probabilities at and next to the ends of [0, 1], and three between.
+P_GRID = [0.0, 2.0**-53, 0.05, 1 / 3, 0.5, 1 - 2.0**-53, 1.0]
+P_IDS = ["0", "2^-53", "0.05", "1/3", "0.5", "1-2^-53", "1"]
+
+
+class _RawWords:
+    """Stands in for a generator whose bit generator answers random_raw(size)
+    from a fixed word list, in order."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = list(words)
+
+    def random_raw(self, size):
+        rows, cols = size
+        taken, self.words = self.words[: rows * cols], self.words[rows * cols :]
+        return np.array(taken, dtype=np.uint64).reshape(rows, cols)
+
+
+class TestPDrawLaw:
+    """p_subset_members keeps a vertex exactly when Generator.random() would
+    read its raw word as a double below p."""
+
+    @pytest.mark.parametrize("p", P_GRID, ids=P_IDS)
+    def test_every_tie_with_the_cut(self, p):
+        # K = raw >> 11 is the 53-bit integer behind the double K / 2^53; the
+        # cut is C = ceil(p 2^53).  Words with K at, next to and far from C,
+        # each with its lowest, next and highest 11 low bits.
+        c = math.ceil(p * 2**53)
+        ks = sorted({k for k in (0, 1, c - 2, c - 1, c, c + 1, 2**52, 2**53 - 1) if 0 <= k < 2**53})
+        words = [(k << 11) | low for k in ks for low in (0, 1, 2047)]
+        member = p_subset_members(_RawWords(words), len(words), range(len(words)), p, 1)
+        want = [(w >> 11) * 2.0**-53 < p for w in words]
+        assert member[:, 0].tolist() == want
+
+    @pytest.mark.parametrize("p", P_GRID, ids=P_IDS)
+    @pytest.mark.parametrize("free", [range(300), range(0, 300, 2), [4, 150, 299]], ids=["300", "150", "3"])
+    def test_masks_equal_the_float_compare(self, p, free):
+        free = list(free)
+        got = p_subset_members(stream_generator(6, 1), 300, free, p, DRAW_BLOCK + 7)
+        want = np.ones((300, DRAW_BLOCK + 7), dtype=bool)
+        want[free] = (stream_generator(6, 1).random((DRAW_BLOCK + 7, len(free))) < p).T
+        assert np.array_equal(got, want)

@@ -109,7 +109,7 @@ class TestSpreadSuites:
         _assert_no_child()
 
     def test_more_processes_than_cores(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: len(SUITES))
+        monkeypatch.setattr(os, "cpu_count", lambda: len(SUITES))
         assert run_suites(workers=len(SUITES)) == run_suites(workers=1)
         _assert_no_child()
 
