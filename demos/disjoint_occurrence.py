@@ -18,7 +18,6 @@ from uppertail.disjointness import (
     degree_event,
     degree_events,
     event_probabilities,
-    event_probability,
     z_disjoint,
 )
 from uppertail.families import FamilySpec, build
@@ -62,7 +61,7 @@ def main() -> None:
     ev = degree_event(h, 4, 2)
     print(f"  degree event 'vertex 4 keeps >= 2 edges' holds on "
           f"{ev.count()} of {1 << h.n} outcomes, "
-          f"probability {event_probability(ev, [0.3] * h.n):.5f} at p=0.3")
+          f"probability {event_probabilities([ev], [0.3] * h.n)[0]:.5f} at p=0.3")
 
 
 if __name__ == "__main__":

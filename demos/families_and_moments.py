@@ -11,7 +11,7 @@ import numpy as np
 
 from uppertail.bounds import exact_mean, exact_variance, moment_report
 from uppertail.families import FamilySpec, build
-from uppertail.hypergraph import delta_j, induced_edge_count, max_degree, sample_vp
+from uppertail.hypergraph import delta_j, induced_edge_count, sample_vp
 from uppertail.rng import stream_generator
 
 
@@ -26,7 +26,7 @@ def label(spec: FamilySpec) -> str:
 def describe(spec: FamilySpec) -> None:
     h = build(spec)
     print(f"{label(spec):24s} edges={h.num_edges:4d}  "
-          f"Delta_1={max_degree(h):3d}  Delta_2={delta_j(h, 2):2d}")
+          f"Delta_1={delta_j(h, 1):3d}  Delta_2={delta_j(h, 2):2d}")
 
 
 def moment_check(spec: FamilySpec, p: float, draws: int, seed: int) -> None:

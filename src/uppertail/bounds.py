@@ -37,6 +37,14 @@ __all__ = [
 _REL_SLACK = 1e-9
 
 
+def _require_finite(**inputs: float) -> None:
+    """Refuse an infinite input by name, before any form is taken.  Each entry
+    point calls it after its range check, which has refused NaN already."""
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+
+
 def phi(x: float) -> float:
     """Rate function (1 + x) * log(1 + x) - x on [-1, inf).
 
@@ -65,6 +73,7 @@ class MomentReport:
     def __post_init__(self):
         if not (self.mu >= 0 and self.var >= 0 and self.lam >= 0):
             raise ValueError("moments must be nonnegative")
+        _require_finite(mu=self.mu, var=self.var, lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -126,12 +135,11 @@ def _phi_times_mu(t: float, mu: float) -> float:
 
 
 def _chain_check(primary: float, weaker: float, tags: str) -> None:
-    if math.isinf(primary) and primary < 0:
+    if primary == -math.inf:
         return
-    if math.isinf(weaker) and weaker < 0:
-        raise AssertionError(f"bound chain violated ({tags}): {primary} > {weaker}")
+    # At a +inf primary the slack is inf as well, so that case is tested on its own.
     slack = _REL_SLACK * max(abs(primary), abs(weaker), 1.0)
-    if primary > weaker + slack:
+    if primary > weaker + slack or (primary == math.inf and weaker < math.inf):
         raise AssertionError(f"bound chain violated ({tags}): {primary} > {weaker}")
 
 
@@ -145,6 +153,7 @@ def theorem_c_bound(mu: float, capacity: float, t: float) -> tuple[BoundReport, 
     """
     if not (mu >= 0 and math.inf > t > 0 and capacity > 0):
         raise ValueError("need mu >= 0, t > 0, capacity > 0 (t finite)")
+    _require_finite(mu=mu, capacity=capacity, t=t)
     if mu == 0.0:
         main = ratio = -math.inf
     else:
@@ -170,6 +179,7 @@ def et_bound(mu: float, capacity: float, x: float) -> tuple[BoundReport, ...]:
     """
     if not (mu >= 0 and capacity > 0 and math.inf > x > 0):
         raise ValueError("need mu >= 0, capacity > 0, x > 0 (x finite)")
+    _require_finite(mu=mu, capacity=capacity, x=x)
     if mu == 0.0:
         main = stirling = -math.inf
     else:
@@ -191,6 +201,7 @@ def exponent_appp(mu: float, p: float) -> float:
     """Tail exponent min(mu, sqrt(mu) * log(1/p)) at the doubled mean."""
     if not (mu >= 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu >= 0 and p in (0, 1]")
+    _require_finite(mu=mu)
     return min(mu, math.sqrt(mu) * math.log(1.0 / p))
 
 
@@ -198,6 +209,7 @@ def exponent_ap(mu: float, var: float, p: float, eps: float) -> float:
     """Tail exponent min(phi(eps) mu^2 / var, sqrt(eps mu) log(1/p))."""
     if not (mu >= 0 and var >= 0 and math.inf > eps > 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu, var >= 0, eps > 0, p in (0, 1] (eps finite)")
+    _require_finite(mu=mu, var=var, eps=eps)
     first = math.inf if var == 0.0 or mu == 0.0 else phi(eps) * mu * mu / var
     return min(first, math.sqrt(eps * mu) * math.log(1.0 / p))
 
@@ -206,6 +218,7 @@ def exponent_apt(var: float, p: float, t: float) -> float:
     """Tail exponent min(t^2 / var, sqrt(t) * log(1/p))."""
     if not (var >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need var >= 0, t > 0, p in (0, 1] (t finite)")
+    _require_finite(var=var, t=t)
     first = math.inf if var == 0.0 else t * t / var
     return min(first, math.sqrt(t) * math.log(1.0 / p))
 
@@ -216,6 +229,7 @@ def exponent_hg(mu: float, lam: float, p: float, t: float) -> tuple[float, float
     second term."""
     if not (mu >= 0 and lam >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu, lam >= 0, t > 0, p in (0, 1] (t finite)")
+    _require_finite(mu=mu, lam=lam, t=t)
     second = math.sqrt(t) * math.log(math.e / p)
     if lam == 0.0:
         return second, second
@@ -231,6 +245,7 @@ def lb_cluster_bound(d: float, mu: float, t: float, p: float) -> BoundReport:
     """
     if not (d >= 0 and mu >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need d, mu >= 0, t > 0, p in (0, 1] (t finite)")
+    _require_finite(d=d, mu=mu, t=t)
     if mu + t < 1.0:
         raise ValueError("requires mu + t >= 1")
     log_value = -d * math.sqrt(mu + t) * math.log(1.0 / p)
@@ -245,6 +260,7 @@ def binomial_point_lower(n: int, q: float, m: int, b: float = 1.0) -> BoundRepor
         raise ValueError("q must lie in (0, 1)")
     if math.isnan(b):
         raise ValueError("b must not be NaN")
+    _require_finite(b=b)
     log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     log_value = -b + log_comb + m * math.log(q) + (n - m) * math.log1p(-q)
     return BoundReport("binomial_point", log_value, {"n": n, "q": q, "m": m, "b": b})
@@ -277,6 +293,7 @@ def paley_zygmund_lower(var: float, t: float) -> float:
     """Pr(Y >= E[Y] - t) >= t^2 / (var + t^2)."""
     if not (var >= 0 and math.inf > t > 0):
         raise ValueError("need var >= 0 and t > 0 (t finite)")
+    _require_finite(var=var, t=t)
     return t * t / (var + t * t)
 
 

@@ -44,7 +44,7 @@ from .estimate import (
     planting_target,
 )
 from .families import KINDS, FamilySpec, build, interval_witness
-from .hypergraph import CapacityError, delta_j, induced_edges, max_degree, sample_vp
+from .hypergraph import CapacityError, delta_j, induced_edges, sample_vp
 from .rng import KEY_LIMIT, stream_generator
 from .verify import SUITES, run_suites
 
@@ -213,7 +213,7 @@ def _run_family(cfg: RunConfig, stream) -> int:
     spec = cfg.family
     h = build(spec)
     ell = spec.ell if spec.kind == "ell_sum" else None
-    values = (spec.kind, spec.n, h.k, ell, h.n, h.num_edges, max_degree(h), delta_j(h, 2))
+    values = (spec.kind, spec.n, h.k, ell, h.n, h.num_edges, delta_j(h, 1), delta_j(h, 2))
     _emit(FAMILY_COLUMNS, [dict(zip(FAMILY_COLUMNS, values))], cfg, stream)
     return 0
 

@@ -22,7 +22,6 @@ __all__ = [
     "degree_event",
     "degree_events",
     "event_probabilities",
-    "event_probability",
     "z_disjoint",
 ]
 
@@ -72,11 +71,6 @@ class EventTable:
     def full(cls, m: int) -> "EventTable":
         _check_coords(m)
         return cls(m, (1 << (1 << m)) - 1)
-
-    def contains(self, omega: int) -> bool:
-        if not 0 <= omega < (1 << self.m):
-            raise ValueError("outcome outside {0,1}^m")
-        return (self.table >> omega) & 1 == 1
 
     def count(self) -> int:
         return self.table.bit_count()
@@ -221,11 +215,6 @@ def event_probabilities(events: Sequence[EventTable], probs: Sequence[float]) ->
         return []
     weights = _outcome_weights(events[0].m, probs)
     return [float(np.dot(event.to_bool_array(), weights)) for event in events]
-
-
-def event_probability(event: EventTable, probs: Sequence[float]) -> float:
-    """Exact probability of the event under the product measure."""
-    return event_probabilities([event], probs)[0]
 
 
 def _degree_tables(h: Hypergraph, vertices: Sequence[int], c: int) -> tuple[EventTable, ...]:

@@ -487,8 +487,9 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
     The target is ceil(min(lambda * t, mu + t)), or 0 when t <= 0, with
     lambda = 4 / (1 - (1 - alpha)^k) and alpha = min(1, t / mu) by default.
     """
-    if mu != mu or t != t:  # NaN; converts nothing, as _check_threshold
-        raise ValueError("mu and t must not be NaN")
+    for name, value in (("mu", mu), ("t", t)):
+        if not -math.inf < value < math.inf:  # NaN or infinite; converts nothing, as _check_threshold
+            raise ValueError(f"{name} must be finite, not {value}")
     if alpha is None:
         alpha = min(1.0, t / mu) if mu > 0 and t > 0 else 1.0
     if not 0.0 < alpha <= 1.0:

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import m_subset_members
+from .rng import m_subset_members, p_subset_members
 
 __all__ = [
     "CapacityError",
@@ -21,7 +21,6 @@ __all__ = [
     "induced_edge_count",
     "induced_edges",
     "induced_mask",
-    "max_degree",
     "membership_table",
     "sample_vm",
     "sample_vp",
@@ -49,15 +48,6 @@ class VertexSet:
         self.bits = bits
 
     @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "VertexSet":
-        bits = 0
-        for v in indices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} outside range({n})")
-            bits |= 1 << v
-        return cls(n, bits)
-
-    @classmethod
     def from_bool_array(cls, mask) -> "VertexSet":
         arr = np.asarray(mask, dtype=bool)
         if arr.ndim != 1:
@@ -78,9 +68,6 @@ class VertexSet:
         nbytes = (self.n + 7) // 8
         raw = np.frombuffer(self.bits.to_bytes(max(nbytes, 1), "little"), dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little")[: self.n].astype(bool)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.bits >> v) & 1 == 1
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -338,21 +325,18 @@ def induced_edges(h: Hypergraph, s: VertexSet) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_inside(h, s)).tolist())
 
 
-def max_degree(h: Hypergraph) -> int:
-    return delta_j(h, 1)
-
-
 def delta_j(h: Hypergraph, j: int) -> int:
     """Largest number of edges sharing some j common vertices."""
     return int(_codegrees(h, j).max(initial=0))
 
 
 def sample_vp(h: Hypergraph, p: float, rng: np.random.Generator) -> VertexSet:
-    """Include each vertex independently with probability p (the one-sample
-    rng.p_subset_members draw, every vertex free)."""
+    """Include each vertex independently with probability p: the one-column
+    form of rng.p_subset_members with every vertex free, as sample_vm is of
+    rng.m_subset_members."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    return VertexSet.from_bool_array(rng.random(h.n) < p)
+    return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(h.n), p, 1)[:, 0])
 
 
 def sample_vm(h: Hypergraph, m: int, rng: np.random.Generator) -> VertexSet:

@@ -8,7 +8,8 @@ merge identically for any worker count or completion order.  This is the
 (seed, worker, sample-index) keying with the chunk index as the worker slot.
 
 The draws return an n x count boolean membership matrix, one sample per
-column; hypergraph.sample_vp / sample_vm are their one-sample forms.
+column; hypergraph.sample_vp / sample_vm are their one-column forms, so each
+law is drawn one way.
 """
 
 from __future__ import annotations

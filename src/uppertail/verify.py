@@ -57,7 +57,6 @@ from .disjointness import (
     box,
     degree_events,
     event_probabilities,
-    event_probability,
     z_disjoint,
 )
 from .estimate import (
@@ -267,7 +266,8 @@ def variance_suite() -> list[CheckResult]:
 def _sandwich_samples(seed: int, count: int) -> list[tuple[Hypergraph, float, float, tuple]]:
     """sandwich_sample_check's (H, p, r, ids of the edges a p-subset induces).
 
-    One draw, split per sample, reads the doubles count sample_vp calls would;
+    One draw, split per sample, reads the words count sample_vp calls would,
+    and its float compare keeps the vertices their raw-word compare keeps;
     each graph's samples then go through one induced pass as a stack of masks.
     """
     hs = [build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)]
@@ -462,7 +462,7 @@ def mrh_conditional_check() -> CheckResult:
         union = 0
         for event in degree_events(h, math.ceil(r)):
             union |= event.table
-        pr_ge_1 = event_probability(EventTable(n, union), [p] * n)
+        pr_ge_1 = event_probabilities([EventTable(n, union)], [p] * n)[0]
         mr_full = mr_exact_on(h, tuple(range(h.num_edges)), r)
         for y in (0.5, 1.0, 2.0, 3.0):
             if y <= 1.0:

@@ -48,6 +48,8 @@ EARLY_READ = T_EST + "TestHeldHistogram::test_exact_readers_refuse_before_enumer
 WEIGHT_RANGE = T_EST + "TestHeldHistogram::test_size_weighted_sum_refuses_p_outside_the_unit_interval"
 T_WORKERS = "tests/test_workers.py::"
 P_DRAW = "tests/test_rng.py::TestPDrawLaw::"
+P_REF = "tests/test_rng.py::TestSampleVpReference::test_draws_equal_the_float_compare"
+INFINITE = "tests/test_bounds.py::TestInfiniteInputs::"
 
 # (name, file, old line, new line, node ids that must fail)
 MUTANTS = [
@@ -105,11 +107,13 @@ MUTANTS = [
      "    lam = 4.0 / denom",
      "    lam = 3.0 / denom",
      [T_EST + "TestPlantingTarget::test_closed_form_bit_for_bit"]),
-    ("planting_target without its NaN refusal", EST,
-     "    if mu != mu or t != t:  # NaN; converts nothing, as _check_threshold",
-     "    if False:",
+    ("planting_target without its NaN and infinity refusal", EST,
+     "        if not -math.inf < value < math.inf:  # NaN or infinite; converts nothing, as _check_threshold",
+     "        if False:",
      [T_EST + "TestPlantingTarget::test_nan_refused[nan-1.0]",
-      T_EST + "TestPlantingTarget::test_nan_refused[1.0-nan]"]),
+      T_EST + "TestPlantingTarget::test_nan_refused[1.0-nan]",
+      T_EST + "TestPlantingTarget::test_infinity_refused_by_name[inf-1.0-mu]",
+      T_EST + "TestPlantingTarget::test_infinity_refused_by_name[1.0--inf-t]"]),
     ("no across-mask add in _subset_histogram", EST,
      "            np.add(row_starts[s], counts[s], out=keys)",
      "            np.add(row_starts[s], 0, out=keys)",
@@ -129,6 +133,10 @@ MUTANTS = [
      "        member[free, lo : lo + rows] = (raw <= np.uint64(c << 11)).T if c < 1 << 53 else True",
      [P_DRAW + "test_every_tie_with_the_cut[0]", P_DRAW + "test_every_tie_with_the_cut[0.05]",
       P_DRAW + "test_every_tie_with_the_cut[1/3]"]),
+    ("sample_vp draws every vertex but 0", "hypergraph.py",
+     "    return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(h.n), p, 1)[:, 0])",
+     "    return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(1, h.n), p, 1)[:, 0])",
+     [P_REF + "[philox-1-0.5]", P_REF + "[philox-8-0.05]", P_REF + "[pcg64-60-1/3]"]),
     ("Fisher-Yates draws j from [0, n)", "rng.py",
      "        j = gen.integers(i, n, size=count)",
      "        j = gen.integers(0, n, size=count)",
@@ -148,6 +156,15 @@ MUTANTS = [
      '    forms = (("theorem_c", main), ("theorem_c_ratio_log", quad), ("theorem_c_quadratic", ratio))',
      [T_CLI + "TestFamilyAndBounds::test_each_bound_family_is_one_call_in_row_order",
       T_CLI + "TestFamilyAndBounds::test_bounds_at_t_past_float_squares"]),
+    ("theorem_c_bound without its finiteness refusal", "bounds.py",
+     "    _require_finite(mu=mu, capacity=capacity, t=t)",
+     "    pass",
+     [INFINITE + "test_refused_by_name[theorem_c_bound-mu]",
+      INFINITE + "test_refused_by_name[theorem_c_bound-capacity]"]),
+    ("the bound chain lets a +inf primary through", "bounds.py",
+     "    if primary > weaker + slack or (primary == math.inf and weaker < math.inf):",
+     "    if primary > weaker + slack:",
+     [INFINITE + "test_chain_check_fails_an_infinite_primary"]),
     ("<= for < in the X_r skip branch's drop count", "decompose.py",
      "            elif chosen[v] + left[v] < cap:",
      "            elif chosen[v] + left[v] <= cap:",
@@ -180,12 +197,14 @@ MUTANTS = [
     # Only the interleaving tests kill this row every time: with real items,
     # which process takes which item is a race, and a run in which each
     # process took a prefix of the order merges correctly even so.  The
-    # sampler's chunks merge by a sum, so only the enumerator's case counts.
+    # sampler's chunks merge by a sum, so only the enumerator's and verify's
+    # cases count.
     ("spread results merged in completion order, not item order", "workers.py",
      "        return [done[i] for i in range(count)]",
      "        return list(done.values())",
      [T_WORKERS + "TestSpread::test_order_kept_when_processes_interleave",
       T_WORKERS + "TestPasses::test_order_kept_when_processes_interleave[enumerator]",
+      T_WORKERS + "TestPasses::test_order_kept_when_processes_interleave[verify]",
       "tests/test_verify.py::TestSpreadSuites::test_order_kept_when_processes_interleave"]),
     ("spread without the cpu-count cap", "workers.py",
      "    procs = min(workers, os.cpu_count() or 1, count)",

@@ -557,6 +557,12 @@ def scalar_sample_vm(n: int, m: int, rng) -> tuple[int, ...]:
     return tuple(sorted(arr[:m]))
 
 
+def float_sample_vp(n: int, p: float, rng: np.random.Generator) -> tuple[int, ...]:
+    """Sorted members of a p-subset of range(n) by the float compare
+    rng.random(n) < p: one double per vertex, kept below p."""
+    return tuple(np.flatnonzero(rng.random(n) < p).tolist())
+
+
 # ---------------------------------------------------------------- scalars
 
 

@@ -1,4 +1,5 @@
-"""A record list that forked workers append to as well as the test process.
+"""A record list that forked workers append to as well as the test process,
+and the check that a test left no forked worker behind.
 
 A spy that appends to a plain list sees only the calls made in its own
 process; a pass at workers > 1 makes some of them in forked children.
@@ -13,6 +14,14 @@ from __future__ import annotations
 import ast
 import os
 import tempfile
+
+import pytest
+
+
+def assert_no_child() -> None:
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class SharedLog:

@@ -343,6 +343,49 @@ class TestUpperBounds:
                 exponent_hg(*args)
 
 
+INF = math.inf
+# (entry point, its arguments with one real input infinite, that input's name)
+INFINITE_INPUTS = [
+    (theorem_c_bound, (INF, 1.0, 1.0), "mu"),
+    (theorem_c_bound, (1.0, INF, 1.0), "capacity"),
+    (et_bound, (INF, 1.0, 2.0), "mu"),
+    (et_bound, (1.0, INF, 2.0), "capacity"),
+    (exponent_appp, (INF, 0.5), "mu"),
+    (exponent_ap, (INF, 1.0, 0.5, 1.0), "mu"),
+    (exponent_ap, (1.0, INF, 0.5, 1.0), "var"),
+    (exponent_apt, (INF, 0.5, 1.0), "var"),
+    (exponent_hg, (INF, 1.0, 1.0, 1.0), "mu"),
+    (exponent_hg, (1.0, INF, 0.5, 1.0), "lam"),
+    (lb_cluster_bound, (INF, 1.0, 1.0, 1.0), "d"),
+    (lb_cluster_bound, (1.0, INF, 1.0, 0.5), "mu"),
+    (binomial_point_lower, (10, 0.3, 4, INF), "b"),
+    (binomial_point_lower, (10, 0.3, 4, -INF), "b"),
+    (paley_zygmund_lower, (INF, 1.0), "var"),
+    (MomentReport, (INF, 0.0, 0.0), "mu"),
+    (MomentReport, (0.0, INF, 0.0), "var"),
+    (MomentReport, (0.0, 0.0, INF), "lam"),
+]
+
+
+class TestInfiniteInputs:
+    @pytest.mark.parametrize(
+        "fn, args, name",
+        INFINITE_INPUTS,
+        ids=[f"{fn.__name__}-{'-' if -INF in args else ''}{name}" for fn, args, name in INFINITE_INPUTS],
+    )
+    def test_refused_by_name(self, fn, args, name):
+        # Each gave a value: an infinite or NaN log bound or exponent, or a
+        # finite one read off an infinite input.
+        with pytest.raises(ValueError, match=f"^{name} must be finite, not -?inf$"):
+            fn(*args)
+
+    def test_chain_check_fails_an_infinite_primary(self):
+        # The slack 1e-9 * max(|primary|, |weaker|, 1) is inf there as well.
+        with pytest.raises(AssertionError, match="bound chain violated"):
+            bounds._chain_check(INF, -2.0, "phi vs quadratic")
+        bounds._chain_check(-INF, -2.0, "phi vs quadratic")  # a zero bound lies below every form
+
+
 class TestLowerBounds:
     def test_lb_cluster_formula(self):
         rep = lb_cluster_bound(2.0, 1.0, 3.0, 0.25)

@@ -263,7 +263,7 @@ class TestStarMatching:
         # Four 3-APs through 4 cover only {0, 2, 4, 6, 8}: 5 vertices, not
         # k + ceil(r) - 1 = 6, so a bound by that width would prune the star.
         h = build_ap(9, 3)
-        s = VertexSet.from_indices(9, [0, 2, 4, 6, 8])
+        s = VertexSet(9, 0b101010101)
         assert mr_exact(h, s, 4.0) == 1
         # Three triples through 0 on just four vertices.
         h = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])

@@ -181,7 +181,7 @@ class TestSupersetKernel:
             event = degree_event(h, v, c)
             for code in range(1 << h.n):
                 deg = sum(code & h.edge_masks[i] == h.edge_masks[i] for i in h.incidence[v])
-                assert event.contains(code) == (deg >= c)
+                assert bool((event.table >> code) & 1) == (deg >= c)
 
     @given(blocked_instances(), st.sampled_from([0.2, 0.5, 0.9]))
     @settings(max_examples=40, deadline=None)
@@ -920,7 +920,13 @@ class TestPlantingTarget:
     @pytest.mark.parametrize("mu, t", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
     def test_nan_refused(self, mu, t):
         # NaN mu read as a 4-edge target and NaN t as 0, an empty witness.
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match=("mu" if mu != mu else "t") + " must be finite, not nan"):
+            planting_target(mu, t, 3, None)
+
+    @pytest.mark.parametrize("mu, t, name", [(math.inf, 1.0, "mu"), (1.0, math.inf, "t"), (1.0, -math.inf, "t")])
+    def test_infinity_refused_by_name(self, mu, t, name):
+        # inf mu read as alpha = 0, inf t overflowed in ceil, -inf t gave 0 edges.
+        with pytest.raises(ValueError, match=f"{name} must be finite, not -?inf"):
             planting_target(mu, t, 3, None)
 
     @given(

@@ -105,6 +105,22 @@ P_GRID = [0.0, 2.0**-53, 0.05, 1 / 3, 0.5, 1 - 2.0**-53, 1.0]
 P_IDS = ["0", "2^-53", "0.05", "1/3", "0.5", "1-2^-53", "1"]
 
 
+class TestSampleVpReference:
+    """sample_vp, the one-column raw-word draw, keeps the vertices the float
+    compare random(n) < p keeps, draw for draw, and leaves the generator in
+    the same state."""
+
+    @pytest.mark.parametrize("p", P_GRID, ids=P_IDS)
+    @pytest.mark.parametrize("n", [0, 1, 8, 60, 300])
+    @pytest.mark.parametrize("philox", [True, False], ids=["philox", "pcg64"])
+    def test_draws_equal_the_float_compare(self, philox, n, p):
+        gen, ref = _generators(11, philox)
+        h = Hypergraph(3, n, [])
+        for draw in range(50):
+            assert sample_vp(h, p, gen).indices() == oracles.float_sample_vp(n, p, ref), draw
+        np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
+
+
 class _RawWords:
     """Stands in for a generator whose bit generator answers random_raw(size)
     from a fixed word list, in order."""

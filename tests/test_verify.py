@@ -1,7 +1,5 @@
 import math
 import os
-import signal
-import threading
 import time
 from itertools import combinations
 
@@ -12,10 +10,11 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 import oracles
+from shared_log import assert_no_child
 from uppertail import disjointness, verify
 from uppertail.decompose import mr_exact_on
 from uppertail.families import FamilySpec, build, build_ap
-from uppertail.hypergraph import CapacityError, Hypergraph, induced_edges, max_degree, sample_vp
+from uppertail.hypergraph import CapacityError, Hypergraph, delta_j, induced_edges, sample_vp
 from uppertail.rng import stream_generator
 from uppertail.verify import (
     SUITES,
@@ -75,25 +74,23 @@ class TestSuiteRegistry:
         assert len(run_suites(["phi", "phi"])) == 7
 
 
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestSpreadSuites:
-    """run_suites over forked workers returns what the serial loop returns,
-    and reaps every worker whether its checks pass, fail or raise."""
+    """run_suites over forked workers returns what the serial loop returns.
+    The worker layer's failure cases run on verify's suites in
+    tests/test_workers.py::TestPasses."""
 
     @pytest.mark.parametrize(
         "names", [None, ["lowerbounds", "phi"], ["phi", "phi"]], ids=["all", "order-kept", "repeated"]
     )
     def test_two_workers_equal_one(self, names):
         assert run_suites(names, workers=2) == run_suites(names, workers=1)
-        _assert_no_child()
+        assert_no_child()
 
     def test_order_kept_when_processes_interleave(self, monkeypatch):
         # "slow" holds one process while the other takes "slower"; the first
         # then takes "quick", so neither process ran a prefix of the order.
+        # run_suites looks the names up in SUITES at call time, so these
+        # stand-ins are what the workers run.
         def suite(name, seconds):
             def run():
                 time.sleep(seconds)
@@ -106,67 +103,7 @@ class TestSpreadSuites:
         results = run_suites(["slow", "slower", "quick"], workers=2)
         assert [(r.suite, r.ok) for r in results] == [("slow", True), ("slower", True), ("quick", False)]
         assert len({r.detail for r in results}) == 2  # the suites ran in two processes
-        _assert_no_child()
-
-    def test_more_processes_than_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: len(SUITES))
-        assert run_suites(workers=len(SUITES)) == run_suites(workers=1)
-        _assert_no_child()
-
-    def test_serial_while_another_thread_runs(self, monkeypatch):
-        def pid_suite(name):
-            return lambda: [CheckResult(name, "ran", True, str(os.getpid()))]
-
-        for name in ("phi", "bk"):
-            monkeypatch.setitem(SUITES, name, pid_suite(name))
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        other.start()
-        try:
-            results = run_suites(["phi", "bk"], workers=2)
-        finally:
-            stop.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        assert [r.detail for r in results] == [str(os.getpid())] * 2
-
-    @pytest.mark.parametrize("raiser", ["caller", "worker"])
-    def test_exception_reraised_and_no_child_left(self, monkeypatch, raiser):
-        caller = os.getpid()
-
-        def broken():
-            if (os.getpid() == caller) == (raiser == "caller"):
-                raise KeyError("broken suite")
-            time.sleep(0.2)  # let the other process take this suite's twin
-            return []
-
-        monkeypatch.setitem(SUITES, "phi", broken)
-        monkeypatch.setitem(SUITES, "bk", broken)
-        with pytest.raises(KeyError, match="broken suite"):
-            run_suites(["phi", "bk"], workers=2)
-        assert verify._RUN_MEMO is None
-        _assert_no_child()
-
-    @pytest.mark.parametrize(
-        "end, message",
-        [("killed", "sent no result"), ("unpicklable", "could not send")],
-    )
-    def test_worker_without_a_result_raises_runtime_error(self, monkeypatch, end, message):
-        caller = os.getpid()
-
-        def broken():
-            if os.getpid() != caller:
-                if end == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise ValueError(lambda: None)  # a lambda does not pickle
-            time.sleep(0.2)  # let the worker take this suite's twin
-            return []
-
-        monkeypatch.setitem(SUITES, "phi", broken)
-        monkeypatch.setitem(SUITES, "bk", broken)
-        with pytest.raises(RuntimeError, match=message):
-            run_suites(["phi", "bk"], workers=2)
-        _assert_no_child()
+        assert_no_child()
 
 
 class TestFastSuites:
@@ -413,7 +350,7 @@ class TestMrPacking:
         "h, r",
         [
             (Hypergraph(3, 7, []), 1.0),
-            (build_ap(10, 3), max_degree(build_ap(10, 3)) + 0.5),
+            (build_ap(10, 3), delta_j(build_ap(10, 3), 1) + 0.5),
         ],
         ids=["edgeless", "star_wider_than_every_degree"],
     )

@@ -1,9 +1,10 @@
 """The one worker layer, uppertail.workers.spread, and the passes built on it.
 
-The enumerator's blocks and the samplers' chunks go through the same layer as
-verify's suites (tests/test_verify.py::TestSpreadSuites).  A pass's items are
-hooked through estimate.spread, so a hook runs in whichever process takes
-the item; a SharedLog collects what the forked workers record."""
+Three passes spread their items through it: the enumerator's blocks, the
+samplers' chunks and verify's suites.  Its failure cases are tested here
+once, on each of them.  A pass's items are hooked through the spread its
+module calls, so a hook runs in whichever process takes the item; a
+SharedLog collects what the forked workers record."""
 
 import os
 import signal
@@ -12,18 +13,14 @@ import time
 
 import numpy as np
 import pytest
-from shared_log import SharedLog
+from shared_log import SharedLog, assert_no_child
 
-from uppertail import estimate, rng, workers
+from uppertail import estimate, rng, verify, workers
 from uppertail.estimate import edge_count_histogram, mc_histogram
 from uppertail.families import build_ap
 from uppertail.hypergraph import CapacityError
 from uppertail.rng import CHUNK
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from uppertail.verify import run_suites
 
 
 @pytest.fixture
@@ -42,24 +39,28 @@ def forks(monkeypatch):
     return children
 
 
-def hook_items(monkeypatch, hook):
-    """Call hook(item) before each item of every pass, in the process running it."""
-
-    def hooked(fn, count, procs):
-        return workers.spread(lambda i: (hook(i), fn(i))[1], count, procs)
-
-    monkeypatch.setattr(estimate, "spread", hooked)
-
-
 # Each pass at a given worker count: the 2^22 codes of AP(22,3) are 4 blocks,
-# and 3 * CHUNK samples over AP(30,3) are 3 chunks.
+# 3 * CHUNK samples over AP(30,3) are 3 chunks, and verify runs 3 suites.
 AP22 = build_ap(22, 3)
 AP30 = build_ap(30, 3)
 PASSES = {
     "enumerator": lambda w: edge_count_histogram(AP22, w),
     "sampler": lambda w: mc_histogram(AP30, 0.3, 3 * CHUNK, seed=4, workers=w).counts,
+    "verify": lambda w: run_suites(["phi", "variance", "cascade"], w),
 }
-ITEMS = {"enumerator": 4, "sampler": 3}
+ITEMS = {"enumerator": 4, "sampler": 3, "verify": 3}
+SPREADER = {"enumerator": estimate, "sampler": estimate, "verify": verify}
+
+
+def hook_items(monkeypatch, kind, hook):
+    """Call hook(item) before each item of the kind's pass, in the process
+    running it.  Only that pass's own spread is hooked: verify's suites run
+    their own serial passes, whose items are not the suites."""
+
+    def hooked(fn, count, procs):
+        return workers.spread(lambda i: (hook(i), fn(i))[1], count, procs)
+
+    monkeypatch.setattr(SPREADER[kind], "spread", hooked)
 
 
 @pytest.fixture(params=sorted(PASSES))
@@ -79,7 +80,7 @@ class TestSpread:
         assert workers.spread(fn, count, 2) == [i * i for i in range(count)]
         assert sorted(log) == list(range(count))
         assert len(forks) == (count > 1)
-        _assert_no_child()
+        assert_no_child()
 
     def test_order_kept_when_processes_interleave(self):
         # Item 0 holds one process while the other takes item 1; the first
@@ -93,24 +94,24 @@ class TestSpread:
         results = workers.spread(fn, 3, 2)
         assert [i for i, _ in results] == [0, 1, 2]
         assert len({pid for _, pid in results}) == 2  # the items ran in two processes
-        _assert_no_child()
+        assert_no_child()
 
     def test_more_processes_than_cores(self, monkeypatch, forks):
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert workers.spread(lambda i: -i, 40, 10) == [-i for i in range(40)]
         assert len(forks) == 5
-        _assert_no_child()
+        assert_no_child()
 
 
 class TestPasses:
-    """Every case of TestSpreadSuites, on the enumerator and sampler passes."""
+    """The layer's failure cases, once for each pass that spreads its items."""
 
     def test_two_workers_equal_one(self, kind, forks):
         want = PASSES[kind](1)
         assert not forks
         assert np.array_equal(PASSES[kind](2), want)
         assert len(forks) == 1
-        _assert_no_child()
+        assert_no_child()
 
     def test_order_kept_when_processes_interleave(self, monkeypatch, kind):
         # The enumerator adds block `high` at row offset popcount(high), so a
@@ -123,10 +124,17 @@ class TestPasses:
             time.sleep(seconds[i])
             pids.append(os.getpid())
 
-        hook_items(monkeypatch, hook)
+        hook_items(monkeypatch, kind, hook)
         assert np.array_equal(PASSES[kind](2), want)
         assert len(pids) == ITEMS[kind] and len(set(pids)) == 2
-        _assert_no_child()
+        assert_no_child()
+
+    def test_more_processes_than_cores(self, monkeypatch, kind, forks):
+        want = PASSES[kind](1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert np.array_equal(PASSES[kind](10), want)
+        assert len(forks) == ITEMS[kind] - 1  # one process per item, the caller's included
+        assert_no_child()
 
     def test_serial_while_another_thread_runs(self, kind, forks):
         want = PASSES[kind](1)
@@ -151,10 +159,11 @@ class TestPasses:
                 raise KeyError("broken item")
             time.sleep(0.2)  # let the other process take an item
 
-        hook_items(monkeypatch, hook)
+        hook_items(monkeypatch, kind, hook)
         with pytest.raises(KeyError, match="broken item"):
             PASSES[kind](2)
-        _assert_no_child()
+        assert verify._RUN_MEMO is None  # run_suites drops its memo on the way out
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "end, message",
@@ -170,10 +179,10 @@ class TestPasses:
                 raise ValueError(lambda: None)  # a lambda does not pickle
             time.sleep(0.2)  # let the worker take an item
 
-        hook_items(monkeypatch, hook)
+        hook_items(monkeypatch, kind, hook)
         with pytest.raises(RuntimeError, match=message):
             PASSES[kind](2)
-        _assert_no_child()
+        assert_no_child()
 
     def test_budget_refusal_before_any_fork(self, monkeypatch, forks):
         with pytest.raises(CapacityError):
@@ -196,4 +205,4 @@ class TestPasses:
             got = run(2)
             assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
         assert len(forks) == 2
-        _assert_no_child()
+        assert_no_child()
