@@ -22,14 +22,17 @@ count gives the same bytes.  The histogram is threshold-free, so a caller
 evaluating many thresholds holds one pass (a SampleHistogram) and reads each
 from it.  The three samplers differ only in which uppertail.rng draw fills a
 chunk's vertex sets (p_subset_members or m_subset_members); one bit-packed
-kernel counts their induced edges.  It packs a chunk's samples 64 to a uint64 word, gathers and
-ANDs the member rows of EDGE_BLOCK edges at a time, and sums the hits with a
-bit-sliced adder.  A worker's working set is one chunk's draw (CHUNK * n
-bytes, plus a CHUNK * n int32 table for the conditioned sampler) and a few
-gathered blocks of CHUNK * EDGE_BLOCK bits (1 MB each), independent of e(H):
-5-6 MB per chunk at n = 300.  Each pass checks those 5 * CHUNK * n bytes
-against SAMPLER_BYTE_BUDGET before it builds anything per vertex.  The
-conditioned estimator's exact binomial factor Pr(Bin(n, p) >= m) is
+kernel counts their induced edges.  It packs a chunk's samples 64 to a uint64
+word, gathers and ANDs the member rows of EDGE_BLOCK edges at a time, and
+sums the hits with a bit-sliced adder that folds them in place, into buffers
+made once per chunk, so a forked worker does not map and trim fresh heap
+blocks at every step.  A worker's working set is one chunk's draw (CHUNK * n
+bytes, plus a CHUNK * n int32 table for the conditioned sampler) and two row
+buffers of CHUNK * EDGE_BLOCK bits (512 KB each) plus smaller ones,
+independent of e(H): 3.5 MB per chunk at n = 300, 6 MB with the conditioned
+table.  Each pass checks those 5 * CHUNK * n bytes against
+SAMPLER_BYTE_BUDGET before it builds anything per vertex.  The conditioned
+estimator's exact binomial factor Pr(Bin(n, p) >= m) is
 scipy.special.betainc, the regularized incomplete beta.
 """
 
@@ -73,7 +76,7 @@ EXACT_VERTEX_BUDGET = 26
 SAMPLER_BYTE_BUDGET = 1 << 28  # one chunk's membership plus the conditioned draw's int32 table
 LOW_BITS = 20  # vertices enumerated inside one block of codes
 SLICE = 1 << 16  # codes per bincount, a power of two: one 512 KB intp key buffer
-EDGE_BLOCK = 2048  # edges gathered and ANDed per sampling-kernel step
+EDGE_BLOCK = 1024  # edges gathered and ANDed per sampling-kernel step
 
 METHODS = ("exact", "mc", "planted", "conditioned")
 
@@ -318,33 +321,34 @@ def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float
     return _read_exact(histogram_point_mass, h, p, m, workers)
 
 
-def _bit_add(x: list[np.ndarray], y: list[np.ndarray], width: int) -> list[np.ndarray]:
-    """Bit-sliced x + y over equal-shape uint64 arrays.
+def _add_planes(
+    x: list[np.ndarray], y: list[np.ndarray], carry: np.ndarray, tmp: np.ndarray
+) -> None:
+    """Bit-sliced x += y in place, over equal-shape uint64 planes.
 
     x and y are lists of bit planes, least significant first: bit b of word w
-    of plane i is bit i of number 64 w + b.  The sum must fit in `width`
-    planes; it comes back with at most that many, as planes past the last
-    are zero.
+    of plane i is bit i of number 64 w + b.  y may have fewer planes than x
+    and is overwritten.  The carry out of x's top plane is left in `carry`
+    when y has as many planes as x and dropped otherwise, so a sum known to
+    fit passes just the planes it needs.  Every ufunc call writes into x, y,
+    carry or tmp: nothing is allocated.
     """
-    out = []
-    carry = []
-    for i in range(width):
-        terms = x[i : i + 1] + y[i : i + 1] + carry
-        if len(terms) == 3:
-            a, b, c = terms
-            half = a ^ b
-            out.append(half ^ c)
-            carry = [(a & b) | (half & c)]
-        elif len(terms) == 2:
-            a, b = terms
-            out.append(a ^ b)
-            carry = [a & b]
-        elif terms:
-            out.append(terms[0])
-            carry = []
+    for i, a in enumerate(x):
+        if i < len(y):
+            b = y[i]
+            if i == 0:
+                np.bitwise_and(a, b, out=carry)
+                np.bitwise_xor(a, b, out=a)
+            else:
+                np.bitwise_xor(a, b, out=tmp)
+                np.bitwise_and(a, b, out=b)
+                np.bitwise_xor(tmp, carry, out=a)
+                np.bitwise_and(tmp, carry, out=tmp)
+                np.bitwise_or(b, tmp, out=carry)
         else:
-            break
-    return out
+            np.bitwise_and(a, carry, out=tmp)
+            np.bitwise_xor(a, carry, out=a)
+            carry, tmp = tmp, carry
 
 
 def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -354,11 +358,14 @@ def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
     The columns are packed 64 to a uint64 word.  For each block of EDGE_BLOCK
     edges, the k member rows of every edge are gathered and ANDed into one hit
     row, and the block is padded with zero rows to a power of two >= 64.  A
-    bit-sliced adder folds the hit rows in contiguous halves down to 64 rows
-    and adds them into running 64-row bit planes.  Stopping at 64 rows keeps
-    the numpy calls per block few and large, so the interpreter's cost per
-    call stays small beside their work.  The planes are unpacked once per
-    chunk.
+    bit-sliced adder folds the hit rows in place, adding the upper half of
+    every plane into its lower half, down to 64 rows, and adds them into
+    running 64-row bit planes capped at the bound's bit length.  Stopping at
+    64 rows keeps the numpy calls per block few and large.  Every buffer is
+    made once per chunk and written with out=, so the block loop allocates
+    nothing: each fold level's new top plane goes into rows half to height of
+    the gathered-column buffer, idle during the fold.  The planes are
+    unpacked once per chunk.
     """
     n, count = member.shape
     words = -(-count // 64)
@@ -366,24 +373,33 @@ def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
     packed[:, : -(-count // 8)] = np.packbits(member, axis=1, bitorder="little")
     packed = packed.view(np.uint64)
     rows = max(64, 1 << (min(EDGE_BLOCK, len(edges)) - 1).bit_length())
-    planes: list[np.ndarray] = []
-    bound = 0  # every number in planes is at most bound
+    blocks = -(-len(edges) // EDGE_BLOCK)
+    index = np.empty((edges.shape[1], rows), dtype=np.intp)
+    hit = np.zeros((rows, words), dtype=np.uint64)
+    col = np.empty((rows, words), dtype=np.uint64)
+    carry = np.empty((64, words), dtype=np.uint64)
+    tmp = np.empty((max(64, rows // 2), words), dtype=np.uint64)
+    # Each block adds at most rows / 64 to every number in the running planes.
+    running = list(np.zeros(((blocks * (rows // 64)).bit_length(), 64, words), dtype=np.uint64))
+    bound = 0  # every number in the running planes is at most bound
     for start in range(0, len(edges), EDGE_BLOCK):
-        block = edges[start : start + EDGE_BLOCK]
-        hit = packed.take(block[:, 0], axis=0)
-        for col in block.T[1:]:
-            hit &= packed.take(col, axis=0)
-        if len(hit) < rows:
-            hit = np.concatenate([hit, np.zeros((rows - len(hit), words), dtype=np.uint64)])
-        sums, most = [hit], 1  # every number in sums is at most `most`
-        while len(sums[0]) > 64:
-            half = len(sums[0]) // 2
-            most *= 2
-            sums = _bit_add([p[:half] for p in sums], [p[half:] for p in sums], most.bit_length())
-        bound += most
-        planes = _bit_add(planes, sums, bound.bit_length())
+        size = min(EDGE_BLOCK, len(edges) - start)
+        np.copyto(index[:, :size], edges[start : start + size].T)
+        np.take(packed, index[0, :size], axis=0, out=hit[:size], mode="clip")
+        for cols in index[1:, :size]:
+            np.take(packed, cols, axis=0, out=col[:size], mode="clip")
+            np.bitwise_and(hit[:size], col[:size], out=hit[:size])
+        hit[size:] = 0  # a short last block must not count the rows before it
+        planes, height = [hit], rows
+        while height > 64:
+            half = height // 2
+            lower, top = [p[:half] for p in planes], col[half:height]
+            _add_planes(lower, [p[half:height] for p in planes], top, tmp[:half])
+            planes, height = lower + [top], half
+        bound += rows // 64
+        _add_planes(running[: bound.bit_length()], planes, carry, tmp[:64])
     totals = np.zeros(count, dtype=np.int64)
-    for i, plane in enumerate(planes):
+    for i, plane in enumerate(running):
         bits = np.unpackbits(plane.view(np.uint8), axis=1, count=count, bitorder="little")
         # 64 rows of one bit sum to at most 64, so uint8 holds the row sums.
         totals += bits.sum(axis=0, dtype=np.uint8).astype(np.int64) << i

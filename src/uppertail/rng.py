@@ -24,13 +24,14 @@ __all__ = [
     "KEY_LIMIT",
     "chunk_layout",
     "m_subset_members",
+    "p_keep",
     "p_subset_members",
     "stream_generator",
 ]
 
 CHUNK = 4096
 KEY_LIMIT = 1 << 64  # seeds and streams are 64-bit keys
-DRAW_BLOCK = 512  # samples per step of p_subset_members
+DRAW_BLOCK = 128  # samples per step of p_subset_members
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
@@ -55,26 +56,31 @@ def chunk_layout(total: int) -> Iterator[tuple[int, int]]:
         remaining -= size
 
 
+def p_keep(raw: np.ndarray, p: float) -> np.ndarray:
+    """raw < C << 11 with C = ceil(p 2^53): where Generator.random() < p for
+    the doubles behind the raw 64-bit words, an integer compare with no float
+    conversion, since random() is (raw >> 11) / 2^53.  p = 1 keeps every
+    word, since its C << 11 = 2^64 overflows uint64."""
+    c = math.ceil(p * 2.0**53)
+    return raw < np.uint64(c << 11) if c < 1 << 53 else np.ones(raw.shape, dtype=bool)
+
+
 def p_subset_members(
     gen: np.random.Generator, n: int, free: Sequence[int], p: float, count: int
 ) -> np.ndarray:
     """Membership of `count` subsets of range(n) keeping each free vertex with
     probability p, the rest always.
 
-    The draw is gen.random((count, |free|)) < p, read off the raw 64-bit
-    words behind those doubles: random() is (raw >> 11) / 2^53, so it lies
-    below p exactly when raw < C << 11 with C = ceil(p 2^53), an integer
-    compare with no float conversion.  p = 1 keeps every vertex, since its
-    C << 11 = 2^64 overflows uint64; its words are drawn all the same.
-    DRAW_BLOCK samples at a time: the same words as one (count, |free|)
-    draw, without its count * |free| * 8-byte temporary.
+    The draw is gen.random((count, |free|)) < p, read off the raw words
+    behind those doubles by p_keep.  DRAW_BLOCK samples at a time: the same
+    words as one (count, |free|) draw, without its count * |free| * 8-byte
+    temporary.
     """
-    c = math.ceil(p * 2.0**53)
     member = np.ones((n, count), dtype=bool)
     for lo in range(0, count, DRAW_BLOCK):
         rows = min(DRAW_BLOCK, count - lo)
         raw = gen.bit_generator.random_raw((rows, len(free)))
-        member[free, lo : lo + rows] = (raw < np.uint64(c << 11)).T if c < 1 << 53 else True
+        member[free, lo : lo + rows] = p_keep(raw, p).T
     return member
 
 

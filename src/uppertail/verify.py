@@ -80,7 +80,7 @@ from .hypergraph import (
     membership_table,
     sample_vp,
 )
-from .rng import stream_generator
+from .rng import p_keep, stream_generator
 from .workers import spread
 
 __all__ = [
@@ -266,9 +266,9 @@ def variance_suite() -> list[CheckResult]:
 def _sandwich_samples(seed: int, count: int) -> list[tuple[Hypergraph, float, float, tuple]]:
     """sandwich_sample_check's (H, p, r, ids of the edges a p-subset induces).
 
-    One draw, split per sample, reads the words count sample_vp calls would,
-    and its float compare keeps the vertices their raw-word compare keeps;
-    each graph's samples then go through one induced pass as a stack of masks.
+    One raw-word draw, split per sample, reads the words count sample_vp
+    calls would, and rng.p_keep keeps a vertex by their compare; each graph's
+    samples then go through one induced pass as a stack of masks.
     """
     hs = [build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)]
     rs = (1.0, 2.0, 3.0, 5.0)
@@ -276,11 +276,12 @@ def _sandwich_samples(seed: int, count: int) -> list[tuple[Hypergraph, float, fl
     # Sample i takes the graph i % 6, r at (i // 6) % 4 and p at (i // 24) % 3.
     grid = list(islice(cycle(product(ps, rs, hs)), count))
     sizes = [h.n for _, _, h in grid]
-    draws = np.split(stream_generator(seed, 0).random(sum(sizes)), np.cumsum(sizes)[:-1])
+    raw = stream_generator(seed, 0).bit_generator.random_raw(sum(sizes))
+    draws = np.split(raw, np.cumsum(sizes)[:-1])
     ids: list[tuple[int, ...]] = [()] * count
     for first, h in enumerate(hs):
         picked = range(first, count, len(hs))
-        member = np.array([draws[i] < grid[i][0] for i in picked]).reshape(-1, h.n)
+        member = np.array([p_keep(draws[i], grid[i][0]) for i in picked]).reshape(-1, h.n)
         for i, inside in zip(picked, induced_mask(h, member)):
             ids[i] = tuple(np.flatnonzero(inside).tolist())
     return [(h, p, r, edge_ids) for (p, r, h), edge_ids in zip(grid, ids)]

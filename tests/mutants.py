@@ -50,6 +50,8 @@ T_WORKERS = "tests/test_workers.py::"
 P_DRAW = "tests/test_rng.py::TestPDrawLaw::"
 P_REF = "tests/test_rng.py::TestSampleVpReference::test_draws_equal_the_float_compare"
 INFINITE = "tests/test_bounds.py::TestInfiniteInputs::"
+KERNEL = T_EST + "TestSamplingKernel::"
+SANDWICH_REF = "tests/test_verify.py::TestSandwichSamples::test_split_draw_equals_the_float_compare"
 
 # (name, file, old line, new line, node ids that must fail)
 MUTANTS = [
@@ -114,6 +116,18 @@ MUTANTS = [
       T_EST + "TestPlantingTarget::test_nan_refused[1.0-nan]",
       T_EST + "TestPlantingTarget::test_infinity_refused_by_name[inf-1.0-mu]",
       T_EST + "TestPlantingTarget::test_infinity_refused_by_name[1.0--inf-t]"]),
+    ("kernel keeps the hit rows past a short block", EST,
+     "        hit[size:] = 0  # a short last block must not count the rows before it",
+     "        pass",
+     [KERNEL + "test_short_block_counts_no_rows_of_the_block_before",
+      KERNEL + "test_full_chunk_on_n300_matches_byte_oracle[ap-0.05]",
+      KERNEL + "test_every_edge_inside_carries_through_every_plane[65]"]),
+    ("kernel's running planes stop one plane short of the bound", EST,
+     "        _add_planes(running[: bound.bit_length()], planes, carry, tmp[:64])",
+     "        _add_planes(running[: bound.bit_length() - 1], planes, carry, tmp[:64])",
+     [KERNEL + "test_every_edge_inside_carries_through_every_plane[1]",
+      KERNEL + "test_every_edge_inside_carries_through_every_plane[4096]",
+      KERNEL + "test_full_chunk_on_n300_matches_byte_oracle[schur-1.0]"]),
     ("no across-mask add in _subset_histogram", EST,
      "            np.add(row_starts[s], counts[s], out=keys)",
      "            np.add(row_starts[s], 0, out=keys)",
@@ -123,14 +137,14 @@ MUTANTS = [
      "        yield stream, size",
      "        yield 0, size",
      [MC_COVERS]),
-    ("p-draw keeps each vertex at 1.05 p", "rng.py",
+    ("raw-word compare keeps each word at 1.05 p", "rng.py",
      "    c = math.ceil(p * 2.0**53)",
      "    c = math.ceil(1.05 * p * 2.0**53)",
      [T_EST + "TestSamplingKernel::test_blocked_draw_is_one_big_draw[512]", MC_COVERS,
-      P_DRAW + "test_masks_equal_the_float_compare[300-0.05]"]),
-    ("<= for < in the p-draw's raw-word compare", "rng.py",
-     "        member[free, lo : lo + rows] = (raw < np.uint64(c << 11)).T if c < 1 << 53 else True",
-     "        member[free, lo : lo + rows] = (raw <= np.uint64(c << 11)).T if c < 1 << 53 else True",
+      P_DRAW + "test_masks_equal_the_float_compare[300-0.05]", SANDWICH_REF]),
+    ("<= for < in the raw-word compare", "rng.py",
+     "    return raw < np.uint64(c << 11) if c < 1 << 53 else np.ones(raw.shape, dtype=bool)",
+     "    return raw <= np.uint64(c << 11) if c < 1 << 53 else np.ones(raw.shape, dtype=bool)",
      [P_DRAW + "test_every_tie_with_the_cut[0]", P_DRAW + "test_every_tie_with_the_cut[0.05]",
       P_DRAW + "test_every_tie_with_the_cut[1/3]"]),
     ("sample_vp draws every vertex but 0", "hypergraph.py",
@@ -215,9 +229,9 @@ MUTANTS = [
 
 # Mutants no test can kill, each with the reason it changes no result.
 EQUIVALENT = [
-    ("DRAW_BLOCK 512 -> 256", "rng.py",
-     "DRAW_BLOCK = 512  # samples per step of p_subset_members",
-     "DRAW_BLOCK = 256  # samples per step of p_subset_members",
+    ("DRAW_BLOCK 128 -> 64", "rng.py",
+     "DRAW_BLOCK = 128  # samples per step of p_subset_members",
+     "DRAW_BLOCK = 64  # samples per step of p_subset_members",
      "p_subset_members reads the same raw words in the same order for any block "
      "size; the block only bounds the temporary's size"),
 ]

@@ -645,12 +645,38 @@ class TestSamplingKernel:
         for thr in (-1, 0, 0.5, e / 2 + 0.25, e, e + 0.5, e + 1):
             assert held.hits(thr) == sum(c >= thr for c in want), thr
 
+    @pytest.mark.parametrize("p", [0.05, 0.3, 1.0])
     @pytest.mark.parametrize("family", ["ap", "schur"])
-    def test_full_chunk_on_n300_matches_byte_oracle(self, family):
+    def test_full_chunk_on_n300_matches_byte_oracle(self, family, p):
         h = build(FamilySpec(family, 300, 3))
-        member = p_subset_members(stream_generator(1, 0), h.n, list(range(h.n)), 0.05, CHUNK)
+        member = p_subset_members(stream_generator(1, 0), h.n, list(range(h.n)), p, CHUNK)
         got = estimate._induced_totals(h.edge_array, member)
         assert np.array_equal(got, oracles.byte_edge_totals(h.edge_array, member))
+
+    def test_short_block_counts_no_rows_of_the_block_before(self):
+        """The kernel reuses one hit buffer across blocks.  With blocks of 100
+        edges, the first block's 100 edges (0, 1, j) all hit and the short
+        second block's 50 edges (1, 2, j) all miss, so any of the first
+        block's rows left past the second's would be counted."""
+        edges = [(0, 1, j) for j in range(2, 102)] + [(1, 2, j) for j in range(102, 152)]
+        h = Hypergraph(3, 152, edges)
+        member = np.zeros((h.n, 3), dtype=bool)
+        member[:102, 0] = True  # every edge of the first block, none of the second
+        member[:, 1] = True
+        with mock.patch.object(estimate, "EDGE_BLOCK", 100):
+            got = estimate._induced_totals(h.edge_array, member)
+        assert got.tolist() == oracles.byte_edge_totals(h.edge_array, member).tolist() == [100, 150, 0]
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, CHUNK])
+    def test_every_edge_inside_carries_through_every_plane(self, count):
+        """All 9,880 edges of the complete 3-graph on 40 vertices inside every
+        sample: over several blocks, each fold and running add carries
+        through every plane, and the total needs 14 bits."""
+        h = Hypergraph(3, 40, combinations(range(40), 3))
+        member = np.ones((h.n, count), dtype=bool)
+        got = estimate._induced_totals(h.edge_array, member)
+        assert np.array_equal(got, oracles.byte_edge_totals(h.edge_array, member))
+        assert got.tolist() == [9880] * count
 
     @given(sampled_instances())
     @settings(max_examples=60, deadline=None)

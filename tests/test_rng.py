@@ -55,15 +55,6 @@ class TestOneSampleDraws:
         # Both read the same bits, so the generators stay in step.
         assert gen.random() == ref.random()
 
-    @given(st.integers(0, 60), st.floats(0.0, 1.0), SEEDS, st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_sample_vp_is_column_zero_of_p_draw(self, n, p, seed, philox):
-        gen, ref = _generators(seed, philox)
-        got = sample_vp(Hypergraph(3, n, []), p, gen)
-        want = p_subset_members(ref, n, list(range(n)), p, 1)[:, 0]
-        assert np.array_equal(got.to_bool_array(), want)
-        assert gen.random() == ref.random()
-
 
 class TestBatchedDraws:
     @given(

@@ -14,7 +14,14 @@ from shared_log import assert_no_child
 from uppertail import disjointness, verify
 from uppertail.decompose import mr_exact_on
 from uppertail.families import FamilySpec, build, build_ap
-from uppertail.hypergraph import CapacityError, Hypergraph, delta_j, induced_edges, sample_vp
+from uppertail.hypergraph import (
+    CapacityError,
+    Hypergraph,
+    VertexSet,
+    delta_j,
+    induced_edges,
+    sample_vp,
+)
 from uppertail.rng import stream_generator
 from uppertail.verify import (
     SUITES,
@@ -291,6 +298,19 @@ class TestSandwichSamples:
         assert len(samples) == count
         for h, p, _, ids in samples:
             assert ids == induced_edges(h, sample_vp(h, p, rng))
+
+    def test_split_draw_equals_the_float_compare(self, monkeypatch):
+        # The raw-word compare keeps what random() < p keeps on the same
+        # stream, sample by sample, and reads exactly as many words.
+        held = stream_generator(7, 0)
+        monkeypatch.setattr(verify, "stream_generator", lambda seed, stream: held)
+        samples = verify._sandwich_samples(7, 2000)
+        ref = stream_generator(7, 0)
+        for h, p, _, ids in samples:
+            kept = oracles.float_sample_vp(h.n, p, ref)
+            assert ids == induced_edges(h, VertexSet(h.n, sum(1 << v for v in kept)))
+        # Both read the same words, so the generators stay in step.
+        assert held.bit_generator.random_raw(5).tolist() == ref.bit_generator.random_raw(5).tolist()
 
 
 PACKING_GRAPHS = {
