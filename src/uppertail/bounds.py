@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, check_count, check_finite, check_probability
 
 __all__ = [
     "BoundReport",
@@ -35,14 +35,6 @@ __all__ = [
 ]
 
 _REL_SLACK = 1e-9
-
-
-def _require_finite(**inputs: float) -> None:
-    """Refuse an infinite input by name, before any form is taken.  Each entry
-    point calls it after its range check, which has refused NaN already."""
-    for name, value in inputs.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, not {value}")
 
 
 def phi(x: float) -> float:
@@ -73,7 +65,7 @@ class MomentReport:
     def __post_init__(self):
         if not (self.mu >= 0 and self.var >= 0 and self.lam >= 0):
             raise ValueError("moments must be nonnegative")
-        _require_finite(mu=self.mu, var=self.var, lam=self.lam)
+        check_finite(mu=self.mu, var=self.var, lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,7 @@ class BoundReport:
 
 def exact_mean(h: Hypergraph, p: float) -> float:
     """E[X] = e(H) * p^k for the induced edge count under vertex density p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p)
     return h.num_edges * p**h.k
 
 
@@ -112,8 +103,7 @@ def exact_variance(h: Hypergraph, p: float) -> float:
     nonnegative, so nothing cancels.  The codegree sums do not depend on p and
     are counted once per hypergraph (h.codegree_sums).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p)
     k = h.k
     return math.fsum(
         p ** (2 * k - j) * (1.0 - p) ** j * a for j, a in enumerate(h.codegree_sums, start=1)
@@ -153,7 +143,7 @@ def theorem_c_bound(mu: float, capacity: float, t: float) -> tuple[BoundReport, 
     """
     if not (mu >= 0 and math.inf > t > 0 and capacity > 0):
         raise ValueError("need mu >= 0, t > 0, capacity > 0 (t finite)")
-    _require_finite(mu=mu, capacity=capacity, t=t)
+    check_finite(mu=mu, capacity=capacity, t=t)
     if mu == 0.0:
         main = ratio = -math.inf
     else:
@@ -179,7 +169,7 @@ def et_bound(mu: float, capacity: float, x: float) -> tuple[BoundReport, ...]:
     """
     if not (mu >= 0 and capacity > 0 and math.inf > x > 0):
         raise ValueError("need mu >= 0, capacity > 0, x > 0 (x finite)")
-    _require_finite(mu=mu, capacity=capacity, x=x)
+    check_finite(mu=mu, capacity=capacity, x=x)
     if mu == 0.0:
         main = stirling = -math.inf
     else:
@@ -201,7 +191,7 @@ def exponent_appp(mu: float, p: float) -> float:
     """Tail exponent min(mu, sqrt(mu) * log(1/p)) at the doubled mean."""
     if not (mu >= 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu >= 0 and p in (0, 1]")
-    _require_finite(mu=mu)
+    check_finite(mu=mu)
     return min(mu, math.sqrt(mu) * math.log(1.0 / p))
 
 
@@ -209,7 +199,7 @@ def exponent_ap(mu: float, var: float, p: float, eps: float) -> float:
     """Tail exponent min(phi(eps) mu^2 / var, sqrt(eps mu) log(1/p))."""
     if not (mu >= 0 and var >= 0 and math.inf > eps > 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu, var >= 0, eps > 0, p in (0, 1] (eps finite)")
-    _require_finite(mu=mu, var=var, eps=eps)
+    check_finite(mu=mu, var=var, eps=eps)
     first = math.inf if var == 0.0 or mu == 0.0 else phi(eps) * mu * mu / var
     return min(first, math.sqrt(eps * mu) * math.log(1.0 / p))
 
@@ -218,7 +208,7 @@ def exponent_apt(var: float, p: float, t: float) -> float:
     """Tail exponent min(t^2 / var, sqrt(t) * log(1/p))."""
     if not (var >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need var >= 0, t > 0, p in (0, 1] (t finite)")
-    _require_finite(var=var, t=t)
+    check_finite(var=var, t=t)
     first = math.inf if var == 0.0 else t * t / var
     return min(first, math.sqrt(t) * math.log(1.0 / p))
 
@@ -229,7 +219,7 @@ def exponent_hg(mu: float, lam: float, p: float, t: float) -> tuple[float, float
     second term."""
     if not (mu >= 0 and lam >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need mu, lam >= 0, t > 0, p in (0, 1] (t finite)")
-    _require_finite(mu=mu, lam=lam, t=t)
+    check_finite(mu=mu, lam=lam, t=t)
     second = math.sqrt(t) * math.log(math.e / p)
     if lam == 0.0:
         return second, second
@@ -245,7 +235,7 @@ def lb_cluster_bound(d: float, mu: float, t: float, p: float) -> BoundReport:
     """
     if not (d >= 0 and mu >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
         raise ValueError("need d, mu >= 0, t > 0, p in (0, 1] (t finite)")
-    _require_finite(d=d, mu=mu, t=t)
+    check_finite(d=d, mu=mu, t=t)
     if mu + t < 1.0:
         raise ValueError("requires mu + t >= 1")
     log_value = -d * math.sqrt(mu + t) * math.log(1.0 / p)
@@ -258,9 +248,7 @@ def binomial_point_lower(n: int, q: float, m: int, b: float = 1.0) -> BoundRepor
         raise ValueError("need 0 <= m <= n")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    if math.isnan(b):
-        raise ValueError("b must not be NaN")
-    _require_finite(b=b)
+    check_finite(b=b)
     log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     log_value = -b + log_comb + m * math.log(q) + (n - m) * math.log1p(-q)
     return BoundReport("binomial_point", log_value, {"n": n, "q": q, "m": m, "b": b})
@@ -293,12 +281,13 @@ def paley_zygmund_lower(var: float, t: float) -> float:
     """Pr(Y >= E[Y] - t) >= t^2 / (var + t^2)."""
     if not (var >= 0 and math.inf > t > 0):
         raise ValueError("need var >= 0 and t > 0 (t finite)")
-    _require_finite(var=var, t=t)
+    check_finite(var=var, t=t)
     return t * t / (var + t * t)
 
 
 def hypergeom_conditional_mean(h: Hypergraph, m: int) -> float:
     """E[X | exactly m vertices kept] = e(H) * prod_{i<k} (m - i) / (n - i)."""
+    check_count(m=m)
     if not 0 <= m <= h.n:
         raise ValueError(f"m must lie in [0, {h.n}]")
     if m < h.k or not h.num_edges:

@@ -45,7 +45,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .hypergraph import CapacityError, Hypergraph, VertexSet
+from .hypergraph import CapacityError, Hypergraph, VertexSet, check_count, check_finite
+from .hypergraph import check_probability, check_threshold
 from .rng import CHUNK, chunk_layout, m_subset_members, p_subset_members, stream_generator
 from .workers import spread
 
@@ -256,8 +257,7 @@ def edge_count_histogram(h: Hypergraph, workers: int = 1) -> np.ndarray:
 def size_weighted_sum(counts: Sequence[int], p: float) -> float:
     """fsum of counts[j] p^j (1-p)^(n-j), n = len(counts) - 1: the p-weight of
     counts[j] subsets of size j each, unclamped so moments can use it too."""
-    if not 0.0 <= p <= 1.0:  # the one check of every exact read; NaN fails it too
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p)  # every exact read weighs through here
     n = len(counts) - 1
     return math.fsum(
         c * (p**j * (1.0 - p) ** (n - j)) for j, c in enumerate(np.asarray(counts).tolist()) if c
@@ -269,18 +269,11 @@ def _column_weight(hist: np.ndarray, p: float, cols: np.ndarray) -> float:
     return min(max(size_weighted_sum(hist[:, cols].sum(axis=1), p), 0.0), 1.0)
 
 
-def _check_threshold(threshold: float) -> None:
-    # Only NaN differs from itself.  It compares false with every count, which
-    # would read as probability 0; any int, however large, passes.
-    if threshold != threshold:
-        raise ValueError("threshold must not be NaN")
-
-
 def _float_threshold(threshold: float) -> float:
     """threshold as a TailEstimate holds it.  The tail entry points call this
     before any enumeration or draw, so NaN or an int past the float range
     fails at once, not after the pass."""
-    _check_threshold(threshold)
+    check_threshold(threshold=threshold)
     try:
         return float(threshold)
     except OverflowError:
@@ -290,35 +283,30 @@ def _float_threshold(threshold: float) -> float:
 def histogram_tail(hist: np.ndarray, p: float, threshold: float) -> float:
     """Pr(X >= threshold) from hist[j, x] = number of j-subsets with X = x,
     such as edge_count_histogram(h)."""
-    _check_threshold(threshold)
+    check_threshold(threshold=threshold)
     return _column_weight(hist, p, np.arange(hist.shape[1]) >= threshold)
 
 
 def histogram_point_mass(hist: np.ndarray, p: float, m: int) -> float:
     """Pr(X = m) from hist[j, x] = number of j-subsets with X = x (0 for m
     outside the columns)."""
-    _check_threshold(m)
+    check_threshold(m=m)
     return _column_weight(hist, p, np.arange(hist.shape[1]) == m)
-
-
-def _read_exact(read, h: Hypergraph, p: float, threshold: float, workers: int) -> float:
-    """read(edge_count_histogram(h, workers), p, threshold).  Reading the empty
-    histogram first makes every check the read makes, so a bad p, threshold
-    or m fails before the 2^n pass, not after it."""
-    read(np.zeros((1, 1), dtype=np.int64), p, threshold)
-    return read(edge_count_histogram(h, workers), p, threshold)
 
 
 def exact_tail(h: Hypergraph, p: float, threshold: float, workers: int = 1) -> TailEstimate:
     """Exact Pr(X >= threshold) by one complete subset enumeration (n <= 26)."""
-    thr = _float_threshold(threshold)
-    p_hat = _read_exact(histogram_tail, h, p, threshold, workers)
+    thr = _float_threshold(threshold)  # the threshold, then p, fail before the 2^n pass
+    check_probability(p)
+    p_hat = histogram_tail(edge_count_histogram(h, workers), p, threshold)
     return TailEstimate(thr, p_hat, "exact", 1 << h.n, p_hat, p_hat)
 
 
 def exact_point_mass(h: Hypergraph, p: float, m: int, workers: int = 1) -> float:
     """Exact Pr(X = m) by one complete subset enumeration (n <= 26)."""
-    return _read_exact(histogram_point_mass, h, p, m, workers)
+    check_threshold(m=m)  # m, then p, fail before the 2^n pass
+    check_probability(p)
+    return histogram_point_mass(edge_count_histogram(h, workers), p, m)
 
 
 def _add_planes(
@@ -406,8 +394,12 @@ def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _check_sampler_budget(n: int, samples: int) -> None:
-    """Refuse a pass whose chunk of samples over n vertices exceeds SAMPLER_BYTE_BUDGET."""
+def _check_samples(n: int, samples: int) -> None:
+    """Refuse a sample count that is not a positive integer, then a pass whose
+    chunk of samples over n vertices exceeds SAMPLER_BYTE_BUDGET."""
+    check_count(samples=samples)
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     need = 5 * min(samples, CHUNK) * n
     if need > SAMPLER_BYTE_BUDGET:
         raise CapacityError(f"a chunk needs {need} bytes, over budget {SAMPLER_BYTE_BUDGET}")
@@ -469,7 +461,7 @@ class SampleHistogram:
 
     def hits(self, threshold: float) -> int:
         """Number of samples inducing at least `threshold` edges."""
-        _check_threshold(threshold)
+        check_threshold(threshold=threshold)
         return int(self.counts[np.arange(len(self.counts)) >= threshold].sum())
 
     def tail(self, threshold: float) -> TailEstimate:
@@ -503,9 +495,7 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
     The target is ceil(min(lambda * t, mu + t)), or 0 when t <= 0, with
     lambda = 4 / (1 - (1 - alpha)^k) and alpha = min(1, t / mu) by default.
     """
-    for name, value in (("mu", mu), ("t", t)):
-        if not -math.inf < value < math.inf:  # NaN or infinite; converts nothing, as _check_threshold
-            raise ValueError(f"{name} must be finite, not {value}")
+    check_finite(mu=mu, t=t)
     if alpha is None:
         alpha = min(1.0, t / mu) if mu > 0 and t > 0 else 1.0
     if not 0.0 < alpha <= 1.0:
@@ -524,13 +514,10 @@ def planted_histogram(
     """planted_tail's sampling pass: p-samples of the vertices outside the
     forced set W, with every vertex of W in.  Any W will do; only the closed
     form lb_cluster_bound needs W's certificate (a families.Witness)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    check_probability(p)
     if forced.n != h.n:
         raise ValueError("forced set lives on a different vertex set")
-    _check_sampler_budget(h.n, samples)
+    _check_samples(h.n, samples)
     w_size = len(forced)
     free = [v for v in range(h.n) if not (forced.bits >> v) & 1]
     counts = _sample_histogram(
@@ -566,8 +553,8 @@ def conditioned_size(n: int, p: float, eps: float) -> int | float:
     """The conditioned estimator's vertex count m = ceil((1+eps) n p), taking
     (1+eps) n p within 1e-9 of an integer as that integer.  A product that
     overflows a float gives m = inf, which exceeds every n."""
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, not {eps}")
+    check_finite(eps=eps)
+    check_probability(p)
     raw = (1.0 + eps) * n * p
     if math.isinf(raw):
         return raw
@@ -579,16 +566,13 @@ def conditioned_histogram(
 ) -> SampleHistogram:
     """conditioned_tail's sampling pass: uniform m-subsets of the vertices,
     m = conditioned_size(n, p, eps)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
     m = conditioned_size(h.n, p, eps)
     if m > h.n:
         raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
-    _check_sampler_budget(h.n, samples)
+    _check_samples(h.n, samples)
     counts = _sample_histogram(
         h, seed, lambda gen, count: m_subset_members(gen, h.n, m, count), samples, workers
     )

@@ -2,12 +2,13 @@
 
 Builders accept 1-based n and emit hypergraphs on 0-based vertices, so vertex
 v represents the integer v + 1.  The built edge array is the only model of a
-family: interval witnesses read their prefix off it.  Each builder first takes
-its edge count in closed form, in Python ints, and raises CapacityError past
-EDGE_BUDGET before any array exists.  The AP and Schur builders then write
-canonical rows (each sorted, the rows in strictly increasing lexicographic
-order) straight into one int64 array, which the hypergraph keeps after a
-one-pass check, with no copy and no sort; only ell_sum with ell >= 3 is sorted.
+family: interval witnesses read their prefix off it.  Each builder refuses a
+bad shape by constructing its FamilySpec, then takes its edge count in closed
+form, in Python ints, and raises CapacityError past EDGE_BUDGET before any
+array exists.  The AP and Schur builders then write canonical rows (each
+sorted, the rows in strictly increasing lexicographic order) straight into one
+int64 array, which the hypergraph keeps after a one-pass check, with no copy
+and no sort; only ell_sum with ell >= 3 is sorted.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import CapacityError, Hypergraph, VertexSet, induced_edge_count
+from .hypergraph import CapacityError, Hypergraph, VertexSet, check_count, check_threshold
+from .hypergraph import induced_edge_count
 
 __all__ = [
     "KINDS",
@@ -54,8 +56,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        check_count(n=self.n, k=self.k, ell=self.ell)
         if self.kind == "ap":
             if self.k < 2:
                 raise ValueError("ap requires uniformity k >= 2")
@@ -143,10 +144,7 @@ def build_ap(n: int, k: int) -> Hypergraph:
     lexicographic order.  k > n yields the empty hypergraph on n vertices,
     not an error.
     """
-    if k < 2:
-        raise ValueError("ap requires uniformity k >= 2")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    FamilySpec("ap", n, k)
     _check_edges(_ap_edge_count(n, k), k)
     # 0-based start s carries d = 1 .. (n - 1 - s) // (k - 1).
     start, d = _group_positions((n - 1 - np.arange(n)) // (k - 1))
@@ -164,8 +162,7 @@ def build_schur(n: int) -> Hypergraph:
 
     Rows come ordered by x, then by y, which is their lexicographic order.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    FamilySpec("schur", n)
     _check_edges(_ell_sum_edge_count(n, 1))
     # 0-based x0 = x - 1 carries the n - 2x values y0 = x0 + 1 + offset.
     x0, offset = _group_positions(n - 2 * np.arange(1, (n - 1) // 2 + 1))
@@ -187,10 +184,7 @@ def build_ell_sum(n: int, ell: int) -> Hypergraph:
     below 2n for any ell, and ell > 2n - 1 gives the empty family.  These
     rows are grouped by z and go through the constructor's sort.
     """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    FamilySpec("ell_sum", n, ell=ell)
     if ell == 1:
         return build_schur(n)
     if ell == 2:
@@ -218,8 +212,7 @@ def interval_witness(spec: FamilySpec, x: float, h: Hypergraph | None = None) ->
     is recovered from the size as m / max(sqrt(x), 1).  h is build(spec),
     built here unless the caller already holds it.
     """
-    if x != x:  # NaN, which no edge count meets; refused before any build
-        raise ValueError("x must not be NaN")
+    check_threshold(x=x)  # before any build
     if h is None:
         h = build(spec)
     if x <= 0:
@@ -239,8 +232,7 @@ def greedy_witness(h: Hypergraph, x: float) -> Witness | None:
     No size guarantee; d_used is computed a posteriori.  Returns None when
     the whole hypergraph has fewer than x edges.
     """
-    if x != x:  # NaN, which no edge count meets; refused before the greedy pass
-        raise ValueError("x must not be NaN")
+    check_threshold(x=x)
     if x <= 0:
         return Witness(h, VertexSet(h.n, 0), 0.0, float(x))
     if h.num_edges < x:

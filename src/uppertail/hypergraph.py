@@ -6,6 +6,8 @@ in :mod:`uppertail.families` translate from {1, ..., n} at construction time.
 
 from __future__ import annotations
 
+import math
+import operator
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -17,6 +19,10 @@ __all__ = [
     "CapacityError",
     "Hypergraph",
     "VertexSet",
+    "check_count",
+    "check_finite",
+    "check_probability",
+    "check_threshold",
     "delta_j",
     "induced_edge_count",
     "induced_edges",
@@ -31,6 +37,34 @@ class CapacityError(RuntimeError):
     """Raised when an exact routine is asked to exceed its declared budget."""
 
 
+def check_probability(p: float) -> None:
+    """Refuse a vertex density p outside [0, 1], NaN included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+
+
+def check_threshold(**values: float) -> None:
+    """Refuse NaN, the one value unequal to itself, which no count meets.
+    Nothing is compared with a float, so +-inf and any int pass."""
+    for name, value in values.items():
+        if value != value:
+            raise ValueError(f"{name} must not be NaN")
+
+
+def check_finite(**values: float) -> None:
+    """Refuse NaN and +-inf.  The compares convert nothing, so any int passes."""
+    for name, value in values.items():
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, not {value}")
+
+
+def check_count(**values: int) -> None:
+    """Refuse a negative count, or one operator.index rejects (a float, however whole)."""
+    for name, value in values.items():
+        if not (hasattr(value, "__index__") and operator.index(value) >= 0):
+            raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
+
+
 MEMBERSHIP_VERTEX_BUDGET = 16  # membership_table's int64 (2^n, n) temporary is 8 MiB here
 
 
@@ -40,8 +74,7 @@ class VertexSet:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: int = 0):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        check_count(n=n)
         if bits < 0 or bits >> n != 0:
             raise ValueError("bit vector has members outside range(n)")
         self.n = n
@@ -248,10 +281,9 @@ class Hypergraph:
     __slots__ = ("k", "n", "edge_array", *_VIEWS)
 
     def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]] | np.ndarray):
+        check_count(k=k, n=n)
         if k < 1:
             raise ValueError("uniformity k must be at least 1")
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
         self.k = k
         self.n = n
         self.edge_array = _canonical(_edge_rows(k, edges), n)
@@ -334,14 +366,14 @@ def sample_vp(h: Hypergraph, p: float, rng: np.random.Generator) -> VertexSet:
     """Include each vertex independently with probability p: the one-column
     form of rng.p_subset_members with every vertex free, as sample_vm is of
     rng.m_subset_members."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p)
     return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(h.n), p, 1)[:, 0])
 
 
 def sample_vm(h: Hypergraph, m: int, rng: np.random.Generator) -> VertexSet:
     """Uniform m-subset of the vertices via partial Fisher-Yates (the
     one-sample rng.m_subset_members draw)."""
+    check_count(m=m)
     if not 0 <= m <= h.n:
         raise ValueError(f"m must lie in [0, {h.n}]")
     return VertexSet.from_bool_array(m_subset_members(rng, h.n, m, 1)[:, 0])

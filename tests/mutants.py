@@ -51,6 +51,9 @@ P_DRAW = "tests/test_rng.py::TestPDrawLaw::"
 P_REF = "tests/test_rng.py::TestSampleVpReference::test_draws_equal_the_float_compare"
 INFINITE = "tests/test_bounds.py::TestInfiniteInputs::"
 KERNEL = T_EST + "TestSamplingKernel::"
+NAN_REFUSED = T_EST + "TestNaNThreshold::test_refused"
+T_WITNESSES = "tests/test_families.py::TestWitnesses::"
+MOMENTS_P = "tests/test_bounds.py::TestMoments::test_moments_refuse_p_outside_the_unit_interval"
 SANDWICH_REF = "tests/test_verify.py::TestSandwichSamples::test_split_draw_equals_the_float_compare"
 
 # (name, file, old line, new line, node ids that must fail)
@@ -67,13 +70,17 @@ MUTANTS = [
      "    free = [v for v in range(h.n) if not (forced.bits >> v) & 1]",
      "    free = list(range(h.n))",
      PLANTED_EXACT),
-    ("exact readers enumerate before checking their input", EST,
-     "    read(np.zeros((1, 1), dtype=np.int64), p, threshold)",
-     "    pass",
-     [EARLY_READ + "[tail-pnan]", EARLY_READ + "[point-mnan]", EARLY_READ + "[point-p-0.1]"]),
+    ("exact_tail enumerates before checking p", EST,
+     "    thr = _float_threshold(threshold)  # the threshold, then p, fail before the 2^n pass",
+     "    thr = _float_threshold(threshold); edge_count_histogram(h, workers)",
+     [EARLY_READ + "[tail-p1.5]", EARLY_READ + "[tail-pnan]"]),
+    ("exact_point_mass enumerates before checking m and p", EST,
+     "    check_threshold(m=m)  # m, then p, fail before the 2^n pass",
+     "    edge_count_histogram(h, workers); check_threshold(m=m)",
+     [EARLY_READ + "[point-mnan]", EARLY_READ + "[point-p-0.1]", EARLY_READ + "[point-p-0.5]"]),
     ("size_weighted_sum without its p range check", EST,
-     "    if not 0.0 <= p <= 1.0:  # the one check of every exact read; NaN fails it too",
-     "    if False:",
+     "    check_probability(p)  # every exact read weighs through here",
+     "    pass",
      [WEIGHT_RANGE + "[nan]", WEIGHT_RANGE + "[1.5]"]),
     ("conditioned factor x1.5", EST,
      "    factor = 1.0 if m <= 0 else float(betainc(m, h.n - m + 1, p))",
@@ -88,7 +95,7 @@ MUTANTS = [
      "        return int(self.counts[np.arange(len(self.counts)) > threshold].sum())",
      [T_EST + "TestSamplingKernel::test_hits_match_induced_edge_count", MC_COVERS]),
     ("SampleHistogram.hits without its NaN refusal", EST,
-     "        _check_threshold(threshold)",
+     "        check_threshold(threshold=threshold)",
      "        pass",
      [T_EST + "TestNaNThreshold::test_held_pass_refuses_nan"]),
     ("tail entry points accept a threshold past the float range", EST,
@@ -110,8 +117,8 @@ MUTANTS = [
      "    lam = 3.0 / denom",
      [T_EST + "TestPlantingTarget::test_closed_form_bit_for_bit"]),
     ("planting_target without its NaN and infinity refusal", EST,
-     "        if not -math.inf < value < math.inf:  # NaN or infinite; converts nothing, as _check_threshold",
-     "        if False:",
+     "    check_finite(mu=mu, t=t)",
+     "    pass",
      [T_EST + "TestPlantingTarget::test_nan_refused[nan-1.0]",
       T_EST + "TestPlantingTarget::test_nan_refused[1.0-nan]",
       T_EST + "TestPlantingTarget::test_infinity_refused_by_name[inf-1.0-mu]",
@@ -147,6 +154,31 @@ MUTANTS = [
      "    return raw <= np.uint64(c << 11) if c < 1 << 53 else np.ones(raw.shape, dtype=bool)",
      [P_DRAW + "test_every_tie_with_the_cut[0]", P_DRAW + "test_every_tie_with_the_cut[0.05]",
       P_DRAW + "test_every_tie_with_the_cut[1/3]"]),
+    # One row per refusal helper, each killed by tests of two modules.
+    ("check_probability refuses nothing", "hypergraph.py",
+     "    if not 0.0 <= p <= 1.0:",
+     "    if False:",
+     [WEIGHT_RANGE + "[nan]", WEIGHT_RANGE + "[1.5]", MOMENTS_P + "[nan]",
+      "tests/test_hypergraph.py::TestSampling::test_rejects_invalid"]),
+    ("check_threshold refuses nothing", "hypergraph.py",
+     "        if value != value:",
+     "        if False:",
+     [NAN_REFUSED + "[exact_tail]", NAN_REFUSED + "[mc_tail]",
+      T_EST + "TestNaNThreshold::test_held_pass_refuses_nan",
+      T_WITNESSES + "test_interval_witness_refuses_nan", T_WITNESSES + "test_greedy_witness_refuses_nan"]),
+    ("check_finite refuses nothing", "hypergraph.py",
+     "        if not -math.inf < value < math.inf:",
+     "        if False:",
+     [INFINITE + "test_refused_by_name[theorem_c_bound-mu]", INFINITE + "test_refused_by_name[MomentReport-lam]",
+      T_EST + "TestPlantingTarget::test_infinity_refused_by_name[inf-1.0-mu]",
+      T_EST + "TestConditioned::test_non_finite_eps_is_refused[inf]"]),
+    ("check_count refuses nothing", "hypergraph.py",
+     '        if not (hasattr(value, "__index__") and operator.index(value) >= 0):',
+     "        if False:",
+     ["tests/test_hypergraph.py::TestCounts::test_refused_by_name[hypergraph-n]",
+      "tests/test_families.py::TestFamilySpec::test_counts_must_be_integers[n]",
+      T_EST + "TestConditioned::test_non_integer_samples_refused_by_name[planted]",
+      "tests/test_bounds.py::TestHypergeom::test_non_integer_m_refused_by_name"]),
     ("sample_vp draws every vertex but 0", "hypergraph.py",
      "    return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(h.n), p, 1)[:, 0])",
      "    return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(1, h.n), p, 1)[:, 0])",
@@ -171,7 +203,7 @@ MUTANTS = [
      [T_CLI + "TestFamilyAndBounds::test_each_bound_family_is_one_call_in_row_order",
       T_CLI + "TestFamilyAndBounds::test_bounds_at_t_past_float_squares"]),
     ("theorem_c_bound without its finiteness refusal", "bounds.py",
-     "    _require_finite(mu=mu, capacity=capacity, t=t)",
+     "    check_finite(mu=mu, capacity=capacity, t=t)",
      "    pass",
      [INFINITE + "test_refused_by_name[theorem_c_bound-mu]",
       INFINITE + "test_refused_by_name[theorem_c_bound-capacity]"]),

@@ -123,6 +123,12 @@ class TestMoments:
         rep = moment_report(AP4, 0.5)
         assert rep.lam == pytest.approx(rep.mu * (1.0 + 4 * 0.5**2), rel=1e-15)
 
+    @pytest.mark.parametrize("p", [math.nan, 1.5, -0.1])
+    def test_moments_refuse_p_outside_the_unit_interval(self, p):
+        for moment in (exact_mean, exact_variance, moment_report):
+            with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+                moment(AP4, p)
+
     def test_moment_report_refuses_negative_and_nan(self):
         for args in ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0),
                      (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
@@ -417,7 +423,7 @@ class TestLowerBounds:
         for q in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match=r"q must lie in \(0, 1\)"):
                 binomial_point_lower(10, q, 4)
-        with pytest.raises(ValueError, match="b must not be NaN"):
+        with pytest.raises(ValueError, match="b must be finite, not nan"):
             binomial_point_lower(10, 0.3, 4, b=math.nan)
 
     def test_refined_below_pmf(self):
@@ -463,3 +469,8 @@ class TestHypergeom:
         assert hypergeom_conditional_mean(AP4, 4) == 2.0
         with pytest.raises(ValueError):
             hypergeom_conditional_mean(AP4, 5)
+
+    def test_non_integer_m_refused_by_name(self):
+        # m = 2.5 on AP(10,3) returned 0.0.
+        with pytest.raises(ValueError, match="^m must be a nonnegative integer, not 2.5$"):
+            hypergeom_conditional_mean(build_ap(10, 3), 2.5)

@@ -394,8 +394,9 @@ class TestHeldHistogram:
             lambda h: exact_tail(h, math.nan, 3.0),
             lambda h: exact_point_mass(h, 0.3, math.nan),
             lambda h: exact_point_mass(h, -0.1, 2),
+            lambda h: exact_point_mass(h, -0.5, 2),
         ],
-        ids=["tail-p1.5", "tail-pnan", "point-mnan", "point-p-0.1"],
+        ids=["tail-p1.5", "tail-pnan", "point-mnan", "point-p-0.1", "point-p-0.5"],
     )
     def test_exact_readers_refuse_before_enumerating(self, monkeypatch, read):
         calls = self.spy_enumerations(monkeypatch)
@@ -514,6 +515,13 @@ class TestNaNThreshold:
         held = mc_histogram(build_ap(10, 3), 0.3, 100, seed=1)
         with pytest.raises(ValueError, match="NaN"):
             held.hits(math.nan)
+
+    def test_point_masses_name_m(self):
+        h = build_ap(10, 3)
+        with pytest.raises(ValueError, match="^m must not be NaN$"):
+            histogram_point_mass(edge_count_histogram(h), 0.3, math.nan)
+        with pytest.raises(ValueError, match="^m must not be NaN$"):
+            exact_point_mass(h, 0.3, math.nan)
 
 
 # Every entry point that returns a TailEstimate, at a given threshold.
@@ -862,6 +870,22 @@ class TestConditioned:
         assert conditioned_size(10, 0.3, 1e308) == math.inf
         with pytest.raises(ValueError, match="exceeds the 10 available vertices"):
             conditioned_histogram(build_ap(10, 3), 0.3, 3, seed=1, eps=1e308)
+
+    def test_conditioned_size_refuses_p_by_name(self):
+        # NaN p raised "cannot convert float NaN to integer", naming nothing.
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+            conditioned_size(10, math.nan, 0.0)
+
+    @pytest.mark.parametrize("method", ["planted", "conditioned"])
+    def test_non_integer_samples_refused_by_name(self, method):
+        # 2.5 passed the budget check, then numpy raised TypeError in the draw.
+        h = build_ap(10, 3)
+        run = {
+            "planted": lambda: planted_histogram(h, 0.3, 2.5, 1, VertexSet(10)),
+            "conditioned": lambda: conditioned_histogram(h, 0.3, 2.5, 1),
+        }[method]
+        with pytest.raises(ValueError, match="^samples must be a nonnegative integer, not 2.5$"):
+            run()
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
     def test_non_finite_eps_is_refused(self, eps):

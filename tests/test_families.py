@@ -166,6 +166,39 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec("ell_sum", 5, ell=0)
 
+    @pytest.mark.parametrize(
+        "spec, builder, name",
+        [
+            (lambda: FamilySpec("ap", 10.5), lambda: build_ap(10.5, 3), "n"),
+            (lambda: FamilySpec("ap", 10, k=3.0), lambda: build_ap(10, 3.0), "k"),
+            (lambda: FamilySpec("ell_sum", 10, ell=1.5), lambda: build_ell_sum(10, 1.5), "ell"),
+            (lambda: FamilySpec("schur", -1), lambda: build_schur(-1), "n"),
+        ],
+        ids=["n", "k", "ell", "negative-n"],
+    )
+    def test_counts_must_be_integers(self, spec, builder, name):
+        # FamilySpec("ap", 10.5) was accepted, and build_ap(10.5, 3) then raised
+        # numpy's float-to-int cast TypeError.
+        for make in (spec, builder):
+            with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, not "):
+                make()
+
+    @pytest.mark.parametrize(
+        "builder, spec",
+        [
+            (lambda: build_ap(10, 1), lambda: FamilySpec("ap", 10, k=1)),
+            (lambda: build_ell_sum(10, 0), lambda: FamilySpec("ell_sum", 10, ell=0)),
+            (lambda: build_schur(-3), lambda: FamilySpec("schur", -3)),
+        ],
+        ids=["ap-k", "ell_sum-ell", "schur-n"],
+    )
+    def test_builders_refuse_as_their_spec(self, builder, spec):
+        with pytest.raises(ValueError) as want:
+            spec()
+        with pytest.raises(ValueError) as got:
+            builder()
+        assert str(got.value) == str(want.value)
+
 
 def _prefix_counts(spec, m):
     """Edges of build(spec) inside {1, ..., m}: by enumeration, by the largest

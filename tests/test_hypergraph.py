@@ -461,3 +461,28 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_vm(TRIANGLE_PAIR, 6, rng)
 
+
+# Counts that are not nonnegative integers, each refused by name.  Hypergraph(3,
+# 10.5, []) was accepted (and printed n=10.5); the other floats raised TypeError
+# from deeper in.
+NON_INTEGER_COUNTS = {
+    "vertexset-n": (lambda: VertexSet(10.5), "n", "10.5"),
+    "hypergraph-n": (lambda: Hypergraph(3, 10.5, []), "n", "10.5"),
+    "hypergraph-k": (lambda: Hypergraph(3.0, 10, []), "k", "3.0"),
+    "sample_vm-m": (lambda: sample_vm(TRIANGLE_PAIR, 2.5, np.random.default_rng(0)), "m", "2.5"),
+    "vertexset-negative-n": (lambda: VertexSet(-1), "n", "-1"),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("case", NON_INTEGER_COUNTS)
+    def test_refused_by_name(self, case):
+        make, name, shown = NON_INTEGER_COUNTS[case]
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, not {shown}$"):
+            make()
+
+    def test_numpy_ints_pass(self):
+        h = Hypergraph(np.int64(3), np.int32(5), [(0, 1, 2)])
+        assert h.num_edges == 1 and VertexSet(np.int64(4), 0b1001).indices() == (0, 3)
+        assert len(sample_vm(h, np.int64(2), np.random.default_rng(0))) == 2
+

@@ -307,3 +307,41 @@ def test_verify_checks_return_check_results():
         elif any(isinstance(n, ast.Name) and n.id in ("tuple", "Tuple") for n in ast.walk(returns)):
             wrong.append(f"{node.name} -> {ast.unparse(returns)}")
     assert not wrong, f"verify functions that do not return CheckResult: {wrong}"
+
+
+# Each input kind is refused in one place, uppertail.hypergraph's check_*
+# helpers; cli's usage checks name flags and exit 2, so they keep their own.
+# The text is p's, since disjointness refuses a whole array of probabilities.
+REFUSERS = {"hypergraph.py", "cli.py"}
+REFUSAL_TEXT = ("p must lie in [0, 1]", "must not be NaN", "must be finite, not")
+
+
+def _second_refusals(tree: ast.Module) -> list[str]:
+    """Spellings of a helper's rule: its message text, a name compared with
+    itself (x != x) and math.isnan."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [f"{text!r} (line {node.lineno})" for text in REFUSAL_TEXT if text in node.value]
+        elif isinstance(node, ast.Compare):
+            names = [n.id for n in (node.left, *node.comparators) if isinstance(n, ast.Name)]
+            if len(names) != len(set(names)):
+                found.append(f"a name compared with itself (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "isnan":
+            if isinstance(node.value, ast.Name) and node.value.id == "math":
+                found.append(f"math.isnan (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in REFUSERS], ids=lambda p: p.name)
+def test_refusals_go_through_the_helpers(path):
+    found = _second_refusals(_tree(path))
+    assert not found, f"{path.name} spells a refusal of its own: {found}"
+
+
+def test_refusal_reading_finds_the_helpers():
+    # The reading sees hypergraph's own spellings: the three messages and the
+    # NaN compare in check_threshold.
+    found = _second_refusals(_tree(SRC / "hypergraph.py"))
+    assert sum("compared with itself" in f for f in found) == 1
+    assert all(any(repr(text) in f for f in found) for text in REFUSAL_TEXT)
