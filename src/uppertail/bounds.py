@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .hypergraph import Hypergraph, check_count, check_finite, check_probability
+from .hypergraph import check_subset_size
 
 __all__ = [
     "BoundReport",
@@ -242,8 +243,15 @@ def lb_cluster_bound(d: float, mu: float, t: float, p: float) -> BoundReport:
     return BoundReport("lb_cluster", log_value, {"d": d, "mu": mu, "t": t, "p": p})
 
 
+def _check_trials(n: int, m: int) -> None:
+    """Refuse trial and success counts that are not integers, and n past the float range."""
+    check_count(n=n, m=m)
+    check_finite(n=n)
+
+
 def binomial_point_lower(n: int, q: float, m: int, b: float = 1.0) -> BoundReport:
     """log of e^-b * C(n, m) * q^m * (1-q)^(n-m), via lgamma."""
+    _check_trials(n, m)
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     if not 0.0 < q < 1.0:
@@ -260,6 +268,7 @@ def binomial_point_lower_refined(n: int, q: float, m: int) -> BoundReport:
     log value: -1/6 - phi(j/mu) mu - j^2 / ((1-q) n) - log(sqrt(2 pi m)),
     with mu = nq and j = m - mu.
     """
+    _check_trials(n, m)
     if not 0 < m < n:
         raise ValueError("need 0 < m < n")
     if not 0.0 < q < 1.0:
@@ -287,9 +296,7 @@ def paley_zygmund_lower(var: float, t: float) -> float:
 
 def hypergeom_conditional_mean(h: Hypergraph, m: int) -> float:
     """E[X | exactly m vertices kept] = e(H) * prod_{i<k} (m - i) / (n - i)."""
-    check_count(m=m)
-    if not 0 <= m <= h.n:
-        raise ValueError(f"m must lie in [0, {h.n}]")
+    check_subset_size(m, h.n)
     if m < h.k or not h.num_edges:
         return 0.0
     value = float(h.num_edges)

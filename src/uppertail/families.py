@@ -78,13 +78,9 @@ class Witness:
     def __post_init__(self):
         if not self.d_used >= 0:
             raise ValueError("d_used must be nonnegative")
-        h, s = self.hypergraph, self.subset
-        if s.n != h.n:
-            raise ValueError(f"vertex set over range({s.n}) does not match range({h.n})")
-        if not self.x <= 0:  # any set induces at least x <= 0 edges; NaN is refused
-            achieved = induced_edge_count(h, s)
-            if not achieved >= self.x:
-                raise ValueError(f"witness induces {achieved} < {self.x} edges")
+        achieved = induced_edge_count(self.hypergraph, self.subset)  # refuses another range(n)
+        if not achieved >= self.x:  # NaN is refused
+            raise ValueError(f"witness induces {achieved} < {self.x} edges")
         cap = self.d_used * max(math.sqrt(max(self.x, 0.0)), 1.0)
         if len(self.subset) > cap + 1e-9:
             raise ValueError(f"witness size {len(self.subset)} exceeds {cap}")

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import m_subset_members, p_subset_members
+from .rng import m_subset_members, p_keep
 
 __all__ = [
     "CapacityError",
@@ -22,6 +22,7 @@ __all__ = [
     "check_count",
     "check_finite",
     "check_probability",
+    "check_subset_size",
     "check_threshold",
     "delta_j",
     "induced_edge_count",
@@ -52,10 +53,15 @@ def check_threshold(**values: float) -> None:
 
 
 def check_finite(**values: float) -> None:
-    """Refuse NaN and +-inf.  The compares convert nothing, so any int passes."""
+    """Refuse NaN, +-inf and an int past the float range.  The compares run
+    first, so a value that does not compare with a float still raises TypeError."""
     for name, value in values.items():
         if not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite, not {value}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, not an int past the float range") from None
 
 
 def check_count(**values: int) -> None:
@@ -63,6 +69,13 @@ def check_count(**values: int) -> None:
     for name, value in values.items():
         if not (hasattr(value, "__index__") and operator.index(value) >= 0):
             raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
+
+
+def check_subset_size(m: int, n: int) -> None:
+    """Refuse a subset size m that is not a count in [0, n]."""
+    check_count(m=m)
+    if not m <= n:
+        raise ValueError(f"m must lie in [0, {n}]")
 
 
 MEMBERSHIP_VERTEX_BUDGET = 16  # membership_table's int64 (2^n, n) temporary is 8 MiB here
@@ -363,18 +376,16 @@ def delta_j(h: Hypergraph, j: int) -> int:
 
 
 def sample_vp(h: Hypergraph, p: float, rng: np.random.Generator) -> VertexSet:
-    """Include each vertex independently with probability p: the one-column
-    form of rng.p_subset_members with every vertex free, as sample_vm is of
-    rng.m_subset_members."""
+    """Include each vertex independently with probability p: rng.p_keep on
+    n raw words, the same words as the one-column rng.p_subset_members draw
+    with every vertex free."""
     check_probability(p)
-    return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(h.n), p, 1)[:, 0])
+    return VertexSet.from_bool_array(p_keep(rng.bit_generator.random_raw(h.n), p))
 
 
 def sample_vm(h: Hypergraph, m: int, rng: np.random.Generator) -> VertexSet:
     """Uniform m-subset of the vertices via partial Fisher-Yates (the
     one-sample rng.m_subset_members draw)."""
-    check_count(m=m)
-    if not 0 <= m <= h.n:
-        raise ValueError(f"m must lie in [0, {h.n}]")
+    check_subset_size(m, h.n)
     return VertexSet.from_bool_array(m_subset_members(rng, h.n, m, 1)[:, 0])
 

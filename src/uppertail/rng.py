@@ -8,8 +8,9 @@ merge identically for any worker count or completion order.  This is the
 (seed, worker, sample-index) keying with the chunk index as the worker slot.
 
 The draws return an n x count boolean membership matrix, one sample per
-column; hypergraph.sample_vp / sample_vm are their one-column forms, so each
-law is drawn one way.
+column.  hypergraph.sample_vm is the one-column m_subset_members draw, and
+hypergraph.sample_vp applies p_keep to n raw words, the words of the
+one-column p_subset_members draw, so each law is drawn one way.
 """
 
 from __future__ import annotations

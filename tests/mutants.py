@@ -50,6 +50,8 @@ T_WORKERS = "tests/test_workers.py::"
 P_DRAW = "tests/test_rng.py::TestPDrawLaw::"
 P_REF = "tests/test_rng.py::TestSampleVpReference::test_draws_equal_the_float_compare"
 INFINITE = "tests/test_bounds.py::TestInfiniteInputs::"
+PAST_FLOAT = "tests/test_bounds.py::test_int_past_the_float_range_refused_by_name"
+BINOMIAL_COUNTS = "tests/test_bounds.py::TestLowerBounds::test_counts_are_integers_within_the_float_range"
 KERNEL = T_EST + "TestSamplingKernel::"
 NAN_REFUSED = T_EST + "TestNaNThreshold::test_refused"
 T_WITNESSES = "tests/test_families.py::TestWitnesses::"
@@ -172,6 +174,11 @@ MUTANTS = [
      [INFINITE + "test_refused_by_name[theorem_c_bound-mu]", INFINITE + "test_refused_by_name[MomentReport-lam]",
       T_EST + "TestPlantingTarget::test_infinity_refused_by_name[inf-1.0-mu]",
       T_EST + "TestConditioned::test_non_finite_eps_is_refused[inf]"]),
+    ("check_finite lets an int past the float range through", "hypergraph.py",
+     "            float(value)",
+     "            pass",
+     [PAST_FLOAT + "[MomentReport-mu]", PAST_FLOAT + "[theorem_c_bound-t]",
+      T_EST + "TestPlantingTarget::test_int_past_the_float_range_refused_by_name[conditioned_size-eps]"]),
     ("check_count refuses nothing", "hypergraph.py",
      '        if not (hasattr(value, "__index__") and operator.index(value) >= 0):',
      "        if False:",
@@ -180,8 +187,8 @@ MUTANTS = [
       T_EST + "TestConditioned::test_non_integer_samples_refused_by_name[planted]",
       "tests/test_bounds.py::TestHypergeom::test_non_integer_m_refused_by_name"]),
     ("sample_vp draws every vertex but 0", "hypergraph.py",
-     "    return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(h.n), p, 1)[:, 0])",
-     "    return VertexSet.from_bool_array(p_subset_members(rng, h.n, np.arange(1, h.n), p, 1)[:, 0])",
+     "    return VertexSet.from_bool_array(p_keep(rng.bit_generator.random_raw(h.n), p))",
+     "    return VertexSet.from_bool_array(np.r_[True, p_keep(rng.bit_generator.random_raw(h.n - 1), p)])",
      [P_REF + "[philox-1-0.5]", P_REF + "[philox-8-0.05]", P_REF + "[pcg64-60-1/3]"]),
     ("Fisher-Yates draws j from [0, n)", "rng.py",
      "        j = gen.integers(i, n, size=count)",
@@ -207,6 +214,11 @@ MUTANTS = [
      "    pass",
      [INFINITE + "test_refused_by_name[theorem_c_bound-mu]",
       INFINITE + "test_refused_by_name[theorem_c_bound-capacity]"]),
+    ("binomial bounds take fractional counts", "bounds.py",
+     "    check_count(n=n, m=m)",
+     "    pass",
+     [BINOMIAL_COUNTS + "[n10.5-m4.5-binomial_point_lower]",
+      BINOMIAL_COUNTS + "[m8.5-binomial_point_lower_refined]"]),
     ("the bound chain lets a +inf primary through", "bounds.py",
      "    if primary > weaker + slack or (primary == math.inf and weaker < math.inf):",
      "    if primary > weaker + slack:",

@@ -373,6 +373,32 @@ INFINITE_INPUTS = [
 ]
 
 
+# Arguments every check accepts, and the names of the real inputs among them
+# by position (None: p or q, which only an interval holds).
+REAL_INPUTS = [
+    (theorem_c_bound, (1.0, 1.0, 1.0), ("mu", "capacity", "t")),
+    (et_bound, (1.0, 1.0, 2.0), ("mu", "capacity", "x")),
+    (exponent_appp, (1.0, 0.5), ("mu",)),
+    (exponent_ap, (1.0, 1.0, 0.5, 1.0), ("mu", "var", None, "eps")),
+    (exponent_apt, (1.0, 0.5, 1.0), ("var", None, "t")),
+    (exponent_hg, (1.0, 1.0, 0.5, 1.0), ("mu", "lam", None, "t")),
+    (lb_cluster_bound, (1.0, 1.0, 1.0, 0.5), ("d", "mu", "t")),
+    (binomial_point_lower, (10, 0.3, 4, 1.0), ("n", None, None, "b")),
+    (paley_zygmund_lower, (1.0, 1.0), ("var", "t")),
+    (MomentReport, (0.0, 0.0, 0.0), ("mu", "var", "lam")),
+]
+PAST_FLOAT = [(fn, args[:i] + (10**400,) + args[i + 1:], name)
+              for fn, args, names in REAL_INPUTS for i, name in enumerate(names) if name]
+
+
+@pytest.mark.parametrize("fn, args, name", PAST_FLOAT, ids=[f"{fn.__name__}-{name}" for fn, _, name in PAST_FLOAT])
+def test_int_past_the_float_range_refused_by_name(fn, args, name):
+    # Each entry point raised OverflowError from its arithmetic, and
+    # MomentReport(10**400, 0, 0) held the int.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, not an int past the float range$"):
+        fn(*args)
+
+
 class TestInfiniteInputs:
     @pytest.mark.parametrize(
         "fn, args, name",
@@ -417,14 +443,29 @@ class TestLowerBounds:
         )
 
     def test_binomial_point_rejects(self):
-        for args in ((10, 0.3, 11), (10, 0.3, -1)):
-            with pytest.raises(ValueError, match="need 0 <= m <= n"):
-                binomial_point_lower(*args)
+        with pytest.raises(ValueError, match="need 0 <= m <= n"):
+            binomial_point_lower(10, 0.3, 11)
+        with pytest.raises(ValueError, match="^m must be a nonnegative integer, not -1$"):
+            binomial_point_lower(10, 0.3, -1)
         for q in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match=r"q must lie in \(0, 1\)"):
                 binomial_point_lower(10, q, 4)
         with pytest.raises(ValueError, match="b must be finite, not nan"):
             binomial_point_lower(10, 0.3, 4, b=math.nan)
+
+    @pytest.mark.parametrize("fn", [binomial_point_lower, binomial_point_lower_refined])
+    @pytest.mark.parametrize("n, m, message", [
+        (10.5, 4.5, "n must be a nonnegative integer, not 10.5"),
+        (20.5, 8, "n must be a nonnegative integer, not 20.5"),
+        (20, 8.5, "m must be a nonnegative integer, not 8.5"),
+        (10**400, 1, "n must be finite, not an int past the float range"),
+    ], ids=["n10.5-m4.5", "n20.5", "m8.5", "n1e400"])
+    def test_counts_are_integers_within_the_float_range(self, fn, n, m, message):
+        # binomial_point_lower(10.5, 0.3, 4.5) gave log value -2.80 and the
+        # refined form at (20.5, 0.3, 8.5) -2.94, bounds for fractional
+        # trials; n = 10**400 raised lgamma's OverflowError.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(n, 0.3, m)
 
     def test_refined_below_pmf(self):
         for n, q in ((25, 0.2), (60, 0.45)):

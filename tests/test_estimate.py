@@ -979,6 +979,16 @@ class TestPlantingTarget:
         with pytest.raises(ValueError, match=f"{name} must be finite, not -?inf"):
             planting_target(mu, t, 3, None)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: planting_target(10**400, 1.0, 3, None), "mu"),
+        (lambda: planting_target(1.0, 10**400, 3, None), "t"),
+        (lambda: conditioned_size(10, 0.3, 10**400), "eps"),
+    ], ids=["planting_target-mu", "planting_target-t", "conditioned_size-eps"])
+    def test_int_past_the_float_range_refused_by_name(self, call, name):
+        # Each raised OverflowError from its arithmetic.
+        with pytest.raises(ValueError, match=f"^{name} must be finite, not an int past the float range$"):
+            call()
+
     @given(
         mu=st.floats(0.0, 1e4),
         t=st.floats(-10.0, 1e4),

@@ -309,18 +309,12 @@ class TestWitnesses:
         with pytest.raises(ValueError, match="d_used must be nonnegative"):
             Witness(h, full, math.nan, 1.0)
 
-    def test_nonpositive_target_counts_no_edges(self, monkeypatch):
-        # Every set induces at least x <= 0 edges, so the bound is not counted.
-        def refuse(h, s):
-            raise AssertionError("induced edges counted")
-
-        monkeypatch.setattr(families, "induced_edge_count", refuse)
+    def test_nonpositive_target_accepts_the_empty_set(self):
+        # Every set induces at least x <= 0 edges.
         h = build_ap(300, 3)
         for x in (0.0, -1.0, -0.0):
             assert len(Witness(h, VertexSet(300, 0), 0.0, x).subset) == 0
         assert interval_witness(FamilySpec("ap", 300), 0.0, h).d_used == 0.0
-        with pytest.raises(AssertionError, match="induced edges counted"):
-            Witness(h, VertexSet(300, 0b111), 3.0, 1.0)
 
 
 def _oracle_rows(k: int, n: int, edges) -> np.ndarray:
