@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hypergraph import CapacityError, Hypergraph, VertexSet, induced_mask, membership_table
+from .hypergraph import CapacityError, Hypergraph, VertexSet, check_count, induced_mask, membership_table
 
 __all__ = [
     "EventTable",
@@ -32,8 +32,7 @@ Z_EVENT_BUDGET = 8
 
 def _check_coords(m: int) -> None:
     """Refuse a coordinate count before any 2^m table is built."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    check_count(m=m)
     if m > EVENT_COORD_BUDGET:
         raise CapacityError(f"{m} coordinates exceed budget {EVENT_COORD_BUDGET}")
 

@@ -127,8 +127,7 @@ class TailEstimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.samples < 0:
-            raise ValueError("samples must be nonnegative")
+        check_count(samples=self.samples)
         # Relative slack: an absolute one would pass any inverted interval on
         # tails below it, and planted / conditioned tails reach 1e-26.
         if not (

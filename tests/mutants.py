@@ -5,32 +5,43 @@ that replaces it, and the pytest node ids that must fail once it is replaced.
 Name tests that check meaning (a law, a bound, a closed form), never a test
 that compares a whole output with a pinned file: a pin kills every mutant
 that moves a byte, so it says nothing about whether the semantic tests are
-still alive.
+still alive.  Never name a test that starts a fresh interpreter, such as
+tests/test_pins.py or the subprocess checks of tests/test_imports.py: that
+interpreter loads the unmutated source, so such a test can only make a row
+survive.
 
     python tests/mutants.py
 
-The rows are applied one at a time to a temporary copy of the repository's
-src/, tests/, demos/ and perfbench/, so src/ itself is never written.  The
-named tests first run once on the unmutated copy and must pass there.  The
-script exits 1 when a mutant survives (a named test passes), when a row's old
-line does not occur exactly once in its file, or when the named tests fail
-before any mutation.  It does not collect under pytest (no test_ prefix).
+The script imports pytest, numpy, scipy and hypothesis once, but no uppertail
+module, and forks one child per pytest run, one run at a time.  A row's
+child loads its module from the real source file with the one line replaced,
+in memory and under the file's own path, before anything else imports it;
+no file is ever written, so src/ needs no copy and no restore.  Children
+write no bytecode, no pytest cache and no hypothesis examples.  The named
+tests first run once unmutated and must pass there.  The script exits 1 when
+a mutant survives (a named test passes), when a child sends no result, when a
+row's old line does not occur exactly once in its file, or when the named
+tests fail before any mutation.  It does not collect under pytest (no test_
+prefix).
 """
 
 from __future__ import annotations
 
+import gc
+import importlib
+import importlib.util
 import os
-import re
-import shutil
-import subprocess
+import pickle
 import sys
-import tempfile
 import time
-from contextlib import contextmanager
+import traceback
 from pathlib import Path
 
+import pytest
+from hypothesis import settings
+
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml", "README.md")
+SRC = ROOT / "src"
 
 EST = "estimate.py"
 T_EST = "tests/test_estimate.py::"
@@ -186,6 +197,11 @@ MUTANTS = [
       "tests/test_families.py::TestFamilySpec::test_counts_must_be_integers[n]",
       T_EST + "TestConditioned::test_non_integer_samples_refused_by_name[planted]",
       "tests/test_bounds.py::TestHypergeom::test_non_integer_m_refused_by_name"]),
+    ("check_subset_size lets m past n through", "hypergraph.py",
+     "    if not m <= n:",
+     "    if False:",
+     ["tests/test_hypergraph.py::TestSampling::test_rejects_invalid",
+      "tests/test_bounds.py::TestHypergeom::test_extremes"]),
     ("sample_vp draws every vertex but 0", "hypergraph.py",
      "    return VertexSet.from_bool_array(p_keep(rng.bit_generator.random_raw(h.n), p))",
      "    return VertexSet.from_bool_array(np.r_[True, p_keep(rng.bit_generator.random_raw(h.n - 1), p)])",
@@ -280,77 +296,126 @@ EQUIVALENT = [
      "size; the block only bounds the temporary's size"),
 ]
 
-FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+?)(?: - .*)?$")
+WARM = ("numpy", "scipy.special", "scipy.stats")
+# hypothesis is loaded before pytest asks to rewrite its plugin's asserts.
+PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "-W", "ignore::pytest.PytestAssertRewriteWarning"]
 
 
-def _pytest(root: Path, args: list[str]) -> tuple[int, set[str], str]:
-    """Run pytest in root on args; return its exit code, the failed node ids and its output."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *args],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
-    failed = {m.group(1) for line in run.stdout.splitlines() if (m := FAILED.match(line))}
-    return run.returncode, failed, run.stdout + run.stderr
+class _Failures:
+    """pytest plugin: the node ids of every failed test or collection report."""
+
+    def __init__(self) -> None:
+        self.ids: set[str] = set()
+
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.failed:
+            self.ids.add(report.nodeid)
+
+    pytest_collectreport = pytest_runtest_logreport
 
 
-def _check_rows(root: Path) -> list[str]:
+def _load(path: str, old: str, new: str) -> None:
+    """Import uppertail's module path from its own file, with its line old
+    replaced by new, before anything else imports it."""
+    import uppertail
+
+    file = SRC / "uppertail" / path
+    lines = file.read_text(encoding="utf-8").split("\n")
+    lines[lines.index(old)] = new
+    name = f"uppertail.{file.stem}"
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, file))
+    sys.modules[name] = module
+    setattr(uppertail, file.stem, module)
+    # Compiled under the file's own path: a test may match code.co_filename
+    # against the module's __file__.
+    exec(compile("\n".join(lines), str(file), "exec"), module.__dict__)
+
+
+def _pytest(nodes: list[str], mutant: tuple[str, str, str] | None = None) -> tuple[int, set[str]] | str:
+    """pytest's exit code and failed node ids on nodes, run in a child forked
+    from this process with the mutant (path, old line, new line) loaded, if
+    any; or, when the child sends nothing, why.  A mutant run prints nothing."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    reader, writer = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            if mutant is not None:
+                _load(*mutant)
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, 1)
+                os.dup2(null, 2)
+            failures = _Failures()
+            code = pytest.main([*PYTEST_ARGS, *nodes], plugins=[failures])
+            with open(writer, "wb") as fh:
+                pickle.dump((int(code), failures.ids), fh)
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(0)
+    os.close(writer)
+    with open(reader, "rb") as fh:
+        payload = fh.read()
+    _, status = os.waitpid(pid, 0)
+    if not payload:
+        return f"harness error: the child exited with code {os.waitstatus_to_exitcode(status)} and sent no result"
+    return pickle.loads(payload)
+
+
+def _fails(node: str, failed: set[str]) -> bool:
+    """Whether node failed, or a collector above it failed to collect."""
+    return any(node == f or node.startswith(f + "::") for f in failed)
+
+
+def _check_rows(rows: list[tuple]) -> list[str]:
     """Each row's old line must occur exactly once in its file."""
     problems = []
-    for name, path, old, _new, *_ in MUTANTS + EQUIVALENT:
-        lines = (root / "src" / "uppertail" / path).read_text(encoding="utf-8").splitlines()
+    for name, path, old, _new, *_ in rows:
+        lines = (SRC / "uppertail" / path).read_text(encoding="utf-8").splitlines()
         if (count := lines.count(old)) != 1:
             problems.append(f"{name}: old line occurs {count} times in {path}")
     return problems
 
 
-@contextmanager
-def _mutated(root: Path, path: str, old: str, new: str):
-    """The copy's file with its line old replaced by new, restored on exit."""
-    target = root / "src" / "uppertail" / path
-    original = target.read_text(encoding="utf-8")
-    lines = original.split("\n")
-    lines[lines.index(old)] = new
-    target.write_text("\n".join(lines), encoding="utf-8")
-    try:
-        yield
-    finally:
-        target.write_text(original, encoding="utf-8")
-
-
-def main() -> int:
-    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        root = Path(tmp)
-        for name in COPIED:
-            src = ROOT / name
-            if src.is_dir():
-                shutil.copytree(src, root / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
-            else:
-                shutil.copy2(src, root / name)
-        problems = _check_rows(root)
-        if problems:
-            print("\n".join(problems))
-            return 1
-        named = sorted({node for *_, nodes in MUTANTS for node in nodes})
-        code, failed, out = _pytest(root, named)
-        if code != 0:
-            print(out)
-            print(f"named tests fail before any mutation: {sorted(failed)}")
-            return 1
-        survivors = 0
-        for name, path, old, new, nodes in MUTANTS:
-            start = time.perf_counter()
-            with _mutated(root, path, old, new):
-                _, failed, _ = _pytest(root, nodes)
-            alive = sorted(set(nodes) - failed)
+def main(mutants: list[tuple] = MUTANTS, equivalent: list[tuple] = EQUIVALENT) -> int:
+    loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "uppertail")
+    if loaded:
+        raise RuntimeError(f"uppertail is already loaded ({loaded}), so no child could load a mutant")
+    for name in WARM:  # once here, so that no forked child pays for them
+        importlib.import_module(name)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(SRC))
+    os.chdir(ROOT)
+    settings.register_profile("mutants", database=None)  # no verdict reads saved examples
+    settings.load_profile("mutants")
+    # pytest collects garbage at the end of each session: leave these imports
+    # out of it, or each child spends 0.3 s walking them.
+    gc.freeze()
+    problems = _check_rows(mutants + equivalent)
+    if problems:
+        print("\n".join(problems))
+        return 1
+    named = sorted({node for *_, nodes in mutants for node in nodes})
+    result = _pytest(named)
+    if isinstance(result, str) or result[0] != 0:
+        print(f"named tests fail before any mutation: {result if isinstance(result, str) else sorted(result[1])}")
+        return 1
+    survivors = 0
+    for name, path, old, new, nodes in mutants:
+        start = time.perf_counter()
+        result = _pytest(nodes, (path, old, new))
+        if isinstance(result, str):
+            verdict, note = "ERROR", f": {result}"
+        else:
+            alive = [node for node in nodes if not _fails(node, result[1])]
             verdict = "killed" if nodes and not alive else "SURVIVED"
-            survivors += verdict != "killed"
-            print(f"{verdict:8s} {name} ({time.perf_counter() - start:.1f}s)"
-                  + (f": did not fail {alive}" if alive else ""))
-        for name, *_, reason in EQUIVALENT:
-            print(f"equivalent {name}: {reason}")
-        print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed")
-        return 1 if survivors else 0
+            note = f": did not fail {alive}" if alive else ""
+        survivors += verdict != "killed"
+        print(f"{verdict:8s} {name} ({time.perf_counter() - start:.1f}s){note}")
+    for name, *_, reason in equivalent:
+        print(f"equivalent {name}: {reason}")
+    print(f"{len(mutants) - survivors}/{len(mutants)} mutants killed")
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

@@ -61,6 +61,13 @@ class TestEventTable:
         with pytest.raises(ValueError):
             EventTable(2, 1 << 16)
 
+    # EventTable(2.5, 0) and (2.0, 0) raised TypeError from 1 << m, and m = -1
+    # had a message of its own.
+    @pytest.mark.parametrize("m", [2.5, 2.0, -1])
+    def test_coordinate_count_refused_by_name(self, m):
+        with pytest.raises(ValueError, match=f"^m must be a nonnegative integer, not {m}$"):
+            EventTable(m, 0)
+
     def test_budget_checked_before_any_table(self):
         def never(omega):
             raise AssertionError(f"indicator called at {omega}")

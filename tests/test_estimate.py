@@ -87,6 +87,13 @@ class TestIntervalOrder:
         assert est.p_hat > est.ci_high
 
 
+# TailEstimate accepted samples = 2.5, and samples = -1 had a message of its own.
+@pytest.mark.parametrize("samples", [2.5, -1])
+def test_samples_refused_by_name(samples):
+    with pytest.raises(ValueError, match=f"^samples must be a nonnegative integer, not {samples}$"):
+        estimate.TailEstimate(1.0, 0.5, "planted", samples, 0.1, 0.9)
+
+
 def test_extra_never_affects_equality_or_hash():
     a = estimate.TailEstimate(1.0, 0.5, "planted", 10, 0.1, 0.9, {"x": 1})
     b = estimate.TailEstimate(1.0, 0.5, "planted", 10, 0.1, 0.9, {"x": 2})

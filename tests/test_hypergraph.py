@@ -458,7 +458,8 @@ class TestSampling:
         for p in (1.5, -0.5, math.nan):
             with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
                 sample_vp(TRIANGLE_PAIR, p, rng)
-        with pytest.raises(ValueError):
+        # numpy's own "low >= high" would pass a bare ValueError.
+        with pytest.raises(ValueError, match=r"^m must lie in \[0, 5\]$"):
             sample_vm(TRIANGLE_PAIR, 6, rng)
 
 
