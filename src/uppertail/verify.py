@@ -14,6 +14,10 @@ forked worker processes (uppertail.workers.spread), each with its own copy of
 the memo; the results, and so the CLI's output, are the same at any worker
 count.
 
+The five sampled checks (sandwich, M_r <= Z, three cascade) draw every
+p-subset through _sampled: one raw-word draw from stream 0 of the check's
+seed, split over its cases in order, and one induced-edge pass per graph.
+
 Frozen regression constants below were measured once on the exact grids the
 suites replay; they are rounded outward (intervals) or inward (lower bounds)
 by about 0.5% so reruns only fail on a real regression, not float noise.
@@ -47,7 +51,6 @@ from .decompose import (
     check_cascade_event,
     degree_prune_on,
     induced_max_degree,
-    mr_exact,
     mr_exact_on,
     xr_exact_on,
     xr_or_lower_on,
@@ -75,10 +78,8 @@ from .hypergraph import (
     Hypergraph,
     VertexSet,
     delta_j,
-    induced_edges,
     induced_mask,
     membership_table,
-    sample_vp,
 )
 from .rng import p_keep, stream_generator
 from .workers import spread
@@ -263,36 +264,40 @@ def variance_suite() -> list[CheckResult]:
 # ----------------------------------------------------------- sandwich suite
 
 
-def _sandwich_samples(seed: int, count: int) -> list[tuple[Hypergraph, float, float, tuple]]:
-    """sandwich_sample_check's (H, p, r, ids of the edges a p-subset induces).
+def _sampled(seed: int, cases: Iterable[tuple]) -> list[tuple[tuple, int, tuple[int, ...]]]:
+    """Each (p, ..., h) case with the vertex bits of a p-subset of h and the
+    ids of the edges that subset induces, drawn in case order from stream 0
+    of seed: the one path by which every sampled check draws.
 
-    One raw-word draw, split per sample, reads the words count sample_vp
+    One raw-word draw, split per case, reads the words successive sample_vp
     calls would, and rng.p_keep keeps a vertex by their compare; each graph's
-    samples then go through one induced pass as a stack of masks.
+    cases then go through one induced pass as a stack of masks.
     """
-    hs = [build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)]
-    rs = (1.0, 2.0, 3.0, 5.0)
-    ps = (0.15, 0.3, 0.5)
-    # Sample i takes the graph i % 6, r at (i // 6) % 4 and p at (i // 24) % 3.
-    grid = list(islice(cycle(product(ps, rs, hs)), count))
-    sizes = [h.n for _, _, h in grid]
+    cases = list(cases)
+    sizes = [case[-1].n for case in cases]
     raw = stream_generator(seed, 0).bit_generator.random_raw(sum(sizes))
     draws = np.split(raw, np.cumsum(sizes)[:-1])
-    ids: list[tuple[int, ...]] = [()] * count
-    for first, h in enumerate(hs):
-        picked = range(first, count, len(hs))
-        member = np.array([p_keep(draws[i], grid[i][0]) for i in picked]).reshape(-1, h.n)
-        for i, inside in zip(picked, induced_mask(h, member)):
-            ids[i] = tuple(np.flatnonzero(inside).tolist())
-    return [(h, p, r, edge_ids) for (p, r, h), edge_ids in zip(grid, ids)]
+    by_graph: dict[Hypergraph, list[int]] = {}
+    for i, case in enumerate(cases):
+        by_graph.setdefault(case[-1], []).append(i)
+    out: list = [None] * len(cases)
+    for h, picked in by_graph.items():
+        member = np.array([p_keep(draws[i], cases[i][0]) for i in picked])
+        packed = np.packbits(member, axis=1, bitorder="little")
+        for i, row, inside in zip(picked, packed, induced_mask(h, member)):
+            bits = int.from_bytes(row.tobytes(), "little")
+            out[i] = (cases[i], bits, tuple(np.flatnonzero(inside).tolist()))
+    return out
 
 
 def sandwich_sample_check(seed: int, count: int) -> CheckResult:
     """Sampled (H, S, r) triples obey the degree-prune sandwich; active counts
     the triples whose X_r is exact."""
+    hs = [build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)]
+    cases = islice(cycle(product((0.15, 0.3, 0.5), (1.0, 2.0, 3.0, 5.0), hs)), count)
     violations = 0
     exact_count = 0
-    for h, _, r, ids in _sandwich_samples(seed, count):
+    for (_, r, h), _, ids in _sampled(seed, cases):
         x = len(ids)
         delta1 = induced_max_degree(h, ids)
         pruned = degree_prune_on(h, ids, r)
@@ -609,17 +614,14 @@ def box_identity_checks() -> list[CheckResult]:
 
 def mr_z_sample_check() -> CheckResult:
     """M_r <= Z on 200 sampled (H, S, r) over AP(8,3) and Schur(8)."""
-    rng = stream_generator(11, 0)
     hs = (build_ap(8, 3), build_schur(8))
     rs = (1.0, 2.0, 3.0)
     # Stars certify their centers' degree events on disjoint vertex sets: M_r <= Z.
     by_case = {(h, r): degree_events(h, math.ceil(r)) for h in hs for r in rs}
     violations = 0
-    for i in range(200):
-        h, r = hs[i % 2], rs[(i // 2) % 3]
+    for (_, r, h), bits, ids in _sampled(11, islice(cycle(product((0.6,), rs, hs)), 200)):
         events = by_case[h, r]
-        s = sample_vp(h, 0.6, rng)
-        if mr_exact(h, s, r) > z_disjoint(events, s.bits, max_events=len(events)):
+        if mr_exact_on(h, ids, r) > z_disjoint(events, bits, max_events=len(events)):
             violations += 1
     return _none_violated("bk", "mr_le_z_sampled", "200 sampled (H,S,r)", 200, violations)
 
@@ -636,24 +638,18 @@ def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
 
     active counts the true verdicts; the detail also gives the indeterminate ones.
     """
-    rng = stream_generator(seed, 0)
     hs = (build_ap(10, 3), build_schur(10))
     combos = ((1.0, 4.0), (1.0, 9.0), (2.0, 4.0), (1.5, 6.25))
-    ps = (0.15, 0.25, 0.35)
+    cases = islice(cycle(product((0.15, 0.25, 0.35), combos, hs)), samples)
     beta = 1.0 / (32.0 * 3)
     violations = trues = indet = 0
-    for i in range(samples):
-        h = hs[i % 2]
-        r, t = combos[(i // 2) % len(combos)]
-        p = ps[(i // 8) % len(ps)]
+    for (p, (r, t), h), bits, ids in _sampled(seed, cases):
         params = CascadeParams(beta=beta, gamma=0.125, r=r, t=t, p=p)
-        s = sample_vp(h, p, rng)
-        check = check_cascade_event(h, s, params)
+        check = check_cascade_event(h, VertexSet(h.n, bits), params)
         if check.verdict is None:
             indet += 1
         elif check.verdict:
             trues += 1
-            ids = induced_edges(h, s)
             if len(ids) > xr_exact_on(h, ids, r) + t / 2.0 + 1e-9:
                 violations += 1
     detail = (
@@ -668,15 +664,11 @@ def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
 def cascade_accounting_check() -> CheckResult:
     """Per-level removal accounting on 50 samples of AP(40,3); active counts the
     samples whose every level is within the dyadic form."""
-    rng = stream_generator(14, 0)
-    h = build_ap(40, 3)
     violations = 0
     fully_dyadic = 0
-    for i in range(50):
-        t = (16.0, 36.0)[i % 2]
+    cases = islice(cycle(product((0.2,), (16.0, 36.0), (build_ap(40, 3),))), 50)
+    for (_, t, h), _, ids in _sampled(14, cases):
         params = CascadeParams(beta=1.0, gamma=0.125, r=1.5, t=t, p=0.2)
-        s = sample_vp(h, 0.2, rng)
-        ids = induced_edges(h, s)
         res = cascade_prune(h, ids, params)
         if sum(level.removed for level in res.levels) != len(ids) - len(res.kept_edge_ids):
             violations += 1
@@ -699,11 +691,10 @@ def cascade_accounting_check() -> CheckResult:
 
 
 def cascade_trivial_checks() -> list[CheckResult]:
-    rng = stream_generator(5, 0)
     h = build_ap(14, 3)
-    s = sample_vp(h, 0.5, rng)
+    # One p = 0.5 subset, then up to 200 at p = 0.25, all on one stream.
+    (_, _, ids), *sparse = _sampled(5, [(0.5, h)] + [(0.25, h)] * 200)
     params = CascadeParams(beta=0.5, gamma=0.1, r=2.0, t=4.0, p=0.5)
-    ids = induced_edges(h, s)
     res = cascade_prune(h, ids, params)
     single = (
         res.level_count == 0
@@ -714,9 +705,7 @@ def cascade_trivial_checks() -> list[CheckResult]:
 
     # On the first sampled subset whose induced edges are disjoint, nothing is pruned.
     identity = False
-    for _ in range(200):
-        sparse = sample_vp(h, 0.25, rng)
-        ids = induced_edges(h, sparse)
+    for _, _, ids in sparse:
         if ids and induced_max_degree(h, ids) == 1:
             params2 = CascadeParams(beta=0.5, gamma=0.1, r=1.5, t=9.0, p=0.25)
             res2 = cascade_prune(h, ids, params2)

@@ -67,7 +67,7 @@ KERNEL = T_EST + "TestSamplingKernel::"
 NAN_REFUSED = T_EST + "TestNaNThreshold::test_refused"
 T_WITNESSES = "tests/test_families.py::TestWitnesses::"
 MOMENTS_P = "tests/test_bounds.py::TestMoments::test_moments_refuse_p_outside_the_unit_interval"
-SANDWICH_REF = "tests/test_verify.py::TestSandwichSamples::test_split_draw_equals_the_float_compare"
+SAMPLED = "tests/test_verify.py::test_sampled_cases_are_successive_sample_vp_draws"
 
 # (name, file, old line, new line, node ids that must fail)
 MUTANTS = [
@@ -161,7 +161,7 @@ MUTANTS = [
      "    c = math.ceil(p * 2.0**53)",
      "    c = math.ceil(1.05 * p * 2.0**53)",
      [T_EST + "TestSamplingKernel::test_blocked_draw_is_one_big_draw[512]", MC_COVERS,
-      P_DRAW + "test_masks_equal_the_float_compare[300-0.05]", SANDWICH_REF]),
+      P_DRAW + "test_masks_equal_the_float_compare[300-0.05]", SAMPLED + "[sandwich-2000]"]),
     ("<= for < in the raw-word compare", "rng.py",
      "    return raw < np.uint64(c << 11) if c < 1 << 53 else np.ones(raw.shape, dtype=bool)",
      "    return raw <= np.uint64(c << 11) if c < 1 << 53 else np.ones(raw.shape, dtype=bool)",
@@ -260,6 +260,11 @@ MUTANTS = [
      "        tables = [(both := t & (t >> shift) & zero) | (both << shift) for t in tables] + tables",
      "        tables = [(both := t & (t >> shift)) | (both << shift) for t in tables] + tables",
      [T_BOX + "test_matches_naive_random", T_BOX + "test_universal_tables_match_cylinder_forces"]),
+    ("the sampled-case helper draws from stream 1", "verify.py",
+     "    raw = stream_generator(seed, 0).bit_generator.random_raw(sum(sizes))",
+     "    raw = stream_generator(seed, 1).bit_generator.random_raw(sum(sizes))",
+     [SAMPLED + "[sandwich-4]", SAMPLED + "[mr_z]", SAMPLED + "[cascade_trivial]",
+      "tests/test_verify.py::TestCheckCounts::test_every_result_pinned"]),
     ("run_suites keeps its memo after the run", "verify.py",
      "        _RUN_MEMO = None",
      "        pass",

@@ -198,10 +198,6 @@ def tail_from_histogram(
     )
 
 
-def naive_tail(edges: list[tuple[int, ...]], n: int, p: float, threshold: float) -> float:
-    return tail_from_histogram(size_value_histogram(edges, n), n, p, threshold)
-
-
 def naive_moments(hist: dict[tuple[int, int], int], n: int, p: float) -> tuple[float, float]:
     """(mean, variance) of the induced edge count from a size-value histogram."""
     weights = {j: p**j * (1.0 - p) ** (n - j) for j in range(n + 1)}

@@ -443,6 +443,29 @@ class TestSweep:
         assert code == 0
         assert len(parse_csv(out)) == 4
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--family schur --n 14 --method exact",
+            "--family schur --n 14 --method mc --seed 1 --samples 2000",
+            "--family ap --n 20 --method planted --seed 1 --samples 2000",
+            "--family ap --n 20 --method conditioned --eps 0.25 --seed 1 --samples 2000",
+        ],
+        ids=["exact", "mc", "planted", "conditioned"],
+    )
+    def test_stdout_rows_are_the_tail_rows(self, args):
+        # tail and sweep read one grid loop: with every row ok, a stdout sweep's
+        # rows minus its t and status columns are the tail's rows, header included.
+        grid = ["--p", "0.2,0.3", "--t", "1,2,4"]
+        code, tail = run_cli(["tail", *args.split(), *grid])
+        assert code == 0
+        code, sweep = run_cli(["sweep", *args.split(), *grid])
+        assert code == 0
+        header, *rows = (line.split(",") for line in sweep.splitlines())
+        assert len(rows) == 6 and {row[header.index("status")] for row in rows} == {"ok"}
+        keep = [i for i, column in enumerate(header) if column not in ("t", "status")]
+        assert tail.splitlines() == [",".join(line[i] for i in keep) for line in (header, *rows)]
+
 
 def spy_enumerations(monkeypatch) -> list:
     """Vertex counts of every exact subset enumeration the command completes."""

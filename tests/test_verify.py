@@ -17,7 +17,6 @@ from uppertail.families import FamilySpec, build, build_ap
 from uppertail.hypergraph import (
     CapacityError,
     Hypergraph,
-    VertexSet,
     delta_j,
     induced_edges,
     sample_vp,
@@ -111,28 +110,6 @@ class TestSpreadSuites:
         assert [(r.suite, r.ok) for r in results] == [("slow", True), ("slower", True), ("quick", False)]
         assert len({r.detail for r in results}) == 2  # the suites ran in two processes
         assert_no_child()
-
-
-class TestFastSuites:
-    def test_phi(self):
-        _assert_all_pass(SUITES["phi"]())
-
-    def test_variance(self):
-        _assert_all_pass(SUITES["variance"]())
-
-    def test_bk(self):
-        _assert_all_pass(SUITES["bk"]())
-
-    def test_cascade(self):
-        _assert_all_pass(SUITES["cascade"]())
-
-
-class TestHeavySuites:
-    def test_sandwich(self):
-        _assert_all_pass(SUITES["sandwich"]())
-
-    def test_lowerbounds(self):
-        _assert_all_pass(SUITES["lowerbounds"]())
 
 
 class TestFrozenConstants:
@@ -288,29 +265,50 @@ class TestCheckCounts:
             verify.mr_tail_check(disjointness.BOX_COORD_BUDGET + 1)
 
 
-class TestSandwichSamples:
-    @pytest.mark.parametrize("count", [0, 4, 2000])
-    def test_split_draw_equals_successive_sample_vp_draws(self, count):
-        # One draw split per triple reads the doubles count sample_vp calls
-        # would, and the stacked induced pass gives each subset's edge ids.
-        rng = stream_generator(7, 0)
-        samples = verify._sandwich_samples(7, count)
-        assert len(samples) == count
-        for h, p, _, ids in samples:
-            assert ids == induced_edges(h, sample_vp(h, p, rng))
+# The five sampled checks as their suites call them, the sandwich check also at
+# 0 and 4 cases, each with the number of cases it draws.
+SAMPLED_CHECKS = {
+    "sandwich-0": (lambda: verify.sandwich_sample_check(7, 0), 0),
+    "sandwich-4": (lambda: verify.sandwich_sample_check(7, 4), 4),
+    "sandwich-2000": (lambda: verify.sandwich_sample_check(7, 2000), 2000),
+    "mr_z": (verify.mr_z_sample_check, 200),
+    "cascade_consistency": (lambda: verify.cascade_consistency_check(13, 400), 400),
+    "cascade_accounting": (verify.cascade_accounting_check, 50),
+    "cascade_trivial": (verify.cascade_trivial_checks, 201),
+}
 
-    def test_split_draw_equals_the_float_compare(self, monkeypatch):
-        # The raw-word compare keeps what random() < p keeps on the same
-        # stream, sample by sample, and reads exactly as many words.
-        held = stream_generator(7, 0)
-        monkeypatch.setattr(verify, "stream_generator", lambda seed, stream: held)
-        samples = verify._sandwich_samples(7, 2000)
-        ref = stream_generator(7, 0)
-        for h, p, _, ids in samples:
-            kept = oracles.float_sample_vp(h.n, p, ref)
-            assert ids == induced_edges(h, VertexSet(h.n, sum(1 << v for v in kept)))
-        # Both read the same words, so the generators stay in step.
-        assert held.bit_generator.random_raw(5).tolist() == ref.bit_generator.random_raw(5).tolist()
+
+@pytest.mark.parametrize("name", list(SAMPLED_CHECKS))
+def test_sampled_cases_are_successive_sample_vp_draws(name, monkeypatch):
+    # A sampled check draws once, through verify._sampled: each (p, ..., h)
+    # case it reads holds the subset the next sample_vp call on stream 0 of
+    # the seed draws, which keeps what the float compare random() < p keeps,
+    # and the ids of the edges that subset induces.
+    check, count = SAMPLED_CHECKS[name]
+    made, calls = [], []
+    sampled = verify._sampled
+
+    def generator(seed, stream):
+        made.append(stream_generator(seed, stream))
+        return made[-1]
+
+    def spy(seed, cases):
+        calls.append((seed, sampled(seed, cases)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "stream_generator", generator)
+    monkeypatch.setattr(verify, "_sampled", spy)
+    check()
+    [(seed, got)] = calls
+    assert len(made) == 1 and len(got) == count
+    rng, ref = stream_generator(seed, 0), stream_generator(seed, 0)
+    for (p, *_, h), bits, ids in got:
+        s = sample_vp(h, p, rng)
+        assert (bits, ids) == (s.bits, induced_edges(h, s))
+        assert bits == sum(1 << v for v in oracles.float_sample_vp(h.n, p, ref))
+    # All three read the same words, so the generators stay in step.
+    words = [g.bit_generator.random_raw(5).tolist() for g in (made[0], rng, ref)]
+    assert words[0] == words[1] == words[2]
 
 
 PACKING_GRAPHS = {
