@@ -12,8 +12,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .hypergraph import Hypergraph, check_count, check_finite, check_probability
-from .hypergraph import check_subset_size
+from .hypergraph import Hypergraph, check_count, check_finite, check_nonnegative, check_open_rate
+from .hypergraph import check_positive, check_probability, check_rate, check_subset_size
 
 __all__ = [
     "BoundReport",
@@ -64,9 +64,7 @@ class MomentReport:
     lam: float
 
     def __post_init__(self):
-        if not (self.mu >= 0 and self.var >= 0 and self.lam >= 0):
-            raise ValueError("moments must be nonnegative")
-        check_finite(mu=self.mu, var=self.var, lam=self.lam)
+        check_nonnegative(mu=self.mu, var=self.var, lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,7 @@ def exact_variance(h: Hypergraph, p: float) -> float:
 def moment_report(h: Hypergraph, p: float) -> MomentReport:
     """Moments of the induced edge count, with lam = mu * (1 + v(H) p^(k-1))."""
     mu = exact_mean(h, p)
-    lam = mu * (1.0 + h.n * p ** (h.k - 1)) if h.k >= 1 else mu
+    lam = mu * (1.0 + h.n * p ** (h.k - 1))
     return MomentReport(mu=mu, var=exact_variance(h, p), lam=lam)
 
 
@@ -142,9 +140,8 @@ def theorem_c_bound(mu: float, capacity: float, t: float) -> tuple[BoundReport, 
     in that order.  The chain phi <= quadratic and phi <= ratio_log is asserted
     numerically on every call.
     """
-    if not (mu >= 0 and math.inf > t > 0 and capacity > 0):
-        raise ValueError("need mu >= 0, t > 0, capacity > 0 (t finite)")
-    check_finite(mu=mu, capacity=capacity, t=t)
+    check_nonnegative(mu=mu)
+    check_positive(capacity=capacity, t=t)
     if mu == 0.0:
         main = ratio = -math.inf
     else:
@@ -168,9 +165,8 @@ def et_bound(mu: float, capacity: float, x: float) -> tuple[BoundReport, ...]:
     Returns the reports tagged et and et_stirling, in that order; the chain
     factorial <= Stirling is asserted numerically on every call.
     """
-    if not (mu >= 0 and capacity > 0 and math.inf > x > 0):
-        raise ValueError("need mu >= 0, capacity > 0, x > 0 (x finite)")
-    check_finite(mu=mu, capacity=capacity, x=x)
+    check_nonnegative(mu=mu)
+    check_positive(capacity=capacity, x=x)
     if mu == 0.0:
         main = stirling = -math.inf
     else:
@@ -190,26 +186,25 @@ def et_bound(mu: float, capacity: float, x: float) -> tuple[BoundReport, ...]:
 
 def exponent_appp(mu: float, p: float) -> float:
     """Tail exponent min(mu, sqrt(mu) * log(1/p)) at the doubled mean."""
-    if not (mu >= 0 and 0.0 < p <= 1.0):
-        raise ValueError("need mu >= 0 and p in (0, 1]")
-    check_finite(mu=mu)
+    check_nonnegative(mu=mu)
+    check_rate(p=p)
     return min(mu, math.sqrt(mu) * math.log(1.0 / p))
 
 
 def exponent_ap(mu: float, var: float, p: float, eps: float) -> float:
     """Tail exponent min(phi(eps) mu^2 / var, sqrt(eps mu) log(1/p))."""
-    if not (mu >= 0 and var >= 0 and math.inf > eps > 0 and 0.0 < p <= 1.0):
-        raise ValueError("need mu, var >= 0, eps > 0, p in (0, 1] (eps finite)")
-    check_finite(mu=mu, var=var, eps=eps)
+    check_nonnegative(mu=mu, var=var)
+    check_rate(p=p)
+    check_positive(eps=eps)
     first = math.inf if var == 0.0 or mu == 0.0 else phi(eps) * mu * mu / var
     return min(first, math.sqrt(eps * mu) * math.log(1.0 / p))
 
 
 def exponent_apt(var: float, p: float, t: float) -> float:
     """Tail exponent min(t^2 / var, sqrt(t) * log(1/p))."""
-    if not (var >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
-        raise ValueError("need var >= 0, t > 0, p in (0, 1] (t finite)")
-    check_finite(var=var, t=t)
+    check_nonnegative(var=var)
+    check_rate(p=p)
+    check_positive(t=t)
     first = math.inf if var == 0.0 else t * t / var
     return min(first, math.sqrt(t) * math.log(1.0 / p))
 
@@ -218,9 +213,9 @@ def exponent_hg(mu: float, lam: float, p: float, t: float) -> tuple[float, float
     """Tail exponent min(phi(t/mu) mu^2 / lam, sqrt(t) * log(e/p)), then its
     remark form min(t^2 / lam, sqrt(t) * log(e/p)).  At lam = 0 both are the
     second term."""
-    if not (mu >= 0 and lam >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
-        raise ValueError("need mu, lam >= 0, t > 0, p in (0, 1] (t finite)")
-    check_finite(mu=mu, lam=lam, t=t)
+    check_nonnegative(mu=mu, lam=lam)
+    check_rate(p=p)
+    check_positive(t=t)
     second = math.sqrt(t) * math.log(math.e / p)
     if lam == 0.0:
         return second, second
@@ -234,29 +229,21 @@ def lb_cluster_bound(d: float, mu: float, t: float, p: float) -> BoundReport:
     Valid given a clustered witness certifying x = mu + t edges within
     d * sqrt(mu + t) vertices, for mu + t >= 1.
     """
-    if not (d >= 0 and mu >= 0 and math.inf > t > 0 and 0.0 < p <= 1.0):
-        raise ValueError("need d, mu >= 0, t > 0, p in (0, 1] (t finite)")
-    check_finite(d=d, mu=mu, t=t)
+    check_nonnegative(d=d, mu=mu)
+    check_positive(t=t)
+    check_rate(p=p)
     if mu + t < 1.0:
         raise ValueError("requires mu + t >= 1")
     log_value = -d * math.sqrt(mu + t) * math.log(1.0 / p)
     return BoundReport("lb_cluster", log_value, {"d": d, "mu": mu, "t": t, "p": p})
 
 
-def _check_trials(n: int, m: int) -> None:
-    """Refuse trial and success counts that are not integers, and n past the float range."""
-    check_count(n=n, m=m)
-    check_finite(n=n)
-
-
 def binomial_point_lower(n: int, q: float, m: int, b: float = 1.0) -> BoundReport:
     """log of e^-b * C(n, m) * q^m * (1-q)^(n-m), via lgamma."""
-    _check_trials(n, m)
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    check_finite(b=b)
+    check_count(n=n)  # a fractional n would give a bound for fractional trials
+    check_finite(n=n, b=b)  # n past the float range overflows lgamma
+    check_subset_size(m, n)
+    check_open_rate(q=q)
     log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     log_value = -b + log_comb + m * math.log(q) + (n - m) * math.log1p(-q)
     return BoundReport("binomial_point", log_value, {"n": n, "q": q, "m": m, "b": b})
@@ -268,11 +255,10 @@ def binomial_point_lower_refined(n: int, q: float, m: int) -> BoundReport:
     log value: -1/6 - phi(j/mu) mu - j^2 / ((1-q) n) - log(sqrt(2 pi m)),
     with mu = nq and j = m - mu.
     """
-    _check_trials(n, m)
-    if not 0 < m < n:
-        raise ValueError("need 0 < m < n")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+    check_count(n=n)
+    check_finite(n=n)
+    check_subset_size(m, n - 1)  # m = 0 fails m >= n * q below, as q > 0
+    check_open_rate(q=q)
     mu = n * q
     j = m - mu
     if j < 0:
@@ -288,9 +274,8 @@ def binomial_point_lower_refined(n: int, q: float, m: int) -> BoundReport:
 
 def paley_zygmund_lower(var: float, t: float) -> float:
     """Pr(Y >= E[Y] - t) >= t^2 / (var + t^2)."""
-    if not (var >= 0 and math.inf > t > 0):
-        raise ValueError("need var >= 0 and t > 0 (t finite)")
-    check_finite(var=var, t=t)
+    check_nonnegative(var=var)
+    check_positive(t=t)
     return t * t / (var + t * t)
 
 

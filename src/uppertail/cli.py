@@ -44,7 +44,8 @@ from .estimate import (
     planting_target,
 )
 from .families import KINDS, FamilySpec, build, interval_witness
-from .hypergraph import CapacityError, delta_j, induced_edges, sample_vp
+from .hypergraph import CapacityError, check_count, check_finite, check_nonnegative, check_positive
+from .hypergraph import check_probability, check_rate, delta_j, induced_edges, sample_vp
 from .rng import KEY_LIMIT, stream_generator
 from .verify import SUITES, run_suites
 
@@ -111,20 +112,21 @@ class RunConfig:
         needs_family = self.subcommand in ("family", "bounds", "tail", "decompose", "sweep")
         if needs_family and self.family is None:
             raise UsageError(f"{self.subcommand} requires --family and --n")
-        if any(not 0.0 <= p <= 1.0 for p in self.p):
-            raise UsageError("every p must lie in [0, 1]")
-        if any(not math.isfinite(t) for t in self.t):
-            raise UsageError("every t must be finite")
-        if self.subcommand == "bounds" and any(t <= 0 for t in self.t):
-            raise UsageError("bounds needs every t > 0")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise UsageError("--eps must be finite and nonnegative")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise UsageError("--alpha must lie in (0, 1]")
-        if not (math.isfinite(self.capacity) and self.capacity > 0):
-            raise UsageError("--capacity must be finite and positive")
-        if not (math.isfinite(self.d) and self.d >= 0):
-            raise UsageError("--d must be finite and nonnegative")
+        check_t = check_positive if self.subcommand == "bounds" else check_finite
+        try:  # each helper's message starts with the flag's name
+            for p in self.p:
+                check_probability(p)
+            for t in self.t:
+                check_t(t=t)
+            check_nonnegative(eps=self.eps, d=self.d)
+            check_count(samples=self.samples, workers=self.workers)
+            check_positive(capacity=self.capacity, samples=self.samples, workers=self.workers)
+            if self.alpha is not None:
+                check_rate(alpha=self.alpha)
+            if self.subcommand == "decompose" and self.r is not None:  # only decompose reads --r
+                check_positive(r=self.r)
+        except ValueError as exc:
+            raise UsageError(f"--{exc}") from None
         if self.subcommand in ("bounds", "tail", "sweep"):
             if not self.p:
                 raise UsageError("a nonempty --p grid is required")
@@ -145,8 +147,8 @@ class RunConfig:
         if self.subcommand == "decompose":
             if len(self.p) != 1:
                 raise UsageError("decompose takes exactly one --p")
-            if self.r is None or not (math.isfinite(self.r) and self.r > 0):
-                raise UsageError("decompose requires a finite --r > 0")
+            if self.r is None:
+                raise UsageError("decompose requires --r")
             if self.seed is None:
                 raise UsageError("decompose requires --seed")
             cascade_flags = (self.beta, self.gamma, self.cascade_t)
@@ -159,10 +161,6 @@ class RunConfig:
                     raise UsageError(f"cascade check: {exc}") from exc
         if self.seed is not None and not 0 <= self.seed < KEY_LIMIT:
             raise UsageError(f"--seed {self.seed} must lie in [0, 2**64)")
-        if self.samples < 1:
-            raise UsageError("--samples must be positive")
-        if self.workers < 1:
-            raise UsageError("--workers must be positive")
         if self.out not in FORMATS:
             raise UsageError("--out must be csv or json")
         if self.subcommand == "verify":

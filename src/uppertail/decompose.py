@@ -15,7 +15,8 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import CapacityError, Hypergraph, VertexSet, induced_edges
+from .hypergraph import CapacityError, Hypergraph, VertexSet, check_open_rate, check_positive
+from .hypergraph import check_rate, induced_edges
 
 __all__ = [
     "CascadeCheck",
@@ -73,11 +74,6 @@ class StarMatching:
         return len(self.stars)
 
 
-def _check_radius(r: float) -> None:
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"r must be finite and positive, not {r}")
-
-
 @dataclass(frozen=True)
 class CascadeParams:
     """Dyadic cascade parameters; level j uses radius r_j = 2^j * r.
@@ -93,14 +89,11 @@ class CascadeParams:
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
+        check_rate(beta=self.beta)
         if not 0.0 < self.gamma <= 0.125:
             raise ValueError("gamma must lie in (0, 1/8]")
-        if not (math.isfinite(self.r) and math.isfinite(self.t) and self.r > 0 and self.t > 0):
-            raise ValueError("r and t must be finite and positive")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
+        check_positive(r=self.r, t=self.t)
+        check_open_rate(p=self.p)
 
     @property
     def s(self) -> float:
@@ -157,7 +150,7 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
     `left`, decides whether the edge fits and counts that drop; counting it
     before the take branch is safe, since that branch restores `chosen`.
     """
-    _check_radius(r)
+    check_positive(r=r)
     cap = math.floor(r)
     if cap < 1 or not ids:
         return 0
@@ -216,7 +209,7 @@ def xr_or_lower(h: Hypergraph, s: VertexSet, r: float) -> tuple[int, bool]:
 
 def xr_or_lower_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> tuple[int, bool]:
     """xr_or_lower over the given edge ids instead of H[S]."""
-    _check_radius(r)
+    check_positive(r=r)
     if induced_max_degree(h, ids) <= r:
         return len(ids), True
     if r < 1 or len(ids) <= XR_EDGE_BUDGET:
@@ -248,7 +241,7 @@ def greedy_star_matching(h: Hypergraph, s: VertexSet, r: float) -> StarMatching:
     The result is maximal: afterwards no vertex has ceil(r) induced edges
     avoiding all blocked vertices.
     """
-    _check_radius(r)
+    check_positive(r=r)
     return _greedy_matching_on(h, induced_edges(h, s), r)
 
 
@@ -266,7 +259,7 @@ def degree_prune_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> Prune
     The remainder has max degree <= ceil(r) - 1 <= r by maximality of the
     greedy matching; violated expectations raise.
     """
-    _check_radius(r)
+    check_positive(r=r)
     matching = _greedy_matching_on(h, edge_ids, r)
     blocked = matching.vertex_bits
     kept = tuple(i for i in edge_ids if h.edge_masks[i] & blocked == 0)
@@ -338,7 +331,7 @@ def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> int:
     same nodes as one that recounts the minimum.  Raises CapacityError past
     MR_NODE_BUDGET search nodes.
     """
-    _check_radius(r)
+    check_positive(r=r)
     c = math.ceil(r)
     masks = h.edge_masks
     inc = _local_incidence(h, edge_ids)

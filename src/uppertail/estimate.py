@@ -45,8 +45,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .hypergraph import CapacityError, Hypergraph, VertexSet, check_count, check_finite
-from .hypergraph import check_probability, check_threshold
+from .hypergraph import CapacityError, Hypergraph, VertexSet, check_count, check_finite, check_nonnegative
+from .hypergraph import check_positive, check_probability, check_rate, check_threshold
 from .rng import CHUNK, chunk_layout, m_subset_members, p_subset_members, stream_generator
 from .workers import spread
 
@@ -397,8 +397,7 @@ def _check_samples(n: int, samples: int) -> None:
     """Refuse a sample count that is not a positive integer, then a pass whose
     chunk of samples over n vertices exceeds SAMPLER_BYTE_BUDGET."""
     check_count(samples=samples)
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    check_positive(samples=samples)  # 10**400 samples would draw for ever
     need = 5 * min(samples, CHUNK) * n
     if need > SAMPLER_BYTE_BUDGET:
         raise CapacityError(f"a chunk needs {need} bytes, over budget {SAMPLER_BYTE_BUDGET}")
@@ -497,8 +496,7 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
     check_finite(mu=mu, t=t)
     if alpha is None:
         alpha = min(1.0, t / mu) if mu > 0 and t > 0 else 1.0
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_rate(alpha=alpha)
     denom = 1.0 - (1.0 - alpha) ** k
     if denom == 0.0:  # (1 - alpha)^k rounded to 1; only then the log1p form
         denom = -math.expm1(k * math.log1p(-alpha))
@@ -564,10 +562,8 @@ def conditioned_histogram(
     h: Hypergraph, p: float, samples: int, seed: int, eps: float = 0.0, workers: int = 1
 ) -> SampleHistogram:
     """conditioned_tail's sampling pass: uniform m-subsets of the vertices,
-    m = conditioned_size(n, p, eps)."""
-    check_probability(p)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    m = conditioned_size(n, p, eps), which refuses p outside [0, 1]."""
+    check_nonnegative(eps=eps)
     m = conditioned_size(h.n, p, eps)
     if m > h.n:
         raise ValueError(f"m = {m} exceeds the {h.n} available vertices")

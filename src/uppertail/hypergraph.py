@@ -21,7 +21,11 @@ __all__ = [
     "VertexSet",
     "check_count",
     "check_finite",
+    "check_nonnegative",
+    "check_open_rate",
+    "check_positive",
     "check_probability",
+    "check_rate",
     "check_subset_size",
     "check_threshold",
     "delta_j",
@@ -62,6 +66,37 @@ def check_finite(**values: float) -> None:
             float(value)
         except OverflowError:
             raise ValueError(f"{name} must be finite, not an int past the float range") from None
+
+
+def check_positive(**values: float) -> None:
+    """Refuse what check_finite refuses, then a value that is not > 0 (-0.0 included)."""
+    for name, value in values.items():
+        if not (type(value) is float and 0 < value < math.inf):  # X_r and M_r call this per sample
+            check_finite(**{name: value})
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, not {value}")
+
+
+def check_nonnegative(**values: float) -> None:
+    """Refuse what check_finite refuses, then a value below 0 (-0.0 passes)."""
+    check_finite(**values)
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be nonnegative, not {value}")
+
+
+def check_rate(**values: float) -> None:
+    """Refuse a rate outside (0, 1], NaN included."""
+    for name, value in values.items():
+        if not 0 < value <= 1:
+            raise ValueError(f"{name} must lie in (0, 1], not {value}")
+
+
+def check_open_rate(**values: float) -> None:
+    """Refuse a rate outside (0, 1), NaN included."""
+    for name, value in values.items():
+        if not 0 < value < 1:
+            raise ValueError(f"{name} must lie in (0, 1), not {value}")
 
 
 def check_count(**values: int) -> None:

@@ -48,13 +48,8 @@ def chunk_layout(total: int) -> Iterator[tuple[int, int]]:
     samples per stream (the last one may hold fewer)."""
     if total < 0:
         raise ValueError("total must be nonnegative")
-    stream = 0
-    remaining = total
-    while remaining > 0:
-        size = min(CHUNK, remaining)
-        yield stream, size
-        stream += 1
-        remaining -= size
+    for stream, start in enumerate(range(0, total, CHUNK)):  # range refuses a float total
+        yield stream, min(CHUNK, total - start)
 
 
 def p_keep(raw: np.ndarray, p: float) -> np.ndarray:

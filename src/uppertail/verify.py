@@ -77,6 +77,7 @@ from .families import FamilySpec, build, build_ap, build_schur, interval_witness
 from .hypergraph import (
     Hypergraph,
     VertexSet,
+    check_positive,
     delta_j,
     induced_mask,
     membership_table,
@@ -358,8 +359,7 @@ def _mr_by_code(h: Hypergraph, r: float) -> np.ndarray:
     X inside S.  S ^ v and S ^ X have lowest vertex above v, so the pass fills
     the codes with lowest vertex v for v from n - 1 down to 0.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    check_positive(r=r)
     c = math.ceil(r)
     n = h.n
     masks = h.edge_masks

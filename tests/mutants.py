@@ -60,14 +60,12 @@ WEIGHT_RANGE = T_EST + "TestHeldHistogram::test_size_weighted_sum_refuses_p_outs
 T_WORKERS = "tests/test_workers.py::"
 P_DRAW = "tests/test_rng.py::TestPDrawLaw::"
 P_REF = "tests/test_rng.py::TestSampleVpReference::test_draws_equal_the_float_compare"
-INFINITE = "tests/test_bounds.py::TestInfiniteInputs::"
-PAST_FLOAT = "tests/test_bounds.py::test_int_past_the_float_range_refused_by_name"
-BINOMIAL_COUNTS = "tests/test_bounds.py::TestLowerBounds::test_counts_are_integers_within_the_float_range"
+CELL = "tests/test_bounds.py::test_boundary"  # CELL + "[entry-input-value]" is one boundary table cell
 KERNEL = T_EST + "TestSamplingKernel::"
 NAN_REFUSED = T_EST + "TestNaNThreshold::test_refused"
 T_WITNESSES = "tests/test_families.py::TestWitnesses::"
-MOMENTS_P = "tests/test_bounds.py::TestMoments::test_moments_refuse_p_outside_the_unit_interval"
 SAMPLED = "tests/test_verify.py::test_sampled_cases_are_successive_sample_vp_draws"
+LAYOUT = "tests/test_rng.py::TestChunkLayout::test_streams_cover_the_total_in_order"
 
 # (name, file, old line, new line, node ids that must fail)
 MUTANTS = [
@@ -132,10 +130,8 @@ MUTANTS = [
     ("planting_target without its NaN and infinity refusal", EST,
      "    check_finite(mu=mu, t=t)",
      "    pass",
-     [T_EST + "TestPlantingTarget::test_nan_refused[nan-1.0]",
-      T_EST + "TestPlantingTarget::test_nan_refused[1.0-nan]",
-      T_EST + "TestPlantingTarget::test_infinity_refused_by_name[inf-1.0-mu]",
-      T_EST + "TestPlantingTarget::test_infinity_refused_by_name[1.0--inf-t]"]),
+     [CELL + "[planting_target-mu-nan]", CELL + "[planting_target-t-nan]",
+      CELL + "[planting_target-mu-inf]", CELL + "[planting_target-t--inf]"]),
     ("kernel keeps the hit rows past a short block", EST,
      "        hit[size:] = 0  # a short last block must not count the rows before it",
      "        pass",
@@ -154,9 +150,13 @@ MUTANTS = [
      [T_EST + "TestBlockSplit::test_slices_match_oracle_and_unsliced_pass[1]",
       T_EST + "TestSupersetKernel::test_consumers_match_brute_force"]),
     ("fixed stream index in chunk_layout", "rng.py",
-     "        yield stream, size",
-     "        yield 0, size",
-     [MC_COVERS]),
+     "        yield stream, min(CHUNK, total - start)",
+     "        yield 0, min(CHUNK, total - start)",
+     [MC_COVERS, LAYOUT]),
+    ("chunk_layout refuses a total of 0", "rng.py",
+     "    if total < 0:",
+     "    if total <= 0:",
+     [CELL + "[chunk_layout_head-total-0]", LAYOUT]),
     ("raw-word compare keeps each word at 1.05 p", "rng.py",
      "    c = math.ceil(p * 2.0**53)",
      "    c = math.ceil(1.05 * p * 2.0**53)",
@@ -167,11 +167,13 @@ MUTANTS = [
      "    return raw <= np.uint64(c << 11) if c < 1 << 53 else np.ones(raw.shape, dtype=bool)",
      [P_DRAW + "test_every_tie_with_the_cut[0]", P_DRAW + "test_every_tie_with_the_cut[0.05]",
       P_DRAW + "test_every_tie_with_the_cut[1/3]"]),
-    # One row per refusal helper, each killed by tests of two modules.
+    # One row per refusal helper.  The rows down to check_subset_size are each
+    # killed by tests of two modules; the range kinds' rows by boundary table
+    # cells, which call entry points of several modules.
     ("check_probability refuses nothing", "hypergraph.py",
      "    if not 0.0 <= p <= 1.0:",
      "    if False:",
-     [WEIGHT_RANGE + "[nan]", WEIGHT_RANGE + "[1.5]", MOMENTS_P + "[nan]",
+     [WEIGHT_RANGE + "[nan]", WEIGHT_RANGE + "[1.5]", CELL + "[moment_report-p-nan]",
       "tests/test_hypergraph.py::TestSampling::test_rejects_invalid"]),
     ("check_threshold refuses nothing", "hypergraph.py",
      "        if value != value:",
@@ -182,26 +184,49 @@ MUTANTS = [
     ("check_finite refuses nothing", "hypergraph.py",
      "        if not -math.inf < value < math.inf:",
      "        if False:",
-     [INFINITE + "test_refused_by_name[theorem_c_bound-mu]", INFINITE + "test_refused_by_name[MomentReport-lam]",
-      T_EST + "TestPlantingTarget::test_infinity_refused_by_name[inf-1.0-mu]",
-      T_EST + "TestConditioned::test_non_finite_eps_is_refused[inf]"]),
+     [CELL + "[theorem_c_bound-mu-inf]", CELL + "[MomentReport-lam-inf]",
+      CELL + "[planting_target-mu-inf]", CELL + "[conditioned_size-eps-inf]"]),
     ("check_finite lets an int past the float range through", "hypergraph.py",
      "            float(value)",
      "            pass",
-     [PAST_FLOAT + "[MomentReport-mu]", PAST_FLOAT + "[theorem_c_bound-t]",
-      T_EST + "TestPlantingTarget::test_int_past_the_float_range_refused_by_name[conditioned_size-eps]"]),
+     [CELL + "[MomentReport-mu-1e400]", CELL + "[theorem_c_bound-t-1e400]",
+      CELL + "[conditioned_size-eps-1e400]"]),
     ("check_count refuses nothing", "hypergraph.py",
      '        if not (hasattr(value, "__index__") and operator.index(value) >= 0):',
      "        if False:",
      ["tests/test_hypergraph.py::TestCounts::test_refused_by_name[hypergraph-n]",
       "tests/test_families.py::TestFamilySpec::test_counts_must_be_integers[n]",
-      T_EST + "TestConditioned::test_non_integer_samples_refused_by_name[planted]",
-      "tests/test_bounds.py::TestHypergeom::test_non_integer_m_refused_by_name"]),
+      CELL + "[planted_tail-samples-2.5]", CELL + "[hypergeom_conditional_mean-m-2.5]"]),
     ("check_subset_size lets m past n through", "hypergraph.py",
      "    if not m <= n:",
      "    if False:",
      ["tests/test_hypergraph.py::TestSampling::test_rejects_invalid",
       "tests/test_bounds.py::TestHypergeom::test_extremes"]),
+    ("check_positive lets 0 through", "hypergraph.py",
+     "            if not value > 0:",
+     "            if not value >= 0:",
+     [CELL + "[theorem_c_bound-t-0]", CELL + "[xr_exact_on-r-0]", CELL + "[bounds_flags-capacity-0]"]),
+    ("check_positive's float shortcut lets -0.0 through", "hypergraph.py",
+     "        if not (type(value) is float and 0 < value < math.inf):  # X_r and M_r call this per sample",
+     "        if not (type(value) is float and 0 <= value < math.inf):",
+     [CELL + "[theorem_c_bound-t--0.0]", CELL + "[xr_exact_on-r--0.0]"]),
+    ("check_positive's float shortcut takes an int past the float range", "hypergraph.py",
+     "        if not (type(value) is float and 0 < value < math.inf):  # X_r and M_r call this per sample",
+     "        if not 0 < value < math.inf:",
+     [CELL + "[theorem_c_bound-t-1e400]", CELL + "[xr_exact_on-r-1e400]"]),
+    ("check_nonnegative refuses 0", "hypergraph.py",
+     "        if not value >= 0:",
+     "        if not value > 0:",
+     [CELL + "[MomentReport-mu-0]", CELL + "[exponent_apt-var-0]", CELL + "[lb_cluster_bound-d-0]"]),
+    ("check_rate lets 0 through", "hypergraph.py",
+     "        if not 0 < value <= 1:",
+     "        if not 0 <= value <= 1:",
+     [CELL + "[exponent_ap-p-0]", CELL + "[exponent_apt-p-0]", CELL + "[exponent_hg-p-0]",
+      CELL + "[lb_cluster_bound-p-0]"]),
+    ("check_open_rate lets 1 through", "hypergraph.py",
+     "        if not 0 < value < 1:",
+     "        if not 0 < value <= 1:",
+     [CELL + "[binomial_point_lower-q-1]", CELL + "[CascadeParams-p-1]"]),
     ("sample_vp draws every vertex but 0", "hypergraph.py",
      "    return VertexSet.from_bool_array(p_keep(rng.bit_generator.random_raw(h.n), p))",
      "    return VertexSet.from_bool_array(np.r_[True, p_keep(rng.bit_generator.random_raw(h.n - 1), p)])",
@@ -225,20 +250,26 @@ MUTANTS = [
      '    forms = (("theorem_c", main), ("theorem_c_ratio_log", quad), ("theorem_c_quadratic", ratio))',
      [T_CLI + "TestFamilyAndBounds::test_each_bound_family_is_one_call_in_row_order",
       T_CLI + "TestFamilyAndBounds::test_bounds_at_t_past_float_squares"]),
-    ("theorem_c_bound without its finiteness refusal", "bounds.py",
-     "    check_finite(mu=mu, capacity=capacity, t=t)",
+    ("theorem_c_bound without its capacity and t refusal", "bounds.py",
+     "    check_positive(capacity=capacity, t=t)",
      "    pass",
-     [INFINITE + "test_refused_by_name[theorem_c_bound-mu]",
-      INFINITE + "test_refused_by_name[theorem_c_bound-capacity]"]),
-    ("binomial bounds take fractional counts", "bounds.py",
-     "    check_count(n=n, m=m)",
+     [CELL + "[theorem_c_bound-capacity-inf]", CELL + "[theorem_c_bound-t-0]"]),
+    ("the binomial bound takes a fractional n", "bounds.py",
+     "    check_count(n=n)  # a fractional n would give a bound for fractional trials",
      "    pass",
-     [BINOMIAL_COUNTS + "[n10.5-m4.5-binomial_point_lower]",
-      BINOMIAL_COUNTS + "[m8.5-binomial_point_lower_refined]"]),
+     [CELL + "[binomial_point_lower-n-2.5]", CELL + "[binomial_point_lower-n-tiny]"]),
     ("the bound chain lets a +inf primary through", "bounds.py",
      "    if primary > weaker + slack or (primary == math.inf and weaker < math.inf):",
      "    if primary > weaker + slack:",
-     [INFINITE + "test_chain_check_fails_an_infinite_primary"]),
+     ["tests/test_bounds.py::TestChainCheck::test_fails_an_infinite_primary"]),
+    ("the bound chain fails when both ends are +inf", "bounds.py",
+     "    if primary > weaker + slack or (primary == math.inf and weaker < math.inf):",
+     "    if primary > weaker + slack or (primary == math.inf and weaker <= math.inf):",
+     ["tests/test_bounds.py::TestChainCheck::test_passes_when_both_ends_are_infinite"]),
+    ("moment_report's lam is mu at k = 1", "bounds.py",
+     "    lam = mu * (1.0 + h.n * p ** (h.k - 1))",
+     "    lam = mu * (1.0 + h.n * p ** (h.k - 1)) if h.k > 1 else mu",
+     ["tests/test_bounds.py::TestMoments::test_moment_report_lambda_at_k_one"]),
     ("<= for < in the X_r skip branch's drop count", "decompose.py",
      "            elif chosen[v] + left[v] < cap:",
      "            elif chosen[v] + left[v] <= cap:",

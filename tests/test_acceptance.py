@@ -138,9 +138,10 @@ def test_accept_03_phi_suite_fast():
 
 def test_accept_04_deterministic_sandwich():
     res = sandwich_sample_check(seed=41, count=10_000)
+    # The exact count pins the draw: from another stream it read 8702.
     _report(
         4,
-        res.violations == 0,
+        res.violations == 0 and res.active == 8711,
         f"{res.checked} sampled triples, {res.active} with exact X_r, "
         f"{res.violations} violations",
     )
@@ -249,7 +250,8 @@ def test_accept_10_clean_configuration_bound():
 
 def test_accept_11_cascade_consistency():
     res = cascade_consistency_check(seed=13, samples=600)
-    _report(11, res.violations == 0 and res.active > 0, res.detail)
+    # The exact count pins the draw: from another stream it read 511.
+    _report(11, res.violations == 0 and res.active == 517, res.detail)
 
 
 def test_accept_12_hypergeometric_mean():

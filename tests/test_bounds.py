@@ -1,7 +1,10 @@
 import copy
+import inspect
 import math
 import pickle
-from itertools import combinations
+import re
+from itertools import combinations, islice
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +32,33 @@ from uppertail.bounds import (
     phi,
     theorem_c_bound,
 )
-from uppertail.families import build_ap, build_ell_sum, build_schur
-from uppertail.hypergraph import Hypergraph
+from uppertail.cli import RunConfig
+from uppertail.decompose import (
+    CascadeParams,
+    degree_prune_on,
+    greedy_star_matching,
+    mr_exact,
+    mr_exact_on,
+    xr_exact,
+    xr_exact_on,
+    xr_or_lower,
+    xr_or_lower_on,
+)
+from uppertail.disjointness import EventTable
+from uppertail.estimate import (
+    TailEstimate,
+    conditioned_size,
+    conditioned_tail,
+    exact_point_mass,
+    exact_tail,
+    mc_tail,
+    planted_tail,
+    planting_target,
+)
+from uppertail.families import FamilySpec, build_ap, build_ell_sum, build_schur, greedy_witness
+from uppertail.families import interval_witness
+from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, sample_vm, sample_vp
+from uppertail.rng import chunk_layout, stream_generator
 
 AP4 = build_ap(4, 3)
 
@@ -123,17 +151,11 @@ class TestMoments:
         rep = moment_report(AP4, 0.5)
         assert rep.lam == pytest.approx(rep.mu * (1.0 + 4 * 0.5**2), rel=1e-15)
 
-    @pytest.mark.parametrize("p", [math.nan, 1.5, -0.1])
-    def test_moments_refuse_p_outside_the_unit_interval(self, p):
-        for moment in (exact_mean, exact_variance, moment_report):
-            with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
-                moment(AP4, p)
-
-    def test_moment_report_refuses_negative_and_nan(self):
-        for args in ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0),
-                     (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
-            with pytest.raises(ValueError, match="moments must be nonnegative"):
-                MomentReport(*args)
+    def test_moment_report_lambda_at_k_one(self):
+        # p^(k-1) is 1 at k = 1, so lam = mu (1 + n).
+        rep = moment_report(Hypergraph(1, 5, [(0,), (2,), (4,)]), 0.3)
+        assert rep.mu == pytest.approx(0.9, rel=1e-15)
+        assert rep.lam == rep.mu * (1 + 5)
 
 
 class TestUpperBounds:
@@ -174,21 +196,6 @@ class TestUpperBounds:
 
     def test_theorem_c_zero_mean(self):
         assert theorem_c_bound(0.0, 1.0, 1.0)[0].log_value == -math.inf
-
-    def test_theorem_c_rejects(self):
-        with pytest.raises(ValueError):
-            theorem_c_bound(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            theorem_c_bound(1.0, 1.0, 0.0)
-        # A NaN input, or an infinite t or x, is refused before any form is taken.
-        bad = ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
-               (1.0, 1.0, math.inf), (1.0, 1.0, -math.inf))
-        for args in bad:
-            with pytest.raises(ValueError, match="need mu >= 0, t > 0, capacity > 0"):
-                theorem_c_bound(*args)
-        for args in bad:
-            with pytest.raises(ValueError, match="need mu >= 0, capacity > 0, x > 0"):
-                et_bound(*args)
 
     @pytest.mark.parametrize("mu, t", [(9e-110, 1e200), (2.43e-309, 1.0), (1e-300, 1e10), (1e-6, 1e300)])
     def test_overflowing_quotients_give_finite_bounds(self, mu, t):
@@ -325,109 +332,190 @@ class TestUpperBounds:
         if math.isfinite(first):
             assert exponent_ap(mu, var, p, eps) == min(first, math.sqrt(eps * mu) * math.log(1.0 / p))
 
-    def test_exponents_reject(self):
-        with pytest.raises(ValueError):
-            exponent_appp(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            exponent_appp(1.0, 0.0)
-        with pytest.raises(ValueError):
-            exponent_apt(1.0, 0.5, 0.0)
-        nan = math.nan
-        with pytest.raises(ValueError, match="need mu >= 0 and p"):
-            exponent_appp(nan, 0.5)
-        inf = math.inf
-        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, nan, 1.0), (1.0, 1.0, 0.5, nan),
-                     (1.0, 1.0, 0.5, inf), (1.0, 1.0, 0.5, -inf)):
-            with pytest.raises(ValueError, match="need mu, var >= 0, eps > 0"):
-                exponent_ap(*args)
-        for args in ((nan, 0.5, 1.0), (1.0, 0.5, nan), (1.0, 0.5, inf), (1.0, 0.5, -inf)):
-            with pytest.raises(ValueError, match="need var >= 0, t > 0"):
-                exponent_apt(*args)
-        for args in ((nan, 1.0, 0.5, 1.0), (1.0, nan, 0.5, 1.0), (1.0, 1.0, 0.5, nan),
-                     (1.0, 1.0, 0.5, inf), (1.0, 1.0, 0.5, -inf)):
-            with pytest.raises(ValueError, match="need mu, lam >= 0, t > 0"):
-                exponent_hg(*args)
+
+INF, NAN = math.inf, math.nan
 
 
-INF = math.inf
-# (entry point, its arguments with one real input infinite, that input's name)
-INFINITE_INPUTS = [
-    (theorem_c_bound, (INF, 1.0, 1.0), "mu"),
-    (theorem_c_bound, (1.0, INF, 1.0), "capacity"),
-    (et_bound, (INF, 1.0, 2.0), "mu"),
-    (et_bound, (1.0, INF, 2.0), "capacity"),
-    (exponent_appp, (INF, 0.5), "mu"),
-    (exponent_ap, (INF, 1.0, 0.5, 1.0), "mu"),
-    (exponent_ap, (1.0, INF, 0.5, 1.0), "var"),
-    (exponent_apt, (INF, 0.5, 1.0), "var"),
-    (exponent_hg, (INF, 1.0, 1.0, 1.0), "mu"),
-    (exponent_hg, (1.0, INF, 0.5, 1.0), "lam"),
-    (lb_cluster_bound, (INF, 1.0, 1.0, 1.0), "d"),
-    (lb_cluster_bound, (1.0, INF, 1.0, 0.5), "mu"),
-    (binomial_point_lower, (10, 0.3, 4, INF), "b"),
-    (binomial_point_lower, (10, 0.3, 4, -INF), "b"),
-    (paley_zygmund_lower, (INF, 1.0), "var"),
-    (MomentReport, (INF, 0.0, 0.0), "mu"),
-    (MomentReport, (0.0, INF, 0.0), "var"),
-    (MomentReport, (0.0, 0.0, INF), "lam"),
-]
-
-
-# Arguments every check accepts, and the names of the real inputs among them
-# by position (None: p or q, which only an interval holds).
-REAL_INPUTS = [
-    (theorem_c_bound, (1.0, 1.0, 1.0), ("mu", "capacity", "t")),
-    (et_bound, (1.0, 1.0, 2.0), ("mu", "capacity", "x")),
-    (exponent_appp, (1.0, 0.5), ("mu",)),
-    (exponent_ap, (1.0, 1.0, 0.5, 1.0), ("mu", "var", None, "eps")),
-    (exponent_apt, (1.0, 0.5, 1.0), ("var", None, "t")),
-    (exponent_hg, (1.0, 1.0, 0.5, 1.0), ("mu", "lam", None, "t")),
-    (lb_cluster_bound, (1.0, 1.0, 1.0, 0.5), ("d", "mu", "t")),
-    (binomial_point_lower, (10, 0.3, 4, 1.0), ("n", None, None, "b")),
-    (paley_zygmund_lower, (1.0, 1.0), ("var", "t")),
-    (MomentReport, (0.0, 0.0, 0.0), ("mu", "var", "lam")),
-]
-PAST_FLOAT = [(fn, args[:i] + (10**400,) + args[i + 1:], name)
-              for fn, args, names in REAL_INPUTS for i, name in enumerate(names) if name]
-
-
-@pytest.mark.parametrize("fn, args, name", PAST_FLOAT, ids=[f"{fn.__name__}-{name}" for fn, _, name in PAST_FLOAT])
-def test_int_past_the_float_range_refused_by_name(fn, args, name):
-    # Each entry point raised OverflowError from its arithmetic, and
-    # MomentReport(10**400, 0, 0) held the int.
-    with pytest.raises(ValueError, match=f"^{name} must be finite, not an int past the float range$"):
-        fn(*args)
-
-
-class TestInfiniteInputs:
-    @pytest.mark.parametrize(
-        "fn, args, name",
-        INFINITE_INPUTS,
-        ids=[f"{fn.__name__}-{'-' if -INF in args else ''}{name}" for fn, args, name in INFINITE_INPUTS],
-    )
-    def test_refused_by_name(self, fn, args, name):
-        # Each gave a value: an infinite or NaN log bound or exponent, or a
-        # finite one read off an infinite input.
-        with pytest.raises(ValueError, match=f"^{name} must be finite, not -?inf$"):
-            fn(*args)
-
-    def test_chain_check_fails_an_infinite_primary(self):
+class TestChainCheck:
+    def test_fails_an_infinite_primary(self):
         # The slack 1e-9 * max(|primary|, |weaker|, 1) is inf there as well.
         with pytest.raises(AssertionError, match="bound chain violated"):
             bounds._chain_check(INF, -2.0, "phi vs quadratic")
         bounds._chain_check(-INF, -2.0, "phi vs quadratic")  # a zero bound lies below every form
+
+    def test_passes_when_both_ends_are_infinite(self):
+        bounds._chain_check(INF, INF, "phi vs quadratic")
+
+
+# The boundary table.  Each row names an entry point, arguments it accepts,
+# and the kind of each real or count input among them (None: not tried).  A
+# kind holds the VALUES it accepts and the refusal text of every other value:
+# texts[value id] if there is one, else text, formatted with the input's name
+# and value.  A refused cell expects ValueError with exactly that message
+# ("--" before it for a CLI flag), unless REFUSED_WITH says otherwise.  tiny
+# is the smallest positive float.
+VALUES = {"0": 0, "-0.0": -0.0, "-tiny": -5e-324, "tiny": 5e-324, "1": 1,
+          "1+ulp": math.nextafter(1.0, 2.0), "nan": NAN, "inf": INF, "-inf": -INF, "1e400": 10**400}
+COUNT_VALUES = {**VALUES, "2.5": 2.5, "-1": -1}
+
+
+class Kind(NamedTuple):
+    accepts: frozenset
+    text: str = ""
+    texts: dict = {}
+
+
+NOT_FINITE = {"nan": "{name} must be finite, not nan", "inf": "{name} must be finite, not inf",
+              "-inf": "{name} must be finite, not -inf",
+              "1e400": "{name} must be finite, not an int past the float range"}
+NOT_COUNT = {vid: "{name} must be a nonnegative integer, not {value!r}"
+             for vid in COUNT_VALUES if vid not in ("0", "1", "1e400")}
+FINITE = Kind(frozenset({"0", "-0.0", "-tiny", "tiny", "1", "1+ulp"}), "", NOT_FINITE)
+NONNEGATIVE = Kind(FINITE.accepts - {"-tiny"}, "{name} must be nonnegative, not {value}", NOT_FINITE)
+POSITIVE = Kind(frozenset({"tiny", "1", "1+ulp"}), "{name} must be positive, not {value}", NOT_FINITE)
+RATE = Kind(frozenset({"tiny", "1"}), "{name} must lie in (0, 1], not {value}")
+OPEN_RATE = Kind(frozenset({"tiny"}), "{name} must lie in (0, 1), not {value}")
+GAMMA = Kind(frozenset({"tiny"}), "gamma must lie in (0, 1/8]")
+PROBABILITY = Kind(frozenset({"0", "-0.0", "tiny", "1"}), "p must lie in [0, 1]")
+# A float threshold: neither NaN nor past the float range.
+THRESHOLD = Kind(FINITE.accepts | {"inf", "-inf"}, "{name} must not be NaN",
+                 {"1e400": "{name} lies outside the float range"})
+NOT_NAN = Kind(frozenset(VALUES) - {"nan"}, "{name} must not be NaN")
+IGNORED = Kind(frozenset(VALUES))  # a flag the subcommand does not read
+COUNT = Kind(frozenset({"0", "1", "1e400"}), "", NOT_COUNT)
+# A count at most its n, which is 6 in every row of this kind.
+SIZE = Kind(frozenset({"0", "1"}), "m must lie in [0, 6]", NOT_COUNT)
+FLOAT_COUNT = Kind(frozenset({"0", "1"}), "", {**NOT_COUNT, "1e400": NOT_FINITE["1e400"]})
+POSITIVE_COUNT = Kind(frozenset({"1"}), "{name} must be positive, not {value}", FLOAT_COUNT.texts)
+# The refined bound at m = 1 needs n >= 2, and no count value here is.
+NO_COUNT = Kind(frozenset(), "", FLOAT_COUNT.texts)
+# The refined bound's m in [n q, n - 1] at n = 10: 0 lies below n q.
+ABOVE_MEAN = Kind(frozenset({"1"}), "", {**NOT_COUNT, "0": "refined form requires m >= n * q",
+                                         "1e400": "m must lie in [0, 9]"})
+# chunk_layout refuses a negative total, then range() a float one.
+TOTAL = Kind(frozenset({"0", "1", "1e400"}), "total must be nonnegative")
+
+AP6 = build_ap(6, 3)
+FULL6 = VertexSet(6, (1 << 6) - 1)
+GEN = stream_generator(0, 0)
+
+
+def chunk_layout_head(total):
+    return list(islice(chunk_layout(total), 2))
+
+
+def bounds_flags(p, t, eps, d, capacity, alpha, samples, workers):
+    RunConfig("bounds", FamilySpec("ap", 6), (p,), (t,), eps=eps, d=d, capacity=capacity,
+              alpha=alpha, samples=samples, workers=workers).validate()
+
+
+def tail_flags(t, r):
+    RunConfig("tail", FamilySpec("ap", 6), (0.5,), (t,), r=r).validate()
+
+
+def decompose_flags(r):
+    RunConfig("decompose", FamilySpec("ap", 6), (0.5,), r=r, seed=1).validate()
+
+
+REAL_INPUTS = [
+    (theorem_c_bound, (1.0, 1.0, 1.0), (NONNEGATIVE, POSITIVE, POSITIVE)),
+    (et_bound, (1.0, 1.0, 2.0), (NONNEGATIVE, POSITIVE, POSITIVE)),
+    (exponent_appp, (1.0, 0.5), (NONNEGATIVE, RATE)),
+    (exponent_ap, (1.0, 1.0, 0.5, 1.0), (NONNEGATIVE, NONNEGATIVE, RATE, POSITIVE)),
+    (exponent_apt, (1.0, 0.5, 1.0), (NONNEGATIVE, RATE, POSITIVE)),
+    (exponent_hg, (1.0, 1.0, 0.5, 1.0), (NONNEGATIVE, NONNEGATIVE, RATE, POSITIVE)),
+    (lb_cluster_bound, (1.0, 1.0, 1.0, 0.5), (NONNEGATIVE, NONNEGATIVE, POSITIVE, RATE)),
+    (binomial_point_lower, (6, 0.3, 0, 1.0), (FLOAT_COUNT, OPEN_RATE, SIZE, FINITE)),
+    (binomial_point_lower_refined, (10, 0.05, 1), (NO_COUNT, OPEN_RATE, ABOVE_MEAN)),
+    (paley_zygmund_lower, (1.0, 1.0), (NONNEGATIVE, POSITIVE)),
+    (MomentReport, (0.0, 0.0, 0.0), (NONNEGATIVE, NONNEGATIVE, NONNEGATIVE)),
+    (exact_mean, (AP6, 0.5), (None, PROBABILITY)),
+    (exact_variance, (AP6, 0.5), (None, PROBABILITY)),
+    (moment_report, (AP6, 0.5), (None, PROBABILITY)),
+    (hypergeom_conditional_mean, (AP6, 3), (None, SIZE)),
+    (planting_target, (1.0, 1.0, 3, 0.5), (FINITE, FINITE, None, RATE)),
+    (conditioned_size, (10, 0.3, 0.0), (None, PROBABILITY, FINITE)),
+    (exact_tail, (AP6, 0.5, 1.0), (None, PROBABILITY, THRESHOLD)),
+    (exact_point_mass, (AP6, 0.5, 1), (None, PROBABILITY, NOT_NAN)),
+    (mc_tail, (AP6, 0.5, 1.0, 1, 1), (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT)),
+    (planted_tail, (AP6, 0.5, 1.0, 1, 1, VertexSet(6)), (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT)),
+    (conditioned_tail, (AP6, 0.5, 1.0, 1, 1, 0.0),
+     (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT, None, NONNEGATIVE)),
+    (TailEstimate, (1.0, 0.5, "planted", 10, 0.1, 0.9), (None, None, None, COUNT)),
+    (xr_exact, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
+    (xr_exact_on, (AP6, (), 2.0), (None, None, POSITIVE)),
+    (xr_or_lower, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
+    (xr_or_lower_on, (AP6, (), 2.0), (None, None, POSITIVE)),
+    (greedy_star_matching, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
+    (degree_prune_on, (AP6, (), 2.0), (None, None, POSITIVE)),
+    (mr_exact, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
+    (mr_exact_on, (AP6, (), 2.0), (None, None, POSITIVE)),
+    (CascadeParams, (0.5, 0.1, 1.0, 1.0, 0.5), (RATE, GAMMA, POSITIVE, POSITIVE, OPEN_RATE)),
+    (FamilySpec, ("ap", 6), (None, COUNT)),
+    (greedy_witness, (AP6, 2.0), (None, NOT_NAN)),
+    (interval_witness, (FamilySpec("ap", 6), 2.0), (None, NOT_NAN)),
+    (VertexSet, (6,), (COUNT,)),
+    (sample_vp, (AP6, 0.5, GEN), (None, PROBABILITY)),
+    (sample_vm, (AP6, 3, GEN), (None, SIZE)),
+    (EventTable, (2, 0), (SIZE,)),
+    (chunk_layout_head, (5,), (TOTAL,)),
+    (bounds_flags, (0.5, 1.0, 0.0, 1.0, 1.0, 0.5, 1, 1),
+     (PROBABILITY, POSITIVE, NONNEGATIVE, NONNEGATIVE, POSITIVE, RATE, POSITIVE_COUNT, POSITIVE_COUNT)),
+    (tail_flags, (1.0, None), (FINITE, IGNORED)),
+    (decompose_flags, (1.0,), (POSITIVE,)),
+]
+COUNT_KINDS = (COUNT, SIZE, FLOAT_COUNT, POSITIVE_COUNT, NO_COUNT, ABOVE_MEAN, TOTAL)  # tried at COUNT_VALUES
+# Cells refused with another exception than ValueError, or with a message
+# that names another input.
+REFUSED_WITH = {
+    ("binomial_point_lower_refined", "n", "0"): "m must lie in [0, -1]",
+    ("binomial_point_lower_refined", "n", "1"): "m must lie in [0, 0]",
+    ("EventTable", "m", "1e400"): CapacityError,  # a coordinate budget, not a range
+    **{("chunk_layout_head", "total", v): TypeError for v in ("-0.0", "tiny", "1+ulp", "nan", "inf", "2.5")},
+}
+
+
+def _cells():
+    for fn, args, kinds in REAL_INPUTS:
+        label = fn.__name__
+        names = list(inspect.signature(fn).parameters)
+        for i, kind in enumerate(kinds):
+            if kind is None:
+                continue
+            values = COUNT_VALUES if any(kind is count for count in COUNT_KINDS) else VALUES
+            for vid, value in values.items():
+                refused = None
+                if vid not in kind.accepts:
+                    text = kind.texts.get(vid, kind.text)
+                    refused = REFUSED_WITH.get((label, names[i], vid), text)
+                    if isinstance(refused, str):
+                        flag = "--" if label.endswith("_flags") else ""
+                        refused = flag + refused.format(name=names[i], value=value)
+                yield pytest.param(fn, args, i, value, refused, id=f"{label}-{names[i]}-{vid}")
+
+
+CELLS = list(_cells())
+
+
+@pytest.mark.parametrize("fn, args, i, value, refused", CELLS)
+def test_boundary(fn, args, i, value, refused):
+    call_args = args[:i] + (value,) + args[i + 1:]
+    if refused is None:
+        fn(*call_args)
+    elif isinstance(refused, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            fn(*call_args)
+    else:
+        with pytest.raises(refused):
+            fn(*call_args)
 
 
 class TestLowerBounds:
     def test_lb_cluster_formula(self):
         rep = lb_cluster_bound(2.0, 1.0, 3.0, 0.25)
         assert rep.log_value == pytest.approx(-2.0 * 2.0 * math.log(4.0), rel=1e-15)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires mu"):
             lb_cluster_bound(2.0, 0.3, 0.5, 0.25)  # mu + t < 1
-        for args in ((math.nan, 1.0, 1.0, 0.5), (1.0, math.nan, 1.0, 0.5), (1.0, 1.0, math.nan, 0.5),
-                     (1.0, 1.0, math.inf, 0.5), (1.0, 1.0, -math.inf, 0.5)):
-            with pytest.raises(ValueError, match="need d, mu >= 0, t > 0"):
-                lb_cluster_bound(*args)
 
     def test_binomial_point_exact_at_b_zero(self):
         for n, q, m in ((12, 0.3, 5), (30, 0.08, 4), (9, 0.55, 9 - 1)):
@@ -442,31 +530,6 @@ class TestLowerBounds:
             base - 1.0, rel=1e-15
         )
 
-    def test_binomial_point_rejects(self):
-        with pytest.raises(ValueError, match="need 0 <= m <= n"):
-            binomial_point_lower(10, 0.3, 11)
-        with pytest.raises(ValueError, match="^m must be a nonnegative integer, not -1$"):
-            binomial_point_lower(10, 0.3, -1)
-        for q in (0.0, 1.0, math.nan):
-            with pytest.raises(ValueError, match=r"q must lie in \(0, 1\)"):
-                binomial_point_lower(10, q, 4)
-        with pytest.raises(ValueError, match="b must be finite, not nan"):
-            binomial_point_lower(10, 0.3, 4, b=math.nan)
-
-    @pytest.mark.parametrize("fn", [binomial_point_lower, binomial_point_lower_refined])
-    @pytest.mark.parametrize("n, m, message", [
-        (10.5, 4.5, "n must be a nonnegative integer, not 10.5"),
-        (20.5, 8, "n must be a nonnegative integer, not 20.5"),
-        (20, 8.5, "m must be a nonnegative integer, not 8.5"),
-        (10**400, 1, "n must be finite, not an int past the float range"),
-    ], ids=["n10.5-m4.5", "n20.5", "m8.5", "n1e400"])
-    def test_counts_are_integers_within_the_float_range(self, fn, n, m, message):
-        # binomial_point_lower(10.5, 0.3, 4.5) gave log value -2.80 and the
-        # refined form at (20.5, 0.3, 8.5) -2.94, bounds for fractional
-        # trials; n = 10**400 raised lgamma's OverflowError.
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            fn(n, 0.3, m)
-
     def test_refined_below_pmf(self):
         for n, q in ((25, 0.2), (60, 0.45)):
             start = math.ceil(n * q)
@@ -480,9 +543,6 @@ class TestLowerBounds:
 
     def test_paley_zygmund_formula_and_honesty(self):
         assert paley_zygmund_lower(3.0, 2.0) == pytest.approx(4.0 / 7.0, rel=1e-15)
-        for args in ((math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)):
-            with pytest.raises(ValueError, match="need var >= 0 and t > 0"):
-                paley_zygmund_lower(*args)
         n, q = 18, 0.35
         var = n * q * (1 - q)
         mu = n * q
@@ -510,8 +570,3 @@ class TestHypergeom:
         assert hypergeom_conditional_mean(AP4, 4) == 2.0
         with pytest.raises(ValueError):
             hypergeom_conditional_mean(AP4, 5)
-
-    def test_non_integer_m_refused_by_name(self):
-        # m = 2.5 on AP(10,3) returned 0.0.
-        with pytest.raises(ValueError, match="^m must be a nonnegative integer, not 2.5$"):
-            hypergeom_conditional_mean(build_ap(10, 3), 2.5)

@@ -87,13 +87,6 @@ class TestIntervalOrder:
         assert est.p_hat > est.ci_high
 
 
-# TailEstimate accepted samples = 2.5, and samples = -1 had a message of its own.
-@pytest.mark.parametrize("samples", [2.5, -1])
-def test_samples_refused_by_name(samples):
-    with pytest.raises(ValueError, match=f"^samples must be a nonnegative integer, not {samples}$"):
-        estimate.TailEstimate(1.0, 0.5, "planted", samples, 0.1, 0.9)
-
-
 def test_extra_never_affects_equality_or_hash():
     a = estimate.TailEstimate(1.0, 0.5, "planted", 10, 0.1, 0.9, {"x": 1})
     b = estimate.TailEstimate(1.0, 0.5, "planted", 10, 0.1, 0.9, {"x": 2})
@@ -878,30 +871,6 @@ class TestConditioned:
         with pytest.raises(ValueError, match="exceeds the 10 available vertices"):
             conditioned_histogram(build_ap(10, 3), 0.3, 3, seed=1, eps=1e308)
 
-    def test_conditioned_size_refuses_p_by_name(self):
-        # NaN p raised "cannot convert float NaN to integer", naming nothing.
-        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
-            conditioned_size(10, math.nan, 0.0)
-
-    @pytest.mark.parametrize("method", ["planted", "conditioned"])
-    def test_non_integer_samples_refused_by_name(self, method):
-        # 2.5 passed the budget check, then numpy raised TypeError in the draw.
-        h = build_ap(10, 3)
-        run = {
-            "planted": lambda: planted_histogram(h, 0.3, 2.5, 1, VertexSet(10)),
-            "conditioned": lambda: conditioned_histogram(h, 0.3, 2.5, 1),
-        }[method]
-        with pytest.raises(ValueError, match="^samples must be a nonnegative integer, not 2.5$"):
-            run()
-
-    @pytest.mark.parametrize("eps", [math.inf, math.nan])
-    def test_non_finite_eps_is_refused(self, eps):
-        # inf * 0 is nan, which round() cannot convert: refuse eps itself.
-        with pytest.raises(ValueError, match="eps must be finite"):
-            conditioned_size(10, 0.0, eps)
-        with pytest.raises(ValueError, match="eps must be finite"):
-            conditioned_histogram(build_ap(10, 3), 0.3, 3, seed=1, eps=eps)
-
     @given(
         n=st.integers(1, 3000),
         p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
@@ -974,28 +943,6 @@ class TestCertifiedColumn:
 
 
 class TestPlantingTarget:
-    @pytest.mark.parametrize("mu, t", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
-    def test_nan_refused(self, mu, t):
-        # NaN mu read as a 4-edge target and NaN t as 0, an empty witness.
-        with pytest.raises(ValueError, match=("mu" if mu != mu else "t") + " must be finite, not nan"):
-            planting_target(mu, t, 3, None)
-
-    @pytest.mark.parametrize("mu, t, name", [(math.inf, 1.0, "mu"), (1.0, math.inf, "t"), (1.0, -math.inf, "t")])
-    def test_infinity_refused_by_name(self, mu, t, name):
-        # inf mu read as alpha = 0, inf t overflowed in ceil, -inf t gave 0 edges.
-        with pytest.raises(ValueError, match=f"{name} must be finite, not -?inf"):
-            planting_target(mu, t, 3, None)
-
-    @pytest.mark.parametrize("call, name", [
-        (lambda: planting_target(10**400, 1.0, 3, None), "mu"),
-        (lambda: planting_target(1.0, 10**400, 3, None), "t"),
-        (lambda: conditioned_size(10, 0.3, 10**400), "eps"),
-    ], ids=["planting_target-mu", "planting_target-t", "conditioned_size-eps"])
-    def test_int_past_the_float_range_refused_by_name(self, call, name):
-        # Each raised OverflowError from its arithmetic.
-        with pytest.raises(ValueError, match=f"^{name} must be finite, not an int past the float range$"):
-            call()
-
     @given(
         mu=st.floats(0.0, 1e4),
         t=st.floats(-10.0, 1e4),

@@ -311,11 +311,13 @@ def test_verify_checks_return_check_results():
 
 # Each input kind is refused in one place, uppertail.hypergraph's check_*
 # helpers, and a vertex set over another range(n) by the induced count's
-# _inside; cli's usage checks name flags and exit 2, so they keep their own.
-# The text is p's, since disjointness refuses a whole array of probabilities.
-REFUSERS = {"hypergraph.py", "cli.py"}
+# _inside.  cli sends its flags through the same helpers and only prefixes
+# "--" to their messages, so it is scanned too.  The text is p's, since
+# disjointness refuses a whole array of probabilities.
+REFUSERS = {"hypergraph.py"}
 REFUSAL_TEXT = ("p must lie in [0, 1]", "must not be NaN", "must be finite, not",
-                "m must lie in [0, ", "does not match range(")
+                "must be positive, not", "must be nonnegative, not", "must lie in (0, 1], not",
+                "must lie in (0, 1), not", "m must lie in [0, ", "does not match range(")
 
 
 def _second_refusals(tree: ast.Module) -> list[str]:
@@ -342,7 +344,7 @@ def test_refusals_go_through_the_helpers(path):
 
 
 def test_refusal_reading_finds_the_helpers():
-    # The reading sees hypergraph's own spellings: the five messages and the
+    # The reading sees hypergraph's own spellings: the nine messages and the
     # NaN compare in check_threshold.
     found = _second_refusals(_tree(SRC / "hypergraph.py"))
     assert sum("compared with itself" in f for f in found) == 1

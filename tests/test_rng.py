@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from uppertail.hypergraph import Hypergraph, sample_vm, sample_vp
-from uppertail.rng import DRAW_BLOCK, m_subset_members, p_subset_members, stream_generator
+from uppertail.rng import CHUNK, DRAW_BLOCK, chunk_layout, m_subset_members, p_subset_members
+from uppertail.rng import stream_generator
 
 SEEDS = st.integers(0, (1 << 64) - 1)
 
@@ -22,6 +23,14 @@ class TestStreamGenerator:
         # Masking to 64 bits would make seed 2^64 replay seed 0's draws.
         with pytest.raises(ValueError):
             stream_generator(seed, stream)
+
+
+class TestChunkLayout:
+    def test_streams_cover_the_total_in_order(self):
+        # Refusals (a negative or float total) are cells of test_bounds.py's boundary table.
+        assert list(chunk_layout(0)) == []
+        assert list(chunk_layout(CHUNK)) == [(0, CHUNK)]
+        assert list(chunk_layout(2 * CHUNK + 1)) == [(0, CHUNK), (1, CHUNK), (2, 1)]
 
 
 def _generators(seed: int, philox: bool) -> tuple[np.random.Generator, np.random.Generator]:
