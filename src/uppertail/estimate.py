@@ -491,11 +491,12 @@ def planting_target(mu: float, t: float, k: int, alpha: float | None) -> int:
     """Edges a planted witness must carry for threshold mu + t.
 
     The target is ceil(min(lambda * t, mu + t)), or 0 when t <= 0, with
-    lambda = 4 / (1 - (1 - alpha)^k) and alpha = min(1, t / mu) by default.
+    lambda = 4 / (1 - (1 - alpha)^k) and alpha = min(1, t / mu) by default,
+    raised to the least positive float when t / mu underflows to 0.
     """
     check_finite(mu=mu, t=t)
     if alpha is None:
-        alpha = min(1.0, t / mu) if mu > 0 and t > 0 else 1.0
+        alpha = max(min(1.0, t / mu), math.ulp(0.0)) if mu > 0 and t > 0 else 1.0
     check_rate(alpha=alpha)
     denom = 1.0 - (1.0 - alpha) ** k
     if denom == 0.0:  # (1 - alpha)^k rounded to 1; only then the log1p form

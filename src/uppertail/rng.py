@@ -16,6 +16,7 @@ one-column p_subset_members draw, so each law is drawn one way.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,7 +37,9 @@ DRAW_BLOCK = 128  # samples per step of p_subset_members
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """Generator for the given stream of a seeded run (keys are 64-bit)."""
+    """Generator for the given stream of a seeded run (keys are 64-bit
+    integers; a float key is a TypeError, never truncated to another seed's)."""
+    seed, stream = operator.index(seed), operator.index(stream)
     if not (0 <= seed < KEY_LIMIT and 0 <= stream < KEY_LIMIT):
         raise ValueError(f"seed {seed} and stream {stream} must lie in [0, 2**64)")
     key = np.array([seed, stream], dtype=np.uint64)

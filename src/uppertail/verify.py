@@ -4,8 +4,10 @@ Each suite re-derives its claims from scratch (exact enumeration wherever the
 instance is small enough) and is a list of check calls.  Every check returns
 its own CheckResult: the pass verdict and detail line and, for a check that
 counts cases, how many it checked, how many violated its claim and how many
-were active (non-vacuous).  The CLI `verify` subcommand and the test suite both
-run these.
+were active (non-vacuous).  A counted check yields its cases and reports
+through one tally (_tally), which sums their counts, applies the pass rule and
+writes the detail from the totals.  The CLI `verify` subcommand and the test
+suite both run these.
 
 No check takes a memo argument: run_suites installs one (_RUN_MEMO) for the
 length of a run and drops it when the run ends; outside a run, a check
@@ -155,11 +157,30 @@ def _close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
 
 
-def _none_violated(
-    suite: str, name: str, detail: str, checked: int, violations: int, active: int | None = None
+def _tally(
+    suite: str, name: str, cases: Iterable[tuple[int, int, int]], detail: str | Callable[..., str],
+    need_active: bool | None = None,
 ) -> CheckResult:
-    """A check that passes when none of its checked cases violates its claim."""
-    return CheckResult(suite, name, violations == 0, detail, checked, violations, active)
+    """The result of a counted check, from its cases.
+
+    Each case is (checked, violations, active), in CheckResult's order: the
+    cases it stands for (1, or a weight), how many of them break the check's
+    claim and how many are active.  The check passes when none breaks it and,
+    with need_active, some case is active; need_active None counts no active
+    cases (active None).  detail is a str.format template over the totals, or
+    a callable of them by keyword.
+    """
+    checked = violations = active = 0
+    for case_checked, case_violations, case_active in cases:
+        checked += case_checked
+        violations += case_violations
+        active += case_active
+    totals = {"checked": checked, "violations": violations, "active": None if need_active is None else active}
+    text = detail(**totals) if callable(detail) else detail.format(**totals)
+    return CheckResult(suite, name, violations == 0 and (not need_active or active > 0), text, **totals)
+
+
+_POSITIVE_ROWS = "{checked} grid rows, {active} with positive tail"
 
 
 _RUN_MEMO: dict | None = None  # (fn, h) -> fn(h) while run_suites runs, else None
@@ -255,7 +276,7 @@ def moments_check(spec: FamilySpec) -> CheckResult:
     v = sum(err > 1e-10 for err in errs)
     name = f"moments_{spec.kind}_{spec.n}_{spec.k if spec.kind == 'ap' else spec.ell}"
     detail = f"worst rel err {max(errs):.2e} over 11 p"
-    return _none_violated("variance", name, detail, len(errs), v)
+    return CheckResult("variance", name, v == 0, detail, len(errs), v)
 
 
 def variance_suite() -> list[CheckResult]:
@@ -295,27 +316,23 @@ def sandwich_sample_check(seed: int, count: int) -> CheckResult:
     """Sampled (H, S, r) triples obey the degree-prune sandwich; active counts
     the triples whose X_r is exact."""
     hs = [build_ap(n, 3) for n in (10, 16, 22, 28, 34, 40)]
-    cases = islice(cycle(product((0.15, 0.3, 0.5), (1.0, 2.0, 3.0, 5.0), hs)), count)
-    violations = 0
-    exact_count = 0
-    for (_, r, h), _, ids in _sampled(seed, cases):
-        x = len(ids)
-        delta1 = induced_max_degree(h, ids)
-        pruned = degree_prune_on(h, ids, r)
-        g0 = len(pruned.kept_edge_ids)
-        msize = pruned.matching.size
-        xr, exact = xr_or_lower_on(h, ids, r)
-        exact_count += exact
-        slack = h.k * math.ceil(r) * msize * delta1
-        lower_ok = g0 <= xr <= x
-        upper_ok = x <= xr + (slack if delta1 > r else 0)
-        greedy_ok = x <= g0 + slack
-        if not (lower_ok and upper_ok and greedy_ok):
-            violations += 1
-    detail = f"{count} sampled triples, {exact_count} with exact X_r, {violations} violations"
-    return _none_violated(
-        "sandwich", "degree_prune_sandwich", detail, count, violations, exact_count
-    )
+    picks = islice(cycle(product((0.15, 0.3, 0.5), (1.0, 2.0, 3.0, 5.0), hs)), count)
+
+    def cases():
+        for (_, r, h), _, ids in _sampled(seed, picks):
+            x = len(ids)
+            delta1 = induced_max_degree(h, ids)
+            pruned = degree_prune_on(h, ids, r)
+            g0 = len(pruned.kept_edge_ids)
+            xr, exact = xr_or_lower_on(h, ids, r)
+            slack = h.k * math.ceil(r) * pruned.matching.size * delta1
+            lower_ok = g0 <= xr <= x
+            upper_ok = x <= xr + (slack if delta1 > r else 0)
+            greedy_ok = x <= g0 + slack
+            yield 1, not (lower_ok and upper_ok and greedy_ok), exact
+
+    detail = "{checked} sampled triples, {active} with exact X_r, {violations} violations"
+    return _tally("sandwich", "degree_prune_sandwich", cases(), detail, need_active=False)
 
 
 def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -333,20 +350,18 @@ def _induced_edge_sets(h: Hypergraph) -> tuple[list[tuple[int, ...]], np.ndarray
 
 
 def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> CheckResult:
-    """All subsets, z in {1,2,3}: Delta_1 >= ceil(z) iff M_z >= 1."""
-    violations = 0
-    checked = 0
-    for n in ns:
-        for h in (build_ap(n, 3), build_schur(n)):
-            sets, index = _memoized(_induced_edge_sets, h)
-            for ids, subsets in zip(sets, np.bincount(index).tolist()):
-                d1 = induced_max_degree(h, ids)
-                for z in (1, 2, 3):
-                    checked += subsets
-                    if (d1 >= z) != (mr_exact_on(h, ids, float(z)) >= 1):
-                        violations += subsets
-    detail = f"{checked} subset checks"
-    return _none_violated("sandwich", "degree_matching_equivalence", detail, checked, violations)
+    """All subsets, z in {1,2,3}: Delta_1 >= ceil(z) iff M_z >= 1.  A case is
+    one induced edge set at one z, weighted by the subsets that induce it."""
+    def cases():
+        for n in ns:
+            for h in (build_ap(n, 3), build_schur(n)):
+                sets, index = _memoized(_induced_edge_sets, h)
+                for ids, subsets in zip(sets, np.bincount(index).tolist()):
+                    d1 = induced_max_degree(h, ids)
+                    for z in (1, 2, 3):
+                        yield subsets, subsets * ((d1 >= z) != (mr_exact_on(h, ids, float(z)) >= 1)), 0
+
+    return _tally("sandwich", "degree_matching_equivalence", cases(), "{checked} subset checks")
 
 
 def _mr_by_code(h: Hypergraph, r: float) -> np.ndarray:
@@ -400,25 +415,20 @@ def _size_value_hist(values: np.ndarray) -> np.ndarray:
 
 def xr_tail_check() -> CheckResult:
     """Exact Pr(X_r >= mu + t/2) against the Bennett-over-4kr bound."""
-    violations = 0
-    active = 0
-    checked = 0
-    for h in (build_ap(10, 3), build_schur(10)):
-        sets, index = _memoized(_induced_edge_sets, h)
-        for r in (1.0, 2.0, 3.0):
-            hist = _size_value_hist(np.array([xr_exact_on(h, ids, r) for ids in sets])[index])
-            for p in (0.1, 0.3, 0.5, 0.7):
-                mu = exact_mean(h, p)
-                for t in (1.0, 3.0, 9.0, 27.0):
-                    lhs = histogram_tail(hist, p, mu + t / 2.0)
-                    main = math.exp(-phi(t / mu) * mu / (4.0 * h.k * r))
-                    weak = math.exp(-min(t, t * t / mu) / (12.0 * h.k * r))
-                    checked += 1
-                    active += lhs > 0.0
-                    if lhs > main * (1.0 + 1e-9) or main > weak * (1.0 + 1e-9):
-                        violations += 1
-    detail = f"{checked} grid rows, {active} with positive tail"
-    return _none_violated("sandwich", "xr_tail_bound", detail, checked, violations, active)
+    def cases():
+        for h in (build_ap(10, 3), build_schur(10)):
+            sets, index = _memoized(_induced_edge_sets, h)
+            for r in (1.0, 2.0, 3.0):
+                hist = _size_value_hist(np.array([xr_exact_on(h, ids, r) for ids in sets])[index])
+                for p in (0.1, 0.3, 0.5, 0.7):
+                    mu = exact_mean(h, p)
+                    for t in (1.0, 3.0, 9.0, 27.0):
+                        lhs = histogram_tail(hist, p, mu + t / 2.0)
+                        main = math.exp(-phi(t / mu) * mu / (4.0 * h.k * r))
+                        weak = math.exp(-min(t, t * t / mu) / (12.0 * h.k * r))
+                        yield 1, lhs > main * (1.0 + 1e-9) or main > weak * (1.0 + 1e-9), lhs > 0.0
+
+    return _tally("sandwich", "xr_tail_bound", cases(), _POSITIVE_ROWS, need_active=False)
 
 
 def mr_tail_check(n: int = 12) -> CheckResult:
@@ -428,68 +438,53 @@ def mr_tail_check(n: int = 12) -> CheckResult:
     (_mr_by_code), not from a branch-and-bound search per induced edge set;
     degree_matching_equivalence_check still runs that search on every subset.
     """
-    violations = 0
-    active = 0
-    checked = 0
-    for h in (build_ap(n, 3), build_schur(n)):
-        for r in (1.0, 2.0, 3.0):
-            # degree_events refuses n > BOX_COORD_BUDGET before the 2^n pass.
-            events = degree_events(h, math.ceil(r))
-            hist = _size_value_hist(_mr_by_code(h, r))
-            for p in (0.1, 0.3, 0.5, 0.7):
-                phi_r = math.fsum(event_probabilities(events, [p] * n))
-                for y in (0.5, 1.0, 2.0, 3.0):
-                    cy = math.ceil(y)
-                    lhs = histogram_tail(hist, p, y)
-                    mid = phi_r**cy / math.factorial(cy)
-                    stirling = (math.e * phi_r / cy) ** cy / math.sqrt(2.0 * math.pi * cy)
-                    checked += 1
-                    active += lhs > 0.0
-                    if lhs > mid * (1.0 + 1e-9) or mid > stirling * (1.0 + 1e-9):
-                        violations += 1
-    detail = f"{checked} grid rows, {active} with positive tail"
-    return _none_violated("sandwich", "mr_tail_bound", detail, checked, violations, active)
+    def cases():
+        for h in (build_ap(n, 3), build_schur(n)):
+            for r in (1.0, 2.0, 3.0):
+                # degree_events refuses n > BOX_COORD_BUDGET before the 2^n pass.
+                events = degree_events(h, math.ceil(r))
+                hist = _size_value_hist(_mr_by_code(h, r))
+                for p in (0.1, 0.3, 0.5, 0.7):
+                    phi_r = math.fsum(event_probabilities(events, [p] * n))
+                    for y in (0.5, 1.0, 2.0, 3.0):
+                        cy = math.ceil(y)
+                        lhs = histogram_tail(hist, p, y)
+                        mid = phi_r**cy / math.factorial(cy)
+                        stirling = (math.e * phi_r / cy) ** cy / math.sqrt(2.0 * math.pi * cy)
+                        yield 1, lhs > mid * (1.0 + 1e-9) or mid > stirling * (1.0 + 1e-9), lhs > 0.0
+
+    return _tally("sandwich", "mr_tail_bound", cases(), _POSITIVE_ROWS, need_active=False)
 
 
 def mrh_conditional_check() -> CheckResult:
     """Degree-tail bound for M_x under the (B n p^{k-1} / r)^r <= n^{-8kD}
     precondition, with B = 1 and p chosen at 90% of the cap."""
-    violations = 0
-    active = 0
-    checked = 0
-    for kind, n, r in MRH_COMBOS:
-        h = build(FamilySpec(kind, n))
-        k = h.k
-        d = max(delta_j(h, 2), 1)
-        p = 0.9 * math.sqrt(r * n ** (-8.0 * k * d / r) / n)
-        if (n * p ** (k - 1) / r) ** r > n ** (-8.0 * k * d):
-            violations += 1
-            continue
-        union = 0
-        for event in degree_events(h, math.ceil(r)):
-            union |= event.table
-        pr_ge_1 = event_probabilities([EventTable(n, union)], [p] * n)[0]
-        mr_full = mr_exact_on(h, tuple(range(h.num_edges)), r)
-        for y in (0.5, 1.0, 2.0, 3.0):
-            if y <= 1.0:
-                lhs = pr_ge_1
-            elif mr_full < y:
-                lhs = 0.0
-            else:  # pragma: no cover - combos chosen so two stars cannot fit
-                raise AssertionError("unexpected feasible multi-star instance")
-            rhs = (
-                (n * p ** (k - 1) / (math.e * r)) ** (r * y / (2.0 * k * d))
-                / (n * n * max(y, 1.0) ** 1.5)
-            )
-            checked += 1
-            active += lhs > 0.0
-            if lhs > rhs * (1.0 + 1e-9):
-                violations += 1
-    detail = f"{checked} grid rows, {active} with positive tail"
-    ok = violations == 0 and active > 0
-    return CheckResult(
-        "sandwich", "mr_degree_tail_conditional", ok, detail, checked, violations, active
-    )
+    def cases():
+        for kind, n, r in MRH_COMBOS:
+            h = build(FamilySpec(kind, n))
+            k = h.k
+            d = max(delta_j(h, 2), 1)
+            p = 0.9 * math.sqrt(r * n ** (-8.0 * k * d / r) / n)
+            if (n * p ** (k - 1) / r) ** r > n ** (-8.0 * k * d):
+                yield 0, 1, 0  # a p off its precondition: one violation, no grid row
+                continue
+            union = 0
+            for event in degree_events(h, math.ceil(r)):
+                union |= event.table
+            pr_ge_1 = event_probabilities([EventTable(n, union)], [p] * n)[0]
+            mr_full = mr_exact_on(h, tuple(range(h.num_edges)), r)
+            for y in (0.5, 1.0, 2.0, 3.0):
+                if y <= 1.0:
+                    lhs = pr_ge_1
+                elif mr_full < y:
+                    lhs = 0.0
+                else:  # pragma: no cover - combos chosen so two stars cannot fit
+                    raise AssertionError("unexpected feasible multi-star instance")
+                rhs = (n * p ** (k - 1) / (math.e * r)) ** (r * y / (2.0 * k * d))
+                rhs /= n * n * max(y, 1.0) ** 1.5
+                yield 1, lhs > rhs * (1.0 + 1e-9), lhs > 0.0
+
+    return _tally("sandwich", "mr_degree_tail_conditional", cases(), _POSITIVE_ROWS, need_active=True)
 
 
 def variance_ratio_check() -> CheckResult:
@@ -574,7 +569,7 @@ def bk_random_pairs() -> CheckResult:
         violations += sum(not p_ab <= p_a * p_b + 1e-12 for p_ab, p_a, p_b in zip(*[probabilities] * 3))
     checked = 200 * len(measures)
     detail = f"200 pairs, {checked} measure checks"
-    return _none_violated("bk", "random_pairs", detail, checked, violations)
+    return CheckResult("bk", "random_pairs", violations == 0, detail, checked, violations)
 
 
 def box_identity_checks() -> list[CheckResult]:
@@ -618,12 +613,13 @@ def mr_z_sample_check() -> CheckResult:
     rs = (1.0, 2.0, 3.0)
     # Stars certify their centers' degree events on disjoint vertex sets: M_r <= Z.
     by_case = {(h, r): degree_events(h, math.ceil(r)) for h in hs for r in rs}
-    violations = 0
-    for (_, r, h), bits, ids in _sampled(11, islice(cycle(product((0.6,), rs, hs)), 200)):
-        events = by_case[h, r]
-        if mr_exact_on(h, ids, r) > z_disjoint(events, bits, max_events=len(events)):
-            violations += 1
-    return _none_violated("bk", "mr_le_z_sampled", "200 sampled (H,S,r)", 200, violations)
+
+    def cases():
+        for (_, r, h), bits, ids in _sampled(11, islice(cycle(product((0.6,), rs, hs)), 200)):
+            events = by_case[h, r]
+            yield 1, mr_exact_on(h, ids, r) > z_disjoint(events, bits, max_events=len(events)), 0
+
+    return _tally("bk", "mr_le_z_sampled", cases(), "{checked} sampled (H,S,r)")
 
 
 def bk_suite() -> list[CheckResult]:
@@ -640,54 +636,45 @@ def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
     """
     hs = (build_ap(10, 3), build_schur(10))
     combos = ((1.0, 4.0), (1.0, 9.0), (2.0, 4.0), (1.5, 6.25))
-    cases = islice(cycle(product((0.15, 0.25, 0.35), combos, hs)), samples)
+    picks = islice(cycle(product((0.15, 0.25, 0.35), combos, hs)), samples)
     beta = 1.0 / (32.0 * 3)
-    violations = trues = indet = 0
-    for (p, (r, t), h), bits, ids in _sampled(seed, cases):
-        params = CascadeParams(beta=beta, gamma=0.125, r=r, t=t, p=p)
-        check = check_cascade_event(h, VertexSet(h.n, bits), params)
-        if check.verdict is None:
-            indet += 1
-        elif check.verdict:
-            trues += 1
-            if len(ids) > xr_exact_on(h, ids, r) + t / 2.0 + 1e-9:
-                violations += 1
-    detail = (
-        f"{samples} samples, {trues} true verdicts, {indet} indeterminate, {violations} violations"
-    )
-    ok = violations == 0 and trues > 0
-    return CheckResult(
-        "cascade", "event_implies_xr_bound", ok, detail, samples, violations, trues
-    )
+    indet = 0
+
+    def cases():
+        nonlocal indet
+        for (p, (r, t), h), bits, ids in _sampled(seed, picks):
+            params = CascadeParams(beta=beta, gamma=0.125, r=r, t=t, p=p)
+            verdict = check_cascade_event(h, VertexSet(h.n, bits), params).verdict
+            indet += verdict is None
+            yield 1, bool(verdict) and len(ids) > xr_exact_on(h, ids, r) + t / 2.0 + 1e-9, bool(verdict)
+
+    def detail(checked, violations, active):
+        return f"{checked} samples, {active} true verdicts, {indet} indeterminate, {violations} violations"
+
+    return _tally("cascade", "event_implies_xr_bound", cases(), detail, need_active=True)
 
 
 def cascade_accounting_check() -> CheckResult:
     """Per-level removal accounting on 50 samples of AP(40,3); active counts the
     samples whose every level is within the dyadic form."""
-    violations = 0
-    fully_dyadic = 0
-    cases = islice(cycle(product((0.2,), (16.0, 36.0), (build_ap(40, 3),))), 50)
-    for (_, t, h), _, ids in _sampled(14, cases):
-        params = CascadeParams(beta=1.0, gamma=0.125, r=1.5, t=t, p=0.2)
-        res = cascade_prune(h, ids, params)
-        if sum(level.removed for level in res.levels) != len(ids) - len(res.kept_edge_ids):
-            violations += 1
-        all_dyadic = True
-        for level in res.levels:
-            cap = level.matching_size * h.k * math.ceil(level.r_j) * level.delta1_before
-            if level.removed > cap:
-                violations += 1
-            if level.delta1_before <= 2.0 * level.r_j and level.r_j >= 0.5:
-                if level.removed > level.matching_size * 4.0 * h.k * level.r_j**2:
-                    violations += 1
-            else:
-                all_dyadic = False
-        fully_dyadic += all_dyadic
-        if induced_max_degree(h, res.kept_edge_ids) > math.floor(params.r):
-            violations += 1
-    detail = f"50 samples, {fully_dyadic} fully within the dyadic form"
-    ok = violations == 0 and fully_dyadic > 0
-    return CheckResult("cascade", "removal_accounting", ok, detail, 50, violations, fully_dyadic)
+    picks = islice(cycle(product((0.2,), (16.0, 36.0), (build_ap(40, 3),))), 50)
+
+    def cases():
+        for (_, t, h), _, ids in _sampled(14, picks):
+            params = CascadeParams(beta=1.0, gamma=0.125, r=1.5, t=t, p=0.2)
+            res = cascade_prune(h, ids, params)
+            dyadic = [lv.delta1_before <= 2.0 * lv.r_j and lv.r_j >= 0.5 for lv in res.levels]
+            broken = [
+                sum(lv.removed for lv in res.levels) != len(ids) - len(res.kept_edge_ids),
+                induced_max_degree(h, res.kept_edge_ids) > math.floor(params.r),
+            ]
+            for lv, form in zip(res.levels, dyadic):
+                broken.append(lv.removed > lv.matching_size * h.k * math.ceil(lv.r_j) * lv.delta1_before)
+                broken.append(form and lv.removed > lv.matching_size * 4.0 * h.k * lv.r_j**2)
+            yield 1, sum(broken), all(dyadic)
+
+    detail = "{checked} samples, {active} fully within the dyadic form"
+    return _tally("cascade", "removal_accounting", cases(), detail, need_active=True)
 
 
 def cascade_trivial_checks() -> list[CheckResult]:
@@ -732,57 +719,47 @@ def cascade_suite() -> list[CheckResult]:
 
 def lower_estimates_check() -> CheckResult:
     """planted/conditioned estimates (20,000 samples) never exceed the exact tail."""
-    cases = (
+    instances = (
         (FamilySpec("ap", 12, 3), 0.3, 3.0),
         (FamilySpec("schur", 12), 0.25, 2.0),
         (FamilySpec("ell_sum", 12, ell=2), 0.4, 2.0),
     )
-    violations = 0
-    checked = 0
-    for i, (spec, p, t) in enumerate(cases):
-        h = build(spec)
-        hist = _memoized(edge_count_histogram, h)
-        mu = exact_mean(h, p)
-        thr = mu + t
-        tail = histogram_tail(hist, p, thr)
-        w = interval_witness(spec, planting_target(mu, t, h.k, None), h)
-        planted = planted_tail(h, p, thr, 20_000, seed=17 + i, forced=w.subset)
-        checked += 1
-        if planted.p_hat > tail + 1e-12:
-            violations += 1
-        for eps in (0.0, 0.5):
-            cond = conditioned_tail(h, p, thr, 20_000, seed=27 + i, eps=eps)
-            checked += 1
-            if cond.p_hat > tail + 1e-12:
-                violations += 1
-    detail = f"{checked} estimates"
-    return _none_violated("lowerbounds", "certified_below_exact", detail, checked, violations)
+
+    def cases():
+        for i, (spec, p, t) in enumerate(instances):
+            h = build(spec)
+            mu = exact_mean(h, p)
+            thr = mu + t
+            tail = histogram_tail(_memoized(edge_count_histogram, h), p, thr)
+            w = interval_witness(spec, planting_target(mu, t, h.k, None), h)
+            yield 1, planted_tail(h, p, thr, 20_000, seed=17 + i, forced=w.subset).p_hat > tail + 1e-12, 0
+            for eps in (0.0, 0.5):
+                yield 1, conditioned_tail(h, p, thr, 20_000, seed=27 + i, eps=eps).p_hat > tail + 1e-12, 0
+
+    return _tally("lowerbounds", "certified_below_exact", cases(), "{checked} estimates")
 
 
 def witness_tail_check() -> CheckResult:
     """Exact tail >= exp(-D sqrt(mu+t) ln(1/p)) from the interval witness."""
-    violations = 0
-    checked = 0
-    for n in (16, 20, 24):
-        spec = FamilySpec("ap", n, 3)
-        h = build(spec)
-        hist = _memoized(edge_count_histogram, h)
-        for p in (0.2, 0.35, 0.5):
-            mu = exact_mean(h, p)
-            for eps in (1.0, 2.0):
-                t = eps * mu
-                if mu + t < 1.0:
-                    continue
-                w = interval_witness(spec, mu + t, h)
-                if w is None:
-                    continue
-                bound = lb_cluster_bound(w.d_used, mu, t, p)
-                tail = histogram_tail(hist, p, mu + t)
-                checked += 1
-                if tail < math.exp(bound.log_value) * (1.0 - 1e-9):
-                    violations += 1
-    detail = f"{checked} grid rows"
-    return _none_violated("lowerbounds", "witness_cluster_bound", detail, checked, violations)
+    def cases():
+        for n in (16, 20, 24):
+            spec = FamilySpec("ap", n, 3)
+            h = build(spec)
+            hist = _memoized(edge_count_histogram, h)
+            for p in (0.2, 0.35, 0.5):
+                mu = exact_mean(h, p)
+                for eps in (1.0, 2.0):
+                    t = eps * mu
+                    if mu + t < 1.0:
+                        continue
+                    w = interval_witness(spec, mu + t, h)
+                    if w is None:
+                        continue
+                    bound = lb_cluster_bound(w.d_used, mu, t, p)
+                    tail = histogram_tail(hist, p, mu + t)
+                    yield 1, tail < math.exp(bound.log_value) * (1.0 - 1e-9), 0
+
+    return _tally("lowerbounds", "witness_cluster_bound", cases(), "{checked} grid rows")
 
 
 def clean_config_check(ns: Iterable[int] = (12,), ms: Iterable[int] = (0, 1, 2)) -> CheckResult:
@@ -810,7 +787,9 @@ def clean_config_check(ns: Iterable[int] = (12,), ms: Iterable[int] = (0, 1, 2))
                         if pm < math.exp(-b + binom0) * (1.0 - 1e-9):
                             violations += 1
     detail = f"{checked} rows, recovered b in [{b_lo:.3f}, {b_hi:.3f}]"
-    return _none_violated("lowerbounds", "clean_config_point_mass", detail, checked, violations)
+    return CheckResult(
+        "lowerbounds", "clean_config_point_mass", violations == 0, detail, checked, violations
+    )
 
 
 def _binomial_pmf(n: int, q: float, m: int) -> Fraction:
@@ -820,67 +799,53 @@ def _binomial_pmf(n: int, q: float, m: int) -> Fraction:
 
 
 def binomial_floor_check() -> CheckResult:
-    violations = 0
-    checked = 0
-    for n in (10, 50, 100):
-        for q in (0.1, 0.37, 0.5):
-            base = math.ceil(n * q)
-            for m in range(base, min(n - 1, base + 5) + 1):
-                pmf = float(_binomial_pmf(n, q, m))
-                exact_log = binomial_point_lower(n, q, m, b=0.0).log_value
-                refined = binomial_point_lower_refined(n, q, m).log_value
-                checked += 1
-                if not _close(math.exp(exact_log), pmf, 1e-12):
-                    violations += 1
-                if refined > math.log(pmf) + 1e-9:
-                    violations += 1
-    detail = f"{checked} rows"
-    return _none_violated("lowerbounds", "binomial_point_floor", detail, checked, violations)
+    def cases():
+        for n in (10, 50, 100):
+            for q in (0.1, 0.37, 0.5):
+                base = math.ceil(n * q)
+                for m in range(base, min(n - 1, base + 5) + 1):
+                    pmf = float(_binomial_pmf(n, q, m))
+                    exact_log = binomial_point_lower(n, q, m, b=0.0).log_value
+                    refined = binomial_point_lower_refined(n, q, m).log_value
+                    broken = not _close(math.exp(exact_log), pmf, 1e-12)
+                    yield 1, broken + (refined > math.log(pmf) + 1e-9), 0
+
+    return _tally("lowerbounds", "binomial_point_floor", cases(), "{checked} rows")
 
 
 def paley_zygmund_check() -> CheckResult:
-    violations = 0
-    checked = 0
-    n, q = 20, 0.3
-    mean, var = n * q, n * q * (1 - q)
-    for t in (1.0, 2.0, 3.0, 6.0):
-        tail = range(math.ceil(mean - t), n + 1)
-        lhs = float(sum(_binomial_pmf(n, q, j) for j in tail))
-        checked += 1
-        if lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12):
-            violations += 1
-    h = build_ap(10, 3)
-    hist = _memoized(edge_count_histogram, h)
-    for p in (0.3, 0.5):
-        mu = exact_mean(h, p)
-        var = exact_variance(h, p)
-        for frac in (0.25, 0.5, 1.0):
-            t = frac * mu
-            if t <= 0:
-                continue
-            lhs = histogram_tail(hist, p, mu - t)
-            checked += 1
-            if lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12):
-                violations += 1
-    detail = f"{checked} rows"
-    return _none_violated("lowerbounds", "paley_zygmund_floor", detail, checked, violations)
+    def cases():
+        n, q = 20, 0.3
+        mean, var = n * q, n * q * (1 - q)
+        for t in (1.0, 2.0, 3.0, 6.0):
+            lhs = float(sum(_binomial_pmf(n, q, j) for j in range(math.ceil(mean - t), n + 1)))
+            yield 1, lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12), 0
+        h = build_ap(10, 3)
+        hist = _memoized(edge_count_histogram, h)
+        for p in (0.3, 0.5):
+            mu = exact_mean(h, p)
+            var = exact_variance(h, p)
+            for frac in (0.25, 0.5, 1.0):
+                t = frac * mu
+                if t <= 0:
+                    continue
+                lhs = histogram_tail(hist, p, mu - t)
+                yield 1, lhs < paley_zygmund_lower(var, t) * (1.0 - 1e-12), 0
+
+    return _tally("lowerbounds", "paley_zygmund_floor", cases(), "{checked} rows")
 
 
 def hypergeom_mean_check(ns: Iterable[int] = (10,)) -> CheckResult:
     """E[X | m kept] against the average of X over the m-subsets, from the histogram."""
-    violations = 0
-    checked = 0
-    for n in ns:
-        h = build_ap(n, 3)
-        hist = _memoized(edge_count_histogram, h)
-        for m in range(n + 1):
-            total = sum(x * int(c) for x, c in enumerate(hist[m]))
-            avg = total / math.comb(n, m)
-            checked += 1
-            if not _close(hypergeom_conditional_mean(h, m), avg, 1e-12):
-                violations += 1
-    detail = f"{checked} rows"
-    return _none_violated("lowerbounds", "hypergeometric_mean", detail, checked, violations)
+    def cases():
+        for n in ns:
+            h = build_ap(n, 3)
+            hist = _memoized(edge_count_histogram, h)
+            for m in range(n + 1):
+                avg = sum(x * int(c) for x, c in enumerate(hist[m])) / math.comb(n, m)
+                yield 1, not _close(hypergeom_conditional_mean(h, m), avg, 1e-12), 0
+
+    return _tally("lowerbounds", "hypergeometric_mean", cases(), "{checked} rows")
 
 
 def mc_coverage_check() -> CheckResult:

@@ -65,6 +65,7 @@ KERNEL = T_EST + "TestSamplingKernel::"
 NAN_REFUSED = T_EST + "TestNaNThreshold::test_refused"
 T_WITNESSES = "tests/test_families.py::TestWitnesses::"
 SAMPLED = "tests/test_verify.py::test_sampled_cases_are_successive_sample_vp_draws"
+TALLY = "tests/test_verify.py::TestTally::"
 LAYOUT = "tests/test_rng.py::TestChunkLayout::test_streams_cover_the_total_in_order"
 
 # (name, file, old line, new line, node ids that must fail)
@@ -296,6 +297,19 @@ MUTANTS = [
      "    raw = stream_generator(seed, 1).bit_generator.random_raw(sum(sizes))",
      [SAMPLED + "[sandwich-4]", SAMPLED + "[mr_z]", SAMPLED + "[cascade_trivial]",
       "tests/test_verify.py::TestCheckCounts::test_every_result_pinned"]),
+    ("the tally ignores need_active", "verify.py",
+     "    return CheckResult(suite, name, violations == 0 and (not need_active or active > 0), text, **totals)",
+     "    return CheckResult(suite, name, violations == 0, text, **totals)",
+     [TALLY + "test_need_active_fails_a_run_with_no_active_case"]),
+    ("the tally counts a case's violations as one", "verify.py",
+     "        violations += case_violations",
+     "        violations += bool(case_violations)",
+     [TALLY + "test_a_case_counts_each_of_its_violations", TALLY + "test_weighted_cases_and_a_callable_detail"]),
+    ("the tally drops active", "verify.py",
+     '    totals = {"checked": checked, "violations": violations, "active": None if need_active is None else active}',
+     '    totals = {"checked": checked, "violations": violations, "active": None}',
+     [TALLY + "test_no_sampled_triples_still_count_active",
+      TALLY + "test_need_active_fails_a_run_with_no_active_case"]),
     ("run_suites keeps its memo after the run", "verify.py",
      "        _RUN_MEMO = None",
      "        pass",

@@ -564,3 +564,20 @@ def float_sample_vp(n: int, p: float, rng: np.random.Generator) -> tuple[int, ..
 
 def naive_phi(x: float) -> float:
     return (1.0 + x) * math.log(1.0 + x) - x
+
+
+def binom_pmf(m: int, n: int, q: float) -> Fraction:
+    """Exact Pr(Bin(n, q) = m) for the binary value of q, in
+    scipy.stats.binom.pmf's argument order (0 off [0, n])."""
+    if not 0 <= m <= n:
+        return Fraction(0)
+    fq = Fraction(q)
+    return math.comb(n, m) * fq**m * (1 - fq) ** (n - m)
+
+
+def binom_sf(k: int, n: int, q: float) -> Fraction:
+    """Exact Pr(Bin(n, q) > k) = 1 - Pr(Bin(n, q) <= k) for the binary value
+    of q, in scipy.stats.binom.sf's argument order.  The pmfs over [0, n]
+    sum to exactly 1, and at the small k the tests ask about the sum up to k
+    is short where the sum above k is not (n = 500 in ACCEPT-14)."""
+    return 1 - sum((binom_pmf(j, n, q) for j in range(min(k, n) + 1)), Fraction(0))

@@ -12,8 +12,6 @@ import random
 import time
 from contextlib import redirect_stdout
 
-from scipy.stats import binom
-
 import oracles
 from uppertail.bounds import exact_mean, exact_variance, phi, theorem_c_bound
 from uppertail.cli import main as cli_main
@@ -194,7 +192,7 @@ def test_accept_08_chernoff_subsumption():
                 thr = mu + t
                 if math.ceil(thr) > m:
                     continue
-                tail = float(binom.sf(math.ceil(thr) - 1, m, q))
+                tail = float(oracles.binom_sf(math.ceil(thr) - 1, m, q))
                 bound = math.exp(theorem_c_bound(mu, 1.0, t)[0].log_value)
                 checked += 1
                 if tail > bound * (1.0 + 1e-9):
@@ -301,7 +299,7 @@ def test_accept_14_certified_column():
             ests = [estimate(samples, seed) for seed in range(seeds)]
             above = sum(e.ci_low > exact for e in ests)
             # One-sided binomial test of a rate <= 1 % at the 1 % level.
-            ok &= bool(binom.sf(above - 1, seeds, 0.01) >= 0.01)
+            ok &= oracles.binom_sf(above - 1, seeds, 0.01) >= 0.01
             overshoot = sum(e.p_hat > exact for e in ests)
             parts.append(f"{name}@{samples}: ci_low {above}, p_hat {overshoot}")
     _report(14, ok, f"seeds above exact of {seeds}: " + "; ".join(parts))

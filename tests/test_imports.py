@@ -254,6 +254,28 @@ def test_import_does_not_load_scipy_stats():
     assert run.stdout.strip() == "[]"
 
 
+# Test modules whose binomial references are the exact oracles (tests/oracles.py's
+# binom_pmf and binom_sf); test_estimate.py keeps scipy.stats for its bit-for-bit
+# compares with the betainc factor.
+SCIPY_FREE_TESTS = ("test_acceptance.py", "test_bounds.py", "test_verify.py")
+
+
+def _scipy_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.append(node.module)
+    return found
+
+
+def test_exact_oracle_modules_import_no_scipy():
+    # test_estimate.py shows the reading finds an import it should.
+    found = {name: _scipy_imports(ROOT / "tests" / name) for name in (*SCIPY_FREE_TESTS, "test_estimate.py")}
+    assert found == {**dict.fromkeys(SCIPY_FREE_TESTS, []), "test_estimate.py": ["scipy.stats"]}
+
+
 # The cache decorators of functools, and the one function allowed to keep a
 # process-wide cache: a table of constant masks keyed by (coordinate, m).
 CACHES = {"lru_cache", "cache"}

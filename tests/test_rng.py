@@ -24,6 +24,17 @@ class TestStreamGenerator:
         with pytest.raises(ValueError):
             stream_generator(seed, stream)
 
+    @pytest.mark.parametrize("seed, stream", [(2.5, 0), (0, 1.0), (np.float64(2.0), 0), (2, -0.0)])
+    def test_non_integer_key_rejected(self, seed, stream):
+        # Truncating would make seed 2.5 replay seed 2's draws.
+        with pytest.raises(TypeError):
+            stream_generator(seed, stream)
+
+    @pytest.mark.parametrize("seed, stream", [(2, 0), (np.uint64(2), np.int8(0)), (np.int64(2), False)])
+    def test_integer_keys_of_any_type_draw_the_same_words(self, seed, stream):
+        # Seed 2, stream 0 draws this first word whatever integer type carries the keys.
+        assert stream_generator(seed, stream).bit_generator.random_raw() == 9018899181413962518
+
 
 class TestChunkLayout:
     def test_streams_cover_the_total_in_order(self):

@@ -1,13 +1,13 @@
 import math
 import os
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
 
 import oracles
 from shared_log import assert_no_child
@@ -139,16 +139,24 @@ class TestBinomialReferences:
         assert _counts(paley_zygmund_check()) == (0, 10, None)
 
     @pytest.mark.parametrize("n, q, m", FLOOR_GRID + PZ_GRID)
-    def test_exact_pmf_matches_scipy(self, n, q, m):
-        # scipy's pmf is up to 29 ulp (3.9e-15 relative) from the exact value here.
-        exact = float(verify._binomial_pmf(n, q, m))
-        assert exact == pytest.approx(float(binom.pmf(m, n, q)), rel=1e-14, abs=0.0)
+    def test_exact_pmf_matches_oracle(self, n, q, m):
+        assert verify._binomial_pmf(n, q, m) == oracles.binom_pmf(m, n, q)
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 3.0, 6.0])
-    def test_exact_tail_matches_scipy(self, t):
+    def test_exact_tail_matches_oracle(self, t):
         lo = math.ceil(20 * 0.3 - t)
-        exact = float(sum(verify._binomial_pmf(20, 0.3, j) for j in range(lo, 21)))
-        assert exact == pytest.approx(float(binom.sf(lo - 1, 20, 0.3)), rel=1e-15, abs=0.0)
+        assert sum(verify._binomial_pmf(20, 0.3, j) for j in range(lo, 21)) == oracles.binom_sf(lo - 1, 20, 0.3)
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
+    def test_oracles_follow_pascals_rule(self, q):
+        # Bin(n, q) is Bin(n - 1, q) plus one more trial: a recursion the
+        # oracles' closed forms never use.
+        pmf, sf, fq = oracles.binom_pmf, oracles.binom_sf, Fraction(q)
+        assert (pmf(0, 0, q), sf(-1, 0, q), sf(0, 0, q)) == (1, 1, 0)
+        for n in range(1, 9):
+            for m in range(-2, n + 2):
+                assert pmf(m, n, q) == fq * pmf(m - 1, n - 1, q) + (1 - fq) * pmf(m, n - 1, q)
+                assert sf(m, n, q) == fq * sf(m - 1, n - 1, q) + (1 - fq) * sf(m, n - 1, q)
 
 
 # (suite, name, ok, checked, violations, active) of every check run_suites() runs.
@@ -199,6 +207,39 @@ RESULT_TABLE = [
     ("lowerbounds", "conditioned_full_vertex_set", True, None, None, None),
     ("lowerbounds", "conditioned_zero_threshold", True, None, None, None),
 ]
+
+
+class TestTally:
+    """The one tally behind every counted check: its sums, pass rule and detail."""
+
+    def test_no_cases_pass_with_zero_counts(self):
+        r = verify._tally("s", "c", iter(()), "{checked} rows, {violations} violations")
+        assert (r.ok, r.checked, r.violations, r.active, r.detail) == (True, 0, 0, None, "0 rows, 0 violations")
+
+    def test_a_case_counts_each_of_its_violations(self):
+        r = verify._tally("s", "c", [(1, 2, 0), (1, 0, 0)], "{violations} of {checked}")
+        assert (r.ok, r.checked, r.violations, r.detail) == (False, 2, 2, "2 of 2")
+
+    def test_need_active_fails_a_run_with_no_active_case(self):
+        idle = [(1, 0, 0), (1, 0, 0)]
+        assert not verify._tally("s", "c", idle, "", need_active=True).ok
+        assert verify._tally("s", "c", idle, "", need_active=False).ok
+        r = verify._tally("s", "c", [*idle, (1, 0, 1)], "{active} active", need_active=True)
+        assert (r.ok, r.active, r.detail) == (True, 1, "1 active")
+
+    def test_a_check_without_an_active_count_reports_none(self):
+        r = verify._tally("s", "c", [(1, 0, 1)], "{active}")
+        assert (r.active, r.detail) == (None, "None")
+
+    def test_weighted_cases_and_a_callable_detail(self):
+        def detail(checked, violations, active):
+            return f"{checked}/{violations}/{active}"
+
+        r = verify._tally("s", "c", [(3, 3, 1), (0, 1, 0)], detail, need_active=False)
+        assert (r.ok, r.checked, r.violations, r.active, r.detail) == (False, 3, 4, 1, "3/4/1")
+
+    def test_no_sampled_triples_still_count_active(self):
+        assert _counts(verify.sandwich_sample_check(7, 0)) == (0, 0, 0)
 
 
 class TestCheckCounts:
