@@ -393,10 +393,10 @@ def _induced_totals(edges: np.ndarray, member: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _check_samples(n: int, samples: int) -> None:
-    """Refuse a sample count that is not a positive integer, then a pass whose
-    chunk of samples over n vertices exceeds SAMPLER_BYTE_BUDGET."""
-    check_count(samples=samples)
+def _check_samples(n: int, samples: int, seed: int) -> None:
+    """Refuse a sample count or seed that is not a nonnegative integer, then no
+    samples, then a pass whose chunk over n vertices exceeds SAMPLER_BYTE_BUDGET."""
+    check_count(samples=samples, seed=seed)
     check_positive(samples=samples)  # 10**400 samples would draw for ever
     need = 5 * min(samples, CHUNK) * n
     if need > SAMPLER_BYTE_BUDGET:
@@ -515,7 +515,7 @@ def planted_histogram(
     check_probability(p)
     if forced.n != h.n:
         raise ValueError("forced set lives on a different vertex set")
-    _check_samples(h.n, samples)
+    _check_samples(h.n, samples, seed)
     w_size = len(forced)
     free = [v for v in range(h.n) if not (forced.bits >> v) & 1]
     counts = _sample_histogram(
@@ -568,7 +568,7 @@ def conditioned_histogram(
     m = conditioned_size(h.n, p, eps)
     if m > h.n:
         raise ValueError(f"m = {m} exceeds the {h.n} available vertices")
-    _check_samples(h.n, samples)
+    _check_samples(h.n, samples, seed)
     counts = _sample_histogram(
         h, seed, lambda gen, count: m_subset_members(gen, h.n, m, count), samples, workers
     )

@@ -4,10 +4,11 @@ Each suite re-derives its claims from scratch (exact enumeration wherever the
 instance is small enough) and is a list of check calls.  Every check returns
 its own CheckResult: the pass verdict and detail line and, for a check that
 counts cases, how many it checked, how many violated its claim and how many
-were active (non-vacuous).  A counted check yields its cases and reports
-through one tally (_tally), which sums their counts, applies the pass rule and
-writes the detail from the totals.  The CLI `verify` subcommand and the test
-suite both run these.
+were active (non-vacuous).  A counted check hands its cases to one tally
+(_tally), which sums their counts, applies the pass rule and fills one
+str.format template with the totals and any figure the check names; only
+mc_coverage_check, whose rule allows two misses, counts for itself.  The CLI
+`verify` subcommand and the test suite both run these.
 
 No check takes a memo argument: run_suites installs one (_RUN_MEMO) for the
 length of a run and drops it when the run ends; outside a run, a check
@@ -158,8 +159,8 @@ def _close(a: float, b: float, rel: float) -> bool:
 
 
 def _tally(
-    suite: str, name: str, cases: Iterable[tuple[int, int, int]], detail: str | Callable[..., str],
-    need_active: bool | None = None,
+    suite: str, name: str, cases: Iterable[tuple[int, int, int]], detail: str,
+    need_active: bool | None = None, **figures: float,
 ) -> CheckResult:
     """The result of a counted check, from its cases.
 
@@ -167,8 +168,8 @@ def _tally(
     cases it stands for (1, or a weight), how many of them break the check's
     claim and how many are active.  The check passes when none breaks it and,
     with need_active, some case is active; need_active None counts no active
-    cases (active None).  detail is a str.format template over the totals, or
-    a callable of them by keyword.
+    cases (active None).  detail is a str.format template over the totals and
+    the figures named.
     """
     checked = violations = active = 0
     for case_checked, case_violations, case_active in cases:
@@ -176,8 +177,8 @@ def _tally(
         violations += case_violations
         active += case_active
     totals = {"checked": checked, "violations": violations, "active": None if need_active is None else active}
-    text = detail(**totals) if callable(detail) else detail.format(**totals)
-    return CheckResult(suite, name, violations == 0 and (not need_active or active > 0), text, **totals)
+    ok = violations == 0 and (not need_active or active > 0)
+    return CheckResult(suite, name, ok, detail.format(**totals, **figures), **totals)
 
 
 _POSITIVE_ROWS = "{checked} grid rows, {active} with positive tail"
@@ -265,18 +266,12 @@ def moments_check(spec: FamilySpec) -> CheckResult:
         p = i / 10.0
         mean_e = size_weighted_sum(first, p)
         var_e = size_weighted_sum(second, p) - mean_e * mean_e
-        mean_a = exact_mean(h, p)
-        var_a = exact_variance(h, p)
-        errs.append(
-            max(
-                abs(mean_a - mean_e) / max(abs(mean_e), 1.0),
-                abs(var_a - var_e) / max(abs(var_e), 1.0),
-            )
-        )
-    v = sum(err > 1e-10 for err in errs)
+        mean_err = abs(exact_mean(h, p) - mean_e) / max(abs(mean_e), 1.0)
+        var_err = abs(exact_variance(h, p) - var_e) / max(abs(var_e), 1.0)
+        errs.append(max(mean_err, var_err))
     name = f"moments_{spec.kind}_{spec.n}_{spec.k if spec.kind == 'ap' else spec.ell}"
-    detail = f"worst rel err {max(errs):.2e} over 11 p"
-    return CheckResult("variance", name, v == 0, detail, len(errs), v)
+    cases = [(1, err > 1e-10, 0) for err in errs]
+    return _tally("variance", name, cases, "worst rel err {worst:.2e} over 11 p", worst=max(errs))
 
 
 def variance_suite() -> list[CheckResult]:
@@ -549,27 +544,23 @@ def sandwich_suite() -> list[CheckResult]:
 
 
 def bk_random_pairs() -> CheckResult:
-    """200 random event pairs on 8 coordinates under three product measures."""
+    """200 random event pairs on 8 coordinates under three product measures.  A
+    box product outside the intersection of A and B, or one that depends on
+    argument order, is a case of weight 0; each BK comparison is a case."""
     rng = stream_generator(10, 0)
     measures = [[0.5] * 8, [0.3] * 8, [float(x) for x in rng.uniform(0.1, 0.9, size=8)]]
-    violations = 0
-    triples = []
+    cases, triples = [], []
     for _ in range(200):
         a = EventTable(8, int.from_bytes(rng.bytes(32), "little"))
         b = EventTable(8, int.from_bytes(rng.bytes(32), "little"))
         ab = box(a, b)
-        if ab.table & ~(a.table & b.table):
-            violations += 1
-        if ab != box(b, a):
-            violations += 1
+        cases.append((0, bool(ab.table & ~(a.table & b.table)) + (ab != box(b, a)), 0))
         triples += [ab, a, b]
     # The BK inequality Pr(A box B) <= Pr(A) Pr(B) + 1e-12, on the box products held.
     for probs in measures:
         probabilities = iter(event_probabilities(triples, probs))
-        violations += sum(not p_ab <= p_a * p_b + 1e-12 for p_ab, p_a, p_b in zip(*[probabilities] * 3))
-    checked = 200 * len(measures)
-    detail = f"200 pairs, {checked} measure checks"
-    return CheckResult("bk", "random_pairs", violations == 0, detail, checked, violations)
+        cases += [(1, not p_ab <= p_a * p_b + 1e-12, 0) for p_ab, p_a, p_b in zip(*[probabilities] * 3)]
+    return _tally("bk", "random_pairs", cases, "200 pairs, {checked} measure checks")
 
 
 def box_identity_checks() -> list[CheckResult]:
@@ -616,8 +607,7 @@ def mr_z_sample_check() -> CheckResult:
 
     def cases():
         for (_, r, h), bits, ids in _sampled(11, islice(cycle(product((0.6,), rs, hs)), 200)):
-            events = by_case[h, r]
-            yield 1, mr_exact_on(h, ids, r) > z_disjoint(events, bits, max_events=len(events)), 0
+            yield 1, mr_exact_on(h, ids, r) > z_disjoint(by_case[h, r], bits), 0
 
     return _tally("bk", "mr_le_z_sampled", cases(), "{checked} sampled (H,S,r)")
 
@@ -638,20 +628,14 @@ def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
     combos = ((1.0, 4.0), (1.0, 9.0), (2.0, 4.0), (1.5, 6.25))
     picks = islice(cycle(product((0.15, 0.25, 0.35), combos, hs)), samples)
     beta = 1.0 / (32.0 * 3)
-    indet = 0
-
-    def cases():
-        nonlocal indet
-        for (p, (r, t), h), bits, ids in _sampled(seed, picks):
-            params = CascadeParams(beta=beta, gamma=0.125, r=r, t=t, p=p)
-            verdict = check_cascade_event(h, VertexSet(h.n, bits), params).verdict
-            indet += verdict is None
-            yield 1, bool(verdict) and len(ids) > xr_exact_on(h, ids, r) + t / 2.0 + 1e-9, bool(verdict)
-
-    def detail(checked, violations, active):
-        return f"{checked} samples, {active} true verdicts, {indet} indeterminate, {violations} violations"
-
-    return _tally("cascade", "event_implies_xr_bound", cases(), detail, need_active=True)
+    verdicts, cases = [], []
+    for (p, (r, t), h), bits, ids in _sampled(seed, picks):
+        params = CascadeParams(beta=beta, gamma=0.125, r=r, t=t, p=p)
+        verdicts.append(verdict := check_cascade_event(h, VertexSet(h.n, bits), params).verdict)
+        cases.append((1, bool(verdict) and len(ids) > xr_exact_on(h, ids, r) + t / 2.0 + 1e-9, bool(verdict)))
+    detail = "{checked} samples, {active} true verdicts, {indet} indeterminate, {violations} violations"
+    indet = verdicts.count(None)
+    return _tally("cascade", "event_implies_xr_bound", cases, detail, need_active=True, indet=indet)
 
 
 def cascade_accounting_check() -> CheckResult:
@@ -764,32 +748,21 @@ def witness_tail_check() -> CheckResult:
 
 def clean_config_check(ns: Iterable[int] = (12,), ms: Iterable[int] = (0, 1, 2)) -> CheckResult:
     """exact Pr(X=m) >= clean-config bound; also recovers the per-instance b."""
-    violations = 0
-    checked = 0
-    b_lo, b_hi = math.inf, -math.inf
+    cases, bs = [], []
     for n in ns:
         for h in (build_ap(n, 3), build_schur(n)):
             hist = _memoized(edge_count_histogram, h)
             clean = clean_config_histogram(h)
             for p in (0.1, 0.2, 0.3):
-                q = p**h.k
                 for m in ms:
                     lower = histogram_point_mass(clean, p, m)
-                    pm = histogram_point_mass(hist, p, m)
-                    checked += 1
-                    if pm < lower * (1.0 - 1e-9):
-                        violations += 1
-                    binom0 = binomial_point_lower(h.num_edges, q, m, b=0.0).log_value
+                    cases.append((1, histogram_point_mass(hist, p, m) < lower * (1.0 - 1e-9), 0))
                     if lower > 0.0:
-                        b = binom0 - math.log(lower)
-                        b_lo = min(b_lo, b)
-                        b_hi = max(b_hi, b)
-                        if pm < math.exp(-b + binom0) * (1.0 - 1e-9):
-                            violations += 1
-    detail = f"{checked} rows, recovered b in [{b_lo:.3f}, {b_hi:.3f}]"
-    return CheckResult(
-        "lowerbounds", "clean_config_point_mass", violations == 0, detail, checked, violations
-    )
+                        binom0 = binomial_point_lower(h.num_edges, p**h.k, m, b=0.0).log_value
+                        bs.append(binom0 - math.log(lower))  # the b at which the floor equals lower
+    detail = "{checked} rows, recovered b in [{lo:.3f}, {hi:.3f}]"
+    return _tally("lowerbounds", "clean_config_point_mass", cases, detail, lo=min(bs, default=math.inf),
+                  hi=max(bs, default=-math.inf))
 
 
 def _binomial_pmf(n: int, q: float, m: int) -> Fraction:

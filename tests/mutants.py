@@ -66,6 +66,7 @@ NAN_REFUSED = T_EST + "TestNaNThreshold::test_refused"
 T_WITNESSES = "tests/test_families.py::TestWitnesses::"
 SAMPLED = "tests/test_verify.py::test_sampled_cases_are_successive_sample_vp_draws"
 TALLY = "tests/test_verify.py::TestTally::"
+FAULT = "tests/test_verify.py::test_injected_fault_fails_its_check"
 LAYOUT = "tests/test_rng.py::TestChunkLayout::test_streams_cover_the_total_in_order"
 
 # (name, file, old line, new line, node ids that must fail)
@@ -298,18 +299,30 @@ MUTANTS = [
      [SAMPLED + "[sandwich-4]", SAMPLED + "[mr_z]", SAMPLED + "[cascade_trivial]",
       "tests/test_verify.py::TestCheckCounts::test_every_result_pinned"]),
     ("the tally ignores need_active", "verify.py",
-     "    return CheckResult(suite, name, violations == 0 and (not need_active or active > 0), text, **totals)",
-     "    return CheckResult(suite, name, violations == 0, text, **totals)",
+     "    ok = violations == 0 and (not need_active or active > 0)",
+     "    ok = violations == 0",
      [TALLY + "test_need_active_fails_a_run_with_no_active_case"]),
     ("the tally counts a case's violations as one", "verify.py",
      "        violations += case_violations",
      "        violations += bool(case_violations)",
-     [TALLY + "test_a_case_counts_each_of_its_violations", TALLY + "test_weighted_cases_and_a_callable_detail"]),
+     [TALLY + "test_a_case_counts_each_of_its_violations", TALLY + "test_weighted_cases_and_named_figures"]),
     ("the tally drops active", "verify.py",
      '    totals = {"checked": checked, "violations": violations, "active": None if need_active is None else active}',
      '    totals = {"checked": checked, "violations": violations, "active": None}',
      [TALLY + "test_no_sampled_triples_still_count_active",
       TALLY + "test_need_active_fails_a_run_with_no_active_case"]),
+    ("random_pairs drops the order check", "verify.py",
+     "        cases.append((0, bool(ab.table & ~(a.table & b.table)) + (ab != box(b, a)), 0))",
+     "        cases.append((0, bool(ab.table & ~(a.table & b.table)), 0))",
+     [FAULT + "[random_pairs]"]),
+    ("clean_config compares without its 1e-9 slack", "verify.py",
+     "                    cases.append((1, histogram_point_mass(hist, p, m) < lower * (1.0 - 1e-9), 0))",
+     "                    cases.append((1, histogram_point_mass(hist, p, m) < lower, 0))",
+     ["tests/test_verify.py::test_clean_config_forgives_float_noise"]),
+    ("moments ignores the variance error", "verify.py",
+     "        errs.append(max(mean_err, var_err))",
+     "        errs.append(mean_err)",
+     [FAULT + "[moments]"]),
     ("run_suites keeps its memo after the run", "verify.py",
      "        _RUN_MEMO = None",
      "        pass",

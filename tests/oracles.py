@@ -127,14 +127,6 @@ def edge_bitmasks(edges: list[tuple[int, ...]]) -> list[int]:
     return [sum(1 << v for v in e) for e in edges]
 
 
-def induced_count(edges: list[tuple[int, ...]], bits: int) -> int:
-    total = 0
-    for e in edges:
-        if all((bits >> v) & 1 for v in e):
-            total += 1
-    return total
-
-
 def induced_edge_sets(edges: list[tuple[int, ...]], n: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The distinct induced edge-id sets over all 2^n subset codes, in order of
     first appearance, and index[code] = the position of code's set among them,
@@ -239,10 +231,7 @@ def naive_conditional_mean(edges: list[tuple[int, ...]], n: int, m: int) -> Frac
     total = 0
     count = 0
     for combo in combinations(range(n), m):
-        bits = 0
-        for v in combo:
-            bits |= 1 << v
-        total += induced_count(edges, bits)
+        total += sum(set(e) <= set(combo) for e in edges)
         count += 1
     return Fraction(total, count)
 

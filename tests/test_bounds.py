@@ -393,6 +393,9 @@ ABOVE_MEAN = Kind(frozenset({"1"}), "", {**NOT_COUNT, "0": "refined form require
                                          "1e400": "m must lie in [0, 9]"})
 # chunk_layout refuses a negative total, then range() a float one.
 TOTAL = Kind(frozenset({"0", "1", "1e400"}), "total must be nonnegative")
+# A sampler's seed: a count, refused before any chunk is drawn, that rng keys as 64 bits.
+SEED = Kind(frozenset({"0", "1"}), "",
+            {**NOT_COUNT, "1e400": "seed {value} and stream 0 must lie in [0, 2**64)"})
 
 AP6 = build_ap(6, 3)
 FULL6 = VertexSet(6, (1 << 6) - 1)
@@ -436,10 +439,10 @@ REAL_INPUTS = [
     (conditioned_size, (10, 0.3, 0.0), (None, PROBABILITY, FINITE)),
     (exact_tail, (AP6, 0.5, 1.0), (None, PROBABILITY, THRESHOLD)),
     (exact_point_mass, (AP6, 0.5, 1), (None, PROBABILITY, NOT_NAN)),
-    (mc_tail, (AP6, 0.5, 1.0, 1, 1), (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT)),
-    (planted_tail, (AP6, 0.5, 1.0, 1, 1, VertexSet(6)), (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT)),
+    (mc_tail, (AP6, 0.5, 1.0, 1, 1), (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT, SEED)),
+    (planted_tail, (AP6, 0.5, 1.0, 1, 1, VertexSet(6)), (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT, SEED)),
     (conditioned_tail, (AP6, 0.5, 1.0, 1, 1, 0.0),
-     (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT, None, NONNEGATIVE)),
+     (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT, SEED, NONNEGATIVE)),
     (TailEstimate, (1.0, 0.5, "planted", 10, 0.1, 0.9), (None, None, None, COUNT)),
     (xr_exact, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
     (xr_exact_on, (AP6, (), 2.0), (None, None, POSITIVE)),
@@ -463,7 +466,8 @@ REAL_INPUTS = [
     (tail_flags, (1.0, None), (FINITE, IGNORED)),
     (decompose_flags, (1.0,), (POSITIVE,)),
 ]
-COUNT_KINDS = (COUNT, SIZE, FLOAT_COUNT, POSITIVE_COUNT, NO_COUNT, ABOVE_MEAN, TOTAL)  # tried at COUNT_VALUES
+# Tried at COUNT_VALUES.
+COUNT_KINDS = (COUNT, SIZE, FLOAT_COUNT, POSITIVE_COUNT, NO_COUNT, ABOVE_MEAN, TOTAL, SEED)
 # Cells refused with another exception than ValueError, or with a message
 # that names another input.
 REFUSED_WITH = {

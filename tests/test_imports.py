@@ -331,6 +331,25 @@ def test_verify_checks_return_check_results():
     assert not wrong, f"verify functions that do not return CheckResult: {wrong}"
 
 
+def test_only_the_tally_and_the_coverage_check_count():
+    # A counted verify check hands its cases to _tally; only mc_coverage_check,
+    # whose rule allows two misses, passes counts to CheckResult itself, and no
+    # check keeps a counter in an enclosing scope.  Equality also shows the
+    # reading finds both.
+    tree = _tree(SRC / "verify.py")
+    counts = (None, "checked", "violations", "active")  # None: a ** argument
+    counting = set()
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "CheckResult":
+                if len(call.args) > 4 or any(kw.arg in counts for kw in call.keywords):
+                    counting.add(node.name)
+    assert counting == {"_tally", "mc_coverage_check"}
+    assert not any(isinstance(node, ast.Nonlocal) for node in ast.walk(tree))
+
+
 # Each input kind is refused in one place, uppertail.hypergraph's check_*
 # helpers, and a vertex set over another range(n) by the induced count's
 # _inside.  cli sends its flags through the same helpers and only prefixes

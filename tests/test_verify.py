@@ -3,6 +3,7 @@ import os
 import time
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,12 +232,12 @@ class TestTally:
         r = verify._tally("s", "c", [(1, 0, 1)], "{active}")
         assert (r.active, r.detail) == (None, "None")
 
-    def test_weighted_cases_and_a_callable_detail(self):
-        def detail(checked, violations, active):
-            return f"{checked}/{violations}/{active}"
-
-        r = verify._tally("s", "c", [(3, 3, 1), (0, 1, 0)], detail, need_active=False)
-        assert (r.ok, r.checked, r.violations, r.active, r.detail) == (False, 3, 4, 1, "3/4/1")
+    def test_weighted_cases_and_named_figures(self):
+        detail = "{checked}/{violations}/{active}, worst {worst:.2e}, b in [{lo:.1f}, {hi:.1f}]"
+        cases = [(3, 3, 1), (0, 1, 0)]
+        r = verify._tally("s", "c", cases, detail, need_active=False, worst=0.0015, lo=-1, hi=2)
+        assert (r.ok, r.checked, r.violations, r.active) == (False, 3, 4, 1)
+        assert r.detail == "3/4/1, worst 1.50e-03, b in [-1.0, 2.0]"
 
     def test_no_sampled_triples_still_count_active(self):
         assert _counts(verify.sandwich_sample_check(7, 0)) == (0, 0, 0)
@@ -304,6 +305,38 @@ class TestCheckCounts:
         monkeypatch.setattr(verify, "_mr_by_code", unreachable)
         with pytest.raises(CapacityError):
             verify.mr_tail_check(disjointness.BOX_COORD_BUDGET + 1)
+
+
+# A fault in one input of a counted check, and the violations the check must
+# then report.  Exact counts, not just "some": the box fault breaks both of
+# random_pairs' per-pair claims in each of its 200 pairs and BK under each
+# measure (200 + 200 + 600), so a dropped claim shows as a smaller count.
+FAULTS = {
+    "random_pairs": ("box", lambda box: lambda a, b: disjointness.EventTable(a.m, a.table),
+                     verify.bk_random_pairs, 1000),
+    "clean_config": ("clean_config_histogram", lambda clean: lambda h: 2 * verify.edge_count_histogram(h),
+                     verify.clean_config_check, 18),
+    "moments": ("exact_variance", lambda var: lambda h, p: 1.01 * var(h, p),
+                lambda: verify.moments_check(FamilySpec("ap", 10, 3)), 9),  # all but p = 0 and 1
+    "cascade": ("check_cascade_event", lambda event: lambda *args: SimpleNamespace(verdict=True),
+                lambda: verify.cascade_consistency_check(13, 400), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_injected_fault_fails_its_check(name, monkeypatch):
+    attr, fault, check, violations = FAULTS[name]
+    monkeypatch.setattr(verify, attr, fault(getattr(verify, attr)))
+    r = check()
+    assert (r.ok, r.violations) == (False, violations)
+
+
+def test_clean_config_forgives_float_noise(monkeypatch):
+    # A bound 1e-10 above the exact mass in every row lies within the check's
+    # 1e-9 relative slack: float noise, not a violation.
+    hist = verify.edge_count_histogram
+    monkeypatch.setattr(verify, "clean_config_histogram", lambda h: (1.0 + 1e-10) * hist(h))
+    assert _counts(verify.clean_config_check()) == (0, 18, None)
 
 
 # The five sampled checks as their suites call them, the sandwich check also at
