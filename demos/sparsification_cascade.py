@@ -18,7 +18,7 @@ from uppertail.decompose import (
     xr_or_lower,
 )
 from uppertail.families import FamilySpec, build
-from uppertail.hypergraph import induced_edge_count, induced_edges, sample_vp
+from uppertail.hypergraph import induced_edges, sample_vp
 from uppertail.rng import stream_generator
 
 
@@ -49,11 +49,12 @@ def main() -> None:
         print("no sample satisfied the cascade event; raise --tries or lower --t")
         return
 
-    x = induced_edge_count(h, s)
+    ids = induced_edges(h, s)
+    x = len(ids)
     print(f"\nsample {attempt}: |S|={len(s)}, induces {x} edges "
-          f"(greedy M_r = {greedy_star_matching(h, s, params.r).size})")
+          f"(greedy M_r = {greedy_star_matching(h, ids, params.r).size})")
 
-    result = cascade_prune(h, induced_edges(h, s), params)
+    result = cascade_prune(h, ids, params)
     print("\n  level   r_j     Delta1  matching  removed  kept")
     for lv in result.levels:
         print(f"  {lv.j:3d}  {lv.r_j:7.3f}  {lv.delta1_before:5d}  "
@@ -61,7 +62,7 @@ def main() -> None:
     print(f"final edge set: {len(result.kept_edge_ids)} edges, "
           f"max degree <= floor(r) = {math.floor(params.r)}")
 
-    xr, exact = xr_or_lower(h, s, params.r)
+    xr, exact = xr_or_lower(h, ids, params.r)
     kind = "exact" if exact else "lower bound"
     print(f"\ncascade event holds, so X <= X_r + t/2 must hold:")
     print(f"  X = {x}, X_r ({kind}) = {xr}, X_r + t/2 = {xr + args.t / 2:.1f}")
@@ -69,7 +70,7 @@ def main() -> None:
         assert x <= xr + args.t / 2, "sandwich violated"
         print("  verified against the exact bounded-degree optimum")
     else:
-        print(f"  ({len(induced_edges(h, s))} induced edges exceed the exact "
+        print(f"  ({x} induced edges exceed the exact "
               f"search budget; showing the pruning lower bound)")
 
 

@@ -31,7 +31,7 @@ from .bounds import (
     theorem_c_bound,
 )
 from .decompose import (
-    CascadeParams, check_cascade_event, greedy_star_matching, mr_exact_on, xr_or_lower_on,
+    CascadeParams, check_cascade_event, greedy_star_matching, mr_exact, xr_or_lower,
 )
 from .estimate import (
     METHODS,
@@ -336,14 +336,14 @@ def _run_decompose(cfg: RunConfig, stream) -> int:
         s = sample_vp(h, p, rng)
         ids = induced_edges(h, s)
         x = len(ids)
-        xr, xr_exact_flag = xr_or_lower_on(h, ids, cfg.r)
-        greedy = greedy_star_matching(h, s, cfg.r).size
+        xr, xr_exact_flag = xr_or_lower(h, ids, cfg.r)
+        greedy = greedy_star_matching(h, ids, cfg.r).size
         try:
-            mr: Any = mr_exact_on(h, ids, cfg.r)
+            mr: Any = mr_exact(h, ids, cfg.r)
         except CapacityError:
             mr = "budget"
         if params is not None:
-            verdict = check_cascade_event(h, s, params).verdict
+            verdict = check_cascade_event(h, ids, params).verdict
             cascade = "indeterminate" if verdict is None else _fmt(verdict)
         else:
             cascade = "na"

@@ -1,9 +1,9 @@
 """Bounded-degree subhypergraphs, star matchings, and dyadic degree pruning.
 
-All routines operate on the subhypergraph induced by a vertex set S.  Exact
-searches raise CapacityError past a module budget rather than degrade
-silently: XR_EDGE_BUDGET counts X_r's induced edges, MR_NODE_BUDGET the nodes
-M_r's branch-and-bound visits.  Each search reads its budget when called.
+Each structure step takes H[S] as the vertex set S or as its edge ids, which must be
+distinct ids in range(e).  Exact searches raise CapacityError past a module budget
+rather than degrade silently: XR_EDGE_BUDGET counts X_r's induced edges,
+MR_NODE_BUDGET the nodes M_r's branch-and-bound visits, each read when called.
 """
 
 from __future__ import annotations
@@ -29,15 +29,12 @@ __all__ = [
     "StarMatching",
     "cascade_prune",
     "check_cascade_event",
-    "degree_prune_on",
+    "degree_prune",
     "greedy_star_matching",
     "induced_max_degree",
     "mr_exact",
-    "mr_exact_on",
     "xr_exact",
-    "xr_exact_on",
     "xr_or_lower",
-    "xr_or_lower_on",
 ]
 
 XR_EDGE_BUDGET = 22
@@ -126,31 +123,33 @@ def induced_max_degree(h: Hypergraph, edge_ids: tuple[int, ...]) -> int:
     return int(np.bincount(h.edge_array.take(edge_ids, axis=0).ravel(), minlength=1).max())
 
 
-def xr_exact(h: Hypergraph, s: VertexSet, r: float) -> int:
+def _ids(h: Hypergraph, s: VertexSet | tuple[int, ...]) -> tuple[int, ...]:
+    """H[S]'s edge ids from a vertex set, or s in its order once its ids are distinct and in range(e)."""
+    if isinstance(s, VertexSet):
+        return induced_edges(h, s)
+    if len(set(s)) < len(s) or not all(map(range(h.num_edges).__contains__, s)):
+        raise ValueError(f"edge ids {s} are not distinct ids in range({h.num_edges})")
+    return s
+
+
+def xr_exact(h: Hypergraph, s: VertexSet | tuple[int, ...], r: float) -> int:
     """Maximum edges of a subhypergraph of H[S] with max degree <= r.
 
-    Exhaustive branch-and-bound over the induced edges (see xr_exact_on);
-    refuses instances with more than XR_EDGE_BUDGET induced edges, except
-    that r < 1 admits no edge and gives 0 at any size.
-    """
-    return xr_exact_on(h, induced_edges(h, s), r)
-
-
-def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
-    """xr_exact over the given edge ids instead of H[S], with the same budget.
-
-    Depth-first over the edges in order, taking each feasible edge before
-    skipping it, so the first descent is the greedy pass.  A node prunes once
-    count + (edges left) or potential // k cannot beat the best, where
-    potential = sum over v of min(chosen[v] + left[v], floor(r)) and left[v]
-    counts v among the undecided edges.  The potential is carried down as an
-    argument: taking an edge leaves it unchanged, and skipping one lowers it
-    by the number of the edge's vertices with chosen + left < floor(r) once
-    the edge has left `left`.  One loop over the edge's vertices updates
-    `left`, decides whether the edge fits and counts that drop; counting it
-    before the take branch is safe, since that branch restores `chosen`.
+    Refuses more than XR_EDGE_BUDGET edges, except that r < 1 admits no edge
+    and gives 0 at any size.  Depth-first over the edges in s's order,
+    taking each feasible edge before skipping it, so the first descent is the
+    greedy pass.  A node prunes once count + (edges left) or potential // k
+    cannot beat the best, where potential = sum over v of min(chosen[v] +
+    left[v], floor(r)) and left[v] counts v among the undecided edges.  The
+    potential is carried down as an argument: taking an edge leaves it
+    unchanged, and skipping one lowers it by the number of the edge's
+    vertices with chosen + left < floor(r) once the edge has left `left`.
+    One loop over the edge's vertices updates `left`, decides whether the
+    edge fits and counts that drop; counting it before the take branch is
+    safe, since that branch restores `chosen`.
     """
     check_positive(r=r)
+    ids = _ids(h, s)
     cap = math.floor(r)
     if cap < 1 or not ids:
         return 0
@@ -196,31 +195,34 @@ def xr_exact_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> int:
     return best
 
 
-def xr_or_lower(h: Hypergraph, s: VertexSet, r: float) -> tuple[int, bool]:
+def xr_or_lower(h: Hypergraph, s: VertexSet | tuple[int, ...], r: float) -> tuple[int, bool]:
     """X_r when it is cheap, else a certified lower bound, with an exactness flag.
 
     Delta_1(H[S]) <= r forces X_r = e(H[S]); small instances, and r < 1
     (X_r = 0), go through the exhaustive search; beyond XR_EDGE_BUDGET
-    induced edges the greedy pruned-edge count stands in (every pruned
-    subgraph is feasible, so it never exceeds X_r).
+    edges the greedy pruned-edge count stands in (every pruned subgraph is
+    feasible, so it never exceeds X_r).
     """
-    return xr_or_lower_on(h, induced_edges(h, s), r)
-
-
-def xr_or_lower_on(h: Hypergraph, ids: tuple[int, ...], r: float) -> tuple[int, bool]:
-    """xr_or_lower over the given edge ids instead of H[S]."""
     check_positive(r=r)
+    ids = _ids(h, s)
     if induced_max_degree(h, ids) <= r:
         return len(ids), True
     if r < 1 or len(ids) <= XR_EDGE_BUDGET:
-        return xr_exact_on(h, ids, r), True
-    return len(degree_prune_on(h, ids, r).kept_edge_ids), False
+        return xr_exact(h, ids, r), True
+    return len(degree_prune(h, ids, r).kept_edge_ids), False
 
 
-def _greedy_matching_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> StarMatching:
+def greedy_star_matching(h: Hypergraph, s: VertexSet | tuple[int, ...], r: float) -> StarMatching:
+    """Scan centers in increasing id order, taking the ceil(r) lowest-indexed
+    unblocked edges of H[S] at each eligible center and blocking their vertices.
+
+    The result is maximal: afterwards no vertex has ceil(r) edges of H[S]
+    avoiding all blocked vertices.
+    """
+    check_positive(r=r)
     c = math.ceil(r)
     masks = h.edge_masks
-    inc = _local_incidence(h, edge_ids)
+    inc = _local_incidence(h, sorted(_ids(h, s)))
     blocked = 0
     stars = []
     for v in sorted(inc):
@@ -234,17 +236,6 @@ def _greedy_matching_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> S
     return StarMatching(tuple(stars), blocked)
 
 
-def greedy_star_matching(h: Hypergraph, s: VertexSet, r: float) -> StarMatching:
-    """Scan centers in increasing id order, taking the ceil(r) lowest-indexed
-    unblocked induced edges at each eligible center and blocking their vertices.
-
-    The result is maximal: afterwards no vertex has ceil(r) induced edges
-    avoiding all blocked vertices.
-    """
-    check_positive(r=r)
-    return _greedy_matching_on(h, induced_edges(h, s), r)
-
-
 @dataclass(frozen=True)
 class PruneResult:
     """Greedy matching plus the induced edges avoiding its vertices."""
@@ -253,16 +244,17 @@ class PruneResult:
     kept_edge_ids: tuple[int, ...]
 
 
-def degree_prune_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> PruneResult:
-    """Remove every given edge meeting the greedy stars' vertices.
+def degree_prune(h: Hypergraph, s: VertexSet | tuple[int, ...], r: float) -> PruneResult:
+    """Remove every edge of H[S] meeting the greedy stars' vertices.
 
     The remainder has max degree <= ceil(r) - 1 <= r by maximality of the
     greedy matching; violated expectations raise.
     """
     check_positive(r=r)
-    matching = _greedy_matching_on(h, edge_ids, r)
+    ids = _ids(h, s)
+    matching = greedy_star_matching(h, ids, r)
     blocked = matching.vertex_bits
-    kept = tuple(i for i in edge_ids if h.edge_masks[i] & blocked == 0)
+    kept = tuple(i for i in ids if h.edge_masks[i] & blocked == 0)
     cap = math.ceil(r) - 1
     worst = induced_max_degree(h, kept)
     if worst > cap:
@@ -287,18 +279,18 @@ class CascadeResult:
     level_count: int
 
 
-def cascade_prune(h: Hypergraph, edge_ids: tuple[int, ...], params: CascadeParams) -> CascadeResult:
-    """Prune the given edge ids greedily at radii r_{J-1}, ..., r_0 (just r_0 when J = 0).
+def cascade_prune(h: Hypergraph, s: VertexSet | tuple[int, ...], params: CascadeParams) -> CascadeResult:
+    """Prune H[S] greedily at radii r_{J-1}, ..., r_0 (just r_0 when J = 0).
 
     The final edge set has max degree <= floor(r); per-level matching sizes
-    are reported for the removal accounting.  H[S]'s ids are induced_edges(h, s).
+    are reported for the removal accounting.
     """
-    current = edge_ids
+    current = _ids(h, s)
     big_j = params.level_count
     levels = []
     for j in (range(big_j - 1, -1, -1) if big_j > 0 else [0]):
         r_j = params.r_level(j)
-        result = degree_prune_on(h, current, r_j)
+        result = degree_prune(h, current, r_j)
         kept = result.kept_edge_ids
         levels.append(
             CascadeLevel(
@@ -318,23 +310,24 @@ def cascade_prune(h: Hypergraph, edge_ids: tuple[int, ...], params: CascadeParam
     return CascadeResult(tuple(levels), current, big_j)
 
 
-def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> int:
-    """mr_exact over the given edge ids instead of H[S].
+def mr_exact(h: Hypergraph, s: VertexSet | tuple[int, ...], r: float) -> int:
+    """Maximum number of vertex-disjoint stars of ceil(r) edges of H[S].
 
-    Each node keeps the live centers: the later centers that are unblocked and
-    still have ceil(r) edges avoiding the blocked vertices.  It branches on the
-    first live center, taking each ceil(r)-set of its edges or dropping it as a
-    center (its vertex stays free for later stars), and prunes once even
-    min(#live, |union of live edges| // star width) more stars cannot beat
-    the best.  The two halves of that minimum are tested in turn, and the
-    union is built only when #live does not prune, so the search visits the
-    same nodes as one that recounts the minimum.  Raises CapacityError past
-    MR_NODE_BUDGET search nodes.
+    Branch-and-bound over the centers in increasing order; its first descent
+    is the greedy matching.  Each node keeps the live centers: the later
+    centers that are unblocked and still have ceil(r) edges avoiding the
+    blocked vertices.  It branches on the first live center, taking each
+    ceil(r)-set of its edges or dropping it as a center (its vertex stays free
+    for later stars), and prunes once even min(#live, |union of live edges| //
+    star width) more stars cannot beat the best.  The two halves of that
+    minimum are tested in turn, and the union is built only when #live does
+    not prune, so the search visits the same nodes as one that recounts the
+    minimum.  Raises CapacityError past MR_NODE_BUDGET search nodes.
     """
     check_positive(r=r)
     c = math.ceil(r)
     masks = h.edge_masks
-    inc = _local_incidence(h, edge_ids)
+    inc = _local_incidence(h, _ids(h, s))
     root = [(v, ids) for v, ids in sorted(inc.items()) if len(ids) >= c]
     if not root:
         return 0
@@ -383,16 +376,6 @@ def mr_exact_on(h: Hypergraph, edge_ids: tuple[int, ...], r: float) -> int:
     return best
 
 
-def mr_exact(h: Hypergraph, s: VertexSet, r: float) -> int:
-    """Maximum number of vertex-disjoint stars of ceil(r) induced edges.
-
-    Branch-and-bound over the centers in increasing order (see mr_exact_on);
-    its first descent is the greedy matching.  Refuses, with CapacityError, a
-    search that visits more than MR_NODE_BUDGET nodes.
-    """
-    return mr_exact_on(h, induced_edges(h, s), r)
-
-
 @dataclass(frozen=True)
 class CascadeLevelCheck:
     j: int
@@ -411,7 +394,7 @@ class CascadeCheck:
     levels: tuple[CascadeLevelCheck, ...]
 
 
-def check_cascade_event(h: Hypergraph, s: VertexSet, params: CascadeParams) -> CascadeCheck:
+def check_cascade_event(h: Hypergraph, s: VertexSet | tuple[int, ...], params: CascadeParams) -> CascadeCheck:
     """Test the per-level matching thresholds on the sample S.
 
     Level j requires M_{r_j} < beta * sqrt(t) * s / r_j while r_j < sqrt(t)/s
@@ -421,7 +404,7 @@ def check_cascade_event(h: Hypergraph, s: VertexSet, params: CascadeParams) -> C
     indeterminate.  The scan stops once r_j > max(2 sqrt(t), Delta_1(H[S])),
     beyond which M = 0.
     """
-    ids = induced_edges(h, s)
+    ids = _ids(h, s)
     delta1 = induced_max_degree(h, ids)
     sqrt_t = math.sqrt(params.t)
     scan_cap = max(2.0 * sqrt_t, float(delta1))
@@ -436,12 +419,12 @@ def check_cascade_event(h: Hypergraph, s: VertexSet, params: CascadeParams) -> C
             threshold = params.beta * sqrt_t * params.s / r_j
         else:
             threshold = params.beta * sqrt_t / r_j
-        greedy_size = _greedy_matching_on(h, ids, r_j).size
+        greedy_size = greedy_star_matching(h, ids, r_j).size
         if greedy_size >= threshold:
             levels.append(CascadeLevelCheck(j, r_j, threshold, greedy_size, False, False))
             return CascadeCheck(False, tuple(levels))
         try:
-            exact_val = mr_exact_on(h, ids, r_j)
+            exact_val = mr_exact(h, ids, r_j)
         except CapacityError:
             levels.append(CascadeLevelCheck(j, r_j, threshold, greedy_size, False, None))
             saw_indeterminate = True

@@ -221,6 +221,7 @@ def _degree_tables(h: Hypergraph, vertices: Sequence[int], c: int) -> tuple[Even
     all 2^n codes: v's degree in each code sums the mask's rows at v's edges,
     whole contiguous rows once the mask is stored edge-major, in the smallest
     dtype that holds v's edge count."""
+    check_count(c=c)  # a NaN or fractional c would give the empty event, or no events, silently
     if h.n > BOX_COORD_BUDGET:
         raise CapacityError(f"{h.n} vertices exceed budget {BOX_COORD_BUDGET}")
     inside = np.ascontiguousarray(induced_mask(h, membership_table(h.n)).T)
@@ -231,7 +232,8 @@ def _degree_tables(h: Hypergraph, vertices: Sequence[int], c: int) -> tuple[Even
 
 def degree_event(h: Hypergraph, v: int, c: int) -> EventTable:
     """Event (over vertex subsets as outcomes) that v has >= c induced edges."""
-    if not 0 <= v < h.n:
+    check_count(v=v)
+    if not v < h.n:
         raise ValueError(f"vertex {v} outside range({h.n})")
     return _degree_tables(h, [v], c)[0]
 

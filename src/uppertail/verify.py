@@ -52,11 +52,11 @@ from .decompose import (
     CascadeParams,
     cascade_prune,
     check_cascade_event,
-    degree_prune_on,
+    degree_prune,
     induced_max_degree,
-    mr_exact_on,
-    xr_exact_on,
-    xr_or_lower_on,
+    mr_exact,
+    xr_exact,
+    xr_or_lower,
 )
 from .disjointness import (
     EventTable,
@@ -317,9 +317,9 @@ def sandwich_sample_check(seed: int, count: int) -> CheckResult:
         for (_, r, h), _, ids in _sampled(seed, picks):
             x = len(ids)
             delta1 = induced_max_degree(h, ids)
-            pruned = degree_prune_on(h, ids, r)
+            pruned = degree_prune(h, ids, r)
             g0 = len(pruned.kept_edge_ids)
-            xr, exact = xr_or_lower_on(h, ids, r)
+            xr, exact = xr_or_lower(h, ids, r)
             slack = h.k * math.ceil(r) * pruned.matching.size * delta1
             lower_ok = g0 <= xr <= x
             upper_ok = x <= xr + (slack if delta1 > r else 0)
@@ -354,7 +354,7 @@ def degree_matching_equivalence_check(ns: Iterable[int] = (10,)) -> CheckResult:
                 for ids, subsets in zip(sets, np.bincount(index).tolist()):
                     d1 = induced_max_degree(h, ids)
                     for z in (1, 2, 3):
-                        yield subsets, subsets * ((d1 >= z) != (mr_exact_on(h, ids, float(z)) >= 1)), 0
+                        yield subsets, subsets * ((d1 >= z) != (mr_exact(h, ids, float(z)) >= 1)), 0
 
     return _tally("sandwich", "degree_matching_equivalence", cases(), "{checked} subset checks")
 
@@ -414,7 +414,7 @@ def xr_tail_check() -> CheckResult:
         for h in (build_ap(10, 3), build_schur(10)):
             sets, index = _memoized(_induced_edge_sets, h)
             for r in (1.0, 2.0, 3.0):
-                hist = _size_value_hist(np.array([xr_exact_on(h, ids, r) for ids in sets])[index])
+                hist = _size_value_hist(np.array([xr_exact(h, ids, r) for ids in sets])[index])
                 for p in (0.1, 0.3, 0.5, 0.7):
                     mu = exact_mean(h, p)
                     for t in (1.0, 3.0, 9.0, 27.0):
@@ -467,7 +467,7 @@ def mrh_conditional_check() -> CheckResult:
             for event in degree_events(h, math.ceil(r)):
                 union |= event.table
             pr_ge_1 = event_probabilities([EventTable(n, union)], [p] * n)[0]
-            mr_full = mr_exact_on(h, tuple(range(h.num_edges)), r)
+            mr_full = mr_exact(h, tuple(range(h.num_edges)), r)
             for y in (0.5, 1.0, 2.0, 3.0):
                 if y <= 1.0:
                     lhs = pr_ge_1
@@ -607,7 +607,7 @@ def mr_z_sample_check() -> CheckResult:
 
     def cases():
         for (_, r, h), bits, ids in _sampled(11, islice(cycle(product((0.6,), rs, hs)), 200)):
-            yield 1, mr_exact_on(h, ids, r) > z_disjoint(by_case[h, r], bits), 0
+            yield 1, mr_exact(h, ids, r) > z_disjoint(by_case[h, r], bits), 0
 
     return _tally("bk", "mr_le_z_sampled", cases(), "{checked} sampled (H,S,r)")
 
@@ -629,10 +629,10 @@ def cascade_consistency_check(seed: int, samples: int) -> CheckResult:
     picks = islice(cycle(product((0.15, 0.25, 0.35), combos, hs)), samples)
     beta = 1.0 / (32.0 * 3)
     verdicts, cases = [], []
-    for (p, (r, t), h), bits, ids in _sampled(seed, picks):
+    for (p, (r, t), h), _, ids in _sampled(seed, picks):
         params = CascadeParams(beta=beta, gamma=0.125, r=r, t=t, p=p)
-        verdicts.append(verdict := check_cascade_event(h, VertexSet(h.n, bits), params).verdict)
-        cases.append((1, bool(verdict) and len(ids) > xr_exact_on(h, ids, r) + t / 2.0 + 1e-9, bool(verdict)))
+        verdicts.append(verdict := check_cascade_event(h, ids, params).verdict)
+        cases.append((1, bool(verdict) and len(ids) > xr_exact(h, ids, r) + t / 2.0 + 1e-9, bool(verdict)))
     detail = "{checked} samples, {active} true verdicts, {indet} indeterminate, {violations} violations"
     indet = verdicts.count(None)
     return _tally("cascade", "event_implies_xr_bound", cases, detail, need_active=True, indet=indet)
@@ -671,7 +671,7 @@ def cascade_trivial_checks() -> list[CheckResult]:
         res.level_count == 0
         and len(res.levels) == 1
         and res.levels[0].r_j == 2.0
-        and res.kept_edge_ids == degree_prune_on(h, ids, 2.0).kept_edge_ids
+        and res.kept_edge_ids == degree_prune(h, ids, 2.0).kept_edge_ids
     )
 
     # On the first sampled subset whose induced edges are disjoint, nothing is pruned.

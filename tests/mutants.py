@@ -53,6 +53,7 @@ CONDITIONED_EXACT = [T_EST + "TestConditioned::test_reports_m_and_factor",
                      T_EST + "TestCertifiedColumn::test_conditioned_all_vertices_is_exact[0.5-142]"]
 MC_COVERS = T_EST + "TestMonteCarlo::test_interval_covers_exact"
 T_XR = "tests/test_decompose.py::TestXr::"
+T_IDS = "tests/test_decompose.py::TestEdgeIdForms::"
 T_BOX = "tests/test_disjointness.py::TestBox::"
 RUN_MEMO_SCOPE = T_EST + "TestHeldHistogram::test_run_suites_enumerates_each_graph_once"
 EARLY_READ = T_EST + "TestHeldHistogram::test_exact_readers_refuse_before_enumerating"
@@ -207,15 +208,15 @@ MUTANTS = [
     ("check_positive lets 0 through", "hypergraph.py",
      "            if not value > 0:",
      "            if not value >= 0:",
-     [CELL + "[theorem_c_bound-t-0]", CELL + "[xr_exact_on-r-0]", CELL + "[bounds_flags-capacity-0]"]),
+     [CELL + "[theorem_c_bound-t-0]", CELL + "[xr_exact-r-0]", CELL + "[bounds_flags-capacity-0]"]),
     ("check_positive's float shortcut lets -0.0 through", "hypergraph.py",
      "        if not (type(value) is float and 0 < value < math.inf):  # X_r and M_r call this per sample",
      "        if not (type(value) is float and 0 <= value < math.inf):",
-     [CELL + "[theorem_c_bound-t--0.0]", CELL + "[xr_exact_on-r--0.0]"]),
+     [CELL + "[theorem_c_bound-t--0.0]", CELL + "[xr_exact-r--0.0]"]),
     ("check_positive's float shortcut takes an int past the float range", "hypergraph.py",
      "        if not (type(value) is float and 0 < value < math.inf):  # X_r and M_r call this per sample",
      "        if not 0 < value < math.inf:",
-     [CELL + "[theorem_c_bound-t-1e400]", CELL + "[xr_exact_on-r-1e400]"]),
+     [CELL + "[theorem_c_bound-t-1e400]", CELL + "[xr_exact-r-1e400]"]),
     ("check_nonnegative refuses 0", "hypergraph.py",
      "        if not value >= 0:",
      "        if not value > 0:",
@@ -276,14 +277,23 @@ MUTANTS = [
      "            elif chosen[v] + left[v] < cap:",
      "            elif chosen[v] + left[v] <= cap:",
      [T_XR + "test_matches_oracle_random", T_XR + "test_matches_oracle_any_uniformity"]),
-    ("xr_or_lower_on guard without r < 1", "decompose.py",
+    ("xr_or_lower guard without r < 1", "decompose.py",
      "    if r < 1 or len(ids) <= XR_EDGE_BUDGET:",
      "    if len(ids) <= XR_EDGE_BUDGET:",
      [T_XR + "test_radius_below_one_is_exactly_zero_past_the_budget[0.5]"]),
+    ("repeated edge ids pass the id check", "decompose.py",
+     "    if len(set(s)) < len(s) or not all(map(range(h.num_edges).__contains__, s)):",
+     "    if not all(map(range(h.num_edges).__contains__, s)):",
+     [T_IDS + "test_steps_refuse_ids_that_are_not_distinct_edge_ids[repeated]"]),
     ("< for <= in M_r's live-center prune", "decompose.py",
      "        if count + len(live) <= best:",
      "        if count + len(live) < best:",
      ["tests/test_decompose.py::TestStarMatching::test_mr_nodes_where_the_live_count_ties_the_best"]),
+    ("degree_event takes a NaN c", "disjointness.py",
+     "    check_count(c=c)  # a NaN or fractional c would give the empty event, or no events, silently",
+     "    pass",
+     [CELL + "[degree_event-c-nan]", CELL + "[degree_events-c-nan]",
+      "tests/test_disjointness.py::TestHypergraphEvents::test_degree_events_refuse_a_count_that_is_not_an_integer"]),
     ("box pairs table K with table K, not full - K", "disjointness.py",
      "    for x, y in zip(ta, reversed(tb)):",
      "    for x, y in zip(ta, tb):",

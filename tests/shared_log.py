@@ -1,5 +1,6 @@
 """A record list that forked workers append to as well as the test process,
-and the check that a test left no forked worker behind.
+the check that a test left no forked worker behind, and a spy on
+induced_edges.
 
 A spy that appends to a plain list sees only the calls made in its own
 process; a pass at workers > 1 makes some of them in forked children.
@@ -13,9 +14,27 @@ from __future__ import annotations
 
 import ast
 import os
+import sys
 import tempfile
 
 import pytest
+
+from uppertail import hypergraph
+
+
+def spy_induced_edges(monkeypatch) -> list:
+    """The vertex sets of every induced_edges call this process makes, under
+    whichever uppertail module's name it is made."""
+    calls, real = [], hypergraph.induced_edges
+
+    def spy(h, s):
+        calls.append(s)
+        return real(h, s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("uppertail") and getattr(module, "induced_edges", None) is real:
+            monkeypatch.setattr(module, "induced_edges", spy)
+    return calls
 
 
 def assert_no_child() -> None:

@@ -34,16 +34,13 @@ from uppertail.bounds import (
 from uppertail.cli import RunConfig
 from uppertail.decompose import (
     CascadeParams,
-    degree_prune_on,
+    degree_prune,
     greedy_star_matching,
     mr_exact,
-    mr_exact_on,
     xr_exact,
-    xr_exact_on,
     xr_or_lower,
-    xr_or_lower_on,
 )
-from uppertail.disjointness import EventTable
+from uppertail.disjointness import EventTable, degree_event, degree_events
 from uppertail.estimate import (
     TailEstimate,
     conditioned_size,
@@ -384,6 +381,8 @@ IGNORED = Kind(frozenset(VALUES))  # a flag the subcommand does not read
 COUNT = Kind(frozenset({"0", "1", "1e400"}), "", NOT_COUNT)
 # A count at most its n, which is 6 in every row of this kind.
 SIZE = Kind(frozenset({"0", "1"}), "m must lie in [0, 6]", NOT_COUNT)
+# A vertex of AP6: a count below its n.
+VERTEX = Kind(frozenset({"0", "1"}), "vertex {value} outside range(6)", NOT_COUNT)
 FLOAT_COUNT = Kind(frozenset({"0", "1"}), "", {**NOT_COUNT, "1e400": NOT_FINITE["1e400"]})
 POSITIVE_COUNT = Kind(frozenset({"1"}), "{name} must be positive, not {value}", FLOAT_COUNT.texts)
 # The refined bound at m = 1 needs n >= 2, and no count value here is.
@@ -445,13 +444,10 @@ REAL_INPUTS = [
      (None, PROBABILITY, THRESHOLD, POSITIVE_COUNT, SEED, NONNEGATIVE)),
     (TailEstimate, (1.0, 0.5, "planted", 10, 0.1, 0.9), (None, None, None, COUNT)),
     (xr_exact, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
-    (xr_exact_on, (AP6, (), 2.0), (None, None, POSITIVE)),
     (xr_or_lower, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
-    (xr_or_lower_on, (AP6, (), 2.0), (None, None, POSITIVE)),
     (greedy_star_matching, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
-    (degree_prune_on, (AP6, (), 2.0), (None, None, POSITIVE)),
+    (degree_prune, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
     (mr_exact, (AP6, FULL6, 2.0), (None, None, POSITIVE)),
-    (mr_exact_on, (AP6, (), 2.0), (None, None, POSITIVE)),
     (CascadeParams, (0.5, 0.1, 1.0, 1.0, 0.5), (RATE, GAMMA, POSITIVE, POSITIVE, OPEN_RATE)),
     (FamilySpec, ("ap", 6), (None, COUNT)),
     (greedy_witness, (AP6, 2.0), (None, NOT_NAN)),
@@ -460,6 +456,8 @@ REAL_INPUTS = [
     (sample_vp, (AP6, 0.5, GEN), (None, PROBABILITY)),
     (sample_vm, (AP6, 3, GEN), (None, SIZE)),
     (EventTable, (2, 0), (SIZE,)),
+    (degree_event, (AP6, 0, 1), (None, VERTEX, COUNT)),
+    (degree_events, (AP6, 1), (None, COUNT)),
     (chunk_layout_head, (5,), (TOTAL,)),
     (bounds_flags, (0.5, 1.0, 0.0, 1.0, 1.0, 0.5, 1, 1),
      (PROBABILITY, POSITIVE, NONNEGATIVE, NONNEGATIVE, POSITIVE, RATE, POSITIVE_COUNT, POSITIVE_COUNT)),
@@ -467,7 +465,7 @@ REAL_INPUTS = [
     (decompose_flags, (1.0,), (POSITIVE,)),
 ]
 # Tried at COUNT_VALUES.
-COUNT_KINDS = (COUNT, SIZE, FLOAT_COUNT, POSITIVE_COUNT, NO_COUNT, ABOVE_MEAN, TOTAL, SEED)
+COUNT_KINDS = (COUNT, SIZE, VERTEX, FLOAT_COUNT, POSITIVE_COUNT, NO_COUNT, ABOVE_MEAN, TOTAL, SEED)
 # Cells refused with another exception than ValueError, or with a message
 # that names another input.
 REFUSED_WITH = {

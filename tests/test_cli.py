@@ -6,7 +6,7 @@ import math
 from contextlib import redirect_stdout
 
 import pytest
-from shared_log import SharedLog
+from shared_log import SharedLog, spy_induced_edges
 
 from uppertail import cli, estimate
 from uppertail.bounds import et_bound, exponent_hg, theorem_c_bound
@@ -282,6 +282,16 @@ class TestDecompose:
         assert [(row["x"], row["xr"], row["xr_exact"], row["mr"]) for row in rows] == want
         # Both branches of xr_or_lower are read: the exact search and the pruned bound.
         assert {row["xr_exact"] for row in rows} == {"true", "false"}
+
+    def test_readme_command_derives_h_s_once_per_sample(self, monkeypatch):
+        # Each step takes the sample's edge ids, so H[S] is derived once per sample.
+        calls = spy_induced_edges(monkeypatch)
+        code, out = run_cli(
+            ["decompose", "--family", "ap", "--n", "30", "--p", "0.3", "--r", "2", "--beta", "0.5",
+             "--gamma", "0.1", "--t", "9", "--samples", "5", "--seed", "3"]
+        )
+        assert code == 0 and len(parse_csv(out)) == 5
+        assert len(calls) == 5
 
     def test_requires_r_and_seed(self):
         assert run_cli(

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from itertools import combinations
 
@@ -14,15 +15,12 @@ from uppertail.decompose import (
     Star,
     cascade_prune,
     check_cascade_event,
-    degree_prune_on,
+    degree_prune,
     greedy_star_matching,
     induced_max_degree,
     mr_exact,
-    mr_exact_on,
     xr_exact,
-    xr_exact_on,
     xr_or_lower,
-    xr_or_lower_on,
 )
 from uppertail.families import build_ap, build_schur
 from uppertail.hypergraph import CapacityError, Hypergraph, VertexSet, induced_edges, sample_vp
@@ -88,7 +86,7 @@ class TestXr:
         ids = tuple(data.draw(st.permutations(range(h.num_edges))))
         r = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
         ordered = [h.edges[i] for i in ids]
-        got, nodes = _search_nodes(xr_exact_on, h, ids, r)
+        got, nodes = _search_nodes(xr_exact, h, ids, r)
         assert got == oracles.naive_xr(ordered, r)
         # The carried bound equals the one recounted at every node, so the
         # search visits exactly the nodes of the recounting search.
@@ -106,7 +104,7 @@ class TestXr:
         h = build_ap(12, 3)
         assert h.num_edges == 30 > decompose.XR_EDGE_BUDGET
         with pytest.raises(CapacityError):
-            xr_exact_on(h, tuple(range(h.num_edges)), 2.0)
+            xr_exact(h, tuple(range(h.num_edges)), 2.0)
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.99])
     def test_radius_below_one_is_exactly_zero_past_the_budget(self, r):
@@ -114,8 +112,8 @@ class TestXr:
         h = build_ap(12, 3)
         ids = tuple(range(h.num_edges))
         assert len(ids) == 30 > decompose.XR_EDGE_BUDGET
-        assert xr_exact_on(h, ids, r) == 0
-        assert xr_or_lower_on(h, ids, r) == (0, True)
+        assert xr_exact(h, ids, r) == 0
+        assert xr_or_lower(h, ids, r) == (0, True)
 
     def test_or_lower_modes(self):
         exact, flag = xr_or_lower(AP5, FULL5, 2.0)
@@ -128,7 +126,7 @@ class TestXr:
         full = VertexSet(16, (1 << 16) - 1)
         val, flag = xr_or_lower(h, full, 2.0)
         assert flag is False
-        assert val == len(degree_prune_on(h, induced_edges(h, full), 2.0).kept_edge_ids)
+        assert val == len(degree_prune(h, induced_edges(h, full), 2.0).kept_edge_ids)
         assert val < len(induced_edges(h, full))
 
 
@@ -152,11 +150,52 @@ class TestEdgeIdForms:
                 assert induced_max_degree(h, some) == self._python_max_degree(h, some)
         assert induced_max_degree(AP5, ()) == 0
 
-    def test_on_forms_match_the_subset_forms(self):
+    @staticmethod
+    def _steps(r):
+        """Each structure step, with the radius or cascade parameters it takes."""
+        params = CascadeParams(beta=0.5, gamma=0.125, r=r, t=9.0, p=0.6)
+        return [(xr_exact, r), (xr_or_lower, r), (greedy_star_matching, r), (mr_exact, r),
+                (degree_prune, r), (cascade_prune, params), (check_cascade_event, params)]
+
+    @staticmethod
+    def _outcome(step, *args):
+        try:
+            return step(*args)
+        except CapacityError:
+            return CapacityError
+
+    def test_each_step_gives_one_answer_from_s_and_from_its_edge_ids(self):
+        refused = set()
         for h, s in _random_cases(16, 30, seed=10, p=0.6):
             ids = induced_edges(h, s)
             for r in (1.0, 1.5, 2.0, 3.0):
-                assert xr_or_lower_on(h, ids, r) == xr_or_lower(h, s, r)
+                for step, arg in self._steps(r):
+                    got = self._outcome(step, h, s, arg)
+                    assert got == self._outcome(step, h, ids, arg), (step.__name__, s, r)
+                    if got is CapacityError:
+                        refused.add(step.__name__)
+        # Past XR_EDGE_BUDGET edges both forms refuse the exact search alike.
+        assert refused == {"xr_exact"}
+
+    @pytest.mark.parametrize("bad", [(3, 3), (-1,), (12,), (0, 5, 40), (1.5,)], ids=["repeated", "negative", "e", "past_e", "fraction"])
+    def test_steps_refuse_ids_that_are_not_distinct_edge_ids(self, bad):
+        # Trusted, (3, 3) would count edge 3 twice, -1 would read edge 11 and
+        # xr_or_lower would read 1.5 as edge 1.
+        h = build_ap(8, 3)
+        assert h.num_edges == 12
+        for step, arg in self._steps(2.0):
+            with pytest.raises(ValueError, match=re.escape(f"edge ids {bad} are not distinct ids in range(12)")):
+                step(h, bad, arg)
+
+    def test_steps_take_ids_in_any_order(self):
+        # xr_exact's search follows the ids' order; the answers do not.
+        for h, s in _random_cases(12, 20, seed=12, p=0.6):
+            ids = induced_edges(h, s)
+            back = ids[::-1]
+            for step, arg in self._steps(2.0):
+                if step is not degree_prune and step is not cascade_prune:
+                    assert self._outcome(step, h, back, arg) == self._outcome(step, h, s, arg), step.__name__
+            assert degree_prune(h, back, 2.0).kept_edge_ids == degree_prune(h, ids, 2.0).kept_edge_ids[::-1]
 
 
 class TestStarMatching:
@@ -211,14 +250,14 @@ class TestStarMatching:
         h = Hypergraph(k, n, data.draw(st.lists(edge, max_size=12)))
         edges = list(h.edges)
         for r in (1.0, 1.5, 2.0, 3.0):
-            assert mr_exact_on(h, tuple(range(h.num_edges)), r) == oracles.naive_mr(edges, r)
+            assert mr_exact(h, tuple(range(h.num_edges)), r) == oracles.naive_mr(edges, r)
 
     @staticmethod
     def _assert_mr_nodes(h, ids, r):
         # Testing #live before building the union decides each prune as the
         # minimum recounted at every node does, so the nodes match too.
         ordered = [h.edges[i] for i in ids]
-        got, nodes = _search_nodes(mr_exact_on, h, ids, r)
+        got, nodes = _search_nodes(mr_exact, h, ids, r)
         assert got == oracles.naive_mr(ordered, r)
         assert (got, nodes) == oracles.mr_search(ordered, r)
 
@@ -249,13 +288,13 @@ class TestStarMatching:
         assert mr_exact(h, s, 4.0) == 1
         # Three triples through 0 on just four vertices.
         h = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-        assert mr_exact_on(h, (0, 1, 2), 3.0) == 1
+        assert mr_exact(h, (0, 1, 2), 3.0) == 1
 
     def test_mr_dropped_center_stays_a_leaf(self):
         # The only two disjoint cherries are 0-1-3 and 5-2-6: the search must
         # drop 0 as a center without blocking it, since it is a leaf at 1.
         h = Hypergraph(2, 7, [(0, 1), (0, 2), (1, 3), (2, 5), (2, 6)])
-        assert mr_exact_on(h, tuple(range(h.num_edges)), 2.0) == 2
+        assert mr_exact(h, tuple(range(h.num_edges)), 2.0) == 2
 
     def test_mr_finishes_where_the_candidate_star_search_ran_long(self):
         # Subset 38 of 60 p = 0.3 draws from AP(60,3) on Philox (5, 0).  The
@@ -319,14 +358,14 @@ class TestDegreePrune:
                 for v in h.edges[i]:
                     deltas[v] = deltas.get(v, 0) + 1
             delta1 = max(deltas.values(), default=0)
-            res = degree_prune_on(h, induced_edges(h, s), delta1 + 0.5)
+            res = degree_prune(h, induced_edges(h, s), delta1 + 0.5)
             assert res.matching.size == 0
             assert res.kept_edge_ids == ids
 
     def test_post_degree_cap(self):
         for h, s in _random_cases(12, 40, seed=7):
             for r in (1.0, 1.5, 2.0):
-                kept = degree_prune_on(h, induced_edges(h, s), r).kept_edge_ids
+                kept = degree_prune(h, induced_edges(h, s), r).kept_edge_ids
                 deg: dict[int, int] = {}
                 for i in kept:
                     for v in h.edges[i]:
@@ -335,7 +374,7 @@ class TestDegreePrune:
 
     def test_removed_edges_touch_matching(self):
         for h, s in _random_cases(12, 20, seed=8):
-            res = degree_prune_on(h, induced_edges(h, s), 2.0)
+            res = degree_prune(h, induced_edges(h, s), 2.0)
             blocked = res.matching.vertex_bits
             kept = set(res.kept_edge_ids)
             for i in induced_edges(h, s):
@@ -364,7 +403,7 @@ class TestCascade:
         ids = induced_edges(h, s)
         res = cascade_prune(h, ids, params)
         assert len(res.levels) == 1 and res.levels[0].r_j == 2.0
-        assert res.kept_edge_ids == degree_prune_on(h, ids, 2.0).kept_edge_ids
+        assert res.kept_edge_ids == degree_prune(h, ids, 2.0).kept_edge_ids
 
     def test_final_degree_and_accounting(self):
         h = build_ap(25, 3)

@@ -301,9 +301,20 @@ class TestHypergraphEvents:
 
     def test_degree_event_refuses_a_vertex_outside_range(self):
         h = build_ap(8, 3)
-        for v in (-1, 8):
-            with pytest.raises(ValueError, match="outside range"):
-                degree_event(h, v, 1)
+        with pytest.raises(ValueError, match="v must be a nonnegative integer, not -1"):
+            degree_event(h, -1, 1)
+        with pytest.raises(ValueError, match="vertex 8 outside range"):
+            degree_event(h, 8, 1)
+
+    def test_degree_events_refuse_a_count_that_is_not_an_integer(self):
+        # A NaN c compares false with every degree: unchecked, it gives the empty event and no events.
+        h = build_ap(8, 3)
+        for c in (math.nan, 1.5, -1):
+            with pytest.raises(ValueError, match="c must be a nonnegative integer"):
+                degree_event(h, 0, c)
+            with pytest.raises(ValueError, match="c must be a nonnegative integer"):
+                degree_events(h, c)
+        assert degree_event(h, 0, 0) == EventTable.full(8) and degree_events(h, 10**400) == ()
 
     @pytest.mark.parametrize("n", [4, 6, 9, 12])
     def test_degree_events_are_the_vertices_with_c_edges(self, n):

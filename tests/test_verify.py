@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shared_log import assert_no_child
+from shared_log import assert_no_child, spy_induced_edges
 from uppertail import disjointness, verify
-from uppertail.decompose import mr_exact_on
+from uppertail.decompose import mr_exact
 from uppertail.families import FamilySpec, build, build_ap
 from uppertail.hypergraph import (
     CapacityError,
@@ -284,6 +284,13 @@ class TestCheckCounts:
         assert len(calls) == len(set(calls)) == 6
         assert len(events) == len(set(events)) == 48
 
+    def test_cascade_check_derives_no_edge_ids(self, monkeypatch):
+        # _sampled returns each sample's edge ids, and the event check and
+        # X_r take them as they are: H[S] is never derived again.
+        calls = spy_induced_edges(monkeypatch)
+        assert _counts(verify.cascade_consistency_check(13, 400))[1] == 400
+        assert calls == []
+
     def test_run_groups_each_graphs_edge_sets_once(self, monkeypatch):
         calls = []
         edge_sets = verify._induced_edge_sets
@@ -420,7 +427,7 @@ class TestMrPacking:
         h = build(PACKING_GRAPHS[name])
         sets, index = verify._induced_edge_sets(h)
         for r in (0.5, 1.0, 1.5, 2.0, 3.0):
-            want = verify._size_value_hist(np.array([mr_exact_on(h, ids, r) for ids in sets])[index])
+            want = verify._size_value_hist(np.array([mr_exact(h, ids, r) for ids in sets])[index])
             got = verify._size_value_hist(verify._mr_by_code(h, r))
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), r
