@@ -1,10 +1,12 @@
 """Named verification suites: phi, variance, sandwich, bk, cascade, lowerbounds.
 
 Each suite re-derives its claims from scratch (exact enumeration wherever the
-instance is small enough) and is a list of check calls.  Every check returns
-its own CheckResult: the pass verdict and detail line and, for a check that
-counts cases, how many it checked, how many violated its claim and how many
-were active (non-vacuous).  A counted check hands its cases to one tally
+instance is small enough).  CHECKS gives each suite its tuple of checks, in
+printed order: zero-argument callables, each returning a list of
+CheckResult; SUITES runs one suite's checks in order.  A CheckResult holds
+the pass verdict and detail line and, for a check that counts cases, how
+many it checked, how many violated its claim and how many were active
+(non-vacuous).  A counted check hands its cases to one tally
 (_tally), which sums their counts, applies the pass rule and fills one
 str.format template with the totals and any figure the check names; only
 mc_coverage_check, whose rule allows two misses, counts for itself.  The CLI
@@ -12,10 +14,11 @@ mc_coverage_check, whose rule allows two misses, counts for itself.  The CLI
 
 No check takes a memo argument: run_suites installs one (_RUN_MEMO) for the
 length of a run and drops it when the run ends; outside a run, a check
-computes its own exact tables.  run_suites can spread whole suites over
-forked worker processes (uppertail.workers.spread), each with its own copy of
-the memo; the results, and so the CLI's output, are the same at any worker
-count.
+computes its own exact tables.  run_suites spreads the checks of the named
+suites, one item each, over forked worker processes
+(uppertail.workers.spread), each with its own memo, and joins their results
+in CHECKS order; the results, and so the CLI's output, are the same at any
+worker count.
 
 The five sampled checks (sandwich, M_r <= Z, three cascade) draw every
 p-subset through _sampled: one raw-word draw from stream 0 of the check's
@@ -88,17 +91,7 @@ from .hypergraph import (
 from .rng import p_keep, stream_generator
 from .workers import spread
 
-__all__ = [
-    "CheckResult",
-    "SUITES",
-    "bk_suite",
-    "cascade_suite",
-    "lowerbounds_suite",
-    "phi_suite",
-    "run_suites",
-    "sandwich_suite",
-    "variance_suite",
-]
+__all__ = ["CHECKS", "CheckResult", "SUITES", "run_suites"]
 
 # Frozen regression constants (see module docstring).
 # Variance ratio exact_variance / ((1-p) * lam) over AP(n,3),
@@ -190,8 +183,9 @@ _RUN_MEMO: dict | None = None  # (fn, h) -> fn(h) while run_suites runs, else No
 def _memoized(fn: Callable, h: Hypergraph):
     """fn(h), kept under (fn, h) in _RUN_MEMO, so each distinct graph's exact
     histogram (edge_count_histogram) and induced edge sets (_induced_edge_sets)
-    are computed once per run; outside a run, once per call.  Callers pass fn
-    as looked up in this module, so a patched global computes and keys it."""
+    are computed once per run in each process; outside a run, once per call.
+    Callers pass fn as looked up in this module, so a patched global computes
+    and keys it."""
     memo = _RUN_MEMO  # read once: a run ending meanwhile only costs a recomputation
     if memo is None:
         return fn(h)
@@ -248,10 +242,6 @@ def bennett_chain_checks() -> list[CheckResult]:
     ]
 
 
-def phi_suite() -> list[CheckResult]:
-    return [*phi_grid_checks(), *bennett_chain_checks()]
-
-
 # ----------------------------------------------------------- variance suite
 
 
@@ -272,10 +262,6 @@ def moments_check(spec: FamilySpec) -> CheckResult:
     name = f"moments_{spec.kind}_{spec.n}_{spec.k if spec.kind == 'ap' else spec.ell}"
     cases = [(1, err > 1e-10, 0) for err in errs]
     return _tally("variance", name, cases, "worst rel err {worst:.2e} over 11 p", worst=max(errs))
-
-
-def variance_suite() -> list[CheckResult]:
-    return [moments_check(spec) for spec in VARIANCE_INSTANCES]
 
 
 # ----------------------------------------------------------- sandwich suite
@@ -528,18 +514,6 @@ def tail_exponent_check() -> CheckResult:
     return CheckResult("sandwich", "tail_exponent_floor", ok, detail)
 
 
-def sandwich_suite() -> list[CheckResult]:
-    return [
-        sandwich_sample_check(7, 2000),
-        degree_matching_equivalence_check(),
-        xr_tail_check(),
-        mr_tail_check(),
-        mrh_conditional_check(),
-        variance_ratio_check(),
-        tail_exponent_check(),
-    ]
-
-
 # ----------------------------------------------------------------- bk suite
 
 
@@ -610,10 +584,6 @@ def mr_z_sample_check() -> CheckResult:
             yield 1, mr_exact(h, ids, r) > z_disjoint(by_case[h, r], bits), 0
 
     return _tally("bk", "mr_le_z_sampled", cases(), "{checked} sampled (H,S,r)")
-
-
-def bk_suite() -> list[CheckResult]:
-    return [bk_random_pairs(), *box_identity_checks(), mr_z_sample_check()]
 
 
 # ------------------------------------------------------------ cascade suite
@@ -687,14 +657,6 @@ def cascade_trivial_checks() -> list[CheckResult]:
     return [
         CheckResult("cascade", "single_level_when_t_le_r_squared", single),
         CheckResult("cascade", "identity_below_degree", identity),
-    ]
-
-
-def cascade_suite() -> list[CheckResult]:
-    return [
-        cascade_consistency_check(13, 400),
-        cascade_accounting_check(),
-        *cascade_trivial_checks(),
     ]
 
 
@@ -866,46 +828,72 @@ def estimator_edge_checks() -> list[CheckResult]:
     ]
 
 
-def lowerbounds_suite() -> list[CheckResult]:
-    return [
-        lower_estimates_check(),
-        witness_tail_check(),
-        clean_config_check(),
-        binomial_floor_check(),
-        paley_zygmund_check(),
-        hypergeom_mean_check(),
-        mc_coverage_check(),
-        *estimator_edge_checks(),
-    ]
+def _one(check: Callable[..., CheckResult], *args) -> Callable[[], list[CheckResult]]:
+    """check(*args) as a zero-argument check that returns a list."""
+    return lambda: [check(*args)]
 
 
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
-    "phi": phi_suite,
-    "variance": variance_suite,
-    "sandwich": sandwich_suite,
-    "bk": bk_suite,
-    "cascade": cascade_suite,
-    "lowerbounds": lowerbounds_suite,
+# Each suite's checks, in printed order: the one list of what a suite runs.
+CHECKS: dict[str, tuple[Callable[[], list[CheckResult]], ...]] = {
+    "phi": (phi_grid_checks, bennett_chain_checks),
+    "variance": tuple(_one(moments_check, spec) for spec in VARIANCE_INSTANCES),
+    "sandwich": (
+        _one(sandwich_sample_check, 7, 2000),
+        _one(degree_matching_equivalence_check),
+        _one(xr_tail_check),
+        _one(mr_tail_check),
+        _one(mrh_conditional_check),
+        _one(variance_ratio_check),
+        _one(tail_exponent_check),
+    ),
+    "bk": (_one(bk_random_pairs), box_identity_checks, _one(mr_z_sample_check)),
+    "cascade": (
+        _one(cascade_consistency_check, 13, 400),
+        _one(cascade_accounting_check),
+        cascade_trivial_checks,
+    ),
+    "lowerbounds": (
+        _one(lower_estimates_check),
+        _one(witness_tail_check),
+        _one(clean_config_check),
+        _one(binomial_floor_check),
+        _one(paley_zygmund_check),
+        _one(hypergeom_mean_check),
+        _one(mc_coverage_check),
+        estimator_edge_checks,
+    ),
 }
+
+
+def _serial(name: str) -> Callable[[], list[CheckResult]]:
+    """Suite name's checks, run in order in this process without a run memo."""
+    def suite() -> list[CheckResult]:
+        return [result for check in CHECKS[name] for result in check()]
+
+    return suite
+
+
+SUITES: dict[str, Callable[[], list[CheckResult]]] = {name: _serial(name) for name in CHECKS}
 
 
 def run_suites(names: Iterable[str] | None = None, workers: int = 1) -> list[CheckResult]:
     """Run the named suites (all by default); their results, in the order
-    named.  Each distinct graph is enumerated, and its induced edge sets
-    grouped, at most once per process in a call.  Whole suites are spread
-    over min(workers, cpu count, suites) processes (uppertail.workers.spread);
-    the results are the same at any count.  Every name is checked before any
-    suite runs."""
+    named and, within a suite, in CHECKS order.  The checks of every named
+    suite are spread one by one over min(workers, cpu count, checks)
+    processes (uppertail.workers.spread), so one suite's checks may run in
+    several; the results are the same at any count.  Each distinct graph is
+    enumerated, and its induced edge sets grouped, at most once per process
+    in a call.  Every name is checked before any check runs."""
     global _RUN_MEMO
     # A repeated name runs once, at its first place.
-    picked = tuple(dict.fromkeys(names)) if names is not None else tuple(SUITES)
+    picked = tuple(dict.fromkeys(names)) if names is not None else tuple(CHECKS)
     for name in picked:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        if name not in CHECKS:
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(CHECKS)}")
+    checks = [check for name in picked for check in CHECKS[name]]
     _RUN_MEMO = {}
     try:
-        # Suites are looked up at call time, in whichever process runs them.
-        done = spread(lambda i: SUITES[picked[i]](), len(picked), workers)
+        done = spread(lambda i: checks[i](), len(checks), workers)
         return [result for results in done for result in results]
     finally:
         _RUN_MEMO = None

@@ -340,7 +340,7 @@ MUTANTS = [
     ("run_suites never installs its memo", "verify.py",
      "    _RUN_MEMO = {}",
      "    _RUN_MEMO = None",
-     [RUN_MEMO_SCOPE]),
+     [RUN_MEMO_SCOPE, "tests/test_verify.py::TestSpreadSuites::test_each_process_computes_each_table_once"]),
     # Only the interleaving tests kill this row every time: with real items,
     # which process takes which item is a race, and a run in which each
     # process took a prefix of the order merges correctly even so.  The
@@ -352,6 +352,14 @@ MUTANTS = [
      [T_WORKERS + "TestSpread::test_order_kept_when_processes_interleave",
       T_WORKERS + "TestPasses::test_order_kept_when_processes_interleave[enumerator]",
       T_WORKERS + "TestPasses::test_order_kept_when_processes_interleave[verify]",
+      "tests/test_verify.py::TestSpreadSuites::test_order_kept_when_processes_interleave"]),
+    # Serially the checks end in item order, so only the interleaving tests,
+    # whose stand-in or hooked checks end out of order, kill this row.
+    ("verify merges check results in completion order", "verify.py",
+     "        done = spread(lambda i: checks[i](), len(checks), workers)",
+     "        done = [r for r, _ in sorted(spread(lambda i: (checks[i](), __import__('time').monotonic()),"
+     " len(checks), workers), key=lambda d: d[1])]",
+     [T_WORKERS + "TestPasses::test_order_kept_when_processes_interleave[verify]",
       "tests/test_verify.py::TestSpreadSuites::test_order_kept_when_processes_interleave"]),
     ("spread without the cpu-count cap", "workers.py",
      "    procs = min(workers, os.cpu_count() or 1, count)",

@@ -119,9 +119,9 @@ SAME = [
     # calling process.
     Same("exact_schur22_workers", at_1_and_2_workers(["tail", "--family", "schur", "--n", "22", *EXACT])),
     Same("exact_ap26_workers", at_1_and_2_workers(["tail", "--family", "ap", "--n", "26", *EXACT])),
-    # verify spreads whole suites over forked workers and returns their
-    # results in suite order; Pin("verify") holds the default worker count
-    # to the pinned file.
+    # verify spreads its checks, one item each, over forked workers and
+    # returns their results in suite and check order; Pin("verify") holds
+    # the default worker count to the pinned file.
     Same("verify_workers", at_1_and_2_workers(["verify"])),
     # The t values at one p read one held sampling pass: the grid's rows must
     # not depend on the worker count and must equal six single-(p, t)

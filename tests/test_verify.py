@@ -1,6 +1,8 @@
+import inspect
 import math
 import os
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shared_log import assert_no_child, spy_induced_edges
+from shared_log import SharedLog, assert_no_child, spy_induced_edges
 from uppertail import disjointness, verify
 from uppertail.decompose import mr_exact
 from uppertail.families import FamilySpec, build, build_ap
@@ -24,6 +26,7 @@ from uppertail.hypergraph import (
 )
 from uppertail.rng import stream_generator
 from uppertail.verify import (
+    CHECKS,
     SUITES,
     TAIL_SANDWICH_C,
     VAR_RATIO_HIGH,
@@ -61,13 +64,20 @@ class TestSuiteRegistry:
         with pytest.raises(ValueError):
             run_suites(["phi", "nope"])
 
-    def test_unknown_suite_rejected_before_any_suite_runs(self, monkeypatch):
+    def test_unknown_suite_rejected_before_any_check_runs(self, monkeypatch):
         def spy():
-            raise AssertionError("a suite ran before every name was checked")
+            raise AssertionError("a check ran before every name was checked")
 
-        monkeypatch.setitem(SUITES, "sandwich", spy)
+        monkeypatch.setitem(CHECKS, "sandwich", (spy,))
         with pytest.raises(ValueError, match="nope"):
             run_suites(["sandwich", "nope"])
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_suite_runs_its_checks_as_a_run_does(self, name):
+        # A plain function that perfbench's tracer can wrap, reading the same
+        # table as run_suites, with its own tables in place of the run memo.
+        assert inspect.isfunction(SUITES[name]) and not inspect.signature(SUITES[name]).parameters
+        assert SUITES[name]() == run_suites([name])
 
     def test_results_are_labelled(self):
         results = run_suites(["phi"])
@@ -83,8 +93,8 @@ class TestSuiteRegistry:
 
 class TestSpreadSuites:
     """run_suites over forked workers returns what the serial loop returns.
-    The worker layer's failure cases run on verify's suites in
-    tests/test_workers.py::TestPasses."""
+    Its items are checks, not suites.  The worker layer's failure cases run
+    on verify's checks in tests/test_workers.py::TestPasses."""
 
     @pytest.mark.parametrize(
         "names", [None, ["lowerbounds", "phi"], ["phi", "phi"]], ids=["all", "order-kept", "repeated"]
@@ -94,22 +104,45 @@ class TestSpreadSuites:
         assert_no_child()
 
     def test_order_kept_when_processes_interleave(self, monkeypatch):
-        # "slow" holds one process while the other takes "slower"; the first
-        # then takes "quick", so neither process ran a prefix of the order.
-        # run_suites looks the names up in SUITES at call time, so these
-        # stand-ins are what the workers run.
-        def suite(name, seconds):
+        # "slow" holds one process while the other takes "slower", the next
+        # check of the same suite; the first then takes "quick", the other
+        # suite's check, so neither process ran a prefix of the order and
+        # one suite's checks ran in two processes.  run_suites reads CHECKS
+        # at call time, so these stand-ins are what the workers run.
+        def check(suite, name, seconds):
             def run():
                 time.sleep(seconds)
-                return [CheckResult(name, "ran", name != "quick", str(os.getpid()))]
+                return [CheckResult(suite, name, name != "quick", str(os.getpid()))]
 
             return run
 
-        for name, seconds in (("slow", 0.2), ("slower", 0.4), ("quick", 0.0)):
-            monkeypatch.setitem(SUITES, name, suite(name, seconds))
-        results = run_suites(["slow", "slower", "quick"], workers=2)
-        assert [(r.suite, r.ok) for r in results] == [("slow", True), ("slower", True), ("quick", False)]
-        assert len({r.detail for r in results}) == 2  # the suites ran in two processes
+        monkeypatch.setitem(CHECKS, "one", (check("one", "slow", 0.2), check("one", "slower", 0.4)))
+        monkeypatch.setitem(CHECKS, "two", (check("two", "quick", 0.0),))
+        results = run_suites(["one", "two"], workers=2)
+        assert [(r.suite, r.name, r.ok) for r in results] == [
+            ("one", "slow", True), ("one", "slower", True), ("two", "quick", False)]
+        assert results[0].detail == results[2].detail != results[1].detail  # the checks ran in two processes
+        assert_no_child()
+
+    def test_each_process_computes_each_table_once(self, monkeypatch):
+        # Each process keeps its own run memo: a table two processes both
+        # need is computed once in each, never twice in one.
+        want = run_suites(workers=1)
+        log = SharedLog()
+
+        def spied(kind, fn):
+            def spy(h):
+                log.append((os.getpid(), kind, tuple(h.edge_masks)))
+                return fn(h)
+
+            return spy
+
+        monkeypatch.setattr(verify, "edge_count_histogram", spied("histogram", verify.edge_count_histogram))
+        monkeypatch.setattr(verify, "_induced_edge_sets", spied("edge sets", verify._induced_edge_sets))
+        assert run_suites(workers=2) == want
+        calls = Counter(log)
+        assert calls and max(calls.values()) == 1
+        assert len({pid for pid, _, _ in calls}) <= 2
         assert_no_child()
 
 

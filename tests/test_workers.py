@@ -1,7 +1,7 @@
 """The one worker layer, uppertail.workers.spread, and the passes built on it.
 
 Three passes spread their items through it: the enumerator's blocks, the
-samplers' chunks and verify's suites.  Its failure cases are tested here
+samplers' chunks and verify's checks.  Its failure cases are tested here
 once, on each of them.  A pass's items are hooked through the spread its
 module calls, so a hook runs in whichever process takes the item; a
 SharedLog collects what the forked workers record."""
@@ -40,22 +40,24 @@ def forks(monkeypatch):
 
 
 # Each pass at a given worker count: the 2^22 codes of AP(22,3) are 4 blocks,
-# 3 * CHUNK samples over AP(30,3) are 3 chunks, and verify runs 3 suites.
+# 3 * CHUNK samples over AP(30,3) are 3 chunks, and verify runs the checks
+# of 3 suites.
 AP22 = build_ap(22, 3)
 AP30 = build_ap(30, 3)
+VERIFY_SUITES = ["phi", "variance", "cascade"]
 PASSES = {
     "enumerator": lambda w: edge_count_histogram(AP22, w),
     "sampler": lambda w: mc_histogram(AP30, 0.3, 3 * CHUNK, seed=4, workers=w).counts,
-    "verify": lambda w: run_suites(["phi", "variance", "cascade"], w),
+    "verify": lambda w: run_suites(VERIFY_SUITES, w),
 }
-ITEMS = {"enumerator": 4, "sampler": 3, "verify": 3}
+ITEMS = {"enumerator": 4, "sampler": 3, "verify": sum(len(verify.CHECKS[name]) for name in VERIFY_SUITES)}
 SPREADER = {"enumerator": estimate, "sampler": estimate, "verify": verify}
 
 
 def hook_items(monkeypatch, kind, hook):
     """Call hook(item) before each item of the kind's pass, in the process
-    running it.  Only that pass's own spread is hooked: verify's suites run
-    their own serial passes, whose items are not the suites."""
+    running it.  Only that pass's own spread is hooked: verify's checks run
+    their own serial passes, whose items are not the checks."""
 
     def hooked(fn, count, procs):
         return workers.spread(lambda i: (hook(i), fn(i))[1], count, procs)
@@ -133,7 +135,8 @@ class TestPasses:
         want = PASSES[kind](1)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert np.array_equal(PASSES[kind](10), want)
-        assert len(forks) == ITEMS[kind] - 1  # one process per item, the caller's included
+        # One process per item, the caller's included, up to the 6 cores.
+        assert len(forks) == min(ITEMS[kind], 6) - 1
         assert_no_child()
 
     def test_serial_while_another_thread_runs(self, kind, forks):
@@ -157,7 +160,7 @@ class TestPasses:
         def hook(i):
             if (os.getpid() == caller) == (raiser == "caller"):
                 raise KeyError("broken item")
-            time.sleep(0.2)  # let the other process take an item
+            time.sleep(0.2 if i < 2 else 0.0)  # let the other process take one of the first two items
 
         hook_items(monkeypatch, kind, hook)
         with pytest.raises(KeyError, match="broken item"):
@@ -177,7 +180,7 @@ class TestPasses:
                 if end == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ValueError(lambda: None)  # a lambda does not pickle
-            time.sleep(0.2)  # let the worker take an item
+            time.sleep(0.2 if i < 2 else 0.0)  # let the worker take one of the first two items
 
         hook_items(monkeypatch, kind, hook)
         with pytest.raises(RuntimeError, match=message):
