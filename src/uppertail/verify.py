@@ -3,7 +3,7 @@
 Each suite re-derives its claims from scratch (exact enumeration wherever the
 instance is small enough).  CHECKS gives each suite its tuple of checks, in
 printed order: zero-argument callables, each returning a list of
-CheckResult; SUITES runs one suite's checks in order.  A CheckResult holds
+CheckResult; SUITES[name]() is run_suites([name]).  A CheckResult holds
 the pass verdict and detail line and, for a check that counts cases, how
 many it checked, how many violated its claim and how many were active
 (non-vacuous).  A counted check hands its cases to one tally
@@ -866,9 +866,9 @@ CHECKS: dict[str, tuple[Callable[[], list[CheckResult]], ...]] = {
 
 
 def _serial(name: str) -> Callable[[], list[CheckResult]]:
-    """Suite name's checks, run in order in this process without a run memo."""
+    """run_suites([name]) as a plain zero-argument function."""
     def suite() -> list[CheckResult]:
-        return [result for check in CHECKS[name] for result in check()]
+        return run_suites([name])
 
     return suite
 

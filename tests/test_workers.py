@@ -65,6 +65,14 @@ def hook_items(monkeypatch, kind, hook):
     monkeypatch.setattr(SPREADER[kind], "spread", hooked)
 
 
+def await_other_process(taken: SharedLog, timeout: float = 10.0) -> None:
+    """Wait until a process other than this one has recorded its pid in
+    taken, so that it has taken an item before this one finishes them all."""
+    deadline = time.monotonic() + timeout
+    while all(pid == os.getpid() for pid in taken) and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
 @pytest.fixture(params=sorted(PASSES))
 def kind(request):
     return request.param
@@ -156,11 +164,13 @@ class TestPasses:
     @pytest.mark.parametrize("raiser", ["caller", "worker"])
     def test_exception_reraised_and_no_child_left(self, monkeypatch, kind, raiser):
         caller = os.getpid()
+        taken = SharedLog()
 
         def hook(i):
+            taken.append(os.getpid())
             if (os.getpid() == caller) == (raiser == "caller"):
                 raise KeyError("broken item")
-            time.sleep(0.2 if i < 2 else 0.0)  # let the other process take one of the first two items
+            await_other_process(taken)
 
         hook_items(monkeypatch, kind, hook)
         with pytest.raises(KeyError, match="broken item"):
@@ -174,13 +184,15 @@ class TestPasses:
     )
     def test_worker_without_a_result_raises_runtime_error(self, monkeypatch, kind, end, message):
         caller = os.getpid()
+        taken = SharedLog()
 
         def hook(i):
+            taken.append(os.getpid())
             if os.getpid() != caller:
                 if end == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ValueError(lambda: None)  # a lambda does not pickle
-            time.sleep(0.2 if i < 2 else 0.0)  # let the worker take one of the first two items
+            await_other_process(taken)
 
         hook_items(monkeypatch, kind, hook)
         with pytest.raises(RuntimeError, match=message):
